@@ -1,20 +1,19 @@
-//! Microbenchmarks of the shard-aware dispatch path (DESIGN.md §5):
-//! the single-pass sequence partitioner that splits a decoded frame
-//! into per-shard sub-batches, and the memoized topic→stage resolution
-//! that replaced the per-frame filter re-scan.
+//! Microbenchmarks of the intra-node router (DESIGN.md §5): the fan-out
+//! of a decoded frame over a plan — per-shard sub-batches, moved or
+//! cloned — and the memoized topic→stage resolution behind it.
 //!
-//! The partitioner is the per-frame hot loop of `dispatch_flow`: one
-//! pass, one bucket push per item. The cloned variant is the fan-out
-//! case where the frame must also survive for unsharded consumers. The
-//! route-cache pair shows the hit path (one hash lookup) against the
-//! cold resolve it memoizes (filter parse per spec per topic).
+//! The fan-out pair shows the move path (sharded consumers only: each
+//! item moves into its shard) against the clone path (an unsharded
+//! consumer keeps the frame whole, so the shards get copies). The route
+//! pair shows the hit path (one hash lookup) against the cold resolve it
+//! memoizes (filter parse per spec per topic).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ifot_core::config::{OperatorKind, OperatorSpec};
-use ifot_core::executor::router::{
-    partition_by_seq, partition_by_seq_cloned, RouteCache, RoutePlan,
-};
+use ifot_core::config::{ExecutorConfig, OperatorKind, OperatorSpec};
+use ifot_core::executor::router::{claimants, materialize, RoutePlan};
+use ifot_core::executor::ExecutorGraph;
 use ifot_core::flow::FlowItem;
+use ifot_core::wire::DecodedItems;
 use ifot_ml::feature::Datum;
 
 /// A representative sensor-derived flow item with a monotone sequence.
@@ -58,19 +57,26 @@ fn sharded_specs() -> Vec<OperatorSpec> {
     specs
 }
 
-fn bench_partition(c: &mut Criterion) {
-    let mut group = c.benchmark_group("shard_router_partition");
+fn bench_fan_out(c: &mut Criterion) {
+    let mut group = c.benchmark_group("shard_router_fan_out");
+    let with_ingest = RoutePlan::resolve(&sharded_specs(), "sensor/sound/1");
+    let shards_only = RoutePlan {
+        stages: with_ingest.stages[1..].to_vec(),
+    };
     for &n in &[4usize, 16, 64] {
         let items = frame(n);
         group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("by_seq_mod4", n), &items, |b, items| {
-            b.iter(|| partition_by_seq(black_box(items.clone()), 4))
-        });
-        group.bench_with_input(
-            BenchmarkId::new("by_seq_cloned_mod4", n),
-            &items,
-            |b, items| b.iter(|| partition_by_seq_cloned(black_box(items), 4)),
-        );
+        for (name, plan) in [("mod4_moved", &shards_only), ("mod4_cloned", &with_ingest)] {
+            group.bench_with_input(BenchmarkId::new(name, n), &items, |b, items| {
+                b.iter(|| {
+                    let claimed = claimants(plan, items.iter().map(|i| i.seq));
+                    let group = DecodedItems::Many(black_box(items.clone()));
+                    materialize(&claimed, group, |route, work| {
+                        black_box((route.stage, work));
+                    })
+                })
+            });
+        }
     }
     group.finish();
 }
@@ -81,13 +87,13 @@ fn bench_route(c: &mut Criterion) {
     group.bench_function("resolve_cold", |b| {
         b.iter(|| RoutePlan::resolve(black_box(&specs), black_box("sensor/sound/1")))
     });
-    let cache = RouteCache::new();
-    cache.resolve(&specs, "sensor/sound/1");
+    let graph = ExecutorGraph::compile(specs, &ExecutorConfig::default());
+    graph.route("sensor/sound/1");
     group.bench_function("cache_hit", |b| {
-        b.iter(|| cache.resolve(black_box(&specs), black_box("sensor/sound/1")))
+        b.iter(|| graph.route(black_box("sensor/sound/1")))
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_partition, bench_route);
+criterion_group!(benches, bench_fan_out, bench_route);
 criterion_main!(benches);

@@ -1,28 +1,15 @@
-//! Microbenchmark of one intra-node flow hop (DESIGN.md §5): the direct
-//! stage-to-stage handoff against the node-thread round trip it
-//! bypasses.
-//!
-//! The direct arm is exactly what a pooled worker executes per eligible
-//! emission: a pinned-version plan lookup, the shard check, and a
-//! try-enqueue into the destination ingress queue. The round-trip arm
-//! replays the work the old path did for the same hop — hand the
-//! outputs over a channel to the node thread, encode the message with
-//! the node's codec, resolve the route, decode the payload back into a
-//! flow item, and enqueue it — but runs it on one thread, so it *omits*
-//! the cross-thread wakeup latency. The measured gap is therefore a
-//! lower bound on what the handoff saves per hop.
-
-use std::sync::mpsc;
+//! Microbenchmark of one intra-node flow hop (DESIGN.md §5): exactly
+//! what a pooled worker executes per step with eligible emissions — a
+//! pinned-version plan lookup, the router's fan-out, and a try-enqueue
+//! into the destination ingress queue.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use ifot_core::config::{ExecutorConfig, OperatorKind, OperatorSpec, ShedPolicy};
 use ifot_core::env::MockEnv;
 use ifot_core::executor::handoff::PlanCache;
-use ifot_core::executor::router::RouteCache;
-use ifot_core::executor::{ExecutorGraph, WorkItem};
+use ifot_core::executor::ExecutorGraph;
 use ifot_core::flow::FlowMessage;
 use ifot_core::operators::OpOutput;
-use ifot_core::wire::{decode_items, FlowCodec, WireFormat};
 use ifot_ml::feature::Datum;
 
 /// A representative refined flow message, as a chain stage emits it.
@@ -68,130 +55,26 @@ fn chain_graph() -> ExecutorGraph {
     ExecutorGraph::compile(specs, &config)
 }
 
+/// One emission per step, and an eight-emission burst (one stage step's
+/// typical output under batched ingress).
 fn bench_hop(c: &mut Criterion) {
-    let mut group = c.benchmark_group("stage_handoff_hop");
-    group.throughput(Throughput::Elements(1));
-
-    // Direct: what the worker does per eligible emission.
-    {
+    for burst in [1u64, 8] {
+        let mut group = c.benchmark_group(format!("stage_handoff_burst{burst}"));
+        group.throughput(Throughput::Elements(burst));
         let graph = chain_graph();
         let handoff = graph.direct_handoff();
         let mut cache = PlanCache::new();
         let mut env = MockEnv::new();
-        let msg = message(7);
+        let outputs: Vec<OpOutput> = (0..burst).map(|i| OpOutput::Emit(message(7 + i))).collect();
         group.bench_function("direct", |b| {
             b.iter(|| {
-                let outcome = handoff.apply(
-                    &mut env,
-                    0,
-                    vec![OpOutput::Emit(black_box(msg.clone()))],
-                    &mut cache,
-                );
+                let outcome = handoff.apply(&mut env, 0, black_box(outputs.clone()), &mut cache);
                 black_box(outcome.direct)
             })
         });
+        group.finish();
     }
-
-    // Round trip: channel to the node thread, codec encode, route
-    // resolve, payload decode, enqueue — the bypassed path, minus the
-    // cross-thread wakeup.
-    {
-        let graph = chain_graph();
-        let cells = graph.cells();
-        let codec = FlowCodec::new(WireFormat::Binary);
-        let routes = RouteCache::new();
-        let (tx, rx) = mpsc::channel::<(usize, Vec<OpOutput>)>();
-        let msg = message(7);
-        group.bench_function("node_round_trip", |b| {
-            b.iter(|| {
-                tx.send((0, vec![OpOutput::Emit(black_box(msg.clone()))]))
-                    .expect("receiver lives");
-                let (src, outputs) = rx.recv().expect("sender lives");
-                for output in outputs {
-                    let OpOutput::Emit(m) = output else {
-                        unreachable!()
-                    };
-                    let topic = graph.specs()[src].output.clone().expect("chain emits");
-                    let payload = codec.encode_message(&m);
-                    let plan = routes.resolve(graph.specs(), &topic);
-                    for route in &plan.stages {
-                        if route.stage == src {
-                            continue;
-                        }
-                        let items = decode_items(&topic, &payload).expect("round trips");
-                        for item in items {
-                            cells[route.stage].enqueue_pooled(WorkItem::Item(item), 0);
-                        }
-                    }
-                }
-                black_box(&cells);
-            })
-        });
-    }
-
-    group.finish();
 }
 
-/// The same pair, amortized over an eight-emission burst (one stage
-/// step's typical output under batched ingress).
-fn bench_burst(c: &mut Criterion) {
-    const BURST: u64 = 8;
-    let mut group = c.benchmark_group("stage_handoff_burst8");
-    group.throughput(Throughput::Elements(BURST));
-
-    let outputs = |base: u64| -> Vec<OpOutput> {
-        (0..BURST)
-            .map(|i| OpOutput::Emit(message(base + i)))
-            .collect()
-    };
-
-    {
-        let graph = chain_graph();
-        let handoff = graph.direct_handoff();
-        let mut cache = PlanCache::new();
-        let mut env = MockEnv::new();
-        group.bench_function("direct", |b| {
-            b.iter(|| {
-                let outcome = handoff.apply(&mut env, 0, black_box(outputs(7)), &mut cache);
-                black_box(outcome.direct)
-            })
-        });
-    }
-
-    {
-        let graph = chain_graph();
-        let cells = graph.cells();
-        let codec = FlowCodec::new(WireFormat::Binary);
-        let routes = RouteCache::new();
-        let (tx, rx) = mpsc::channel::<(usize, Vec<OpOutput>)>();
-        group.bench_function("node_round_trip", |b| {
-            b.iter(|| {
-                tx.send((0, black_box(outputs(7)))).expect("receiver lives");
-                let (src, outputs) = rx.recv().expect("sender lives");
-                for output in outputs {
-                    let OpOutput::Emit(m) = output else {
-                        unreachable!()
-                    };
-                    let topic = graph.specs()[src].output.clone().expect("chain emits");
-                    let payload = codec.encode_message(&m);
-                    let plan = routes.resolve(graph.specs(), &topic);
-                    for route in &plan.stages {
-                        if route.stage == src {
-                            continue;
-                        }
-                        let items = decode_items(&topic, &payload).expect("round trips");
-                        for item in items {
-                            cells[route.stage].enqueue_pooled(WorkItem::Item(item), 0);
-                        }
-                    }
-                }
-                black_box(&cells);
-            })
-        });
-    }
-
-    group.finish();
-}
-
-criterion_group!(benches, bench_hop, bench_burst);
+criterion_group!(benches, bench_hop);
 criterion_main!(benches);

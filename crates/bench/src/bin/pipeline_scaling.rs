@@ -210,17 +210,10 @@ fn run_cell(spec: &CellSpec, seconds: f64) -> CellResult {
 /// sensor stream is refined through a three-stage intra-node chain of
 /// `local_only` Custom operators and lands on four sequence-sharded
 /// predict replicas — three intra-node flow hops per item, none of them
-/// egress. With direct handoff (the default) the executing worker
-/// routes every hop itself and preserves the batch structure across the
-/// chain, so each predict replica keeps amortizing its per-call model
-/// cost over the frame's sub-batch. With the handoff disabled
-/// (`NodeConfig::without_direct_handoff`) every hop detours through the
-/// node thread, which re-dispatches the emissions one item at a time —
-/// the predict replicas pay the full per-call cost per item and the
-/// node thread becomes the serialization point the handoff exists to
-/// bypass.
+/// egress. The executing worker routes every hop itself and preserves
+/// the batch structure across the chain, so each predict replica keeps
+/// amortizing its per-call model cost over the frame's sub-batch.
 struct ChainResult {
-    direct: bool,
     devices: u16,
     rate_hz: f64,
     policy: ShedPolicy,
@@ -242,7 +235,6 @@ struct ChainResult {
 }
 
 fn run_chain_cell(
-    direct: bool,
     devices: u16,
     rate_hz: f64,
     policy: ShedPolicy,
@@ -301,9 +293,6 @@ fn run_chain_cell(
             .sharded(SHARDS, k),
         );
     }
-    if !direct {
-        analysis = analysis.without_direct_handoff();
-    }
     // Linger above the 32-sample fill time (400 ms at 80 Hz), so frames
     // actually reach `batch_max` — the batch structure whose survival
     // across the chain is exactly what this cell measures: a full frame
@@ -345,7 +334,6 @@ fn run_chain_cell(
     let batched_items: u64 = predict_stats.iter().map(|s| s.batched_items).sum();
     let batch_entries: u64 = predict_stats.iter().map(|s| s.batch_entries).sum();
     ChainResult {
-        direct,
         devices,
         rate_hz,
         policy,
@@ -375,8 +363,7 @@ fn run_chain_cell(
 
 fn chain_json(r: &ChainResult) -> String {
     format!(
-        "{{ \"direct_handoff\": {}, \"devices\": {}, \"rate_hz\": {}, \"workers\": 4, \"policy\": \"{}\", \"sensed\": {}, \"ingested\": {}, \"predicted\": {}, \"shed\": {}, \"seconds\": {:.2}, \"items_per_sec\": {:.1}, \"handoff_direct\": {}, \"handoff_fallback\": {}, \"handoff_stale_route\": {}, \"handoff_direct_ratio\": {:.3}, \"mean_sub_batch\": {:.2}, \"delay_mean_ms\": {:.2}, \"delay_max_ms\": {:.2} }}",
-        r.direct,
+        "{{ \"devices\": {}, \"rate_hz\": {}, \"workers\": 4, \"policy\": \"{}\", \"sensed\": {}, \"ingested\": {}, \"predicted\": {}, \"shed\": {}, \"seconds\": {:.2}, \"items_per_sec\": {:.1}, \"handoff_direct\": {}, \"handoff_fallback\": {}, \"handoff_stale_route\": {}, \"handoff_direct_ratio\": {:.3}, \"mean_sub_batch\": {:.2}, \"delay_mean_ms\": {:.2}, \"delay_max_ms\": {:.2} }}",
         r.devices,
         r.rate_hz,
         policy_name(r.policy),
@@ -668,45 +655,21 @@ fn main() {
     };
     println!("  \"speedup_coalesce_w1\": {speedup_coalesce:.2},");
     // Direct stage-to-stage handoff (DESIGN.md §5): the ≥3-stage
-    // intra-node chain, once with workers routing their own hops (the
-    // default) and once with every hop detouring through the node
-    // thread. The sub-saturation Block cell pins exact conservation
-    // through the chain; the 80 Hz × 4-device pair is the throughput
-    // contrast the handoff exists for.
+    // intra-node chain with workers routing their own hops. The
+    // sub-saturation Block cell pins exact conservation through the
+    // chain; the 80 Hz × 4-device cell is the loaded case.
     // Longer windows than the sweep cells: the chain cells are measured
     // drain-inclusive, and the fixed shutdown tail must not drown the
-    // steady-state contrast.
+    // steady state.
     let chain_seconds = if quick { 4.0 } else { 6.0 };
-    let chain_conserve = run_chain_cell(true, 1, 20.0, ShedPolicy::Block, 512, chain_seconds);
-    let chain_on = run_chain_cell(
-        true,
-        4,
-        80.0,
-        ShedPolicy::ShedOldest,
-        MAILBOX,
-        chain_seconds,
-    );
-    let chain_off = run_chain_cell(
-        false,
-        4,
-        80.0,
-        ShedPolicy::ShedOldest,
-        MAILBOX,
-        chain_seconds,
-    );
-    let speedup_handoff = if chain_off.items_per_sec > 0.0 {
-        chain_on.items_per_sec / chain_off.items_per_sec
-    } else {
-        0.0
-    };
+    let chain_conserve = run_chain_cell(1, 20.0, ShedPolicy::Block, 512, chain_seconds);
+    let chain_on = run_chain_cell(4, 80.0, ShedPolicy::ShedOldest, MAILBOX, chain_seconds);
     println!("  \"handoff_chain\": {{");
     println!("    \"stages\": \"sensor/# -> refine-0 -> refine-1 -> refine-2 -> predict x{SHARDS} (3 intra-node hops)\",");
     println!("    \"cells\": [");
     println!("      {},", chain_json(&chain_conserve));
-    println!("      {},", chain_json(&chain_on));
-    println!("      {}", chain_json(&chain_off));
-    println!("    ],");
-    println!("    \"speedup_direct_over_node_path\": {speedup_handoff:.2}");
+    println!("      {}", chain_json(&chain_on));
+    println!("    ]");
     println!("  }},");
     // Hotspot recovery (elastic placement, DESIGN.md §5): the same
     // 2-shard predict pipeline with shard 0 pinned on a 4×-slowed
@@ -789,13 +752,6 @@ fn main() {
             chain_on.handoff_direct,
             chain_on.handoff_fallback,
             chain_on.handoff_stale
-        );
-        // And bypassing the node-thread router must buy real
-        // throughput: >= 1.5x predictions/s over the same cell with the
-        // handoff disabled.
-        assert!(
-            speedup_handoff >= 1.5,
-            "direct handoff chain speedup {speedup_handoff:.2} < 1.5x the node-thread path"
         );
         // Hotspot recovery: the migration must actually happen, must
         // lose nothing across the handover (Block mailboxes + the

@@ -245,22 +245,6 @@ pub struct ExecutorConfig {
     /// default is the paper's 1.6 s real-time bound
     /// ([`crate::costs::REALTIME_BOUND_MS`]).
     pub escalate_wait_ms: u64,
-    /// Direct stage-to-stage handoff on the pooled hot path: when a
-    /// stage's output is flow data consumed only by other stages on the
-    /// same node, the worker enqueues it straight into the destination
-    /// stage's ingress queue instead of round-tripping through the node
-    /// thread's router. Egress outputs (publishes, MIX envelopes,
-    /// commands, events) always go through the node thread. Has no
-    /// effect in inline mode (`workers == 0`).
-    #[serde(default = "default_direct_handoff")]
-    pub direct_handoff: bool,
-}
-
-// Referenced only from the serde attribute above (configs predating the
-// field must deserialize with the handoff on, not `bool::default()`).
-#[allow(dead_code)]
-fn default_direct_handoff() -> bool {
-    true
 }
 
 impl Default for ExecutorConfig {
@@ -270,7 +254,6 @@ impl Default for ExecutorConfig {
             mailbox_capacity: 256,
             shed_policy: ShedPolicy::Block,
             escalate_wait_ms: crate::costs::REALTIME_BOUND_MS,
-            direct_handoff: true,
         }
     }
 }
@@ -483,30 +466,9 @@ impl NodeConfig {
         self
     }
 
-    /// Sets the queue-wait threshold (milliseconds) at which a `Block`
-    /// stage escalates to `ShedOldest`; `0` disables escalation.
-    pub fn with_escalation(mut self, escalate_wait_ms: u64) -> Self {
-        self.executor.escalate_wait_ms = escalate_wait_ms;
-        self
-    }
-
-    /// Sets the staged-executor tuning (builder style).
-    pub fn with_executor(mut self, executor: ExecutorConfig) -> Self {
-        self.executor = executor;
-        self
-    }
-
     /// Sets the executor worker-pool size (builder style; `0` = inline).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.executor.workers = workers;
-        self
-    }
-
-    /// Disables direct stage-to-stage handoff in the worker pool, forcing
-    /// every operator output back through the node-thread router (builder
-    /// style; the baseline arm of the handoff benchmark).
-    pub fn without_direct_handoff(mut self) -> Self {
-        self.executor.direct_handoff = false;
         self
     }
 
@@ -795,13 +757,11 @@ mod tests {
         let cfg = cfg
             .with_wire_format(crate::wire::WireFormat::Binary)
             .with_batching(0, 50)
-            .with_adaptive_linger()
-            .with_escalation(0);
+            .with_adaptive_linger();
         assert_eq!(cfg.wire_format, crate::wire::WireFormat::Binary);
         assert_eq!(cfg.batch_max, 1, "batch_max clamps to 1");
         assert_eq!(cfg.batch_linger_ms, 50);
         assert!(cfg.adaptive_linger);
-        assert_eq!(cfg.executor.escalate_wait_ms, 0);
     }
 
     #[test]

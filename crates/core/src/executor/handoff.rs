@@ -1,30 +1,28 @@
-//! Direct stage-to-stage handoff: workers route the intra-node hot path.
+//! Direct stage-to-stage handoff: the worker-side admission mode of the
+//! intra-node router.
 //!
-//! The pooled executor historically shipped **every** operator output
-//! back to the node thread — the sole router — even when the output's
-//! only consumers were other stages on the same node. Each intra-node
-//! hop then cost an unbounded-channel send, a node-thread wakeup, a
-//! codec round-trip and a re-enqueue, making the node thread the
-//! serialization point that caps worker scaling. [`DirectHandoff`] lets
-//! the executing worker resolve the route itself (against the graph's
-//! mutation-versioned [`SharedRouteView`]) and push eligible flow
-//! emissions straight into the destination stages' ingress queues.
+//! When a stage's flow emissions are consumed only by other stages on
+//! the same node, the executing worker routes them itself — through the
+//! same [`router`] function pair the node thread uses, against the
+//! graph's mutation-versioned [`SharedRouteView`] — and pushes them
+//! straight into the destination stages' ingress queues: no channel
+//! send to the node thread, no node-thread wakeup, no re-enqueue. The
+//! node thread stops being the serialization point that caps worker
+//! scaling.
 //!
-//! The hop also preserves **batch structure**: a step's emissions all
-//! carry the stage's single output topic, so the worker delivers them as
-//! one work item per destination ([`WorkItem::Batch`] for more than one
-//! emission). Downstream ML stages charge their model cost per *call*,
-//! so a refined sensor frame that stays a batch across the chain keeps
-//! amortizing that cost — the node-thread round trip re-dispatches the
-//! same emissions one item at a time and loses the amortization.
+//! The hop preserves **batch structure**: a step's emissions all carry
+//! the stage's single output topic, so each destination receives them
+//! as one work item ([`crate::executor::WorkItem::Batch`] for more than
+//! one). Downstream ML stages charge their model cost per *call*, so a
+//! refined sensor frame that stays a batch across the chain keeps
+//! amortizing that cost.
 //!
 //! ## Routing ownership rules
 //!
 //! The node thread remains the *owner* of routing: workers only apply a
 //! **versioned snapshot** of its decision. An output is handed off
 //! directly iff every condition holds, otherwise it falls back to the
-//! ordinary `deliver` callback and the node thread routes it exactly as
-//! before:
+//! `deliver` callback and the node thread routes it (blocking enqueue):
 //!
 //! * the emitting spec declares an output topic with `publish_output`
 //!   off (egress — MQTT publishes, MIX envelopes, commands, events —
@@ -51,26 +49,27 @@
 //! *tries*: the capacity check happens under the destination's ingress
 //! lock, and a saturated (or version-stale) destination turns the whole
 //! emission into a fallback delivered by the node thread — which is
-//! allowed to block, exactly as it did before this optimization, and is
-//! guaranteed to make progress because workers keep draining. Lock
+//! allowed to block and is guaranteed to make progress because workers
+//! keep draining. Lock
 //! order is just as static: a worker holds one *stage* lock (its own)
 //! and then destination *ingress* locks in ascending stage order;
 //! ingress locks are leaves (nothing is acquired under them), so no
 //! cycle exists.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use crate::config::OperatorSpec;
 use crate::env::NodeEnv;
 use crate::flow::FlowItem;
 use crate::operators::OpOutput;
+use crate::wire::DecodedItems;
 
-use super::router::{RoutePlan, SharedRouteView};
-use super::{StageCell, WorkItem};
+use super::router::{self, RoutePlan, SharedRouteView};
+use super::StageCell;
 
-/// Per-worker memoized plans, cleared whenever the shared view moves.
+/// Per-cache memoized plans, cleared whenever the shared view moves.
 const PLAN_CACHE_CAP: usize = 1024;
 
 /// What [`DirectHandoff::apply`] did with one step's outputs.
@@ -89,16 +88,8 @@ pub struct HandoffOutcome {
     pub stale: u64,
 }
 
-impl HandoffOutcome {
-    fn passthrough(outputs: Vec<OpOutput>) -> Self {
-        HandoffOutcome {
-            leftover: outputs,
-            ..HandoffOutcome::default()
-        }
-    }
-}
-
-/// A worker-private route-plan memo pinned to one topology version.
+/// A private route-plan memo pinned to one topology version — one per
+/// worker, one for the node thread.
 ///
 /// Validating a cached plan costs one acquire load of the shared
 /// version; the shared view's mutex is touched only on a topic miss.
@@ -120,9 +111,9 @@ impl PlanCache {
     }
 
     /// The plan for `topic` at the view's current version; `None` when
-    /// the view moved between the version load and the resolve (the
-    /// caller treats that as a stale route).
-    fn plan(&mut self, view: &SharedRouteView, topic: &str) -> Option<Arc<RoutePlan>> {
+    /// the view moved between the version load and the resolve (a
+    /// worker treats that as a stale route).
+    pub(crate) fn plan(&mut self, view: &SharedRouteView, topic: &str) -> Option<Arc<RoutePlan>> {
         let current = view.version();
         if current != self.version {
             self.plans.clear();
@@ -148,20 +139,29 @@ pub struct DirectHandoff {
     view: Arc<SharedRouteView>,
     cells: Vec<Arc<StageCell>>,
     /// Per-source handoff-eligible output topic (`None` = every output
-    /// of that stage goes through the node thread). Source specs are
-    /// immutable in the fields this reads (retirement only clears
-    /// *inputs*), so the snapshot cannot go stale.
-    eligible: Vec<Option<String>>,
+    /// of that stage goes through the node thread). A stage's output
+    /// topic and publish flag never change after it is built, so the
+    /// snapshot cannot go stale.
+    eligible: Vec<Option<Arc<str>>>,
 }
 
 impl DirectHandoff {
-    /// Builds the handoff router over the pool's cell snapshot.
+    /// Builds the handoff router over the pool's cell snapshot and the
+    /// graph's per-stage `(output topic, publish flag)` table; stages
+    /// the table does not cover hand every output back.
     pub fn new(
         view: Arc<SharedRouteView>,
         cells: Vec<Arc<StageCell>>,
-        specs: &[OperatorSpec],
+        outputs: Vec<Option<(Arc<str>, bool)>>,
     ) -> Self {
-        let eligible = specs.iter().take(cells.len()).map(eligible_topic).collect();
+        let eligible = outputs
+            .into_iter()
+            .take(cells.len())
+            .map(|output| {
+                let (topic, publish) = output?;
+                (!publish && plain_flow_topic(&topic)).then_some(topic)
+            })
+            .collect();
         DirectHandoff {
             view,
             cells,
@@ -182,180 +182,116 @@ impl DirectHandoff {
     /// Routes one step's outputs from stage `src`: eligible flow
     /// emissions are pushed straight into their destination stages'
     /// ingress queues; everything else (and every fallback) is returned
-    /// in `leftover` for node-thread delivery, preserving emission
-    /// order among the leftovers.
+    /// in `leftover` for node-thread delivery, in emission order.
     ///
     /// The step's emissions all carry the source stage's one output
-    /// topic, so they are routed **as a group**: each destination
-    /// receives a single work item — [`WorkItem::Batch`] when more than
-    /// one emission lands there — instead of one push per emission. That
-    /// preserves the batch structure across the hop, which is what lets
-    /// the downstream ML stages keep amortizing their per-call model
-    /// cost; the node-thread round trip shatters a step's emissions into
-    /// per-item deliveries. The group is all-or-nothing: a stale route
-    /// or one saturated blocking destination falls the whole group back
-    /// to node-thread delivery, so every consumer still sees every
-    /// emission exactly once.
+    /// topic, so they are routed **as a group** through the intra-node
+    /// router ([`router::claimants`], then [`router::materialize`]):
+    /// each destination receives a single work item. Between the two
+    /// halves sits the step that makes this safe on a worker: lock the
+    /// destination ingress queues in ascending stage order, re-check the
+    /// topology version under those locks, try the capacity. The group
+    /// is all-or-nothing — a stale route or one saturated blocking
+    /// destination leaves `outputs` untouched for the node thread, so
+    /// every consumer still sees every emission exactly once.
     pub fn apply(
         &self,
         env: &mut dyn NodeEnv,
         src: usize,
-        outputs: Vec<OpOutput>,
+        mut outputs: Vec<OpOutput>,
         cache: &mut PlanCache,
     ) -> HandoffOutcome {
-        let Some(topic) = self.eligible.get(src).and_then(Option::as_deref) else {
-            return HandoffOutcome::passthrough(outputs);
-        };
-        // Split the emissions out while remembering where they sat, so a
-        // group fallback can rebuild the original output order.
-        let mut emits: Vec<crate::flow::FlowMessage> = Vec::new();
-        let mut skeleton: Vec<Option<OpOutput>> = Vec::with_capacity(outputs.len());
-        for output in outputs {
-            match output {
-                OpOutput::Emit(msg) => {
-                    emits.push(msg);
-                    skeleton.push(None);
-                }
-                other => skeleton.push(Some(other)),
-            }
-        }
-        let others = |skeleton: Vec<Option<OpOutput>>| -> Vec<OpOutput> {
-            skeleton.into_iter().flatten().collect()
-        };
-        let rebuild = |skeleton: Vec<Option<OpOutput>>,
-                       emits: Vec<crate::flow::FlowMessage>|
-         -> Vec<OpOutput> {
-            let mut emits = emits.into_iter();
-            skeleton
-                .into_iter()
-                .map(|slot| match slot {
-                    Some(other) => other,
-                    None => OpOutput::Emit(emits.next().expect("one emission per slot")),
-                })
-                .collect()
-        };
         let mut outcome = HandoffOutcome::default();
-        if emits.is_empty() {
-            outcome.leftover = others(skeleton);
-            return outcome;
-        }
-        let group = emits.len() as u64;
+        let seqs = outputs.iter().filter_map(|output| match output {
+            OpOutput::Emit(msg) => Some(msg.seq),
+            _ => None,
+        });
+        let group = seqs.clone().count() as u64;
         'route: {
+            let Some(Some(topic)) = self.eligible.get(src) else {
+                break 'route;
+            };
+            if group == 0 {
+                break 'route;
+            }
             let Some(plan) = cache.plan(&self.view, topic) else {
                 outcome.stale = group;
                 break 'route;
             };
-            // Mirror of `route_output`: an unpublished output with no
-            // consumer besides its emitter is dropped.
-            if !plan.stages.iter().any(|r| r.stage != src) {
-                outcome.leftover = others(skeleton);
-                return outcome;
+            // The destinations (the emitter included, if it accepts its
+            // own output — exactly what the node thread would deliver).
+            // An unpublished output with no consumer besides its emitter
+            // is dropped, and so is a group no shard claims.
+            let claimed = if plan.stages.iter().any(|r| r.stage != src) {
+                router::claimants(&plan, seqs)
+            } else {
+                Cow::default()
+            };
+            if claimed.is_empty() {
+                outputs.retain(|output| !matches!(output, OpOutput::Emit(_)));
+                break 'route;
             }
-            // Bucket the emissions per shard-matching destination (the
-            // emitter included, if it accepts its own output — exactly
-            // what the node-thread dispatch would deliver). Buckets hold
-            // indices so the group survives intact for a late fallback.
-            let mut buckets: Vec<(usize, Vec<usize>)> = Vec::with_capacity(plan.stages.len());
-            for route in &plan.stages {
-                let idxs: Vec<usize> = match route.shard {
-                    Some((modulus, index)) => emits
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, m)| m.seq % modulus.max(1) == index)
-                        .map(|(i, _)| i)
-                        .collect(),
-                    None => (0..emits.len()).collect(),
-                };
-                if idxs.is_empty() {
-                    // No sequence of this group lands on the shard; an
-                    // emission claimed by no shard at all is dropped,
-                    // exactly like the node path.
-                    continue;
-                }
-                if route.stage >= self.cells.len() {
-                    // A post-snapshot (inline) stage accepts this topic;
-                    // the node thread must deliver the whole group so
-                    // every consumer sees it exactly once.
-                    outcome.fallback = group;
-                    break 'route;
-                }
-                buckets.push((route.stage, idxs));
+            if claimed.iter().any(|r| r.stage >= self.cells.len()) {
+                // A post-snapshot (inline) stage accepts this topic;
+                // the node thread must deliver the whole group so
+                // every consumer sees it exactly once.
+                outcome.fallback = group;
+                break 'route;
             }
-            if buckets.is_empty() {
-                outcome.leftover = others(skeleton);
-                return outcome;
-            }
-            // Lock every destination ingress in ascending stage order
-            // (the static order that keeps multi-destination handoffs
-            // cycle-free) and re-validate the topology version *under*
-            // those locks: a migration bumps the version before draining
-            // a retired stage, and the ingress mutex gives the
-            // happens-before edge that makes the bump visible here — so
-            // nothing can land behind a drain.
-            buckets.sort_unstable_by_key(|(dest, _)| *dest);
-            let mut guards = Vec::with_capacity(buckets.len());
-            for (dest, _) in &buckets {
-                guards.push(self.cells[*dest].ingress.lock());
-            }
+            // Lock every destination ingress in ascending stage order —
+            // the plan's order, the static order that keeps
+            // multi-destination handoffs cycle-free — and re-validate
+            // the topology version *under* those locks: a migration
+            // bumps the version before draining a retired stage, and
+            // the ingress mutex gives the happens-before edge that
+            // makes the bump visible here — so nothing can land behind
+            // a drain.
+            let mut guards: Vec<_> = claimed
+                .iter()
+                .map(|r| self.cells[r.stage].ingress.lock())
+                .collect();
             if self.view.version() != cache.version() {
-                drop(guards);
                 outcome.stale = group;
                 break 'route;
             }
-            // Non-blocking capacity check (a batched bucket occupies one
+            // Non-blocking capacity check (a batched group occupies one
             // mailbox entry, like any node-dispatched frame): a saturated
             // `Block` destination turns the whole group into a
             // node-thread fallback — workers never wait on mailbox space
             // (see module docs).
-            for ((dest, _), guard) in buckets.iter().zip(&guards) {
-                let cell = &self.cells[*dest];
+            for (route, guard) in claimed.iter().zip(&guards) {
+                let cell = &self.cells[route.stage];
                 if cell.blocking.load(Ordering::Acquire)
                     && guard.len() + cell.depth.load(Ordering::Acquire) >= cell.capacity
                 {
-                    drop(guards);
                     outcome.fallback = group;
                     break 'route;
                 }
             }
-            // Deliver: the last bucket using an emission takes it by
-            // move, earlier fan-out buckets clone.
-            let mut uses = vec![0usize; emits.len()];
-            for (_, idxs) in &buckets {
-                for &i in idxs {
-                    uses[i] += 1;
+            // Committed: the emissions leave `outputs` as one group.
+            let mut items = Vec::with_capacity(group as usize);
+            let mut rest = Vec::new();
+            for output in outputs {
+                match output {
+                    OpOutput::Emit(msg) => items.push(FlowItem::from_message(topic, msg)),
+                    other => rest.push(other),
                 }
             }
+            outputs = rest;
             let now_ns = env.now_ns();
-            let mut slots: Vec<Option<crate::flow::FlowMessage>> =
-                emits.into_iter().map(Some).collect();
-            for ((_, idxs), guard) in buckets.iter().zip(guards.iter_mut()) {
-                let mut items = Vec::with_capacity(idxs.len());
-                for &i in idxs {
-                    uses[i] -= 1;
-                    let msg = if uses[i] == 0 {
-                        slots[i].take().expect("last bucket takes the emission")
-                    } else {
-                        slots[i].clone().expect("cloned for fan-out")
-                    };
-                    items.push(FlowItem::from_message(topic, msg));
-                }
-                outcome.direct += items.len() as u64;
-                let work = if items.len() == 1 {
-                    WorkItem::Item(items.pop().expect("one item"))
-                } else {
-                    WorkItem::Batch(items)
-                };
-                guard.push_back((work, now_ns));
-            }
-            outcome.leftover = others(skeleton);
-            if outcome.direct > 0 {
-                env.add("handoff_direct", outcome.direct);
-            }
-            return outcome;
+            router::materialize(&claimed, DecodedItems::Many(items), |route, work| {
+                let k = claimed
+                    .iter()
+                    .position(|r| r.stage == route.stage)
+                    .expect("materialize admits only to the routes it was given");
+                outcome.direct += work.item_count() as u64;
+                guards[k].push_back((work, now_ns));
+            });
         }
-        // Group fallback: ship every output — emissions in their
-        // original positions — to the node thread.
-        outcome.leftover = rebuild(skeleton, emits);
+        outcome.leftover = outputs;
+        if outcome.direct > 0 {
+            env.add("handoff_direct", outcome.direct);
+        }
         if outcome.fallback > 0 {
             env.add("handoff_fallback", outcome.fallback);
         }
@@ -366,21 +302,17 @@ impl DirectHandoff {
     }
 }
 
-/// The output topic stage `spec` may hand off directly, if any.
-pub(crate) fn eligible_topic(spec: &OperatorSpec) -> Option<String> {
-    let topic = spec.output.as_ref()?;
-    if spec.publish_output {
-        return None;
-    }
-    let special = topic.starts_with(crate::discovery::ANNOUNCE_PREFIX)
+/// Whether `topic` carries plain flow data, i.e. a local emission on it
+/// may travel between co-located stages as [`FlowItem`]s. The discovery
+/// (`ifot/announce`), broker sys (`$SYS/`), control (`ifot/control`),
+/// model (`mix/`) and sensor (`sensor/`, which feeds the node's sequence
+/// ledger) planes are node-thread business and go through the codec.
+pub(crate) fn plain_flow_topic(topic: &str) -> bool {
+    !(topic.starts_with(crate::discovery::ANNOUNCE_PREFIX)
         || topic.starts_with("$SYS/")
         || topic.starts_with(crate::rebalance::CONTROL_PREFIX)
         || topic.starts_with("mix/")
-        || topic.starts_with("sensor/");
-    if special {
-        return None;
-    }
-    Some(topic.clone())
+        || topic.starts_with("sensor/"))
 }
 
 #[cfg(test)]
@@ -500,8 +432,75 @@ mod tests {
         assert_eq!(outcome.fallback, 0);
         assert!(
             outcome.leftover.is_empty(),
-            "dropped, exactly as route_output"
+            "dropped, exactly as on the node thread"
         );
+    }
+
+    #[test]
+    fn emitter_accepting_its_own_output_is_a_destination_too() {
+        // `a` consumes `flow/#`, which covers its own output; `b` makes
+        // that output routable. Both get the emission, like on the node
+        // thread.
+        let graph = ExecutorGraph::compile(
+            vec![chain("a", "flow/#", "flow/a"), sink("b", "flow/a")],
+            &config(),
+        );
+        let handoff = graph.direct_handoff();
+        let cells = graph.cells();
+        let mut env = MockEnv::new();
+        let mut cache = PlanCache::new();
+
+        cells[0].enqueue_pooled(WorkItem::Item(item("flow/in", 1)), 0);
+        let outcome = cells[0]
+            .step_pooled_handoff(&mut env, 0, &handoff, &mut cache)
+            .expect("stage a has work");
+        assert_eq!(outcome.direct, 2, "one hop to a itself, one to b");
+        assert!(outcome.leftover.is_empty());
+        assert!(cells[1].step_pooled(&mut env).is_some(), "b got it");
+        // a's own ingress holds the echo: stepping a again hands off again.
+        let again = cells[0]
+            .step_pooled_handoff(&mut env, 0, &handoff, &mut cache)
+            .expect("a received its own emission");
+        assert_eq!(again.direct, 2);
+    }
+
+    #[test]
+    fn non_flow_outputs_stay_behind_in_order() {
+        use crate::operators::NodeEvent;
+        let config = ExecutorConfig {
+            workers: 1,
+            mailbox_capacity: 1,
+            shed_policy: ShedPolicy::Block,
+            ..ExecutorConfig::default()
+        };
+        let graph = ExecutorGraph::compile(
+            vec![chain("a", "in/#", "flow/a"), sink("b", "flow/a")],
+            &config,
+        );
+        let handoff = graph.direct_handoff();
+        let mut env = MockEnv::new();
+        let mut cache = PlanCache::new();
+        let event = |round| {
+            OpOutput::Event(NodeEvent::MixRound {
+                task: "t".into(),
+                round,
+                at_ns: 0,
+            })
+        };
+        let emit = |seq| OpOutput::Emit(item("flow/a", seq).into_message("a"));
+        let outputs = vec![event(1), emit(1), event(2), emit(2), event(3)];
+
+        // Delivered: the emissions leave as one batch, the rest stays.
+        let outcome = handoff.apply(&mut env, 0, outputs.clone(), &mut cache);
+        assert_eq!(outcome.direct, 2);
+        assert_eq!(outcome.leftover, vec![event(1), event(2), event(3)]);
+        graph.cells()[1].with_stage(|stage| assert_eq!(stage.depth(), 1));
+
+        // That batch saturates b (capacity 1): the next group falls back
+        // and the outputs come back untouched, emissions in place.
+        let outcome = handoff.apply(&mut env, 0, outputs.clone(), &mut cache);
+        assert_eq!((outcome.direct, outcome.fallback), (0, 2));
+        assert_eq!(outcome.leftover, outputs);
     }
 
     #[test]

@@ -8,14 +8,18 @@
 //!
 //! * **Inline** (`workers = 0`, the only mode on the deterministic
 //!   simulator): [`ExecutorGraph::offer_item`] enqueues and immediately
-//!   drains the stage on the caller's thread. The sequence of
-//!   environment calls (CPU charges, RNG draws, metric updates) is
-//!   byte-for-byte the sequence the old monolithic dispatch produced,
-//!   which keeps seeded trace digests bit-identical.
+//!   drains the stage on the caller's thread, so the sequence of
+//!   environment calls (CPU charges, RNG draws, metric updates) is a
+//!   pure function of the input and seeded trace digests stay
+//!   bit-identical.
 //! * **Pooled** (`workers > 0` on the thread runtime): the node thread
 //!   only enqueues; a worker pool ([`pool::WorkerPool`]) pops and
-//!   executes stages concurrently and ships the outputs back to the
-//!   node thread, which remains the sole router/publisher.
+//!   executes stages concurrently, hands intra-node flow hops to the
+//!   next stage itself ([`handoff`]) and ships everything else back to
+//!   the node thread, which remains the sole publisher.
+//!
+//! Either way the fan-out of a group of items over the accepting stages
+//! is decided in one place, [`router`].
 //!
 //! Mailboxes are bounded with an explicit overflow policy
 //! ([`ShedPolicy`]): block the producer, shed the oldest queued item, or
@@ -27,6 +31,7 @@ pub mod ops;
 pub mod pool;
 pub mod router;
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -593,18 +598,27 @@ impl StageCell {
 
 /// The compiled executor graph of a node: one stage per configured
 /// operator, plus a lock-free copy of every spec so admission checks
-/// (topic filters, shards) never take a stage lock, and a memoized
-/// topic→accepting-stages cache derived from those specs (any future
-/// spec mutation must call [`ExecutorGraph::invalidate_routes`]).
+/// (topic filters, shards) never take a stage lock, and the memoized
+/// topic→accepting-stages view derived from those specs (every spec
+/// mutation must call [`ExecutorGraph::invalidate_routes`]).
 #[derive(Debug)]
 pub struct ExecutorGraph {
     cells: Vec<Arc<StageCell>>,
     specs: Vec<OperatorSpec>,
     retired: Vec<bool>,
-    routes: router::RouteCache,
-    /// Mutation-versioned route view shared with the worker pool (the
-    /// node thread keeps using the faster single-threaded `routes`).
+    /// Per-stage `(output topic, publish flag)`, so routing a step's
+    /// emissions never clones a spec. Fixed when the stage is built.
+    outputs: Vec<Option<(Arc<str>, bool)>>,
+    /// Mutation-versioned route view, shared with the worker pool.
     shared_routes: Arc<router::SharedRouteView>,
+    /// The owning thread's memo over `shared_routes` (the workers each
+    /// hold their own).
+    routes: RefCell<handoff::PlanCache>,
+}
+
+fn stage_output(spec: &OperatorSpec) -> Option<(Arc<str>, bool)> {
+    let topic = spec.output.as_deref()?;
+    Some((Arc::from(topic), spec.publish_output))
 }
 
 impl ExecutorGraph {
@@ -615,14 +629,16 @@ impl ExecutorGraph {
             .map(|spec| Arc::new(StageCell::new(Self::build_stage(spec, config))))
             .collect();
         let retired = vec![false; specs.len()];
+        let outputs = specs.iter().map(stage_output).collect();
         let shared_routes = Arc::new(router::SharedRouteView::new());
         shared_routes.refresh(specs.clone());
         ExecutorGraph {
             cells,
             specs,
             retired,
-            routes: router::RouteCache::new(),
+            outputs,
             shared_routes,
+            routes: RefCell::default(),
         }
     }
 
@@ -643,6 +659,7 @@ impl ExecutorGraph {
     pub fn install(&mut self, spec: OperatorSpec, config: &ExecutorConfig) -> usize {
         self.cells
             .push(Arc::new(StageCell::new(Self::build_stage(&spec, config))));
+        self.outputs.push(stage_output(&spec));
         self.specs.push(spec);
         self.retired.push(false);
         self.invalidate_routes();
@@ -675,10 +692,21 @@ impl ExecutorGraph {
     /// The memoized route plan for `topic` (resolved on first use; hits
     /// are allocation-free and never re-parse a topic filter).
     pub fn route(&self, topic: &str) -> Arc<router::RoutePlan> {
-        self.routes.resolve(&self.specs, topic)
+        self.routes
+            .borrow_mut()
+            .plan(&self.shared_routes, topic)
+            // Only `invalidate_routes` moves the view, and it cannot run
+            // during this call; resolve directly if something else did.
+            .unwrap_or_else(|| Arc::new(router::RoutePlan::resolve(&self.specs, topic)))
     }
 
-    /// Drops the memoized route plans and bumps the shared view's
+    /// Stage `index`'s output topic and whether its emissions are also
+    /// published to the broker (`None` for a stage that emits nothing).
+    pub fn output(&self, index: usize) -> Option<(Arc<str>, bool)> {
+        self.outputs.get(index)?.clone()
+    }
+
+    /// Drops the memoized route plans by bumping the shared view's
     /// version (workers pinned to the old topology fall back to
     /// node-thread delivery). Must accompany any mutation of the specs,
     /// mirroring the MQTT tree's match-cache contract — and must run
@@ -686,7 +714,6 @@ impl ExecutorGraph {
     /// stage's mailbox is drained), so in-flight direct handoffs cannot
     /// land behind the action.
     pub fn invalidate_routes(&self) {
-        self.routes.invalidate();
         self.shared_routes.refresh(self.specs.clone());
     }
 
@@ -702,7 +729,7 @@ impl ExecutorGraph {
         Arc::new(handoff::DirectHandoff::new(
             self.shared_routes(),
             self.cells(),
-            &self.specs,
+            self.outputs.clone(),
         ))
     }
 

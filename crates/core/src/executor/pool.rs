@@ -16,9 +16,9 @@
 //! `consumers - 1` copies) while inline mode, which executes stages in
 //! order, always gets the free unwrap on the final consumer.
 //!
-//! With a [`DirectHandoff`] router, workers *do* route the intra-node
-//! hot path: a stage's eligible flow emissions go straight into the
-//! destination stages' ingress queues, and only egress outputs and
+//! Workers route the intra-node hot path themselves through the pool's
+//! [`DirectHandoff`]: a stage's eligible flow emissions go straight into
+//! the destination stages' ingress queues, and only egress outputs and
 //! fallbacks are handed to the `deliver` callback (wired back to the
 //! node thread, which stays the sole publisher and the owner of route
 //! mutations). Blocking backpressure stays deadlock-free because the
@@ -176,14 +176,14 @@ impl std::fmt::Debug for WorkerPool {
 
 impl WorkerPool {
     /// Spawns `workers` threads draining `cells`; outputs go to
-    /// `deliver`, except the intra-node flow hops `handoff` (when given)
-    /// delivers worker-to-stage directly.
+    /// `deliver`, except the intra-node flow hops `handoff` delivers
+    /// worker-to-stage directly.
     pub fn spawn(
         name: &str,
         workers: usize,
         cells: Vec<Arc<StageCell>>,
         deliver: DeliverFn,
-        handoff: Option<Arc<DirectHandoff>>,
+        handoff: Arc<DirectHandoff>,
         runtime: WorkerRuntime,
     ) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
@@ -193,7 +193,7 @@ impl WorkerPool {
             .map(|w| {
                 let cells = cells.clone();
                 let deliver = Arc::clone(&deliver);
-                let handoff = handoff.clone();
+                let handoff = Arc::clone(&handoff);
                 let stop = Arc::clone(&stop);
                 let signal = Arc::clone(&signal);
                 let scans = Arc::clone(&scans);
@@ -222,25 +222,13 @@ impl WorkerPool {
                             // convoying on the first busy one.
                             for i in 0..cells.len() {
                                 let index = (w + i) % cells.len();
-                                match handoff.as_deref() {
-                                    Some(handoff) => {
-                                        if let Some(outcome) = cells[index].step_pooled_handoff(
-                                            &mut env, index, handoff, &mut plans,
-                                        ) {
-                                            did_work = true;
-                                            handed_off |= outcome.direct > 0;
-                                            if !outcome.leftover.is_empty() {
-                                                deliver(index, outcome.leftover);
-                                            }
-                                        }
-                                    }
-                                    None => {
-                                        if let Some(outputs) = cells[index].step_pooled(&mut env) {
-                                            did_work = true;
-                                            if !outputs.is_empty() {
-                                                deliver(index, outputs);
-                                            }
-                                        }
+                                if let Some(outcome) = cells[index]
+                                    .step_pooled_handoff(&mut env, index, &handoff, &mut plans)
+                                {
+                                    did_work = true;
+                                    handed_off |= outcome.direct > 0;
+                                    if !outcome.leftover.is_empty() {
+                                        deliver(index, outcome.leftover);
                                     }
                                 }
                             }
@@ -336,7 +324,7 @@ mod tests {
             2,
             graph.cells(),
             Arc::new(|_, _| {}),
-            Some(graph.direct_handoff()),
+            graph.direct_handoff(),
             WorkerRuntime {
                 epoch: Instant::now(),
                 metrics: Arc::clone(&metrics),

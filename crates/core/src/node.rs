@@ -37,7 +37,8 @@ use ifot_sensors::inject::AnomalyInjector;
 use crate::config::{ActuatorKindSpec, NodeConfig, OperatorSpec, ShedPolicy};
 use crate::costs;
 use crate::env::NodeEnv;
-use crate::executor::router::{self, RoutePlan};
+use crate::executor::handoff::{plain_flow_topic, DirectHandoff};
+use crate::executor::router;
 use crate::executor::{ControlMsg, ExecutorGraph, OpTimer, StageCell, StageStats, WorkItem};
 use crate::flow::{topics, FlowBatch, FlowItem, FlowMessage};
 use crate::operators::{ClassifierModel, MixEnvelope, NodeEvent, OpOutput};
@@ -77,6 +78,61 @@ const ADAPTIVE_LINGER_FLOOR_NS: u64 = 1_000_000;
 /// Largest seq gap tracked individually; wider gaps are counted in bulk.
 const SEQ_GAP_TRACK_MAX: u64 = 1024;
 
+/// Local hops one dispatch may follow before it is cut off as a loop (a
+/// stage that, directly or through others, consumes its own output).
+const LOCAL_HOP_LIMIT: usize = 64;
+
+/// One pending local delivery. Plain flow emissions travel between
+/// co-located stages as items; the special planes (and everything that
+/// arrived from the broker) go through the codec.
+#[derive(Debug)]
+enum Hop {
+    Wire(String, Bytes),
+    Items(DecodedItems),
+}
+
+/// The inter-arrival estimator behind both adaptive linger windows (the
+/// publish batcher's, keyed per topic, and the stage-ingress
+/// coalescer's): an `α = 1/8` EWMA of clamped arrival gaps, turned into
+/// "the time a full batch takes to accumulate".
+#[derive(Debug, Default)]
+struct LingerEstimator {
+    /// EWMA of the inter-arrival time (ns); 0 = no estimate yet.
+    ewma_ns: u64,
+    /// Timestamp of the previous arrival; 0 = none.
+    last_ns: u64,
+}
+
+impl LingerEstimator {
+    fn observe(&mut self, now_ns: u64) {
+        let last = std::mem::replace(&mut self.last_ns, now_ns);
+        if last == 0 || now_ns < last {
+            return;
+        }
+        let interval = (now_ns - last).min(ADAPTIVE_INTERVAL_CLAMP_NS);
+        self.ewma_ns = if self.ewma_ns == 0 {
+            interval
+        } else {
+            (self.ewma_ns * 7 + interval) / 8
+        };
+    }
+
+    /// The linger window: `batch_max ×` the estimated inter-arrival,
+    /// bounded by `cap_ns`. `unknown_ns` until an estimate exists; 0
+    /// once arrivals are known to be slower than the cap (the window
+    /// would expire before a companion arrives).
+    fn window_ns(&self, batch_max: usize, cap_ns: u64, unknown_ns: u64) -> u64 {
+        if self.ewma_ns == 0 {
+            return unknown_ns;
+        }
+        if self.ewma_ns >= cap_ns {
+            return 0;
+        }
+        let target = batch_max_u64(batch_max).saturating_mul(self.ewma_ns);
+        target.clamp(ADAPTIVE_LINGER_FLOOR_NS.min(cap_ns), cap_ns)
+    }
+}
+
 fn tag(kind: u64, index: usize) -> u64 {
     (kind << TAG_KIND_SHIFT) | index as u64
 }
@@ -91,6 +147,16 @@ fn note_flow_frame(env: &mut dyn NodeEnv, items: u64, bytes: usize) {
     env.incr("flow_frames_published");
     env.add("flow_items_published", items);
     env.add("flow_bytes_published", bytes as u64);
+}
+
+/// The node's subscription filters, parsed once per (re)subscription
+/// instead of per published output.
+fn parse_filters(config: &NodeConfig) -> Vec<TopicFilter> {
+    config
+        .subscription_filters()
+        .into_iter()
+        .filter_map(|f| TopicFilter::new(f).ok())
+        .collect()
 }
 
 #[derive(Debug)]
@@ -227,9 +293,9 @@ pub struct MiddlewareNode {
     seq_ledger: BTreeMap<String, SeqTracker>,
     sensors: Vec<SensorRuntime>,
     executor: ExecutorGraph,
-    /// Pooled mode (thread runtime with workers): dispatch enqueues into
-    /// stage mailboxes instead of draining them inline.
-    pooled: bool,
+    /// The node's parsed subscription filters, as of the last
+    /// `subscribe_all` (or local operator-set change).
+    subscribed: Vec<TopicFilter>,
     actuators: BTreeMap<u16, ActuatorDevice>,
     events: Vec<NodeEvent>,
     directory: crate::discovery::FlowDirectory,
@@ -239,21 +305,18 @@ pub struct MiddlewareNode {
     /// populated when `batch_linger_ms > 0`).
     pending_batches: BTreeMap<String, Vec<FlowMessage>>,
     batch_timer_armed: bool,
-    /// EWMA of publish inter-arrival time (ns); 0 = no estimate yet.
-    /// Drives the adaptive linger (see `effective_linger_ns`).
-    linger_ewma_ns: u64,
-    /// Timestamp of the previous `enqueue_batch` call; 0 = none.
-    last_batch_arrival_ns: u64,
+    /// Publish inter-arrival per batch key (topic): batches fill per
+    /// topic, so the adaptive linger must not see the interleaved
+    /// node-wide rate (see `effective_linger_ns`).
+    publish_rates: BTreeMap<String, LingerEstimator>,
     /// Per-stage ingress accumulators re-coalescing sequence-shard
     /// sub-batches across frames (only populated under
     /// [`NodeConfig::stage_coalesce`]).
     stage_batches: Vec<Vec<FlowItem>>,
     stage_timer_armed: bool,
-    /// EWMA of flow-frame inter-arrival at dispatch (ns); 0 = no
-    /// estimate yet. Bounds the stage-coalescing linger.
-    ingress_ewma_ns: u64,
-    /// Timestamp of the previous dispatched flow frame; 0 = none.
-    last_ingress_ns: u64,
+    /// Inter-arrival of flow groups routed to sharded stages; bounds
+    /// the stage-coalescing linger.
+    ingress_rate: LingerEstimator,
     /// Last published shed policy per stage, for `$SYS` transition
     /// notifications when adaptive escalation flips a stage.
     shed_policy_seen: Vec<ShedPolicy>,
@@ -263,9 +326,11 @@ pub struct MiddlewareNode {
     /// Elastic-placement controller (only on nodes configured with
     /// [`NodeConfig::with_rebalancer`]).
     rebalancer: Option<crate::rebalance::Rebalancer>,
-    /// Number of stages visible to the worker pool. The pool snapshots
-    /// the cell vector once at [`Self::engage_pool`], so stages
-    /// installed later (migrations) must run inline on the node thread.
+    /// Number of stages the worker pool executes; dispatch enqueues into
+    /// those and runs every other stage inline (all of them when 0 — the
+    /// inline executor is the pool's zero-worker case). The pool
+    /// snapshots the cell vector once at [`Self::engage_pool`], so
+    /// stages installed later (migrations) run on the node thread.
     pooled_stages: usize,
     /// Stages installed by a migration that are still waiting for the
     /// `Handover` fence: arriving items are buffered here, not executed.
@@ -358,6 +423,7 @@ impl MiddlewareNode {
         let shed_policy_seen = (0..executor.len()).map(|i| executor.policy(i)).collect();
         let stage_batches = (0..executor.len()).map(|_| Vec::new()).collect();
         MiddlewareNode {
+            subscribed: parse_filters(&config),
             broker: config.run_broker.then(|| {
                 ShardedBroker::new(BrokerConfig {
                     shards: config.broker_shards,
@@ -378,7 +444,6 @@ impl MiddlewareNode {
             seq_ledger: BTreeMap::new(),
             sensors,
             executor,
-            pooled: false,
             actuators,
             events: Vec::new(),
             directory: crate::discovery::FlowDirectory::new(),
@@ -386,12 +451,10 @@ impl MiddlewareNode {
             sys_view: BTreeMap::new(),
             pending_batches: BTreeMap::new(),
             batch_timer_armed: false,
-            linger_ewma_ns: 0,
-            last_batch_arrival_ns: 0,
+            publish_rates: BTreeMap::new(),
             stage_batches,
             stage_timer_armed: false,
-            ingress_ewma_ns: 0,
-            last_ingress_ns: 0,
+            ingress_rate: LingerEstimator::default(),
             shed_policy_seen,
             announce_revision: 0,
             rebalancer: config
@@ -498,22 +561,33 @@ impl MiddlewareNode {
         self.executor.cells()
     }
 
-    /// The worker-side direct-handoff router for the pool, when the
-    /// configuration permits workers to route intra-node flow hops
-    /// themselves. Stage-ingress coalescing re-batches at *this*
-    /// thread's dispatch, so it keeps routing exclusive.
-    pub(crate) fn worker_handoff(&self) -> Option<Arc<crate::executor::handoff::DirectHandoff>> {
-        (self.config.executor.direct_handoff && !self.config.stage_coalesce)
-            .then(|| self.executor.direct_handoff())
+    /// The worker-side router for the pool. Stage-ingress coalescing
+    /// re-batches at *this* thread's dispatch, so with it on the pool is
+    /// told of no directly routable output and every hop stays
+    /// node-routed.
+    pub(crate) fn worker_handoff(&self) -> Arc<DirectHandoff> {
+        if self.config.stage_coalesce {
+            Arc::new(DirectHandoff::new(
+                self.executor.shared_routes(),
+                self.executor.cells(),
+                Vec::new(),
+            ))
+        } else {
+            self.executor.direct_handoff()
+        }
     }
 
-    /// Switches dispatch to pooled mode: stages are enqueued for a
-    /// worker pool instead of being drained inline on this thread.
+    /// Switches dispatch to pooled mode: the current stages are enqueued
+    /// for a worker pool instead of being drained inline on this thread.
     pub(crate) fn engage_pool(&mut self) {
-        self.pooled = true;
-        // The pool snapshots the cell vector now; stages installed later
-        // (live migration) are invisible to it and must run inline.
         self.pooled_stages = self.executor.len();
+    }
+
+    /// Back to inline dispatch, once the pool's workers are gone: what
+    /// they left queued is then run to completion on this thread (an
+    /// enqueue nobody pops could block forever).
+    pub(crate) fn disengage_pool(&mut self) {
+        self.pooled_stages = 0;
     }
 
     /// Completed migrations: `(given_up, taken_over)` shard counts.
@@ -686,7 +760,7 @@ impl MiddlewareNode {
         // Coalesced ingress must reach the operator before its periodic
         // tick, or a Flush/Mix would act on a stale view of the stream.
         self.flush_stage_then_drain(env, index);
-        if self.pooled && index < self.pooled_stages {
+        if index < self.pooled_stages {
             self.executor
                 .enqueue(index, WorkItem::Timer(timer), env.now_ns());
         } else {
@@ -853,7 +927,7 @@ impl MiddlewareNode {
     /// window — or skip it entirely for low-rate flows.
     fn enqueue_batch(&mut self, env: &mut dyn NodeEnv, topic: &str, message: FlowMessage) {
         let batch_max = self.config.batch_max.max(1);
-        let linger_ns = self.effective_linger_ns(env.now_ns());
+        let linger_ns = self.effective_linger_ns(topic, env.now_ns());
         let pending = self.pending_batches.entry(topic.to_owned()).or_default();
         pending.push(message);
         if pending.len() >= batch_max {
@@ -875,39 +949,26 @@ impl MiddlewareNode {
         }
     }
 
-    /// The linger to apply to the current batching window, in
+    /// The linger to apply to `topic`'s current batching window, in
     /// nanoseconds. Fixed mode returns the configured value; adaptive
-    /// mode tracks publish inter-arrival with an EWMA (`α = 1/8`) and
-    /// targets "the time a full batch takes to accumulate"
-    /// (`batch_max × inter-arrival`), bounded by the configured linger
-    /// and [`ADAPTIVE_LINGER_CAP_NS`]. Returns 0 when the flow is so
-    /// slow the window would expire before a companion arrives.
-    fn effective_linger_ns(&mut self, now_ns: u64) -> u64 {
+    /// mode tracks the topic's publish inter-arrival and targets "the
+    /// time a full batch takes to accumulate", bounded by the configured
+    /// linger and [`ADAPTIVE_LINGER_CAP_NS`] (the cap is also the window
+    /// until an estimate exists). Returns 0 when the flow is so slow the
+    /// window would expire before a companion arrives.
+    fn effective_linger_ns(&mut self, topic: &str, now_ns: u64) -> u64 {
         let cfg_ns = self.config.batch_linger_ms.saturating_mul(1_000_000);
         if !self.config.adaptive_linger {
             return cfg_ns;
         }
-        let last = self.last_batch_arrival_ns;
-        self.last_batch_arrival_ns = now_ns;
-        if last != 0 && now_ns >= last {
-            let interval = (now_ns - last).min(ADAPTIVE_INTERVAL_CLAMP_NS);
-            self.linger_ewma_ns = if self.linger_ewma_ns == 0 {
-                interval
-            } else {
-                (self.linger_ewma_ns * 7 + interval) / 8
-            };
+        if !self.publish_rates.contains_key(topic) {
+            self.publish_rates
+                .insert(topic.to_owned(), LingerEstimator::default());
         }
+        let rate = self.publish_rates.get_mut(topic).expect("just inserted");
+        rate.observe(now_ns);
         let cap = cfg_ns.min(ADAPTIVE_LINGER_CAP_NS);
-        if self.linger_ewma_ns == 0 {
-            // No estimate yet (first sample): the configured window,
-            // capped — behave like fixed mode until data arrives.
-            return cap;
-        }
-        if self.linger_ewma_ns >= cap {
-            return 0;
-        }
-        let target = (batch_max_u64(self.config.batch_max)).saturating_mul(self.linger_ewma_ns);
-        target.clamp(ADAPTIVE_LINGER_FLOOR_NS.min(cap), cap)
+        rate.window_ns(self.config.batch_max, cap, cap)
     }
 
     /// Publishes one topic's pending batch as a single wire frame.
@@ -951,29 +1012,33 @@ impl MiddlewareNode {
     // Stage ingress coalescing (sharded re-batching)
     // ------------------------------------------------------------------
 
-    /// Whether sharded stages re-coalesce their ingress sub-batches.
-    fn stage_coalescing_enabled(&self) -> bool {
-        self.config.stage_coalesce
-    }
-
-    /// Appends items to a sharded stage's ingress accumulator. A full
-    /// accumulator (`batch_max`) flushes immediately; otherwise one
+    /// Appends a sharded stage's work item to its ingress accumulator. A
+    /// full accumulator (`batch_max`) flushes immediately; otherwise one
     /// shared linger timer bounds how long a partial batch may wait.
-    fn coalesce_items(
+    fn coalesce_work(
         &mut self,
         env: &mut dyn NodeEnv,
         stage: usize,
-        items: impl Iterator<Item = FlowItem>,
-        queue: &mut VecDeque<(String, Bytes)>,
+        work: WorkItem,
+        queue: &mut VecDeque<Hop>,
     ) {
         let batch_max = self.config.batch_max.max(1);
         let pending = &mut self.stage_batches[stage];
-        pending.extend(items);
+        match work {
+            WorkItem::Item(item) => pending.push(item),
+            WorkItem::Batch(items) => pending.extend(items),
+            other => return self.deliver_work(env, stage, other, queue),
+        }
         if pending.len() >= batch_max {
             self.flush_stage_batch(env, stage, queue);
             return;
         }
-        let linger_ns = self.stage_linger_ns();
+        // Before an estimate exists a quarter of the cap is used.
+        let linger_ns = self.ingress_rate.window_ns(
+            self.config.batch_max,
+            ADAPTIVE_LINGER_CAP_NS,
+            ADAPTIVE_LINGER_CAP_NS / 4,
+        );
         if linger_ns == 0 {
             // Frames arrive slower than the linger cap: holding the
             // sub-batch would add latency without amortizing anything.
@@ -993,7 +1058,7 @@ impl MiddlewareNode {
         &mut self,
         env: &mut dyn NodeEnv,
         stage: usize,
-        queue: &mut VecDeque<(String, Bytes)>,
+        queue: &mut VecDeque<Hop>,
     ) {
         if self.stage_batches.get(stage).is_none_or(Vec::is_empty) {
             return;
@@ -1007,14 +1072,9 @@ impl MiddlewareNode {
     /// Flushes one stage's accumulator and drains any local chain
     /// output it produces (used before timers and control deliveries).
     fn flush_stage_then_drain(&mut self, env: &mut dyn NodeEnv, stage: usize) {
-        if self.stage_batches.get(stage).is_none_or(Vec::is_empty) {
-            return;
-        }
         let mut queue = VecDeque::new();
         self.flush_stage_batch(env, stage, &mut queue);
-        while let Some((topic, payload)) = queue.pop_front() {
-            self.dispatch_flow(env, topic, payload);
-        }
+        self.run_hops(env, queue);
     }
 
     /// Flushes every stage's ingress accumulator (linger expiry and the
@@ -1025,51 +1085,13 @@ impl MiddlewareNode {
         for stage in 0..self.stage_batches.len() {
             self.flush_stage_batch(env, stage, &mut queue);
         }
-        while let Some((topic, payload)) = queue.pop_front() {
-            self.dispatch_flow(env, topic, payload);
-        }
+        self.run_hops(env, queue);
     }
 
     /// Whether any stage ingress accumulator still holds items (drives
     /// the runtime's shutdown drain).
     pub(crate) fn has_stage_backlog(&self) -> bool {
         self.stage_batches.iter().any(|b| !b.is_empty())
-    }
-
-    /// The ingress-coalescing linger: `batch_max ×` the observed frame
-    /// inter-arrival EWMA, clamped to the adaptive bounds. Before an
-    /// estimate exists a quarter of the cap is used; once frames are
-    /// known to arrive slower than the cap, 0 disables lingering.
-    fn stage_linger_ns(&self) -> u64 {
-        if self.ingress_ewma_ns == 0 {
-            return ADAPTIVE_LINGER_CAP_NS / 4;
-        }
-        if self.ingress_ewma_ns >= ADAPTIVE_LINGER_CAP_NS {
-            return 0;
-        }
-        let target = batch_max_u64(self.config.batch_max).saturating_mul(self.ingress_ewma_ns);
-        target.clamp(ADAPTIVE_LINGER_FLOOR_NS, ADAPTIVE_LINGER_CAP_NS)
-    }
-
-    /// Tracks the ingress frame inter-arrival EWMA (`α = 1/8`, same
-    /// estimator as the publish-side adaptive linger) feeding
-    /// [`Self::stage_linger_ns`]. Only sampled when stage coalescing is
-    /// on and the plan has sharded consumers — unused otherwise.
-    fn note_ingress_arrival(&mut self, now_ns: u64, plan: &RoutePlan) {
-        if !self.config.stage_coalesce || plan.moduli.is_empty() {
-            return;
-        }
-        let last = self.last_ingress_ns;
-        self.last_ingress_ns = now_ns;
-        if last == 0 || now_ns < last {
-            return;
-        }
-        let interval = (now_ns - last).min(ADAPTIVE_INTERVAL_CLAMP_NS);
-        self.ingress_ewma_ns = if self.ingress_ewma_ns == 0 {
-            interval
-        } else {
-            (self.ingress_ewma_ns * 7 + interval) / 8
-        };
     }
 
     // ------------------------------------------------------------------
@@ -1394,16 +1416,15 @@ impl MiddlewareNode {
     }
 
     fn subscribe_all(&mut self, env: &mut dyn NodeEnv) {
-        let filters: Vec<(TopicFilter, QoS)> = self
-            .config
-            .subscription_filters()
-            .into_iter()
-            .filter_map(|f| TopicFilter::new(f).ok())
-            .map(|f| (f, self.config.publish_qos))
-            .collect();
-        if filters.is_empty() {
+        self.subscribed = parse_filters(&self.config);
+        if self.subscribed.is_empty() {
             return;
         }
+        let filters = self
+            .subscribed
+            .iter()
+            .map(|f| (f.clone(), self.config.publish_qos))
+            .collect();
         let Some(client) = self.client.as_mut() else {
             return;
         };
@@ -1496,7 +1517,7 @@ impl MiddlewareNode {
         env: &mut dyn NodeEnv,
         topic: &str,
         payload: &[u8],
-        queue: &mut VecDeque<(String, Bytes)>,
+        queue: &mut VecDeque<Hop>,
     ) {
         use crate::rebalance::ControlCommand;
         if topic != crate::rebalance::control_topic(&self.config.name) {
@@ -1596,7 +1617,7 @@ impl MiddlewareNode {
         env: &mut dyn NodeEnv,
         op: String,
         taker: String,
-        queue: &mut VecDeque<(String, Bytes)>,
+        queue: &mut VecDeque<Hop>,
     ) {
         if !self.handing_off.remove(&op) {
             env.incr("control_misrouted");
@@ -1637,6 +1658,7 @@ impl MiddlewareNode {
                 diff: model.export_diff(),
             });
         self.config.operators.retain(|o| o.id != op);
+        self.subscribed = parse_filters(&self.config);
         let cmd = crate::rebalance::ControlCommand::Handover {
             op,
             fence,
@@ -1660,7 +1682,7 @@ impl MiddlewareNode {
         op: String,
         fence: BTreeMap<String, u64>,
         envelope: Option<MixEnvelope>,
-        queue: &mut VecDeque<(String, Bytes)>,
+        queue: &mut VecDeque<Hop>,
     ) {
         let Some(stage) = self.executor.find(&op) else {
             env.incr("migrate_unknown_stage");
@@ -1708,113 +1730,151 @@ impl MiddlewareNode {
         for (stage, items) in pending {
             self.deliver_items(env, stage, items, &mut queue);
         }
-        while let Some((topic, payload)) = queue.pop_front() {
-            self.dispatch_flow(env, topic, payload);
-        }
+        self.run_hops(env, queue);
     }
 
     /// Routes a payload on `topic` to every matching local operator,
     /// iteratively following local operator chains.
     fn dispatch_flow(&mut self, env: &mut dyn NodeEnv, topic: String, payload: Bytes) {
-        let mut queue: VecDeque<(String, Bytes)> = VecDeque::new();
-        queue.push_back((topic, payload));
+        self.run_hops(env, VecDeque::from([Hop::Wire(topic, payload)]));
+    }
+
+    /// Works a queue of local deliveries to completion, breadth-first:
+    /// stages run inline append the hops their emissions cause.
+    fn run_hops(&mut self, env: &mut dyn NodeEnv, mut queue: VecDeque<Hop>) {
         let mut hops = 0;
-        while let Some((topic, payload)) = queue.pop_front() {
+        while let Some(hop) = queue.pop_front() {
             hops += 1;
-            if hops > 64 {
+            if hops > LOCAL_HOP_LIMIT {
                 env.incr("local_dispatch_overflow");
                 break;
             }
-            if topic.starts_with(crate::discovery::ANNOUNCE_PREFIX) {
-                self.directory.apply(&topic, &payload);
-                env.incr("directory_updates");
-                continue;
-            }
-            if topic.starts_with("$SYS/") {
-                self.sys_view
-                    .insert(topic, String::from_utf8_lossy(&payload).into_owned());
-                env.incr("sys_updates");
-                continue;
-            }
-            if topic.starts_with(crate::rebalance::CONTROL_PREFIX) {
-                self.on_control_plane(env, &topic, &payload, &mut queue);
-                continue;
-            }
-            if topic.starts_with("mix/") {
-                let Ok(envelope) = MixEnvelope::decode(&payload) else {
-                    env.incr("mix_decode_errors");
-                    continue;
-                };
-                let plan = self.executor.route(&topic);
-                let count = plan.stages.len();
-                let mut envelope = Some(envelope);
-                for (k, route) in plan.stages.iter().enumerate() {
-                    // A control message is a flush barrier for the
-                    // stage's ingress coalescer: pending sub-batches are
-                    // delivered first so arrival order is preserved.
-                    self.flush_stage_batch(env, route.stage, &mut queue);
-                    // The last accepting stage takes the envelope by
-                    // move; earlier fan-out consumers clone.
-                    let msg = if k + 1 == count {
-                        ControlMsg::Mix(envelope.take().expect("taken only here"))
-                    } else {
-                        ControlMsg::Mix(envelope.as_ref().expect("taken only by last").clone())
-                    };
-                    self.deliver_work(env, route.stage, WorkItem::Control(msg), &mut queue);
-                }
-                continue;
-            }
-            // Normalized decode: raw sample, binary/JSON message, or a
-            // coalesced batch frame — one to N items per payload. The
-            // lean form keeps the dominant single-sample path free of a
-            // one-element `Vec` allocation.
-            let decoded = match crate::wire::decode_items_lean(&topic, &payload) {
-                Ok(decoded) => decoded,
-                Err(_) => {
-                    env.incr("flow_decode_errors");
-                    continue;
-                }
-            };
-            // Sequence ledger: sensor streams carry a per-device monotone
-            // seq, so received flows can be audited for permanent gaps
-            // (loss) and duplicates after faults and session resumes.
-            // One ledger resolution per frame, and the topic key is only
-            // cloned when a stream is first seen.
-            if topic.starts_with("sensor/") {
-                match self.seq_ledger.get_mut(&topic) {
-                    Some(ledger) => ledger.observe_batch(decoded.iter()),
-                    None => {
-                        let mut ledger = SeqTracker::default();
-                        ledger.observe_batch(decoded.iter());
-                        self.seq_ledger.insert(topic.clone(), ledger);
-                    }
-                }
-            }
-            // Single-pass shard-aware routing: the accepting stages are
-            // resolved once per topic (memoized), the frame is
-            // partitioned once per distinct shard modulus, and ownership
-            // moves to the last claimant of each delivery source.
-            let plan = self.executor.route(&topic);
-            if plan.is_empty() {
-                continue;
-            }
-            self.note_ingress_arrival(env.now_ns(), &plan);
-            match decoded {
-                DecodedItems::One(item) => self.dispatch_one(env, &plan, item, &mut queue),
-                DecodedItems::Many(items) => self.dispatch_many(env, &plan, items, &mut queue),
+            match hop {
+                Hop::Wire(topic, payload) => self.on_wire_hop(env, topic, payload, &mut queue),
+                Hop::Items(group) => self.route_items(env, group, &mut queue),
             }
         }
     }
 
-    /// Hands one work item to a stage: pooled nodes enqueue for the
-    /// worker pool, inline nodes run the stage to completion and feed
-    /// any emitted output back into the local dispatch chain.
+    /// Handles one encoded payload: the special planes, or flow data to
+    /// decode and route.
+    fn on_wire_hop(
+        &mut self,
+        env: &mut dyn NodeEnv,
+        topic: String,
+        payload: Bytes,
+        queue: &mut VecDeque<Hop>,
+    ) {
+        if topic.starts_with(crate::discovery::ANNOUNCE_PREFIX) {
+            self.directory.apply(&topic, &payload);
+            env.incr("directory_updates");
+            return;
+        }
+        if topic.starts_with("$SYS/") {
+            self.sys_view
+                .insert(topic, String::from_utf8_lossy(&payload).into_owned());
+            env.incr("sys_updates");
+            return;
+        }
+        if topic.starts_with(crate::rebalance::CONTROL_PREFIX) {
+            self.on_control_plane(env, &topic, &payload, queue);
+            return;
+        }
+        if topic.starts_with("mix/") {
+            let Ok(envelope) = MixEnvelope::decode(&payload) else {
+                env.incr("mix_decode_errors");
+                return;
+            };
+            let plan = self.executor.route(&topic);
+            let count = plan.stages.len();
+            let mut envelope = Some(envelope);
+            for (k, route) in plan.stages.iter().enumerate() {
+                // A control message is a flush barrier for the
+                // stage's ingress coalescer: pending sub-batches are
+                // delivered first so arrival order is preserved.
+                self.flush_stage_batch(env, route.stage, queue);
+                // The last accepting stage takes the envelope by
+                // move; earlier fan-out consumers clone.
+                let msg = if k + 1 == count {
+                    ControlMsg::Mix(envelope.take().expect("taken only here"))
+                } else {
+                    ControlMsg::Mix(envelope.as_ref().expect("taken only by last").clone())
+                };
+                self.deliver_work(env, route.stage, WorkItem::Control(msg), queue);
+            }
+            return;
+        }
+        // Normalized decode: raw sample, binary/JSON message, or a
+        // coalesced batch frame — one to N items per payload. The
+        // lean form keeps the dominant single-sample path free of a
+        // one-element `Vec` allocation.
+        let decoded = match crate::wire::decode_items_lean(&topic, &payload) {
+            Ok(decoded) => decoded,
+            Err(_) => {
+                env.incr("flow_decode_errors");
+                return;
+            }
+        };
+        // Sequence ledger: sensor streams carry a per-device monotone
+        // seq, so received flows can be audited for permanent gaps
+        // (loss) and duplicates after faults and session resumes.
+        // One ledger resolution per frame, and the topic key is only
+        // cloned when a stream is first seen.
+        if topic.starts_with("sensor/") {
+            match self.seq_ledger.get_mut(&topic) {
+                Some(ledger) => ledger.observe_batch(decoded.iter()),
+                None => {
+                    let mut ledger = SeqTracker::default();
+                    ledger.observe_batch(decoded.iter());
+                    self.seq_ledger.insert(topic, ledger);
+                }
+            }
+        }
+        self.route_items(env, decoded, queue);
+    }
+
+    /// Fans a group of flow items (one topic) out to the stages that
+    /// accept it, through the intra-node router; this thread's admission
+    /// is [`Self::deliver_work`].
+    fn route_items(
+        &mut self,
+        env: &mut dyn NodeEnv,
+        group: DecodedItems,
+        queue: &mut VecDeque<Hop>,
+    ) {
+        let Some(first) = group.iter().next() else {
+            return;
+        };
+        let plan = self.executor.route(&first.topic);
+        if plan.is_empty() {
+            return;
+        }
+        // Sharded replicas receive `1/modulus` of every group; with
+        // stage coalescing they re-batch across groups at this point.
+        let coalesce = self.config.stage_coalesce;
+        if coalesce && plan.stages.iter().any(|r| r.shard.is_some()) {
+            self.ingress_rate.observe(env.now_ns());
+        }
+        let claimed = router::claimants(&plan, group.iter().map(|item| item.seq));
+        router::materialize(&claimed, group, |route, work| {
+            if coalesce && route.shard.is_some() {
+                self.coalesce_work(env, route.stage, work, queue);
+            } else {
+                self.deliver_work(env, route.stage, work, queue);
+            }
+        });
+    }
+
+    /// Hands one work item to a stage: pooled stages are enqueued for
+    /// the worker pool (blocking while a `Block` mailbox is full),
+    /// inline stages run to completion and feed any emitted output back
+    /// into the local dispatch chain.
     fn deliver_work(
         &mut self,
         env: &mut dyn NodeEnv,
         stage: usize,
         work: WorkItem,
-        queue: &mut VecDeque<(String, Bytes)>,
+        queue: &mut VecDeque<Hop>,
     ) {
         // A stage installed by a migration buffers its items until the
         // old owner's `Handover` fence arrives; executing them earlier
@@ -1845,7 +1905,7 @@ impl MiddlewareNode {
         }
         // Stages installed after the pool snapshot run inline: the pool's
         // workers only know the cells captured at engage time.
-        if self.pooled && stage < self.pooled_stages {
+        if stage < self.pooled_stages {
             self.executor.enqueue(stage, work, env.now_ns());
         } else {
             let outputs = self.executor.offer(env, stage, work);
@@ -1853,154 +1913,17 @@ impl MiddlewareNode {
         }
     }
 
-    /// Delivers an owned item list as `Item` (one element) or `Batch`,
-    /// matching the wire-ingress framing rules. Empty lists are dropped.
+    /// Delivers an owned item list to one stage under the router's
+    /// framing rule. Empty lists are dropped.
     fn deliver_items(
         &mut self,
         env: &mut dyn NodeEnv,
         stage: usize,
-        mut items: Vec<FlowItem>,
-        queue: &mut VecDeque<(String, Bytes)>,
-    ) {
-        match items.len() {
-            0 => {}
-            1 => {
-                let item = items.pop().expect("length checked");
-                self.deliver_work(env, stage, WorkItem::Item(item), queue);
-            }
-            _ => self.deliver_work(env, stage, WorkItem::Batch(items), queue),
-        }
-    }
-
-    /// Routes a single-item frame. Shard membership is checked per
-    /// route; the last route that actually receives the item takes it
-    /// by move, so sole-consumer topologies never clone.
-    fn dispatch_one(
-        &mut self,
-        env: &mut dyn NodeEnv,
-        plan: &RoutePlan,
-        item: FlowItem,
-        queue: &mut VecDeque<(String, Bytes)>,
-    ) {
-        let seq = item.seq;
-        let matches = |route: &router::StageRoute| match route.shard {
-            Some((modulus, index)) => seq % modulus.max(1) == index,
-            None => true,
-        };
-        let Some(last_idx) = plan.stages.iter().rposition(matches) else {
-            return;
-        };
-        let coalesce = self.stage_coalescing_enabled();
-        let mut item = Some(item);
-        for (k, route) in plan.stages.iter().enumerate() {
-            if !matches(route) {
-                continue;
-            }
-            let it = if k == last_idx {
-                item.take().expect("taken only by the last match")
-            } else {
-                item.as_ref().expect("taken only by the last match").clone()
-            };
-            if coalesce && route.shard.is_some() {
-                self.coalesce_items(env, route.stage, std::iter::once(it), queue);
-            } else {
-                self.deliver_work(env, route.stage, WorkItem::Item(it), queue);
-            }
-            if k == last_idx {
-                break;
-            }
-        }
-    }
-
-    /// Routes a multi-item frame: one partition pass per distinct shard
-    /// modulus, zero-clone fan-out for unsharded consumers (a sole
-    /// consumer takes the `Vec`; several share one `Arc` and the last
-    /// takes the handle, unwrapping it for free once the earlier
-    /// borrows are gone).
-    fn dispatch_many(
-        &mut self,
-        env: &mut dyn NodeEnv,
-        plan: &RoutePlan,
         items: Vec<FlowItem>,
-        queue: &mut VecDeque<(String, Bytes)>,
+        queue: &mut VecDeque<Hop>,
     ) {
-        if items.is_empty() {
-            return;
-        }
-        let frame_len = items.len();
-        let mut items = Some(items);
-        // Partition once per distinct modulus; the final pass may
-        // consume the frame when no unsharded route still needs it.
-        let mut partitions: Vec<Vec<Vec<FlowItem>>> = Vec::with_capacity(plan.moduli.len());
-        for (mi, &modulus) in plan.moduli.iter().enumerate() {
-            let consuming = plan.unsharded == 0 && mi + 1 == plan.moduli.len();
-            let buckets = if consuming {
-                router::partition_by_seq(items.take().expect("consumed once"), modulus)
-            } else {
-                let frame = items.as_ref().expect("consumed only by the last partition");
-                router::partition_by_seq_cloned(frame, modulus)
-            };
-            partitions.push(buckets);
-        }
-        // Several unsharded consumers of a true batch share the frame
-        // through one allocation instead of cloning it per stage.
-        let mut shared: Option<Arc<Vec<FlowItem>>> = None;
-        if plan.unsharded > 1 && frame_len > 1 {
-            shared = Some(Arc::new(items.take().expect("partitions only cloned")));
-        }
-        let coalesce = self.stage_coalescing_enabled();
-        for route in &plan.stages {
-            match route.shard {
-                Some((modulus, index)) => {
-                    let slot = plan.modulus_slot(modulus);
-                    let bucket = &mut partitions[slot][index as usize];
-                    if bucket.is_empty() {
-                        continue;
-                    }
-                    let sub = if route.last {
-                        std::mem::take(bucket)
-                    } else {
-                        bucket.clone()
-                    };
-                    if coalesce {
-                        self.coalesce_items(env, route.stage, sub.into_iter(), queue);
-                    } else {
-                        self.deliver_items(env, route.stage, sub, queue);
-                    }
-                }
-                None if shared.is_some() => {
-                    let work = if route.last {
-                        WorkItem::SharedBatch(shared.take().expect("last unsharded route"))
-                    } else {
-                        let arc = shared.as_ref().expect("taken only by the last route");
-                        WorkItem::SharedBatch(Arc::clone(arc))
-                    };
-                    self.deliver_work(env, route.stage, work, queue);
-                }
-                None if frame_len == 1 => {
-                    // One-item batch frame: deliver as `Item` (framing
-                    // rule), cloning only for non-final consumers.
-                    let it = if route.last {
-                        let mut frame = items.take().expect("taken only by the last route");
-                        frame.pop().expect("frame length checked")
-                    } else {
-                        items.as_ref().expect("taken only by the last route")[0].clone()
-                    };
-                    self.deliver_work(env, route.stage, WorkItem::Item(it), queue);
-                }
-                None => {
-                    // Sole unsharded consumer: takes the frame whole.
-                    let frame = if route.last {
-                        items.take().expect("sole consumer takes once")
-                    } else {
-                        items
-                            .as_ref()
-                            .expect("taken only by the last route")
-                            .clone()
-                    };
-                    self.deliver_items(env, route.stage, frame, queue);
-                }
-            }
+        if !items.is_empty() {
+            self.deliver_work(env, stage, router::work_item(items), queue);
         }
     }
 
@@ -2012,10 +1935,9 @@ impl MiddlewareNode {
     ) {
         let mut queue = VecDeque::new();
         self.process_outputs(env, op_index, outputs, &mut queue);
-        // Timer-triggered outputs may feed local chains too.
-        while let Some((topic, payload)) = queue.pop_front() {
-            self.dispatch_flow(env, topic, payload);
-        }
+        // Timer-triggered and worker-delivered outputs may feed local
+        // chains too.
+        self.run_hops(env, queue);
     }
 
     /// Whether this node's own broker subscription covers `topic` — in
@@ -2025,79 +1947,93 @@ impl MiddlewareNode {
         let Ok(name) = TopicName::new(topic) else {
             return false;
         };
-        self.config.subscription_filters().iter().any(|f| {
-            TopicFilter::new(f.clone())
-                .map(|f| f.matches(&name))
-                .unwrap_or(false)
-        })
+        self.subscribed.iter().any(|f| f.matches(&name))
     }
 
-    /// Routes one emitted payload: local dispatch for co-located
-    /// consumers unless the broker echo already covers them, plus the
-    /// optional broker publication.
-    fn route_output(
+    /// Whether a stage other than `emitter` accepts `topic`.
+    fn has_local_consumer(&self, topic: &str, emitter: Option<usize>) -> bool {
+        let plan = self.executor.route(topic);
+        plan.stages.iter().any(|r| Some(r.stage) != emitter)
+    }
+
+    /// Publishes a MIX envelope, and hands it to co-located consumers
+    /// unless the broker echo already covers them.
+    fn route_mix(
         &mut self,
         env: &mut dyn NodeEnv,
-        op_index: Option<usize>,
         topic: &str,
-        payload: Bytes,
-        publish: bool,
-        queue: &mut VecDeque<(String, Bytes)>,
+        envelope: &MixEnvelope,
+        queue: &mut VecDeque<Hop>,
     ) {
-        let has_local_consumer = self
-            .executor
-            .route(topic)
-            .stages
-            .iter()
-            .any(|r| Some(r.stage) != op_index);
-        let echoed_back = publish && self.connected && self.subscription_covers(topic);
-        if has_local_consumer && !echoed_back {
-            queue.push_back((topic.to_owned(), payload.clone()));
+        let payload: Bytes = self.codec().encode_mix(envelope).into();
+        let echoed_back = self.connected && self.subscription_covers(topic);
+        if self.has_local_consumer(topic, None) && !echoed_back {
+            queue.push_back(Hop::Wire(topic.to_owned(), payload.clone()));
         }
-        if publish {
+        self.publish(env, topic, payload);
+    }
+
+    /// Publishes one emission of a `publish_output` stage: through the
+    /// micro-batcher when it is on, as its own frame otherwise.
+    fn publish_emission(&mut self, env: &mut dyn NodeEnv, topic: &str, message: FlowMessage) {
+        if self.batching_enabled() && self.connected {
+            self.enqueue_batch(env, topic, message);
+        } else {
+            let payload = self.codec().encode_message(&message).into();
             self.publish(env, topic, payload);
         }
     }
 
+    /// Performs one step's outputs. The step's emissions all carry the
+    /// stage's one output topic: co-located consumers get them as one
+    /// group (unless the broker echo of a published output already
+    /// reaches them), queued behind the hops already pending.
     fn process_outputs(
         &mut self,
         env: &mut dyn NodeEnv,
         op_index: usize,
         outputs: Vec<OpOutput>,
-        queue: &mut VecDeque<(String, Bytes)>,
+        queue: &mut VecDeque<Hop>,
     ) {
+        /// Queues the emissions gathered so far (keeps the queue in
+        /// output order when a MIX output sits between emissions).
+        fn flush_group(group: &mut Vec<FlowItem>, queue: &mut VecDeque<Hop>) {
+            if !group.is_empty() {
+                queue.push_back(Hop::Items(DecodedItems::Many(std::mem::take(group))));
+            }
+        }
+        let stage_output = self.executor.output(op_index);
+        // Decided at the step's first emission.
+        let mut local: Option<bool> = None;
+        let mut group: Vec<FlowItem> = Vec::new();
         for output in outputs {
             match output {
                 OpOutput::Emit(message) => {
-                    let spec = self.executor.specs()[op_index].clone();
-                    let Some(topic) = spec.output else {
+                    let Some((topic, publish)) = stage_output.as_ref() else {
                         continue;
                     };
-                    if spec.publish_output && self.batching_enabled() && self.connected {
-                        // Coalesced path: hand the message to the
-                        // micro-batcher; co-located consumers that the
-                        // broker echo will not reach still get it now.
-                        let has_local_consumer = self
-                            .executor
-                            .route(&topic)
-                            .stages
-                            .iter()
-                            .any(|r| r.stage != op_index);
-                        if has_local_consumer && !self.subscription_covers(&topic) {
+                    let (topic, publish) = (&**topic, *publish);
+                    let local = *local.get_or_insert_with(|| {
+                        let echoed_back =
+                            publish && self.connected && self.subscription_covers(topic);
+                        self.has_local_consumer(topic, Some(op_index)) && !echoed_back
+                    });
+                    let mut hand_over = |message: FlowMessage| {
+                        if plain_flow_topic(topic) {
+                            group.push(FlowItem::from_message(topic, message));
+                        } else {
                             let payload = self.codec().encode_message(&message).into();
-                            queue.push_back((topic.clone(), payload));
+                            queue.push_back(Hop::Wire(topic.to_owned(), payload));
                         }
-                        self.enqueue_batch(env, &topic, message);
-                    } else {
-                        let payload = self.codec().encode_message(&message).into();
-                        self.route_output(
-                            env,
-                            Some(op_index),
-                            &topic,
-                            payload,
-                            spec.publish_output,
-                            queue,
-                        );
+                    };
+                    match (local, publish) {
+                        (true, false) => hand_over(message),
+                        (true, true) => {
+                            hand_over(message.clone());
+                            self.publish_emission(env, topic, message);
+                        }
+                        (false, true) => self.publish_emission(env, topic, message),
+                        (false, false) => {}
                     }
                 }
                 OpOutput::MixOffer(diff) => {
@@ -2108,8 +2044,8 @@ impl MiddlewareNode {
                         task,
                         diff,
                     };
-                    let payload = self.codec().encode_mix(&envelope).into();
-                    self.route_output(env, None, &topic, payload, true, queue);
+                    flush_group(&mut group, queue);
+                    self.route_mix(env, &topic, &envelope, queue);
                 }
                 OpOutput::MixAverage { task, diff } => {
                     let topic = topics::mix_average(&self.config.app, &task);
@@ -2118,8 +2054,8 @@ impl MiddlewareNode {
                         task,
                         diff,
                     };
-                    let payload = self.codec().encode_mix(&envelope).into();
-                    self.route_output(env, None, &topic, payload, true, queue);
+                    flush_group(&mut group, queue);
+                    self.route_mix(env, &topic, &envelope, queue);
                 }
                 OpOutput::Command { device_id, command } => {
                     self.apply_command(env, device_id, &command);
@@ -2129,6 +2065,7 @@ impl MiddlewareNode {
                 }
             }
         }
+        flush_group(&mut group, queue);
     }
 
     fn apply_command(&mut self, env: &mut dyn NodeEnv, device_id: u16, command: &Command) {
@@ -2243,7 +2180,7 @@ mod tests {
         // Probe the settled policy: the window should sit near
         // batch_max x inter-arrival (4 x 1 ms), far under the 50 ms
         // configured bound.
-        let settled = node.effective_linger_ns(env.now_ns + 1_000_000);
+        let settled = node.effective_linger_ns("t", env.now_ns + 1_000_000);
         assert!(
             (1_000_000..=10_000_000).contains(&settled),
             "effective linger should be near batch_max x inter-arrival, got {settled} ns"
@@ -2277,7 +2214,7 @@ mod tests {
             env.counter("batch_immediate_flushes") <= baseline + 16,
             "estimate should recover to burst mode shortly after the gap"
         );
-        let settled = node.effective_linger_ns(env.now_ns + 1_000_000);
+        let settled = node.effective_linger_ns("t", env.now_ns + 1_000_000);
         assert!(
             settled > 0 && settled <= 10_000_000,
             "post-gap policy should be back to burst coalescing, got {settled} ns"
@@ -2295,7 +2232,34 @@ mod tests {
         let mut now = 0u64;
         for _ in 0..16 {
             now += 50_000_000;
-            assert!(node.effective_linger_ns(now) <= ADAPTIVE_LINGER_CAP_NS);
+            assert!(node.effective_linger_ns("t", now) <= ADAPTIVE_LINGER_CAP_NS);
+        }
+    }
+
+    #[test]
+    fn adaptive_linger_is_keyed_by_topic() {
+        // Eight topics at 125 Hz each, interleaved: the node sees an
+        // arrival every millisecond, but a topic's batch of 4 still
+        // takes 4 x 8 ms to fill. A node-wide estimate would arm a
+        // window eight times too short.
+        let mut node = batching_node(true);
+        let mut env = MockEnv::default();
+        let topics: Vec<String> = (0..8).map(|k| format!("t/{k}")).collect();
+        for i in 0..256u64 {
+            env.now_ns = (i + 1) * 1_000_000;
+            node.enqueue_batch(&mut env, &topics[(i % 8) as usize], flow_message(i / 8));
+        }
+        assert_eq!(
+            env.counter("batch_immediate_flushes"),
+            0,
+            "8 ms per topic is well inside the 50 ms window"
+        );
+        for (k, topic) in topics.iter().enumerate() {
+            let settled = node.effective_linger_ns(topic, env.now_ns + (k as u64 + 1) * 1_000_000);
+            assert!(
+                (24_000_000..=40_000_000).contains(&settled),
+                "{topic}: window should be near batch_max x the topic's own 8 ms gap, got {settled} ns"
+            );
         }
     }
 
@@ -2448,8 +2412,201 @@ mod tests {
             "repeat dispatch must hit the memoized plan"
         );
         assert_eq!(first.stages.len(), 2);
-        assert_eq!(first.moduli, vec![2]);
-        assert_eq!(first.unsharded, 0);
+        assert!(first.stages.iter().all(|r| r.shard.is_some()));
+    }
+
+    fn custom(id: &str, input: &str) -> OperatorSpec {
+        OperatorSpec::sink(
+            id,
+            OperatorKind::Custom {
+                operator: id.into(),
+            },
+            vec![input.into()],
+        )
+    }
+
+    fn custom_through(id: &str, input: &str, output: &str) -> OperatorSpec {
+        OperatorSpec {
+            output: Some(output.into()),
+            ..custom(id, input)
+        }
+    }
+
+    #[test]
+    fn self_consuming_stage_hits_the_hop_limit_and_returns() {
+        // `echo` accepts its own output; `tap` keeps that output routable
+        // (an output nobody but its emitter consumes is dropped).
+        let config = NodeConfig::new("n")
+            .with_broker()
+            .with_wire_format(crate::wire::WireFormat::Binary)
+            .with_operator(custom_through("echo", "loop/#", "loop/x"))
+            .with_operator(custom("tap", "loop/x"));
+        let mut node = MiddlewareNode::new(config);
+        let mut env = MockEnv::new();
+        let payload = node.codec().encode_message(&flow_message(1));
+        node.dispatch_flow(&mut env, "loop/in".into(), payload.into());
+        assert_eq!(env.counter("local_dispatch_overflow"), 1);
+        assert_eq!(env.counter("custom_echo"), LOCAL_HOP_LIMIT as u64);
+        assert_eq!(env.counter("custom_tap"), LOCAL_HOP_LIMIT as u64 - 1);
+    }
+
+    /// What one run of the equivalence topology looked like from outside.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        /// Per stage: work items executed, of which batches, items in them.
+        grouping: Vec<(u64, u64, u64)>,
+        /// Per leaf: origin timestamps in the leaf's execution order.
+        egress: Vec<Vec<u64>>,
+        /// `(encode_message, decode_items_lean)` calls on the node thread.
+        codec_calls: (u64, u64),
+    }
+
+    /// Drives a chain (`ingest` → `refine`) into a sharded tree (an
+    /// unsharded `tap` plus four sharded, publishing leaves) with the
+    /// given worker count; the test thread plays the node thread.
+    fn run_chain_and_tree(workers: usize) -> Observed {
+        use crate::executor::pool::{WorkerPool, WorkerRuntime};
+        use crate::wire::CODEC_CALLS;
+
+        const FRAMES: u64 = 24;
+        const FRAME_ITEMS: u64 = 8;
+        const SINGLES: u64 = 5;
+        const ITEMS: u64 = FRAMES * FRAME_ITEMS + SINGLES;
+        let mut config = NodeConfig::new("n")
+            .with_broker_node("elsewhere")
+            .with_offline_queue(ITEMS as usize)
+            .with_wire_format(crate::wire::WireFormat::Binary)
+            .with_workers(workers)
+            .with_operator(custom_through("ingest", "sensor/#", "flow/e/0"))
+            .with_operator(custom_through("refine", "flow/e/0", "flow/e/1"))
+            .with_operator(custom("tap", "flow/e/1"));
+        for k in 0..4u64 {
+            let mut leaf =
+                custom_through(&format!("leaf{k}"), "flow/e/1", &format!("out/{k}")).sharded(4, k);
+            leaf.publish_output = true;
+            config = config.with_operator(leaf);
+        }
+        let mut node = MiddlewareNode::new(config);
+        let mut env = MockEnv::new();
+        // Origin timestamps carry the publish order through the re-stamping
+        // stages.
+        let message = |seq: u64| FlowMessage {
+            origin_ts_ns: seq + 1,
+            ..flow_message(seq)
+        };
+        let mut payloads: Vec<Bytes> = (0..FRAMES)
+            .map(|f| {
+                let items = (f * FRAME_ITEMS..(f + 1) * FRAME_ITEMS)
+                    .map(message)
+                    .collect();
+                let frame = node.codec().encode_batch(&FlowBatch { items });
+                frame.expect("non-empty batch encodes").into()
+            })
+            .collect();
+        for i in 0..SINGLES {
+            let single = message(FRAMES * FRAME_ITEMS + i);
+            payloads.push(node.codec().encode_message(&single).into());
+        }
+        let (tx, rx) = std::sync::mpsc::channel::<(usize, Vec<OpOutput>)>();
+        let pool = (workers > 0).then(|| {
+            node.engage_pool();
+            WorkerPool::spawn(
+                "equivalence",
+                workers,
+                node.executor_cells(),
+                Arc::new(move |index, outputs| {
+                    let _ = tx.send((index, outputs));
+                }),
+                node.worker_handoff(),
+                WorkerRuntime {
+                    epoch: std::time::Instant::now(),
+                    metrics: Arc::new(parking_lot::Mutex::new(Default::default())),
+                    speed: None,
+                    seed: 7,
+                },
+            )
+        });
+
+        let before = CODEC_CALLS.with(|c| c.get());
+        for payload in payloads {
+            node.dispatch_flow(&mut env, "sensor/a".into(), payload);
+            if let Some(pool) = pool.as_ref() {
+                pool.notify_work();
+            }
+        }
+        // Pooled: play the node thread until every item reached egress
+        // (the leaves publish into the offline queue: nobody is connected).
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while node.offline_queue.len() < ITEMS as usize && pool.is_some() {
+            assert!(std::time::Instant::now() < deadline, "pooled run stalled");
+            while let Ok((index, outputs)) = rx.try_recv() {
+                node.handle_outputs(&mut env, index, outputs);
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        if let Some(pool) = pool {
+            pool.stop();
+        }
+        let after = CODEC_CALLS.with(|c| c.get());
+
+        assert_eq!(
+            node.offline_queue.len(),
+            ITEMS as usize,
+            "exact conservation"
+        );
+        let mut egress: Vec<Vec<(u64, u64)>> = vec![Vec::new(); 4];
+        for (topic, payload, _) in &node.offline_queue {
+            let leaf: usize = topic.strip_prefix("out/").unwrap().parse().unwrap();
+            let msg = FlowMessage::decode(payload).expect("egress frames decode");
+            egress[leaf].push((msg.seq, msg.origin_ts_ns));
+        }
+        // `deliver` runs after the stage lock is released, so two workers
+        // may hand a leaf's outputs over inverted; the leaf's own
+        // sequence stamp restores its execution order.
+        for leaf in &mut egress {
+            leaf.sort_unstable();
+        }
+        Observed {
+            grouping: node
+                .stage_stats()
+                .iter()
+                .map(|s| (s.processed, s.batch_entries, s.batched_items))
+                .collect(),
+            egress: egress
+                .into_iter()
+                .map(|leaf| leaf.into_iter().map(|(_, origin)| origin).collect())
+                .collect(),
+            codec_calls: (after.0 - before.0, after.1 - before.1),
+        }
+    }
+
+    #[test]
+    fn inline_and_pooled_executors_route_identically() {
+        let inline = run_chain_and_tree(0);
+        let pooled = run_chain_and_tree(2);
+        assert_eq!(inline, pooled);
+
+        // The topology did what it says: every stage of the chain and the
+        // tap saw all 197 items, the leaves an exact cover of them...
+        let items = |stage: usize| {
+            let (processed, batches, batched) = inline.grouping[stage];
+            processed - batches + batched
+        };
+        assert_eq!([items(0), items(1), items(2)], [197, 197, 197]);
+        assert_eq!((3..7).map(items).sum::<u64>(), 197);
+        // ...a frame stays one work item per destination hop over hop...
+        assert_eq!(inline.grouping[1], (29, 24, 192));
+        // ...and every leaf saw its share in publish order.
+        for leaf in &inline.egress {
+            assert!(
+                leaf.windows(2).all(|w| w[0] < w[1]),
+                "per-topic FIFO: {leaf:?}"
+            );
+        }
+        // Only broker traffic touches the codec: one decode per ingress
+        // frame, one encode per published emission — none for the four
+        // local hops each item takes.
+        assert_eq!(inline.codec_calls, (197, 29));
     }
 
     #[test]

@@ -34,8 +34,9 @@ enum ThreadMsg {
         // sends the same buffer N times without copying it.
         payload: Bytes,
     },
-    /// Outputs a worker thread produced for one executor stage; routed
-    /// by the node thread (the sole router/publisher).
+    /// Outputs of one executor stage that its worker thread did not hand
+    /// to the next stage itself (egress, fallbacks); routed and published
+    /// by the node thread.
     StageOutputs {
         op_index: usize,
         outputs: Vec<OpOutput>,
@@ -409,11 +410,12 @@ fn run_node(
     let mut timers: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
     let mut rng_state = seed;
 
-    // Pooled executor mode: workers drain the stage mailboxes while this
-    // thread keeps routing; their outputs come back through our own
+    // Pooled executor mode: workers drain the stage mailboxes and route
+    // the intra-node hops while this thread keeps routing the rest;
+    // what they cannot deliver themselves comes back through our own
     // channel as `StageOutputs`.
     let workers = node.config().executor.workers;
-    let pool = if workers > 0 && !node.executor_cells().is_empty() {
+    let mut pool = if workers > 0 && !node.executor_cells().is_empty() {
         node.engage_pool();
         let own_tx = senders
             .get(&name)
@@ -452,6 +454,26 @@ fn run_node(
             }
         }};
     }
+    // Handles one inbox message (`Stop` is the loop's business). Routing
+    // may have enqueued new stage work, and the pool only runs when told.
+    macro_rules! handle {
+        ($msg:expr) => {{
+            let mut env = env!();
+            match $msg {
+                ThreadMsg::Packet { src, port, payload } => {
+                    node.on_packet(&mut env, &src, port, &payload)
+                }
+                ThreadMsg::StageOutputs { op_index, outputs } => {
+                    node.handle_outputs(&mut env, op_index, outputs)
+                }
+                ThreadMsg::Stop => {}
+            }
+            rng_state = env.rng_state;
+            if let Some(pool) = pool.as_ref() {
+                pool.notify_work();
+            }
+        }};
+    }
 
     let mut env0 = env!();
     node.on_start(&mut env0);
@@ -481,90 +503,65 @@ fn run_node(
             None => Duration::from_millis(50),
         };
         match rx.recv_timeout(timeout) {
-            Ok(ThreadMsg::Packet { src, port, payload }) => {
-                let mut env = env!();
-                node.on_packet(&mut env, &src, port, &payload);
-                rng_state = env.rng_state;
-                if let Some(pool) = pool.as_ref() {
-                    pool.notify_work();
-                }
-            }
-            Ok(ThreadMsg::StageOutputs { op_index, outputs }) => {
-                let mut env = env!();
-                node.handle_outputs(&mut env, op_index, outputs);
-                rng_state = env.rng_state;
-                // Routing the outputs may have enqueued new stage work;
-                // with the unbounded idle wait the pool only runs when
-                // told (the old 5 ms poll used to paper over this).
-                if let Some(pool) = pool.as_ref() {
-                    pool.notify_work();
-                }
-            }
-            Ok(ThreadMsg::Stop) => {
-                // Deliver coalesced stage ingress first (it can emit new
-                // publishes), then publish any lingering micro-batches,
-                // so coalesced tail samples reach the broker (it stops
-                // after us in the cluster's phased shutdown).
-                let mut env = env!();
-                node.flush_stage_coalescers(&mut env);
-                // A takeover whose fence never arrived still holds
-                // buffered items — execute them rather than drop them.
-                node.flush_pending_takeovers(&mut env);
-                node.flush_pending_batches(&mut env);
-                rng_state = env.rng_state;
-                break;
-            }
+            Ok(ThreadMsg::Stop) | Err(RecvTimeoutError::Disconnected) => break,
+            Ok(msg) => handle!(msg),
             Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
         }
     }
-    if let Some(pool) = pool {
-        pool.stop();
-        // Drain what the workers left behind: backlogged mailbox items
-        // (bounded by the per-stage mailboxes) and outputs delivered
-        // before the stop. Without this the final in-flight samples of a
-        // run disappear from the books.
-        let cells = node.executor_cells();
-        for _pass in 0..10_000 {
-            let mut progressed = false;
-            // Re-coalesced ingress held back by the linger timer must
-            // reach the mailboxes before the cells are stepped, or the
-            // tail sub-batches of a run would never be executed.
-            if node.has_stage_backlog() {
+
+    // Shutdown drain, to a fixpoint. The phased stop joined every
+    // upstream producer before sending our Stop, so what is still in the
+    // inbox is this node's own traffic: a colocated broker's forwards to
+    // the node's own client — and the client's publishes to that broker
+    // — land *behind* the Stop. Handling one can enqueue the next, as
+    // can every flush below, so repeat until nothing moves.
+    let cells = pool.as_ref().map(|_| node.executor_cells());
+    for _pass in 0..10_000 {
+        let mut progressed = false;
+        while let Ok(msg) = rx.try_recv() {
+            progressed = true;
+            handle!(msg);
+        }
+        let mut env = env!();
+        // Deliver coalesced stage ingress first (it can emit new
+        // publishes), then takeover items whose fence never arrived —
+        // execute them rather than drop them — then the lingering
+        // publish micro-batches, so coalesced tail samples reach the
+        // broker (it stops after us in the phased shutdown).
+        progressed |= node.has_stage_backlog();
+        node.flush_stage_coalescers(&mut env);
+        node.flush_pending_takeovers(&mut env);
+        node.flush_pending_batches(&mut env);
+        rng_state = env.rng_state;
+        if progressed {
+            continue;
+        }
+        // The inbox is quiet: stop the workers (once) and run what they
+        // left queued — backlogged mailbox items, bounded by the
+        // per-stage mailboxes — inline on this thread. Without this the
+        // final in-flight samples of a run disappear from the books.
+        if let Some(pool) = pool.take() {
+            pool.stop();
+            node.disengage_pool();
+        }
+        for (index, cell) in cells.iter().flatten().enumerate() {
+            let mut env = env!();
+            let stepped = cell.step_pooled(&mut env);
+            rng_state = env.rng_state;
+            if let Some(outputs) = stepped {
                 progressed = true;
                 let mut env = env!();
-                node.flush_stage_coalescers(&mut env);
+                node.handle_outputs(&mut env, index, outputs);
                 rng_state = env.rng_state;
-            }
-            for (index, cell) in cells.iter().enumerate() {
-                let mut env = env!();
-                let stepped = cell.step_pooled(&mut env);
-                rng_state = env.rng_state;
-                if let Some(outputs) = stepped {
-                    progressed = true;
-                    if !outputs.is_empty() {
-                        let mut env = env!();
-                        node.handle_outputs(&mut env, index, outputs);
-                        rng_state = env.rng_state;
-                    }
-                }
-            }
-            while let Ok(msg) = rx.try_recv() {
-                if let ThreadMsg::StageOutputs { op_index, outputs } = msg {
-                    progressed = true;
-                    let mut env = env!();
-                    node.handle_outputs(&mut env, op_index, outputs);
-                    rng_state = env.rng_state;
-                }
-            }
-            if !progressed {
-                break;
             }
         }
-        // Outputs handled during the drain may have re-entered the
-        // publish micro-batcher; flush once more so nothing is stranded.
-        let mut env = env!();
-        node.flush_pending_batches(&mut env);
+        if !progressed {
+            // The flushes above may have published to our own broker.
+            match rx.try_recv() {
+                Ok(msg) => handle!(msg),
+                Err(_) => break,
+            }
+        }
     }
     node
 }
@@ -665,6 +662,44 @@ mod tests {
             5,
             "analysis + four sensor nodes stay connected"
         );
+    }
+
+    /// A node that runs the broker *and* consumes from it forwards to its
+    /// own client through its own inbox, so at shutdown those forwards
+    /// sit behind the Stop message. None may be lost: every sample the
+    /// edge published is trained on.
+    #[test]
+    fn colocated_hub_drains_its_own_tail_on_stop() {
+        let mut edge = NodeConfig::new("edge")
+            .with_broker_node("hub")
+            // A sample taken before the session is up is dropped, not
+            // delivered uncounted later.
+            .with_offline_queue(0);
+        for d in 0..3u16 {
+            edge = edge.with_sensor(SensorSpec::new(SensorKind::Sound, d + 1, 50.0, 3));
+        }
+        let hub = NodeConfig::new("hub")
+            .with_broker()
+            .with_broker_node("hub")
+            .with_operator(OperatorSpec::sink(
+                "train",
+                OperatorKind::Train {
+                    algorithm: "pa".into(),
+                    mix_interval_ms: 0,
+                },
+                vec!["sensor/#".into()],
+            ));
+        // The hub runs slowed — ~11 ms a train call against ~7 ms between
+        // arrivals — so a backlog is certain to sit in its inbox when the
+        // edge has stopped and the hub's own Stop is sent.
+        let cluster = ClusterBuilder::new()
+            .node_with_speed(hub, 4.0)
+            .node(edge)
+            .start();
+        let report = cluster.run_for(Duration::from_millis(400));
+        let published = report.metrics.counter("flow_items_published");
+        assert!(published > 20, "the edge must have published: {published}");
+        assert_eq!(report.metrics.counter("trained"), published);
     }
 
     #[test]

@@ -85,6 +85,8 @@ impl FlowCodec {
 
     /// Encodes a single flow message.
     pub fn encode_message(&self, msg: &FlowMessage) -> Vec<u8> {
+        #[cfg(test)]
+        CODEC_CALLS.with(|c| c.set((c.get().0 + 1, c.get().1)));
         match self.format {
             WireFormat::Json => msg.encode(),
             WireFormat::Binary => encode_message_binary(msg),
@@ -113,6 +115,15 @@ impl FlowCodec {
             WireFormat::Binary => encode_mix_binary(envelope),
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test instrument: `(encode_message, decode_items_lean)` calls made
+    /// on the current thread, so a test can pin that a local hop
+    /// bypasses the codec.
+    pub(crate) static CODEC_CALLS: std::cell::Cell<(u64, u64)> =
+        const { std::cell::Cell::new((0, 0)) };
 }
 
 /// A decoded flow payload, kept allocation-lean: the dominant
@@ -149,7 +160,7 @@ impl DecodedItems {
     }
 
     /// Iterates the decoded items in order.
-    pub fn iter(&self) -> impl Iterator<Item = &FlowItem> {
+    pub fn iter(&self) -> impl Iterator<Item = &FlowItem> + Clone {
         match self {
             DecodedItems::One(item) => std::slice::from_ref(item).iter(),
             DecodedItems::Many(items) => items.iter(),
@@ -167,6 +178,8 @@ impl DecodedItems {
 ///
 /// Returns a description when no decoding applies.
 pub fn decode_items_lean(topic: &str, payload: &[u8]) -> Result<DecodedItems, String> {
+    #[cfg(test)]
+    CODEC_CALLS.with(|c| c.set((c.get().0, c.get().1 + 1)));
     if payload.len() == ifot_sensors::sample::SAMPLE_WIRE_SIZE
         && payload.first() != Some(&FRAME_MAGIC)
     {

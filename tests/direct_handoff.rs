@@ -11,33 +11,24 @@
 //! * **Exact conservation** — a multi-worker fan-out delivers every
 //!   emission to every consumer exactly once, all of it counted as
 //!   direct handoff when nothing saturates.
-//! * **Determinism** — the handoff flag cannot perturb the netsim
-//!   runtime: same-seed runs with the flag on and off produce
-//!   bit-identical trace digests (inline mode never consults it).
 //!
 //! The test thread plays the node: the pool's `deliver` callback only
 //! pushes into a shared inbox (never blocks, mirroring the real
 //! node-thread channel) and the main thread drains it, routing any
-//! fallback leftovers exactly like `handle_outputs` would.
+//! fallback leftovers like the node's `handle_outputs` would.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use ifot::core::config::{ExecutorConfig, NodeConfig, OperatorKind, OperatorSpec, SensorSpec};
+use ifot::core::config::{ExecutorConfig, OperatorKind, OperatorSpec};
 use ifot::core::executor::pool::{WorkerPool, WorkerRuntime};
 use ifot::core::executor::{ExecutorGraph, WorkItem};
 use ifot::core::flow::{FlowItem, FlowMessage};
 use ifot::core::operators::OpOutput;
-use ifot::core::sim_adapter::add_middleware_node;
 use ifot::ml::feature::Datum;
-use ifot::netsim::cpu::CpuProfile;
 use ifot::netsim::metrics::Metrics;
-use ifot::netsim::sim::Simulation;
-use ifot::netsim::time::SimTime;
-use ifot::netsim::wlan::WlanConfig;
-use ifot::sensors::sample::SensorKind;
 
 /// Pass-through stage feeding other local stages (handoff-eligible).
 fn link(id: &str, input: &str, output: &str) -> OperatorSpec {
@@ -89,7 +80,7 @@ fn spawn_pool(graph: &ExecutorGraph, workers: usize, inbox: &Inbox) -> WorkerPoo
             let mut inbox = sink.lock();
             inbox.extend(outputs.into_iter().map(|o| (src, o)));
         }),
-        Some(graph.direct_handoff()),
+        graph.direct_handoff(),
         WorkerRuntime {
             epoch: Instant::now(),
             metrics: Arc::new(Mutex::new(Metrics::new())),
@@ -102,7 +93,7 @@ fn spawn_pool(graph: &ExecutorGraph, workers: usize, inbox: &Inbox) -> WorkerPoo
 /// Drains the inbox until `expected` egress emissions arrived (or a
 /// deadline passes), playing the node thread for fallback leftovers:
 /// emissions on a non-egress stage's output topic are re-routed to their
-/// consumers via the graph's route plan, exactly like `handle_outputs`.
+/// consumers via the graph's route plan, like the node's `handle_outputs`.
 fn collect_egress(
     graph: &ExecutorGraph,
     pool: &WorkerPool,
@@ -265,67 +256,4 @@ fn multi_worker_fanout_conserves_every_item() {
     assert_eq!(stats.handoff_direct, 2 * N);
     assert_eq!(stats.handoff_fallback, 0);
     assert_eq!(stats.handoff_stale_route, 0);
-}
-
-/// Same-seed netsim runs with the handoff flag on and off. The
-/// deterministic runtime executes stages inline (`workers == 0`), where
-/// the flag must have no effect — the digests are bit-identical, so
-/// enabling the default cannot perturb any pinned trace.
-#[test]
-fn netsim_digest_is_identical_with_handoff_disabled() {
-    fn run(handoff_enabled: bool, seed: u64) -> (u64, u64) {
-        let mut sim = Simulation::with_wlan(WlanConfig::ideal(), seed);
-        add_middleware_node(
-            &mut sim,
-            CpuProfile::RASPBERRY_PI_2,
-            NodeConfig::new("broker").with_broker(),
-        );
-        add_middleware_node(
-            &mut sim,
-            CpuProfile::RASPBERRY_PI_2,
-            NodeConfig::new("sensor-node")
-                .with_broker_node("broker")
-                .with_sensor(SensorSpec::new(SensorKind::Sound, 1, 20.0, seed)),
-        );
-        let mut analysis = NodeConfig::new("analysis")
-            .with_broker_node("broker")
-            .with_wire_format(ifot::core::wire::WireFormat::Binary)
-            // An intra-node chain so the consumer topology the handoff
-            // targets actually exists in the sim.
-            .with_operator(
-                OperatorSpec::through(
-                    "refine",
-                    OperatorKind::Custom {
-                        operator: "probe".into(),
-                    },
-                    vec!["sensor/#".into()],
-                    "flow/refined",
-                )
-                .local_only(),
-            )
-            .with_operator(OperatorSpec::sink(
-                "score",
-                OperatorKind::Anomaly {
-                    detector: "zscore".into(),
-                    threshold: 4.0,
-                },
-                vec!["flow/refined".into()],
-            ));
-        if !handoff_enabled {
-            analysis = analysis.without_direct_handoff();
-        }
-        add_middleware_node(&mut sim, CpuProfile::RASPBERRY_PI_2, analysis);
-        sim.enable_trace();
-        sim.run_until(SimTime::from_secs(4));
-        let scored = sim.metrics().counter("anomaly_scored");
-        (sim.take_trace().digest(), scored)
-    }
-
-    let enabled = run(true, 0x1F07);
-    let disabled = run(false, 0x1F07);
-    assert!(enabled.1 > 20, "scoring must make progress: {enabled:?}");
-    assert_eq!(
-        enabled, disabled,
-        "the handoff flag must not perturb the deterministic runtime"
-    );
 }

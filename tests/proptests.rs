@@ -1433,40 +1433,138 @@ proptest! {
 // Shard routing (DESIGN.md §5)
 // ---------------------------------------------------------------------
 
-proptest! {
-    /// Sequence partitioning is an exact cover: every item lands in
-    /// exactly the `seq % modulus` bucket, intra-bucket order preserves
-    /// input order, and the borrowing partitioner agrees with the
-    /// consuming one.
-    #[test]
-    fn shard_partition_is_an_exact_cover(
-        msgs in prop::collection::vec(arb_flow_message(), 0..64),
-        modulus in 0u64..9,
-    ) {
-        use ifot::core::executor::router::{partition_by_seq, partition_by_seq_cloned};
-        use ifot::core::flow::FlowItem;
-        let items: Vec<FlowItem> = msgs
+/// The fan-out invariant checked by [`fan_out_is_an_exact_cover_in_order`]:
+/// over the plan `shards` (one route per entry, `None` = unsharded) the
+/// intra-node router hands every route exactly the items it claims, in
+/// group order, as one work item — `Item` for one, a batch for more —
+/// and hands nothing to a route that claims none. Plain asserts so the
+/// deterministic smoke test below exercises the same body.
+fn check_fan_out(shards: &[Option<(u64, u64)>], items: Vec<ifot::core::flow::FlowItem>) {
+    use ifot::core::executor::router::{claimants, materialize, RoutePlan, StageRoute};
+    use ifot::core::executor::WorkItem;
+    use ifot::core::flow::FlowItem;
+    use ifot::core::wire::DecodedItems;
+
+    let plan = RoutePlan {
+        stages: shards
             .iter()
-            .map(|m| FlowItem::from_message("flow/x", m.clone()))
+            .enumerate()
+            .map(|(stage, &shard)| StageRoute { stage, shard })
+            .collect(),
+    };
+    let expected: Vec<(usize, Vec<FlowItem>)> = plan
+        .stages
+        .iter()
+        .map(|route| {
+            let mine = items.iter().filter(|item| match route.shard {
+                Some((modulus, index)) => item.seq % modulus == index,
+                None => true,
+            });
+            (route.stage, mine.cloned().collect::<Vec<_>>())
+        })
+        .filter(|(_, mine)| !mine.is_empty())
+        .collect();
+
+    let run = |routes: &[StageRoute], group: DecodedItems| {
+        let mut out: Vec<(usize, Vec<FlowItem>)> = Vec::new();
+        materialize(routes, group, |route, work| {
+            let got = match work {
+                WorkItem::Item(item) => vec![item],
+                WorkItem::Batch(items) => {
+                    assert!(items.len() > 1, "a one-item delivery must be an Item");
+                    items
+                }
+                WorkItem::SharedBatch(items) => {
+                    assert!(items.len() > 1, "a one-item delivery must be an Item");
+                    items.to_vec()
+                }
+                other => panic!("the router only builds flow work, got {other:?}"),
+            };
+            out.push((route.stage, got));
+        });
+        out
+    };
+    let claimed = claimants(&plan, items.iter().map(|item| item.seq));
+    assert_eq!(
+        claimed.iter().map(|r| r.stage).collect::<Vec<_>>(),
+        expected.iter().map(|(stage, _)| *stage).collect::<Vec<_>>(),
+        "the plan must name exactly the routes that receive something"
+    );
+    assert_eq!(run(&claimed, DecodedItems::Many(items.clone())), expected);
+    // Materializing over the whole plan skips the routes that claim
+    // nothing instead of handing them an empty batch.
+    assert_eq!(
+        run(&plan.stages, DecodedItems::Many(items.clone())),
+        expected
+    );
+    if let [item] = &items[..] {
+        assert_eq!(run(&claimed, DecodedItems::One(item.clone())), expected);
+    }
+}
+
+fn seq_items(seqs: impl IntoIterator<Item = u64>) -> Vec<ifot::core::flow::FlowItem> {
+    seqs.into_iter()
+        .map(|seq| ifot::core::flow::FlowItem {
+            topic: "flow/x".into(),
+            origin_ts_ns: seq,
+            seq,
+            datum: ifot::ml::feature::Datum::new().with("x", seq as f64),
+            label: None,
+            score: None,
+        })
+        .collect()
+}
+
+/// Deterministic corner plans: complementary shards, mixed moduli with a
+/// duplicate claimant, unsharded fan-out beside shards, a lone item, an
+/// empty group. The proptest below explores the space at random.
+#[test]
+fn fan_out_smoke() {
+    let quarters: Vec<_> = (0..4).map(|i| Some((4, i))).collect();
+    check_fan_out(&quarters, seq_items(0..37));
+    check_fan_out(
+        &[Some((2, 0)), Some((3, 1)), Some((2, 0)), Some((2, 1))],
+        seq_items(0..20),
+    );
+    check_fan_out(&[None, Some((2, 0)), None, Some((2, 1))], seq_items(5..14));
+    check_fan_out(&[None, None], seq_items([7, 7, 9]));
+    check_fan_out(&[None, Some((2, 0)), Some((2, 1)), None], seq_items([4]));
+    check_fan_out(&[Some((3, 2))], seq_items([0, 1, 3]));
+    check_fan_out(&quarters, Vec::new());
+    check_fan_out(&[], seq_items(0..3));
+    // A fixed pseudo-random sweep (the offline proptest stand-in cannot
+    // generate values).
+    let mut rng = 0x1F07u64;
+    for _ in 0..500 {
+        let shards: Vec<Option<(u64, u64)>> = (0..common::splitmix(&mut rng) % 7)
+            .map(|_| {
+                let modulus = common::splitmix(&mut rng) % 5;
+                (modulus > 0).then(|| (modulus, common::splitmix(&mut rng) % modulus))
+            })
             .collect();
+        let len = common::splitmix(&mut rng) % 20;
+        let seqs: Vec<u64> = (0..len).map(|_| common::splitmix(&mut rng) % 64).collect();
+        check_fan_out(&shards, seq_items(seqs));
+    }
+}
 
-        let cloned = partition_by_seq_cloned(&items, modulus);
-        let owned = partition_by_seq(items.clone(), modulus);
-        prop_assert_eq!(&cloned, &owned, "borrowing and consuming partitioners disagree");
-
-        let m = modulus.max(1);
-        prop_assert_eq!(owned.len() as u64, m, "one bucket per shard index");
-        let total: usize = owned.iter().map(Vec::len).sum();
-        prop_assert_eq!(total, items.len(), "partition must not drop or duplicate");
-        for (index, bucket) in owned.iter().enumerate() {
-            for item in bucket {
-                prop_assert_eq!(item.seq % m, index as u64, "item in the wrong bucket");
-            }
-        }
-        // Intra-bucket order preserves input order: re-partitioning the
-        // concatenation in bucket order is a fixpoint.
-        let replayed: Vec<FlowItem> = owned.iter().flatten().cloned().collect();
-        prop_assert_eq!(partition_by_seq(replayed, modulus), owned);
+proptest! {
+    /// The intra-node fan-out is an exact cover over arbitrary plans:
+    /// mixed moduli, duplicate shard claimants, unsharded consumers.
+    #[test]
+    fn fan_out_is_an_exact_cover_in_order(
+        msgs in prop::collection::vec(arb_flow_message(), 0..64),
+        raw_shards in prop::collection::vec(prop::option::of((1u64..5, any::<u64>())), 0..8),
+    ) {
+        let shards: Vec<Option<(u64, u64)>> = raw_shards
+            .into_iter()
+            .map(|shard| shard.map(|(modulus, raw)| (modulus, raw % modulus)))
+            .collect();
+        let items = msgs
+            .into_iter()
+            .map(|m| ifot::core::flow::FlowItem::from_message("flow/x", m))
+            .collect();
+        check_fan_out(&shards, items);
     }
 }
 
