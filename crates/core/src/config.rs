@@ -626,6 +626,14 @@ impl NodeConfig {
                 }
             }
         }
+        for sensor in &self.sensors {
+            if let Err(e) = ifot_mqtt::topic::TopicName::new(&sensor.topic) {
+                return Err(format!(
+                    "sensor {} publishes on {:?}, not a topic name: {e}",
+                    sensor.device_id, sensor.topic
+                ));
+            }
+        }
         let needs_client = !self.sensors.is_empty() || !self.operators.is_empty();
         if needs_client && self.broker_node.is_none() && !self.run_broker {
             return Err(format!(
@@ -658,6 +666,17 @@ mod tests {
         assert_eq!(cfg.name, "e");
         assert_eq!(cfg.publish_qos, QoS::AtLeastOnce);
         assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn sensor_topic_must_be_a_topic_name() {
+        let mut sensor = SensorSpec::new(SensorKind::Sound, 1, 5.0, 9);
+        sensor.topic = "sensor/+/sound".into();
+        let cfg = NodeConfig::new("e")
+            .with_broker_node("d")
+            .with_sensor(sensor);
+        let refused = cfg.validate().expect_err("a wildcard is no topic name");
+        assert!(refused.contains("not a topic name"), "{refused}");
     }
 
     #[test]

@@ -291,7 +291,7 @@ impl FlowDirectory {
             .filter(|a| a.online)
             .flat_map(|a| a.streams.iter().map(move |s| (a.node.as_str(), s)))
             .filter(|(_, s)| {
-                TopicName::new(s.topic.clone())
+                TopicName::new(&s.topic)
                     .map(|t| f.matches(&t))
                     .unwrap_or(false)
             })

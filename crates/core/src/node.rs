@@ -33,6 +33,7 @@ use ifot_mqtt::topic::{TopicFilter, TopicName};
 use ifot_sensors::actuator::{Actuator, AirConditioner, AlertSink, CeilingLight, Command};
 use ifot_sensors::device::VirtualSensor;
 use ifot_sensors::inject::AnomalyInjector;
+use ifot_sensors::sample::{Sample, SAMPLE_WIRE_SIZE};
 
 use crate::config::{ActuatorKindSpec, NodeConfig, OperatorSpec, ShedPolicy};
 use crate::costs;
@@ -87,7 +88,8 @@ const LOCAL_HOP_LIMIT: usize = 64;
 /// arrived from the broker) go through the codec.
 #[derive(Debug)]
 enum Hop {
-    Wire(String, Bytes),
+    /// The topic is shared with the publish it arrived in.
+    Wire(Arc<str>, Bytes),
     Items(DecodedItems),
 }
 
@@ -149,6 +151,17 @@ fn note_flow_frame(env: &mut dyn NodeEnv, items: u64, bytes: usize) {
     env.add("flow_bytes_published", bytes as u64);
 }
 
+/// The sensing timestamp a flow payload carries up front — a raw sample's
+/// at its fixed offset, a binary frame's in its header — for the Fig. 9
+/// stage probes, which sit on the per-sample path and decode nothing.
+fn peek_origin_ns(payload: &[u8]) -> Option<u64> {
+    if payload.len() == SAMPLE_WIRE_SIZE {
+        Sample::peek_timestamp_ns(payload)
+    } else {
+        crate::wire::peek_first_origin(payload)
+    }
+}
+
 /// The node's subscription filters, parsed once per (re)subscription
 /// instead of per published output.
 fn parse_filters(config: &NodeConfig) -> Vec<TopicFilter> {
@@ -162,7 +175,8 @@ fn parse_filters(config: &NodeConfig) -> Vec<TopicFilter> {
 #[derive(Debug)]
 struct SensorRuntime {
     injector: AnomalyInjector,
-    topic: String,
+    /// Validated once; every publish shares it.
+    topic: TopicName,
     period_ns: u64,
     next_sample_ns: u64,
     published: u64,
@@ -279,13 +293,20 @@ pub struct MiddlewareNode {
     /// Embedded Broker class: the sharded routing layer (shard count
     /// from [`NodeConfig::broker_shards`]; transports identify peer
     /// connections by node name).
-    broker: Option<ShardedBroker<String>>,
-    broker_decoders: BTreeMap<String, StreamDecoder>,
+    broker: Option<ShardedBroker<Arc<str>>>,
+    /// Stream state of the embedded broker's peers. The key, a peer's
+    /// node name in shared form, is also its connection key.
+    broker_peers: BTreeMap<Arc<str>, StreamDecoder>,
+    /// Ingress scratch, kept for its capacity: the packets of one
+    /// transport chunk, the actions they cause, the local hop queue.
+    ingress_packets: Vec<Packet>,
+    broker_actions: Vec<Action<Arc<str>>>,
+    hop_queue: VecDeque<Hop>,
     client: Option<Client>,
     client_decoder: StreamDecoder,
     connected: bool,
     supervisor: ReconnectSupervisor,
-    offline_queue: VecDeque<(String, Bytes, bool)>,
+    offline_queue: VecDeque<(TopicName, Bytes, bool)>,
     offline_buffered: u64,
     offline_dropped: u64,
     offline_flushed: u64,
@@ -369,7 +390,7 @@ impl MiddlewareNode {
                 let period_ns = (1.0e9 / spec.rate_hz.max(1e-6)).round() as u64;
                 SensorRuntime {
                     injector,
-                    topic: spec.topic.clone(),
+                    topic: TopicName::new(&spec.topic).expect("validated with the config"),
                     period_ns,
                     next_sample_ns: period_ns,
                     published: 0,
@@ -431,7 +452,10 @@ impl MiddlewareNode {
                     ..BrokerConfig::default()
                 })
             }),
-            broker_decoders: BTreeMap::new(),
+            broker_peers: BTreeMap::new(),
+            ingress_packets: Vec::new(),
+            broker_actions: Vec::new(),
+            hop_queue: VecDeque::new(),
             client,
             client_decoder: StreamDecoder::new(),
             connected: false,
@@ -651,7 +675,7 @@ impl MiddlewareNode {
     pub fn sensor_published(&self) -> Vec<(String, u64)> {
         self.sensors
             .iter()
-            .map(|s| (s.topic.clone(), s.published))
+            .map(|s| (s.topic.as_str().to_owned(), s.published))
             .collect()
     }
 
@@ -776,8 +800,10 @@ impl MiddlewareNode {
         }
     }
 
-    /// Handles a transport packet addressed to this node.
-    pub fn on_packet(&mut self, env: &mut dyn NodeEnv, src: &str, port: u16, payload: &[u8]) {
+    /// Handles a transport packet addressed to this node. The payload is
+    /// the shared buffer the runtime delivered: a chunk that is one whole
+    /// MQTT frame is decoded in place, never copied.
+    pub fn on_packet(&mut self, env: &mut dyn NodeEnv, src: &str, port: u16, payload: &Bytes) {
         match port {
             MQTT_BROKER_PORT => self.on_broker_ingress(env, src, payload),
             MQTT_CLIENT_PORT => self.on_client_ingress(env, payload),
@@ -795,10 +821,10 @@ impl MiddlewareNode {
             return;
         };
         env.consume_ref_ms(costs::SENSOR_READ_MS);
+        // The sample is a plain value; what it costs the heap is the one
+        // encoded buffer below (see the allocation table in DESIGN.md §5),
+        // reference-shared through codec, broker fan-out and dispatch.
         let labelled = s.injector.read(now);
-        // One allocation per sample: this buffer is reference-shared
-        // through codec, broker fan-out and subscriber dispatch.
-        let payload = labelled.sample.encode_bytes();
         let topic = s.topic.clone();
         // Schedule the next sample on the nominal grid (no drift).
         s.next_sample_ns += s.period_ns;
@@ -812,27 +838,21 @@ impl MiddlewareNode {
         if self.connected {
             self.sensors[index].published += 1;
             if self.batching_enabled() {
-                // Coalesced flow path: wrap the sample into a flow
-                // message and let the micro-batcher amortize the publish.
-                match FlowItem::from_payload(&topic, &payload) {
-                    Ok(item) => {
-                        let message = item.into_message(self.config.name.clone());
-                        self.enqueue_batch(env, &topic, message);
-                    }
-                    Err(_) => {
-                        note_flow_frame(env, 1, payload.len());
-                        self.publish(env, &topic, payload);
-                    }
-                }
+                // Coalesced flow path: the sample becomes a flow message
+                // directly and the micro-batcher amortizes the publish.
+                let message = FlowItem::from_sample(topic.as_str(), &labelled.sample)
+                    .into_message(self.config.name.clone());
+                self.enqueue_batch(env, topic.as_str(), message);
             } else {
+                let payload = labelled.sample.encode_bytes();
                 note_flow_frame(env, 1, payload.len());
-                self.publish(env, &topic, payload);
+                self.publish_named(env, topic, payload, false);
             }
         } else if self.config.offline_queue_capacity > 0 {
             // Publish class offline buffering: hold samples through the
             // outage, flushed in order on reconnect.
             self.sensors[index].buffered += 1;
-            self.buffer_offline(env, &topic, payload, false);
+            self.buffer_offline(env, topic, labelled.sample.encode_bytes(), false);
         } else {
             self.sensors[index].dropped_unconnected += 1;
             env.incr("samples_dropped_unconnected");
@@ -841,7 +861,13 @@ impl MiddlewareNode {
 
     /// Queues a payload produced while disconnected, dropping the oldest
     /// entry when the configured bound is reached.
-    fn buffer_offline(&mut self, env: &mut dyn NodeEnv, topic: &str, payload: Bytes, retain: bool) {
+    fn buffer_offline(
+        &mut self,
+        env: &mut dyn NodeEnv,
+        topic: TopicName,
+        payload: Bytes,
+        retain: bool,
+    ) {
         let capacity = self.config.offline_queue_capacity;
         if capacity == 0 {
             env.incr("offline_disabled_drop");
@@ -852,8 +878,7 @@ impl MiddlewareNode {
             self.offline_dropped += 1;
             env.incr("offline_dropped_oldest");
         }
-        self.offline_queue
-            .push_back((topic.to_owned(), payload, retain));
+        self.offline_queue.push_back((topic, payload, retain));
         self.offline_buffered += 1;
         env.incr("offline_buffered");
     }
@@ -863,12 +888,12 @@ impl MiddlewareNode {
         if self.offline_queue.is_empty() {
             return;
         }
-        let drained: Vec<(String, Bytes, bool)> = self.offline_queue.drain(..).collect();
+        let drained: Vec<(TopicName, Bytes, bool)> = self.offline_queue.drain(..).collect();
         let n = drained.len() as u64;
         self.offline_flushed += n;
         env.add("offline_flushed", n);
         for (topic, payload, retain) in drained {
-            self.publish_opts(env, &topic, payload, retain);
+            self.publish_named(env, topic, payload, retain);
         }
     }
 
@@ -877,43 +902,62 @@ impl MiddlewareNode {
         self.publish_opts(env, topic, payload, false);
     }
 
-    /// Publishes with an explicit retain flag. While disconnected the
-    /// payload goes to the offline queue instead of being lost.
+    /// Publishes with an explicit retain flag on a topic given as text,
+    /// validating it first.
     fn publish_opts(&mut self, env: &mut dyn NodeEnv, topic: &str, payload: Bytes, retain: bool) {
         if self.client.is_none() {
             env.incr("publish_without_client");
             return;
         }
-        let Ok(topic_name) = TopicName::new(topic) else {
+        let Ok(topic) = TopicName::new(topic) else {
             env.incr("publish_bad_topic");
             return;
         };
-        let state = self.client.as_ref().expect("checked above").state();
-        if state != ClientState::Connected {
+        self.publish_named(env, topic, payload, retain);
+    }
+
+    /// Publishes on an already validated topic. While disconnected the
+    /// payload goes to the offline queue instead of being lost.
+    fn publish_named(
+        &mut self,
+        env: &mut dyn NodeEnv,
+        topic: TopicName,
+        payload: Bytes,
+        retain: bool,
+    ) {
+        let Some(client) = self.client.as_mut() else {
+            env.incr("publish_without_client");
+            return;
+        };
+        if client.state() != ClientState::Connected {
             env.incr("publish_not_connected");
             self.buffer_offline(env, topic, payload, retain);
             return;
         }
         env.consume_ref_ms(costs::PUBLISH_MS);
-        let client = self.client.as_mut().expect("checked above");
         match client.publish(
-            topic_name,
+            topic,
             payload,
             self.config.publish_qos,
             retain,
             env.now_ns(),
         ) {
             Ok(packet) => {
-                let broker = self
-                    .config
-                    .broker_node
-                    .clone()
-                    .expect("client implies broker_node");
-                env.send(&broker, MQTT_BROKER_PORT, encode(&packet));
+                self.send_to_broker(env, &packet);
                 env.incr("published");
             }
             Err(_) => env.incr("publish_not_connected"),
         }
+    }
+
+    /// Encodes a client packet and sends it to the node's broker.
+    fn send_to_broker(&self, env: &mut dyn NodeEnv, packet: &Packet) {
+        let broker = self
+            .config
+            .broker_node
+            .as_deref()
+            .expect("client implies broker_node");
+        env.send(broker, MQTT_BROKER_PORT, encode(packet));
     }
 
     // ------------------------------------------------------------------
@@ -928,7 +972,11 @@ impl MiddlewareNode {
     fn enqueue_batch(&mut self, env: &mut dyn NodeEnv, topic: &str, message: FlowMessage) {
         let batch_max = self.config.batch_max.max(1);
         let linger_ns = self.effective_linger_ns(topic, env.now_ns());
-        let pending = self.pending_batches.entry(topic.to_owned()).or_default();
+        // The key is copied when a batch opens, not per message.
+        if !self.pending_batches.contains_key(topic) {
+            self.pending_batches.insert(topic.to_owned(), Vec::new());
+        }
+        let pending = self.pending_batches.get_mut(topic).expect("just ensured");
         pending.push(message);
         if pending.len() >= batch_max {
             self.flush_batch_topic(env, topic);
@@ -1074,7 +1122,7 @@ impl MiddlewareNode {
     fn flush_stage_then_drain(&mut self, env: &mut dyn NodeEnv, stage: usize) {
         let mut queue = VecDeque::new();
         self.flush_stage_batch(env, stage, &mut queue);
-        self.run_hops(env, queue);
+        self.run_hops(env, &mut queue);
     }
 
     /// Flushes every stage's ingress accumulator (linger expiry and the
@@ -1085,7 +1133,7 @@ impl MiddlewareNode {
         for stage in 0..self.stage_batches.len() {
             self.flush_stage_batch(env, stage, &mut queue);
         }
-        self.run_hops(env, queue);
+        self.run_hops(env, &mut queue);
     }
 
     /// Whether any stage ingress accumulator still holds items (drives
@@ -1098,52 +1146,61 @@ impl MiddlewareNode {
     // Broker class
     // ------------------------------------------------------------------
 
-    fn on_broker_ingress(&mut self, env: &mut dyn NodeEnv, src: &str, payload: &[u8]) {
-        if self.broker.is_none() {
+    fn on_broker_ingress(&mut self, env: &mut dyn NodeEnv, src: &str, payload: &Bytes) {
+        let Some(broker) = self.broker.as_ref() else {
             env.incr("broker_ingress_without_broker");
             return;
-        }
+        };
         let now = env.now_ns();
-        let decoder = self.broker_decoders.entry(src.to_owned()).or_default();
+        let conn = match self.broker_peers.get_key_value(src) {
+            Some((conn, _)) => Arc::clone(conn),
+            None => {
+                let conn: Arc<str> = Arc::from(src);
+                self.broker_peers
+                    .insert(Arc::clone(&conn), StreamDecoder::new());
+                conn
+            }
+        };
+        let decoder = self.broker_peers.get_mut(src).expect("just ensured");
         decoder.feed(payload);
-        let mut packets = Vec::new();
-        loop {
+        let mut packets = std::mem::take(&mut self.ingress_packets);
+        let corrupt = loop {
             match decoder.next_packet() {
                 Ok(Some(p)) => packets.push(p),
-                Ok(None) => break,
-                Err(_) => {
-                    env.incr("broker_decode_errors");
-                    self.broker_decoders.remove(src);
-                    return;
-                }
+                Ok(None) => break false,
+                Err(_) => break true,
             }
-        }
-        let broker = self.broker.as_ref().expect("checked above");
-        let mut actions = Vec::new();
-        for packet in packets {
+        };
+        let mut actions = std::mem::take(&mut self.broker_actions);
+        for packet in packets.drain(..) {
             env.consume_ref_ms(costs::BROKER_IN_MS);
             if matches!(packet, Packet::Connect(_)) {
-                broker.connection_opened(src.to_owned(), now);
+                broker.connection_opened(Arc::clone(&conn), now);
             }
-            // Stage probe (Fig. 9 breakdown): raw sensor samples carry
-            // their sensing timestamp; record the sensing→broker leg.
+            // Stage probe (Fig. 9 breakdown): the sensing→broker leg, read
+            // off the payload's header without decoding it.
             if let Packet::Publish(p) = &packet {
-                if p.payload.len() == ifot_sensors::sample::SAMPLE_WIRE_SIZE {
-                    if let Ok(sample) = ifot_sensors::sample::Sample::decode(&p.payload) {
-                        env.record_latency_since_ns("sensing_to_broker", sample.timestamp_ns);
-                    }
-                } else if let Some(origin) = crate::wire::peek_first_origin(&p.payload) {
-                    // Batched/binary frames carry their origin in the
-                    // header — same probe without a full decode.
+                if let Some(origin) = peek_origin_ns(&p.payload) {
                     env.record_latency_since_ns("sensing_to_broker", origin);
                 }
             }
             // Single-threaded embedding: apply cross-shard forwards
             // inline so delivery stays deterministic.
-            let out = broker.handle_packet(&src.to_owned(), packet, now);
-            actions.extend(broker.resolve(out, now));
+            let out = broker.handle_packet(&conn, packet, now);
+            actions.append(&mut broker.resolve(out, now));
         }
-        self.apply_broker_actions(env, actions);
+        if corrupt {
+            // MQTT has no resynchronization: what decoded ahead of the
+            // garbage was handled above; the connection is now gone, for
+            // the broker (will, session) as for the stream state.
+            env.incr("broker_decode_errors");
+            self.broker_peers.remove(src);
+            let out = broker.connection_lost(&conn, now);
+            actions.append(&mut broker.resolve(out, now));
+        }
+        self.ingress_packets = packets;
+        self.apply_broker_actions(env, &mut actions);
+        self.broker_actions = actions;
     }
 
     fn on_broker_poll(&mut self, env: &mut dyn NodeEnv) {
@@ -1159,13 +1216,14 @@ impl MiddlewareNode {
                     actions.extend(broker.publish_internal(publish, now));
                 }
             }
-            self.apply_broker_actions(env, actions);
+            self.apply_broker_actions(env, &mut actions);
             env.set_timer_after_ns(BROKER_POLL_NS, tag(TAG_BROKER_POLL, 0));
         }
     }
 
-    fn apply_broker_actions(&mut self, env: &mut dyn NodeEnv, actions: Vec<Action<String>>) {
-        for action in actions {
+    /// Performs and drains `actions`.
+    fn apply_broker_actions(&mut self, env: &mut dyn NodeEnv, actions: &mut Vec<Action<Arc<str>>>) {
+        for action in actions.drain(..) {
             match action {
                 Action::Send { conn, packet } => {
                     if matches!(packet, Packet::Publish(_)) {
@@ -1180,7 +1238,7 @@ impl MiddlewareNode {
                     env.send(&conn, MQTT_CLIENT_PORT, frame);
                 }
                 Action::Close { conn } => {
-                    self.broker_decoders.remove(&conn);
+                    self.broker_peers.remove(&conn);
                 }
             }
         }
@@ -1195,12 +1253,7 @@ impl MiddlewareNode {
             return;
         };
         if let Ok(packet) = client.connect() {
-            let broker = self
-                .config
-                .broker_node
-                .clone()
-                .expect("client implies broker_node");
-            env.send(&broker, MQTT_BROKER_PORT, encode(&packet));
+            self.send_to_broker(env, &packet);
             let before = self.supervisor.stats().reconnects;
             self.supervisor.on_connect_sent(env.now_ns());
             if self.supervisor.stats().reconnects > before {
@@ -1219,12 +1272,7 @@ impl MiddlewareNode {
             state = Some(client.state());
         }
         for packet in to_send {
-            let broker = self
-                .config
-                .broker_node
-                .clone()
-                .expect("client implies broker_node");
-            env.send(&broker, MQTT_BROKER_PORT, encode(&packet));
+            self.send_to_broker(env, &packet);
         }
         if let Some(state) = state {
             // Reconnect supervision: dead-peer detection, CONNACK
@@ -1276,10 +1324,10 @@ impl MiddlewareNode {
         }
     }
 
-    fn on_client_ingress(&mut self, env: &mut dyn NodeEnv, payload: &[u8]) {
+    fn on_client_ingress(&mut self, env: &mut dyn NodeEnv, payload: &Bytes) {
         let now = env.now_ns();
         self.client_decoder.feed(payload);
-        let mut packets = Vec::new();
+        let mut packets = std::mem::take(&mut self.ingress_packets);
         loop {
             match self.client_decoder.next_packet() {
                 Ok(Some(p)) => packets.push(p),
@@ -1287,6 +1335,8 @@ impl MiddlewareNode {
                 Err(_) => {
                     env.incr("client_decode_errors");
                     self.client_decoder = StreamDecoder::new();
+                    packets.clear();
+                    self.ingress_packets = packets;
                     return;
                 }
             }
@@ -1295,21 +1345,16 @@ impl MiddlewareNode {
             // Any inbound broker traffic proves the peer is alive.
             self.supervisor.on_inbound(now);
         }
-        for packet in packets {
+        for packet in packets.drain(..) {
             let Some(client) = self.client.as_mut() else {
-                return;
+                break;
             };
             let Ok((events, out)) = client.handle_packet(packet, now) else {
                 env.incr("client_protocol_errors");
                 continue;
             };
             for p in out {
-                let broker = self
-                    .config
-                    .broker_node
-                    .clone()
-                    .expect("client implies broker_node");
-                env.send(&broker, MQTT_BROKER_PORT, encode(&p));
+                self.send_to_broker(env, &p);
             }
             for event in events {
                 match event {
@@ -1330,23 +1375,12 @@ impl MiddlewareNode {
                     ClientEvent::Message(publish) => {
                         env.consume_ref_ms(costs::DISPATCH_MS);
                         env.incr("messages_received");
-                        // Stage probe (Fig. 9 breakdown): sensing→subscribe
-                        // leg for raw samples.
-                        if publish.payload.len() == ifot_sensors::sample::SAMPLE_WIRE_SIZE {
-                            if let Ok(sample) =
-                                ifot_sensors::sample::Sample::decode(&publish.payload)
-                            {
-                                env.record_latency_since_ns(
-                                    "sensing_to_subscribe",
-                                    sample.timestamp_ns,
-                                );
-                            }
-                        } else if let Some(origin) =
-                            crate::wire::peek_first_origin(&publish.payload)
-                        {
+                        // Stage probe (Fig. 9 breakdown): the
+                        // sensing→subscribe leg.
+                        if let Some(origin) = peek_origin_ns(&publish.payload) {
                             env.record_latency_since_ns("sensing_to_subscribe", origin);
                         }
-                        self.dispatch_flow(env, publish.topic.as_str().to_owned(), publish.payload);
+                        self.dispatch_flow(env, publish.topic.into_shared(), publish.payload);
                     }
                     ClientEvent::Refused(_) => {
                         env.incr("client_refused");
@@ -1359,6 +1393,7 @@ impl MiddlewareNode {
                 }
             }
         }
+        self.ingress_packets = packets;
     }
 
     /// Publishes the retained self-description on the discovery plane.
@@ -1429,12 +1464,7 @@ impl MiddlewareNode {
             return;
         };
         if let Ok(packet) = client.subscribe(filters, env.now_ns()) {
-            let broker = self
-                .config
-                .broker_node
-                .clone()
-                .expect("client implies broker_node");
-            env.send(&broker, MQTT_BROKER_PORT, encode(&packet));
+            self.send_to_broker(env, &packet);
         }
     }
 
@@ -1730,28 +1760,33 @@ impl MiddlewareNode {
         for (stage, items) in pending {
             self.deliver_items(env, stage, items, &mut queue);
         }
-        self.run_hops(env, queue);
+        self.run_hops(env, &mut queue);
     }
 
     /// Routes a payload on `topic` to every matching local operator,
     /// iteratively following local operator chains.
-    fn dispatch_flow(&mut self, env: &mut dyn NodeEnv, topic: String, payload: Bytes) {
-        self.run_hops(env, VecDeque::from([Hop::Wire(topic, payload)]));
+    fn dispatch_flow(&mut self, env: &mut dyn NodeEnv, topic: Arc<str>, payload: Bytes) {
+        let mut queue = std::mem::take(&mut self.hop_queue);
+        queue.push_back(Hop::Wire(topic, payload));
+        self.run_hops(env, &mut queue);
+        self.hop_queue = queue;
     }
 
     /// Works a queue of local deliveries to completion, breadth-first:
-    /// stages run inline append the hops their emissions cause.
-    fn run_hops(&mut self, env: &mut dyn NodeEnv, mut queue: VecDeque<Hop>) {
+    /// stages run inline append the hops their emissions cause. The
+    /// queue is left empty.
+    fn run_hops(&mut self, env: &mut dyn NodeEnv, queue: &mut VecDeque<Hop>) {
         let mut hops = 0;
         while let Some(hop) = queue.pop_front() {
             hops += 1;
             if hops > LOCAL_HOP_LIMIT {
                 env.incr("local_dispatch_overflow");
+                queue.clear();
                 break;
             }
             match hop {
-                Hop::Wire(topic, payload) => self.on_wire_hop(env, topic, payload, &mut queue),
-                Hop::Items(group) => self.route_items(env, group, &mut queue),
+                Hop::Wire(topic, payload) => self.on_wire_hop(env, &topic, payload, queue),
+                Hop::Items(group) => self.route_items(env, group, queue),
             }
         }
     }
@@ -1761,23 +1796,25 @@ impl MiddlewareNode {
     fn on_wire_hop(
         &mut self,
         env: &mut dyn NodeEnv,
-        topic: String,
+        topic: &str,
         payload: Bytes,
         queue: &mut VecDeque<Hop>,
     ) {
         if topic.starts_with(crate::discovery::ANNOUNCE_PREFIX) {
-            self.directory.apply(&topic, &payload);
+            self.directory.apply(topic, &payload);
             env.incr("directory_updates");
             return;
         }
         if topic.starts_with("$SYS/") {
-            self.sys_view
-                .insert(topic, String::from_utf8_lossy(&payload).into_owned());
+            self.sys_view.insert(
+                topic.to_owned(),
+                String::from_utf8_lossy(&payload).into_owned(),
+            );
             env.incr("sys_updates");
             return;
         }
         if topic.starts_with(crate::rebalance::CONTROL_PREFIX) {
-            self.on_control_plane(env, &topic, &payload, queue);
+            self.on_control_plane(env, topic, &payload, queue);
             return;
         }
         if topic.starts_with("mix/") {
@@ -1785,7 +1822,7 @@ impl MiddlewareNode {
                 env.incr("mix_decode_errors");
                 return;
             };
-            let plan = self.executor.route(&topic);
+            let plan = self.executor.route(topic);
             let count = plan.stages.len();
             let mut envelope = Some(envelope);
             for (k, route) in plan.stages.iter().enumerate() {
@@ -1808,7 +1845,7 @@ impl MiddlewareNode {
         // coalesced batch frame — one to N items per payload. The
         // lean form keeps the dominant single-sample path free of a
         // one-element `Vec` allocation.
-        let decoded = match crate::wire::decode_items_lean(&topic, &payload) {
+        let decoded = match crate::wire::decode_items_lean(topic, &payload) {
             Ok(decoded) => decoded,
             Err(_) => {
                 env.incr("flow_decode_errors");
@@ -1821,12 +1858,12 @@ impl MiddlewareNode {
         // One ledger resolution per frame, and the topic key is only
         // cloned when a stream is first seen.
         if topic.starts_with("sensor/") {
-            match self.seq_ledger.get_mut(&topic) {
+            match self.seq_ledger.get_mut(topic) {
                 Some(ledger) => ledger.observe_batch(decoded.iter()),
                 None => {
                     let mut ledger = SeqTracker::default();
                     ledger.observe_batch(decoded.iter());
-                    self.seq_ledger.insert(topic, ledger);
+                    self.seq_ledger.insert(topic.to_owned(), ledger);
                 }
             }
         }
@@ -1937,7 +1974,7 @@ impl MiddlewareNode {
         self.process_outputs(env, op_index, outputs, &mut queue);
         // Timer-triggered and worker-delivered outputs may feed local
         // chains too.
-        self.run_hops(env, queue);
+        self.run_hops(env, &mut queue);
     }
 
     /// Whether this node's own broker subscription covers `topic` — in
@@ -1968,7 +2005,7 @@ impl MiddlewareNode {
         let payload: Bytes = self.codec().encode_mix(envelope).into();
         let echoed_back = self.connected && self.subscription_covers(topic);
         if self.has_local_consumer(topic, None) && !echoed_back {
-            queue.push_back(Hop::Wire(topic.to_owned(), payload.clone()));
+            queue.push_back(Hop::Wire(Arc::from(topic), payload.clone()));
         }
         self.publish(env, topic, payload);
     }
@@ -2023,7 +2060,7 @@ impl MiddlewareNode {
                             group.push(FlowItem::from_message(topic, message));
                         } else {
                             let payload = self.codec().encode_message(&message).into();
-                            queue.push_back(Hop::Wire(topic.to_owned(), payload));
+                            queue.push_back(Hop::Wire(Arc::from(topic), payload));
                         }
                     };
                     match (local, publish) {
@@ -2556,7 +2593,12 @@ mod tests {
         );
         let mut egress: Vec<Vec<(u64, u64)>> = vec![Vec::new(); 4];
         for (topic, payload, _) in &node.offline_queue {
-            let leaf: usize = topic.strip_prefix("out/").unwrap().parse().unwrap();
+            let leaf: usize = topic
+                .as_str()
+                .strip_prefix("out/")
+                .unwrap()
+                .parse()
+                .unwrap();
             let msg = FlowMessage::decode(payload).expect("egress frames decode");
             egress[leaf].push((msg.seq, msg.origin_ts_ns));
         }
@@ -2607,6 +2649,96 @@ mod tests {
         // frame, one encode per published emission — none for the four
         // local hops each item takes.
         assert_eq!(inline.codec_calls, (197, 29));
+    }
+
+    /// A chunk that turns into garbage mid-way: the packets ahead of the
+    /// garbage are handled, then the connection is lost for the broker
+    /// too (will published, session offline), and the peer's next
+    /// CONNECT finds no stale stream state.
+    #[test]
+    fn corrupt_broker_frame_keeps_what_decoded_and_drops_the_connection() {
+        use ifot_mqtt::packet::{Connect, LastWill, Publish, Subscribe, SubscribeFilter};
+        let topic = |t: &str| TopicName::new(t).expect("valid topic");
+        let mut node = MiddlewareNode::new(NodeConfig::new("hub").with_broker());
+        let mut env = MockEnv::new();
+        fn feed(node: &mut MiddlewareNode, env: &mut MockEnv, src: &str, chunk: Bytes) {
+            node.on_packet(env, src, MQTT_BROKER_PORT, &chunk);
+        }
+        /// PUBLISH packets the broker sent to `dst`, as `(topic, payload)`.
+        fn publishes_to(env: &MockEnv, dst: &str) -> Vec<(String, Vec<u8>)> {
+            env.sent_to(dst, MQTT_CLIENT_PORT)
+                .into_iter()
+                .filter_map(|frame| match ifot_mqtt::codec::decode(frame) {
+                    Ok(Some((Packet::Publish(p), _))) => {
+                        Some((p.topic.as_str().to_owned(), p.payload.to_vec()))
+                    }
+                    _ => None,
+                })
+                .collect()
+        }
+
+        feed(
+            &mut node,
+            &mut env,
+            "sub",
+            encode(&Packet::Connect(Connect::new("sub"))),
+        );
+        let subscribe = Packet::Subscribe(Subscribe {
+            packet_id: 1,
+            filters: vec![SubscribeFilter {
+                filter: TopicFilter::new("#").expect("valid filter"),
+                qos: QoS::AtMostOnce,
+            }],
+        });
+        feed(&mut node, &mut env, "sub", encode(&subscribe));
+        let mut connect = Connect::new("pub");
+        connect.will = Some(LastWill {
+            topic: topic("will/pub"),
+            payload: Bytes::from_static(b"gone"),
+            qos: QoS::AtMostOnce,
+            retain: false,
+        });
+        feed(
+            &mut node,
+            &mut env,
+            "pub",
+            encode(&Packet::Connect(connect)),
+        );
+        assert_eq!(node.broker_stats().expect("broker").clients_connected, 2);
+
+        // One read: a valid PUBLISH, then a packet type that does not exist.
+        let mut chunk = encode(&Packet::Publish(Publish::qos0(topic("t/a"), vec![7]))).to_vec();
+        chunk.extend_from_slice(&[0xF0, 0x00]);
+        feed(&mut node, &mut env, "pub", chunk.into());
+        assert_eq!(env.counter("broker_decode_errors"), 1);
+        assert_eq!(
+            publishes_to(&env, "sub"),
+            vec![
+                ("t/a".to_owned(), vec![7]),
+                ("will/pub".to_owned(), b"gone".to_vec())
+            ],
+            "the PUBLISH ahead of the garbage is routed, then the will fires"
+        );
+        assert_eq!(node.broker_stats().expect("broker").clients_connected, 1);
+        assert!(!node.broker_peers.contains_key("pub"));
+
+        // The next CONNECT starts clean: accepted, and the session works.
+        env.clear();
+        feed(
+            &mut node,
+            &mut env,
+            "pub",
+            encode(&Packet::Connect(Connect::new("pub"))),
+        );
+        assert!(matches!(
+            ifot_mqtt::codec::decode(env.sent_to("pub", MQTT_CLIENT_PORT)[0]),
+            Ok(Some((Packet::Connack(ack), _))) if !ack.session_present
+        ));
+        assert_eq!(node.broker_stats().expect("broker").clients_connected, 2);
+        let publish = Packet::Publish(Publish::qos0(topic("t/b"), vec![8]));
+        feed(&mut node, &mut env, "pub", encode(&publish));
+        assert_eq!(publishes_to(&env, "sub"), vec![("t/b".to_owned(), vec![8])]);
+        assert_eq!(env.counter("broker_decode_errors"), 1);
     }
 
     #[test]

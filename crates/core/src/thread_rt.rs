@@ -28,7 +28,8 @@ use crate::operators::OpOutput;
 
 enum ThreadMsg {
     Packet {
-        src: String,
+        // Shared: every packet a node sends names it by bumping a count.
+        src: Arc<str>,
         port: u16,
         // Reference-counted: a broker fan-out to N local subscribers
         // sends the same buffer N times without copying it.
@@ -156,7 +157,7 @@ fn stop_plan(nodes: &[(NodeConfig, Option<f64>)]) -> Vec<String> {
         .collect();
     let feeds = |a: &Info, b: &Info| -> bool {
         a.outputs.iter().any(|topic| {
-            TopicName::new(topic.clone())
+            TopicName::new(topic)
                 .map(|t| {
                     b.inputs.iter().any(|f| {
                         TopicFilter::new(f.clone())
@@ -255,7 +256,7 @@ impl RunningCluster {
         match self.senders.get(dst) {
             Some(tx) => tx
                 .send(ThreadMsg::Packet {
-                    src: src.to_owned(),
+                    src: Arc::from(src),
                     port,
                     payload: payload.into(),
                 })
@@ -328,7 +329,7 @@ impl ClusterReport {
 
 struct ThreadEnv<'a> {
     now_ns: u64,
-    name: String,
+    name: &'a Arc<str>,
     senders: &'a HashMap<String, Sender<ThreadMsg>>,
     metrics: &'a Mutex<Metrics>,
     timers: &'a mut BinaryHeap<Reverse<(u64, u64)>>,
@@ -345,7 +346,7 @@ impl NodeEnv for ThreadEnv<'_> {
         match self.senders.get(dst) {
             Some(tx) => {
                 let _ = tx.send(ThreadMsg::Packet {
-                    src: self.name.clone(),
+                    src: Arc::clone(self.name),
                     port,
                     payload,
                 });
@@ -402,7 +403,7 @@ fn run_node(
     metrics: Arc<Mutex<Metrics>>,
     epoch: Instant,
 ) -> MiddlewareNode {
-    let name = config.name.clone();
+    let name: Arc<str> = Arc::from(config.name.as_str());
     let seed = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
     });
@@ -418,7 +419,7 @@ fn run_node(
     let mut pool = if workers > 0 && !node.executor_cells().is_empty() {
         node.engage_pool();
         let own_tx = senders
-            .get(&name)
+            .get(&*name)
             .cloned()
             .expect("own sender is registered");
         let deliver = Arc::new(move |op_index: usize, outputs: Vec<OpOutput>| {
@@ -445,7 +446,7 @@ fn run_node(
         () => {{
             ThreadEnv {
                 now_ns: epoch.elapsed().as_nanos() as u64,
-                name: name.clone(),
+                name: &name,
                 senders: &senders,
                 metrics: &metrics,
                 timers: &mut timers,

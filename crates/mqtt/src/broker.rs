@@ -18,6 +18,7 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -249,7 +250,9 @@ impl Session {
 #[derive(Debug)]
 struct Connection<C> {
     conn: C,
-    client_id: Option<String>,
+    /// Shared, so looking up "whose connection is this" per packet bumps
+    /// a reference count instead of copying the id.
+    client_id: Option<Arc<str>>,
     keep_alive_ns: u64,
     last_activity_ns: u64,
     will: Option<LastWill>,
@@ -345,7 +348,7 @@ fn durable_of(p: &Publish) -> DurablePublish {
 }
 
 fn publish_of(m: &DurablePublish, packet_id: Option<PacketId>) -> Option<Publish> {
-    let topic = TopicName::new(m.topic.clone()).ok()?;
+    let topic = TopicName::new(&m.topic).ok()?;
     Some(Publish {
         dup: false,
         qos: m.qos,
@@ -566,6 +569,13 @@ impl<C: Ord + Clone> Broker<C> {
         std::mem::take(&mut self.events)
     }
 
+    /// Moves the events captured since the last drain onto the end of
+    /// `out`, keeping this buffer's capacity: a layer that drains after
+    /// every call pays no allocation per captured event in steady state.
+    pub fn drain_events_into(&mut self, out: &mut Vec<BrokerEvent>) {
+        out.append(&mut self.events);
+    }
+
     fn capture(&mut self, event: impl FnOnce() -> BrokerEvent) {
         if self.capture_events {
             self.events.push(event());
@@ -730,7 +740,8 @@ impl<C: Ord + Clone> Broker<C> {
         if publish.retain {
             self.store_retained(&publish);
         }
-        let actions = self.route(&publish, now_ns);
+        let mut actions = Vec::new();
+        self.route(&publish, now_ns, &mut actions);
         self.wal_barrier();
         actions
     }
@@ -847,7 +858,7 @@ impl<C: Ord + Clone> Broker<C> {
         }
 
         if let Some(connection) = self.connections.get_mut(conn) {
-            connection.client_id = Some(client_id.clone());
+            connection.client_id = Some(Arc::from(client_id.as_str()));
             connection.keep_alive_ns = c.keep_alive_secs as u64 * 1_000_000_000;
             connection.last_activity_ns = now_ns;
             connection.will = c.will;
@@ -863,11 +874,11 @@ impl<C: Ord + Clone> Broker<C> {
         });
 
         // Flush messages queued while the persistent session was offline.
-        actions.extend(self.flush_queue(&client_id, now_ns));
+        self.flush_queue(&client_id, now_ns, &mut actions);
         actions
     }
 
-    fn client_of(&self, conn: &C) -> Option<String> {
+    fn client_of(&self, conn: &C) -> Option<Arc<str>> {
         self.connections.get(conn).and_then(|c| c.client_id.clone())
     }
 
@@ -896,13 +907,13 @@ impl<C: Ord + Clone> Broker<C> {
                 });
                 // Exactly once: duplicates of a pid whose PUBREL has not
                 // arrived yet must not be routed again.
-                let session = self.sessions.entry(client.clone()).or_default();
+                let session = self.sessions.entry(client.to_string()).or_default();
                 if !session.incoming_qos2.insert(pid) {
                     return actions;
                 }
                 if session.persistent {
                     wal_note(&mut self.wal, || WalRecord::InQos2Insert {
-                        client: client.clone(),
+                        client: client.to_string(),
                         pid,
                     });
                 }
@@ -914,7 +925,7 @@ impl<C: Ord + Clone> Broker<C> {
             self.store_retained(&publish);
         }
 
-        actions.extend(self.route(&publish, now_ns));
+        self.route(&publish, now_ns, &mut actions);
         actions
     }
 
@@ -927,9 +938,8 @@ impl<C: Ord + Clone> Broker<C> {
     /// [`deliver`](Self::deliver); their in-flight copies still share the
     /// payload `Bytes` with the original, so only the small header state
     /// is per-subscriber.
-    fn route(&mut self, publish: &Publish, now_ns: u64) -> Vec<Action<C>> {
+    fn route(&mut self, publish: &Publish, now_ns: u64, actions: &mut Vec<Action<C>>) {
         self.capture(|| BrokerEvent::Routed(publish.clone()));
-        let mut actions = Vec::new();
         let subs = self.tree.matches_shared(&publish.topic);
         // Lazily encoded: first QoS 0 subscriber pays the single encode,
         // the rest bump a refcount.
@@ -943,14 +953,7 @@ impl<C: Ord + Clone> Broker<C> {
                 if !self.sessions.contains_key(&sub.key) {
                     continue;
                 }
-                let frame = qos0_frame.get_or_insert_with(|| {
-                    let mut out = publish.clone();
-                    out.dup = false;
-                    out.retain = false;
-                    out.qos = QoS::AtMostOnce;
-                    out.packet_id = None;
-                    codec::encode(&Packet::Publish(out))
-                });
+                let frame = qos0_frame.get_or_insert_with(|| codec::encode_qos0_delivery(publish));
                 self.stats.messages_out += 1;
                 actions.push(Action::SendFrame {
                     conn: conn.clone(),
@@ -962,18 +965,23 @@ impl<C: Ord + Clone> Broker<C> {
                 out.retain = false;
                 out.qos = effective_qos;
                 out.packet_id = None;
-                actions.extend(self.deliver(&sub.key, out, now_ns));
+                self.deliver(&sub.key, out, now_ns, actions);
             }
         }
-        actions
     }
 
     /// Delivers one message to one client, queueing when offline or when
     /// the in-flight window is full.
-    fn deliver(&mut self, client_id: &str, mut publish: Publish, now_ns: u64) -> Vec<Action<C>> {
+    fn deliver(
+        &mut self,
+        client_id: &str,
+        mut publish: Publish,
+        now_ns: u64,
+        actions: &mut Vec<Action<C>>,
+    ) {
         let conn = self.online.get(client_id).cloned();
         let Some(session) = self.sessions.get_mut(client_id) else {
-            return Vec::new();
+            return;
         };
         match conn {
             Some(conn) => {
@@ -982,7 +990,7 @@ impl<C: Ord + Clone> Broker<C> {
                         if session.queue.len() >= self.config.max_offline_queue {
                             session.dropped += 1;
                             self.stats.messages_dropped += 1;
-                            return Vec::new();
+                            return;
                         }
                         if session.persistent {
                             wal_note(&mut self.wal, || WalRecord::Queued {
@@ -991,7 +999,7 @@ impl<C: Ord + Clone> Broker<C> {
                             });
                         }
                         session.queue.push_back(publish);
-                        return Vec::new();
+                        return;
                     }
                     let pid = session.alloc_pid();
                     publish.packet_id = Some(pid);
@@ -1018,10 +1026,10 @@ impl<C: Ord + Clone> Broker<C> {
                     );
                 }
                 self.stats.messages_out += 1;
-                vec![Action::Send {
+                actions.push(Action::Send {
                     conn,
                     packet: Packet::Publish(publish),
-                }]
+                });
             }
             None => {
                 if session.persistent && publish.qos != QoS::AtMostOnce {
@@ -1036,13 +1044,11 @@ impl<C: Ord + Clone> Broker<C> {
                         session.queue.push_back(publish);
                     }
                 }
-                Vec::new()
             }
         }
     }
 
-    fn flush_queue(&mut self, client_id: &str, now_ns: u64) -> Vec<Action<C>> {
-        let mut actions = Vec::new();
+    fn flush_queue(&mut self, client_id: &str, now_ns: u64, actions: &mut Vec<Action<C>>) {
         while let Some(session) = self.sessions.get_mut(client_id) {
             if session.inflight.len() >= self.config.max_inflight {
                 break;
@@ -1055,25 +1061,26 @@ impl<C: Ord + Clone> Broker<C> {
                     client: client_id.to_owned(),
                 });
             }
-            actions.extend(self.deliver(client_id, next, now_ns));
+            self.deliver(client_id, next, now_ns, actions);
         }
-        actions
     }
 
     fn on_puback(&mut self, conn: &C, pid: PacketId, now_ns: u64) -> Vec<Action<C>> {
         let Some(client_id) = self.client_of(conn) else {
             return Vec::new();
         };
-        if let Some(session) = self.sessions.get_mut(&client_id) {
+        if let Some(session) = self.sessions.get_mut(&*client_id) {
             if session.inflight.remove(&pid).is_some() && session.persistent {
                 wal_note(&mut self.wal, || WalRecord::InflightRemove {
-                    client: client_id.clone(),
+                    client: client_id.to_string(),
                     pid,
                 });
             }
         }
         // Window freed: push queued messages out.
-        self.flush_queue(&client_id, now_ns)
+        let mut actions = Vec::new();
+        self.flush_queue(&client_id, now_ns, &mut actions);
+        actions
     }
 
     /// Subscriber acknowledged a QoS 2 delivery: release it with PUBREL.
@@ -1081,14 +1088,14 @@ impl<C: Ord + Clone> Broker<C> {
         let Some(client_id) = self.client_of(conn) else {
             return Vec::new();
         };
-        if let Some(session) = self.sessions.get_mut(&client_id) {
+        if let Some(session) = self.sessions.get_mut(&*client_id) {
             let persistent = session.persistent;
             if let Some(inflight) = session.inflight.get_mut(&pid) {
                 inflight.stage = OutStage::AwaitPubcomp;
                 inflight.sent_at_ns = now_ns;
                 if persistent {
                     wal_note(&mut self.wal, || WalRecord::InflightStage {
-                        client: client_id.clone(),
+                        client: client_id.to_string(),
                         pid,
                         stage: WalStage::AwaitPubcomp,
                     });
@@ -1105,10 +1112,10 @@ impl<C: Ord + Clone> Broker<C> {
     /// Publisher released an inbound QoS 2 message: close the window.
     fn on_pubrel(&mut self, conn: &C, pid: PacketId) -> Vec<Action<C>> {
         if let Some(client_id) = self.client_of(conn) {
-            if let Some(session) = self.sessions.get_mut(&client_id) {
+            if let Some(session) = self.sessions.get_mut(&*client_id) {
                 if session.incoming_qos2.remove(&pid) && session.persistent {
                     wal_note(&mut self.wal, || WalRecord::InQos2Remove {
-                        client: client_id.clone(),
+                        client: client_id.to_string(),
                         pid,
                     });
                 }
@@ -1125,19 +1132,21 @@ impl<C: Ord + Clone> Broker<C> {
         let Some(client_id) = self.client_of(conn) else {
             return Vec::new();
         };
-        if let Some(session) = self.sessions.get_mut(&client_id) {
+        if let Some(session) = self.sessions.get_mut(&*client_id) {
             if session.inflight.remove(&pid).is_some() && session.persistent {
                 wal_note(&mut self.wal, || WalRecord::InflightRemove {
-                    client: client_id.clone(),
+                    client: client_id.to_string(),
                     pid,
                 });
             }
         }
-        self.flush_queue(&client_id, now_ns)
+        let mut actions = Vec::new();
+        self.flush_queue(&client_id, now_ns, &mut actions);
+        actions
     }
 
     fn on_subscribe(&mut self, conn: &C, sub: Subscribe, now_ns: u64) -> Vec<Action<C>> {
-        let Some(client_id) = self.client_of(conn) else {
+        let Some(client_id) = self.client_of(conn).map(|id| id.to_string()) else {
             return self.protocol_error(conn, now_ns);
         };
         let mut codes = Vec::with_capacity(sub.filters.len());
@@ -1163,7 +1172,7 @@ impl<C: Ord + Clone> Broker<C> {
             codes.push(SubackCode::Granted(granted));
 
             for (topic, retained) in &self.retained {
-                let name = TopicName::new(topic.clone()).expect("retained topics are valid");
+                let name = TopicName::new(topic).expect("retained topics are valid");
                 if f.filter.matches(&name) {
                     let mut out = retained.clone();
                     out.retain = true;
@@ -1180,13 +1189,13 @@ impl<C: Ord + Clone> Broker<C> {
             }),
         }];
         for out in retained_out {
-            actions.extend(self.deliver(&client_id, out, now_ns));
+            self.deliver(&client_id, out, now_ns, &mut actions);
         }
         actions
     }
 
     fn on_unsubscribe(&mut self, conn: &C, unsub: Unsubscribe) -> Vec<Action<C>> {
-        let Some(client_id) = self.client_of(conn) else {
+        let Some(client_id) = self.client_of(conn).map(|id| id.to_string()) else {
             return Vec::new();
         };
         for f in &unsub.filters {
@@ -1217,7 +1226,7 @@ impl<C: Ord + Clone> Broker<C> {
             return Vec::new();
         };
         let mut actions = Vec::new();
-        if let Some(client_id) = connection.client_id {
+        if let Some(client_id) = connection.client_id.map(|id| id.to_string()) {
             if self.online.get(&client_id) == Some(conn) {
                 self.online.remove(&client_id);
             }
@@ -1248,7 +1257,7 @@ impl<C: Ord + Clone> Broker<C> {
                     if publish.retain {
                         self.store_retained(&publish);
                     }
-                    actions.extend(self.route(&publish, now_ns));
+                    self.route(&publish, now_ns, &mut actions);
                 }
             }
         }

@@ -17,11 +17,59 @@ use crate::topic::{TopicFilter, TopicName};
 /// Maximum value of the remaining-length varint.
 pub const MAX_REMAINING_LENGTH: usize = 268_435_455;
 
+/// Where a packet's bytes go: the frame buffer, or the counter that
+/// sizes it. Every layout below is written once, against this, so the
+/// length pass and the write pass cannot disagree.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+
+    fn put_u8(&mut self, v: u8) {
+        self.put(&[v]);
+    }
+
+    fn put_u16(&mut self, v: u16) {
+        self.put(&v.to_be_bytes());
+    }
+
+    fn put_string(&mut self, s: &str) {
+        debug_assert!(s.len() <= u16::MAX as usize, "string too long for MQTT");
+        self.put_u16(s.len() as u16);
+        self.put(s.as_bytes());
+    }
+
+    fn put_binary(&mut self, b: &[u8]) {
+        debug_assert!(
+            b.len() <= u16::MAX as usize,
+            "binary field too long for MQTT"
+        );
+        self.put_u16(b.len() as u16);
+        self.put(b);
+    }
+}
+
+struct Length(usize);
+
+impl Sink for Length {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+struct Frame(BytesMut);
+
+impl Sink for Frame {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0.put_slice(bytes);
+    }
+}
+
 /// Encodes a packet to a frozen wire frame.
 ///
-/// The returned [`Bytes`] is reference-counted: the broker encodes a
-/// fan-out frame once and shares it across every matching connection
-/// without re-serialising or copying per subscriber.
+/// The remaining length is computed first, so header and body are written
+/// once into one buffer of exactly the frame's size. The returned
+/// [`Bytes`] is reference-counted: the broker encodes a fan-out frame
+/// once and shares it across every matching connection without
+/// re-serialising or copying per subscriber.
 ///
 /// ```
 /// use ifot_mqtt::codec::{decode, encode};
@@ -39,94 +87,104 @@ pub const MAX_REMAINING_LENGTH: usize = 268_435_455;
 /// Panics if the encoded body would exceed [`MAX_REMAINING_LENGTH`]
 /// (requires a payload of ~256 MiB, far beyond any IFoT flow message).
 pub fn encode(packet: &Packet) -> Bytes {
-    let mut body = BytesMut::new();
-    let (type_nibble, flags) = match packet {
-        Packet::Connect(c) => {
-            encode_connect(&mut body, c);
-            (1u8, 0u8)
-        }
-        Packet::Connack(c) => {
-            body.put_u8(u8::from(c.session_present));
-            body.put_u8(c.code.to_byte());
-            (2, 0)
-        }
-        Packet::Publish(p) => {
-            let mut flags = 0u8;
-            if p.dup {
-                flags |= 0b1000;
-            }
-            flags |= p.qos.bits() << 1;
-            if p.retain {
-                flags |= 0b0001;
-            }
-            put_string(&mut body, p.topic.as_str());
-            if p.qos != QoS::AtMostOnce {
-                body.put_u16(p.packet_id.expect("qos>0 publish carries a packet id"));
-            }
-            body.put_slice(&p.payload);
-            (3, flags)
-        }
-        Packet::Puback(pid) => {
-            body.put_u16(*pid);
-            (4, 0)
-        }
-        Packet::Pubrec(pid) => {
-            body.put_u16(*pid);
-            (5, 0)
-        }
-        Packet::Pubrel(pid) => {
-            body.put_u16(*pid);
-            (6, 0b0010)
-        }
-        Packet::Pubcomp(pid) => {
-            body.put_u16(*pid);
-            (7, 0)
-        }
-        Packet::Subscribe(s) => {
-            body.put_u16(s.packet_id);
-            for f in &s.filters {
-                put_string(&mut body, f.filter.as_str());
-                body.put_u8(f.qos.bits());
-            }
-            (8, 0b0010)
-        }
-        Packet::Suback(s) => {
-            body.put_u16(s.packet_id);
-            for c in &s.codes {
-                body.put_u8(c.to_byte());
-            }
-            (9, 0)
-        }
-        Packet::Unsubscribe(u) => {
-            body.put_u16(u.packet_id);
-            for f in &u.filters {
-                put_string(&mut body, f.as_str());
-            }
-            (10, 0b0010)
-        }
-        Packet::Unsuback(pid) => {
-            body.put_u16(*pid);
-            (11, 0)
-        }
-        Packet::Pingreq => (12, 0),
-        Packet::Pingresp => (13, 0),
-        Packet::Disconnect => (14, 0),
-    };
-
-    assert!(
-        body.len() <= MAX_REMAINING_LENGTH,
-        "packet body of {} bytes exceeds the MQTT remaining-length limit",
-        body.len()
-    );
-    let mut out = BytesMut::with_capacity(body.len() + 5);
-    out.put_u8((type_nibble << 4) | flags);
-    encode_remaining_length(&mut out, body.len());
-    out.put_slice(&body);
-    out.freeze()
+    frame(first_byte(packet), |out| put_body(out, packet))
 }
 
-fn encode_connect(body: &mut BytesMut, c: &Connect) {
-    put_string(body, "MQTT");
+/// Encodes the QoS 0 delivery of `publish` — dup, retain and packet id
+/// cleared, whatever QoS it arrived with — straight from the borrowed
+/// packet: the frame the broker's fan-out shares among subscribers.
+pub fn encode_qos0_delivery(publish: &Publish) -> Bytes {
+    frame(3 << 4, |out| {
+        put_publish(out, &publish.topic, None, &publish.payload)
+    })
+}
+
+/// Length of the frame [`encode`] produces for `packet`.
+pub fn encoded_len(packet: &Packet) -> usize {
+    let mut body = Length(0);
+    put_body(&mut body, packet);
+    1 + remaining_length_len(body.0) + body.0
+}
+
+/// One frame: `first`, the remaining length, then whatever `body` puts —
+/// called twice, to size the buffer and to fill it.
+fn frame(first: u8, body: impl Fn(&mut dyn Sink)) -> Bytes {
+    let mut length = Length(0);
+    body(&mut length);
+    let remaining = length.0;
+    assert!(
+        remaining <= MAX_REMAINING_LENGTH,
+        "packet body of {remaining} bytes exceeds the MQTT remaining-length limit"
+    );
+    let mut out = Frame(BytesMut::with_capacity(
+        1 + remaining_length_len(remaining) + remaining,
+    ));
+    out.put_u8(first);
+    put_remaining_length(&mut out, remaining);
+    body(&mut out);
+    out.0.freeze()
+}
+
+/// Packet type nibble and flags.
+fn first_byte(packet: &Packet) -> u8 {
+    let flags = match packet {
+        Packet::Publish(p) => (u8::from(p.dup) << 3) | (p.qos.bits() << 1) | u8::from(p.retain),
+        Packet::Pubrel(_) | Packet::Subscribe(_) | Packet::Unsubscribe(_) => 0b0010,
+        _ => 0,
+    };
+    (packet.packet_type() << 4) | flags
+}
+
+fn put_body(out: &mut dyn Sink, packet: &Packet) {
+    match packet {
+        Packet::Connect(c) => put_connect(out, c),
+        Packet::Connack(c) => {
+            out.put_u8(u8::from(c.session_present));
+            out.put_u8(c.code.to_byte());
+        }
+        Packet::Publish(p) => {
+            let packet_id = (p.qos != QoS::AtMostOnce)
+                .then(|| p.packet_id.expect("qos>0 publish carries a packet id"));
+            put_publish(out, &p.topic, packet_id, &p.payload);
+        }
+        Packet::Puback(pid)
+        | Packet::Pubrec(pid)
+        | Packet::Pubrel(pid)
+        | Packet::Pubcomp(pid)
+        | Packet::Unsuback(pid) => out.put_u16(*pid),
+        Packet::Subscribe(s) => {
+            out.put_u16(s.packet_id);
+            for f in &s.filters {
+                out.put_string(f.filter.as_str());
+                out.put_u8(f.qos.bits());
+            }
+        }
+        Packet::Suback(s) => {
+            out.put_u16(s.packet_id);
+            for c in &s.codes {
+                out.put_u8(c.to_byte());
+            }
+        }
+        Packet::Unsubscribe(u) => {
+            out.put_u16(u.packet_id);
+            for f in &u.filters {
+                out.put_string(f.as_str());
+            }
+        }
+        Packet::Pingreq | Packet::Pingresp | Packet::Disconnect => {}
+    }
+}
+
+fn put_publish(out: &mut dyn Sink, topic: &TopicName, packet_id: Option<u16>, payload: &[u8]) {
+    out.put_string(topic.as_str());
+    if let Some(pid) = packet_id {
+        out.put_u16(pid);
+    }
+    out.put(payload);
+}
+
+fn put_connect(body: &mut dyn Sink, c: &Connect) {
+    body.put_string("MQTT");
     body.put_u8(4); // protocol level 3.1.1
     let mut flags = 0u8;
     if c.clean_session {
@@ -147,20 +205,30 @@ fn encode_connect(body: &mut BytesMut, c: &Connect) {
     }
     body.put_u8(flags);
     body.put_u16(c.keep_alive_secs);
-    put_string(body, &c.client_id);
+    body.put_string(&c.client_id);
     if let Some(w) = &c.will {
-        put_string(body, w.topic.as_str());
-        put_bytes(body, &w.payload);
+        body.put_string(w.topic.as_str());
+        body.put_binary(&w.payload);
     }
     if let Some(u) = &c.username {
-        put_string(body, u);
+        body.put_string(u);
     }
     if let Some(p) = &c.password {
-        put_bytes(body, p);
+        body.put_binary(p);
     }
 }
 
-fn encode_remaining_length(out: &mut BytesMut, mut len: usize) {
+/// Bytes the remaining-length varint of `len` occupies.
+fn remaining_length_len(len: usize) -> usize {
+    match len {
+        0..=127 => 1,
+        128..=16_383 => 2,
+        16_384..=2_097_151 => 3,
+        _ => 4,
+    }
+}
+
+fn put_remaining_length(out: &mut dyn Sink, mut len: usize) {
     loop {
         let mut byte = (len % 128) as u8;
         len /= 128;
@@ -174,21 +242,6 @@ fn encode_remaining_length(out: &mut BytesMut, mut len: usize) {
     }
 }
 
-fn put_string(body: &mut BytesMut, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize, "string too long for MQTT");
-    body.put_u16(s.len() as u16);
-    body.put_slice(s.as_bytes());
-}
-
-fn put_bytes(body: &mut BytesMut, b: &[u8]) {
-    debug_assert!(
-        b.len() <= u16::MAX as usize,
-        "binary field too long for MQTT"
-    );
-    body.put_u16(b.len() as u16);
-    body.put_slice(b);
-}
-
 /// Attempts to decode one packet from the front of `buf`.
 ///
 /// Returns `Ok(None)` when the buffer holds only a packet prefix (read more
@@ -199,24 +252,25 @@ fn put_bytes(body: &mut BytesMut, b: &[u8]) {
 /// Returns a [`DecodeError`] for any malformed input; the caller should
 /// treat the stream as broken (MQTT has no resynchronization).
 pub fn decode(buf: &[u8]) -> Result<Option<(Packet, usize)>, DecodeError> {
+    let Some((body_start, total)) = frame_bounds(buf)? else {
+        return Ok(None);
+    };
+    let body = Bytes::copy_from_slice(&buf[body_start..total]);
+    let packet = decode_body(buf[0] >> 4, buf[0] & 0x0F, body)?;
+    Ok(Some((packet, total)))
+}
+
+/// Where the first frame of `buf` keeps its body and where it ends;
+/// `Ok(None)` while `buf` holds only a prefix of it.
+fn frame_bounds(buf: &[u8]) -> Result<Option<(usize, usize)>, DecodeError> {
     if buf.is_empty() {
         return Ok(None);
     }
-    let first = buf[0];
-    let packet_type = first >> 4;
-    let flags = first & 0x0F;
-
-    let (remaining, header_len) = match decode_remaining_length(&buf[1..])? {
-        Some(v) => v,
-        None => return Ok(None),
+    let Some((remaining, header_len)) = decode_remaining_length(&buf[1..])? else {
+        return Ok(None);
     };
     let total = 1 + header_len + remaining;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let body = Bytes::copy_from_slice(&buf[1 + header_len..total]);
-    let packet = decode_body(packet_type, flags, body)?;
-    Ok(Some((packet, total)))
+    Ok((buf.len() >= total).then_some((1 + header_len, total)))
 }
 
 /// Decodes the remaining-length varint; `Ok(None)` means incomplete.
@@ -282,6 +336,20 @@ impl Reader {
         String::from_utf8(self.bytes()?.to_vec()).map_err(|_| DecodeError::InvalidString)
     }
 
+    /// A topic name, validated on the frame's own bytes and copied once,
+    /// into its shared form.
+    fn topic_name(&mut self, what: &'static str) -> Result<TopicName, DecodeError> {
+        let len = self.u16()? as usize;
+        if self.buf.remaining() < len {
+            return Err(DecodeError::UnexpectedEof);
+        }
+        let name =
+            core::str::from_utf8(&self.buf[..len]).map_err(|_| DecodeError::InvalidString)?;
+        let topic = TopicName::new(name).map_err(|_| DecodeError::MalformedPacket(what))?;
+        self.buf.advance(len);
+        Ok(topic)
+    }
+
     fn rest(&mut self) -> Bytes {
         self.buf.split_to(self.buf.remaining())
     }
@@ -331,8 +399,7 @@ fn decode_body(packet_type: u8, flags: u8, body: Bytes) -> Result<Packet, Decode
             if dup && qos == QoS::AtMostOnce {
                 return Err(DecodeError::MalformedPacket("dup set on qos 0 publish"));
             }
-            let topic = TopicName::new(r.string()?)
-                .map_err(|_| DecodeError::MalformedPacket("publish topic"))?;
+            let topic = r.topic_name("publish topic")?;
             let packet_id = if qos != QoS::AtMostOnce {
                 let pid = r.u16()?;
                 if pid == 0 {
@@ -468,8 +535,7 @@ fn decode_connect(r: &mut Reader) -> Result<Packet, DecodeError> {
     let keep_alive_secs = r.u16()?;
     let client_id = r.string()?;
     let will = if has_will {
-        let topic =
-            TopicName::new(r.string()?).map_err(|_| DecodeError::MalformedPacket("will topic"))?;
+        let topic = r.topic_name("will topic")?;
         let payload = r.bytes()?;
         Some(LastWill {
             topic,
@@ -515,6 +581,10 @@ fn decode_connect(r: &mut Reader) -> Result<Packet, DecodeError> {
 #[derive(Debug, Default)]
 pub struct StreamDecoder {
     buf: BytesMut,
+    /// A shared chunk that arrived as exactly one frame on an empty
+    /// stream: decoded in place, never copied into `buf`. Kept with the
+    /// offset of its body.
+    whole: Option<(Bytes, usize)>,
 }
 
 impl StreamDecoder {
@@ -523,44 +593,73 @@ impl StreamDecoder {
         Self::default()
     }
 
-    /// Appends received bytes.
-    pub fn feed(&mut self, bytes: &[u8]) {
+    /// Appends a received chunk: borrowed bytes, or a shared [`Bytes`]
+    /// (see [`Chunk`]). The same packets come out either way.
+    pub fn feed(&mut self, chunk: impl Chunk) {
+        chunk.feed_to(self);
+    }
+
+    fn append(&mut self, bytes: &[u8]) {
+        if let Some((whole, _)) = self.whole.take() {
+            self.buf.extend_from_slice(&whole);
+        }
         self.buf.extend_from_slice(bytes);
     }
 
     /// Pops the next complete packet, if any.
     ///
-    /// A complete frame is split off the stream buffer and frozen, so a
-    /// decoded publish payload is a zero-copy slice of that frame rather
-    /// than a fresh allocation.
+    /// A complete frame is split off the stream buffer and frozen (or is
+    /// the shared chunk itself), so a decoded publish payload is a
+    /// zero-copy slice of that frame rather than a fresh allocation.
     ///
     /// # Errors
     ///
     /// Propagates [`DecodeError`] on malformed input; the stream should be
     /// dropped afterwards.
     pub fn next_packet(&mut self) -> Result<Option<Packet>, DecodeError> {
-        if self.buf.is_empty() {
-            return Ok(None);
-        }
-        let first = self.buf[0];
-        let packet_type = first >> 4;
-        let flags = first & 0x0F;
-        let (remaining, header_len) = match decode_remaining_length(&self.buf[1..])? {
-            Some(v) => v,
-            None => return Ok(None),
+        let (frame, body_start) = match self.whole.take() {
+            Some(whole) => whole,
+            None => match frame_bounds(&self.buf)? {
+                Some((body_start, total)) => (self.buf.split_to(total).freeze(), body_start),
+                None => return Ok(None),
+            },
         };
-        let total = 1 + header_len + remaining;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let frame = self.buf.split_to(total).freeze();
-        let body = frame.slice(1 + header_len..total);
-        Ok(Some(decode_body(packet_type, flags, body)?))
+        let body = frame.slice(body_start..);
+        Ok(Some(decode_body(frame[0] >> 4, frame[0] & 0x0F, body)?))
     }
 
     /// Bytes currently buffered but not yet consumed.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() + self.whole.as_ref().map_or(0, |(whole, _)| whole.len())
+    }
+}
+
+/// A received chunk, as [`StreamDecoder::feed`] takes it.
+pub trait Chunk {
+    /// Hands the chunk to `decoder`.
+    fn feed_to(self, decoder: &mut StreamDecoder);
+}
+
+/// Borrowed bytes (a socket read) are copied onto the stream buffer.
+impl Chunk for &[u8] {
+    fn feed_to(self, decoder: &mut StreamDecoder) {
+        decoder.append(self);
+    }
+}
+
+/// A shared buffer — what a message transport delivers, one frame per
+/// chunk — is not copied when nothing is buffered and it is exactly one
+/// complete frame: the next [`StreamDecoder::next_packet`] decodes it as
+/// a refcounted slice of itself, with no allocation for the framing. Any
+/// other chunk is appended like borrowed bytes.
+impl Chunk for &Bytes {
+    fn feed_to(self, decoder: &mut StreamDecoder) {
+        match frame_bounds(self) {
+            Ok(Some((body_start, total))) if total == self.len() && decoder.buffered() == 0 => {
+                decoder.whole = Some((self.clone(), body_start));
+            }
+            _ => decoder.append(self),
+        }
     }
 }
 
@@ -791,7 +890,7 @@ mod tests {
         // Feed one byte at a time.
         let mut got = Vec::new();
         for byte in all {
-            dec.feed(&[byte]);
+            dec.feed(&[byte][..]);
             while let Some(p) = dec.next_packet().expect("valid stream") {
                 got.push(p);
             }
@@ -799,6 +898,78 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert_eq!(got[0], Packet::Pingreq);
         assert_eq!(dec.buffered(), 0);
+    }
+
+    #[test]
+    fn encoded_len_sizes_every_varint_width() {
+        for body in [3usize, 100, 127, 128, 16_383, 16_384, 2_097_151, 2_097_152] {
+            // The body is the payload behind the topic "t" and its length.
+            let p = Packet::Publish(Publish::qos0(topic("t"), vec![0; body - 3]));
+            assert_eq!(encoded_len(&p), encode(&p).len(), "body {body}");
+        }
+    }
+
+    #[test]
+    fn qos0_delivery_frame_clears_the_per_hop_fields() {
+        let mut p = Publish::qos1(topic("sensor/x"), vec![7; 32], 42);
+        p.dup = true;
+        p.retain = true;
+        let expected = encode(&Packet::Publish(Publish::qos0(
+            topic("sensor/x"),
+            vec![7; 32],
+        )));
+        assert_eq!(encode_qos0_delivery(&p), expected);
+    }
+
+    #[test]
+    fn whole_frame_is_decoded_in_place() {
+        let frame = encode(&Packet::Publish(Publish::qos0(topic("t"), vec![1, 2, 3])));
+        let mut dec = StreamDecoder::new();
+        dec.feed(&frame);
+        assert_eq!(dec.buffered(), frame.len());
+        let Some(Packet::Publish(p)) = dec.next_packet().expect("valid") else {
+            panic!("expected the publish");
+        };
+        // The payload is a slice of the chunk that was fed, not a copy.
+        let tail = &frame[frame.len() - 3..];
+        assert!(std::ptr::eq(p.payload.as_ptr(), tail.as_ptr()));
+        assert_eq!(dec.buffered(), 0);
+        assert_eq!(dec.next_packet().expect("valid"), None);
+    }
+
+    #[test]
+    fn frame_fed_chunks_fall_back_to_the_stream() {
+        let a = encode(&Packet::Pingreq);
+        let b = encode(&Packet::Publish(Publish::qos0(topic("t"), vec![1, 2])));
+        let two: Bytes = [&a[..], &b[..]].concat().into();
+        let split = b.len() / 2;
+        // Two frames in one chunk; a whole frame parked, then more bytes
+        // before it is popped; a frame torn across chunks.
+        let feeds: [Vec<Bytes>; 3] = [
+            vec![two],
+            vec![a.clone(), b.clone()],
+            vec![a.clone(), b.slice(..split), b.slice(split..)],
+        ];
+        for chunks in feeds {
+            let mut dec = StreamDecoder::new();
+            for chunk in &chunks {
+                dec.feed(chunk);
+            }
+            assert_eq!(dec.next_packet().expect("valid"), Some(Packet::Pingreq));
+            assert!(matches!(
+                dec.next_packet().expect("valid"),
+                Some(Packet::Publish(_))
+            ));
+            assert_eq!(dec.next_packet().expect("valid"), None);
+            assert_eq!(dec.buffered(), 0);
+        }
+        // Garbage is reported by `next_packet`, as on the stream path.
+        let mut dec = StreamDecoder::new();
+        dec.feed(&Bytes::from_static(&[0xC0, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F]));
+        assert_eq!(
+            dec.next_packet(),
+            Err(DecodeError::MalformedRemainingLength)
+        );
     }
 
     #[test]

@@ -183,6 +183,9 @@ struct ShardInner<C> {
     broker: Broker<C>,
     replica: SubscriptionTree<ReplicaKey>,
     applied: u64,
+    /// The events of the operation in progress; empty between operations
+    /// (kept for its capacity).
+    events: Vec<BrokerEvent>,
 }
 
 /// What one sharded-broker operation produced: transport actions for
@@ -222,6 +225,14 @@ pub struct ShardedBroker<C> {
     /// Per-shard recovery reports when the broker was opened durably
     /// (empty otherwise).
     recovery: Vec<RecoveryReport>,
+}
+
+impl<C: Ord + Clone> ShardInner<C> {
+    /// Drops whatever the broker captured during the last call.
+    fn discard_events(&mut self) {
+        self.broker.drain_events_into(&mut self.events);
+        self.events.clear();
+    }
 }
 
 impl<C: Ord + Clone> ShardedBroker<C> {
@@ -277,17 +288,21 @@ impl<C: Ord + Clone> ShardedBroker<C> {
 
     fn build(config: BrokerConfig, recovered: Option<Vec<(Wal, RecoveryReport)>>) -> Self {
         let n = config.shards.max(1);
+        // A lone shard has no replica to keep coherent and nowhere to
+        // forward to: its broker captures no events at all.
+        let capture = n > 1;
         let mut master = SubscriptionTree::new();
         let mut recovery = Vec::new();
         let shards: Vec<Mutex<ShardInner<C>>> = match recovered {
             None => (0..n)
                 .map(|_| {
                     let mut broker = Broker::with_config(config.clone());
-                    broker.set_event_capture(true);
+                    broker.set_event_capture(capture);
                     Mutex::new(ShardInner {
                         broker,
                         replica: SubscriptionTree::new(),
                         applied: 0,
+                        events: Vec::new(),
                     })
                 })
                 .collect(),
@@ -309,7 +324,7 @@ impl<C: Ord + Clone> ShardedBroker<C> {
                     .into_iter()
                     .map(|(wal, report)| {
                         let mut broker = Broker::with_config(config.clone());
-                        broker.set_event_capture(true);
+                        broker.set_event_capture(capture);
                         broker.restore(&report.state);
                         broker.attach_wal(wal);
                         recovery.push(report);
@@ -317,6 +332,7 @@ impl<C: Ord + Clone> ShardedBroker<C> {
                             broker,
                             replica: master.clone(),
                             applied: 0,
+                            events: Vec::new(),
                         })
                     })
                     .collect()
@@ -473,7 +489,7 @@ impl<C: Ord + Clone> ShardedBroker<C> {
         // The only events a publish application can raise are Routed
         // echoes of this same publish; dropping them is what prevents
         // forward loops.
-        let _ = inner.broker.take_events();
+        inner.discard_events();
         actions
     }
 
@@ -500,7 +516,7 @@ impl<C: Ord + Clone> ShardedBroker<C> {
         for shard in &self.shards {
             let mut inner = shard.lock();
             actions.extend(inner.broker.publish_internal(publish.clone(), now_ns));
-            let _ = inner.broker.take_events();
+            inner.discard_events();
         }
         actions
     }
@@ -532,7 +548,7 @@ impl<C: Ord + Clone> ShardedBroker<C> {
     /// captured events: tree mutations are appended to the global log
     /// (keeping this shard's replica and the master coherent) and routed
     /// publishes are matched against the replica to compute cross-shard
-    /// forwards.
+    /// forwards. With a single shard there is nothing to drain.
     fn run_on_shard(
         &self,
         idx: usize,
@@ -540,8 +556,16 @@ impl<C: Ord + Clone> ShardedBroker<C> {
     ) -> ShardOutput<C> {
         let mut shard = self.shards[idx].lock();
         let actions = f(&mut shard.broker);
-        let events = shard.broker.take_events();
-        let forwards = self.sync_and_forward(idx, &mut shard, events);
+        if self.shards.len() == 1 {
+            return ShardOutput {
+                actions,
+                forwards: Vec::new(),
+            };
+        }
+        let mut events = std::mem::take(&mut shard.events);
+        shard.broker.drain_events_into(&mut events);
+        let forwards = self.sync_and_forward(idx, &mut shard, &mut events);
+        shard.events = events;
         ShardOutput { actions, forwards }
     }
 
@@ -556,21 +580,15 @@ impl<C: Ord + Clone> ShardedBroker<C> {
         &self,
         idx: usize,
         shard: &mut ShardInner<C>,
-        events: Vec<BrokerEvent>,
+        events: &mut Vec<BrokerEvent>,
     ) -> Vec<(usize, Publish)> {
         let has_mutations = events.iter().any(|e| !matches!(e, BrokerEvent::Routed(_)));
         let mut forwards = Vec::new();
         if !has_mutations {
-            if shard.applied == self.log.epoch.load(Ordering::Acquire) {
-                for event in events {
-                    if let BrokerEvent::Routed(p) = event {
-                        self.collect_forwards(idx, &shard.replica, p, &mut forwards);
-                    }
-                }
-                return forwards;
+            if shard.applied != self.log.epoch.load(Ordering::Acquire) {
+                self.catch_up(shard);
             }
-            self.catch_up(shard);
-            for event in events {
+            for event in events.drain(..) {
                 if let BrokerEvent::Routed(p) = event {
                     self.collect_forwards(idx, &shard.replica, p, &mut forwards);
                 }
@@ -590,7 +608,7 @@ impl<C: Ord + Clone> ShardedBroker<C> {
         shard.applied = log.base + log.entries.len() as u64;
         // Process the batch in order: a will routed before a session was
         // cleared must see the pre-clear replica, and vice versa.
-        for event in events {
+        for event in events.drain(..) {
             let entry = match event {
                 BrokerEvent::Routed(p) => {
                     self.collect_forwards(idx, &shard.replica, p, &mut forwards);
@@ -655,9 +673,6 @@ impl<C: Ord + Clone> ShardedBroker<C> {
         out: &mut Vec<(usize, Publish)>,
     ) {
         let n = self.shards.len();
-        if n == 1 {
-            return;
-        }
         let mut fwd = publish;
         fwd.dup = false;
         fwd.packet_id = None;
@@ -667,13 +682,14 @@ impl<C: Ord + Clone> ShardedBroker<C> {
             }
             return;
         }
-        let mut hit = vec![false; n];
+        // Matches come sorted by (shard, client), so taking each shard at
+        // its first match yields the targets in shard order.
+        let first = out.len();
         for sub in replica.matches_shared(&fwd.topic).iter() {
-            hit[sub.key.0] = true;
-        }
-        hit[origin] = false;
-        for shard in (0..n).filter(|&s| hit[s]) {
-            out.push((shard, fwd.clone()));
+            let shard = sub.key.0;
+            if shard != origin && !out[first..].iter().any(|(s, _)| *s == shard) {
+                out.push((shard, fwd.clone()));
+            }
         }
     }
 }
@@ -864,6 +880,42 @@ mod tests {
         );
         assert!(out.forwards.is_empty(), "local fan-out needs no forwards");
         assert!(!sends_to(&out.actions, 1).is_empty());
+    }
+
+    /// One shard is the classic broker: deliveries and retained state
+    /// work as ever, and no event is captured for a log nobody reads.
+    #[test]
+    fn single_shard_routes_without_capturing_events() {
+        let sb: ShardedBroker<u32> = ShardedBroker::new(BrokerConfig {
+            shards: 1,
+            ..BrokerConfig::default()
+        });
+        connect(&sb, 1, "sub");
+        subscribe(&sb, 1, "s/#", QoS::AtMostOnce);
+        connect(&sb, 2, "pub");
+        let mut retained = Publish::qos0(topic("s/a"), b"x".to_vec());
+        retained.retain = true;
+        let out = sb.handle_packet(&2, Packet::Publish(retained), 1);
+        assert!(out.forwards.is_empty());
+        assert_eq!(sends_to(&out.actions, 1).len(), 1);
+        assert!(sb.shards[0].lock().broker.take_events().is_empty());
+        assert_eq!(sb.log.epoch.load(Ordering::Relaxed), 0);
+        // A later subscriber still gets the retained message.
+        connect(&sb, 3, "late");
+        let out = sb.handle_packet(
+            &3,
+            Packet::Subscribe(Subscribe {
+                packet_id: 9,
+                filters: vec![SubscribeFilter {
+                    filter: filter("s/#"),
+                    qos: QoS::AtMostOnce,
+                }],
+            }),
+            2,
+        );
+        assert!(sends_to(&out.actions, 3)
+            .iter()
+            .any(|p| matches!(p, Packet::Publish(p) if p.retain)));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! starting with a wildcard.
 
 use core::fmt;
+use std::sync::Arc;
 
 use crate::error::TopicError;
 
@@ -31,6 +32,11 @@ fn validate_common(s: &str) -> Result<(), TopicError> {
 
 /// A validated topic name (no wildcards).
 ///
+/// The name is a shared string: a clone bumps a reference count, so a
+/// topic validated once (a sensor's, or one decoded off a frame) travels
+/// through publish, routing, in-flight state and dispatch without being
+/// copied again.
+///
 /// ```
 /// use ifot_mqtt::topic::TopicName;
 ///
@@ -40,22 +46,23 @@ fn validate_common(s: &str) -> Result<(), TopicError> {
 /// # Ok::<(), ifot_mqtt::error::TopicError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TopicName(String);
+pub struct TopicName(Arc<str>);
 
 impl TopicName {
-    /// Validates and wraps a topic name.
+    /// Validates a topic name and copies it into its shared form (the
+    /// one allocation; nothing is allocated for a rejected name).
     ///
     /// # Errors
     ///
     /// Returns [`TopicError`] if the name is empty, contains NUL or a
     /// wildcard character, or exceeds 65535 bytes.
-    pub fn new(s: impl Into<String>) -> Result<Self, TopicError> {
-        let s = s.into();
-        validate_common(&s)?;
+    pub fn new(s: impl AsRef<str>) -> Result<Self, TopicError> {
+        let s = s.as_ref();
+        validate_common(s)?;
         if s.contains('+') || s.contains('#') {
             return Err(TopicError::WildcardInName);
         }
-        Ok(TopicName(s))
+        Ok(TopicName(Arc::from(s)))
     }
 
     /// The topic as a string slice.
@@ -68,8 +75,8 @@ impl TopicName {
         self.0.split('/')
     }
 
-    /// Consumes the name, returning the inner string.
-    pub fn into_inner(self) -> String {
+    /// Consumes the name, returning the shared string.
+    pub fn into_shared(self) -> Arc<str> {
         self.0
     }
 }
@@ -196,7 +203,7 @@ impl core::str::FromStr for TopicFilter {
 impl From<TopicName> for TopicFilter {
     fn from(name: TopicName) -> Self {
         // Every valid topic name is a valid (wildcard-free) filter.
-        TopicFilter(name.0)
+        TopicFilter(name.as_str().to_owned())
     }
 }
 
@@ -295,6 +302,13 @@ mod tests {
     fn name_converts_to_filter() {
         let f: TopicFilter = name("a/b").into();
         assert!(f.matches(&name("a/b")));
+    }
+
+    #[test]
+    fn a_cloned_name_shares_its_string() {
+        let t = name("sensor/1/sound");
+        let shared = t.clone().into_shared();
+        assert!(std::ptr::eq(shared.as_ptr(), t.as_str().as_ptr()));
     }
 
     #[test]

@@ -117,7 +117,10 @@ impl LatencySeries {
 /// Central metrics hub: named latency series and named counters.
 ///
 /// Keyed by `&'static str`-free owned strings so actors can build names
-/// dynamically (e.g. per-rate). Iteration order is deterministic (BTreeMap).
+/// dynamically (e.g. per-rate); a name is copied when it is first seen
+/// and looked up by `&str` ever after, so a bump or a recording on an
+/// existing key allocates nothing. Iteration order is deterministic
+/// (BTreeMap).
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
     latencies: BTreeMap<String, LatencySeries>,
@@ -132,12 +135,27 @@ impl Metrics {
 
     /// Records a latency observation under `name`.
     pub fn record_latency(&mut self, name: &str, d: SimDuration) {
-        self.latencies.entry(name.to_owned()).or_default().record(d);
+        self.series_mut(name).record(d);
+    }
+
+    fn series_mut(&mut self, name: &str) -> &mut LatencySeries {
+        if !self.latencies.contains_key(name) {
+            self.latencies
+                .insert(name.to_owned(), LatencySeries::default());
+        }
+        self.latencies
+            .get_mut(name)
+            .expect("present or just inserted")
     }
 
     /// Adds `delta` to the counter `name`.
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(v) => *v += delta,
+            None => {
+                self.counters.insert(name.to_owned(), delta);
+            }
+        }
     }
 
     /// Increments the counter `name` by one.
@@ -179,27 +197,38 @@ impl Metrics {
     /// threads accumulate into a private delta and pay the hub lock once
     /// per flush instead of once per observation. The delta is drained.
     pub fn absorb(&mut self, delta: &mut MetricsDelta) {
-        for (name, v) in delta.counters.drain(..) {
-            *self.counters.entry(name).or_insert(0) += v;
+        for (name, pending) in &mut delta.counters {
+            if let Some(v) = pending.take() {
+                self.add(name, v);
+            }
         }
-        for (name, ns) in delta.latencies_ns.drain(..) {
-            self.latencies
-                .entry(name)
-                .or_default()
-                .record(SimDuration::from_nanos(ns));
+        for (name, pending_ns) in &mut delta.latencies_ns {
+            if pending_ns.is_empty() {
+                continue;
+            }
+            let series = self.series_mut(name);
+            for ns in pending_ns.drain(..) {
+                series.record(SimDuration::from_nanos(ns));
+            }
         }
+        delta.buffered = 0;
     }
 }
 
 /// A thread-private buffer of metric observations awaiting a bulk merge.
 ///
-/// Order within the buffer is preserved on absorb, so latency series keep
-/// their recording order. Counter entries are appended raw (not coalesced)
-/// — flush cadence keeps the buffer small, and the hub sums on merge.
+/// One slot per name: counter bumps sum in place, latency observations
+/// queue in recording order, so every series keeps its order across the
+/// merge. The slots — names and sample capacity — survive the flush, so a
+/// worker in steady state buffers without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsDelta {
-    counters: Vec<(String, u64)>,
-    latencies_ns: Vec<(String, u64)>,
+    /// `None` = not touched since the last flush (a touched counter
+    /// reaches the hub even when its sum is zero).
+    counters: Vec<(String, Option<u64>)>,
+    latencies_ns: Vec<(String, Vec<u64>)>,
+    /// Observations buffered since the last flush.
+    buffered: usize,
 }
 
 impl MetricsDelta {
@@ -210,28 +239,30 @@ impl MetricsDelta {
 
     /// Buffers `delta` against counter `name`.
     pub fn add(&mut self, name: &str, delta: u64) {
-        if let Some(last) = self.counters.last_mut() {
-            if last.0 == name {
-                last.1 += delta;
-                return;
-            }
+        self.buffered += 1;
+        match self.counters.iter_mut().find(|(n, _)| n == name) {
+            Some((_, pending)) => *pending = Some(pending.unwrap_or(0) + delta),
+            None => self.counters.push((name.to_owned(), Some(delta))),
         }
-        self.counters.push((name.to_owned(), delta));
     }
 
     /// Buffers one latency observation (nanoseconds) under `name`.
     pub fn record_latency_ns(&mut self, name: &str, ns: u64) {
-        self.latencies_ns.push((name.to_owned(), ns));
+        self.buffered += 1;
+        match self.latencies_ns.iter_mut().find(|(n, _)| n == name) {
+            Some((_, pending)) => pending.push(ns),
+            None => self.latencies_ns.push((name.to_owned(), vec![ns])),
+        }
     }
 
-    /// Number of buffered entries (counters + latency samples).
+    /// Number of observations buffered since the last flush.
     pub fn len(&self) -> usize {
-        self.counters.len() + self.latencies_ns.len()
+        self.buffered
     }
 
     /// Whether the buffer holds nothing to flush.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.latencies_ns.is_empty()
+        self.buffered == 0
     }
 }
 
@@ -308,11 +339,11 @@ mod tests {
 
         let mut d = MetricsDelta::new();
         d.add("sent", 3);
-        d.add("sent", 1); // coalesces with the previous entry
+        d.add("sent", 1);
         d.add("other", 7);
         d.record_latency_ns("lat", 20_000_000);
         d.record_latency_ns("lat", 30_000_000);
-        assert_eq!(d.len(), 4);
+        assert_eq!(d.len(), 5);
 
         m.absorb(&mut d);
         assert!(d.is_empty());
@@ -323,6 +354,29 @@ mod tests {
         assert_eq!(sum.mean_ms, 20.0);
         // Recording order is preserved across the merge boundary.
         assert_eq!(m.latency("lat").unwrap().samples_ms(), &[10.0, 20.0, 30.0]);
+    }
+
+    #[test]
+    fn a_flushed_delta_merges_only_what_was_touched_since() {
+        let mut m = Metrics::new();
+        let mut d = MetricsDelta::new();
+        d.add("a", 1);
+        d.add("zero", 0);
+        d.record_latency_ns("lat", 1_000_000);
+        m.absorb(&mut d);
+        // A touched counter reaches the hub even at zero.
+        assert_eq!(m.counters().count(), 2);
+
+        // Second round on the kept slots: only "a" moves.
+        d.add("a", 2);
+        assert_eq!(d.len(), 1);
+        m.absorb(&mut d);
+        assert_eq!(m.counter("a"), 3);
+        assert_eq!(m.latency_summary("lat").count, 1);
+        // Absorbing an idle delta changes nothing.
+        m.absorb(&mut d);
+        assert_eq!(m.counter("a"), 3);
+        assert_eq!(m.counters().count(), 2);
     }
 
     #[test]

@@ -137,12 +137,17 @@ impl VirtualSensor {
 
     /// Reads all channels at `t_ns`, producing the next sample.
     pub fn read(&mut self, t_ns: u64) -> Sample {
-        let values: Vec<f32> = self
-            .channels
-            .iter_mut()
-            .map(|c| c.value_at(t_ns) as f32)
-            .collect();
-        let sample = Sample::new(self.kind, self.device_id, self.seq, t_ns, &values);
+        let sample = Sample {
+            kind: self.kind,
+            device_id: self.device_id,
+            seq: self.seq,
+            timestamp_ns: t_ns,
+            values: self
+                .channels
+                .iter_mut()
+                .map(|c| c.value_at(t_ns) as f32)
+                .collect(),
+        };
         self.seq = self.seq.wrapping_add(1);
         sample
     }

@@ -6,7 +6,7 @@
 //! precision/recall honestly.
 
 use crate::device::VirtualSensor;
-use crate::sample::Sample;
+use crate::sample::{Channels, Sample};
 
 /// How a window perturbs the signal.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,7 +73,7 @@ pub struct LabelledSample {
 pub struct AnomalyInjector {
     inner: VirtualSensor,
     windows: Vec<FaultWindow>,
-    last_clean: Option<Vec<f32>>,
+    last_clean: Option<Channels>,
     injected: u64,
 }
 
@@ -117,7 +117,7 @@ impl AnomalyInjector {
         let active = self.windows.iter().find(|w| w.contains(t_ns)).copied();
         match active {
             None => {
-                self.last_clean = Some(sample.values.clone());
+                self.last_clean = Some(sample.values);
                 LabelledSample {
                     sample,
                     anomalous: false,
@@ -127,18 +127,18 @@ impl AnomalyInjector {
                 self.injected += 1;
                 match window.kind {
                     FaultKind::Spike { magnitude } => {
-                        for v in &mut sample.values {
+                        for v in sample.values.iter_mut() {
                             *v += magnitude;
                         }
                     }
                     FaultKind::StuckAt => {
-                        if let Some(frozen) = &self.last_clean {
-                            sample.values.clone_from(frozen);
+                        if let Some(frozen) = self.last_clean {
+                            sample.values = frozen;
                         }
                     }
                     FaultKind::Drift { rate_per_sec } => {
                         let dt = (t_ns.saturating_sub(window.from_ns)) as f32 / 1.0e9;
-                        for v in &mut sample.values {
+                        for v in sample.values.iter_mut() {
                             *v += rate_per_sec * dt;
                         }
                     }

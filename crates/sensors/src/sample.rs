@@ -23,6 +23,7 @@ pub const SAMPLE_WIRE_SIZE: usize = 32;
 
 const MAGIC: [u8; 2] = *b"IF";
 const VERSION: u8 = 1;
+const MAX_CHANNELS: usize = 3;
 
 /// What a sensor measures. Mirrors the devices named in the paper's
 /// application scenarios (Section III).
@@ -127,6 +128,70 @@ impl core::fmt::Display for SampleError {
 
 impl std::error::Error for SampleError {}
 
+/// The channel values of one reading: one to three `f32`s held inline, so
+/// a [`Sample`] is a plain value and taking, perturbing or decoding one
+/// never touches the heap. Dereferences to the slice of valid channels and
+/// serializes as the sequence `Vec<f32>` did.
+#[derive(Clone, Copy, Default, Serialize, Deserialize)]
+#[serde(into = "Vec<f32>", try_from = "Vec<f32>")]
+pub struct Channels {
+    len: u8,
+    values: [f32; MAX_CHANNELS],
+}
+
+impl core::ops::Deref for Channels {
+    type Target = [f32];
+    fn deref(&self) -> &[f32] {
+        &self.values[..usize::from(self.len)]
+    }
+}
+
+impl core::ops::DerefMut for Channels {
+    fn deref_mut(&mut self) -> &mut [f32] {
+        &mut self.values[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for Channels {
+    fn eq(&self, other: &Channels) -> bool {
+        **self == **other
+    }
+}
+
+impl core::fmt::Debug for Channels {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        core::fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// Collects up to three values; further ones are dropped.
+impl FromIterator<f32> for Channels {
+    fn from_iter<I: IntoIterator<Item = f32>>(iter: I) -> Self {
+        let mut channels = Channels::default();
+        for (slot, value) in channels.values.iter_mut().zip(iter) {
+            *slot = value;
+            channels.len += 1;
+        }
+        channels
+    }
+}
+
+impl From<Channels> for Vec<f32> {
+    fn from(channels: Channels) -> Vec<f32> {
+        channels.to_vec()
+    }
+}
+
+impl TryFrom<Vec<f32>> for Channels {
+    type Error = SampleError;
+    fn try_from(values: Vec<f32>) -> Result<Self, SampleError> {
+        if values.is_empty() || values.len() > MAX_CHANNELS {
+            return Err(SampleError::BadChannelCount(values.len().min(255) as u8));
+        }
+        Ok(values.into_iter().collect())
+    }
+}
+
 /// One timestamped sensor reading (up to three channels).
 ///
 /// ```
@@ -149,7 +214,7 @@ pub struct Sample {
     /// Sensing instant in nanoseconds.
     pub timestamp_ns: u64,
     /// Channel values (1..=3 entries).
-    pub values: Vec<f32>,
+    pub values: Channels,
 }
 
 impl Sample {
@@ -171,7 +236,7 @@ impl Sample {
             device_id,
             seq,
             timestamp_ns,
-            values: values.iter().copied().take(3).collect(),
+            values: values.iter().copied().collect(),
         }
     }
 
@@ -186,15 +251,16 @@ impl Sample {
         out[7] = 0;
         out[8..16].copy_from_slice(&self.timestamp_ns.to_be_bytes());
         out[16..20].copy_from_slice(&self.seq.to_be_bytes());
-        for (i, v) in self.values.iter().take(3).enumerate() {
+        for (i, v) in self.values.iter().enumerate() {
             let off = 20 + i * 4;
             out[off..off + 4].copy_from_slice(&v.to_be_bytes());
         }
         out
     }
 
-    /// Encodes to a shared [`bytes::Bytes`] buffer — the allocation the
-    /// zero-copy publish path reference-shares all the way to subscribers.
+    /// Encodes to a shared [`bytes::Bytes`] buffer — the one allocation a
+    /// sample costs between sensing and the wire; the publish path
+    /// reference-shares it all the way to subscribers.
     pub fn encode_bytes(&self) -> bytes::Bytes {
         bytes::Bytes::copy_from_slice(&self.encode())
     }
@@ -206,37 +272,25 @@ impl Sample {
     /// Returns [`SampleError`] for wrong size, magic, version, kind or
     /// channel count.
     pub fn decode(bytes: &[u8]) -> Result<Self, SampleError> {
-        if bytes.len() != SAMPLE_WIRE_SIZE {
-            return Err(SampleError::WrongSize(bytes.len()));
-        }
-        if bytes[0..2] != MAGIC {
-            return Err(SampleError::BadMagic);
-        }
-        if bytes[2] != VERSION {
-            return Err(SampleError::BadVersion(bytes[2]));
-        }
-        let kind = SensorKind::from_byte(bytes[3]).map_err(SampleError::BadKind)?;
-        let device_id = u16::from_be_bytes([bytes[4], bytes[5]]);
-        let count = bytes[6];
-        if count == 0 || count > 3 {
-            return Err(SampleError::BadChannelCount(count));
-        }
-        let timestamp_ns = u64::from_be_bytes(bytes[8..16].try_into().expect("8 bytes"));
-        let seq = u32::from_be_bytes(bytes[16..20].try_into().expect("4 bytes"));
-        let mut values = Vec::with_capacity(count as usize);
-        for i in 0..count as usize {
-            let off = 20 + i * 4;
-            values.push(f32::from_be_bytes(
-                bytes[off..off + 4].try_into().expect("4 bytes"),
-            ));
-        }
+        let (kind, count) = check_header(bytes)?;
+        let values = bytes[20..20 + count * 4]
+            .chunks_exact(4)
+            .map(|v| f32::from_be_bytes(v.try_into().expect("4 bytes")))
+            .collect();
         Ok(Sample {
             kind,
-            device_id,
-            seq,
-            timestamp_ns,
+            device_id: u16::from_be_bytes([bytes[4], bytes[5]]),
+            seq: u32::from_be_bytes(bytes[16..20].try_into().expect("4 bytes")),
+            timestamp_ns: timestamp_of(bytes),
             values,
         })
+    }
+
+    /// The sensing timestamp of a wire image, read at its fixed offset
+    /// without building the sample: what a latency probe on the path
+    /// needs. `None` exactly where [`Sample::decode`] fails.
+    pub fn peek_timestamp_ns(bytes: &[u8]) -> Option<u64> {
+        check_header(bytes).ok().map(|_| timestamp_of(bytes))
     }
 
     /// The MQTT topic this sample is published to:
@@ -244,6 +298,31 @@ impl Sample {
     pub fn topic(&self) -> String {
         format!("sensor/{}/{}", self.device_id, kind_slug(self.kind))
     }
+}
+
+/// Validates size, magic, version, kind and channel count of a wire
+/// image; returns the kind and the channel count.
+fn check_header(bytes: &[u8]) -> Result<(SensorKind, usize), SampleError> {
+    if bytes.len() != SAMPLE_WIRE_SIZE {
+        return Err(SampleError::WrongSize(bytes.len()));
+    }
+    if bytes[0..2] != MAGIC {
+        return Err(SampleError::BadMagic);
+    }
+    if bytes[2] != VERSION {
+        return Err(SampleError::BadVersion(bytes[2]));
+    }
+    let kind = SensorKind::from_byte(bytes[3]).map_err(SampleError::BadKind)?;
+    let count = bytes[6];
+    if count == 0 || usize::from(count) > MAX_CHANNELS {
+        return Err(SampleError::BadChannelCount(count));
+    }
+    Ok((kind, usize::from(count)))
+}
+
+/// The timestamp field of a wire image whose size was checked.
+fn timestamp_of(bytes: &[u8]) -> u64 {
+    u64::from_be_bytes(bytes[8..16].try_into().expect("8 bytes"))
 }
 
 /// Lower-case slug of a kind, used in topics.
@@ -319,6 +398,44 @@ mod tests {
         let mut bad = good;
         bad[6] = 4;
         assert_eq!(Sample::decode(&bad), Err(SampleError::BadChannelCount(4)));
+    }
+
+    #[test]
+    fn peek_timestamp_agrees_with_decode() {
+        let good = Sample::new(SensorKind::Sound, 1, 1, 987_654_321, &[1.0]).encode();
+        assert_eq!(Sample::peek_timestamp_ns(&good), Some(987_654_321));
+        assert_eq!(Sample::peek_timestamp_ns(&good[..31]), None);
+        for (at, byte) in [(0, b'X'), (2, 9), (3, 200), (6, 0), (6, 4)] {
+            let mut bad = good;
+            bad[at] = byte;
+            assert!(Sample::decode(&bad).is_err());
+            assert_eq!(Sample::peek_timestamp_ns(&bad), None, "byte {at}");
+        }
+    }
+
+    #[test]
+    fn channels_behave_like_the_slice_of_valid_values() {
+        let mut s = Sample::new(SensorKind::Accelerometer, 1, 1, 1, &[1.0, 2.0, 3.0]);
+        assert_eq!(s.values.len(), 3);
+        assert_eq!(s.values[2], 3.0);
+        for v in s.values.iter_mut() {
+            *v += 1.0;
+        }
+        assert_eq!(&*s.values, &[2.0, 3.0, 4.0]);
+        let one = Sample::new(SensorKind::Sound, 1, 1, 1, &[2.0]);
+        assert_ne!(one.values, s.values);
+        assert_eq!(format!("{:?}", one.values), "[2.0]");
+        // The serde shape is `Vec<f32>`'s, through these conversions.
+        assert_eq!(Vec::from(s.values), vec![2.0, 3.0, 4.0]);
+        assert_eq!(Channels::try_from(vec![2.0]), Ok(one.values));
+        assert_eq!(
+            Channels::try_from(Vec::new()),
+            Err(SampleError::BadChannelCount(0))
+        );
+        assert_eq!(
+            Channels::try_from(vec![0.0; 4]),
+            Err(SampleError::BadChannelCount(4))
+        );
     }
 
     #[test]

@@ -1,0 +1,392 @@
+//! Allocation budget of one sample's journey, as a gate.
+//!
+//! An edge node (three sensors) and a hub node (embedded broker, Join →
+//! Train + Predict: the Fig. 9 recipe `flowbench`'s `paper_flow_rt` runs)
+//! are stepped on one thread in virtual time through an environment that
+//! allocates nothing itself, under a counting allocator. Every call into a
+//! node is charged to its leg, so a regression names where it happened.
+//!
+//! The budgets are set against the `.offline-stubs` build — the one
+//! `flowbench` is judged on — where a `Bytes` costs two allocations (its
+//! `Vec` and the `Arc<[u8]>` it is copied into); the crates.io `bytes`
+//! needs one, so the budgets hold on both. Run it as CI does:
+//!
+//! ```text
+//! cargo test --release --test alloc_budget
+//! scripts/offline_check.sh test --release --test alloc_budget
+//! ```
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+
+use bytes::Bytes;
+
+use ifot::core::config::{NodeConfig, OperatorKind, OperatorSpec, SensorSpec};
+use ifot::core::env::NodeEnv;
+use ifot::core::node::{MiddlewareNode, MQTT_BROKER_PORT};
+use ifot::core::operators::NodeEvent;
+use ifot::core::wire::WireFormat;
+use ifot::mqtt::packet::Publish;
+use ifot::mqtt::topic::TopicName;
+use ifot::netsim::metrics::{Metrics, MetricsDelta};
+use ifot::netsim::time::SimDuration;
+use ifot::sensors::sample::SensorKind;
+
+thread_local! {
+    /// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`) made by the
+    /// current thread: tests run on threads of their own, so neither the
+    /// harness nor a neighbouring test leaks into a count.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count_one() {
+    // `try_with`: a thread that is tearing its locals down still allocates.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a thread-local
+// statistic and publishes no other data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's layout is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this layout (see `alloc`).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's layout is passed through as received.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` came from `System` with `layout`; `new_size` is
+        // the caller's, passed through as received.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// Allocation calls `f` makes on this thread.
+fn allocs_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = allocs();
+    let out = f();
+    (allocs() - before, out)
+}
+
+const EDGE: usize = 0;
+const HUB: usize = 1;
+const NAMES: [&str; 2] = ["edge", "hub"];
+const SENSORS: u64 = 3;
+const SENSOR_HZ: f64 = 1_000.0;
+
+/// What both nodes share: pending timers and packets. Both queues are
+/// reserved up front, so stepping allocates only inside the nodes.
+struct World {
+    timers: BinaryHeap<Reverse<(u64, u64, usize, u64)>>,
+    packets: VecDeque<(usize, usize, u16, Bytes)>,
+    order: u64,
+    rng: u64,
+}
+
+struct StepEnv<'a> {
+    node: usize,
+    now_ns: u64,
+    world: &'a mut World,
+}
+
+impl NodeEnv for StepEnv<'_> {
+    fn now_ns(&self) -> u64 {
+        self.now_ns
+    }
+
+    fn send(&mut self, dst: &str, port: u16, payload: Bytes) {
+        let dst = NAMES
+            .iter()
+            .position(|n| *n == dst)
+            .expect("a node of the pair");
+        self.world
+            .packets
+            .push_back((self.node, dst, port, payload));
+    }
+
+    fn set_timer_after_ns(&mut self, delay_ns: u64, tag: u64) {
+        self.set_timer_at_ns(self.now_ns + delay_ns, tag);
+    }
+
+    fn set_timer_at_ns(&mut self, at_ns: u64, tag: u64) {
+        self.world.order += 1;
+        self.world.timers.push(Reverse((
+            at_ns.max(self.now_ns),
+            self.world.order,
+            self.node,
+            tag,
+        )));
+    }
+
+    fn consume_ref_ms(&mut self, _ms: f64) {}
+
+    fn record_latency_since_ns(&mut self, _name: &str, _since_ns: u64) {}
+
+    fn incr(&mut self, _counter: &str) {}
+
+    fn add(&mut self, _counter: &str, _delta: u64) {}
+
+    fn rand_u64(&mut self) -> u64 {
+        self.world.rng = self.world.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.world.rng;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+fn node_pair() -> [MiddlewareNode; 2] {
+    let base = |name: &str| {
+        NodeConfig::new(name)
+            .with_broker_node(NAMES[HUB])
+            .with_wire_format(WireFormat::Binary)
+    };
+    let mut edge = base(NAMES[EDGE]);
+    for (i, kind) in [
+        SensorKind::Temperature,
+        SensorKind::Sound,
+        SensorKind::Illuminance,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        edge = edge.with_sensor(SensorSpec::new(kind, i as u16 + 1, SENSOR_HZ, i as u64 + 1));
+    }
+    let joined = "flow/paper/join";
+    let hub = base(NAMES[HUB])
+        .with_broker()
+        .with_operator(
+            OperatorSpec::through(
+                "join",
+                OperatorKind::Join {
+                    expected_sources: SENSORS as usize,
+                },
+                vec!["sensor/#".into()],
+                joined,
+            )
+            .local_only(),
+        )
+        .with_operator(OperatorSpec::sink(
+            "train",
+            OperatorKind::Train {
+                algorithm: "pa".into(),
+                mix_interval_ms: 0,
+            },
+            vec![joined.into()],
+        ))
+        .with_operator(OperatorSpec::sink(
+            "predict",
+            OperatorKind::Predict {
+                algorithm: "pa".into(),
+            },
+            vec![joined.into()],
+        ));
+    [MiddlewareNode::new(edge), MiddlewareNode::new(hub)]
+}
+
+/// Allocation calls per leg of the journey, over the measured window.
+#[derive(Debug, Default)]
+struct Legs {
+    /// `edge.on_timer`: sense → inject → encode → client publish → send.
+    sense_publish: u64,
+    /// `hub.on_packet` on the broker port: decode → route → fan-out frame.
+    broker_route: u64,
+    /// `hub.on_packet` on the client port: decode → dispatch → Join →
+    /// Train + Predict (the flow layer's share is in here).
+    ingest_exec: u64,
+    /// Everything else (polls, the edge's client ingress).
+    other: u64,
+    samples: u64,
+    predictions: u64,
+}
+
+fn predictions(hub: &MiddlewareNode) -> u64 {
+    hub.events()
+        .iter()
+        .filter(|e| matches!(e, NodeEvent::Prediction { .. }))
+        .count() as u64
+}
+
+fn published(edge: &MiddlewareNode) -> u64 {
+    edge.sensor_published().iter().map(|(_, n)| n).sum()
+}
+
+/// Steps the pair through `warmup_ns` and then `measure_ns` of virtual
+/// time; timers fire in order, packets arrive at once.
+fn step(warmup_ns: u64, measure_ns: u64) -> Legs {
+    let mut world = World {
+        timers: BinaryHeap::with_capacity(256),
+        packets: VecDeque::with_capacity(256),
+        order: 0,
+        rng: 7,
+    };
+    let mut node = node_pair();
+    for (index, n) in node.iter_mut().enumerate() {
+        n.on_start(&mut StepEnv {
+            node: index,
+            now_ns: 0,
+            world: &mut world,
+        });
+    }
+    let mut legs = Legs::default();
+    let mut baseline: Option<(u64, u64)> = None;
+    let mut now_ns = 0u64;
+    loop {
+        let packet = world.packets.pop_front();
+        let timer = match packet {
+            Some(_) => None,
+            None => world.timers.pop(),
+        };
+        if let Some(Reverse((at, ..))) = timer {
+            now_ns = now_ns.max(at);
+            if now_ns > warmup_ns + measure_ns {
+                break;
+            }
+        }
+        if baseline.is_none() && now_ns >= warmup_ns {
+            baseline = Some((published(&node[EDGE]), predictions(&node[HUB])));
+        }
+        let (index, leg): (usize, fn(&mut Legs) -> &mut u64) = match (&packet, &timer) {
+            (Some((_, HUB, MQTT_BROKER_PORT, _)), _) => (HUB, |l| &mut l.broker_route),
+            (Some((_, HUB, ..)), _) => (HUB, |l| &mut l.ingest_exec),
+            (Some((_, dst, ..)), _) => (*dst, |l| &mut l.other),
+            (None, Some(Reverse((_, _, EDGE, _)))) => (EDGE, |l| &mut l.sense_publish),
+            (None, Some(Reverse((_, _, index, _)))) => (*index, |l| &mut l.other),
+            (None, None) => break,
+        };
+        let mut env = StepEnv {
+            node: index,
+            now_ns,
+            world: &mut world,
+        };
+        let (spent, ()) = allocs_in(|| match (packet, timer) {
+            (Some((src, _, port, payload)), _) => {
+                node[index].on_packet(&mut env, NAMES[src], port, &payload);
+            }
+            (None, Some(Reverse((_, _, _, tag)))) => node[index].on_timer(&mut env, tag),
+            (None, None) => unreachable!("handled above"),
+        });
+        if baseline.is_some() {
+            *leg(&mut legs) += spent;
+        }
+    }
+    let (published0, predicted0) = baseline.expect("the run outlasts its warm-up");
+    legs.samples = published(&node[EDGE]) - published0;
+    legs.predictions = predictions(&node[HUB]) - predicted0;
+    legs
+}
+
+/// Committed budgets, in allocation calls per sample (three samples make
+/// one prediction), as measured on the `.offline-stubs` build; the flow
+/// layer's share of the last one (13 of 15) is not this gate's subject and
+/// gets a little room.
+const SENSE_PUBLISH_BUDGET: f64 = 4.0;
+const BROKER_ROUTE_BUDGET: f64 = 4.0;
+const INGEST_EXEC_BUDGET: f64 = 16.0;
+
+#[test]
+fn one_samples_journey_stays_within_its_allocation_budget() {
+    let legs = step(200_000_000, 1_000_000_000);
+    assert!(legs.samples >= 2_900, "the pair must be running: {legs:?}");
+    assert_eq!(
+        legs.predictions * SENSORS,
+        legs.samples,
+        "every sample reaches a prediction: {legs:?}"
+    );
+    let per_sample = |calls: u64| calls as f64 / legs.samples as f64;
+    println!(
+        "allocations per sample: sense+publish {:.2}, broker route {:.2}, ingest+exec {:.2}, other {:.3}",
+        per_sample(legs.sense_publish),
+        per_sample(legs.broker_route),
+        per_sample(legs.ingest_exec),
+        per_sample(legs.other),
+    );
+    assert!(
+        per_sample(legs.sense_publish) <= SENSE_PUBLISH_BUDGET,
+        "sense → encode → publish → send: {legs:?}"
+    );
+    assert!(
+        per_sample(legs.broker_route) <= BROKER_ROUTE_BUDGET,
+        "broker decode → route → fan-out: {legs:?}"
+    );
+    assert!(
+        per_sample(legs.ingest_exec) <= INGEST_EXEC_BUDGET,
+        "client decode → dispatch → join/train/predict: {legs:?}"
+    );
+    // Polls and acknowledgements are per second, not per sample.
+    assert!(per_sample(legs.other) < 0.1, "{legs:?}");
+}
+
+#[test]
+fn metrics_allocate_only_when_a_name_is_first_seen() {
+    let mut hub = Metrics::new();
+    // 1 000 recordings leave the series' buffer with room for the next
+    // few (it doubles), so none of them grows it.
+    for _ in 0..1_000 {
+        hub.add("published", 1);
+        hub.record_latency("sensing_to_broker", SimDuration::from_nanos(5));
+    }
+    let (spent, ()) = allocs_in(|| {
+        for _ in 0..10 {
+            hub.add("published", 1);
+            hub.incr("published");
+            hub.record_latency("sensing_to_broker", SimDuration::from_nanos(5));
+        }
+    });
+    assert_eq!(spent, 0, "existing keys are looked up by &str");
+    assert_eq!(hub.counter("published"), 1_020);
+
+    // A worker's delta keeps its names and buffers across flushes (three
+    // rounds of 8 leave the hub's series at 24 of 32 slots).
+    let mut delta = MetricsDelta::new();
+    for _ in 0..3 {
+        for _ in 0..8 {
+            delta.add("predicted", 1);
+            delta.record_latency_ns("sensing_to_predicting", 7);
+        }
+        hub.absorb(&mut delta);
+    }
+    let (spent, ()) = allocs_in(|| {
+        for _ in 0..8 {
+            delta.add("predicted", 1);
+            delta.record_latency_ns("sensing_to_predicting", 7);
+        }
+        hub.absorb(&mut delta);
+    });
+    assert_eq!(spent, 0, "a flushed delta is reused as it is");
+    assert_eq!(hub.counter("predicted"), 32);
+}
+
+#[test]
+fn cloning_a_publish_shares_topic_and_payload() {
+    let publish = Publish::qos0(
+        TopicName::new("sensor/1/sound").expect("valid topic"),
+        vec![0u8; 32],
+    );
+    let (spent, copy) = allocs_in(|| publish.clone());
+    assert_eq!(spent, 0);
+    assert_eq!(copy, publish);
+}

@@ -684,3 +684,120 @@ impl SeqLedger {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Reference MQTT encoder
+// ---------------------------------------------------------------------
+
+/// The two-buffer encoder `codec::encode` replaced (body grown field by
+/// field, then copied behind its header), kept as the reference the
+/// single-write encoder must match byte for byte.
+pub fn reference_encode(packet: &Packet) -> Vec<u8> {
+    fn put_u16(out: &mut Vec<u8>, v: u16) {
+        out.extend_from_slice(&v.to_be_bytes());
+    }
+    fn put_field(out: &mut Vec<u8>, b: &[u8]) {
+        put_u16(out, b.len() as u16);
+        out.extend_from_slice(b);
+    }
+    let mut body = Vec::new();
+    let flags = match packet {
+        Packet::Connect(c) => {
+            put_field(&mut body, b"MQTT");
+            body.push(4);
+            let mut flags = 0u8;
+            if c.clean_session {
+                flags |= 0b0000_0010;
+            }
+            if let Some(w) = &c.will {
+                flags |= 0b0000_0100 | (w.qos.bits() << 3);
+                if w.retain {
+                    flags |= 0b0010_0000;
+                }
+            }
+            if c.password.is_some() {
+                flags |= 0b0100_0000;
+            }
+            if c.username.is_some() {
+                flags |= 0b1000_0000;
+            }
+            body.push(flags);
+            put_u16(&mut body, c.keep_alive_secs);
+            put_field(&mut body, c.client_id.as_bytes());
+            if let Some(w) = &c.will {
+                put_field(&mut body, w.topic.as_str().as_bytes());
+                put_field(&mut body, &w.payload);
+            }
+            if let Some(u) = &c.username {
+                put_field(&mut body, u.as_bytes());
+            }
+            if let Some(p) = &c.password {
+                put_field(&mut body, p);
+            }
+            0
+        }
+        Packet::Connack(c) => {
+            body.push(u8::from(c.session_present));
+            body.push(c.code.to_byte());
+            0
+        }
+        Packet::Publish(p) => {
+            put_field(&mut body, p.topic.as_str().as_bytes());
+            if p.qos != QoS::AtMostOnce {
+                put_u16(
+                    &mut body,
+                    p.packet_id.expect("qos>0 publish carries a packet id"),
+                );
+            }
+            body.extend_from_slice(&p.payload);
+            (u8::from(p.dup) << 3) | (p.qos.bits() << 1) | u8::from(p.retain)
+        }
+        Packet::Puback(pid)
+        | Packet::Pubrec(pid)
+        | Packet::Pubcomp(pid)
+        | Packet::Unsuback(pid) => {
+            put_u16(&mut body, *pid);
+            0
+        }
+        Packet::Pubrel(pid) => {
+            put_u16(&mut body, *pid);
+            0b0010
+        }
+        Packet::Subscribe(s) => {
+            put_u16(&mut body, s.packet_id);
+            for f in &s.filters {
+                put_field(&mut body, f.filter.as_str().as_bytes());
+                body.push(f.qos.bits());
+            }
+            0b0010
+        }
+        Packet::Suback(s) => {
+            put_u16(&mut body, s.packet_id);
+            body.extend(s.codes.iter().map(|c| c.to_byte()));
+            0
+        }
+        Packet::Unsubscribe(u) => {
+            put_u16(&mut body, u.packet_id);
+            for f in &u.filters {
+                put_field(&mut body, f.as_str().as_bytes());
+            }
+            0b0010
+        }
+        Packet::Pingreq | Packet::Pingresp | Packet::Disconnect => 0,
+    };
+    let mut out = vec![(packet.packet_type() << 4) | flags];
+    let mut len = body.len();
+    loop {
+        let mut byte = (len % 128) as u8;
+        len /= 128;
+        if len > 0 {
+            byte |= 0x80;
+        }
+        out.push(byte);
+        if len == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&body);
+    out
+}

@@ -5,7 +5,7 @@ mod common;
 
 use proptest::prelude::*;
 
-use ifot::mqtt::codec::{decode, encode};
+use ifot::mqtt::codec::{decode, encode, encoded_len};
 use ifot::mqtt::packet::{
     Connack, Connect, ConnectReturnCode, LastWill, Packet, Publish, QoS, Suback, SubackCode,
     Subscribe, SubscribeFilter, Unsubscribe,
@@ -160,10 +160,14 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
 // ---------------------------------------------------------------------
 
 proptest! {
-    /// decode(encode(p)) == p for every representable packet.
+    /// decode(encode(p)) == p for every representable packet, and the
+    /// single-write encoder produces the frame the two-buffer one did,
+    /// sized exactly beforehand.
     #[test]
     fn codec_round_trips(packet in arb_packet()) {
         let bytes = encode(&packet);
+        prop_assert_eq!(&bytes[..], &common::reference_encode(&packet)[..]);
+        prop_assert_eq!(encoded_len(&packet), bytes.len());
         let (decoded, used) = decode(&bytes)
             .expect("own encoding decodes")
             .expect("own encoding is complete");
@@ -201,21 +205,38 @@ proptest! {
         for p in &packets {
             wire.extend_from_slice(&encode(p));
         }
-        let mut dec = StreamDecoder::new();
-        let mut got = Vec::new();
-        let mut pos = 0;
-        let mut i = 0;
-        while pos < wire.len() {
-            let step = if cuts.is_empty() { wire.len() } else { cuts[i % cuts.len()] };
-            let end = (pos + step).min(wire.len());
-            dec.feed(&wire[pos..end]);
-            pos = end;
-            i += 1;
-            while let Some(p) = dec.next_packet().expect("valid stream") {
-                got.push(p);
+        let wire = bytes::Bytes::from(wire);
+        // Fed as slices (always the stream path) and as shared chunks
+        // (the in-place path whenever a chunk is exactly one frame).
+        for shared in [false, true] {
+            let mut dec = StreamDecoder::new();
+            let mut got = Vec::new();
+            let mut pos = 0;
+            let mut i = 0;
+            while pos < wire.len() {
+                let step = if cuts.is_empty() { wire.len() } else { cuts[i % cuts.len()] };
+                let end = (pos + step).min(wire.len());
+                if shared {
+                    dec.feed(&wire.slice(pos..end));
+                } else {
+                    dec.feed(&wire[pos..end]);
+                }
+                pos = end;
+                i += 1;
+                while let Some(p) = dec.next_packet().expect("valid stream") {
+                    got.push(p);
+                }
             }
+            prop_assert_eq!(&got, &packets);
         }
-        prop_assert_eq!(got, packets);
+        // One frame per chunk — what a message transport delivers —
+        // decodes in place to the same packets.
+        let mut dec = StreamDecoder::new();
+        for p in &packets {
+            dec.feed(&encode(p));
+            prop_assert_eq!(dec.next_packet().expect("valid frame"), Some(p.clone()));
+            prop_assert_eq!(dec.buffered(), 0);
+        }
     }
 
     /// A payload built from a `Vec<u8>` and one built from a shared

@@ -4,11 +4,16 @@
 //! semantics the `Bytes` refactor must preserve — wire compatibility,
 //! retained-message behaviour, and QoS 1/2 redelivery.
 
+mod common;
+
 use bytes::Bytes;
 
 use ifot::mqtt::broker::{Action, Broker};
-use ifot::mqtt::codec::{decode, encode, StreamDecoder};
-use ifot::mqtt::packet::{Connect, Packet, Publish, QoS, Subscribe, SubscribeFilter};
+use ifot::mqtt::codec::{decode, encode, encoded_len, StreamDecoder};
+use ifot::mqtt::packet::{
+    Connack, Connect, ConnectReturnCode, LastWill, Packet, Publish, QoS, Suback, SubackCode,
+    Subscribe, SubscribeFilter, Unsubscribe,
+};
 use ifot::mqtt::topic::{TopicFilter, TopicName};
 
 fn topic(name: &str) -> TopicName {
@@ -58,29 +63,149 @@ fn bytes_and_vec_payloads_encode_identically() {
     );
 }
 
+/// One packet of every type, with every optional field exercised.
+fn every_packet_type() -> Vec<Packet> {
+    let filter = |f: &str| TopicFilter::new(f).expect("valid filter");
+    let mut full_connect = Connect::new("node-b");
+    full_connect.clean_session = false;
+    full_connect.keep_alive_secs = 0;
+    full_connect.username = Some("user".into());
+    full_connect.password = Some(vec![1, 2, 3].into());
+    full_connect.will = Some(LastWill {
+        topic: topic("status/node-b"),
+        payload: Bytes::from_static(b"offline"),
+        qos: QoS::AtLeastOnce,
+        retain: true,
+    });
+    let mut dup = Publish::qos1(topic("x/z"), vec![2u8; 300], 9);
+    dup.dup = true;
+    dup.retain = true;
+    let mut qos2 = Publish::qos1(topic("x/q"), Bytes::new(), 10);
+    qos2.qos = QoS::ExactlyOnce;
+    vec![
+        Packet::Connect(Connect::new("c")),
+        Packet::Connect(full_connect),
+        Packet::Connack(Connack {
+            session_present: true,
+            code: ConnectReturnCode::NotAuthorized,
+        }),
+        Packet::Publish(Publish::qos0(topic("x/y"), vec![1u8; 40])),
+        Packet::Publish(Publish::qos0(topic("big"), vec![7u8; 20_000])),
+        Packet::Publish(dup),
+        Packet::Publish(qos2),
+        Packet::Puback(1),
+        Packet::Pubrec(2),
+        Packet::Pubrel(3),
+        Packet::Pubcomp(u16::MAX),
+        Packet::Subscribe(Subscribe {
+            packet_id: 5,
+            filters: vec![
+                SubscribeFilter {
+                    filter: filter("sensor/#"),
+                    qos: QoS::AtLeastOnce,
+                },
+                SubscribeFilter {
+                    filter: filter("+/status"),
+                    qos: QoS::AtMostOnce,
+                },
+            ],
+        }),
+        Packet::Suback(Suback {
+            packet_id: 5,
+            codes: vec![SubackCode::Granted(QoS::ExactlyOnce), SubackCode::Failure],
+        }),
+        Packet::Unsubscribe(Unsubscribe {
+            packet_id: 6,
+            filters: vec![filter("sensor/#"), filter("a/+/b")],
+        }),
+        Packet::Unsuback(7),
+        Packet::Pingreq,
+        Packet::Pingresp,
+        Packet::Disconnect,
+    ]
+}
+
+#[test]
+fn encode_is_byte_identical_to_the_reference_encoder() {
+    for packet in every_packet_type() {
+        let bytes = encode(&packet);
+        assert_eq!(
+            &bytes[..],
+            &common::reference_encode(&packet)[..],
+            "{packet:?}"
+        );
+        assert_eq!(encoded_len(&packet), bytes.len(), "{packet:?}");
+    }
+}
+
 #[test]
 fn stream_decoder_is_chunking_invariant() {
-    let packets = vec![
-        Packet::Connect(Connect::new("c")),
-        Packet::Publish(Publish::qos0(topic("x/y"), vec![1u8; 40])),
-        Packet::Pingreq,
-        Packet::Publish(Publish::qos1(topic("x/z"), vec![2u8; 3], 9)),
-    ];
+    let packets = every_packet_type();
     let mut wire = Vec::new();
     for p in &packets {
         wire.extend_from_slice(&encode(p));
     }
-    for chunk in 1..=7usize {
-        let mut dec = StreamDecoder::new();
-        let mut got = Vec::new();
-        for piece in wire.chunks(chunk) {
-            dec.feed(piece);
-            while let Some(p) = dec.next_packet().expect("valid stream") {
-                got.push(p);
+    let wire = Bytes::from(wire);
+    // Fed as slices (always the stream path) and as shared chunks (the
+    // in-place path whenever a chunk happens to be exactly one frame).
+    for shared in [false, true] {
+        for chunk in [1usize, 2, 3, 4, 5, 6, 7, 64, 1000, wire.len()] {
+            let mut dec = StreamDecoder::new();
+            let mut got = Vec::new();
+            let mut pos = 0;
+            while pos < wire.len() {
+                let end = (pos + chunk).min(wire.len());
+                if shared {
+                    dec.feed(&wire.slice(pos..end));
+                } else {
+                    dec.feed(&wire[pos..end]);
+                }
+                pos = end;
+                while let Some(p) = dec.next_packet().expect("valid stream") {
+                    got.push(p);
+                }
             }
+            assert_eq!(got, packets, "chunk size {chunk}, shared {shared}");
         }
-        assert_eq!(got, packets, "chunk size {chunk}");
     }
+    // One frame per chunk — what a message transport delivers — decodes
+    // in place to the same packets.
+    let mut dec = StreamDecoder::new();
+    for p in &packets {
+        dec.feed(&encode(p));
+        assert_eq!(dec.next_packet().expect("valid frame").as_ref(), Some(p));
+        assert_eq!(dec.buffered(), 0);
+    }
+}
+
+/// A sample's JSON shape is what `values: Vec<f32>` gave it, and its
+/// 32-byte image is what it always was.
+#[test]
+fn sample_serde_and_wire_shapes_are_unchanged() {
+    use ifot::sensors::sample::{Sample, SensorKind};
+    let sample = Sample::new(SensorKind::Accelerometer, 3, 9, 555, &[1.0, 2.5, -3.0]);
+    let mut image = [0u8; 32];
+    image[..8].copy_from_slice(&[b'I', b'F', 1, 0, 0, 3, 3, 0]);
+    image[8..16].copy_from_slice(&555u64.to_be_bytes());
+    image[16..20].copy_from_slice(&9u32.to_be_bytes());
+    image[20..24].copy_from_slice(&1.0f32.to_be_bytes());
+    image[24..28].copy_from_slice(&2.5f32.to_be_bytes());
+    image[28..32].copy_from_slice(&(-3.0f32).to_be_bytes());
+    assert_eq!(sample.encode(), image);
+    assert_eq!(&sample.encode_bytes()[..], &image[..]);
+    assert_eq!(Sample::decode(&image), Ok(sample.clone()));
+
+    // The offline `serde_json` stand-in cannot serialize at all.
+    let Ok(json) = serde_json::to_string(&sample) else {
+        return;
+    };
+    assert_eq!(
+        json,
+        r#"{"kind":"Accelerometer","device_id":3,"seq":9,"timestamp_ns":555,"values":[1.0,2.5,-3.0]}"#
+    );
+    assert_eq!(serde_json::from_str::<Sample>(&json).ok(), Some(sample));
+    let too_many = json.replace("[1.0,2.5,-3.0]", "[1.0,2.0,3.0,4.0]");
+    assert!(serde_json::from_str::<Sample>(&too_many).is_err());
 }
 
 #[test]
