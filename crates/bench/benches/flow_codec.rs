@@ -19,7 +19,7 @@ use ifot_sensors::sample::{Sample, SensorKind};
 /// label/score — what the sensing plane coalesces).
 fn sensor_message(i: u64) -> FlowMessage {
     FlowMessage {
-        producer: "sensor-node".to_owned(),
+        producer: "sensor-node".into(),
         origin_ts_ns: 1_234_567_890 + i * 12_500_000,
         seq: 42 + i,
         datum: Datum::new().with("sound_0", 12.5 + i as f64),

@@ -171,7 +171,7 @@ fn json_image(m: &FlowMessage) -> String {
     }
     format!(
         "{{\"producer\":\"{}\",\"origin_ts_ns\":{},\"seq\":{},\"datum\":{{\"values\":{{{}}}}},\"label\":null,\"score\":null}}",
-        m.producer, m.origin_ts_ns, m.seq, datum
+        m.producer.as_str(), m.origin_ts_ns, m.seq, datum
     )
 }
 

@@ -62,7 +62,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::env::NodeEnv;
-use crate::flow::FlowItem;
+use crate::flow::{FlowItem, Name};
 use crate::operators::OpOutput;
 use crate::wire::DecodedItems;
 
@@ -142,7 +142,7 @@ pub struct DirectHandoff {
     /// of that stage goes through the node thread). A stage's output
     /// topic and publish flag never change after it is built, so the
     /// snapshot cannot go stale.
-    eligible: Vec<Option<Arc<str>>>,
+    eligible: Vec<Option<Name>>,
 }
 
 impl DirectHandoff {
@@ -152,7 +152,7 @@ impl DirectHandoff {
     pub fn new(
         view: Arc<SharedRouteView>,
         cells: Vec<Arc<StageCell>>,
-        outputs: Vec<Option<(Arc<str>, bool)>>,
+        outputs: Vec<Option<(Name, bool)>>,
     ) -> Self {
         let eligible = outputs
             .into_iter()
@@ -273,7 +273,7 @@ impl DirectHandoff {
             let mut rest = Vec::new();
             for output in outputs {
                 match output {
-                    OpOutput::Emit(msg) => items.push(FlowItem::from_message(topic, msg)),
+                    OpOutput::Emit(msg) => items.push(FlowItem::from_message(topic.clone(), msg)),
                     other => rest.push(other),
                 }
             }

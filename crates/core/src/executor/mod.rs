@@ -40,7 +40,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::config::{ExecutorConfig, OperatorSpec, ShedPolicy};
 use crate::env::NodeEnv;
-use crate::flow::FlowItem;
+use crate::flow::{FlowItem, Name};
 use crate::operators::{MixEnvelope, OpOutput};
 use ifot_ml::runtime::AnyClassifier;
 
@@ -254,10 +254,11 @@ impl ExecutorStage {
     }
 
     fn note_seq(&mut self, item: &FlowItem) {
-        match self.last_seqs.get_mut(&item.topic) {
+        match self.last_seqs.get_mut(item.topic.as_str()) {
             Some(high) => *high = (*high).max(item.seq),
             None => {
-                self.last_seqs.insert(item.topic.clone(), item.seq);
+                self.last_seqs
+                    .insert(item.topic.as_str().to_owned(), item.seq);
             }
         }
     }
@@ -515,7 +516,12 @@ impl StageCell {
         stage.enqueue(work, env.now_ns());
         let mut out = Vec::new();
         while let Some(mut outputs) = stage.step(env) {
-            out.append(&mut outputs);
+            if out.is_empty() {
+                // The usual single step hands its outputs on as they are.
+                out = outputs;
+            } else {
+                out.append(&mut outputs);
+            }
         }
         self.sync_mirrors(&stage);
         out
@@ -608,7 +614,7 @@ pub struct ExecutorGraph {
     retired: Vec<bool>,
     /// Per-stage `(output topic, publish flag)`, so routing a step's
     /// emissions never clones a spec. Fixed when the stage is built.
-    outputs: Vec<Option<(Arc<str>, bool)>>,
+    outputs: Vec<Option<(Name, bool)>>,
     /// Mutation-versioned route view, shared with the worker pool.
     shared_routes: Arc<router::SharedRouteView>,
     /// The owning thread's memo over `shared_routes` (the workers each
@@ -616,9 +622,9 @@ pub struct ExecutorGraph {
     routes: RefCell<handoff::PlanCache>,
 }
 
-fn stage_output(spec: &OperatorSpec) -> Option<(Arc<str>, bool)> {
+fn stage_output(spec: &OperatorSpec) -> Option<(Name, bool)> {
     let topic = spec.output.as_deref()?;
-    Some((Arc::from(topic), spec.publish_output))
+    Some((topic.into(), spec.publish_output))
 }
 
 impl ExecutorGraph {
@@ -702,7 +708,7 @@ impl ExecutorGraph {
 
     /// Stage `index`'s output topic and whether its emissions are also
     /// published to the broker (`None` for a stage that emits nothing).
-    pub fn output(&self, index: usize) -> Option<(Arc<str>, bool)> {
+    pub fn output(&self, index: usize) -> Option<(Name, bool)> {
         self.outputs.get(index)?.clone()
     }
 

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use ifot_ml::feature::{Datum, FeatureVector, DEFAULT_DIMENSIONS};
+use ifot_ml::feature::{Datum, FeatureKey, FeatureVector, DEFAULT_DIMENSIONS};
 use ifot_ml::mix::MixCoordinator;
 use ifot_ml::runtime::{AnyClassifier, AnyDetector};
 use ifot_ml::stat::Ewma;
@@ -19,7 +19,7 @@ use crate::config::{OperatorKind, OperatorSpec};
 use crate::costs;
 use crate::env::{NodeEnv, NodeEnvExt};
 use crate::executor::{ControlMsg, OpTimer, StreamOperator};
-use crate::flow::{FlowItem, FlowMessage};
+use crate::flow::{FlowItem, FlowMessage, Name};
 use crate::operators::{AutoLabeller, NodeEvent, OpOutput};
 
 /// How many joined-but-incomplete sequences a join keeps before dropping
@@ -31,21 +31,27 @@ pub const JOIN_MAX_PENDING: usize = 256;
 /// ordinary value can score arbitrarily high (detector cold start).
 pub const ANOMALY_WARMUP: u64 = 10;
 
-/// Instantiates the [`StreamOperator`] for a spec's kind.
+/// Instantiates the [`StreamOperator`] for a spec's kind. What an operator
+/// stamps on every output — its id as producer and task, a datum key, a
+/// counter name — is built here, once, and shared from then on.
 pub fn build_operator(spec: OperatorSpec) -> Box<dyn StreamOperator> {
+    let id = Name::from(spec.id.as_str());
     match &spec.kind {
         OperatorKind::Join { expected_sources } => {
             let expected = *expected_sources;
             Box::new(JoinOp {
                 spec,
+                id,
                 expected,
                 pending: BTreeMap::new(),
+                spare: Vec::new(),
                 emitted: 0,
                 incomplete_dropped: 0,
             })
         }
         OperatorKind::Window { .. } => Box::new(WindowOp {
             spec,
+            id,
             buffer: Vec::new(),
             flushes: 0,
             seq: 0,
@@ -63,6 +69,7 @@ pub fn build_operator(spec: OperatorSpec) -> Box<dyn StreamOperator> {
             let model = AnyClassifier::by_name(algorithm);
             Box::new(PredictOp {
                 spec,
+                id,
                 model,
                 predicted: 0,
                 seq: 0,
@@ -76,6 +83,7 @@ pub fn build_operator(spec: OperatorSpec) -> Box<dyn StreamOperator> {
             let threshold = *threshold;
             Box::new(AnomalyOp {
                 spec,
+                id,
                 detector,
                 threshold,
                 flagged: 0,
@@ -84,10 +92,11 @@ pub fn build_operator(spec: OperatorSpec) -> Box<dyn StreamOperator> {
             })
         }
         OperatorKind::Estimate { model } => {
-            let model_name = model.clone();
+            let key = format!("estimate_{model}").into();
             Box::new(EstimateOp {
                 spec,
-                model_name,
+                id,
+                key,
                 fused: Ewma::new(0.2),
                 updates: 0,
                 seq: 0,
@@ -99,10 +108,11 @@ pub fn build_operator(spec: OperatorSpec) -> Box<dyn StreamOperator> {
             off_below,
             emit,
         } => {
-            let (key, emit) = (key.clone(), emit.clone());
+            let (key, emit) = (key.clone(), emit.clone().into());
             let (on_above, off_below) = (*on_above, *off_below);
             Box::new(PolicyOp {
                 spec,
+                id,
                 key,
                 on_above,
                 off_below,
@@ -121,10 +131,11 @@ pub fn build_operator(spec: OperatorSpec) -> Box<dyn StreamOperator> {
             })
         }
         OperatorKind::Custom { operator } => {
-            let operator = operator.clone();
+            let counter = format!("custom_{operator}");
             Box::new(CustomOp {
                 spec,
-                operator,
+                id,
+                counter,
                 passed: 0,
                 seq: 0,
             })
@@ -150,8 +161,14 @@ fn next_seq(seq: &mut u64) -> u64 {
 #[derive(Debug)]
 pub struct JoinOp {
     spec: OperatorSpec,
+    id: Name,
     expected: usize,
-    pending: BTreeMap<u64, BTreeMap<String, FlowItem>>,
+    /// The parts of each open sequence number, sorted by topic, one per
+    /// topic (a repeat replaces its predecessor).
+    pending: BTreeMap<u64, Vec<FlowItem>>,
+    /// Emptied part lists, reused by the next sequences to open: there
+    /// are never more than sequences were open at once.
+    spare: Vec<Vec<FlowItem>>,
     emitted: u64,
     incomplete_dropped: u64,
 }
@@ -164,25 +181,34 @@ impl StreamOperator for JoinOp {
     fn on_item(&mut self, env: &mut dyn NodeEnv, item: FlowItem) -> Vec<OpOutput> {
         env.consume_ref_ms(costs::JOIN_MS);
         let tuple_seq = item.seq;
-        let slot = self.pending.entry(tuple_seq).or_default();
-        slot.insert(item.topic.clone(), item);
-        let complete = slot.len() >= self.expected;
-        if complete {
-            let parts = self.pending.remove(&tuple_seq).expect("slot present");
+        let parts = self
+            .pending
+            .entry(tuple_seq)
+            .or_insert_with(|| self.spare.pop().unwrap_or_default());
+        match parts.binary_search_by(|part| part.topic.cmp(&item.topic)) {
+            Ok(at) => parts[at] = item,
+            Err(at) => parts.insert(at, item),
+        }
+        if parts.len() >= self.expected {
+            let mut parts = self.pending.remove(&tuple_seq).expect("slot present");
             self.emitted += 1;
+            // Merged in topic order: a key two parts carry keeps the
+            // value of the later topic.
             let mut datum = Datum::new();
             let mut origin = u64::MAX;
             let mut seq = 0;
-            for part in parts.values() {
+            for part in &parts {
                 origin = origin.min(part.origin_ts_ns);
                 seq = seq.max(part.seq);
-                for (k, v) in part.datum.iter() {
-                    datum.set(k.to_owned(), v);
+                for (k, v) in part.datum.entries() {
+                    datum.set(k.clone(), v);
                 }
             }
+            parts.clear();
+            self.spare.push(parts);
             env.incr("join_emitted");
             return vec![OpOutput::Emit(FlowMessage {
-                producer: self.spec.id.clone(),
+                producer: self.id.clone(),
                 origin_ts_ns: origin,
                 seq,
                 datum,
@@ -192,8 +218,9 @@ impl StreamOperator for JoinOp {
         }
         // Bound the pending map: evict the oldest sequence.
         if self.pending.len() > JOIN_MAX_PENDING {
-            let oldest = *self.pending.keys().next().expect("non-empty");
-            self.pending.remove(&oldest);
+            let (_, mut oldest) = self.pending.pop_first().expect("non-empty");
+            oldest.clear();
+            self.spare.push(oldest);
             self.incomplete_dropped += 1;
             env.incr("join_incomplete_dropped");
         }
@@ -215,6 +242,7 @@ impl StreamOperator for JoinOp {
 #[derive(Debug)]
 pub struct WindowOp {
     spec: OperatorSpec,
+    id: Name,
     buffer: Vec<FlowItem>,
     flushes: u64,
     seq: u64,
@@ -239,14 +267,14 @@ impl StreamOperator for WindowOp {
         self.flushes += 1;
         env.incr("window_flushes");
         // Mean per key plus a count feature.
-        let mut sums: BTreeMap<String, (f64, u64)> = BTreeMap::new();
+        let mut sums: BTreeMap<FeatureKey, (f64, u64)> = BTreeMap::new();
         let mut origin = u64::MAX;
         let mut seq = 0;
         for item in self.buffer.iter() {
             origin = origin.min(item.origin_ts_ns);
             seq = seq.max(item.seq);
-            for (k, v) in item.datum.iter() {
-                let e = sums.entry(k.to_owned()).or_insert((0.0, 0));
+            for (k, v) in item.datum.entries() {
+                let e = sums.entry(k.clone()).or_insert((0.0, 0));
                 e.0 += v;
                 e.1 += 1;
             }
@@ -260,7 +288,7 @@ impl StreamOperator for WindowOp {
         datum.set("window_count", count as f64);
         let seq_out = next_seq(&mut self.seq).max(seq);
         vec![OpOutput::Emit(FlowMessage {
-            producer: self.spec.id.clone(),
+            producer: self.id.clone(),
             origin_ts_ns: origin,
             seq: seq_out,
             datum,
@@ -276,6 +304,15 @@ impl StreamOperator for WindowOp {
             self.buffer.len(),
             self.flushes
         )
+    }
+}
+
+/// The label an item is trained under: the one it carries, else the
+/// auto-labeller's.
+fn label_of<'a>(labeller: &mut AutoLabeller, item: &'a FlowItem) -> &'a str {
+    match &item.label {
+        Some(label) => label,
+        None => labeller.label(&item.datum),
     }
 }
 
@@ -300,12 +337,8 @@ impl StreamOperator for TrainOp {
             cost += costs::TRAIN_SLOW_MS;
         }
         env.consume_ref_ms(cost);
-        let label = item
-            .label
-            .clone()
-            .unwrap_or_else(|| self.labeller.label(&item.datum).to_owned());
         let x = item.datum.to_vector(DEFAULT_DIMENSIONS);
-        self.model.train(&x, &label);
+        self.model.train(&x, label_of(&mut self.labeller, &item));
         self.trained += 1;
         env.incr("trained");
         env.record_latency_since_ns("sensing_to_training", item.origin_ts_ns);
@@ -326,18 +359,11 @@ impl StreamOperator for TrainOp {
         }
         env.consume_ref_ms(cost);
         env.incr("train_batch_calls");
-        let examples: Vec<(FeatureVector, String)> = items
-            .iter()
-            .map(|item| {
-                let label = item
-                    .label
-                    .clone()
-                    .unwrap_or_else(|| self.labeller.label(&item.datum).to_owned());
-                (item.datum.to_vector(DEFAULT_DIMENSIONS), label)
-            })
-            .collect();
-        self.model
-            .train_batch(examples.iter().map(|(x, label)| (x, label.as_str())));
+        let labeller = &mut self.labeller;
+        self.model.train_batch(items.iter().map(|item| {
+            let x = item.datum.to_vector(DEFAULT_DIMENSIONS);
+            (x, label_of(labeller, item))
+        }));
         for item in &items {
             self.trained += 1;
             env.incr("trained");
@@ -383,9 +409,45 @@ impl StreamOperator for TrainOp {
 #[derive(Debug)]
 pub struct PredictOp {
     spec: OperatorSpec,
+    id: Name,
     model: AnyClassifier,
     predicted: u64,
     seq: u64,
+}
+
+impl PredictOp {
+    /// Books one classified item and appends its outputs: the event, and
+    /// the labelled emission when the stage has an output topic.
+    fn report(
+        &mut self,
+        env: &mut dyn NodeEnv,
+        item: FlowItem,
+        mut label: Option<String>,
+        out: &mut Vec<OpOutput>,
+    ) {
+        self.predicted += 1;
+        env.incr("predicted");
+        env.record_latency_since_ns("sensing_to_predicting", item.origin_ts_ns);
+        let at_ns = env.now_ns();
+        let seq = next_seq(&mut self.seq);
+        let emits = self.spec.output.is_some();
+        out.push(OpOutput::Event(NodeEvent::Prediction {
+            task: self.id.clone(),
+            // The label is copied only when the emission needs one too.
+            label: if emits { label.clone() } else { label.take() },
+            at_ns,
+        }));
+        if emits {
+            out.push(OpOutput::Emit(FlowMessage {
+                producer: self.id.clone(),
+                origin_ts_ns: item.origin_ts_ns,
+                seq,
+                datum: item.datum,
+                label,
+                score: None,
+            }));
+        }
+    }
 }
 
 impl StreamOperator for PredictOp {
@@ -401,26 +463,8 @@ impl StreamOperator for PredictOp {
         env.consume_ref_ms(cost);
         let x = item.datum.to_vector(DEFAULT_DIMENSIONS);
         let label = self.model.classify(&x);
-        self.predicted += 1;
-        env.incr("predicted");
-        env.record_latency_since_ns("sensing_to_predicting", item.origin_ts_ns);
-        let at_ns = env.now_ns();
-        let seq = next_seq(&mut self.seq);
-        let mut out = vec![OpOutput::Event(NodeEvent::Prediction {
-            task: self.spec.id.clone(),
-            label: label.clone(),
-            at_ns,
-        })];
-        if self.spec.output.is_some() {
-            out.push(OpOutput::Emit(FlowMessage {
-                producer: self.spec.id.clone(),
-                origin_ts_ns: item.origin_ts_ns,
-                seq,
-                datum: item.datum,
-                label,
-                score: None,
-            }));
-        }
+        let mut out = Vec::with_capacity(2);
+        self.report(env, item, label, &mut out);
         out
     }
 
@@ -444,26 +488,7 @@ impl StreamOperator for PredictOp {
         let labels = self.model.classify_batch(&xs);
         let mut out = Vec::with_capacity(items.len() * 2);
         for (item, label) in items.into_iter().zip(labels) {
-            self.predicted += 1;
-            env.incr("predicted");
-            env.record_latency_since_ns("sensing_to_predicting", item.origin_ts_ns);
-            let at_ns = env.now_ns();
-            let seq = next_seq(&mut self.seq);
-            out.push(OpOutput::Event(NodeEvent::Prediction {
-                task: self.spec.id.clone(),
-                label: label.clone(),
-                at_ns,
-            }));
-            if self.spec.output.is_some() {
-                out.push(OpOutput::Emit(FlowMessage {
-                    producer: self.spec.id.clone(),
-                    origin_ts_ns: item.origin_ts_ns,
-                    seq,
-                    datum: item.datum,
-                    label,
-                    score: None,
-                }));
-            }
+            self.report(env, item, label, &mut out);
         }
         out
     }
@@ -492,6 +517,7 @@ impl StreamOperator for PredictOp {
 #[derive(Debug)]
 pub struct AnomalyOp {
     spec: OperatorSpec,
+    id: Name,
     detector: AnyDetector,
     threshold: f64,
     flagged: u64,
@@ -522,13 +548,13 @@ impl StreamOperator for AnomalyOp {
             let at_ns = env.now_ns();
             let seq = next_seq(&mut self.seq);
             let mut out = vec![OpOutput::Event(NodeEvent::AnomalyFlagged {
-                task: self.spec.id.clone(),
+                task: self.id.clone(),
                 score,
                 at_ns,
             })];
             if self.spec.output.is_some() {
                 out.push(OpOutput::Emit(FlowMessage {
-                    producer: self.spec.id.clone(),
+                    producer: self.id.clone(),
                     origin_ts_ns: item.origin_ts_ns,
                     seq,
                     datum: item.datum,
@@ -554,7 +580,9 @@ impl StreamOperator for AnomalyOp {
 #[derive(Debug)]
 pub struct EstimateOp {
     spec: OperatorSpec,
-    model_name: String,
+    id: Name,
+    /// `estimate_<model>`, the key of the emitted datum.
+    key: FeatureKey,
     fused: Ewma,
     updates: u64,
     seq: u64,
@@ -575,16 +603,16 @@ impl StreamOperator for EstimateOp {
         let at_ns = env.now_ns();
         let seq = next_seq(&mut self.seq);
         let mut out = vec![OpOutput::Event(NodeEvent::EstimateUpdated {
-            task: self.spec.id.clone(),
+            task: self.id.clone(),
             value,
             at_ns,
         })];
         if self.spec.output.is_some() {
             out.push(OpOutput::Emit(FlowMessage {
-                producer: self.spec.id.clone(),
+                producer: self.id.clone(),
                 origin_ts_ns: item.origin_ts_ns,
                 seq,
-                datum: Datum::new().with(format!("estimate_{}", self.model_name), value),
+                datum: Datum::new().with(self.key.clone(), value),
                 label: item.label,
                 score: Some(value),
             }));
@@ -601,10 +629,11 @@ impl StreamOperator for EstimateOp {
 #[derive(Debug)]
 pub struct PolicyOp {
     spec: OperatorSpec,
+    id: Name,
     key: String,
     on_above: f64,
     off_below: f64,
-    emit: String,
+    emit: FeatureKey,
     /// Current decision (None until the first crossing).
     engaged: Option<bool>,
     decisions: u64,
@@ -640,7 +669,7 @@ impl StreamOperator for PolicyOp {
         let seq = next_seq(&mut self.seq);
         if self.spec.output.is_some() {
             vec![OpOutput::Emit(FlowMessage {
-                producer: self.spec.id.clone(),
+                producer: self.id.clone(),
                 origin_ts_ns: item.origin_ts_ns,
                 seq,
                 datum: Datum::new().with(self.emit.clone(), if on { 1.0 } else { 0.0 }),
@@ -695,7 +724,9 @@ impl StreamOperator for ActuateOp {
 #[derive(Debug)]
 pub struct CustomOp {
     spec: OperatorSpec,
-    operator: String,
+    id: Name,
+    /// `custom_<operator>`, the counter bumped per item.
+    counter: String,
     passed: u64,
     seq: u64,
 }
@@ -708,11 +739,11 @@ impl StreamOperator for CustomOp {
     fn on_item(&mut self, env: &mut dyn NodeEnv, item: FlowItem) -> Vec<OpOutput> {
         env.consume_ref_ms(costs::CUSTOM_MS);
         self.passed += 1;
-        env.incr(&format!("custom_{}", self.operator));
+        env.incr(&self.counter);
         let seq = next_seq(&mut self.seq);
         if self.spec.output.is_some() {
             vec![OpOutput::Emit(FlowMessage {
-                producer: self.spec.id.clone(),
+                producer: self.id.clone(),
                 origin_ts_ns: item.origin_ts_ns,
                 seq,
                 datum: item.datum,
@@ -762,7 +793,7 @@ impl StreamOperator for MixCoordinatorOp {
             let at_ns = env.now_ns();
             let tasks = std::mem::take(&mut self.round_tasks);
             let mut out = vec![OpOutput::Event(NodeEvent::MixRound {
-                task: envelope.task.clone(),
+                task: envelope.task.as_str().into(),
                 round,
                 at_ns,
             })];
@@ -795,7 +826,7 @@ mod tests {
     use crate::env::MockEnv;
     use crate::operators::MixEnvelope;
 
-    fn item(topic: &str, seq: u64, origin: u64, pairs: &[(&str, f64)]) -> FlowItem {
+    fn item(topic: &str, seq: u64, origin: u64, pairs: &[(&'static str, f64)]) -> FlowItem {
         let mut datum = Datum::new();
         for (k, v) in pairs {
             datum.set(*k, *v);

@@ -1,25 +1,73 @@
 //! Flow items: the data units the middleware's classes exchange.
 //!
-//! Two encodings coexist, exactly as in the paper's prototype:
+//! Three payload families travel on the flow plane:
 //!
 //! * **Raw sensor samples** — the 32-byte binary image
 //!   ([`ifot_sensors::sample::Sample`]) published by the Sensor/Publish
 //!   classes on `sensor/<device>/<kind>` topics.
-//! * **Flow messages** — JSON-encoded [`FlowMessage`]s carrying a datum,
-//!   optional label and provenance, published by analysis operators on
-//!   `flow/<recipe>/<task>` topics.
+//! * **Flow messages** — one [`FlowMessage`] (a datum, optional label and
+//!   provenance) published by an analysis operator on
+//!   `flow/<recipe>/<task>`, as a binary frame or a JSON document.
+//! * **Flow batches** — N messages coalesced into one [`FlowBatch`] frame.
 //!
-//! [`FlowItem::from_payload`] normalizes both into one in-memory form.
+//! [`crate::wire::decode_items_lean`] normalizes all three into
+//! [`FlowItem`]s. An item is a small value: its topic, like a message's
+//! producer, is a shared [`Name`] and its datum keeps up to three
+//! features inline, so handing an item to one more stage, or merging
+//! three of them in a join, copies no text. [`crate::wire`] holds the
+//! binary encoding; the JSON shapes are those of the `serde` derives
+//! below.
 
-use ifot_ml::feature::Datum;
-use ifot_sensors::sample::{kind_slug, Sample};
+use std::sync::Arc;
+
+use ifot_ml::feature::{Datum, FeatureKey};
+use ifot_sensors::sample::Sample;
 use serde::{Deserialize, Serialize};
 
-/// A flow message: the JSON unit exchanged between analysis operators.
+/// A shared, immutable name — a topic, a producer or a task id. Cloning
+/// bumps a reference count; it dereferences to the `str` it holds and
+/// serializes as the string it is.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[serde(from = "String", into = "String")]
+pub struct Name(Arc<str>);
+
+impl Name {
+    /// The name as a string slice.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl core::ops::Deref for Name {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl<S: Into<Arc<str>>> From<S> for Name {
+    fn from(s: S) -> Self {
+        Name(s.into())
+    }
+}
+
+impl From<Name> for String {
+    fn from(name: Name) -> String {
+        name.as_str().to_owned()
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        *self.0 == **other
+    }
+}
+
+/// A flow message: the unit exchanged between analysis operators.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlowMessage {
     /// The task that produced this message.
-    pub producer: String,
+    pub producer: Name,
     /// Earliest sensing timestamp contributing to this message
     /// (nanoseconds) — carried through the pipeline so every stage can
     /// report sensing-to-X latency, the paper's measured quantity.
@@ -88,7 +136,7 @@ impl FlowBatch {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowItem {
     /// Topic the item arrived on.
-    pub topic: String,
+    pub topic: Name,
     /// Earliest sensing timestamp (nanoseconds).
     pub origin_ts_ns: u64,
     /// Producer-side sequence number.
@@ -105,13 +153,13 @@ impl FlowItem {
     /// Decodes a payload arriving on `topic` into a flow item.
     ///
     /// 32-byte payloads are parsed as raw sensor samples (datum keys
-    /// `"<kind>_<channel>"`); anything else is parsed as a JSON
+    /// `"<kind>_<channel>"`); anything else is parsed as a binary or JSON
     /// [`FlowMessage`].
     ///
     /// # Errors
     ///
     /// Returns a description when neither decoding applies.
-    pub fn from_payload(topic: &str, payload: &[u8]) -> Result<FlowItem, String> {
+    pub fn from_payload(topic: impl Into<Name>, payload: &[u8]) -> Result<FlowItem, String> {
         if payload.len() == ifot_sensors::sample::SAMPLE_WIRE_SIZE {
             if let Ok(sample) = Sample::decode(payload) {
                 return Ok(FlowItem::from_sample(topic, &sample));
@@ -122,9 +170,9 @@ impl FlowItem {
     }
 
     /// Normalizes a decoded flow message arriving on `topic`.
-    pub fn from_message(topic: &str, msg: FlowMessage) -> FlowItem {
+    pub fn from_message(topic: impl Into<Name>, msg: FlowMessage) -> FlowItem {
         FlowItem {
-            topic: topic.to_owned(),
+            topic: topic.into(),
             origin_ts_ns: msg.origin_ts_ns,
             seq: msg.seq,
             datum: msg.datum,
@@ -135,7 +183,7 @@ impl FlowItem {
 
     /// Rebuilds the wire message for this item (used when coalescing
     /// normalized items — e.g. raw sensor samples — into a batch).
-    pub fn into_message(self, producer: impl Into<String>) -> FlowMessage {
+    pub fn into_message(self, producer: impl Into<Name>) -> FlowMessage {
         FlowMessage {
             producer: producer.into(),
             origin_ts_ns: self.origin_ts_ns,
@@ -146,18 +194,20 @@ impl FlowItem {
         }
     }
 
-    /// Converts a raw sensor sample into a flow item.
-    pub fn from_sample(topic: &str, sample: &Sample) -> FlowItem {
-        let mut datum = Datum::new();
-        let slug = kind_slug(sample.kind);
-        for (name, value) in sample.kind.channel_names().iter().zip(sample.values.iter()) {
-            datum.set(format!("{slug}_{name}"), *value as f64);
-        }
+    /// Converts a raw sensor sample into a flow item; the datum keys are
+    /// the kind's static [`SensorKind::datum_keys`] table.
+    ///
+    /// [`SensorKind::datum_keys`]: ifot_sensors::sample::SensorKind::datum_keys
+    pub fn from_sample(topic: impl Into<Name>, sample: &Sample) -> FlowItem {
+        let keys = sample.kind.datum_keys().iter().copied();
         FlowItem {
-            topic: topic.to_owned(),
+            topic: topic.into(),
             origin_ts_ns: sample.timestamp_ns,
             seq: sample.seq as u64,
-            datum,
+            datum: keys
+                .map(FeatureKey::Static)
+                .zip(sample.values.iter().map(|v| f64::from(*v)))
+                .collect(),
             label: None,
             score: None,
         }
@@ -207,6 +257,12 @@ mod tests {
             label: Some("ok".into()),
             score: Some(0.5),
         };
+        // The JSON document is the one an owned-string producer and a
+        // map datum serialized to.
+        assert_eq!(
+            String::from_utf8(m.encode()).expect("JSON is UTF-8"),
+            r#"{"producer":"agg","origin_ts_ns":123,"seq":7,"datum":{"values":{"x":1.0}},"label":"ok","score":0.5}"#
+        );
         let back = FlowMessage::decode(&m.encode()).expect("round trip");
         assert_eq!(back, m);
         assert!(FlowMessage::decode(b"junk").is_err());

@@ -41,7 +41,7 @@ use crate::env::NodeEnv;
 use crate::executor::handoff::{plain_flow_topic, DirectHandoff};
 use crate::executor::router;
 use crate::executor::{ControlMsg, ExecutorGraph, OpTimer, StageCell, StageStats, WorkItem};
-use crate::flow::{topics, FlowBatch, FlowItem, FlowMessage};
+use crate::flow::{topics, FlowBatch, FlowItem, FlowMessage, Name};
 use crate::operators::{ClassifierModel, MixEnvelope, NodeEvent, OpOutput};
 use crate::wire::{DecodedItems, FlowCodec};
 
@@ -89,7 +89,7 @@ const LOCAL_HOP_LIMIT: usize = 64;
 #[derive(Debug)]
 enum Hop {
     /// The topic is shared with the publish it arrived in.
-    Wire(Arc<str>, Bytes),
+    Wire(Name, Bytes),
     Items(DecodedItems),
 }
 
@@ -290,6 +290,9 @@ impl ActuatorDevice {
 #[derive(Debug)]
 pub struct MiddlewareNode {
     config: NodeConfig,
+    /// The node's name as the producer of the flow messages its sensors
+    /// feed the micro-batcher.
+    producer: Name,
     /// Embedded Broker class: the sharded routing layer (shard count
     /// from [`NodeConfig::broker_shards`]; transports identify peer
     /// connections by node name).
@@ -490,6 +493,7 @@ impl MiddlewareNode {
             handing_off: BTreeSet::new(),
             migrations_out: 0,
             migrations_in: 0,
+            producer: config.name.as_str().into(),
             config,
         }
     }
@@ -840,8 +844,8 @@ impl MiddlewareNode {
             if self.batching_enabled() {
                 // Coalesced flow path: the sample becomes a flow message
                 // directly and the micro-batcher amortizes the publish.
-                let message = FlowItem::from_sample(topic.as_str(), &labelled.sample)
-                    .into_message(self.config.name.clone());
+                let message = FlowItem::from_sample(topic.clone().into_shared(), &labelled.sample)
+                    .into_message(self.producer.clone());
                 self.enqueue_batch(env, topic.as_str(), message);
             } else {
                 let payload = labelled.sample.encode_bytes();
@@ -1380,7 +1384,8 @@ impl MiddlewareNode {
                         if let Some(origin) = peek_origin_ns(&publish.payload) {
                             env.record_latency_since_ns("sensing_to_subscribe", origin);
                         }
-                        self.dispatch_flow(env, publish.topic.into_shared(), publish.payload);
+                        let topic = publish.topic.into_shared().into();
+                        self.dispatch_flow(env, topic, publish.payload);
                     }
                     ClientEvent::Refused(_) => {
                         env.incr("client_refused");
@@ -1729,7 +1734,7 @@ impl MiddlewareNode {
         let total = buffer.len() as u64;
         let items: Vec<FlowItem> = buffer
             .into_iter()
-            .filter(|item| fence.get(&item.topic).is_none_or(|&f| item.seq > f))
+            .filter(|item| fence.get(item.topic.as_str()).is_none_or(|&f| item.seq > f))
             .collect();
         let fenced = total - items.len() as u64;
         if fenced > 0 {
@@ -1765,7 +1770,7 @@ impl MiddlewareNode {
 
     /// Routes a payload on `topic` to every matching local operator,
     /// iteratively following local operator chains.
-    fn dispatch_flow(&mut self, env: &mut dyn NodeEnv, topic: Arc<str>, payload: Bytes) {
+    fn dispatch_flow(&mut self, env: &mut dyn NodeEnv, topic: Name, payload: Bytes) {
         let mut queue = std::mem::take(&mut self.hop_queue);
         queue.push_back(Hop::Wire(topic, payload));
         self.run_hops(env, &mut queue);
@@ -1796,7 +1801,7 @@ impl MiddlewareNode {
     fn on_wire_hop(
         &mut self,
         env: &mut dyn NodeEnv,
-        topic: &str,
+        topic: &Name,
         payload: Bytes,
         queue: &mut VecDeque<Hop>,
     ) {
@@ -1807,7 +1812,7 @@ impl MiddlewareNode {
         }
         if topic.starts_with("$SYS/") {
             self.sys_view.insert(
-                topic.to_owned(),
+                topic.as_str().to_owned(),
                 String::from_utf8_lossy(&payload).into_owned(),
             );
             env.incr("sys_updates");
@@ -1845,7 +1850,7 @@ impl MiddlewareNode {
         // coalesced batch frame — one to N items per payload. The
         // lean form keeps the dominant single-sample path free of a
         // one-element `Vec` allocation.
-        let decoded = match crate::wire::decode_items_lean(topic, &payload) {
+        let decoded = match crate::wire::decode_items_on(topic, &payload) {
             Ok(decoded) => decoded,
             Err(_) => {
                 env.incr("flow_decode_errors");
@@ -1858,12 +1863,12 @@ impl MiddlewareNode {
         // One ledger resolution per frame, and the topic key is only
         // cloned when a stream is first seen.
         if topic.starts_with("sensor/") {
-            match self.seq_ledger.get_mut(topic) {
+            match self.seq_ledger.get_mut(topic.as_str()) {
                 Some(ledger) => ledger.observe_batch(decoded.iter()),
                 None => {
                     let mut ledger = SeqTracker::default();
                     ledger.observe_batch(decoded.iter());
-                    self.seq_ledger.insert(topic.to_owned(), ledger);
+                    self.seq_ledger.insert(topic.as_str().to_owned(), ledger);
                 }
             }
         }
@@ -2005,7 +2010,7 @@ impl MiddlewareNode {
         let payload: Bytes = self.codec().encode_mix(envelope).into();
         let echoed_back = self.connected && self.subscription_covers(topic);
         if self.has_local_consumer(topic, None) && !echoed_back {
-            queue.push_back(Hop::Wire(Arc::from(topic), payload.clone()));
+            queue.push_back(Hop::Wire(topic.into(), payload.clone()));
         }
         self.publish(env, topic, payload);
     }
@@ -2034,22 +2039,23 @@ impl MiddlewareNode {
     ) {
         /// Queues the emissions gathered so far (keeps the queue in
         /// output order when a MIX output sits between emissions).
-        fn flush_group(group: &mut Vec<FlowItem>, queue: &mut VecDeque<Hop>) {
-            if !group.is_empty() {
-                queue.push_back(Hop::Items(DecodedItems::Many(std::mem::take(group))));
+        fn flush_group(group: &mut Option<DecodedItems>, queue: &mut VecDeque<Hop>) {
+            if let Some(group) = group.take() {
+                queue.push_back(Hop::Items(group));
             }
         }
         let stage_output = self.executor.output(op_index);
         // Decided at the step's first emission.
         let mut local: Option<bool> = None;
-        let mut group: Vec<FlowItem> = Vec::new();
+        // A lone emission — the usual step — travels without a `Vec`.
+        let mut group: Option<DecodedItems> = None;
         for output in outputs {
             match output {
                 OpOutput::Emit(message) => {
                     let Some((topic, publish)) = stage_output.as_ref() else {
                         continue;
                     };
-                    let (topic, publish) = (&**topic, *publish);
+                    let publish = *publish;
                     let local = *local.get_or_insert_with(|| {
                         let echoed_back =
                             publish && self.connected && self.subscription_covers(topic);
@@ -2057,10 +2063,20 @@ impl MiddlewareNode {
                     });
                     let mut hand_over = |message: FlowMessage| {
                         if plain_flow_topic(topic) {
-                            group.push(FlowItem::from_message(topic, message));
+                            let item = FlowItem::from_message(topic.clone(), message);
+                            group = Some(match group.take() {
+                                None => DecodedItems::One(item),
+                                Some(DecodedItems::One(first)) => {
+                                    DecodedItems::Many(vec![first, item])
+                                }
+                                Some(DecodedItems::Many(mut items)) => {
+                                    items.push(item);
+                                    DecodedItems::Many(items)
+                                }
+                            });
                         } else {
                             let payload = self.codec().encode_message(&message).into();
-                            queue.push_back(Hop::Wire(Arc::from(topic), payload));
+                            queue.push_back(Hop::Wire(topic.clone(), payload));
                         }
                     };
                     match (local, publish) {
@@ -2135,7 +2151,7 @@ mod tests {
 
     fn flow_message(seq: u64) -> FlowMessage {
         FlowMessage {
-            producer: "test".to_owned(),
+            producer: "test".into(),
             origin_ts_ns: 0,
             seq,
             datum: Datum::new().with("x", 1.0),

@@ -21,7 +21,7 @@ use ifot_ml::stat::RunningStats;
 use ifot_sensors::actuator::Command;
 use serde::{Deserialize, Serialize};
 
-use crate::flow::FlowMessage;
+use crate::flow::{FlowMessage, Name};
 
 /// The classifier container the executor hosts behind train/predict
 /// stages (re-exported so harnesses keep one import path).
@@ -36,7 +36,7 @@ pub enum NodeEvent {
     /// A predictor classified an item.
     Prediction {
         /// Operator id.
-        task: String,
+        task: Name,
         /// Predicted label (`None` before any training).
         label: Option<String>,
         /// Time of the prediction.
@@ -45,7 +45,7 @@ pub enum NodeEvent {
     /// An anomaly detector flagged an item.
     AnomalyFlagged {
         /// Operator id.
-        task: String,
+        task: Name,
         /// The anomaly score.
         score: f64,
         /// Time of the flag.
@@ -63,7 +63,7 @@ pub enum NodeEvent {
     /// A MIX round completed at the coordinator.
     MixRound {
         /// Coordinator operator id.
-        task: String,
+        task: Name,
         /// Round counter.
         round: u64,
         /// Completion time.
@@ -72,7 +72,7 @@ pub enum NodeEvent {
     /// A state estimator refreshed its estimate.
     EstimateUpdated {
         /// Operator id.
-        task: String,
+        task: Name,
         /// The fused estimate value.
         value: f64,
         /// Update time.

@@ -35,11 +35,13 @@
 //! little-endian; options are a `0x00`/`0x01` tag. Decoders reject
 //! trailing garbage: a frame must consume exactly its payload.
 
-use ifot_ml::feature::{Datum, SparseWeights};
+use std::sync::Arc;
+
+use ifot_ml::feature::{Datum, FeatureKey, SparseWeights};
 use ifot_ml::mix::ModelDiff;
 use serde::{Deserialize, Serialize};
 
-use crate::flow::{FlowBatch, FlowItem, FlowMessage};
+use crate::flow::{FlowBatch, FlowItem, FlowMessage, Name};
 use crate::operators::MixEnvelope;
 
 /// First byte of every binary flow frame.
@@ -172,33 +174,31 @@ impl DecodedItems {
 /// items: a raw 32-byte sensor sample, a binary or JSON [`FlowMessage`]
 /// (one item), or a binary or JSON [`FlowBatch`] (N items, publish order
 /// preserved). The single-item families return [`DecodedItems::One`]
-/// without a heap `Vec`.
+/// without a heap `Vec`. Every item shares `topic`; a binary frame's
+/// items go straight from the bytes to [`FlowItem`]s, a batch's sharing
+/// the keys of its dictionary.
 ///
 /// # Errors
 ///
 /// Returns a description when no decoding applies.
-pub fn decode_items_lean(topic: &str, payload: &[u8]) -> Result<DecodedItems, String> {
+pub fn decode_items_on(topic: &Name, payload: &[u8]) -> Result<DecodedItems, String> {
     #[cfg(test)]
     CODEC_CALLS.with(|c| c.set((c.get().0, c.get().1 + 1)));
     if payload.len() == ifot_sensors::sample::SAMPLE_WIRE_SIZE
         && payload.first() != Some(&FRAME_MAGIC)
     {
-        if let Ok(item) = FlowItem::from_payload(topic, payload) {
+        if let Ok(item) = FlowItem::from_payload(topic.clone(), payload) {
             return Ok(DecodedItems::One(item));
         }
     }
     if payload.first() == Some(&FRAME_MAGIC) {
         return match frame_kind(payload)? {
-            KIND_MESSAGE => decode_message_binary(payload)
-                .map(|m| DecodedItems::One(FlowItem::from_message(topic, m))),
-            KIND_BATCH => decode_batch_binary(payload).map(|b| {
-                DecodedItems::Many(
-                    b.items
-                        .into_iter()
-                        .map(|m| FlowItem::from_message(topic, m))
-                        .collect(),
-                )
-            }),
+            KIND_MESSAGE => {
+                read_message(payload).map(|(_, body)| DecodedItems::One(body.on(topic.clone())))
+            }
+            KIND_BATCH => {
+                read_batch(payload, |_, _, body| body.on(topic.clone())).map(DecodedItems::Many)
+            }
             other => Err(format!(
                 "flow frame kind {other:#04x} is not a flow payload"
             )),
@@ -206,7 +206,10 @@ pub fn decode_items_lean(topic: &str, payload: &[u8]) -> Result<DecodedItems, St
     }
     // JSON: a single message first (the common case), then a batch.
     if let Ok(msg) = FlowMessage::decode(payload) {
-        return Ok(DecodedItems::One(FlowItem::from_message(topic, msg)));
+        return Ok(DecodedItems::One(FlowItem::from_message(
+            topic.clone(),
+            msg,
+        )));
     }
     let batch: FlowBatch =
         serde_json::from_slice(payload).map_err(|e| format!("not a flow payload: {e}"))?;
@@ -214,9 +217,19 @@ pub fn decode_items_lean(topic: &str, payload: &[u8]) -> Result<DecodedItems, St
         batch
             .items
             .into_iter()
-            .map(|m| FlowItem::from_message(topic, m))
+            .map(|m| FlowItem::from_message(topic.clone(), m))
             .collect(),
     ))
+}
+
+/// [`decode_items_on`] for a caller holding the topic as text: the shared
+/// topic is built here, once per call.
+///
+/// # Errors
+///
+/// Returns a description when no decoding applies.
+pub fn decode_items_lean(topic: &str, payload: &[u8]) -> Result<DecodedItems, String> {
+    decode_items_on(&Name::from(topic), payload)
 }
 
 /// [`decode_items_lean`] collapsed to a `Vec` for callers that want a
@@ -239,15 +252,15 @@ pub fn peek_first_origin(payload: &[u8]) -> Option<u64> {
     }
     match r.u8().ok()? {
         KIND_MESSAGE => {
-            let _producer = r.string().ok()?;
+            let _producer = r.str().ok()?;
             r.varint().ok()
         }
         KIND_BATCH => {
-            let _shared = r.string().ok()?;
+            let _shared = r.str().ok()?;
             let _count = r.varint().ok()?;
             let keys = r.varint().ok()?;
             for _ in 0..keys {
-                let _ = r.string().ok()?;
+                let _ = r.str().ok()?;
             }
             r.varint().ok()
         }
@@ -270,7 +283,7 @@ pub fn peek_item_count(payload: &[u8]) -> Option<usize> {
     match r.u8().ok()? {
         KIND_MESSAGE => Some(1),
         KIND_BATCH => {
-            let _shared = r.string().ok()?;
+            let _shared = r.str().ok()?;
             r.varint().ok().map(|n| n as usize)
         }
         _ => None,
@@ -420,46 +433,73 @@ pub fn encode_mix_binary(envelope: &MixEnvelope) -> Vec<u8> {
 // Binary decoders (strict: a frame must consume its payload exactly)
 // ---------------------------------------------------------------------
 
-/// Decodes a strictly binary message frame.
-///
-/// # Errors
-///
-/// Returns a description for wrong kinds, truncation or trailing bytes.
-pub fn decode_message_binary(payload: &[u8]) -> Result<FlowMessage, String> {
+/// What a frame says about one message, apart from who produced it.
+struct Body {
+    origin_ts_ns: u64,
+    seq: u64,
+    datum: Datum,
+    label: Option<String>,
+    score: Option<f64>,
+}
+
+impl Body {
+    fn by(self, producer: Name) -> FlowMessage {
+        FlowMessage {
+            producer,
+            origin_ts_ns: self.origin_ts_ns,
+            seq: self.seq,
+            datum: self.datum,
+            label: self.label,
+            score: self.score,
+        }
+    }
+
+    fn on(self, topic: Name) -> FlowItem {
+        FlowItem {
+            topic,
+            origin_ts_ns: self.origin_ts_ns,
+            seq: self.seq,
+            datum: self.datum,
+            label: self.label,
+            score: self.score,
+        }
+    }
+}
+
+/// Reads a message frame: its producer, borrowed from the frame, and the
+/// rest.
+fn read_message(payload: &[u8]) -> Result<(&str, Body), String> {
     let kind = frame_kind(payload)?;
     if kind != KIND_MESSAGE {
         return Err(format!("frame kind {kind:#04x} is not a flow message"));
     }
     let mut r = Reader::new(&payload[3..]);
-    let producer = r.string()?;
-    let origin_ts_ns = r.varint()?;
-    let seq = r.varint()?;
-    let datum = r.datum()?;
-    let label = r.opt_string()?;
-    let score = r.opt_f64()?;
+    let producer = r.str()?;
+    let body = Body {
+        origin_ts_ns: r.varint()?,
+        seq: r.varint()?,
+        datum: r.datum()?,
+        label: r.opt_string()?,
+        score: r.opt_f64()?,
+    };
     r.finish()?;
-    Ok(FlowMessage {
-        producer,
-        origin_ts_ns,
-        seq,
-        datum,
-        label,
-        score,
-    })
+    Ok((producer, body))
 }
 
-/// Decodes a strictly binary batch frame.
-///
-/// # Errors
-///
-/// Returns a description for wrong kinds, truncation or trailing bytes.
-pub fn decode_batch_binary(payload: &[u8]) -> Result<FlowBatch, String> {
+/// Reads a batch frame, handing `make` each item in publish order with
+/// the frame's shared producer and the item's own one where it overrides
+/// it (both borrowed from the frame). The dictionary's keys are built
+/// once and shared by every datum naming them.
+fn read_batch<T>(
+    payload: &[u8],
+    mut make: impl FnMut(&str, Option<&str>, Body) -> T,
+) -> Result<Vec<T>, String> {
     let kind = frame_kind(payload)?;
     if kind != KIND_BATCH {
         return Err(format!("frame kind {kind:#04x} is not a flow batch"));
     }
     let mut r = Reader::new(&payload[3..]);
-    let shared = r.string()?;
+    let shared = r.str()?;
     let count = r.varint()? as usize;
     if count == 0 {
         return Err("flow batch frame holds zero items".to_owned());
@@ -468,18 +508,18 @@ pub fn decode_batch_binary(payload: &[u8]) -> Result<FlowBatch, String> {
     if dict_len > payload.len() {
         return Err("batch key dictionary longer than the frame".to_owned());
     }
-    let mut dict = Vec::with_capacity(dict_len);
+    let mut dict: Vec<FeatureKey> = Vec::with_capacity(dict_len);
     for _ in 0..dict_len {
-        dict.push(r.string()?);
+        dict.push(Arc::<str>::from(r.str()?).into());
     }
     let base_origin = r.varint()?;
     let base_seq = r.varint()?;
     let (mut prev_origin, mut prev_seq) = (base_origin, base_seq);
     let mut items = Vec::with_capacity(count.min(4096));
     for _ in 0..count {
-        let producer = match r.u8()? {
-            0 => shared.clone(),
-            1 => r.string()?,
+        let own = match r.u8()? {
+            0 => None,
+            1 => Some(r.str()?),
             other => return Err(format!("bad producer flag {other:#04x}")),
         };
         let origin_ts_ns = prev_origin.wrapping_add(r.zigzag()? as u64);
@@ -495,18 +535,42 @@ pub fn decode_batch_binary(payload: &[u8]) -> Result<FlowBatch, String> {
                 .ok_or_else(|| format!("feature key index {idx} outside the dictionary"))?;
             datum.set(key.clone(), r.f64()?);
         }
-        let label = r.opt_string()?;
-        let score = r.opt_f64()?;
-        items.push(FlowMessage {
-            producer,
+        let body = Body {
             origin_ts_ns,
             seq,
             datum,
-            label,
-            score,
-        });
+            label: r.opt_string()?,
+            score: r.opt_f64()?,
+        };
+        items.push(make(shared, own, body));
     }
     r.finish()?;
+    Ok(items)
+}
+
+/// Decodes a strictly binary message frame.
+///
+/// # Errors
+///
+/// Returns a description for wrong kinds, truncation or trailing bytes.
+pub fn decode_message_binary(payload: &[u8]) -> Result<FlowMessage, String> {
+    read_message(payload).map(|(producer, body)| body.by(producer.into()))
+}
+
+/// Decodes a strictly binary batch frame; items without a producer of
+/// their own share the frame's.
+///
+/// # Errors
+///
+/// Returns a description for wrong kinds, truncation or trailing bytes.
+pub fn decode_batch_binary(payload: &[u8]) -> Result<FlowBatch, String> {
+    let mut frames: Option<Name> = None;
+    let items = read_batch(payload, |shared, own, body| {
+        body.by(match own {
+            Some(own) => own.into(),
+            None => frames.get_or_insert_with(|| shared.into()).clone(),
+        })
+    })?;
     Ok(FlowBatch { items })
 }
 
@@ -995,16 +1059,19 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(u64::from_le_bytes(buf)))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn str(&mut self) -> Result<&'a str, String> {
         let len = self.varint()? as usize;
         if self.pos + len > self.bytes.len() {
             return Err("frame truncated inside a string".to_owned());
         }
         let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + len])
-            .map_err(|e| format!("string is not UTF-8: {e}"))?
-            .to_owned();
+            .map_err(|e| format!("string is not UTF-8: {e}"))?;
         self.pos += len;
         Ok(s)
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.str().map(str::to_owned)
     }
 
     fn opt_string(&mut self) -> Result<Option<String>, String> {
@@ -1030,7 +1097,7 @@ impl<'a> Reader<'a> {
         }
         let mut datum = Datum::new();
         for _ in 0..n {
-            let key = self.string()?;
+            let key = Arc::<str>::from(self.str()?);
             let value = self.f64()?;
             datum.set(key, value);
         }
@@ -1134,7 +1201,7 @@ mod tests {
         let json = FlowCodec::new(WireFormat::Json)
             .encode_batch(&batch)
             .expect("non-empty");
-        assert_eq!(json[0], b'{');
+        assert!(json.starts_with(br#"{"items":[{"producer":"agg","origin_ts_ns":1000000,"#));
         assert_eq!(decode_batch(&json).expect("json batch"), batch);
     }
 

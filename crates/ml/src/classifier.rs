@@ -27,59 +27,95 @@ pub struct LabelScore {
     pub score: f64,
 }
 
-/// Common interface of the online classifiers.
-pub trait OnlineClassifier {
+/// Common interface of the online classifiers: per-label linear weights
+/// ([`LinearModel`]) plus an update rule.
+pub trait OnlineClassifier: LinearModel {
     /// Updates the model with one labelled example.
     fn train(&mut self, x: &FeatureVector, label: &str);
 
     /// Scores every known label, sorted by descending score (ties broken
     /// by label for determinism).
-    fn scores(&self, x: &FeatureVector) -> Vec<LabelScore>;
+    fn scores(&self, x: &FeatureVector) -> Vec<LabelScore> {
+        let mut out: Vec<LabelScore> = self
+            .weights()
+            .iter()
+            .map(|(label, w)| LabelScore {
+                label: label.clone(),
+                score: w.score(x),
+            })
+            .collect();
+        out.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .expect("finite scores")
+                .then_with(|| a.label.cmp(&b.label))
+        });
+        out
+    }
 
-    /// The best label, if any example has been seen.
+    /// The best label, if any example has been seen: `scores(x)[0]`'s,
+    /// found without building the list (only the winner is copied).
     fn classify(&self, x: &FeatureVector) -> Option<String> {
-        self.scores(x).into_iter().next().map(|s| s.label)
+        strongest(self.weights().iter().map(|(label, w)| (label, w.score(x))))
+            .map(|(label, _)| label.clone())
     }
 
     /// Labels the model has seen so far.
-    fn labels(&self) -> Vec<String>;
+    fn labels(&self) -> Vec<String> {
+        self.weights().keys().cloned().collect()
+    }
 
     /// Number of training examples consumed.
     fn examples_seen(&self) -> u64;
 }
 
-fn sorted_scores(weights: &BTreeMap<String, SparseWeights>, x: &FeatureVector) -> Vec<LabelScore> {
-    let mut out: Vec<LabelScore> = weights
-        .iter()
-        .map(|(label, w)| LabelScore {
-            label: label.clone(),
-            score: w.score(x),
-        })
-        .collect();
-    out.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .expect("finite scores")
-            .then_with(|| a.label.cmp(&b.label))
-    });
-    out
+/// The highest-scoring candidate; on a tie the first one wins, which for
+/// candidates in label order (a `BTreeMap`'s) is the smallest label.
+fn strongest<L>(scored: impl Iterator<Item = (L, f64)>) -> Option<(L, f64)> {
+    scored.reduce(
+        |best, next| match next.1.partial_cmp(&best.1).expect("finite scores") {
+            core::cmp::Ordering::Greater => next,
+            _ => best,
+        },
+    )
 }
 
-/// Finds the highest-scoring label different from `except`.
-fn strongest_rival<'a>(
-    weights: &'a BTreeMap<String, SparseWeights>,
+/// The weights stored under `label`, created empty when the label is new
+/// (the one time its name is copied).
+fn entry_mut<'a>(
+    weights: &'a mut BTreeMap<String, SparseWeights>,
+    label: &str,
+) -> &'a mut SparseWeights {
+    if !weights.contains_key(label) {
+        weights.insert(label.to_owned(), SparseWeights::new());
+    }
+    weights.get_mut(label).expect("just ensured")
+}
+
+/// The weights of the known label `label` and, with its name and score,
+/// those of its highest-scoring rival — as disjoint borrows, so an update
+/// moves both without looking either up again.
+fn own_and_rival<'a>(
+    weights: &'a mut BTreeMap<String, SparseWeights>,
     x: &FeatureVector,
-    except: &str,
-) -> Option<(&'a str, f64)> {
-    weights
-        .iter()
-        .filter(|(label, _)| label.as_str() != except)
-        .map(|(label, w)| (label.as_str(), w.score(x)))
-        .max_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .expect("finite scores")
-                .then_with(|| b.0.cmp(a.0))
-        })
+    label: &str,
+) -> (
+    &'a mut SparseWeights,
+    Option<(&'a str, &'a mut SparseWeights, f64)>,
+) {
+    let mut own = None;
+    let rival = strongest(weights.iter_mut().filter_map(|(l, w)| {
+        if l == label {
+            own = Some(w);
+            return None;
+        }
+        let score = w.score(x);
+        Some(((l.as_str(), w), score))
+    }));
+    (
+        own.expect("the label was entered before the search"),
+        rival.map(|((l, w), score)| (l, w, score)),
+    )
 }
 
 /// The classic multiclass perceptron.
@@ -99,34 +135,17 @@ impl Perceptron {
 impl OnlineClassifier for Perceptron {
     fn train(&mut self, x: &FeatureVector, label: &str) {
         self.examples += 1;
-        self.weights.entry(label.to_owned()).or_default();
-        let rival = strongest_rival(&self.weights, x, label).map(|(l, s)| (l.to_owned(), s));
-        let own = self.weights[label].score(x);
-        if let Some((rival_label, rival_score)) = rival {
-            if own <= rival_score {
-                self.weights
-                    .get_mut(label)
-                    .expect("label entry exists")
-                    .add_scaled(x, 1.0);
-                self.weights
-                    .get_mut(&rival_label)
-                    .expect("rival entry exists")
-                    .add_scaled(x, -1.0);
+        entry_mut(&mut self.weights, label);
+        let (own, rival) = own_and_rival(&mut self.weights, x, label);
+        let own_score = own.score(x);
+        match rival {
+            Some((_, rival, rival_score)) if own_score <= rival_score => {
+                own.add_scaled(x, 1.0);
+                rival.add_scaled(x, -1.0);
             }
-        } else if own <= 0.0 {
-            self.weights
-                .get_mut(label)
-                .expect("label entry exists")
-                .add_scaled(x, 1.0);
+            None if own_score <= 0.0 => own.add_scaled(x, 1.0),
+            _ => {}
         }
-    }
-
-    fn scores(&self, x: &FeatureVector) -> Vec<LabelScore> {
-        sorted_scores(&self.weights, x)
-    }
-
-    fn labels(&self) -> Vec<String> {
-        self.weights.keys().cloned().collect()
     }
 
     fn examples_seen(&self) -> u64 {
@@ -198,49 +217,28 @@ impl Default for PassiveAggressive {
 impl OnlineClassifier for PassiveAggressive {
     fn train(&mut self, x: &FeatureVector, label: &str) {
         self.examples += 1;
-        self.weights.entry(label.to_owned()).or_default();
+        entry_mut(&mut self.weights, label);
         let norm_sq = x.norm_sq();
         if norm_sq == 0.0 {
             return;
         }
-        let own = self.weights[label].score(x);
-        let rival = strongest_rival(&self.weights, x, label).map(|(l, s)| (l.to_owned(), s));
-        let (rival_label, rival_score) = match rival {
-            Some(r) => r,
-            None => {
-                // First label ever: require unit margin against zero.
-                let loss = (1.0 - own).max(0.0);
-                if loss > 0.0 {
-                    let tau = self.step(loss, norm_sq);
-                    self.weights
-                        .get_mut(label)
-                        .expect("label entry exists")
-                        .add_scaled(x, tau);
-                }
-                return;
+        let (own, rival) = own_and_rival(&mut self.weights, x, label);
+        let own_score = own.score(x);
+        let Some((_, rival, rival_score)) = rival else {
+            // First label ever: require unit margin against zero.
+            let loss = (1.0 - own_score).max(0.0);
+            if loss > 0.0 {
+                own.add_scaled(x, self.variant.step(self.c, loss, norm_sq));
             }
+            return;
         };
-        let loss = (1.0 - (own - rival_score)).max(0.0);
+        let loss = (1.0 - (own_score - rival_score)).max(0.0);
         if loss > 0.0 {
             // The effective norm doubles because two vectors move.
-            let tau = self.step(loss, 2.0 * norm_sq);
-            self.weights
-                .get_mut(label)
-                .expect("label entry exists")
-                .add_scaled(x, tau);
-            self.weights
-                .get_mut(&rival_label)
-                .expect("rival entry exists")
-                .add_scaled(x, -tau);
+            let tau = self.variant.step(self.c, loss, 2.0 * norm_sq);
+            own.add_scaled(x, tau);
+            rival.add_scaled(x, -tau);
         }
-    }
-
-    fn scores(&self, x: &FeatureVector) -> Vec<LabelScore> {
-        sorted_scores(&self.weights, x)
-    }
-
-    fn labels(&self) -> Vec<String> {
-        self.weights.keys().cloned().collect()
     }
 
     fn examples_seen(&self) -> u64 {
@@ -248,12 +246,12 @@ impl OnlineClassifier for PassiveAggressive {
     }
 }
 
-impl PassiveAggressive {
-    fn step(&self, loss: f64, norm_sq: f64) -> f64 {
-        match self.variant {
+impl PaVariant {
+    fn step(self, c: f64, loss: f64, norm_sq: f64) -> f64 {
+        match self {
             PaVariant::Pa => loss / norm_sq,
-            PaVariant::PaI => (loss / norm_sq).min(self.c),
-            PaVariant::PaII => loss / (norm_sq + 1.0 / (2.0 * self.c)),
+            PaVariant::PaI => (loss / norm_sq).min(c),
+            PaVariant::PaII => loss / (norm_sq + 1.0 / (2.0 * c)),
         }
     }
 }
@@ -312,9 +310,15 @@ impl Arow {
             .sum()
     }
 
-    fn update_label(&mut self, label: &str, x: &FeatureVector, direction: f64, beta: f64) {
-        let sigma = self.sigma.entry(label.to_owned()).or_default();
-        let weights = self.weights.entry(label.to_owned()).or_default();
+    /// Moves one label's weights along `direction` and tightens its
+    /// confidence.
+    fn update(
+        sigma: &mut SparseWeights,
+        weights: &mut SparseWeights,
+        x: &FeatureVector,
+        direction: f64,
+        beta: f64,
+    ) {
         // w += direction * alpha * Sigma x   with alpha = loss * beta folded
         // into `beta` by the caller; Sigma is diagonal.
         for (i, v) in x.iter() {
@@ -347,48 +351,25 @@ impl Default for Arow {
 impl OnlineClassifier for Arow {
     fn train(&mut self, x: &FeatureVector, label: &str) {
         self.examples += 1;
-        self.weights.entry(label.to_owned()).or_default();
-        self.sigma.entry(label.to_owned()).or_default();
+        entry_mut(&mut self.weights, label);
+        entry_mut(&mut self.sigma, label);
         if x.norm_sq() == 0.0 {
             return;
         }
-        let own = self.weights[label].score(x);
-        let rival = strongest_rival(&self.weights, x, label).map(|(l, s)| (l.to_owned(), s));
-        let (rival_label, rival_score) = match rival {
-            Some(r) => r,
-            None => {
-                let loss = (1.0 - own).max(0.0);
-                if loss > 0.0 {
-                    let conf = Self::confidence(&self.sigma[label], x);
-                    let beta = 1.0 / (conf + self.r);
-                    self.update_label(label, x, loss, beta);
-                }
-                return;
-            }
-        };
-        let margin = own - rival_score;
-        let loss = (1.0 - margin).max(0.0);
-        if loss > 0.0 {
-            let conf_own = Self::confidence(&self.sigma[label], x);
-            let conf_rival = Self::confidence(
-                self.sigma
-                    .get(&rival_label)
-                    .unwrap_or(&SparseWeights::new()),
-                x,
-            );
-            let beta_own = 1.0 / (conf_own + self.r);
-            let beta_rival = 1.0 / (conf_rival + self.r);
-            self.update_label(label, x, loss, beta_own);
-            self.update_label(&rival_label, x, -loss, beta_rival);
+        let (own, rival) = own_and_rival(&mut self.weights, x, label);
+        let own_score = own.score(x);
+        let rival_score = rival.as_ref().map_or(0.0, |(_, _, score)| *score);
+        let loss = (1.0 - (own_score - rival_score)).max(0.0);
+        if loss <= 0.0 {
+            return;
         }
-    }
-
-    fn scores(&self, x: &FeatureVector) -> Vec<LabelScore> {
-        sorted_scores(&self.weights, x)
-    }
-
-    fn labels(&self) -> Vec<String> {
-        self.weights.keys().cloned().collect()
+        let beta = |sigma: &SparseWeights| 1.0 / (Self::confidence(sigma, x) + self.r);
+        let own_sigma = entry_mut(&mut self.sigma, label);
+        Self::update(own_sigma, own, x, loss, beta(own_sigma));
+        if let Some((rival_label, rival, _)) = rival {
+            let rival_sigma = entry_mut(&mut self.sigma, rival_label);
+            Self::update(rival_sigma, rival, x, -loss, beta(rival_sigma));
+        }
     }
 
     fn examples_seen(&self) -> u64 {

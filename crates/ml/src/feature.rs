@@ -1,17 +1,147 @@
-//! Feature representation: string-keyed datums and hashed sparse vectors.
+//! Feature representation: key-sorted datums and hashed sparse vectors.
 //!
 //! Jubatus feeds learners with a *datum* — a bag of named numeric values.
-//! Learners here work on a [`FeatureVector`]: a sparse, sorted list of
+//! Here a [`Datum`] is a small value: its `(key, value)` pairs sit in one
+//! key-sorted vector, inline up to three of them (the paper's joined
+//! tuple), and a [`FeatureKey`] is a `&'static str` or a shared string, so
+//! building, cloning and merging datums copies no key text.
+//! Learners work on a [`FeatureVector`]: a sparse, sorted list of
 //! `(index, value)` pairs obtained from a datum by the hashing trick, which
 //! keeps model memory bounded regardless of how many distinct sensor keys
 //! a deployment produces.
 
+use core::fmt;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 /// Default hash space size (2^18 buckets).
 pub const DEFAULT_DIMENSIONS: u32 = 1 << 18;
+
+/// A feature name that is cheap to clone: a `&'static str` (the sensor
+/// channel tables, operator constants) or a shared string (names decoded
+/// off the wire). Compares and orders as the string it holds.
+#[derive(Clone)]
+pub enum FeatureKey {
+    /// A name known at compile time.
+    Static(&'static str),
+    /// A name built at run time, shared by every datum carrying it.
+    Shared(Arc<str>),
+}
+
+impl FeatureKey {
+    /// The name as a string slice.
+    pub fn as_str(&self) -> &str {
+        match self {
+            FeatureKey::Static(s) => s,
+            FeatureKey::Shared(s) => s,
+        }
+    }
+}
+
+impl core::ops::Deref for FeatureKey {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&'static str> for FeatureKey {
+    fn from(s: &'static str) -> Self {
+        FeatureKey::Static(s)
+    }
+}
+
+impl From<String> for FeatureKey {
+    fn from(s: String) -> Self {
+        FeatureKey::Shared(s.into())
+    }
+}
+
+impl From<Arc<str>> for FeatureKey {
+    fn from(s: Arc<str>) -> Self {
+        FeatureKey::Shared(s)
+    }
+}
+
+impl PartialEq for FeatureKey {
+    fn eq(&self, other: &FeatureKey) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for FeatureKey {}
+
+impl PartialOrd for FeatureKey {
+    fn partial_cmp(&self, other: &FeatureKey) -> Option<core::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for FeatureKey {
+    fn cmp(&self, other: &FeatureKey) -> core::cmp::Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+impl fmt::Debug for FeatureKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+type Entry = (FeatureKey, f64);
+
+/// Entries a [`Datum`] holds without touching the heap.
+const INLINE: usize = 3;
+const VACANT: Entry = (FeatureKey::Static(""), 0.0);
+
+/// A datum's entries: inline up to [`INLINE`], one heap `Vec` beyond.
+#[derive(Clone)]
+enum Entries {
+    /// `slots[..len]` are the entries; the rest is [`VACANT`].
+    Inline {
+        len: u8,
+        slots: [Entry; INLINE],
+    },
+    Heap(Vec<Entry>),
+}
+
+impl Entries {
+    fn as_slice(&self) -> &[Entry] {
+        match self {
+            Entries::Inline { len, slots } => &slots[..usize::from(*len)],
+            Entries::Heap(entries) => entries,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Entry] {
+        match self {
+            Entries::Inline { len, slots } => &mut slots[..usize::from(*len)],
+            Entries::Heap(entries) => entries,
+        }
+    }
+
+    fn insert(&mut self, at: usize, entry: Entry) {
+        match self {
+            Entries::Inline { len, slots } if usize::from(*len) < INLINE => {
+                // Brings the vacant slot behind the last entry to `at`.
+                slots[at..=usize::from(*len)].rotate_right(1);
+                slots[at] = entry;
+                *len += 1;
+            }
+            Entries::Inline { slots, .. } => {
+                // Room for a join of three three-channel sensors.
+                let mut entries = Vec::with_capacity(4 * INLINE);
+                entries.extend(std::mem::replace(slots, [VACANT; INLINE]));
+                entries.insert(at, entry);
+                *self = Entries::Heap(entries);
+            }
+            Entries::Heap(entries) => entries.insert(at, entry),
+        }
+    }
+}
 
 /// A named bag of numeric features, the unit of observation.
 ///
@@ -24,9 +154,55 @@ pub const DEFAULT_DIMENSIONS: u32 = 1 << 18;
 /// assert_eq!(d.get("accel_x"), Some(0.2));
 /// assert_eq!(d.len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
+#[serde(from = "DatumMap", into = "DatumMap")]
 pub struct Datum {
+    /// Sorted by key, keys unique.
+    entries: Entries,
+}
+
+/// The serde shape of a [`Datum`]: the string-keyed map it used to be.
+#[derive(Serialize, Deserialize)]
+#[serde(rename = "Datum")]
+struct DatumMap {
     values: BTreeMap<String, f64>,
+}
+
+impl From<Datum> for DatumMap {
+    fn from(datum: Datum) -> Self {
+        DatumMap {
+            values: datum.iter().map(|(k, v)| (k.to_owned(), v)).collect(),
+        }
+    }
+}
+
+impl From<DatumMap> for Datum {
+    fn from(map: DatumMap) -> Self {
+        map.values.into_iter().collect()
+    }
+}
+
+impl Default for Datum {
+    fn default() -> Self {
+        Datum {
+            entries: Entries::Inline {
+                len: 0,
+                slots: [VACANT; INLINE],
+            },
+        }
+    }
+}
+
+impl PartialEq for Datum {
+    fn eq(&self, other: &Datum) -> bool {
+        self.entries.as_slice() == other.entries.as_slice()
+    }
+}
+
+impl fmt::Debug for Datum {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
 }
 
 impl Datum {
@@ -36,34 +212,49 @@ impl Datum {
     }
 
     /// Sets a feature (builder style).
-    pub fn with(mut self, key: impl Into<String>, value: f64) -> Self {
+    pub fn with(mut self, key: impl Into<FeatureKey>, value: f64) -> Self {
         self.set(key, value);
         self
     }
 
-    /// Sets a feature in place.
-    pub fn set(&mut self, key: impl Into<String>, value: f64) {
-        self.values.insert(key.into(), value);
+    /// Sets a feature in place; the last value written under a key wins.
+    pub fn set(&mut self, key: impl Into<FeatureKey>, value: f64) {
+        let key = key.into();
+        let entries = self.entries.as_mut_slice();
+        match entries.binary_search_by(|(k, _)| k.cmp(&key)) {
+            Ok(at) => entries[at].1 = value,
+            Err(at) => self.entries.insert(at, (key, value)),
+        }
     }
 
     /// Reads a feature.
     pub fn get(&self, key: &str) -> Option<f64> {
-        self.values.get(key).copied()
+        let entries = self.entries.as_slice();
+        let at = entries
+            .binary_search_by(|(k, _)| k.as_str().cmp(key))
+            .ok()?;
+        Some(entries[at].1)
     }
 
     /// Number of features.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.entries.as_slice().len()
     }
 
     /// Whether the datum holds no features.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len() == 0
     }
 
     /// Iterates over `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.values.iter().map(|(k, v)| (k.as_str(), *v))
+        self.entries().map(|(k, v)| (k.as_str(), v))
+    }
+
+    /// [`Datum::iter`] with the keys as they are held, for copying
+    /// features into another datum without copying their names.
+    pub fn entries(&self) -> impl Iterator<Item = (&FeatureKey, f64)> {
+        self.entries.as_slice().iter().map(|(k, v)| (k, *v))
     }
 
     /// Hashes the datum into a sparse feature vector of the given
@@ -74,28 +265,26 @@ impl Datum {
     /// Panics if `dimensions` is zero.
     pub fn to_vector(&self, dimensions: u32) -> FeatureVector {
         assert!(dimensions > 0, "feature space needs at least one dimension");
-        let mut acc: BTreeMap<u32, f64> = BTreeMap::new();
-        for (key, value) in &self.values {
-            let idx = fnv1a(key.as_bytes()) % dimensions;
-            *acc.entry(idx).or_insert(0.0) += value;
-        }
-        FeatureVector {
-            items: acc.into_iter().collect(),
-        }
+        FeatureVector::from_pairs(
+            self.iter()
+                .map(|(key, value)| (fnv1a(key.as_bytes()) % dimensions, value)),
+        )
     }
 }
 
-impl FromIterator<(String, f64)> for Datum {
-    fn from_iter<I: IntoIterator<Item = (String, f64)>>(iter: I) -> Self {
-        Datum {
-            values: iter.into_iter().collect(),
-        }
+impl<K: Into<FeatureKey>> FromIterator<(K, f64)> for Datum {
+    fn from_iter<I: IntoIterator<Item = (K, f64)>>(iter: I) -> Self {
+        let mut datum = Datum::new();
+        datum.extend(iter);
+        datum
     }
 }
 
-impl Extend<(String, f64)> for Datum {
-    fn extend<I: IntoIterator<Item = (String, f64)>>(&mut self, iter: I) {
-        self.values.extend(iter);
+impl<K: Into<FeatureKey>> Extend<(K, f64)> for Datum {
+    fn extend<I: IntoIterator<Item = (K, f64)>>(&mut self, iter: I) {
+        for (key, value) in iter {
+            self.set(key, value);
+        }
     }
 }
 
@@ -124,15 +313,26 @@ pub struct FeatureVector {
 }
 
 impl FeatureVector {
-    /// Builds a vector from arbitrary pairs; duplicate indices are summed.
+    /// Builds a vector from arbitrary pairs; duplicate indices are summed,
+    /// in the order given, each sum starting from `+0.0`.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (u32, f64)>) -> Self {
-        let mut acc: BTreeMap<u32, f64> = BTreeMap::new();
-        for (i, v) in pairs {
-            *acc.entry(i).or_insert(0.0) += v;
+        let mut items: Vec<(u32, f64)> = pairs.into_iter().collect();
+        // Stable, so pairs sharing an index keep their order and add up
+        // in it: bit for bit what accumulating into an index-keyed map
+        // gives, in the one buffer.
+        items.sort_by_key(|(index, _)| *index);
+        let mut kept = 0;
+        for i in 0..items.len() {
+            let (index, value) = items[i];
+            if kept > 0 && items[kept - 1].0 == index {
+                items[kept - 1].1 += value;
+            } else {
+                items[kept] = (index, 0.0 + value);
+                kept += 1;
+            }
         }
-        FeatureVector {
-            items: acc.into_iter().collect(),
-        }
+        items.truncate(kept);
+        FeatureVector { items }
     }
 
     /// Builds a vector from a dense slice (index = position).
@@ -382,6 +582,8 @@ mod tests {
     fn serde_round_trip() {
         let d = Datum::new().with("a", 1.0);
         let json = serde_json::to_string(&d).expect("serialize");
+        // The shape of the string-keyed map a datum used to be.
+        assert_eq!(json, r#"{"values":{"a":1.0}}"#);
         let back: Datum = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, d);
 

@@ -8,10 +8,12 @@
 //! new learner is added by extending these enums, not by editing the
 //! operator dispatch.
 
+use std::borrow::Borrow;
+
 use crate::anomaly::{MahalanobisDetector, RunningZScore, WindowedLof};
 use crate::classifier::{Arow, OnlineClassifier, PassiveAggressive, Perceptron};
 use crate::feature::{Datum, FeatureVector, DEFAULT_DIMENSIONS};
-use crate::mix::{LinearModel, ModelDiff};
+use crate::mix::ModelDiff;
 
 /// A concrete classifier selected by algorithm name.
 #[derive(Debug, Clone)]
@@ -35,88 +37,69 @@ impl AnyClassifier {
         }
     }
 
+    fn model(&self) -> &dyn OnlineClassifier {
+        match self {
+            AnyClassifier::Perceptron(m) => m,
+            AnyClassifier::Pa(m) => m,
+            AnyClassifier::Arow(m) => m,
+        }
+    }
+
+    fn model_mut(&mut self) -> &mut dyn OnlineClassifier {
+        match self {
+            AnyClassifier::Perceptron(m) => m,
+            AnyClassifier::Pa(m) => m,
+            AnyClassifier::Arow(m) => m,
+        }
+    }
+
     /// Trains on one example.
     pub fn train(&mut self, x: &FeatureVector, label: &str) {
-        match self {
-            AnyClassifier::Perceptron(m) => m.train(x, label),
-            AnyClassifier::Pa(m) => m.train(x, label),
-            AnyClassifier::Arow(m) => m.train(x, label),
-        }
+        self.model_mut().train(x, label);
     }
 
     /// Classifies one example.
     pub fn classify(&self, x: &FeatureVector) -> Option<String> {
-        match self {
-            AnyClassifier::Perceptron(m) => m.classify(x),
-            AnyClassifier::Pa(m) => m.classify(x),
-            AnyClassifier::Arow(m) => m.classify(x),
-        }
+        self.model().classify(x)
     }
 
     /// Trains on a batch of examples in order, resolving the algorithm
-    /// dispatch once per batch instead of once per example — the
-    /// Jubatus-style joined-batch `train` RPC the paper's cost model
-    /// charges as a single call. Model state afterwards is identical to
-    /// calling [`AnyClassifier::train`] per example.
-    pub fn train_batch<'a>(
+    /// once per batch instead of once per example — the Jubatus-style
+    /// joined-batch `train` RPC the paper's cost model charges as a
+    /// single call. Model state afterwards is identical to calling
+    /// [`AnyClassifier::train`] per example. The vectors may be borrowed
+    /// or handed over as they are built.
+    pub fn train_batch<'a, X: Borrow<FeatureVector>>(
         &mut self,
-        examples: impl IntoIterator<Item = (&'a FeatureVector, &'a str)>,
+        examples: impl IntoIterator<Item = (X, &'a str)>,
     ) {
-        match self {
-            AnyClassifier::Perceptron(m) => {
-                for (x, label) in examples {
-                    m.train(x, label);
-                }
-            }
-            AnyClassifier::Pa(m) => {
-                for (x, label) in examples {
-                    m.train(x, label);
-                }
-            }
-            AnyClassifier::Arow(m) => {
-                for (x, label) in examples {
-                    m.train(x, label);
-                }
-            }
+        let model = self.model_mut();
+        for (x, label) in examples {
+            model.train(x.borrow(), label);
         }
     }
 
-    /// Classifies a batch of examples in order (one dispatch, one
+    /// Classifies a batch of examples in order (one resolution, one
     /// batched `classify` call). Results are identical to calling
     /// [`AnyClassifier::classify`] per example.
     pub fn classify_batch(&self, xs: &[FeatureVector]) -> Vec<Option<String>> {
-        match self {
-            AnyClassifier::Perceptron(m) => xs.iter().map(|x| m.classify(x)).collect(),
-            AnyClassifier::Pa(m) => xs.iter().map(|x| m.classify(x)).collect(),
-            AnyClassifier::Arow(m) => xs.iter().map(|x| m.classify(x)).collect(),
-        }
+        let model = self.model();
+        xs.iter().map(|x| model.classify(x)).collect()
     }
 
     /// Examples consumed.
     pub fn examples_seen(&self) -> u64 {
-        match self {
-            AnyClassifier::Perceptron(m) => m.examples_seen(),
-            AnyClassifier::Pa(m) => m.examples_seen(),
-            AnyClassifier::Arow(m) => m.examples_seen(),
-        }
+        self.model().examples_seen()
     }
 
     /// Exports parameters for MIX.
     pub fn export_diff(&self) -> ModelDiff {
-        match self {
-            AnyClassifier::Perceptron(m) => m.export_diff(),
-            AnyClassifier::Pa(m) => m.export_diff(),
-            AnyClassifier::Arow(m) => m.export_diff(),
-        }
+        self.model().export_diff()
     }
 
     /// Imports mixed parameters.
     pub fn import_diff(&mut self, diff: &ModelDiff) {
-        match self {
-            AnyClassifier::Perceptron(m) => m.import_diff(diff),
-            AnyClassifier::Pa(m) => m.import_diff(diff),
-            AnyClassifier::Arow(m) => m.import_diff(diff),
-        }
+        self.model_mut().import_diff(diff);
     }
 }
 

@@ -85,16 +85,18 @@ impl SensorKind {
         }
     }
 
-    /// Conventional channel names, used to build ML datum keys.
-    pub fn channel_names(self) -> &'static [&'static str] {
+    /// The ML datum key of each channel, `"<slug>_<channel>"`, in channel
+    /// order (ascending, as it happens): static, so turning a sample into
+    /// a datum builds no string.
+    pub fn datum_keys(self) -> &'static [&'static str] {
         match self {
-            SensorKind::Accelerometer => &["x", "y", "z"],
-            SensorKind::Illuminance => &["lux"],
-            SensorKind::Sound => &["db"],
-            SensorKind::Motion => &["level"],
-            SensorKind::Temperature => &["celsius"],
-            SensorKind::Humidity => &["percent"],
-            SensorKind::PersonFlow => &["count"],
+            SensorKind::Accelerometer => &["accel_x", "accel_y", "accel_z"],
+            SensorKind::Illuminance => &["illuminance_lux"],
+            SensorKind::Sound => &["sound_db"],
+            SensorKind::Motion => &["motion_level"],
+            SensorKind::Temperature => &["temperature_celsius"],
+            SensorKind::Humidity => &["humidity_percent"],
+            SensorKind::PersonFlow => &["personflow_count"],
         }
     }
 }
@@ -451,13 +453,23 @@ mod tests {
     }
 
     #[test]
-    fn channel_names_match_counts() {
-        for kind in [
-            SensorKind::Accelerometer,
-            SensorKind::Illuminance,
-            SensorKind::PersonFlow,
-        ] {
-            assert_eq!(kind.channel_names().len(), kind.channels());
+    fn datum_keys_are_slug_and_channel_name() {
+        let channels: [(SensorKind, &[&str]); 7] = [
+            (SensorKind::Accelerometer, &["x", "y", "z"]),
+            (SensorKind::Illuminance, &["lux"]),
+            (SensorKind::Sound, &["db"]),
+            (SensorKind::Motion, &["level"]),
+            (SensorKind::Temperature, &["celsius"]),
+            (SensorKind::Humidity, &["percent"]),
+            (SensorKind::PersonFlow, &["count"]),
+        ];
+        for (kind, names) in channels {
+            let spelled: Vec<String> = names
+                .iter()
+                .map(|name| format!("{}_{name}", kind_slug(kind)))
+                .collect();
+            assert_eq!(kind.datum_keys(), spelled);
+            assert_eq!(kind.datum_keys().len(), kind.channels());
         }
     }
 

@@ -128,7 +128,7 @@ fn main() {
 fn inject_decision(
     cluster: &ifot::core::thread_rt::RunningCluster,
     topic: &str,
-    keys: &[(&str, f64)],
+    keys: &[(&'static str, f64)],
 ) {
     use ifot::core::flow::FlowMessage;
     use ifot::ml::feature::Datum;

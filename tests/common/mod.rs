@@ -7,6 +7,8 @@
 //! schedules) and `tests/proptests.rs` (property-based schedules).
 #![allow(dead_code)]
 
+pub mod oracle;
+
 use std::collections::{BTreeMap, VecDeque};
 
 use ifot::mqtt::broker::{Action, Broker, BrokerConfig};

@@ -127,7 +127,7 @@ fn collect_egress(
                 }
                 graph.enqueue(
                     route.stage,
-                    WorkItem::Item(FlowItem::from_message(&topic, msg.clone())),
+                    WorkItem::Item(FlowItem::from_message(topic.as_str(), msg.clone())),
                     0,
                 );
                 routed = true;

@@ -452,3 +452,99 @@ fn shed_newest_rejects_at_the_door_and_counts_them() {
     assert_eq!(stage.stats.shed_oldest, 0);
     assert_eq!(stage.stats.enqueued, 2, "rejected items are not admitted");
 }
+
+/// One part of a join: `pairs` sensed at `origin` on `topic`.
+fn join_part(topic: &str, seq: u64, origin: u64, pairs: &[(&'static str, f64)]) -> FlowItem {
+    FlowItem {
+        topic: topic.into(),
+        origin_ts_ns: origin,
+        seq,
+        datum: pairs.iter().copied().collect(),
+        label: None,
+        score: None,
+    }
+}
+
+/// The tuple `flowbench`'s stepper rebuilds for a sequence number: its
+/// parts sorted by topic, then every feature set in that order.
+fn reference_tuple(mut parts: Vec<FlowItem>) -> Datum {
+    parts.sort_by(|a, b| a.topic.cmp(&b.topic));
+    let mut datum = Datum::new();
+    for part in &parts {
+        for (k, v) in part.datum.iter() {
+            datum.set(k.to_owned(), v);
+        }
+    }
+    datum
+}
+
+#[test]
+fn join_merges_parts_in_topic_order_and_the_later_topic_wins() {
+    let mut env = MockEnv::new();
+    let mut join = build_operator(OperatorSpec::through(
+        "join",
+        OperatorKind::Join {
+            expected_sources: 3,
+        },
+        vec!["sensor/#".into()],
+        "flow/r/join",
+    ));
+    // Two sequences interleaved, parts arriving against topic order, every
+    // part carrying `shared`, one part repeated before its tuple fills;
+    // the second tuple has nine distinct keys (past the inline three) and
+    // reuses the first one's part list.
+    let arrivals = [
+        join_part("sensor/3/c", 7, 130, &[("c", 3.0), ("shared", 30.0)]),
+        join_part(
+            "sensor/1/a",
+            8,
+            210,
+            &[("ax", 1.0), ("ay", 2.0), ("az", 3.0)],
+        ),
+        join_part("sensor/1/a", 7, 110, &[("a", 1.0), ("shared", 10.0)]),
+        join_part("sensor/3/c", 7, 131, &[("c", 33.0), ("shared", 31.0)]),
+        join_part("sensor/2/b", 7, 120, &[("b", 2.0), ("shared", 20.0)]),
+        join_part(
+            "sensor/3/c",
+            8,
+            230,
+            &[("cx", 7.0), ("cy", 8.0), ("cz", 9.0)],
+        ),
+        join_part(
+            "sensor/2/b",
+            8,
+            220,
+            &[("bx", 4.0), ("by", 5.0), ("bz", 6.0)],
+        ),
+    ];
+    let mut emitted = Vec::new();
+    for item in arrivals.iter().cloned() {
+        for output in join.on_item(&mut env, item) {
+            match output {
+                OpOutput::Emit(message) => emitted.push(message),
+                other => panic!("a join only emits, got {other:?}"),
+            }
+        }
+    }
+    assert_eq!(emitted.len(), 2);
+    // The repeat replaced its predecessor; `shared` is the last topic's.
+    let first = reference_tuple(vec![
+        arrivals[2].clone(),
+        arrivals[3].clone(),
+        arrivals[4].clone(),
+    ]);
+    assert_eq!(first.get("shared"), Some(31.0));
+    assert_eq!(first.get("c"), Some(33.0));
+    assert_eq!(emitted[0].datum, first);
+    assert_eq!((emitted[0].origin_ts_ns, emitted[0].seq), (110, 7));
+    let second = reference_tuple(vec![
+        arrivals[1].clone(),
+        arrivals[5].clone(),
+        arrivals[6].clone(),
+    ]);
+    assert_eq!(second.len(), 9);
+    assert_eq!(emitted[1].datum, second);
+    assert_eq!((emitted[1].origin_ts_ns, emitted[1].seq), (210, 8));
+    assert_eq!(emitted[0].producer, "join");
+    assert_eq!(env.counter("join_emitted"), 2);
+}

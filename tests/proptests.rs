@@ -542,7 +542,9 @@ proptest! {
     }
 
     /// The PA update never breaks on arbitrary sparse inputs and keeps
-    /// scores finite.
+    /// scores finite; and for every learner, at every state the training
+    /// run passes through, `classify` is the head of `scores` (the
+    /// seeded sweep in `tests/flow_values.rs`, on generated inputs).
     #[test]
     fn pa_scores_stay_finite(
         examples in prop::collection::vec(
@@ -550,11 +552,21 @@ proptest! {
             1..60,
         )
     ) {
-        use ifot::ml::classifier::OnlineClassifier;
+        use ifot::ml::classifier::{Arow, OnlineClassifier, Perceptron};
         let mut m = ifot::ml::classifier::PassiveAggressive::default();
+        let (mut perceptron, mut arow) = (Perceptron::new(), Arow::default());
         for (pairs, positive) in &examples {
             let x = ifot::ml::feature::FeatureVector::from_pairs(pairs.clone());
-            m.train(&x, if *positive { "p" } else { "n" });
+            let label = if *positive { "p" } else { "n" };
+            m.train(&x, label);
+            perceptron.train(&x, label);
+            arow.train(&x, label);
+            let head = |scores: Vec<ifot::ml::classifier::LabelScore>| {
+                scores.into_iter().next().map(|s| s.label)
+            };
+            prop_assert_eq!(m.classify(&x), head(m.scores(&x)));
+            prop_assert_eq!(perceptron.classify(&x), head(perceptron.scores(&x)));
+            prop_assert_eq!(arow.classify(&x), head(arow.scores(&x)));
         }
         let (pairs, _) = &examples[0];
         let x = ifot::ml::feature::FeatureVector::from_pairs(pairs.clone());
@@ -761,7 +773,7 @@ fn arb_flow_message() -> impl Strategy<Value = ifot::core::flow::FlowMessage> {
     )
         .prop_map(|(producer, origin_ts_ns, seq, datum, label, score)| {
             ifot::core::flow::FlowMessage {
-                producer,
+                producer: producer.into(),
                 origin_ts_ns,
                 seq,
                 datum,
@@ -858,7 +870,10 @@ proptest! {
 
     /// Coalesced batches round-trip through the binary frame with item
     /// order preserved, and the peek helpers report the batch header
-    /// without a full decode.
+    /// without a full decode. The messages' features, written into one
+    /// datum in order (the first message's once more at the end, so keys
+    /// are overwritten), read and hash exactly as the string-keyed map
+    /// oracle's — `tests/flow_values.rs`' sweep, on generated inputs.
     #[test]
     fn flow_batch_binary_round_trips(
         msgs in prop::collection::vec(arb_flow_message(), 1..10),
@@ -875,6 +890,27 @@ proptest! {
         prop_assert_eq!(decode_items("flow/x", &bytes).expect("decodes"), items);
         prop_assert_eq!(peek_item_count(&bytes), Some(msgs.len()));
         prop_assert_eq!(peek_first_origin(&bytes), Some(msgs[0].origin_ts_ns));
+
+        let mut datum = ifot::ml::feature::Datum::new();
+        let mut oracle = common::oracle::MapDatum::default();
+        for msg in msgs.iter().chain(msgs.first()) {
+            for (k, v) in msg.datum.iter() {
+                datum.set(k.to_owned(), v);
+                oracle.set(k, v);
+            }
+        }
+        let bits = |v: f64| v.to_bits();
+        prop_assert_eq!(datum.len(), oracle.len());
+        prop_assert_eq!(
+            datum.iter().map(|(k, v)| (k, bits(v))).collect::<Vec<_>>(),
+            oracle.iter().map(|(k, v)| (k, bits(v))).collect::<Vec<_>>()
+        );
+        for dimensions in [1, 2, 7, 1 << 18] {
+            prop_assert_eq!(
+                datum.to_vector(dimensions).iter().map(|(i, v)| (i, bits(v))).collect::<Vec<_>>(),
+                oracle.to_vector(dimensions).into_iter().map(|(i, v)| (i, bits(v))).collect::<Vec<_>>()
+            );
+        }
     }
 
     /// Truncations and corruptions of a valid binary frame are rejected
