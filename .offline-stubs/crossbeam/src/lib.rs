@@ -1,123 +1,3 @@
-//! Functional offline stand-in for `crossbeam`: channels delegate to
-//! `std::sync::mpsc`. The surface mirrors the real `crossbeam::channel`
-//! API (including `bounded`, `try_send` and `send_timeout`) so code
-//! compiles identically against the real crate.
-
-pub mod channel {
-    use std::sync::mpsc;
-    use std::time::{Duration, Instant};
-
-    pub use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TryRecvError, TrySendError};
-
-    /// Mirror of `crossbeam::channel::SendTimeoutError`.
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum SendTimeoutError<T> {
-        /// The send timed out; the message is handed back.
-        Timeout(T),
-        /// All receivers are gone; the message is handed back.
-        Disconnected(T),
-    }
-
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender(SenderKind::Unbounded(tx)), Receiver(rx))
-    }
-
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::sync_channel(cap);
-        (Sender(SenderKind::Bounded(tx)), Receiver(rx))
-    }
-
-    #[derive(Debug)]
-    enum SenderKind<T> {
-        Unbounded(mpsc::Sender<T>),
-        Bounded(mpsc::SyncSender<T>),
-    }
-
-    impl<T> Clone for SenderKind<T> {
-        fn clone(&self) -> Self {
-            match self {
-                SenderKind::Unbounded(tx) => SenderKind::Unbounded(tx.clone()),
-                SenderKind::Bounded(tx) => SenderKind::Bounded(tx.clone()),
-            }
-        }
-    }
-
-    #[derive(Debug)]
-    pub struct Sender<T>(SenderKind<T>);
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender(self.0.clone())
-        }
-    }
-
-    impl<T> Sender<T> {
-        pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-            match &self.0 {
-                SenderKind::Unbounded(tx) => tx.send(msg),
-                SenderKind::Bounded(tx) => tx.send(msg),
-            }
-        }
-
-        pub fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-            match &self.0 {
-                SenderKind::Unbounded(tx) => {
-                    tx.send(msg).map_err(|e| TrySendError::Disconnected(e.0))
-                }
-                SenderKind::Bounded(tx) => tx.try_send(msg),
-            }
-        }
-
-        pub fn send_timeout(&self, msg: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
-            match &self.0 {
-                SenderKind::Unbounded(tx) => {
-                    tx.send(msg).map_err(|e| SendTimeoutError::Disconnected(e.0))
-                }
-                SenderKind::Bounded(tx) => {
-                    // std's SyncSender has no timed send; poll try_send
-                    // until the deadline. Good enough for a stub — the
-                    // real crate blocks on a condition variable.
-                    let deadline = Instant::now() + timeout;
-                    let mut msg = msg;
-                    loop {
-                        match tx.try_send(msg) {
-                            Ok(()) => return Ok(()),
-                            Err(TrySendError::Disconnected(m)) => {
-                                return Err(SendTimeoutError::Disconnected(m))
-                            }
-                            Err(TrySendError::Full(m)) => {
-                                if Instant::now() >= deadline {
-                                    return Err(SendTimeoutError::Timeout(m));
-                                }
-                                msg = m;
-                                std::thread::sleep(Duration::from_micros(100));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[derive(Debug)]
-    pub struct Receiver<T>(mpsc::Receiver<T>);
-
-    impl<T> Receiver<T> {
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.0.recv()
-        }
-
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            self.0.recv_timeout(timeout)
-        }
-
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            self.0.try_recv()
-        }
-
-        pub fn iter(&self) -> mpsc::Iter<'_, T> {
-            self.0.iter()
-        }
-    }
-}
+//! Placeholder: nothing in the workspace depends on `crossbeam` any more. The
+//! directory exists because `crates/flowbench/run.sh` patches it in by
+//! path, and cargo refuses a patch whose path is missing.

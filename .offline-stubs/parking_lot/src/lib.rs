@@ -1,121 +1,3 @@
-//! Functional offline stand-in for `parking_lot`: wraps `std::sync`
-//! primitives with parking_lot's non-poisoning API.
-
-use std::sync::PoisonError;
-
-pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
-pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
-pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
-
-#[derive(Debug, Default)]
-pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
-
-impl<T> Mutex<T> {
-    pub const fn new(value: T) -> Mutex<T> {
-        Mutex(std::sync::Mutex::new(value))
-    }
-
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        self.0.try_lock().ok()
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock(std::sync::RwLock::new(value))
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Whether a `Condvar::wait_for` returned because the timeout elapsed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-/// parking_lot-style condition variable over `std::sync::Condvar`:
-/// waits mutate the guard in place instead of consuming it.
-#[derive(Debug, Default)]
-pub struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    pub const fn new() -> Condvar {
-        Condvar(std::sync::Condvar::new())
-    }
-
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        replace_guard(guard, |g| {
-            self.0.wait(g).unwrap_or_else(PoisonError::into_inner)
-        });
-    }
-
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: std::time::Duration,
-    ) -> WaitTimeoutResult {
-        let mut timed_out = false;
-        replace_guard(guard, |g| {
-            let (g, result) = self
-                .0
-                .wait_timeout(g, timeout)
-                .unwrap_or_else(PoisonError::into_inner);
-            timed_out = result.timed_out();
-            g
-        });
-        WaitTimeoutResult(timed_out)
-    }
-
-    pub fn notify_one(&self) -> bool {
-        self.0.notify_one();
-        true
-    }
-
-    pub fn notify_all(&self) -> usize {
-        self.0.notify_all();
-        0
-    }
-}
-
-/// Applies a guard-consuming `std` wait through parking_lot's `&mut`
-/// signature. Aborts on unwind between read and write (cannot happen:
-/// the closures above never panic — poisoning is mapped to a value).
-fn replace_guard<'a, T: ?Sized>(
-    guard: &mut MutexGuard<'a, T>,
-    f: impl FnOnce(MutexGuard<'a, T>) -> MutexGuard<'a, T>,
-) {
-    unsafe {
-        let owned = std::ptr::read(guard);
-        std::ptr::write(guard, f(owned));
-    }
-}
+//! Placeholder: nothing in the workspace depends on `parking_lot` any more. The
+//! directory exists because `crates/flowbench/run.sh` patches it in by
+//! path, and cargo refuses a patch whose path is missing.

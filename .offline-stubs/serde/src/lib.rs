@@ -1,23 +1,3 @@
-//! Typecheck-only offline stand-in for `serde`. Blanket impls make every
-//! type serializable/deserializable so trait bounds resolve; nothing
-//! actually serializes (serde_json's stub returns errors at runtime).
-
-pub trait Serialize {}
-impl<T: ?Sized> Serialize for T {}
-
-pub trait Deserialize<'de>: Sized {}
-impl<'de, T> Deserialize<'de> for T {}
-
-pub mod ser {
-    pub use super::Serialize;
-}
-
-pub mod de {
-    pub use super::Deserialize;
-
-    pub trait DeserializeOwned: Sized {}
-    impl<T> DeserializeOwned for T {}
-}
-
-#[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
+//! Placeholder: nothing in the workspace depends on `serde` any more. The
+//! directory exists because `crates/flowbench/run.sh` patches it in by
+//! path, and cargo refuses a patch whose path is missing.

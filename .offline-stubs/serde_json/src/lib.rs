@@ -1,109 +1,3 @@
-//! Typecheck-only offline stand-in for `serde_json`: correct signatures,
-//! but every operation fails at runtime with [`Error`].
-
-use std::fmt;
-
-#[derive(Debug)]
-pub struct Error(());
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("serde_json offline stub: serialization unavailable")
-    }
-}
-
-impl std::error::Error for Error {}
-
-pub type Result<T> = std::result::Result<T, Error>;
-
-pub fn to_vec<T: ?Sized + serde::Serialize>(_value: &T) -> Result<Vec<u8>> {
-    Err(Error(()))
-}
-
-pub fn to_string<T: ?Sized + serde::Serialize>(_value: &T) -> Result<String> {
-    Err(Error(()))
-}
-
-pub fn to_string_pretty<T: ?Sized + serde::Serialize>(_value: &T) -> Result<String> {
-    Err(Error(()))
-}
-
-pub fn from_slice<'a, T: serde::Deserialize<'a>>(_v: &'a [u8]) -> Result<T> {
-    Err(Error(()))
-}
-
-pub fn from_str<'a, T: serde::Deserialize<'a>>(_s: &'a str) -> Result<T> {
-    Err(Error(()))
-}
-
-/// Loosely-typed JSON value (inert).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum Value {
-    #[default]
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Value>),
-    Object(std::collections::BTreeMap<String, Value>),
-}
-
-impl Value {
-    pub fn get(&self, _key: &str) -> Option<&Value> {
-        None
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        None
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        None
-    }
-
-    pub fn as_u64(&self) -> Option<u64> {
-        None
-    }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        None
-    }
-
-    pub fn as_array(&self) -> Option<&Vec<Value>> {
-        None
-    }
-}
-
-impl std::ops::Index<&str> for Value {
-    type Output = Value;
-    fn index(&self, _key: &str) -> &Value {
-        const NULL: Value = Value::Null;
-        &NULL
-    }
-}
-
-impl std::ops::Index<usize> for Value {
-    type Output = Value;
-    fn index(&self, _index: usize) -> &Value {
-        const NULL: Value = Value::Null;
-        &NULL
-    }
-}
-
-impl PartialEq<f64> for Value {
-    fn eq(&self, other: &f64) -> bool {
-        matches!(self, Value::Number(n) if n == other)
-    }
-}
-
-impl PartialEq<&str> for Value {
-    fn eq(&self, other: &&str) -> bool {
-        matches!(self, Value::String(s) if s == other)
-    }
-}
-
-impl PartialEq<u64> for Value {
-    fn eq(&self, other: &u64) -> bool {
-        matches!(self, Value::Number(n) if *n == *other as f64)
-    }
-}
+//! Placeholder: nothing in the workspace depends on `serde_json` any more. The
+//! directory exists because `crates/flowbench/run.sh` patches it in by
+//! path, and cargo refuses a patch whose path is missing.

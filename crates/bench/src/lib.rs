@@ -1,1 +1,1 @@
-//! Benchmark harness crate: see `src/bin/*` for table regeneration binaries and `benches/` for Criterion benches.
+//! Paper-reproduction harness: `src/bin/*` regenerate the tables and figures, `benches/` hold the plain-harness ablation studies.

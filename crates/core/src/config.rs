@@ -8,7 +8,6 @@ use ifot_mqtt::packet::QoS;
 use ifot_mqtt::supervisor::ReconnectConfig;
 use ifot_sensors::inject::FaultWindow;
 use ifot_sensors::sample::SensorKind;
-use serde::{Deserialize, Serialize};
 
 /// Sensor + Publish class instance: sample a device at a fixed rate and
 /// publish the 32-byte samples.
@@ -43,7 +42,7 @@ impl SensorSpec {
 }
 
 /// Which analysis operation an operator instance performs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OperatorKind {
     /// Join one item per source (by sequence number) into a merged datum
     /// — the `[data]` aggregation of Fig. 9.
@@ -110,7 +109,7 @@ pub enum OperatorKind {
 }
 
 /// A configured operator instance on a node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatorSpec {
     /// Instance id (unique on the node; usually the recipe task id).
     pub id: String,
@@ -128,7 +127,6 @@ pub struct OperatorSpec {
     /// task across modules with complementary shards parallelizes it —
     /// the "further parallelization / decentralization of processing
     /// tasks" the paper's conclusion calls for.
-    #[serde(default)]
     pub shard: Option<(u64, u64)>,
 }
 
@@ -214,7 +212,7 @@ impl OperatorSpec {
 
 /// What a bounded stage mailbox does when it is full and another work
 /// item arrives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedPolicy {
     /// The producer waits for space (lossless backpressure; on the
     /// deterministic runtime the mailbox grows instead — virtual time
@@ -228,7 +226,7 @@ pub enum ShedPolicy {
 }
 
 /// Tuning of the staged dataflow executor that runs a node's operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorConfig {
     /// Worker threads executing stages (`0` = inline: operators run on
     /// the node's own event loop, the only mode on the deterministic
@@ -259,7 +257,7 @@ impl Default for ExecutorConfig {
 }
 
 /// Actuator class instance hosted on a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActuatorKindSpec {
     /// An air conditioner.
     AirConditioner,
@@ -270,7 +268,7 @@ pub enum ActuatorKindSpec {
 }
 
 /// A configured actuator device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActuatorSpec {
     /// Device identifier.
     pub device_id: u16,
@@ -331,9 +329,6 @@ pub struct NodeConfig {
     pub track_directory: bool,
     /// Staged-executor tuning (worker pool, mailbox bounds, shedding).
     pub executor: ExecutorConfig,
-    /// Encoding written on the flow plane (decoding always accepts
-    /// both, so mixed-format deployments interoperate).
-    pub wire_format: crate::wire::WireFormat,
     /// Micro-batching: maximum items coalesced into one
     /// [`crate::flow::FlowBatch`] publish per topic.
     pub batch_max: usize,
@@ -400,7 +395,6 @@ impl NodeConfig {
             announce: false,
             track_directory: false,
             executor: ExecutorConfig::default(),
-            wire_format: crate::wire::WireFormat::Json,
             batch_max: 32,
             batch_linger_ms: 0,
             adaptive_linger: false,
@@ -434,9 +428,9 @@ impl NodeConfig {
         self
     }
 
-    /// Sets the flow-plane wire format (builder style).
-    pub fn with_wire_format(mut self, format: crate::wire::WireFormat) -> Self {
-        self.wire_format = format;
+    /// Does nothing: the flow plane has one encoding. Kept because the
+    /// benchmark's `sut.rs` calls it; it goes when that call does.
+    pub fn with_wire_format(self, _format: crate::wire::WireFormat) -> Self {
         self
     }
 
@@ -764,20 +758,15 @@ mod tests {
     }
 
     #[test]
-    fn wire_and_batching_builders() {
+    fn batching_builders() {
         let cfg = NodeConfig::new("n");
-        assert_eq!(cfg.wire_format, crate::wire::WireFormat::Json);
         assert_eq!(cfg.batch_linger_ms, 0, "batching defaults off");
         assert!(!cfg.adaptive_linger, "adaptive linger defaults off");
         assert_eq!(
             cfg.executor.escalate_wait_ms,
             crate::costs::REALTIME_BOUND_MS
         );
-        let cfg = cfg
-            .with_wire_format(crate::wire::WireFormat::Binary)
-            .with_batching(0, 50)
-            .with_adaptive_linger();
-        assert_eq!(cfg.wire_format, crate::wire::WireFormat::Binary);
+        let cfg = cfg.with_batching(0, 50).with_adaptive_linger();
         assert_eq!(cfg.batch_max, 1, "batch_max clamps to 1");
         assert_eq!(cfg.batch_linger_ms, 50);
         assert!(cfg.adaptive_linger);

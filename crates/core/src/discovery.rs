@@ -17,8 +17,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use ifot_mqtt::topic::{TopicFilter, TopicName};
 
 /// Topic prefix of the announcement plane.
@@ -44,7 +42,7 @@ pub fn announce_filter() -> String {
 }
 
 /// One published stream of a node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamInfo {
     /// Topic the stream is published on.
     pub topic: String,
@@ -55,7 +53,7 @@ pub struct StreamInfo {
 }
 
 /// The retained self-description a node publishes on joining.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeAnnouncement {
     /// Node name.
     pub node: String,
@@ -69,23 +67,22 @@ pub struct NodeAnnouncement {
     pub at_ns: u64,
     /// Monotone per-node revision; a retained announcement older than
     /// one already seen is stale and must not regress the directory.
-    #[serde(default)]
     pub revision: u64,
 }
 
 impl NodeAnnouncement {
-    /// Serializes to the wire payload.
+    /// Serializes to the wire payload: an announcement frame.
     pub fn encode(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("announcements are serializable")
+        crate::wire::encode_announce_binary(self)
     }
 
     /// Parses from a wire payload.
     ///
     /// # Errors
     ///
-    /// Returns the serde error message for malformed payloads.
+    /// Returns a description for malformed payloads.
     pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        serde_json::from_slice(bytes).map_err(|e| e.to_string())
+        crate::wire::decode_announce_binary(bytes)
     }
 
     /// The offline tombstone a node leaves as its last will.
@@ -103,12 +100,11 @@ impl NodeAnnouncement {
 
 /// Cumulative load counters for one executor stage, lifted from
 /// `StageStats` into the heartbeat a node publishes on its load topic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageLoad {
     /// Operator id of the stage.
     pub op: String,
     /// `(modulus, index)` for sequence-sharded stages, `None` otherwise.
-    #[serde(default)]
     pub shard: Option<(u64, u64)>,
     /// Current mailbox depth.
     pub depth: usize,
@@ -136,7 +132,7 @@ impl StageLoad {
 ///
 /// Counters are cumulative; consumers (the rebalancer) difference
 /// consecutive reports to obtain windowed rates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadReport {
     /// Node name.
     pub node: String,
@@ -147,8 +143,7 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Serializes to the wire payload (binary frame — heartbeats must
-    /// work even where no JSON serializer is available).
+    /// Serializes to the wire payload: a load frame.
     pub fn encode(&self) -> Vec<u8> {
         crate::wire::encode_load_binary(self)
     }
@@ -409,22 +404,13 @@ mod tests {
         assert_eq!(dir.malformed_count(), 2);
     }
 
-    /// Whether a real JSON serializer is linked in (the offline stub
-    /// fails every call; announcement-encoding assertions are gated on
-    /// it so the suite degrades instead of failing spuriously).
-    fn json_available() -> bool {
-        serde_json::to_vec(&true).is_ok()
-    }
-
     #[test]
     fn load_reports_aggregate_next_to_announcements() {
         let mut dir = FlowDirectory::new();
-        if json_available() {
-            dir.apply(
-                &announce_topic("a"),
-                &ann("a", true, &[("sensor/1/sound", "sound")]).encode(),
-            );
-        }
+        dir.apply(
+            &announce_topic("a"),
+            &ann("a", true, &[("sensor/1/sound", "sound")]).encode(),
+        );
         let report = LoadReport {
             node: "a".into(),
             at_ns: 42,
@@ -441,10 +427,8 @@ mod tests {
         assert_eq!(dir.load("a"), Some(&report));
         assert_eq!(dir.loads().len(), 1);
         // The heartbeat must not shadow or corrupt the announcement.
-        if json_available() {
-            assert_eq!(dir.online_nodes(), vec!["a"]);
-            assert_eq!(dir.node("a").expect("present").streams.len(), 1);
-        }
+        assert_eq!(dir.online_nodes(), vec!["a"]);
+        assert_eq!(dir.node("a").expect("present").streams.len(), 1);
         assert!((report.stages[0].mean_wait_ms() - 2.0).abs() < 1e-9);
         // Spoofed / malformed load reports are counted, not stored.
         dir.apply(&load_topic("b"), &report.encode());
@@ -462,9 +446,6 @@ mod tests {
 
     #[test]
     fn stale_retained_announcements_do_not_regress() {
-        if !json_available() {
-            return;
-        }
         let mut dir = FlowDirectory::new();
         let mut fresh = ann("a", true, &[("sensor/1/sound", "sound")]);
         fresh.revision = 5;
@@ -477,8 +458,8 @@ mod tests {
         assert_eq!(dir.stale_count(), 1);
         assert_eq!(dir.node("a").expect("present").streams.len(), 1);
 
-        // Equal or newer revisions overwrite (equal keeps legacy
-        // revision-less announcements updatable).
+        // Equal or newer revisions overwrite (equal keeps announcements
+        // that never bump their revision updatable).
         let mut newer = ann("a", true, &[]);
         newer.revision = 5;
         dir.apply(&announce_topic("a"), &newer.encode());

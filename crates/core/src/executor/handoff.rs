@@ -59,7 +59,7 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 
 use crate::env::NodeEnv;
 use crate::flow::{FlowItem, Name};
@@ -248,7 +248,12 @@ impl DirectHandoff {
             // a drain.
             let mut guards: Vec<_> = claimed
                 .iter()
-                .map(|r| self.cells[r.stage].ingress.lock())
+                .map(|r| {
+                    self.cells[r.stage]
+                        .ingress
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                })
                 .collect();
             if self.view.version() != cache.version() {
                 outcome.stale = group;

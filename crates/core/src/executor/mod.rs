@@ -34,9 +34,7 @@ pub mod router;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 
 use crate::config::{ExecutorConfig, OperatorSpec, ShedPolicy};
 use crate::env::NodeEnv;
@@ -469,7 +467,7 @@ impl StageCell {
     /// Folds buffered ingress into the mailbox (caller holds the stage
     /// lock) and refreshes the lock-free mirrors.
     fn admit_ingress(&self, stage: &mut ExecutorStage) {
-        let mut ingress = self.ingress.lock();
+        let mut ingress = self.ingress.lock().unwrap_or_else(PoisonError::into_inner);
         while let Some((work, at)) = ingress.pop_front() {
             stage.enqueue(work, at);
         }
@@ -483,7 +481,7 @@ impl StageCell {
             .store(stage.policy == ShedPolicy::Block, Ordering::Release);
         self.policy
             .store(policy_to_u8(stage.policy), Ordering::Release);
-        *self.stats.lock() = stage.stats.clone();
+        *self.stats.lock().unwrap_or_else(PoisonError::into_inner) = stage.stats.clone();
     }
 
     /// The stage's shed policy as of the last step boundary, without
@@ -497,13 +495,16 @@ impl StageCell {
     /// sleeps out its emulated CPU cost *under* that lock) never delays
     /// a monitoring read or a load heartbeat.
     pub fn stats_snapshot(&self) -> StageStats {
-        self.stats.lock().clone()
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Enqueues and immediately drains the stage on the caller's thread,
     /// returning every output in order (the inline driver).
     pub fn offer_inline(&self, env: &mut dyn NodeEnv, work: WorkItem) -> Vec<OpOutput> {
-        let mut stage = self.stage.lock();
+        let mut stage = self.stage.lock().unwrap_or_else(PoisonError::into_inner);
         self.admit_ingress(&mut stage);
         if env.trace_enabled() {
             env.trace_event(&format!(
@@ -532,15 +533,29 @@ impl StageCell {
     /// the caller waits here until the stage has space (workers signal
     /// after every pop).
     pub fn enqueue_pooled(&self, work: WorkItem, now_ns: u64) {
-        let mut ingress = self.ingress.lock();
+        let mut ingress = self.ingress.lock().unwrap_or_else(PoisonError::into_inner);
         if matches!(work, WorkItem::Item(_)) {
             while self.blocking.load(Ordering::Acquire)
                 && ingress.len() + self.depth.load(Ordering::Acquire) >= self.capacity
             {
-                self.space.wait(&mut ingress);
+                ingress = self
+                    .space
+                    .wait(ingress)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         }
         ingress.push_back((work, now_ns));
+    }
+
+    /// The stage, unless another worker holds it. A lock poisoned by a
+    /// panicking operator is taken all the same, as `lock` sites do: one
+    /// bad item must not take the stage out of service.
+    fn try_stage(&self) -> Option<MutexGuard<'_, ExecutorStage>> {
+        match self.stage.try_lock() {
+            Ok(stage) => Some(stage),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
     }
 
     /// Pops and executes one work item if any is queued (the pooled
@@ -555,7 +570,7 @@ impl StageCell {
     /// would convoy every worker behind one slow stage and serialize the
     /// whole pool.
     pub fn step_pooled(&self, env: &mut dyn NodeEnv) -> Option<Vec<OpOutput>> {
-        let mut stage = self.stage.try_lock()?;
+        let mut stage = self.try_stage()?;
         self.admit_ingress(&mut stage);
         let outputs = stage.step(env);
         self.sync_mirrors(&stage);
@@ -578,7 +593,7 @@ impl StageCell {
         handoff: &handoff::DirectHandoff,
         cache: &mut handoff::PlanCache,
     ) -> Option<handoff::HandoffOutcome> {
-        let mut stage = self.stage.try_lock()?;
+        let mut stage = self.try_stage()?;
         self.admit_ingress(&mut stage);
         let outputs = stage.step(env)?;
         let outcome = handoff.apply(env, src, outputs, cache);
@@ -594,7 +609,7 @@ impl StageCell {
     /// so drains that must account for every delivered item (migration
     /// release, monitoring, tests) see the full queue.
     pub fn with_stage<R>(&self, f: impl FnOnce(&mut ExecutorStage) -> R) -> R {
-        let mut stage = self.stage.lock();
+        let mut stage = self.stage.lock().unwrap_or_else(PoisonError::into_inner);
         self.admit_ingress(&mut stage);
         let out = f(&mut stage);
         self.sync_mirrors(&stage);

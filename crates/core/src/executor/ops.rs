@@ -9,6 +9,7 @@
 
 use std::collections::BTreeMap;
 
+use ifot_ml::anomaly::ContaminationGuard;
 use ifot_ml::feature::{Datum, FeatureKey, FeatureVector, DEFAULT_DIMENSIONS};
 use ifot_ml::mix::MixCoordinator;
 use ifot_ml::runtime::{AnyClassifier, AnyDetector};
@@ -85,6 +86,7 @@ pub fn build_operator(spec: OperatorSpec) -> Box<dyn StreamOperator> {
                 spec,
                 id,
                 detector,
+                guard: ContaminationGuard::default(),
                 threshold,
                 flagged: 0,
                 scored: 0,
@@ -519,6 +521,7 @@ pub struct AnomalyOp {
     spec: OperatorSpec,
     id: Name,
     detector: AnyDetector,
+    guard: ContaminationGuard,
     threshold: f64,
     flagged: u64,
     scored: u64,
@@ -537,9 +540,7 @@ impl StreamOperator for AnomalyOp {
         env.incr("anomaly_scored");
         env.record_latency_since_ns("sensing_to_anomaly", item.origin_ts_ns);
         let flagging = self.scored > ANOMALY_WARMUP && score > self.threshold;
-        // Contamination guard: never learn the baseline from samples we
-        // are flagging as anomalous.
-        if !flagging {
+        if self.guard.absorbs(flagging) {
             self.detector.observe(&item.datum);
         }
         if flagging {
@@ -720,6 +721,10 @@ impl StreamOperator for ActuateOp {
     }
 }
 
+/// Counter name of the custom operator that panics on its third item.
+#[cfg(test)]
+pub(crate) const FAULTY_CUSTOM_COUNTER: &str = "custom_faulty";
+
 /// Named pass-through operator.
 #[derive(Debug)]
 pub struct CustomOp {
@@ -740,6 +745,12 @@ impl StreamOperator for CustomOp {
         env.consume_ref_ms(costs::CUSTOM_MS);
         self.passed += 1;
         env.incr(&self.counter);
+        // Lets a test plant one operator fault inside a running node.
+        #[cfg(test)]
+        assert!(
+            self.counter != FAULTY_CUSTOM_COUNTER || self.passed != 3,
+            "planted operator fault"
+        );
         let seq = next_seq(&mut self.seq);
         if self.spec.output.is_some() {
             vec![OpOutput::Emit(FlowMessage {
@@ -1096,6 +1107,45 @@ mod tests {
             OpOutput::Event(NodeEvent::AnomalyFlagged { score, .. }) if score > 3.0
         ));
         assert_eq!(env.counter("anomaly_flagged"), 1);
+    }
+
+    /// A level shift is flagged, then absorbed: the guard releases after
+    /// `GUARD_RELEASE_RUN` consecutive flags and the operator goes quiet
+    /// on the new level instead of flagging it for ever.
+    #[test]
+    fn anomaly_rebaselines_after_a_level_shift() {
+        use ifot_ml::anomaly::GUARD_RELEASE_RUN;
+        let mut env = MockEnv::new();
+        let mut op = build_operator(OperatorSpec::sink(
+            "a",
+            OperatorKind::Anomaly {
+                detector: "zscore".into(),
+                threshold: 4.0,
+            },
+            vec!["sensor/#".into()],
+        ));
+        let mut feed = |op: &mut Box<dyn StreamOperator>, i: u64, level: f64| {
+            let t = level + (i % 5) as f64 * 0.1;
+            !op.on_item(&mut env, item("sensor/1/t", i, 0, &[("t", t)]))
+                .is_empty()
+        };
+        for i in 0..100 {
+            assert!(!feed(&mut op, i, 20.0), "steady level must not flag");
+        }
+        let flags_after_shift: Vec<bool> = (100..400).map(|i| feed(&mut op, i, 30.0)).collect();
+        let release = GUARD_RELEASE_RUN as usize;
+        assert!(
+            flags_after_shift[..release].iter().all(|&f| f),
+            "the shift is flagged while the guard withholds it"
+        );
+        let last_flag = flags_after_shift
+            .iter()
+            .rposition(|&f| f)
+            .expect("flagged above");
+        assert!(
+            last_flag < 2 * release,
+            "still flagging {last_flag} samples into the new level"
+        );
     }
 
     #[test]

@@ -35,11 +35,10 @@
 //! counter bump in hot operator code.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
 
 use ifot_netsim::metrics::{Metrics, MetricsDelta};
 
@@ -75,7 +74,10 @@ impl WorkerEnv {
     /// shard outgrows [`METRIC_SHARD_FLUSH`].
     fn flush_metrics(&mut self) {
         if !self.shard.is_empty() {
-            self.metrics.lock().absorb(&mut self.shard);
+            self.metrics
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .absorb(&mut self.shard);
         }
     }
 
@@ -211,7 +213,7 @@ impl WorkerPool {
                         let mut plans = PlanCache::new();
                         let mut woke_from_wait = false;
                         while !stop.load(Ordering::Acquire) {
-                            let observed = *signal.0.lock();
+                            let observed = *signal.0.lock().unwrap_or_else(PoisonError::into_inner);
                             scans.fetch_add(1, Ordering::Relaxed);
                             let mut did_work = false;
                             let mut handed_off = false;
@@ -243,7 +245,7 @@ impl WorkerPool {
                                 // thread's notify: wake idle peers so the
                                 // destination stage is drained promptly.
                                 let (lock, cvar) = &*signal;
-                                *lock.lock() += 1;
+                                *lock.lock().unwrap_or_else(PoisonError::into_inner) += 1;
                                 cvar.notify_all();
                             }
                             if !did_work {
@@ -253,9 +255,11 @@ impl WorkerPool {
                                 // periodic wakeups.
                                 env.flush_metrics();
                                 let (lock, cvar) = &*signal;
-                                let mut version = lock.lock();
+                                let version = lock.lock().unwrap_or_else(PoisonError::into_inner);
                                 if *version == observed && !stop.load(Ordering::Acquire) {
-                                    cvar.wait(&mut version);
+                                    drop(
+                                        cvar.wait(version).unwrap_or_else(PoisonError::into_inner),
+                                    );
                                     woke_from_wait = true;
                                 }
                             }
@@ -276,7 +280,7 @@ impl WorkerPool {
     /// Wakes idle workers after new work was enqueued.
     pub fn notify_work(&self) {
         let (lock, cvar) = &*self.signal;
-        *lock.lock() += 1;
+        *lock.lock().unwrap_or_else(PoisonError::into_inner) += 1;
         cvar.notify_all();
     }
 
@@ -384,7 +388,7 @@ mod tests {
         pool.stop();
         // Waking an idle pool with no work produces spurious wakeups,
         // which reach the hub through the shard path.
-        let hub = metrics.lock();
+        let hub = metrics.lock().unwrap_or_else(PoisonError::into_inner);
         assert!(hub.counter("worker_spurious_wakeups") >= 1);
     }
 }

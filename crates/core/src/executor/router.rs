@@ -20,9 +20,7 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::config::OperatorSpec;
 use crate::executor::WorkItem;
@@ -271,7 +269,7 @@ impl SharedRouteView {
     /// set (install, retire, recompile) — before the mutation is acted
     /// upon, so in-flight workers pinned to the old version go stale.
     pub fn refresh(&self, specs: Vec<OperatorSpec>) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.specs = specs;
         inner.plans.clear();
         inner.version += 1;
@@ -285,7 +283,7 @@ impl SharedRouteView {
     /// inserting on miss; `None` when the view has moved on (caller must
     /// fall back to node-thread delivery and re-pin).
     pub fn resolve(&self, topic: &str, pinned_version: u64) -> Option<Arc<RoutePlan>> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if inner.version != pinned_version {
             return None;
         }
@@ -542,6 +540,13 @@ mod tests {
         for i in 0..(ROUTE_CACHE_CAP + 8) {
             view.resolve(&format!("s/{i}"), 1);
         }
-        assert!(view.inner.lock().plans.len() <= ROUTE_CACHE_CAP);
+        assert!(
+            view.inner
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .plans
+                .len()
+                <= ROUTE_CACHE_CAP
+        );
     }
 }

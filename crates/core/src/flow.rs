@@ -1,13 +1,13 @@
 //! Flow items: the data units the middleware's classes exchange.
 //!
-//! Three payload families travel on the flow plane:
+//! Three payload families travel on the flow plane, all binary:
 //!
 //! * **Raw sensor samples** — the 32-byte binary image
 //!   ([`ifot_sensors::sample::Sample`]) published by the Sensor/Publish
 //!   classes on `sensor/<device>/<kind>` topics.
 //! * **Flow messages** — one [`FlowMessage`] (a datum, optional label and
 //!   provenance) published by an analysis operator on
-//!   `flow/<recipe>/<task>`, as a binary frame or a JSON document.
+//!   `flow/<recipe>/<task>`, as a message frame.
 //! * **Flow batches** — N messages coalesced into one [`FlowBatch`] frame.
 //!
 //! [`crate::wire::decode_items_lean`] normalizes all three into
@@ -15,20 +15,16 @@
 //! producer, is a shared [`Name`] and its datum keeps up to three
 //! features inline, so handing an item to one more stage, or merging
 //! three of them in a join, copies no text. [`crate::wire`] holds the
-//! binary encoding; the JSON shapes are those of the `serde` derives
-//! below.
+//! frame layouts.
 
 use std::sync::Arc;
 
 use ifot_ml::feature::{Datum, FeatureKey};
 use ifot_sensors::sample::Sample;
-use serde::{Deserialize, Serialize};
 
 /// A shared, immutable name — a topic, a producer or a task id. Cloning
-/// bumps a reference count; it dereferences to the `str` it holds and
-/// serializes as the string it is.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(from = "String", into = "String")]
+/// bumps a reference count; it dereferences to the `str` it holds.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Name(Arc<str>);
 
 impl Name {
@@ -51,12 +47,6 @@ impl<S: Into<Arc<str>>> From<S> for Name {
     }
 }
 
-impl From<Name> for String {
-    fn from(name: Name) -> String {
-        name.as_str().to_owned()
-    }
-}
-
 impl PartialEq<&str> for Name {
     fn eq(&self, other: &&str) -> bool {
         *self.0 == **other
@@ -64,7 +54,7 @@ impl PartialEq<&str> for Name {
 }
 
 /// A flow message: the unit exchanged between analysis operators.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowMessage {
     /// The task that produced this message.
     pub producer: Name,
@@ -83,33 +73,28 @@ pub struct FlowMessage {
 }
 
 impl FlowMessage {
-    /// Serializes to the default (JSON) wire payload. Binary encoding is
-    /// opt-in via [`crate::wire::FlowCodec`].
+    /// Serializes to the wire payload: a message frame.
     pub fn encode(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("flow messages are serializable")
+        crate::wire::encode_message_binary(self)
     }
 
-    /// Parses from a wire payload — transparently accepting both the
-    /// compact binary frame (magic [`crate::wire::FRAME_MAGIC`]) and
-    /// legacy JSON, so mixed-version deployments interoperate.
+    /// Parses a message frame.
     ///
     /// # Errors
     ///
-    /// Returns a description for malformed payloads.
+    /// Returns a description for anything that is not exactly one
+    /// message frame.
     pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        if bytes.first() == Some(&crate::wire::FRAME_MAGIC) {
-            return crate::wire::decode_message_binary(bytes);
-        }
-        serde_json::from_slice(bytes).map_err(|e| e.to_string())
+        crate::wire::decode_message_binary(bytes)
     }
 }
 
 /// A batch of flow messages coalesced into one wire frame: one publish
 /// (one broker routing + fan-out) carries N samples. The binary encoding
-/// ([`crate::wire::FlowCodec::encode_batch`]) shares the producer header
+/// ([`crate::wire::encode_batch_binary`]) shares the producer header
 /// and a datum-key dictionary across items and delta-encodes
 /// `origin_ts_ns`/`seq`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowBatch {
     /// The coalesced messages, in publish order.
     pub items: Vec<FlowMessage>,
@@ -150,25 +135,6 @@ pub struct FlowItem {
 }
 
 impl FlowItem {
-    /// Decodes a payload arriving on `topic` into a flow item.
-    ///
-    /// 32-byte payloads are parsed as raw sensor samples (datum keys
-    /// `"<kind>_<channel>"`); anything else is parsed as a binary or JSON
-    /// [`FlowMessage`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when neither decoding applies.
-    pub fn from_payload(topic: impl Into<Name>, payload: &[u8]) -> Result<FlowItem, String> {
-        if payload.len() == ifot_sensors::sample::SAMPLE_WIRE_SIZE {
-            if let Ok(sample) = Sample::decode(payload) {
-                return Ok(FlowItem::from_sample(topic, &sample));
-            }
-        }
-        let msg = FlowMessage::decode(payload)?;
-        Ok(FlowItem::from_message(topic, msg))
-    }
-
     /// Normalizes a decoded flow message arriving on `topic`.
     pub fn from_message(topic: impl Into<Name>, msg: FlowMessage) -> FlowItem {
         FlowItem {
@@ -257,21 +223,16 @@ mod tests {
             label: Some("ok".into()),
             score: Some(0.5),
         };
-        // The JSON document is the one an owned-string producer and a
-        // map datum serialized to.
-        assert_eq!(
-            String::from_utf8(m.encode()).expect("JSON is UTF-8"),
-            r#"{"producer":"agg","origin_ts_ns":123,"seq":7,"datum":{"values":{"x":1.0}},"label":"ok","score":0.5}"#
-        );
         let back = FlowMessage::decode(&m.encode()).expect("round trip");
         assert_eq!(back, m);
         assert!(FlowMessage::decode(b"junk").is_err());
+        assert!(FlowMessage::decode(b"{}").is_err());
     }
 
     #[test]
-    fn sample_payload_normalizes_to_item() {
+    fn sample_normalizes_to_item() {
         let sample = Sample::new(SensorKind::Accelerometer, 3, 9, 555, &[1.0, 2.0, 3.0]);
-        let item = FlowItem::from_payload("sensor/3/accel", &sample.encode()).expect("decodes");
+        let item = FlowItem::from_sample("sensor/3/accel", &sample);
         assert_eq!(item.origin_ts_ns, 555);
         assert_eq!(item.seq, 9);
         assert_eq!(item.datum.get("accel_x"), Some(1.0));
@@ -280,7 +241,7 @@ mod tests {
     }
 
     #[test]
-    fn json_payload_normalizes_to_item() {
+    fn message_normalizes_to_item() {
         let m = FlowMessage {
             producer: "p".into(),
             origin_ts_ns: 1,
@@ -289,16 +250,10 @@ mod tests {
             label: None,
             score: None,
         };
-        let item = FlowItem::from_payload("flow/r/p", &m.encode()).expect("decodes");
+        let item = FlowItem::from_message("flow/r/p", m.clone());
         assert_eq!(item.datum.get("a"), Some(4.0));
         assert_eq!(item.topic, "flow/r/p");
-    }
-
-    #[test]
-    fn garbage_payload_is_an_error() {
-        assert!(FlowItem::from_payload("t", &[0u8; 10]).is_err());
-        // 32 bytes of garbage is not a valid sample and not JSON.
-        assert!(FlowItem::from_payload("t", &[0xFFu8; 32]).is_err());
+        assert_eq!(item.into_message("p"), m);
     }
 
     #[test]

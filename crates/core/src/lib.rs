@@ -52,4 +52,3 @@ pub use operators::NodeEvent;
 pub use rebalance::{ControlCommand, MigrateShard, RebalanceConfig, Rebalancer};
 pub use sim_adapter::{add_middleware_node, SimNode};
 pub use thread_rt::{ClusterBuilder, ClusterReport, RunningCluster};
-pub use wire::{FlowCodec, WireFormat};

@@ -43,7 +43,7 @@ use crate::executor::router;
 use crate::executor::{ControlMsg, ExecutorGraph, OpTimer, StageCell, StageStats, WorkItem};
 use crate::flow::{topics, FlowBatch, FlowItem, FlowMessage, Name};
 use crate::operators::{ClassifierModel, MixEnvelope, NodeEvent, OpOutput};
-use crate::wire::{DecodedItems, FlowCodec};
+use crate::wire::{encode_batch_binary, encode_message_binary, encode_mix_binary, DecodedItems};
 
 /// Port MQTT clients send to (broker ingress).
 pub const MQTT_BROKER_PORT: u16 = 1883;
@@ -496,11 +496,6 @@ impl MiddlewareNode {
             producer: config.name.as_str().into(),
             config,
         }
-    }
-
-    /// The codec for this node's configured wire format.
-    fn codec(&self) -> FlowCodec {
-        FlowCodec::new(self.config.wire_format)
     }
 
     /// Whether publish-side micro-batching is active (a linger window is
@@ -1048,13 +1043,10 @@ impl MiddlewareNode {
             return;
         }
         let n = items.len() as u64;
-        let codec = self.codec();
         let encoded = if items.len() == 1 {
-            codec.encode_message(&items[0])
+            encode_message_binary(&items[0])
         } else {
-            codec
-                .encode_batch(&FlowBatch { items })
-                .expect("non-empty batch encodes")
+            encode_batch_binary(&FlowBatch { items })
         };
         note_flow_frame(env, n, encoded.len());
         self.publish(env, topic, encoded.into());
@@ -1846,7 +1838,7 @@ impl MiddlewareNode {
             }
             return;
         }
-        // Normalized decode: raw sample, binary/JSON message, or a
+        // Normalized decode: raw sample, message frame, or a
         // coalesced batch frame — one to N items per payload. The
         // lean form keeps the dominant single-sample path free of a
         // one-element `Vec` allocation.
@@ -2007,7 +1999,7 @@ impl MiddlewareNode {
         envelope: &MixEnvelope,
         queue: &mut VecDeque<Hop>,
     ) {
-        let payload: Bytes = self.codec().encode_mix(envelope).into();
+        let payload: Bytes = encode_mix_binary(envelope).into();
         let echoed_back = self.connected && self.subscription_covers(topic);
         if self.has_local_consumer(topic, None) && !echoed_back {
             queue.push_back(Hop::Wire(topic.into(), payload.clone()));
@@ -2021,7 +2013,7 @@ impl MiddlewareNode {
         if self.batching_enabled() && self.connected {
             self.enqueue_batch(env, topic, message);
         } else {
-            let payload = self.codec().encode_message(&message).into();
+            let payload = encode_message_binary(&message).into();
             self.publish(env, topic, payload);
         }
     }
@@ -2075,7 +2067,7 @@ impl MiddlewareNode {
                                 }
                             });
                         } else {
-                            let payload = self.codec().encode_message(&message).into();
+                            let payload = encode_message_binary(&message).into();
                             queue.push_back(Hop::Wire(topic.clone(), payload));
                         }
                     };
@@ -2161,11 +2153,7 @@ mod tests {
     }
 
     fn batching_node(adaptive: bool) -> MiddlewareNode {
-        // Binary wire format: flush paths stay self-contained (no JSON
-        // dependency), so these tests run in any build environment.
-        let mut config = NodeConfig::new("n")
-            .with_wire_format(crate::wire::WireFormat::Binary)
-            .with_batching(4, 50);
+        let mut config = NodeConfig::new("n").with_batching(4, 50);
         if adaptive {
             config = config.with_adaptive_linger();
         }
@@ -2335,7 +2323,6 @@ mod tests {
     fn sharded_node(coalesce: bool, shards: u64, batch_max: usize) -> MiddlewareNode {
         let mut config = NodeConfig::new("n")
             .with_broker()
-            .with_wire_format(crate::wire::WireFormat::Binary)
             .with_batching(batch_max, 50);
         for i in 0..shards {
             config = config.with_operator(probe_sink(format!("p{i}")).sharded(shards, i));
@@ -2347,12 +2334,9 @@ mod tests {
     }
 
     /// One encoded batch frame covering the given sequence range.
-    fn batch_frame(node: &MiddlewareNode, seqs: std::ops::Range<u64>) -> Bytes {
+    fn batch_frame(seqs: std::ops::Range<u64>) -> Bytes {
         let items: Vec<FlowMessage> = seqs.map(flow_message).collect();
-        node.codec()
-            .encode_batch(&FlowBatch { items })
-            .expect("non-empty batch encodes")
-            .into()
+        encode_batch_binary(&FlowBatch { items }).into()
     }
 
     #[test]
@@ -2364,7 +2348,7 @@ mod tests {
         // single-item dribbles per replica.
         for frame in 0..16u64 {
             env.now_ns = (frame + 1) * 12_500_000;
-            let payload = batch_frame(&node, frame * 4..frame * 4 + 4);
+            let payload = batch_frame(frame * 4..frame * 4 + 4);
             node.dispatch_flow(&mut env, "sensor/a".into(), payload);
         }
         for i in 0..4 {
@@ -2384,7 +2368,7 @@ mod tests {
         let mut env = MockEnv::new();
         for frame in 0..3u64 {
             env.now_ns = (frame + 1) * 12_500_000;
-            let payload = batch_frame(&node, frame * 4..frame * 4 + 4);
+            let payload = batch_frame(frame * 4..frame * 4 + 4);
             node.dispatch_flow(&mut env, "sensor/a".into(), payload);
         }
         assert!(node.has_stage_backlog(), "partial batches accumulate");
@@ -2410,7 +2394,7 @@ mod tests {
         let mut node = sharded_node(true, 2, 8);
         let mut env = MockEnv::new();
         env.now_ns = 12_500_000;
-        let payload = batch_frame(&node, 0..4);
+        let payload = batch_frame(0..4);
         node.dispatch_flow(&mut env, "sensor/a".into(), payload);
         assert!(node.has_stage_backlog());
         env.traces.clear();
@@ -2434,9 +2418,7 @@ mod tests {
     fn unsharded_fanout_and_shard_cover_conserve_items() {
         // Two unsharded consumers share the frame through one `Arc` and
         // the shard replicas partition it exactly once.
-        let mut config = NodeConfig::new("n")
-            .with_broker()
-            .with_wire_format(crate::wire::WireFormat::Binary);
+        let mut config = NodeConfig::new("n").with_broker();
         config = config.with_operator(probe_sink("a"));
         config = config.with_operator(probe_sink("b"));
         for i in 0..4u64 {
@@ -2444,7 +2426,7 @@ mod tests {
         }
         let mut node = MiddlewareNode::new(config);
         let mut env = MockEnv::new();
-        let payload = batch_frame(&node, 0..8);
+        let payload = batch_frame(0..8);
         node.dispatch_flow(&mut env, "sensor/a".into(), payload);
         // Unsharded stages both see the whole frame...
         assert_eq!(node.executor.stats(0).batched_items, 8);
@@ -2491,12 +2473,11 @@ mod tests {
         // (an output nobody but its emitter consumes is dropped).
         let config = NodeConfig::new("n")
             .with_broker()
-            .with_wire_format(crate::wire::WireFormat::Binary)
             .with_operator(custom_through("echo", "loop/#", "loop/x"))
             .with_operator(custom("tap", "loop/x"));
         let mut node = MiddlewareNode::new(config);
         let mut env = MockEnv::new();
-        let payload = node.codec().encode_message(&flow_message(1));
+        let payload = encode_message_binary(&flow_message(1));
         node.dispatch_flow(&mut env, "loop/in".into(), payload.into());
         assert_eq!(env.counter("local_dispatch_overflow"), 1);
         assert_eq!(env.counter("custom_echo"), LOCAL_HOP_LIMIT as u64);
@@ -2528,7 +2509,6 @@ mod tests {
         let mut config = NodeConfig::new("n")
             .with_broker_node("elsewhere")
             .with_offline_queue(ITEMS as usize)
-            .with_wire_format(crate::wire::WireFormat::Binary)
             .with_workers(workers)
             .with_operator(custom_through("ingest", "sensor/#", "flow/e/0"))
             .with_operator(custom_through("refine", "flow/e/0", "flow/e/1"))
@@ -2552,13 +2532,12 @@ mod tests {
                 let items = (f * FRAME_ITEMS..(f + 1) * FRAME_ITEMS)
                     .map(message)
                     .collect();
-                let frame = node.codec().encode_batch(&FlowBatch { items });
-                frame.expect("non-empty batch encodes").into()
+                encode_batch_binary(&FlowBatch { items }).into()
             })
             .collect();
         for i in 0..SINGLES {
             let single = message(FRAMES * FRAME_ITEMS + i);
-            payloads.push(node.codec().encode_message(&single).into());
+            payloads.push(encode_message_binary(&single).into());
         }
         let (tx, rx) = std::sync::mpsc::channel::<(usize, Vec<OpOutput>)>();
         let pool = (workers > 0).then(|| {
@@ -2573,7 +2552,7 @@ mod tests {
                 node.worker_handoff(),
                 WorkerRuntime {
                     epoch: std::time::Instant::now(),
-                    metrics: Arc::new(parking_lot::Mutex::new(Default::default())),
+                    metrics: Arc::new(std::sync::Mutex::new(Default::default())),
                     speed: None,
                     seed: 7,
                 },
@@ -2763,7 +2742,7 @@ mod tests {
         let mut env = MockEnv::new();
         for frame in 0..4u64 {
             env.now_ns = (frame + 1) * 12_500_000;
-            let payload = batch_frame(&node, frame * 8..frame * 8 + 8);
+            let payload = batch_frame(frame * 8..frame * 8 + 8);
             node.dispatch_flow(&mut env, "sensor/a".into(), payload);
         }
         assert!(!node.has_stage_backlog());

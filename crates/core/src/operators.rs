@@ -19,7 +19,6 @@
 use ifot_ml::mix::ModelDiff;
 use ifot_ml::stat::RunningStats;
 use ifot_sensors::actuator::Command;
-use serde::{Deserialize, Serialize};
 
 use crate::flow::{FlowMessage, Name};
 
@@ -81,7 +80,7 @@ pub enum NodeEvent {
 }
 
 /// Model-plane envelope travelling on `mix/...` topics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixEnvelope {
     /// `offer` (node → coordinator) or `avg` (coordinator → nodes).
     pub role: String,
@@ -92,24 +91,19 @@ pub struct MixEnvelope {
 }
 
 impl MixEnvelope {
-    /// Serializes to the default (JSON) wire payload. Binary encoding is
-    /// opt-in via [`crate::wire::FlowCodec`].
+    /// Serializes to the wire payload: a MIX frame.
     pub fn encode(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("mix envelopes are serializable")
+        crate::wire::encode_mix_binary(self)
     }
 
-    /// Parses from a wire payload — transparently accepting both the
-    /// compact binary frame (magic [`crate::wire::FRAME_MAGIC`]) and
-    /// legacy JSON.
+    /// Parses a MIX frame.
     ///
     /// # Errors
     ///
-    /// Returns a description for malformed payloads.
+    /// Returns a description for anything that is not exactly one MIX
+    /// frame.
     pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        if bytes.first() == Some(&crate::wire::FRAME_MAGIC) {
-            return crate::wire::decode_mix_binary(bytes);
-        }
-        serde_json::from_slice(bytes).map_err(|e| e.to_string())
+        crate::wire::decode_mix_binary(bytes)
     }
 }
 

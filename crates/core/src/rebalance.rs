@@ -30,8 +30,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use ifot_recipe::assign::ModuleInfo;
 
 use crate::config::OperatorSpec;
@@ -49,7 +47,7 @@ pub fn control_topic(node: &str) -> String {
 
 /// One placement change: move the `shard`-th of `modulus` sequence
 /// shards of operator `op` from node `from` to node `to`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MigrateShard {
     /// Operator id of the sharded stage.
     pub op: String,
@@ -116,7 +114,7 @@ impl MigrateShard {
 ///    model, discards buffered items at or below the fence (the
 ///    source already processed those), processes the rest, and goes
 ///    live — each item processed exactly once, on exactly one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ControlCommand {
     /// Controller → source node: give up a shard.
     Migrate(MigrateShard),
@@ -149,8 +147,7 @@ pub enum ControlCommand {
 }
 
 impl ControlCommand {
-    /// Serializes to the wire payload (binary frame — the control plane
-    /// must work even where no JSON serializer is available).
+    /// Serializes to the wire payload: a control frame.
     pub fn encode(&self) -> Vec<u8> {
         crate::wire::encode_control_binary(self)
     }
@@ -166,7 +163,7 @@ impl ControlCommand {
 }
 
 /// Controller thresholds; see the module docs for the flap guards.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RebalanceConfig {
     /// Decision-tick period in milliseconds.
     pub interval_ms: u64,

@@ -1,5 +1,5 @@
 //! Real-time thread runtime: runs middleware nodes on OS threads with
-//! crossbeam channels as the transport.
+//! `std::sync::mpsc` channels as the transport.
 //!
 //! This is the deployment runtime used by the runnable examples: every
 //! node is one thread, packets travel through unbounded channels, timers
@@ -10,12 +10,11 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 
 use ifot_netsim::metrics::Metrics;
 use ifot_netsim::time::SimDuration;
@@ -89,7 +88,7 @@ impl ClusterBuilder {
         let mut senders: HashMap<String, Sender<ThreadMsg>> = HashMap::new();
         let mut receivers: Vec<(NodeConfig, Option<f64>, Receiver<ThreadMsg>)> = Vec::new();
         for (config, speed) in self.nodes {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             assert!(
                 senders.insert(config.name.clone(), tx).is_none(),
                 "duplicate node name {:?}",
@@ -248,7 +247,10 @@ impl RunningCluster {
 
     /// A snapshot of the shared metrics hub.
     pub fn metrics_snapshot(&self) -> Metrics {
-        self.metrics.lock().clone()
+        self.metrics
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Injects a packet into a node from outside the cluster.
@@ -306,7 +308,11 @@ impl RunningCluster {
             .iter()
             .filter_map(|name| stopped.remove(name))
             .collect();
-        let metrics = self.metrics.lock().clone();
+        let metrics = self
+            .metrics
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
         ClusterReport { metrics, nodes }
     }
 }
@@ -374,15 +380,22 @@ impl NodeEnv for ThreadEnv<'_> {
         let d = self.now_ns.saturating_sub(since_ns);
         self.metrics
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .record_latency(name, SimDuration::from_nanos(d));
     }
 
     fn incr(&mut self, counter: &str) {
-        self.metrics.lock().incr(counter);
+        self.metrics
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .incr(counter);
     }
 
     fn add(&mut self, counter: &str, delta: u64) {
-        self.metrics.lock().add(counter, delta);
+        self.metrics
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .add(counter, delta);
     }
 
     fn rand_u64(&mut self) -> u64 {
@@ -701,6 +714,43 @@ mod tests {
         let published = report.metrics.counter("flow_items_published");
         assert!(published > 20, "the edge must have published: {published}");
         assert_eq!(report.metrics.counter("trained"), published);
+    }
+
+    /// An operator that panics on one item takes its worker thread down
+    /// with the stage lock held. Locks do not stay poisoned here: the
+    /// surviving worker keeps stepping both stages, nothing else is lost,
+    /// and `stop` joins the node and returns it.
+    #[test]
+    fn panicking_pooled_operator_wedges_nothing() {
+        let sink = |operator: &str| {
+            OperatorSpec::sink(
+                operator,
+                OperatorKind::Custom {
+                    operator: operator.into(),
+                },
+                vec!["sensor/#".into()],
+            )
+        };
+        let edge = NodeConfig::new("edge")
+            .with_broker_node("hub")
+            .with_offline_queue(0)
+            .with_sensor(SensorSpec::new(SensorKind::Sound, 1, 100.0, 3));
+        let hub = NodeConfig::new("hub")
+            .with_broker()
+            .with_broker_node("hub")
+            .with_workers(2)
+            .with_operator(sink("faulty"))
+            .with_operator(sink("healthy"));
+        let cluster = ClusterBuilder::new().node(hub).node(edge).start();
+        let report = cluster.run_for(Duration::from_millis(400));
+        let published = report.metrics.counter("flow_items_published");
+        assert!(published > 10, "the edge must have published: {published}");
+        assert_eq!(report.nodes.len(), 2, "the hub's thread must survive");
+        // Both stages took every item, the faulty one's third included
+        // (that call is the one that panicked).
+        let stats = report.nodes[0].stage_stats();
+        assert_eq!(stats[0].processed, published, "faulty stage kept going");
+        assert_eq!(stats[1].processed, published, "healthy stage drained");
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Compact binary wire codec for the flow plane.
+//! The binary wire codec: the one encoding of everything the middleware
+//! publishes besides raw sensor samples.
 //!
-//! The paper's prototype ships one JSON document per sample per hop; at
+//! The paper's prototype shipped one JSON document per sample per hop; at
 //! 80 Hz that pays serialization, broker routing and fan-out costs 80×
 //! per second per stream. This module amortizes those costs two ways:
 //!
@@ -9,13 +10,10 @@
 //! * a **batch frame** ([`FlowBatch`]) carrying N messages under one
 //!   shared header, so one publish replaces N.
 //!
-//! Frames are discriminated by a magic byte that collides with neither
-//! existing payload family: raw 32-byte sensor samples start `b"IF"`
-//! (`0x49`) and JSON documents start `{` (`0x7B`); binary frames start
-//! [`FRAME_MAGIC`] (`0xFB`). Decoding is therefore *transparent*: every
-//! decode entry point accepts legacy JSON alongside binary, so
-//! mixed-version deployments interoperate and the default configuration
-//! (JSON, no batching) is bit-identical to the seed.
+//! A payload is told apart by its first byte and length: a frame starts
+//! [`FRAME_MAGIC`] (`0xFB`), a raw sensor sample is exactly 32 bytes
+//! starting `b"IF"`, and anything else is an error — there is no second
+//! encoding to fall back to.
 //!
 //! Frame layout (all integers varint/LEB128 unless noted):
 //!
@@ -29,6 +27,12 @@
 //!                          datum{n, (dict-idx, f64)...}, label?, score?
 //!                   0x03   MixEnvelope: role, task,
 //!                          diff{labels, (label, {n, (idx, f64)...})...}
+//!                   0x04   LoadReport: node, at, stages{n, (op, shard?,
+//!                          depth, processed, shed, wait)...}
+//!                   0x05   ControlCommand: tag, then the variant's fields
+//!                   0x06   NodeAnnouncement: node, online(1), at, revision,
+//!                          streams{n, (topic, kind?, rate?)...},
+//!                          capabilities{n, string...}
 //! ```
 //!
 //! Strings are length-prefixed UTF-8; `f64` travels as its IEEE-754 bits
@@ -39,7 +43,6 @@ use std::sync::Arc;
 
 use ifot_ml::feature::{Datum, FeatureKey, SparseWeights};
 use ifot_ml::mix::ModelDiff;
-use serde::{Deserialize, Serialize};
 
 use crate::flow::{FlowBatch, FlowItem, FlowMessage, Name};
 use crate::operators::MixEnvelope;
@@ -58,70 +61,22 @@ pub const KIND_MIX: u8 = 0x03;
 pub const KIND_LOAD: u8 = 0x04;
 /// Frame kind: a [`crate::rebalance::ControlCommand`].
 pub const KIND_CONTROL: u8 = 0x05;
+/// Frame kind: a [`crate::discovery::NodeAnnouncement`].
+pub const KIND_ANNOUNCE: u8 = 0x06;
 
-/// Which encoding a node writes on the flow plane. Decoding always
-/// accepts both, so this knob never has to match across nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// The encoding a node writes on the flow plane. There is one; the type
+/// and [`crate::config::NodeConfig::with_wire_format`] remain so callers
+/// written when there were two still compile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireFormat {
-    /// Legacy JSON documents (the seed behaviour).
+    /// Binary frames (magic [`FRAME_MAGIC`]).
     #[default]
-    Json,
-    /// Compact binary frames (magic [`FRAME_MAGIC`]).
     Binary,
-}
-
-/// Encoder for the flow plane, parameterized by [`WireFormat`]. In
-/// `Json` mode the output is byte-identical to the legacy
-/// [`FlowMessage::encode`] / [`MixEnvelope::encode`] paths.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FlowCodec {
-    /// The encoding this codec writes.
-    pub format: WireFormat,
-}
-
-impl FlowCodec {
-    /// Creates a codec writing the given format.
-    pub fn new(format: WireFormat) -> Self {
-        FlowCodec { format }
-    }
-
-    /// Encodes a single flow message.
-    pub fn encode_message(&self, msg: &FlowMessage) -> Vec<u8> {
-        #[cfg(test)]
-        CODEC_CALLS.with(|c| c.set((c.get().0 + 1, c.get().1)));
-        match self.format {
-            WireFormat::Json => msg.encode(),
-            WireFormat::Binary => encode_message_binary(msg),
-        }
-    }
-
-    /// Encodes a batch of flow messages into one frame.
-    ///
-    /// # Errors
-    ///
-    /// Rejects an empty batch (there is nothing to frame).
-    pub fn encode_batch(&self, batch: &FlowBatch) -> Result<Vec<u8>, String> {
-        if batch.is_empty() {
-            return Err("cannot encode an empty flow batch".to_owned());
-        }
-        Ok(match self.format {
-            WireFormat::Json => serde_json::to_vec(batch).expect("flow batches are serializable"),
-            WireFormat::Binary => encode_batch_binary(batch),
-        })
-    }
-
-    /// Encodes a model-plane envelope.
-    pub fn encode_mix(&self, envelope: &MixEnvelope) -> Vec<u8> {
-        match self.format {
-            WireFormat::Json => envelope.encode(),
-            WireFormat::Binary => encode_mix_binary(envelope),
-        }
-    }
 }
 
 #[cfg(test)]
 thread_local! {
-    /// Test instrument: `(encode_message, decode_items_lean)` calls made
+    /// Test instrument: `(encode_message_binary, decode_items_on)` calls made
     /// on the current thread, so a test can pin that a local hop
     /// bypasses the codec.
     pub(crate) static CODEC_CALLS: std::cell::Cell<(u64, u64)> =
@@ -171,12 +126,11 @@ impl DecodedItems {
 }
 
 /// Decodes any flow-plane payload arriving on `topic` into normalized
-/// items: a raw 32-byte sensor sample, a binary or JSON [`FlowMessage`]
-/// (one item), or a binary or JSON [`FlowBatch`] (N items, publish order
-/// preserved). The single-item families return [`DecodedItems::One`]
-/// without a heap `Vec`. Every item shares `topic`; a binary frame's
-/// items go straight from the bytes to [`FlowItem`]s, a batch's sharing
-/// the keys of its dictionary.
+/// items: a raw 32-byte sensor sample, a [`FlowMessage`] frame (one
+/// item), or a [`FlowBatch`] frame (N items, publish order preserved).
+/// The single-item families return [`DecodedItems::One`] without a heap
+/// `Vec`. Every item shares `topic`; a frame's items go straight from the
+/// bytes to [`FlowItem`]s, a batch's sharing the keys of its dictionary.
 ///
 /// # Errors
 ///
@@ -184,42 +138,25 @@ impl DecodedItems {
 pub fn decode_items_on(topic: &Name, payload: &[u8]) -> Result<DecodedItems, String> {
     #[cfg(test)]
     CODEC_CALLS.with(|c| c.set((c.get().0, c.get().1 + 1)));
-    if payload.len() == ifot_sensors::sample::SAMPLE_WIRE_SIZE
-        && payload.first() != Some(&FRAME_MAGIC)
-    {
-        if let Ok(item) = FlowItem::from_payload(topic.clone(), payload) {
-            return Ok(DecodedItems::One(item));
-        }
-    }
-    if payload.first() == Some(&FRAME_MAGIC) {
-        return match frame_kind(payload)? {
-            KIND_MESSAGE => {
-                read_message(payload).map(|(_, body)| DecodedItems::One(body.on(topic.clone())))
-            }
-            KIND_BATCH => {
-                read_batch(payload, |_, _, body| body.on(topic.clone())).map(DecodedItems::Many)
-            }
-            other => Err(format!(
-                "flow frame kind {other:#04x} is not a flow payload"
-            )),
-        };
-    }
-    // JSON: a single message first (the common case), then a batch.
-    if let Ok(msg) = FlowMessage::decode(payload) {
-        return Ok(DecodedItems::One(FlowItem::from_message(
+    if payload.first() != Some(&FRAME_MAGIC) {
+        let sample = ifot_sensors::sample::Sample::decode(payload)
+            .map_err(|e| format!("neither a flow frame nor a sensor sample: {e}"))?;
+        return Ok(DecodedItems::One(FlowItem::from_sample(
             topic.clone(),
-            msg,
+            &sample,
         )));
     }
-    let batch: FlowBatch =
-        serde_json::from_slice(payload).map_err(|e| format!("not a flow payload: {e}"))?;
-    Ok(DecodedItems::Many(
-        batch
-            .items
-            .into_iter()
-            .map(|m| FlowItem::from_message(topic.clone(), m))
-            .collect(),
-    ))
+    match frame_kind(payload)? {
+        KIND_MESSAGE => {
+            read_message(payload).map(|(_, body)| DecodedItems::One(body.on(topic.clone())))
+        }
+        KIND_BATCH => {
+            read_batch(payload, |_, _, body| body.on(topic.clone())).map(DecodedItems::Many)
+        }
+        other => Err(format!(
+            "flow frame kind {other:#04x} is not a flow payload"
+        )),
+    }
 }
 
 /// [`decode_items_on`] for a caller holding the topic as text: the shared
@@ -242,9 +179,9 @@ pub fn decode_items(topic: &str, payload: &[u8]) -> Result<Vec<FlowItem>, String
     decode_items_lean(topic, payload).map(DecodedItems::into_vec)
 }
 
-/// Peeks the earliest `origin_ts_ns` out of a binary message or batch
-/// frame without a full decode — used by broker/client latency probes.
-/// Returns `None` for non-binary payloads or non-flow kinds.
+/// Peeks the earliest `origin_ts_ns` out of a message or batch frame
+/// without a full decode — used by broker/client latency probes.
+/// Returns `None` for payloads that are not frames, or not flow kinds.
 pub fn peek_first_origin(payload: &[u8]) -> Option<u64> {
     let mut r = Reader::new(payload);
     if r.u8().ok()? != FRAME_MAGIC || r.u8().ok()? != FRAME_VERSION {
@@ -290,38 +227,6 @@ pub fn peek_item_count(payload: &[u8]) -> Option<usize> {
     }
 }
 
-/// Decodes a message payload, binary or JSON (alias of
-/// [`FlowMessage::decode`], which is already transparent).
-///
-/// # Errors
-///
-/// Returns a description for malformed payloads.
-pub fn decode_message(payload: &[u8]) -> Result<FlowMessage, String> {
-    FlowMessage::decode(payload)
-}
-
-/// Decodes a batch payload, binary or JSON.
-///
-/// # Errors
-///
-/// Returns a description for malformed payloads.
-pub fn decode_batch(payload: &[u8]) -> Result<FlowBatch, String> {
-    if payload.first() == Some(&FRAME_MAGIC) {
-        return decode_batch_binary(payload);
-    }
-    serde_json::from_slice(payload).map_err(|e| e.to_string())
-}
-
-/// Decodes a model-plane payload, binary or JSON (alias of
-/// [`MixEnvelope::decode`], which is already transparent).
-///
-/// # Errors
-///
-/// Returns a description for malformed payloads.
-pub fn decode_mix(payload: &[u8]) -> Result<MixEnvelope, String> {
-    MixEnvelope::decode(payload)
-}
-
 fn frame_kind(payload: &[u8]) -> Result<u8, String> {
     let mut r = Reader::new(payload);
     let magic = r.u8()?;
@@ -345,6 +250,8 @@ fn header(kind: u8) -> Vec<u8> {
 
 /// Encodes one message as a binary frame.
 pub fn encode_message_binary(msg: &FlowMessage) -> Vec<u8> {
+    #[cfg(test)]
+    CODEC_CALLS.with(|c| c.set((c.get().0 + 1, c.get().1)));
     let mut w = header(KIND_MESSAGE);
     put_string(&mut w, &msg.producer);
     put_varint(&mut w, msg.origin_ts_ns);
@@ -614,11 +521,76 @@ pub fn decode_mix_binary(payload: &[u8]) -> Result<MixEnvelope, String> {
 }
 
 // ---------------------------------------------------------------------
-// Elastic-placement frames (load heartbeats + migration control).
-// These are binary-only: the placement runtime must work even where no
-// JSON serializer is available, and the payloads never leave the
-// middleware's own control plane.
+// Control-plane frames: announcements, load heartbeats, migration control.
 // ---------------------------------------------------------------------
+
+/// Encodes a node announcement as a binary frame.
+pub fn encode_announce_binary(ann: &crate::discovery::NodeAnnouncement) -> Vec<u8> {
+    let mut w = header(KIND_ANNOUNCE);
+    put_string(&mut w, &ann.node);
+    w.push(ann.online as u8);
+    put_varint(&mut w, ann.at_ns);
+    put_varint(&mut w, ann.revision);
+    put_varint(&mut w, ann.streams.len() as u64);
+    for stream in &ann.streams {
+        put_string(&mut w, &stream.topic);
+        put_opt_string(&mut w, stream.kind.as_deref());
+        put_opt_f64(&mut w, stream.rate_hz);
+    }
+    put_varint(&mut w, ann.capabilities.len() as u64);
+    for capability in &ann.capabilities {
+        put_string(&mut w, capability);
+    }
+    w
+}
+
+/// Decodes a strictly binary node announcement.
+///
+/// # Errors
+///
+/// Returns a description for wrong kinds, truncation or trailing bytes.
+pub fn decode_announce_binary(
+    payload: &[u8],
+) -> Result<crate::discovery::NodeAnnouncement, String> {
+    let kind = frame_kind(payload)?;
+    if kind != KIND_ANNOUNCE {
+        return Err(format!("frame kind {kind:#04x} is not an announcement"));
+    }
+    let mut r = Reader::new(&payload[3..]);
+    let node = r.string()?;
+    let online = r.flag()?;
+    let at_ns = r.varint()?;
+    let revision = r.varint()?;
+    let stream_count = r.varint()? as usize;
+    if stream_count > r.remaining() {
+        return Err("stream table longer than the frame".to_owned());
+    }
+    let mut streams = Vec::with_capacity(stream_count);
+    for _ in 0..stream_count {
+        streams.push(crate::discovery::StreamInfo {
+            topic: r.string()?,
+            kind: r.opt_string()?,
+            rate_hz: r.opt_f64()?,
+        });
+    }
+    let capability_count = r.varint()? as usize;
+    if capability_count > r.remaining() {
+        return Err("capability list longer than the frame".to_owned());
+    }
+    let mut capabilities = Vec::with_capacity(capability_count);
+    for _ in 0..capability_count {
+        capabilities.push(r.string()?);
+    }
+    r.finish()?;
+    Ok(crate::discovery::NodeAnnouncement {
+        node,
+        online,
+        streams,
+        capabilities,
+        at_ns,
+        revision,
+    })
+}
 
 /// Encodes a load heartbeat as a binary frame.
 pub fn encode_load_binary(report: &crate::discovery::LoadReport) -> Vec<u8> {
@@ -835,11 +807,7 @@ fn read_spec(r: &mut Reader<'_>) -> Result<crate::config::OperatorSpec, String> 
         inputs.push(r.string()?);
     }
     let output = r.opt_string()?;
-    let publish_output = match r.u8()? {
-        0 => false,
-        1 => true,
-        other => return Err(format!("bad publish flag {other:#04x}")),
-    };
+    let publish_output = r.flag()?;
     let shard = match r.u8()? {
         0 => None,
         1 => Some((r.varint()?, r.varint()?)),
@@ -1074,6 +1042,14 @@ impl<'a> Reader<'a> {
         self.str().map(str::to_owned)
     }
 
+    fn flag(&mut self) -> Result<bool, String> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(format!("bad flag {other:#04x}")),
+        }
+    }
+
     fn opt_string(&mut self) -> Result<Option<String>, String> {
         match self.u8()? {
             0 => Ok(None),
@@ -1154,19 +1130,6 @@ mod tests {
         let bytes = encode_message_binary(&m);
         assert_eq!(bytes[0], FRAME_MAGIC);
         assert_eq!(decode_message_binary(&bytes).expect("round trip"), m);
-        // The transparent entry point accepts it too.
-        assert_eq!(FlowMessage::decode(&bytes).expect("transparent"), m);
-    }
-
-    #[test]
-    fn binary_is_smaller_than_json() {
-        let m = msg(3);
-        assert!(
-            encode_message_binary(&m).len() < m.encode().len(),
-            "binary should undercut JSON: {} vs {}",
-            encode_message_binary(&m).len(),
-            m.encode().len()
-        );
     }
 
     #[test]
@@ -1177,10 +1140,17 @@ mod tests {
         let bytes = encode_batch_binary(&batch);
         let back = decode_batch_binary(&bytes).expect("round trip");
         assert_eq!(back, batch);
-        // Delta+dictionary encoding amortizes: ten items cost far less
-        // than ten standalone frames.
-        let single = encode_message_binary(&batch.items[0]).len();
-        assert!(bytes.len() < single * batch.items.len());
+    }
+
+    /// What batching buys on the wire, in bytes: the shared producer and
+    /// key dictionary plus delta-coded origin/seq carry 16 items in 460
+    /// bytes where 16 message frames take 664 (28.75 vs 41.5 per item).
+    #[test]
+    fn batch_frame_undercuts_message_frames_per_item() {
+        let items: Vec<FlowMessage> = (0..16).map(msg).collect();
+        let as_messages: usize = items.iter().map(|m| encode_message_binary(m).len()).sum();
+        let as_batch = encode_batch_binary(&FlowBatch { items }).len();
+        assert_eq!((as_batch, as_messages), (460, 664));
     }
 
     #[test]
@@ -1194,18 +1164,6 @@ mod tests {
     }
 
     #[test]
-    fn json_batch_round_trips_through_decode_batch() {
-        let batch = FlowBatch {
-            items: (0..3).map(msg).collect(),
-        };
-        let json = FlowCodec::new(WireFormat::Json)
-            .encode_batch(&batch)
-            .expect("non-empty");
-        assert!(json.starts_with(br#"{"items":[{"producer":"agg","origin_ts_ns":1000000,"#));
-        assert_eq!(decode_batch(&json).expect("json batch"), batch);
-    }
-
-    #[test]
     fn decode_items_handles_every_payload_family() {
         use ifot_sensors::sample::{Sample, SensorKind};
         // Raw 32-byte sample.
@@ -1213,13 +1171,10 @@ mod tests {
         let items = decode_items("sensor/1/sound", &sample.encode()).expect("sample");
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].seq, 5);
-        // JSON message.
+        // Message frame.
         let m = msg(1);
-        let items = decode_items("flow/r/t", &m.encode()).expect("json message");
-        assert_eq!(items, vec![FlowItem::from_message("flow/r/t", m.clone())]);
-        // Binary message.
-        let items = decode_items("flow/r/t", &encode_message_binary(&m)).expect("binary message");
-        assert_eq!(items.len(), 1);
+        let items = decode_items("flow/r/t", &encode_message_binary(&m)).expect("message frame");
+        assert_eq!(items, vec![FlowItem::from_message("flow/r/t", m)]);
         // Binary batch.
         let batch = FlowBatch {
             items: (0..5).map(msg).collect(),
@@ -1227,13 +1182,12 @@ mod tests {
         let items = decode_items("flow/r/t", &encode_batch_binary(&batch)).expect("binary batch");
         assert_eq!(items.len(), 5);
         assert_eq!(items[4].seq, 4);
-        // JSON batch.
-        let json = serde_json::to_vec(&batch).expect("serializable");
-        let items = decode_items("flow/r/t", &json).expect("json batch");
-        assert_eq!(items.len(), 5);
-        // Garbage still rejected.
+        // Anything else is rejected: garbage, a 32-byte non-sample, the
+        // JSON document an older node would have sent, a control frame.
         assert!(decode_items("t", &[0u8; 10]).is_err());
         assert!(decode_items("t", &[0xFFu8; 32]).is_err());
+        assert!(decode_items("t", br#"{"producer":"agg","seq":1}"#).is_err());
+        assert!(decode_items("t", &header(KIND_LOAD)).is_err());
     }
 
     #[test]
@@ -1273,10 +1227,6 @@ mod tests {
         };
         let bytes = encode_mix_binary(&e);
         assert_eq!(decode_mix_binary(&bytes).expect("round trip"), e);
-        // Transparent entry point.
-        assert_eq!(MixEnvelope::decode(&bytes).expect("transparent"), e);
-        // JSON still decodes through the same entry point.
-        assert_eq!(MixEnvelope::decode(&e.encode()).expect("json"), e);
     }
 
     #[test]
@@ -1293,14 +1243,13 @@ mod tests {
             peek_first_origin(&encode_batch_binary(&batch)),
             Some(batch.items[0].origin_ts_ns)
         );
-        assert_eq!(peek_first_origin(&m.encode()), None, "JSON is not peeked");
+        assert_eq!(peek_first_origin(b"{}"), None, "not a frame");
     }
 
     #[test]
     fn peek_item_count_matches_decode() {
         let m = msg(4);
         assert_eq!(peek_item_count(&encode_message_binary(&m)), Some(1));
-        assert_eq!(peek_item_count(&m.encode()), Some(1));
         let batch = FlowBatch {
             items: (0..6).map(msg).collect(),
         };
@@ -1308,23 +1257,8 @@ mod tests {
     }
 
     #[test]
-    fn json_codec_is_byte_identical_to_legacy_encoders() {
-        let codec = FlowCodec::default();
-        let m = msg(9);
-        assert_eq!(codec.encode_message(&m), m.encode());
-        let e = MixEnvelope {
-            role: "offer".into(),
-            task: "learn".into(),
-            diff: ModelDiff::new(),
-        };
-        assert_eq!(codec.encode_mix(&e), e.encode());
-    }
-
-    #[test]
     fn empty_batch_is_rejected() {
-        let codec = FlowCodec::new(WireFormat::Binary);
-        assert!(codec.encode_batch(&FlowBatch { items: vec![] }).is_err());
-        // A forged zero-count binary batch frame is rejected on decode.
+        // A forged zero-count batch frame is rejected on decode.
         let mut forged = header(KIND_BATCH);
         put_string(&mut forged, "p");
         put_varint(&mut forged, 0);

@@ -8,7 +8,6 @@
 //! ifotctl check <recipe.ifot>              validate + show split/assignment
 //! ifotctl run <recipe.ifot> [seconds]      deploy on auto-provisioned modules and run
 //! ifotctl render <recipe.ifot>             pretty-print the recipe (DSL -> DSL)
-//! ifotctl export <recipe.ifot>             recipe as JSON
 //! ifotctl tables [seed]                    regenerate Tables II/III
 //! ```
 
@@ -35,17 +34,13 @@ fn main() -> ExitCode {
             println!("{}", dsl::render(&recipe));
             Ok(())
         }),
-        Some("export") => with_recipe(&args, |recipe, _| {
-            println!("{}", recipe.to_json());
-            Ok(())
-        }),
         Some("tables") => {
             let seed = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2016);
             tables(seed)
         }
         _ => {
             eprintln!(
-                "usage: ifotctl <check|run|render|export> <recipe.ifot> [args] | ifotctl tables [seed]"
+                "usage: ifotctl <check|run|render> <recipe.ifot> [args] | ifotctl tables [seed]"
             );
             Err("missing or unknown subcommand".to_owned())
         }

@@ -8,7 +8,6 @@
 
 use ifot_netsim::metrics::LatencySummary;
 use ifot_netsim::time::SimDuration;
-use serde::Serialize;
 
 use crate::testbed::{paper_testbed, TestbedConfig};
 
@@ -21,7 +20,7 @@ pub const PAPER_RATES_HZ: [f64; 5] = [5.0, 10.0, 20.0, 40.0, 80.0];
 pub const RUN_DURATION: SimDuration = SimDuration::from_secs(5);
 
 /// Result of one rate point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RatePoint {
     /// Sampling rate in Hz.
     pub rate_hz: f64,
@@ -51,7 +50,7 @@ impl RatePoint {
 }
 
 /// Result of a full rate sweep: one series per measured process.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SweepResult {
     /// Sensing → Training delays (Table II).
     pub training: Vec<RatePoint>,

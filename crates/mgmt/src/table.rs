@@ -49,9 +49,42 @@ pub fn render_comparison(title: &str, measured: &[RatePoint], paper: &[(f64, f64
     out
 }
 
-/// Serializes a sweep result to pretty JSON (for EXPERIMENTS.md capture).
+/// Serializes a sweep result to pretty JSON (for EXPERIMENTS.md capture):
+/// two-space indent, one field per line, floats in their shortest
+/// round-trip form — the layout `sweep_2016.json` is kept in.
 pub fn to_json(result: &SweepResult) -> String {
-    serde_json::to_string_pretty(result).expect("sweep results are serializable")
+    fn number(v: f64) -> String {
+        if v.is_finite() {
+            format!("{v:?}")
+        } else {
+            "null".to_owned()
+        }
+    }
+    let series = |points: &[RatePoint]| {
+        if points.is_empty() {
+            return "[]".to_owned();
+        }
+        let rows: Vec<String> = points
+            .iter()
+            .map(|p| {
+                format!(
+                    "    {{\n      \"rate_hz\": {},\n      \"count\": {},\n      \"avg_ms\": {},\n      \"max_ms\": {},\n      \"p50_ms\": {},\n      \"p95_ms\": {}\n    }}",
+                    number(p.rate_hz),
+                    p.count,
+                    number(p.avg_ms),
+                    number(p.max_ms),
+                    number(p.p50_ms),
+                    number(p.p95_ms)
+                )
+            })
+            .collect();
+        format!("[\n{}\n  ]", rows.join(",\n"))
+    };
+    format!(
+        "{{\n  \"training\": {},\n  \"predicting\": {}\n}}",
+        series(&result.training),
+        series(&result.predicting)
+    )
 }
 
 /// Serializes a sweep result to CSV (one row per rate and series) for
@@ -129,14 +162,42 @@ mod tests {
         assert!(csv.contains("predicting,80,400"));
     }
 
+    /// Rebuilds the committed capture from its own numbers: the writer
+    /// reproduces the file byte for byte.
     #[test]
-    fn json_round_trips_structurally() {
+    fn json_layout_is_the_committed_capture() {
+        let committed = include_str!("../../../sweep_2016.json");
+        let values: Vec<f64> = committed
+            .lines()
+            .filter_map(|line| {
+                line.split_once("\": ")?
+                    .1
+                    .trim_end_matches(',')
+                    .parse()
+                    .ok()
+            })
+            .collect();
+        let mut points = values.chunks_exact(6).map(|v| RatePoint {
+            rate_hz: v[0],
+            count: v[1] as usize,
+            avg_ms: v[2],
+            max_ms: v[3],
+            p50_ms: v[4],
+            p95_ms: v[5],
+        });
         let result = SweepResult {
-            training: points(),
-            predicting: points(),
+            training: points.by_ref().take(5).collect(),
+            predicting: points.collect(),
         };
-        let json = to_json(&result);
-        let value: serde_json::Value = serde_json::from_str(&json).expect("valid json");
-        assert_eq!(value["training"][0]["rate_hz"], 5.0);
+        assert_eq!(result.predicting.len(), 5);
+        assert_eq!(to_json(&result), committed);
+        let empty = SweepResult {
+            training: Vec::new(),
+            predicting: Vec::new(),
+        };
+        assert_eq!(
+            to_json(&empty),
+            "{\n  \"training\": [],\n  \"predicting\": []\n}"
+        );
     }
 }

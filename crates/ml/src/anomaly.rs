@@ -13,8 +13,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::feature::FeatureVector;
 use crate::stat::RunningStats;
 
@@ -30,7 +28,7 @@ use crate::stat::RunningStats;
 /// assert!(!d.is_anomalous(10.1));
 /// assert!(d.is_anomalous(17.0));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunningZScore {
     stats: RunningStats,
     threshold: f64,
@@ -81,9 +79,52 @@ impl RunningZScore {
     }
 }
 
+/// Consecutive flags after which a [`ContaminationGuard`] lets flagged
+/// samples into the baseline again.
+pub const GUARD_RELEASE_RUN: u32 = 32;
+
+/// Decides which scored samples a running detector may learn from.
+///
+/// A flagged sample is withheld, so an anomaly does not teach the detector
+/// that it is normal. Withholding alone latches: if the signal's level
+/// has moved past the threshold by the time an episode ends, every later
+/// sample is flagged, none is absorbed and the estimate never catches up.
+/// So more than [`GUARD_RELEASE_RUN`] flags in a row count as a level
+/// shift rather than an episode, and flagged samples are absorbed until
+/// one scores under the threshold again.
+///
+/// ```
+/// use ifot_ml::anomaly::{ContaminationGuard, GUARD_RELEASE_RUN};
+///
+/// let mut guard = ContaminationGuard::default();
+/// assert!(guard.absorbs(false));
+/// for _ in 0..GUARD_RELEASE_RUN {
+///     assert!(!guard.absorbs(true));
+/// }
+/// assert!(guard.absorbs(true));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct ContaminationGuard {
+    flagged_run: u32,
+}
+
+impl ContaminationGuard {
+    /// Whether the sample just scored goes into the baseline, given
+    /// whether it was flagged.
+    pub fn absorbs(&mut self, flagged: bool) -> bool {
+        if flagged {
+            self.flagged_run = self.flagged_run.saturating_add(1);
+            self.flagged_run > GUARD_RELEASE_RUN
+        } else {
+            self.flagged_run = 0;
+            true
+        }
+    }
+}
+
 /// Multivariate detector with a per-dimension (diagonal) variance
 /// estimate; the score is the normalized Mahalanobis distance.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MahalanobisDetector {
     dims: std::collections::BTreeMap<u32, RunningStats>,
     count: u64,

@@ -13,13 +13,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::feature::{FeatureVector, SparseWeights};
 use crate::mix::LinearModel;
 
 /// A label with its score, as returned by [`OnlineClassifier::scores`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabelScore {
     /// The candidate label.
     pub label: String,
@@ -119,7 +117,7 @@ fn own_and_rival<'a>(
 }
 
 /// The classic multiclass perceptron.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Perceptron {
     weights: BTreeMap<String, SparseWeights>,
     examples: u64,
@@ -163,7 +161,7 @@ impl LinearModel for Perceptron {
 }
 
 /// Passive-Aggressive flavour: how aggressively updates are clipped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PaVariant {
     /// Unbounded step (original PA).
     #[default]
@@ -175,7 +173,7 @@ pub enum PaVariant {
 }
 
 /// Multiclass Passive-Aggressive classifier (Crammer et al. 2006).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PassiveAggressive {
     variant: PaVariant,
     c: f64,
@@ -269,7 +267,7 @@ impl LinearModel for PassiveAggressive {
 ///
 /// Keeps a per-label diagonal confidence matrix; frequently seen features
 /// receive smaller updates, making the learner robust to label noise.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Arow {
     r: f64,
     weights: BTreeMap<String, SparseWeights>,
@@ -387,7 +385,7 @@ impl LinearModel for Arow {
 }
 
 /// Classifier algorithm selector, e.g. for recipes and configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Algorithm {
     /// [`Perceptron`].
     Perceptron,
@@ -592,16 +590,6 @@ mod tests {
             m.train(&x, "l");
             assert_eq!(m.labels(), vec!["l"]);
         }
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_model() {
-        let data = blob_dataset();
-        let mut m = Arow::default();
-        train_all(&mut m, &data);
-        let json = serde_json::to_string(&m).expect("serialize");
-        let back: Arow = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(accuracy(&back, &data), accuracy(&m, &data));
     }
 
     #[test]

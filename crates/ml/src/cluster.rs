@@ -1,8 +1,6 @@
 //! Online clustering — the Jubatus `clustering` service substitute
 //! (sequential k-means, MacQueen's update).
 
-use serde::{Deserialize, Serialize};
-
 /// Sequential k-means over dense points of a fixed dimensionality.
 ///
 /// The first `k` distinct points seed the centroids; every further point
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let (high, _) = km.assign(&[9.0]).expect("seeded");
 /// assert_ne!(low, high);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OnlineKMeans {
     k: usize,
     dims: usize,
@@ -208,16 +206,6 @@ mod tests {
         let c = km.centroids()[0][0];
         // Mean of 0..=10 cycling is 5.
         assert!((c - 5.0).abs() < 0.2, "centroid {c}");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut km = OnlineKMeans::new(2, 1);
-        km.observe(&[1.0]);
-        km.observe(&[5.0]);
-        let json = serde_json::to_string(&km).expect("serialize");
-        let back: OnlineKMeans = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back.centroids(), km.centroids());
     }
 
     #[test]

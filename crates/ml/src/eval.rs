@@ -5,8 +5,6 @@
 //! that ground truth into honest precision/recall numbers for the
 //! examples and tests.
 
-use serde::{Deserialize, Serialize};
-
 /// Binary confusion counts with the derived quality metrics.
 ///
 /// ```
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c.recall(), 0.5);
 /// assert_eq!(c.accuracy(), 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BinaryConfusion {
     /// Positive truth, positive prediction.
     pub true_positives: u64,
@@ -121,7 +119,7 @@ impl core::fmt::Display for BinaryConfusion {
 }
 
 /// Multiclass accuracy counter for classifier evaluation.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AccuracyCounter {
     correct: u64,
     total: u64,

@@ -14,8 +14,6 @@ use core::fmt;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// Default hash space size (2^18 buckets).
 pub const DEFAULT_DIMENSIONS: u32 = 1 << 18;
 
@@ -154,32 +152,10 @@ impl Entries {
 /// assert_eq!(d.get("accel_x"), Some(0.2));
 /// assert_eq!(d.len(), 2);
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
-#[serde(from = "DatumMap", into = "DatumMap")]
+#[derive(Clone)]
 pub struct Datum {
     /// Sorted by key, keys unique.
     entries: Entries,
-}
-
-/// The serde shape of a [`Datum`]: the string-keyed map it used to be.
-#[derive(Serialize, Deserialize)]
-#[serde(rename = "Datum")]
-struct DatumMap {
-    values: BTreeMap<String, f64>,
-}
-
-impl From<Datum> for DatumMap {
-    fn from(datum: Datum) -> Self {
-        DatumMap {
-            values: datum.iter().map(|(k, v)| (k.to_owned(), v)).collect(),
-        }
-    }
-}
-
-impl From<DatumMap> for Datum {
-    fn from(map: DatumMap) -> Self {
-        map.values.into_iter().collect()
-    }
 }
 
 impl Default for Datum {
@@ -307,7 +283,7 @@ fn fnv1a(bytes: &[u8]) -> u32 {
 /// assert_eq!(a.dot(&b), 6.0);
 /// assert_eq!(a.norm_sq(), 5.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FeatureVector {
     items: Vec<(u32, f64)>,
 }
@@ -404,7 +380,7 @@ impl FeatureVector {
 ///
 /// Absent indices read as zero; [`SparseWeights::add_scaled`] implements
 /// the `w += eta * x` update every online linear algorithm performs.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SparseWeights {
     map: BTreeMap<u32, f64>,
 }
@@ -576,21 +552,6 @@ mod tests {
         a.blend(&b, 0.5);
         assert_eq!(a.get(1), 3.0);
         assert_eq!(a.get(2), 1.0);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let d = Datum::new().with("a", 1.0);
-        let json = serde_json::to_string(&d).expect("serialize");
-        // The shape of the string-keyed map a datum used to be.
-        assert_eq!(json, r#"{"values":{"a":1.0}}"#);
-        let back: Datum = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, d);
-
-        let v = FeatureVector::from_pairs(vec![(1, 2.0)]);
-        let json = serde_json::to_string(&v).expect("serialize");
-        let back: FeatureVector = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, v);
     }
 
     #[test]

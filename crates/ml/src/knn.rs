@@ -7,8 +7,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use crate::feature::FeatureVector;
 
 /// Cosine similarity between two sparse vectors (0 when either is zero).
@@ -131,7 +129,7 @@ impl KnnClassifier {
 /// let similar = rec.similar_to_item("quiet-park", 1);
 /// assert_eq!(similar[0].0, "calm-garden");
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Recommender {
     items: BTreeMap<String, FeatureVector>,
     capacity: usize,
@@ -327,14 +325,5 @@ mod tests {
         assert!(rec.remove("a"));
         assert!(!rec.remove("a"));
         assert!(rec.is_empty());
-    }
-
-    #[test]
-    fn recommender_serde_round_trip() {
-        let mut rec = Recommender::new(4);
-        rec.upsert("a", fv(&[1.0, 2.0]));
-        let json = serde_json::to_string(&rec).expect("serialize");
-        let back: Recommender = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back.item("a"), rec.item("a"));
     }
 }

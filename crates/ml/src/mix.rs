@@ -4,17 +4,16 @@
 //! node exports its parameters, a coordinator averages them, and the
 //! average is pushed back to every node. IFoT's *Managing class* uses the
 //! same scheme to keep distributed learners consistent. The exported
-//! [`ModelDiff`] is serde-serializable so it travels as an MQTT payload.
+//! [`ModelDiff`] travels as an MQTT payload; `ifot-core`'s wire codec
+//! frames it through [`ModelDiff::iter`] and [`ModelDiff::from_parts`].
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::feature::SparseWeights;
 
-/// A serializable snapshot of a linear model's parameters
+/// A snapshot of a linear model's parameters
 /// (label → sparse weights).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ModelDiff {
     weights: BTreeMap<String, SparseWeights>,
 }
@@ -41,7 +40,7 @@ impl ModelDiff {
     }
 
     /// Builds a snapshot from explicit per-label weights — the inverse
-    /// of [`ModelDiff::iter`], used by non-serde wire codecs.
+    /// of [`ModelDiff::iter`], used by the wire codec.
     pub fn from_parts(weights: impl IntoIterator<Item = (String, SparseWeights)>) -> Self {
         ModelDiff {
             weights: weights.into_iter().collect(),
@@ -272,16 +271,6 @@ mod tests {
         c.reset_round();
         assert_eq!(c.collected(), 0);
         assert!(c.offer(m.export_diff()).is_none());
-    }
-
-    #[test]
-    fn diff_serde_round_trip() {
-        let mut m = Perceptron::new();
-        m.train(&x(vec![(7, 1.5)]), "q");
-        let diff = m.export_diff();
-        let json = serde_json::to_string(&diff).expect("serialize");
-        let back: ModelDiff = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, diff);
     }
 
     #[test]

@@ -3,8 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::feature::{FeatureVector, SparseWeights};
 use crate::mix::LinearModel;
 
@@ -25,7 +23,7 @@ use crate::mix::LinearModel;
 /// let x = FeatureVector::from_pairs(vec![(0, 3.0)]);
 /// assert!((r.predict(&x) - 6.0).abs() < 0.2);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PaRegression {
     epsilon: f64,
     c: f64,
@@ -193,18 +191,6 @@ mod tests {
         let avg = mix_average(&[a.export_diff(), b.export_diff()]).expect("non-empty");
         a.import_diff(&avg);
         assert!((a.predict(&x) - 3.0).abs() < 0.1, "mixed {}", a.predict(&x));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut r = PaRegression::default();
-        r.train(&fv(vec![(0, 1.0)]), 2.0);
-        let json = serde_json::to_string(&r).expect("serialize");
-        let back: PaRegression = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(
-            back.predict(&fv(vec![(0, 1.0)])),
-            r.predict(&fv(vec![(0, 1.0)]))
-        );
     }
 
     #[test]

@@ -2,8 +2,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 /// Welford running moments: count, mean, variance, min, max in O(1)
 /// memory.
 ///
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.min(), 1.0);
 /// assert_eq!(s.max(), 4.0);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
@@ -120,7 +118,7 @@ impl RunningStats {
 }
 
 /// Exponentially weighted moving average.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ewma {
     alpha: f64,
     value: Option<f64>,
@@ -156,7 +154,7 @@ impl Ewma {
 
 /// Fixed-capacity sliding window with O(1) aggregate queries via
 /// recomputation on demand (windows here are small — sensor batches).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlidingWindow {
     values: VecDeque<f64>,
     capacity: usize,

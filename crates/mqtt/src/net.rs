@@ -53,12 +53,11 @@ use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use parking_lot::{Mutex, RwLock};
 
 use crate::broker::{Action, BrokerConfig};
 use crate::client::{Client, ClientConfig, ClientEvent};
@@ -164,7 +163,7 @@ impl ConnShared {
 
 /// Per-loop handles visible to every thread.
 struct LoopHandle {
-    tx: Sender<LoopMsg>,
+    tx: SyncSender<LoopMsg>,
     waker: Waker,
     /// Connections with queued frames, drained each loop iteration.
     dirty: Mutex<Vec<usize>>,
@@ -193,7 +192,7 @@ impl Shared {
         let mut loops = Vec::with_capacity(n_loops);
         let mut parts = Vec::with_capacity(n_loops);
         for _ in 0..n_loops {
-            let (tx, rx) = bounded(LOOP_CHANNEL_CAP);
+            let (tx, rx) = sync_channel(LOOP_CHANNEL_CAP);
             let poller = Poller::new()?;
             loops.push(LoopHandle {
                 tx,
@@ -225,7 +224,11 @@ impl Shared {
     /// self-wake would only cost a spurious poll return).
     fn mark_dirty(&self, conn: usize, state: &ConnShared, from_loop: Option<usize>) {
         if !state.in_dirty.swap(true, Ordering::AcqRel) {
-            self.loops[state.owner].dirty.lock().push(conn);
+            self.loops[state.owner]
+                .dirty
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(conn);
             if from_loop != Some(state.owner) {
                 self.loops[state.owner].waker.wake();
             }
@@ -235,16 +238,32 @@ impl Shared {
     /// Queues a frame for `conn` and nudges the owning loop if the
     /// connection was idle. Never blocks.
     fn enqueue(&self, conn: usize, frame: Bytes, from_loop: Option<usize>) {
-        let Some(state) = self.conns.read().get(&conn).cloned() else {
+        let Some(state) = self
+            .conns
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&conn)
+            .cloned()
+        else {
             return;
         };
-        state.queue.lock().push_back(frame);
+        state
+            .queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push_back(frame);
         self.mark_dirty(conn, &state, from_loop);
     }
 
     /// Marks `conn` for close-after-flush and nudges its owning loop.
     fn close_conn(&self, conn: usize, from_loop: Option<usize>) {
-        let Some(state) = self.conns.read().get(&conn).cloned() else {
+        let Some(state) = self
+            .conns
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&conn)
+            .cloned()
+        else {
             return;
         };
         state.closing.store(true, Ordering::Release);
@@ -505,7 +524,14 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 if shared.shutdown.load(Ordering::Relaxed) {
                     return;
                 }
-                if max_connections > 0 && shared.conns.read().len() >= max_connections {
+                if max_connections > 0
+                    && shared
+                        .conns
+                        .read()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .len()
+                        >= max_connections
+                {
                     shared.refused.fetch_add(1, Ordering::Relaxed);
                     drop(stream);
                     continue;
@@ -548,6 +574,7 @@ fn register_conn(
     shared
         .conns
         .write()
+        .unwrap_or_else(PoisonError::into_inner)
         .insert(conn, Arc::new(ConnShared::new(owner)));
     shared.broker.connection_opened(conn, shared.now());
     // Blocking send: a loop that cannot keep up with the accept rate
@@ -558,7 +585,11 @@ fn register_conn(
         .send(LoopMsg::Accept(stream, conn))
         .is_err()
     {
-        shared.conns.write().remove(&conn);
+        shared
+            .conns
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&conn);
         return Err(std::io::Error::new(
             ErrorKind::NotConnected,
             "owner loop is gone",
@@ -694,7 +725,14 @@ impl EventLoop {
     /// Takes ownership of a freshly accepted socket: slab slot, poller
     /// registration, pre-CONNECT grace deadline.
     fn adopt(&mut self, stream: TcpStream, id: usize) {
-        let Some(state) = self.shared.conns.read().get(&id).cloned() else {
+        let Some(state) = self
+            .shared
+            .conns
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&id)
+            .cloned()
+        else {
             return; // raced a shutdown sweep
         };
         debug_assert_eq!(state.owner, self.idx, "socket delivered to a foreign loop");
@@ -730,7 +768,12 @@ impl EventLoop {
     /// actions).
     fn flush_dirty(&mut self) {
         loop {
-            let dirty: Vec<usize> = std::mem::take(&mut *self.shared.loops[self.idx].dirty.lock());
+            let dirty: Vec<usize> = std::mem::take(
+                &mut *self.shared.loops[self.idx]
+                    .dirty
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner),
+            );
             if dirty.is_empty() {
                 return;
             }
@@ -811,7 +854,11 @@ impl EventLoop {
                 return FlushOutcome::Gone;
             };
             let batch: Vec<Bytes> = {
-                let queue = conn.shared_state.queue.lock();
+                let queue = conn
+                    .shared_state
+                    .queue
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
                 queue.iter().take(self.write_batch).cloned().collect()
             };
             if batch.is_empty() {
@@ -827,7 +874,11 @@ impl EventLoop {
             match (&conn.stream).write_vectored(&slices) {
                 Ok(0) => return FlushOutcome::Dead,
                 Ok(mut written) => {
-                    let mut queue = conn.shared_state.queue.lock();
+                    let mut queue = conn
+                        .shared_state
+                        .queue
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner);
                     while written > 0 {
                         let front = queue.front().expect("queue front backed the batch");
                         let remaining = front.len() - conn.partial;
@@ -996,7 +1047,11 @@ impl EventLoop {
         self.pre_connect.remove(&token);
         self.write_blocked.remove(&token);
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        self.shared.conns.write().remove(&conn.id);
+        self.shared
+            .conns
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&conn.id);
         if lost {
             let now = self.shared.now();
             let out = self.shared.broker.connection_lost(&conn.id, now);
@@ -1444,27 +1499,63 @@ mod tests {
         })
         .expect("shared");
         let state = Arc::new(ConnShared::new(0));
-        shared.conns.write().insert(7, Arc::clone(&state));
+        shared
+            .conns
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(7, Arc::clone(&state));
 
         // Many enqueues between flushes → one dirty entry.
         for _ in 0..5 {
             shared.enqueue(7, Bytes::from_static(b"frame"), None);
         }
-        assert_eq!(shared.loops[0].dirty.lock().len(), 1);
-        assert_eq!(state.queue.lock().len(), 5);
+        assert_eq!(
+            shared.loops[0]
+                .dirty
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .len(),
+            1
+        );
+        assert_eq!(
+            state
+                .queue
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .len(),
+            5
+        );
 
         // A close on an already-dirty connection adds no second entry.
         shared.close_conn(7, None);
-        assert_eq!(shared.loops[0].dirty.lock().len(), 1);
+        assert_eq!(
+            shared.loops[0]
+                .dirty
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .len(),
+            1
+        );
         assert!(state.closing.load(Ordering::Acquire));
 
         // After the owner clears the flag (flush protocol), the next
         // producer re-marks exactly once.
-        shared.loops[0].dirty.lock().clear();
+        shared.loops[0]
+            .dirty
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
         state.in_dirty.store(false, Ordering::Release);
         shared.enqueue(7, Bytes::from_static(b"a"), None);
         shared.enqueue(7, Bytes::from_static(b"b"), None);
-        assert_eq!(shared.loops[0].dirty.lock().len(), 1);
+        assert_eq!(
+            shared.loops[0]
+                .dirty
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .len(),
+            1
+        );
     }
 
     #[test]

@@ -433,8 +433,8 @@ mod backend {
 #[cfg(all(unix, not(target_os = "linux")))]
 mod backend {
     use super::*;
-    use parking_lot::Mutex;
     use std::collections::HashMap;
+    use std::sync::{Mutex, PoisonError};
 
     /// The portable `poll(2)`-backed poller (see the [module
     /// docs](super)).
@@ -473,7 +473,10 @@ mod backend {
             interest: Interest,
             _edge: bool,
         ) -> io::Result<()> {
-            self.registry.lock().insert(fd, (token, interest));
+            self.registry
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .insert(fd, (token, interest));
             Ok(())
         }
 
@@ -489,7 +492,10 @@ mod backend {
             interest: Interest,
             _edge: bool,
         ) -> io::Result<()> {
-            self.registry.lock().insert(fd, (token, interest));
+            self.registry
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .insert(fd, (token, interest));
             Ok(())
         }
 
@@ -499,7 +505,10 @@ mod backend {
         ///
         /// Infallible here; `io::Result` for parity with epoll.
         pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            self.registry.lock().remove(&fd);
+            self.registry
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .remove(&fd);
             Ok(())
         }
 
@@ -519,7 +528,12 @@ mod backend {
                 revents: 0,
             });
             tokens.push(WAKE_TOKEN);
-            for (&fd, &(token, interest)) in self.registry.lock().iter() {
+            for (&fd, &(token, interest)) in self
+                .registry
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .iter()
+            {
                 let mut bits = 0i16;
                 if interest.readable {
                     bits |= sys::POLLIN;

@@ -87,8 +87,7 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::{Mutex, RwLock};
+use std::sync::{Mutex, PoisonError, RwLock};
 
 use crate::broker::{Action, Broker, BrokerConfig, BrokerEvent, BrokerStats};
 use crate::packet::{Packet, Publish, QoS};
@@ -365,7 +364,12 @@ impl<C: Ord + Clone> ShardedBroker<C> {
     pub fn wal_stats(&self) -> Option<WalStats> {
         let mut total: Option<WalStats> = None;
         for shard in &self.shards {
-            if let Some(s) = shard.lock().broker.wal_stats() {
+            if let Some(s) = shard
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .broker
+                .wal_stats()
+            {
                 let t = total.get_or_insert_with(WalStats::default);
                 t.records_appended += s.records_appended;
                 t.batches_committed += s.batches_committed;
@@ -391,7 +395,11 @@ impl<C: Ord + Clone> ShardedBroker<C> {
 
     /// The shard owning `conn`, if the connection has completed CONNECT.
     pub fn shard_of_conn(&self, conn: &C) -> Option<usize> {
-        self.registry.read().get(conn).copied()
+        self.registry
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(conn)
+            .copied()
     }
 
     /// Registers a fresh transport connection. The owning shard is
@@ -414,7 +422,10 @@ impl<C: Ord + Clone> ShardedBroker<C> {
             });
             return;
         }
-        self.pending.lock().insert(conn, now_ns);
+        self.pending
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(conn, now_ns);
     }
 
     /// Handles one inbound packet. The first packet on a connection must
@@ -424,7 +435,10 @@ impl<C: Ord + Clone> ShardedBroker<C> {
         if let Some(idx) = self.shard_of_conn(conn) {
             return self.run_on_shard(idx, |b| b.handle_packet(conn, packet, now_ns));
         }
-        self.pending.lock().remove(conn);
+        self.pending
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(conn);
         let Packet::Connect(c) = packet else {
             return ShardOutput {
                 actions: vec![Action::Close { conn: conn.clone() }],
@@ -432,7 +446,10 @@ impl<C: Ord + Clone> ShardedBroker<C> {
             };
         };
         let idx = shard_of(&c.client_id, self.shards.len());
-        self.registry.write().insert(conn.clone(), idx);
+        self.registry
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(conn.clone(), idx);
         self.run_on_shard(idx, |b| {
             b.connection_opened(conn.clone(), now_ns);
             b.handle_packet(conn, Packet::Connect(c), now_ns)
@@ -442,8 +459,15 @@ impl<C: Ord + Clone> ShardedBroker<C> {
     /// Transport-level connection loss (no DISCONNECT seen): the owning
     /// shard publishes the will and keeps persistent session state.
     pub fn connection_lost(&self, conn: &C, now_ns: u64) -> ShardOutput<C> {
-        self.pending.lock().remove(conn);
-        let idx = self.registry.write().remove(conn);
+        self.pending
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(conn);
+        let idx = self
+            .registry
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(conn);
         match idx {
             Some(idx) => self.run_on_shard(idx, |b| b.connection_lost(conn, now_ns)),
             None => ShardOutput::default(),
@@ -470,7 +494,11 @@ impl<C: Ord + Clone> ShardedBroker<C> {
     /// work for `shard`, if any. Shard service threads park on exactly
     /// this deadline instead of sleep-polling.
     pub fn next_deadline_ns(&self, shard: usize) -> Option<u64> {
-        self.shards[shard].lock().broker.next_deadline_ns()
+        self.shards[shard]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .broker
+            .next_deadline_ns()
     }
 
     /// The earliest deadline across all shards.
@@ -484,7 +512,9 @@ impl<C: Ord + Clone> ShardedBroker<C> {
     /// delivery actions for that shard's connections. Never produces
     /// further forwards (loop freedom by construction).
     pub fn apply_forward(&self, shard: usize, publish: Publish, now_ns: u64) -> Vec<Action<C>> {
-        let mut inner = self.shards[shard].lock();
+        let mut inner = self.shards[shard]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let actions = inner.broker.publish_internal(publish, now_ns);
         // The only events a publish application can raise are Routed
         // echoes of this same publish; dropping them is what prevents
@@ -514,7 +544,7 @@ impl<C: Ord + Clone> ShardedBroker<C> {
     pub fn publish_internal(&self, publish: Publish, now_ns: u64) -> Vec<Action<C>> {
         let mut actions = Vec::new();
         for shard in &self.shards {
-            let mut inner = shard.lock();
+            let mut inner = shard.lock().unwrap_or_else(PoisonError::into_inner);
             actions.extend(inner.broker.publish_internal(publish.clone(), now_ns));
             inner.discard_events();
         }
@@ -527,7 +557,11 @@ impl<C: Ord + Clone> ShardedBroker<C> {
     pub fn stats(&self) -> BrokerStats {
         let mut total = BrokerStats::default();
         for shard in &self.shards {
-            let s = shard.lock().broker.stats();
+            let s = shard
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .broker
+                .stats();
             total.messages_in += s.messages_in;
             total.messages_out += s.messages_out;
             total.messages_dropped += s.messages_dropped;
@@ -554,7 +588,9 @@ impl<C: Ord + Clone> ShardedBroker<C> {
         idx: usize,
         f: impl FnOnce(&mut Broker<C>) -> Vec<Action<C>>,
     ) -> ShardOutput<C> {
-        let mut shard = self.shards[idx].lock();
+        let mut shard = self.shards[idx]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let actions = f(&mut shard.broker);
         if self.shards.len() == 1 {
             return ShardOutput {
@@ -596,7 +632,11 @@ impl<C: Ord + Clone> ShardedBroker<C> {
             return forwards;
         }
 
-        let mut log = self.log.inner.lock();
+        let mut log = self
+            .log
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         // Catch up first so appends land on a current replica.
         if shard.applied < log.base {
             shard.replica = log.master.clone();
@@ -651,7 +691,11 @@ impl<C: Ord + Clone> ShardedBroker<C> {
     /// Brings a shard's replica up to the current log epoch without
     /// appending anything.
     fn catch_up(&self, shard: &mut ShardInner<C>) {
-        let log = self.log.inner.lock();
+        let log = self
+            .log
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if shard.applied < log.base {
             shard.replica = log.master.clone();
         } else {
@@ -898,7 +942,12 @@ mod tests {
         let out = sb.handle_packet(&2, Packet::Publish(retained), 1);
         assert!(out.forwards.is_empty());
         assert_eq!(sends_to(&out.actions, 1).len(), 1);
-        assert!(sb.shards[0].lock().broker.take_events().is_empty());
+        assert!(sb.shards[0]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .broker
+            .take_events()
+            .is_empty());
         assert_eq!(sb.log.epoch.load(Ordering::Relaxed), 0);
         // A later subscriber still gets the retained message.
         connect(&sb, 3, "late");

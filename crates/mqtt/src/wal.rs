@@ -48,11 +48,9 @@ use std::fmt::Debug;
 use std::fs;
 use std::io::{self, Read as _, Seek as _, Write as _};
 use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use crate::packet::QoS;
 
@@ -822,50 +820,77 @@ impl MemBackend {
 
     /// Current log length in bytes.
     pub fn log_len(&self) -> u64 {
-        self.state.lock().log.len() as u64
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .log
+            .len() as u64
     }
 
     /// Copy of the raw log bytes (for corruption tests).
     pub fn raw_log(&self) -> Vec<u8> {
-        self.state.lock().log.clone()
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .log
+            .clone()
     }
 
     /// Replace the raw log bytes (for corruption tests).
     pub fn set_raw_log(&self, bytes: Vec<u8>) {
-        self.state.lock().log = bytes;
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .log = bytes;
     }
 
     /// Copy of the raw snapshot bytes, if a snapshot is installed.
     pub fn raw_snapshot(&self) -> Option<Vec<u8>> {
-        self.state.lock().snapshot.clone()
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .snapshot
+            .clone()
     }
 
     /// Replace the raw snapshot bytes (for corruption tests).
     pub fn set_raw_snapshot(&self, bytes: Option<Vec<u8>>) {
-        self.state.lock().snapshot = bytes;
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .snapshot = bytes;
     }
 
     /// All future appends are cut at absolute log offset `offset`: bytes up
     /// to it are written, the rest discarded, and the append reports an
     /// error (as does every later append until [`MemBackend::clear_tear`]).
     pub fn tear_log_at(&self, offset: u64) {
-        self.state.lock().torn_at = Some(offset);
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .torn_at = Some(offset);
     }
 
     /// Remove a tear installed by [`MemBackend::tear_log_at`].
     pub fn clear_tear(&self) {
-        self.state.lock().torn_at = None;
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .torn_at = None;
     }
 
     /// Make the next `install_snapshot` fail at the given point (one-shot).
     pub fn crash_next_snapshot(&self, mode: SnapshotCrash) {
-        self.state.lock().snapshot_crash = Some(mode);
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .snapshot_crash = Some(mode);
     }
 }
 
 impl WalBackend for MemBackend {
     fn append(&mut self, frame: &[u8]) -> io::Result<()> {
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(t) = s.torn_at {
             let end = s.log.len() as u64 + frame.len() as u64;
             if end > t {
@@ -883,15 +908,25 @@ impl WalBackend for MemBackend {
     }
 
     fn read_log(&mut self) -> io::Result<Vec<u8>> {
-        Ok(self.state.lock().log.clone())
+        Ok(self
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .log
+            .clone())
     }
 
     fn read_snapshot(&mut self) -> io::Result<Option<Vec<u8>>> {
-        Ok(self.state.lock().snapshot.clone())
+        Ok(self
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .snapshot
+            .clone())
     }
 
     fn truncate_log(&mut self, len: u64) -> io::Result<()> {
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let len = usize::try_from(len).unwrap_or(usize::MAX);
         if len < s.log.len() {
             s.log.truncate(len);
@@ -900,7 +935,7 @@ impl WalBackend for MemBackend {
     }
 
     fn install_snapshot(&mut self, snapshot: &[u8]) -> io::Result<()> {
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         match s.snapshot_crash.take() {
             Some(SnapshotCrash::BeforeInstall) => Err(io::Error::new(
                 io::ErrorKind::Interrupted,
@@ -1331,35 +1366,6 @@ impl Wal {
     pub fn next_lsn(&self) -> u64 {
         self.next_lsn
     }
-}
-
-/// Replay-time measurement for the recovery study: wall-clock time to
-/// [`recover`] from a backend, with the sizes involved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayMeasurement {
-    /// Log bytes read.
-    pub log_bytes: u64,
-    /// Snapshot bytes read.
-    pub snapshot_bytes: u64,
-    /// Records applied (snapshot + log).
-    pub records_applied: u64,
-    /// Recovery wall-clock time in nanoseconds.
-    pub elapsed_ns: u64,
-}
-
-/// Time a recovery pass over `backend` (used by the `wal_recovery` bench).
-pub fn measure_replay(backend: &mut dyn WalBackend) -> io::Result<ReplayMeasurement> {
-    let log_bytes = backend.read_log()?.len() as u64;
-    let snapshot_bytes = backend.read_snapshot()?.map_or(0, |s| s.len() as u64);
-    let start = Instant::now();
-    let report = recover(backend)?;
-    let elapsed_ns = start.elapsed().as_nanos() as u64;
-    Ok(ReplayMeasurement {
-        log_bytes,
-        snapshot_bytes,
-        records_applied: report.snapshot_records + report.log_records,
-        elapsed_ns,
-    })
 }
 
 #[cfg(test)]

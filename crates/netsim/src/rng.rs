@@ -4,13 +4,14 @@
 //! used by actors) is drawn from a single [`SimRng`] owned by the world, so
 //! a fixed seed plus a deterministic event order yields a bit-identical run.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
 use crate::time::SimDuration;
 
 /// Deterministic simulator RNG with the distributions the network and CPU
 /// models need (uniform, exponential, normal, Pareto).
+///
+/// The generator is SplitMix64 seeded with the seed itself; every pinned
+/// digest, Tables II/III figure and benchmark checksum was recorded on
+/// this exact arithmetic, so changing it re-pins all of them.
 ///
 /// ```
 /// use ifot_netsim::rng::SimRng;
@@ -21,25 +22,27 @@ use crate::time::SimDuration;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimRng {
-    inner: SmallRng,
+    state: u64,
 }
 
 impl SimRng {
     /// Creates an RNG from a 64-bit seed.
     pub fn seed_from(seed: u64) -> Self {
-        SimRng {
-            inner: SmallRng::seed_from_u64(seed),
-        }
+        SimRng { state: seed }
     }
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.inner.gen()
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
     }
 
-    /// Uniform float in `[0, 1)`.
+    /// Uniform float in `[0, 1)`: the top 53 bits of one draw.
     pub fn uniform(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Uniform float in `[lo, hi)`.
@@ -58,12 +61,13 @@ impl SimRng {
         lo + self.uniform() * (hi - lo)
     }
 
-    /// Uniform integer in `[0, n)`; returns 0 when `n == 0`.
+    /// Integer in `[0, n)`: one draw reduced modulo `n`. Returns 0
+    /// without drawing when `n == 0`.
     pub fn below(&mut self, n: u64) -> u64 {
         if n == 0 {
             0
         } else {
-            self.inner.gen_range(0..n)
+            self.next_u64() % n
         }
     }
 
@@ -153,6 +157,53 @@ mod tests {
         let mut b = SimRng::seed_from(7);
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    /// The stream every pinned digest and benchmark checksum was recorded
+    /// on (values taken at the commit before the generator moved in-tree).
+    #[test]
+    fn stream_is_pinned() {
+        let pinned: [(u64, [u64; 4], u64, u64); 3] = [
+            (
+                0,
+                [
+                    0xe220_a839_7b1d_cdaf,
+                    0x6e78_9e6a_a1b9_65f4,
+                    0x06c4_5d18_8009_454f,
+                    0xf88b_b8a8_724c_81ec,
+                ],
+                0x3fbb_3989_6a51_a870,
+                0,
+            ),
+            (
+                1,
+                [
+                    0x910a_2dec_8902_5cc1,
+                    0xbeeb_8da1_658e_ec67,
+                    0xf893_a2ee_fb32_555e,
+                    0x71c1_8690_ee42_c90b,
+                ],
+                0x3fdc_6ed5_3634_406c,
+                8,
+            ),
+            (
+                0x1F07,
+                [
+                    0x4c1e_7f81_9c90_a436,
+                    0x9026_e155_1b79_ffde,
+                    0x49ba_164b_fe23_20c8,
+                    0xdae3_c260_593d_e862,
+                ],
+                0x3fa2_1ba6_f4ab_18c0,
+                5,
+            ),
+        ];
+        for (seed, raw, uniform_bits, below_10) in pinned {
+            let mut rng = SimRng::seed_from(seed);
+            assert_eq!([(); 4].map(|()| rng.next_u64()), raw, "seed {seed:#x}");
+            assert_eq!(rng.uniform().to_bits(), uniform_bits, "seed {seed:#x}");
+            assert_eq!(rng.below(10), below_10, "seed {seed:#x}");
         }
     }
 

@@ -12,13 +12,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AssignError;
 use crate::model::Recipe;
 
 /// Description of a neuron module available for assignment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModuleInfo {
     /// Module name (unique).
     pub name: String,
@@ -52,7 +50,7 @@ impl ModuleInfo {
 }
 
 /// The result of an assignment: task id → module name.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Assignment {
     map: BTreeMap<String, String>,
 }
@@ -531,8 +529,5 @@ mod tests {
             .expect("assigns");
         assert_eq!(a.iter().count(), a.len());
         assert_eq!(a.module_of("ghost"), None);
-        let json = serde_json::to_string(&a).expect("serialize");
-        let back: Assignment = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, a);
     }
 }

@@ -578,6 +578,7 @@ pub fn render(recipe: &Recipe) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::RecipeError;
     use crate::model::fig5_elderly_monitoring;
 
     const DEMO: &str = r#"
@@ -704,6 +705,11 @@ mod tests {
         let err = parse("recipe e { task a: window(size_ms = 1); a -> ghost; }")
             .expect_err("dangling edge");
         assert!(matches!(err, ParseError::Invalid(_)));
+        let err = parse(
+            "recipe e { task a: window(size_ms = 1); task b: window(size_ms = 1); a -> b; b -> a; }",
+        )
+        .expect_err("cycle");
+        assert_eq!(err, ParseError::Invalid(RecipeError::Cycle));
     }
 
     #[test]

@@ -19,8 +19,6 @@ pub enum RecipeError {
     SelfLoop(String),
     /// The task graph contains a cycle.
     Cycle,
-    /// JSON (de)serialization failed.
-    Serde(String),
 }
 
 impl fmt::Display for RecipeError {
@@ -33,7 +31,6 @@ impl fmt::Display for RecipeError {
             RecipeError::UnknownTask(id) => write!(f, "edge references unknown task {id:?}"),
             RecipeError::SelfLoop(id) => write!(f, "task {id:?} connects to itself"),
             RecipeError::Cycle => write!(f, "task graph contains a cycle"),
-            RecipeError::Serde(msg) => write!(f, "recipe serialization failed: {msg}"),
         }
     }
 }

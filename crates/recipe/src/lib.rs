@@ -4,10 +4,10 @@
 //! streams are processed, analysed and merged: a directed acyclic task
 //! graph. This crate provides:
 //!
-//! * [`model`] — the validated task-graph model and its JSON interchange
-//!   form,
+//! * [`model`] — the validated task-graph model,
 //! * [`dsl`] — a small declarative recipe language with a hand-written
-//!   lexer/parser (the paper lists defining this language as future work),
+//!   lexer/parser and renderer, the recipe's round-tripping text form (the
+//!   paper lists defining this language as future work),
 //! * [`split`](mod@split) — the *Recipe split class*: decomposition into parallel
 //!   stages,
 //! * [`assign`] — the *Task assignment class*: placement of tasks onto

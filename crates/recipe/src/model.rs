@@ -3,15 +3,13 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::RecipeError;
 
 /// What a task does. The variants cover the operations appearing in the
 /// paper's scenarios: sensing, windowed aggregation, online training,
 /// prediction, anomaly detection, state estimation and actuation, plus an
 /// escape hatch for custom operators.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TaskKind {
     /// Read a sensor stream at a fixed rate.
     Sense {
@@ -115,14 +113,13 @@ impl TaskKind {
 }
 
 /// One node of the task graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     /// Unique task identifier within the recipe.
     pub id: String,
     /// Operation performed.
     pub kind: TaskKind,
     /// Free-form extra parameters.
-    #[serde(default)]
     pub params: BTreeMap<String, String>,
 }
 
@@ -151,7 +148,7 @@ impl Task {
 /// assert_eq!(recipe.roots(), vec!["s"]);
 /// # Ok::<(), ifot_recipe::error::RecipeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Recipe {
     name: String,
     tasks: Vec<Task>,
@@ -250,30 +247,6 @@ impl Recipe {
             }
         }
         order
-    }
-
-    /// Serializes to JSON (the machine interchange format; the DSL is the
-    /// human format).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("recipes are serializable")
-    }
-
-    /// Parses a recipe from JSON, re-running validation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecipeError`] for malformed JSON or an invalid graph.
-    pub fn from_json(json: &str) -> Result<Recipe, RecipeError> {
-        let raw: Recipe =
-            serde_json::from_str(json).map_err(|e| RecipeError::Serde(e.to_string()))?;
-        let mut builder = Recipe::builder(raw.name);
-        for t in raw.tasks {
-            builder = builder.task(t);
-        }
-        for (a, b) in raw.edges {
-            builder = builder.edge(a, b);
-        }
-        builder.build()
     }
 }
 
@@ -550,35 +523,6 @@ mod tests {
         assert_eq!(order.len(), 9);
         // Alert must come last.
         assert_eq!(*order.last().expect("non-empty"), "alert_messaging");
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let r = fig5_elderly_monitoring();
-        let json = r.to_json();
-        let back = Recipe::from_json(&json).expect("round trip");
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn json_parse_revalidates() {
-        // Hand-built JSON with a cycle must be rejected.
-        let json = r#"{
-            "name": "bad",
-            "tasks": [
-                {"id": "a", "kind": {"Window": {"size_ms": 1}}},
-                {"id": "b", "kind": {"Window": {"size_ms": 1}}}
-            ],
-            "edges": [["a", "b"], ["b", "a"]]
-        }"#;
-        assert_eq!(
-            Recipe::from_json(json).expect_err("cycle"),
-            RecipeError::Cycle
-        );
-        assert!(matches!(
-            Recipe::from_json("not json").expect_err("garbage"),
-            RecipeError::Serde(_)
-        ));
     }
 
     #[test]

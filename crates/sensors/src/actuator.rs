@@ -2,11 +2,20 @@
 //! analysis results (the paper's air conditioner, ceiling light, alert
 //! messaging).
 
-use serde::{Deserialize, Serialize};
-
-/// A command addressed to an actuator, serialized as an MQTT payload on
+/// A command addressed to an actuator, carried as an MQTT payload on
 /// `actuator/<device_id>/<verb>` topics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Wire image (big-endian, like [`crate::sample::Sample`]'s): one tag
+/// byte, then the variant's fields, nothing after them.
+///
+/// ```text
+/// tag  variant    body
+/// 1    SetPower   on: u8 (0 or 1)
+/// 2    SetLevel   level: f64
+/// 3    SetTarget  celsius: f64
+/// 4    Alert      severity: u8, length: u32, message: UTF-8 bytes
+/// ```
+#[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Switch a device on or off.
     SetPower {
@@ -32,19 +41,71 @@ pub enum Command {
     },
 }
 
+const TAG_SET_POWER: u8 = 1;
+const TAG_SET_LEVEL: u8 = 2;
+const TAG_SET_TARGET: u8 = 3;
+const TAG_ALERT: u8 = 4;
+
 impl Command {
-    /// Serializes to a JSON payload.
+    /// Serializes to the wire image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an alert message is 4 GiB or longer (no MQTT payload
+    /// can carry one).
     pub fn encode(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("commands are always serializable")
+        match self {
+            Command::SetPower { on } => vec![TAG_SET_POWER, u8::from(*on)],
+            Command::SetLevel { level } => tagged_f64(TAG_SET_LEVEL, *level),
+            Command::SetTarget { celsius } => tagged_f64(TAG_SET_TARGET, *celsius),
+            Command::Alert { severity, message } => {
+                let len = u32::try_from(message.len()).expect("alert text fits an MQTT payload");
+                let mut out = Vec::with_capacity(6 + message.len());
+                out.extend_from_slice(&[TAG_ALERT, *severity]);
+                out.extend_from_slice(&len.to_be_bytes());
+                out.extend_from_slice(message.as_bytes());
+                out
+            }
+        }
     }
 
-    /// Parses from a JSON payload.
+    /// Parses the wire image.
     ///
     /// # Errors
     ///
-    /// Returns the serde error message for malformed payloads.
+    /// Returns a description for an unknown tag, a truncated body, bytes
+    /// after the body, a power byte other than 0/1 or a message that is
+    /// not UTF-8.
     pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        serde_json::from_slice(bytes).map_err(|e| e.to_string())
+        let (&tag, body) = bytes.split_first().ok_or("empty command payload")?;
+        let float = || -> Result<f64, String> {
+            let raw: [u8; 8] = body
+                .try_into()
+                .map_err(|_| format!("command tag {tag} takes 8 bytes, got {}", body.len()))?;
+            Ok(f64::from_be_bytes(raw))
+        };
+        match tag {
+            TAG_SET_POWER => match body {
+                [0] => Ok(Command::SetPower { on: false }),
+                [1] => Ok(Command::SetPower { on: true }),
+                _ => Err(format!("bad power state {body:02x?}")),
+            },
+            TAG_SET_LEVEL => Ok(Command::SetLevel { level: float()? }),
+            TAG_SET_TARGET => Ok(Command::SetTarget { celsius: float()? }),
+            TAG_ALERT => {
+                let Some((&[severity, a, b, c, d], text)) = body.split_first_chunk::<5>() else {
+                    return Err("alert header truncated".to_owned());
+                };
+                if u32::from_be_bytes([a, b, c, d]) as usize != text.len() {
+                    return Err("alert length does not match its text".to_owned());
+                }
+                let message = std::str::from_utf8(text)
+                    .map_err(|e| format!("alert text is not UTF-8: {e}"))?
+                    .to_owned();
+                Ok(Command::Alert { severity, message })
+            }
+            other => Err(format!("unknown command tag {other:#04x}")),
+        }
     }
 
     /// Derives a command from a decision item: `get` looks up its datum
@@ -77,6 +138,13 @@ impl Command {
             },
         }
     }
+}
+
+fn tagged_f64(tag: u8, value: f64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(9);
+    out.push(tag);
+    out.extend_from_slice(&value.to_be_bytes());
+    out
 }
 
 /// Common behaviour of virtual actuators.
@@ -266,7 +334,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn command_json_round_trip() {
+    fn command_round_trip() {
         let cmds = [
             Command::SetPower { on: true },
             Command::SetLevel { level: 0.5 },
@@ -280,7 +348,8 @@ mod tests {
             let bytes = c.encode();
             assert_eq!(Command::decode(&bytes).expect("round trip"), c);
         }
-        assert!(Command::decode(b"not json").is_err());
+        assert!(Command::decode(b"{\"SetPower\":{\"on\":true}}").is_err());
+        assert!(Command::decode(b"").is_err());
     }
 
     #[test]

@@ -206,6 +206,24 @@ mod tests {
         );
     }
 
+    /// The waveform every detector threshold and benchmark checksum was
+    /// tuned on: `f32` bit patterns of the first readings, taken at the
+    /// commit before the generator moved in-tree.
+    #[test]
+    fn preset_stream_is_pinned() {
+        let mut s = VirtualSensor::preset(SensorKind::Temperature, 1, 99);
+        let bits: Vec<u32> = (0..8)
+            .map(|i| s.read(i * 100_000_000).values[0].to_bits())
+            .collect();
+        assert_eq!(
+            bits,
+            [
+                1102069435, 1102090334, 1102083691, 1102090623, 1102106093, 1102098019, 1102080587,
+                1102083961
+            ]
+        );
+    }
+
     #[test]
     fn samples_encode_to_wire_size() {
         let mut s = VirtualSensor::preset(SensorKind::Illuminance, 1, 5);

@@ -3,12 +3,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::sample::SensorKind;
 
 /// Whether a device produces or consumes data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceRole {
     /// Produces a stream of samples.
     Sensor,
@@ -20,7 +18,7 @@ pub enum DeviceRole {
 /// BLE, EnOcean and ZigBee). Purely descriptive in the simulation, but
 /// part of the registry so capability-aware assignment can reason about
 /// reachability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkTechnology {
     /// Bluetooth Low Energy.
     Ble,
@@ -33,7 +31,7 @@ pub enum LinkTechnology {
 }
 
 /// Registry entry describing one device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceDescriptor {
     /// Numeric device identifier (unique per registry).
     pub device_id: u16,
@@ -65,7 +63,7 @@ pub struct DeviceDescriptor {
 /// assert!(reg.get(1).is_some());
 /// # Ok::<(), String>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviceRegistry {
     devices: BTreeMap<u16, DeviceDescriptor>,
 }
@@ -204,15 +202,5 @@ mod tests {
         assert_eq!(d.device_id, 5);
         assert!(reg.unregister(5).is_none());
         assert!(reg.is_empty());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut reg = DeviceRegistry::new();
-        reg.register(sensor(1, SensorKind::Sound))
-            .expect("register");
-        let json = serde_json::to_string(&reg).expect("serialize");
-        let back: DeviceRegistry = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, reg);
     }
 }

@@ -16,8 +16,6 @@
 //! 20      12    three f32 channel values
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Exact encoded size of a [`Sample`], per the paper's experiment.
 pub const SAMPLE_WIRE_SIZE: usize = 32;
 
@@ -27,7 +25,7 @@ const MAX_CHANNELS: usize = 3;
 
 /// What a sensor measures. Mirrors the devices named in the paper's
 /// application scenarios (Section III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SensorKind {
     /// Three-axis accelerometer (elderly monitoring).
     Accelerometer,
@@ -132,10 +130,8 @@ impl std::error::Error for SampleError {}
 
 /// The channel values of one reading: one to three `f32`s held inline, so
 /// a [`Sample`] is a plain value and taking, perturbing or decoding one
-/// never touches the heap. Dereferences to the slice of valid channels and
-/// serializes as the sequence `Vec<f32>` did.
-#[derive(Clone, Copy, Default, Serialize, Deserialize)]
-#[serde(into = "Vec<f32>", try_from = "Vec<f32>")]
+/// never touches the heap. Dereferences to the slice of valid channels.
+#[derive(Clone, Copy, Default)]
 pub struct Channels {
     len: u8,
     values: [f32; MAX_CHANNELS],
@@ -178,22 +174,6 @@ impl FromIterator<f32> for Channels {
     }
 }
 
-impl From<Channels> for Vec<f32> {
-    fn from(channels: Channels) -> Vec<f32> {
-        channels.to_vec()
-    }
-}
-
-impl TryFrom<Vec<f32>> for Channels {
-    type Error = SampleError;
-    fn try_from(values: Vec<f32>) -> Result<Self, SampleError> {
-        if values.is_empty() || values.len() > MAX_CHANNELS {
-            return Err(SampleError::BadChannelCount(values.len().min(255) as u8));
-        }
-        Ok(values.into_iter().collect())
-    }
-}
-
 /// One timestamped sensor reading (up to three channels).
 ///
 /// ```
@@ -205,7 +185,7 @@ impl TryFrom<Vec<f32>> for Channels {
 /// assert_eq!(Sample::decode(&bytes)?, s);
 /// # Ok::<(), ifot_sensors::sample::SampleError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// What produced the reading.
     pub kind: SensorKind,
@@ -427,17 +407,6 @@ mod tests {
         let one = Sample::new(SensorKind::Sound, 1, 1, 1, &[2.0]);
         assert_ne!(one.values, s.values);
         assert_eq!(format!("{:?}", one.values), "[2.0]");
-        // The serde shape is `Vec<f32>`'s, through these conversions.
-        assert_eq!(Vec::from(s.values), vec![2.0, 3.0, 4.0]);
-        assert_eq!(Channels::try_from(vec![2.0]), Ok(one.values));
-        assert_eq!(
-            Channels::try_from(Vec::new()),
-            Err(SampleError::BadChannelCount(0))
-        );
-        assert_eq!(
-            Channels::try_from(vec![0.0; 4]),
-            Err(SampleError::BadChannelCount(4))
-        );
     }
 
     #[test]

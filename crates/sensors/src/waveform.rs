@@ -4,8 +4,7 @@
 //! own seeded RNG, so a virtual testbed replays identically for a given
 //! seed regardless of the sampling schedule that drives it.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use ifot_netsim::rng::SimRng;
 
 /// A time-parameterized scalar signal.
 ///
@@ -69,7 +68,7 @@ impl Signal for Sine {
 #[derive(Debug)]
 pub struct GaussianNoise {
     std_dev: f64,
-    rng: SmallRng,
+    rng: SimRng,
 }
 
 impl GaussianNoise {
@@ -85,16 +84,18 @@ impl GaussianNoise {
         );
         GaussianNoise {
             std_dev,
-            rng: SmallRng::seed_from_u64(seed),
+            rng: SimRng::seed_from(seed),
         }
     }
 }
 
 impl Signal for GaussianNoise {
     fn value_at(&mut self, _t_ns: u64) -> f64 {
-        // Box–Muller.
-        let u1: f64 = (1.0 - self.rng.gen::<f64>()).max(f64::MIN_POSITIVE);
-        let u2: f64 = self.rng.gen();
+        // Box–Muller, inline rather than `SimRng::standard_normal`: the
+        // deviation scales the radius before the cosine factor, and the
+        // recorded waveforms depend on that rounding order.
+        let u1 = (1.0 - self.rng.uniform()).max(f64::MIN_POSITIVE);
+        let u2 = self.rng.uniform();
         self.std_dev * (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
     }
 }
@@ -107,7 +108,7 @@ pub struct RandomWalk {
     step: f64,
     min: f64,
     max: f64,
-    rng: SmallRng,
+    rng: SimRng,
 }
 
 impl RandomWalk {
@@ -125,14 +126,14 @@ impl RandomWalk {
             step,
             min,
             max,
-            rng: SmallRng::seed_from_u64(seed),
+            rng: SimRng::seed_from(seed),
         }
     }
 }
 
 impl Signal for RandomWalk {
     fn value_at(&mut self, _t_ns: u64) -> f64 {
-        let delta = (self.rng.gen::<f64>() * 2.0 - 1.0) * self.step;
+        let delta = (self.rng.uniform() * 2.0 - 1.0) * self.step;
         self.value = (self.value + delta).clamp(self.min, self.max);
         self.value
     }

@@ -676,6 +676,49 @@ fn torn_snapshot_falls_back_to_log_replay() {
     ledger.assert_exactly_once(1, 6);
 }
 
+/// Restart work is bounded by the snapshot cadence, not by the length of
+/// the history: with snapshots on, recovery applies the live state plus
+/// the records logged since the last snapshot — and rebuilds the same
+/// state as replaying every record ever written.
+#[test]
+fn replay_applies_only_the_records_after_the_last_snapshot() {
+    const PUBLISHES: u32 = 400;
+    const TOPICS: u32 = 8;
+    const SNAPSHOT_EVERY: u64 = 64;
+    let history = |snapshot_every: u64| {
+        let backend = MemBackend::new();
+        let (mut broker, _) = Broker::<u8>::open_durable(
+            BrokerConfig {
+                wal_snapshot_every: snapshot_every,
+                ..BrokerConfig::default()
+            },
+            Box::new(backend.clone()),
+        )
+        .expect("open");
+        for i in 0..PUBLISHES {
+            let mut p = Publish::qos0(
+                topic(&format!("conf/{}", i % TOPICS)),
+                seq_payload(0, i).to_vec(),
+            );
+            p.retain = true;
+            broker.publish_internal(p, u64::from(i));
+        }
+        drop(broker);
+        wal::recover(&mut backend.clone()).expect("recover")
+    };
+    let full = history(0);
+    assert_eq!(full.snapshot_records, 0);
+    assert_eq!(full.log_records, u64::from(PUBLISHES));
+    let bounded = history(SNAPSHOT_EVERY);
+    assert_eq!(bounded.state, full.state);
+    assert_eq!(bounded.snapshot_records, u64::from(TOPICS));
+    assert!(
+        bounded.log_records < SNAPSHOT_EVERY,
+        "replayed {} log records past a snapshot taken every {SNAPSHOT_EVERY}",
+        bounded.log_records
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Torn and corrupt log tails
 // ---------------------------------------------------------------------------

@@ -50,6 +50,16 @@ pub fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One element of `from`, drawn with [`splitmix`].
+pub fn pick<T: Copy>(rng: &mut u64, from: &[T]) -> T {
+    from[(splitmix(rng) % from.len() as u64) as usize]
+}
+
+/// Lower-case hex of `bytes`, for golden-frame constants.
+pub fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
 /// What a chaotic run produced at the subscriber.
 #[derive(Debug)]
 pub struct ReconnectRun {

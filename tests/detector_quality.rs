@@ -5,7 +5,7 @@
 //! precision/recall — the property the elderly-monitoring scenario
 //! depends on.
 
-use ifot::ml::anomaly::{MahalanobisDetector, RunningZScore};
+use ifot::ml::anomaly::{ContaminationGuard, MahalanobisDetector, RunningZScore};
 use ifot::ml::eval::BinaryConfusion;
 use ifot::ml::feature::Datum;
 use ifot::sensors::device::VirtualSensor;
@@ -50,16 +50,17 @@ fn evaluate(
 
 #[test]
 fn zscore_detects_spike_episodes() {
-    // Contamination guard, as in the middleware's Anomaly operator: only
-    // absorb samples that were not flagged.
+    // Contamination guard, as in the middleware's Anomaly operator:
+    // flagged samples are withheld, up to the guard's release.
     let mut d = RunningZScore::new(4.0);
+    let mut guard = ContaminationGuard::default();
     let confusion = evaluate(
         60,
         10,
         |datum| {
             let v: f64 = datum.iter().map(|(_, x)| x).sum();
             let s = d.score(v);
-            if s <= 4.0 {
+            if guard.absorbs(s > 4.0) {
                 d.observe(v);
             }
             s
@@ -79,13 +80,14 @@ fn zscore_detects_spike_episodes() {
 #[test]
 fn mahalanobis_detects_spike_episodes() {
     let mut d = MahalanobisDetector::new();
+    let mut guard = ContaminationGuard::default();
     let confusion = evaluate(
         60,
         10,
         |datum| {
             let v = datum.to_vector(1 << 16);
             let s = d.score(&v);
-            if s <= 6.0 {
+            if guard.absorbs(s > 6.0) {
                 d.observe(&v);
             }
             s

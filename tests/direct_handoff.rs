@@ -17,10 +17,8 @@
 //! node-thread channel) and the main thread drains it, routing any
 //! fallback leftovers like the node's `handle_outputs` would.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 use ifot::core::config::{ExecutorConfig, OperatorKind, OperatorSpec};
 use ifot::core::executor::pool::{WorkerPool, WorkerRuntime};
@@ -77,7 +75,7 @@ fn spawn_pool(graph: &ExecutorGraph, workers: usize, inbox: &Inbox) -> WorkerPoo
         workers,
         graph.cells(),
         Arc::new(move |src, outputs| {
-            let mut inbox = sink.lock();
+            let mut inbox = sink.lock().expect("no inbox holder panicked");
             inbox.extend(outputs.into_iter().map(|o| (src, o)));
         }),
         graph.direct_handoff(),
@@ -104,7 +102,7 @@ fn collect_egress(
     let mut out: Vec<(usize, FlowMessage)> = Vec::new();
     while out.len() < expected && Instant::now() < deadline {
         let drained: Vec<(usize, OpOutput)> = {
-            let mut inbox = inbox.lock();
+            let mut inbox = inbox.lock().expect("no inbox holder panicked");
             inbox.drain(..).collect()
         };
         let mut routed = false;

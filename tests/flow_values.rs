@@ -17,7 +17,7 @@
 mod common;
 
 use common::oracle::MapDatum;
-use common::splitmix;
+use common::{hex, pick, splitmix};
 
 use ifot::core::flow::{FlowBatch, FlowItem, FlowMessage};
 use ifot::core::wire::{
@@ -52,10 +52,6 @@ const KEYS: [&str; 10] = [
 const VALUES: [f64; 8] = [0.0, -0.0, 1.0, 0.1, 1e16, -1e16, 3.5e-9, -7.25];
 
 const DIMENSIONS: [u32; 4] = [1, 2, 7, 1 << 18];
-
-fn pick<T: Copy>(rng: &mut u64, from: &[T]) -> T {
-    from[(splitmix(rng) % from.len() as u64) as usize]
-}
 
 /// A key as either of its two representations.
 fn key(rng: &mut u64, name: &'static str) -> FeatureKey {
@@ -347,10 +343,6 @@ const MESSAGE_FRAMES: [&str; 4] = [
 /// `encode_batch_binary` of the four as one batch at commit 220e9ae (the
 /// last item carries its own producer).
 const BATCH_FRAME: &str = "fb0102046564676504091374656d70657261747572655f63656c7369757307616363656c5f7807616363656c5f7907616363656c5f7a1068756d69646974795f70657263656e740f696c6c756d696e616e63655f6c75780c6d6f74696f6e5f6c6576656c10706572736f6e666c6f775f636f756e7408736f756e645f6462fbd095ffbc312900000001000000000000803540000000c701020901000000000000d03f021f85eb51b89e23c003fa7e6abc7493583f040000000000404440050000000000807340060000000000000000070000000000003140080000000000404540000000000000000080000000f28c060202050000000000001440080000000000a04e4001046869676801000000000000e83f010a707265646963742dceb291adb1fef9625700010001000000000000f0ff";
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
 
 #[test]
 fn binary_frames_are_the_parent_commits_byte_for_byte() {

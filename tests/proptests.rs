@@ -807,17 +807,10 @@ fn arb_model_diff() -> impl Strategy<Value = ifot::ml::mix::ModelDiff> {
 }
 
 proptest! {
-    /// Flow messages survive the JSON wire format for arbitrary data,
-    /// labels and scores.
-    #[test]
-    fn flow_message_json_round_trips(msg in arb_flow_message()) {
-        use ifot::core::flow::FlowMessage;
-        let decoded = FlowMessage::decode(&msg.encode()).expect("own encoding decodes");
-        prop_assert_eq!(decoded, msg);
-    }
-
-    /// Truncations of a valid flow message and non-JSON payloads are
-    /// rejected as errors — never a panic, never a bogus success.
+    /// Flow messages survive the message frame for arbitrary data,
+    /// labels and scores; truncations of a valid frame and payloads that
+    /// are not frames are rejected as errors — never a panic, never a
+    /// bogus success.
     #[test]
     fn flow_message_rejects_corrupt_payloads(
         msg in arb_flow_message(),
@@ -826,46 +819,16 @@ proptest! {
     ) {
         use ifot::core::flow::FlowMessage;
         let bytes = msg.encode();
+        prop_assert_eq!(&bytes, &ifot::core::wire::encode_message_binary(&msg));
+        prop_assert_eq!(&FlowMessage::decode(&bytes).expect("own encoding decodes"), &msg);
+        prop_assert_eq!(
+            ifot::core::wire::decode_items("flow/x", &bytes).expect("decodes"),
+            vec![ifot::core::flow::FlowItem::from_message("flow/x", msg)]
+        );
         let cut = 1 + cut_pick % (bytes.len() - 1);
         prop_assert!(FlowMessage::decode(&bytes[..cut]).is_err());
-        prop_assert!(FlowMessage::decode(b"not json").is_err());
+        prop_assert!(FlowMessage::decode(b"{}").is_err());
         let _ = FlowMessage::decode(&junk); // must not panic
-    }
-
-    /// MIX envelopes round-trip with real exported model snapshots in
-    /// both protocol roles.
-    #[test]
-    fn mix_envelope_json_round_trips(
-        is_avg in any::<bool>(),
-        task in prop::string::string_regex("[a-z0-9-]{1,12}").expect("valid regex"),
-        diff in arb_model_diff(),
-    ) {
-        use ifot::core::operators::MixEnvelope;
-        let envelope = MixEnvelope {
-            role: if is_avg { "avg" } else { "offer" }.into(),
-            task,
-            diff,
-        };
-        let decoded = MixEnvelope::decode(&envelope.encode()).expect("own encoding decodes");
-        prop_assert_eq!(decoded, envelope);
-    }
-
-    /// The compact binary frame and the JSON wire format decode to the
-    /// same message — a Binary-configured producer interoperates with
-    /// any consumer, since `decode_items` sniffs the leading byte.
-    #[test]
-    fn binary_and_json_frames_cross_decode(msg in arb_flow_message()) {
-        use ifot::core::wire::{decode_items, encode_message_binary, FlowCodec, WireFormat};
-        let json = FlowCodec::new(WireFormat::Json).encode_message(&msg);
-        let binary = encode_message_binary(&msg);
-        prop_assert_eq!(&binary, &FlowCodec::new(WireFormat::Binary).encode_message(&msg));
-        let from_json = decode_items("flow/x", &json).expect("json frame decodes");
-        let from_binary = decode_items("flow/x", &binary).expect("binary frame decodes");
-        prop_assert_eq!(from_json, from_binary);
-        prop_assert_eq!(
-            ifot::core::wire::decode_message(&binary).expect("binary decodes"),
-            msg
-        );
     }
 
     /// Coalesced batches round-trip through the binary frame with item
@@ -879,10 +842,10 @@ proptest! {
         msgs in prop::collection::vec(arb_flow_message(), 1..10),
     ) {
         use ifot::core::flow::{FlowBatch, FlowItem};
-        use ifot::core::wire::{decode_batch, decode_items, encode_batch_binary, peek_first_origin, peek_item_count};
+        use ifot::core::wire::{decode_batch_binary, decode_items, encode_batch_binary, peek_first_origin, peek_item_count};
         let batch = FlowBatch { items: msgs.clone() };
         let bytes = encode_batch_binary(&batch);
-        prop_assert_eq!(decode_batch(&bytes).expect("own encoding decodes"), batch);
+        prop_assert_eq!(decode_batch_binary(&bytes).expect("own encoding decodes"), batch);
         let items: Vec<FlowItem> = msgs
             .iter()
             .map(|m| FlowItem::from_message("flow/x", m.clone()))
@@ -923,25 +886,27 @@ proptest! {
         junk in prop::collection::vec(any::<u8>(), 0..64),
     ) {
         use ifot::core::flow::FlowBatch;
-        use ifot::core::wire::{decode_batch, decode_items, encode_batch_binary, FRAME_MAGIC};
+        use ifot::core::wire::{decode_batch_binary, decode_items, encode_batch_binary, FRAME_MAGIC};
         let batch = FlowBatch { items: msgs };
         let bytes = encode_batch_binary(&batch);
         // Every strict prefix fails (the length-prefixed reader runs dry
         // or the trailing-bytes check fires).
         let cut = cut_pick % bytes.len();
-        prop_assert!(decode_batch(&bytes[..cut]).is_err());
+        prop_assert!(decode_batch_binary(&bytes[..cut]).is_err());
         // A version/kind corruption right after the magic byte fails.
         let mut bad = bytes.clone();
         bad[1 + flip_pick % 2] ^= 0xFF;
-        prop_assert!(decode_batch(&bad).is_err());
+        prop_assert!(decode_batch_binary(&bad).is_err());
         // Arbitrary junk behind the magic byte must error, not panic.
         let mut framed = vec![FRAME_MAGIC];
         framed.extend_from_slice(&junk);
         prop_assert!(decode_items("flow/x", &framed).is_err() || framed == bytes);
     }
 
-    /// Corrupt MIX payloads are rejected, not panicked on: a malformed
-    /// model-plane message must never take down a coordinator.
+    /// MIX envelopes round-trip with real exported model snapshots in
+    /// both protocol roles, and corrupt MIX payloads are rejected, not
+    /// panicked on: a malformed model-plane message must never take down
+    /// a coordinator.
     #[test]
     fn mix_envelope_rejects_corrupt_payloads(
         is_avg in any::<bool>(),
@@ -957,6 +922,7 @@ proptest! {
             diff,
         };
         let bytes = envelope.encode();
+        prop_assert_eq!(&MixEnvelope::decode(&bytes).expect("own encoding decodes"), &envelope);
         let cut = 1 + cut_pick % (bytes.len() - 1);
         prop_assert!(MixEnvelope::decode(&bytes[..cut]).is_err());
         prop_assert!(MixEnvelope::decode(b"oops").is_err());
