@@ -27,7 +27,7 @@ use ifot_mqtt::broker::{Action, BrokerConfig};
 use ifot_mqtt::client::{Client, ClientConfig, ClientEvent, ClientState};
 use ifot_mqtt::codec::{encode, StreamDecoder};
 use ifot_mqtt::packet::{Packet, QoS};
-use ifot_mqtt::shard::ShardedBroker;
+use ifot_mqtt::shard::{ShardOutput, ShardedBroker};
 use ifot_mqtt::supervisor::{ReconnectSupervisor, SupervisorAction};
 use ifot_mqtt::topic::{TopicFilter, TopicName};
 use ifot_sensors::actuator::{Actuator, AirConditioner, AlertSink, CeilingLight, Command};
@@ -303,7 +303,8 @@ pub struct MiddlewareNode {
     /// Ingress scratch, kept for its capacity: the packets of one
     /// transport chunk, the actions they cause, the local hop queue.
     ingress_packets: Vec<Packet>,
-    broker_actions: Vec<Action<Arc<str>>>,
+    /// Output of the embedded broker, kept for its room between packets.
+    broker_out: ShardOutput<Arc<str>>,
     hop_queue: VecDeque<Hop>,
     client: Option<Client>,
     client_decoder: StreamDecoder,
@@ -457,7 +458,7 @@ impl MiddlewareNode {
             }),
             broker_peers: BTreeMap::new(),
             ingress_packets: Vec::new(),
-            broker_actions: Vec::new(),
+            broker_out: ShardOutput::default(),
             hop_queue: VecDeque::new(),
             client,
             client_decoder: StreamDecoder::new(),
@@ -1167,7 +1168,7 @@ impl MiddlewareNode {
                 Err(_) => break true,
             }
         };
-        let mut actions = std::mem::take(&mut self.broker_actions);
+        let mut out = std::mem::take(&mut self.broker_out);
         for packet in packets.drain(..) {
             env.consume_ref_ms(costs::BROKER_IN_MS);
             if matches!(packet, Packet::Connect(_)) {
@@ -1182,8 +1183,8 @@ impl MiddlewareNode {
             }
             // Single-threaded embedding: apply cross-shard forwards
             // inline so delivery stays deterministic.
-            let out = broker.handle_packet(&conn, packet, now);
-            actions.append(&mut broker.resolve(out, now));
+            broker.handle_packet_into(&conn, packet, now, &mut out);
+            broker.resolve_into(&mut out, now);
         }
         if corrupt {
             // MQTT has no resynchronization: what decoded ahead of the
@@ -1191,12 +1192,12 @@ impl MiddlewareNode {
             // the broker (will, session) as for the stream state.
             env.incr("broker_decode_errors");
             self.broker_peers.remove(src);
-            let out = broker.connection_lost(&conn, now);
-            actions.append(&mut broker.resolve(out, now));
+            broker.connection_lost_into(&conn, now, &mut out);
+            broker.resolve_into(&mut out, now);
         }
         self.ingress_packets = packets;
-        self.apply_broker_actions(env, &mut actions);
-        self.broker_actions = actions;
+        self.apply_broker_actions(env, &mut out.actions);
+        self.broker_out = out;
     }
 
     fn on_broker_poll(&mut self, env: &mut dyn NodeEnv) {

@@ -30,8 +30,8 @@ use crate::packet::{
 use crate::topic::{TopicFilter, TopicName};
 use crate::tree::SubscriptionTree;
 use crate::wal::{
-    DurablePublish, DurableState, RecoveryReport, Wal, WalBackend, WalConfig, WalRecord, WalStage,
-    WalStats,
+    self, DurablePublish, DurableState, MessageRef, RecoveryReport, Wal, WalBackend, WalConfig,
+    WalRecord, WalStage, WalStats,
 };
 
 /// Broker tuning knobs.
@@ -57,7 +57,9 @@ pub struct BrokerConfig {
     /// this field.
     pub shards: usize,
     /// Maximum frames coalesced into a single `write_vectored` call by
-    /// the TCP front-end's shard writer loops.
+    /// the TCP front-end's event loops. The call's `IoSlice`s are built in
+    /// a 64-entry stack array, so a value above 64 is served in several
+    /// writes of 64.
     pub write_batch: usize,
     /// Whether the TCP front-end sets `TCP_NODELAY` on accepted sockets
     /// (latency over throughput for small frames).
@@ -179,7 +181,7 @@ pub enum BrokerEvent {
     /// `client` subscribed to `filter` with granted QoS `qos`.
     Subscribed {
         /// Subscribing client id.
-        client: String,
+        client: Arc<str>,
         /// The topic filter subscribed to.
         filter: TopicFilter,
         /// Granted maximum QoS.
@@ -188,7 +190,7 @@ pub enum BrokerEvent {
     /// `client` unsubscribed from `filter`.
     Unsubscribed {
         /// Unsubscribing client id.
-        client: String,
+        client: Arc<str>,
         /// The topic filter removed.
         filter: TopicFilter,
     },
@@ -196,7 +198,7 @@ pub enum BrokerEvent {
     /// or non-persistent session teardown).
     SessionCleared {
         /// The client id whose subscriptions were removed.
-        client: String,
+        client: Arc<str>,
     },
 }
 
@@ -309,10 +311,12 @@ pub struct BrokerStats {
 pub struct Broker<C> {
     config: BrokerConfig,
     connections: BTreeMap<C, Connection<C>>,
-    /// client id -> live connection.
-    online: BTreeMap<String, C>,
-    sessions: BTreeMap<String, Session>,
-    tree: SubscriptionTree<String>,
+    /// client id -> live connection. A client id is one shared string
+    /// from CONNECT on: the connection, these maps and every subscription
+    /// in the tree hold the same allocation.
+    online: BTreeMap<Arc<str>, C>,
+    sessions: BTreeMap<Arc<str>, Session>,
+    tree: SubscriptionTree<Arc<str>>,
     retained: BTreeMap<String, Publish>,
     stats: BrokerStats,
     /// When true, tree mutations and routed publishes are recorded in
@@ -326,15 +330,26 @@ pub struct Broker<C> {
     wal: Option<Wal>,
 }
 
-/// Buffer one durable record if a WAL is attached.
+/// Buffer the one durable record `put` writes, if a WAL is attached.
+/// Records are written from borrowed fields (the `wal::put_*` writers);
+/// [`WalRecord`] is the form they are read back in.
 ///
 /// A free function over the `wal` field (rather than a `&mut self` method)
 /// so record sites that already hold a mutable borrow of another broker
 /// field — almost all of them borrow a session — can still log.
-fn wal_note(wal: &mut Option<Wal>, rec: impl FnOnce() -> WalRecord) {
+fn wal_note(wal: &mut Option<Wal>, put: impl FnOnce(&mut Vec<u8>)) {
     if let Some(w) = wal.as_mut() {
-        let r = rec();
-        w.record(&r);
+        w.record_with(put);
+    }
+}
+
+/// `p` as the record writers take a message.
+fn message_of(p: &Publish) -> MessageRef<'_> {
+    MessageRef {
+        topic: p.topic.as_str(),
+        qos: p.qos,
+        retain: p.retain,
+        payload: &p.payload,
     }
 }
 
@@ -441,6 +456,7 @@ impl<C: Ord + Clone> Broker<C> {
     /// persistent by definition (transient state is never logged).
     pub fn restore(&mut self, state: &DurableState) {
         for (client, ds) in &state.sessions {
+            let client: Arc<str> = Arc::from(client.as_str());
             let mut session = Session {
                 persistent: true,
                 next_pid: ds.next_pid,
@@ -475,7 +491,7 @@ impl<C: Ord + Clone> Broker<C> {
                 }
             }
             session.incoming_qos2 = ds.incoming_qos2.iter().copied().collect();
-            self.sessions.insert(client.clone(), session);
+            self.sessions.insert(client, session);
         }
         for (topic, message) in &state.retained {
             if let Some(mut publish) = publish_of(message, None) {
@@ -495,25 +511,25 @@ impl<C: Ord + Clone> Broker<C> {
                 continue;
             }
             out.push(WalRecord::SessionStarted {
-                client: client.clone(),
+                client: client.to_string(),
                 next_pid: session.next_pid,
             });
             for (filter, qos) in &session.subscriptions {
                 out.push(WalRecord::Subscribed {
-                    client: client.clone(),
+                    client: client.to_string(),
                     filter: filter.as_str().to_owned(),
                     qos: *qos,
                 });
             }
             for pid in &session.incoming_qos2 {
                 out.push(WalRecord::InQos2Insert {
-                    client: client.clone(),
+                    client: client.to_string(),
                     pid: *pid,
                 });
             }
             for (pid, inflight) in &session.inflight {
                 out.push(WalRecord::InflightInsert {
-                    client: client.clone(),
+                    client: client.to_string(),
                     pid: *pid,
                     stage: stage_to_wal(inflight.stage),
                     message: durable_of(&inflight.publish),
@@ -521,7 +537,7 @@ impl<C: Ord + Clone> Broker<C> {
             }
             for publish in &session.queue {
                 out.push(WalRecord::Queued {
-                    client: client.clone(),
+                    client: client.to_string(),
                     message: durable_of(publish),
                 });
             }
@@ -604,51 +620,81 @@ impl<C: Ord + Clone> Broker<C> {
         );
     }
 
+    // Every entry point below has two forms. The `_into` form appends its
+    // actions to a list the caller owns (and reuses from call to call); the
+    // by-value form is a wrapper that lends it a fresh one. Both commit the
+    // WAL batch before they return.
+
     /// Handles a transport-level connection loss (no DISCONNECT seen):
     /// publishes the will, keeps persistent session state.
     pub fn connection_lost(&mut self, conn: &C, now_ns: u64) -> Vec<Action<C>> {
-        let actions = self.teardown(conn, now_ns, true);
-        self.wal_barrier();
+        let mut actions = Vec::new();
+        self.connection_lost_into(conn, now_ns, &mut actions);
         actions
+    }
+
+    /// [`connection_lost`](Self::connection_lost), appending to `actions`.
+    pub fn connection_lost_into(&mut self, conn: &C, now_ns: u64, actions: &mut Vec<Action<C>>) {
+        self.teardown(conn, now_ns, true, actions);
+        self.wal_barrier();
     }
 
     /// Feeds one decoded packet from `conn`; returns the actions to apply.
     pub fn handle_packet(&mut self, conn: &C, packet: Packet, now_ns: u64) -> Vec<Action<C>> {
-        let actions = self.handle_packet_inner(conn, packet, now_ns);
-        self.wal_barrier();
+        let mut actions = Vec::new();
+        self.handle_packet_into(conn, packet, now_ns, &mut actions);
         actions
     }
 
-    fn handle_packet_inner(&mut self, conn: &C, packet: Packet, now_ns: u64) -> Vec<Action<C>> {
+    /// [`handle_packet`](Self::handle_packet), appending to `actions`.
+    pub fn handle_packet_into(
+        &mut self,
+        conn: &C,
+        packet: Packet,
+        now_ns: u64,
+        actions: &mut Vec<Action<C>>,
+    ) {
+        self.handle_packet_inner(conn, packet, now_ns, actions);
+        self.wal_barrier();
+    }
+
+    fn handle_packet_inner(
+        &mut self,
+        conn: &C,
+        packet: Packet,
+        now_ns: u64,
+        actions: &mut Vec<Action<C>>,
+    ) {
         if let Some(c) = self.connections.get_mut(conn) {
             c.last_activity_ns = now_ns;
         } else {
-            return Vec::new();
+            return;
         }
         match packet {
-            Packet::Connect(c) => self.on_connect(conn, c, now_ns),
-            Packet::Publish(p) => self.on_publish(conn, p, now_ns),
-            Packet::Puback(pid) => self.on_puback(conn, pid, now_ns),
-            Packet::Pubrec(pid) => self.on_pubrec(conn, pid, now_ns),
-            Packet::Pubrel(pid) => self.on_pubrel(conn, pid),
-            Packet::Pubcomp(pid) => self.on_pubcomp(conn, pid, now_ns),
-            Packet::Subscribe(s) => self.on_subscribe(conn, s, now_ns),
-            Packet::Unsubscribe(u) => self.on_unsubscribe(conn, u),
-            Packet::Pingreq => vec![Action::Send {
+            Packet::Connect(c) => self.on_connect(conn, c, now_ns, actions),
+            Packet::Publish(p) => self.on_publish(conn, p, now_ns, actions),
+            Packet::Puback(pid) | Packet::Pubcomp(pid) => {
+                self.on_delivery_complete(conn, pid, now_ns, actions);
+            }
+            Packet::Pubrec(pid) => self.on_pubrec(conn, pid, now_ns, actions),
+            Packet::Pubrel(pid) => self.on_pubrel(conn, pid, actions),
+            Packet::Subscribe(s) => self.on_subscribe(conn, s, now_ns, actions),
+            Packet::Unsubscribe(u) => self.on_unsubscribe(conn, u, actions),
+            Packet::Pingreq => actions.push(Action::Send {
                 conn: conn.clone(),
                 packet: Packet::Pingresp,
-            }],
+            }),
             Packet::Disconnect => {
                 // Graceful: the will is discarded per spec.
                 if let Some(c) = self.connections.get_mut(conn) {
                     c.will = None;
                 }
-                self.teardown(conn, now_ns, false)
+                self.teardown(conn, now_ns, false, actions);
             }
             // Server-bound only; receiving broker-bound packets is a
             // protocol violation.
             Packet::Connack(_) | Packet::Suback(_) | Packet::Unsuback(_) | Packet::Pingresp => {
-                self.protocol_error(conn, now_ns)
+                self.protocol_error(conn, now_ns, actions);
             }
         }
     }
@@ -657,7 +703,12 @@ impl<C: Ord + Clone> Broker<C> {
     /// Call at least every few hundred milliseconds of transport time.
     pub fn poll(&mut self, now_ns: u64) -> Vec<Action<C>> {
         let mut actions = Vec::new();
+        self.poll_into(now_ns, &mut actions);
+        actions
+    }
 
+    /// [`poll`](Self::poll), appending to `actions`.
+    pub fn poll_into(&mut self, now_ns: u64, actions: &mut Vec<Action<C>>) {
         // Keep-alive expiry (will is published — ungraceful).
         let expired: Vec<C> = self
             .connections
@@ -670,7 +721,7 @@ impl<C: Ord + Clone> Broker<C> {
             .map(|c| c.conn.clone())
             .collect();
         for conn in expired {
-            actions.extend(self.teardown(&conn, now_ns, true));
+            self.teardown(&conn, now_ns, true, actions);
             actions.push(Action::Close { conn });
         }
 
@@ -703,7 +754,6 @@ impl<C: Ord + Clone> Broker<C> {
             }
         }
         self.wal_barrier();
-        actions
     }
 
     /// The earliest instant at which [`Broker::poll`] has work, if any.
@@ -737,13 +787,24 @@ impl<C: Ord + Clone> Broker<C> {
     /// `$SYS` status topics), honouring retention and routing to matching
     /// subscribers exactly like an external publish.
     pub fn publish_internal(&mut self, publish: Publish, now_ns: u64) -> Vec<Action<C>> {
+        let mut actions = Vec::new();
+        self.publish_internal_into(publish, now_ns, &mut actions);
+        actions
+    }
+
+    /// [`publish_internal`](Self::publish_internal), appending to
+    /// `actions`.
+    pub fn publish_internal_into(
+        &mut self,
+        publish: Publish,
+        now_ns: u64,
+        actions: &mut Vec<Action<C>>,
+    ) {
         if publish.retain {
             self.store_retained(&publish);
         }
-        let mut actions = Vec::new();
-        self.route(&publish, now_ns, &mut actions);
+        self.route(&publish, now_ns, actions);
         self.wal_barrier();
-        actions
     }
 
     /// Stores (or clears, for empty payloads) the retained message for a
@@ -751,16 +812,16 @@ impl<C: Ord + Clone> Broker<C> {
     fn store_retained(&mut self, publish: &Publish) {
         if publish.payload.is_empty() {
             if self.retained.remove(publish.topic.as_str()).is_some() {
-                wal_note(&mut self.wal, || WalRecord::RetainCleared {
-                    topic: publish.topic.as_str().to_owned(),
+                wal_note(&mut self.wal, |out| {
+                    wal::put_retain_cleared(out, publish.topic.as_str());
                 });
             }
         } else {
             let mut stored = publish.clone();
             stored.dup = false;
             stored.packet_id = None;
-            wal_note(&mut self.wal, || WalRecord::RetainSet {
-                message: durable_of(&stored),
+            wal_note(&mut self.wal, |out| {
+                wal::put_retain_set(out, message_of(&stored));
             });
             self.retained
                 .insert(publish.topic.as_str().to_owned(), stored);
@@ -793,15 +854,12 @@ impl<C: Ord + Clone> Broker<C> {
         ]
     }
 
-    fn protocol_error(&mut self, conn: &C, now_ns: u64) -> Vec<Action<C>> {
-        let mut actions = self.teardown(conn, now_ns, true);
+    fn protocol_error(&mut self, conn: &C, now_ns: u64, actions: &mut Vec<Action<C>>) {
+        self.teardown(conn, now_ns, true, actions);
         actions.push(Action::Close { conn: conn.clone() });
-        actions
     }
 
-    fn on_connect(&mut self, conn: &C, c: Connect, now_ns: u64) -> Vec<Action<C>> {
-        let mut actions = Vec::new();
-
+    fn on_connect(&mut self, conn: &C, c: Connect, now_ns: u64, actions: &mut Vec<Action<C>>) {
         if c.client_id.is_empty() && !c.clean_session {
             actions.push(Action::Send {
                 conn: conn.clone(),
@@ -811,59 +869,56 @@ impl<C: Ord + Clone> Broker<C> {
                 }),
             });
             actions.push(Action::Close { conn: conn.clone() });
-            return actions;
+            return;
         }
-        let client_id = if c.client_id.is_empty() {
+        let client_id: Arc<str> = if c.client_id.is_empty() {
             // Auto-assign an id derived from the session count.
-            format!("auto-{}", self.sessions.len())
+            format!("auto-{}", self.sessions.len()).into()
         } else {
-            c.client_id.clone()
+            c.client_id.into()
         };
 
         // Session takeover: disconnect an existing connection of this id.
-        if let Some(old_conn) = self.online.get(&client_id).cloned() {
+        if let Some(old_conn) = self.online.get(&*client_id).cloned() {
             if &old_conn != conn {
-                let mut t = self.teardown(&old_conn, now_ns, true);
-                actions.append(&mut t);
+                self.teardown(&old_conn, now_ns, true, actions);
                 actions.push(Action::Close { conn: old_conn });
             }
         }
 
         let session_present = if c.clean_session {
-            if let Some(old) = self.sessions.remove(&client_id) {
+            if let Some(old) = self.sessions.remove(&*client_id) {
                 if old.persistent {
-                    wal_note(&mut self.wal, || WalRecord::SessionCleared {
-                        client: client_id.clone(),
+                    wal_note(&mut self.wal, |out| {
+                        wal::put_session_cleared(out, &client_id);
                     });
                 }
-                drop(old);
             }
             self.tree.remove_key(&client_id);
             self.capture(|| BrokerEvent::SessionCleared {
-                client: client_id.clone(),
+                client: Arc::clone(&client_id),
             });
             false
         } else {
-            self.sessions.contains_key(&client_id)
+            self.sessions.contains_key(&*client_id)
         };
 
-        let session = self.sessions.entry(client_id.clone()).or_default();
+        let session = self.sessions.entry(Arc::clone(&client_id)).or_default();
         session.persistent = !c.clean_session;
         if session.persistent {
             let next_pid = session.next_pid;
-            wal_note(&mut self.wal, || WalRecord::SessionStarted {
-                client: client_id.clone(),
-                next_pid,
+            wal_note(&mut self.wal, |out| {
+                wal::put_session_started(out, &client_id, next_pid);
             });
         }
 
         if let Some(connection) = self.connections.get_mut(conn) {
-            connection.client_id = Some(Arc::from(client_id.as_str()));
+            connection.client_id = Some(Arc::clone(&client_id));
             connection.keep_alive_ns = c.keep_alive_secs as u64 * 1_000_000_000;
             connection.last_activity_ns = now_ns;
             connection.will = c.will;
         }
-        self.online.insert(client_id.clone(), conn.clone());
+        self.online.insert(Arc::clone(&client_id), conn.clone());
 
         actions.push(Action::Send {
             conn: conn.clone(),
@@ -874,20 +929,24 @@ impl<C: Ord + Clone> Broker<C> {
         });
 
         // Flush messages queued while the persistent session was offline.
-        self.flush_queue(&client_id, now_ns, &mut actions);
-        actions
+        self.flush_queue(&client_id, now_ns, actions);
     }
 
     fn client_of(&self, conn: &C) -> Option<Arc<str>> {
         self.connections.get(conn).and_then(|c| c.client_id.clone())
     }
 
-    fn on_publish(&mut self, conn: &C, publish: Publish, now_ns: u64) -> Vec<Action<C>> {
+    fn on_publish(
+        &mut self,
+        conn: &C,
+        publish: Publish,
+        now_ns: u64,
+        actions: &mut Vec<Action<C>>,
+    ) {
         let Some(client) = self.client_of(conn) else {
-            return self.protocol_error(conn, now_ns);
+            return self.protocol_error(conn, now_ns, actions);
         };
         self.stats.messages_in += 1;
-        let mut actions = Vec::new();
 
         match publish.qos {
             QoS::AtMostOnce => {}
@@ -907,14 +966,13 @@ impl<C: Ord + Clone> Broker<C> {
                 });
                 // Exactly once: duplicates of a pid whose PUBREL has not
                 // arrived yet must not be routed again.
-                let session = self.sessions.entry(client.to_string()).or_default();
+                let session = self.sessions.entry(Arc::clone(&client)).or_default();
                 if !session.incoming_qos2.insert(pid) {
-                    return actions;
+                    return;
                 }
                 if session.persistent {
-                    wal_note(&mut self.wal, || WalRecord::InQos2Insert {
-                        client: client.to_string(),
-                        pid,
+                    wal_note(&mut self.wal, |out| {
+                        wal::put_inqos2_insert(out, &client, pid);
                     });
                 }
             }
@@ -925,8 +983,7 @@ impl<C: Ord + Clone> Broker<C> {
             self.store_retained(&publish);
         }
 
-        self.route(&publish, now_ns, &mut actions);
-        actions
+        self.route(&publish, now_ns, actions);
     }
 
     /// Routes a publish to every matching subscriber.
@@ -947,10 +1004,10 @@ impl<C: Ord + Clone> Broker<C> {
         for sub in subs.iter() {
             let effective_qos = publish.qos.min(sub.qos);
             if effective_qos == QoS::AtMostOnce {
-                let Some(conn) = self.online.get(&sub.key) else {
+                let Some(conn) = self.online.get(&*sub.key) else {
                     continue; // QoS 0 is never queued for offline sessions.
                 };
-                if !self.sessions.contains_key(&sub.key) {
+                if !self.sessions.contains_key(&*sub.key) {
                     continue;
                 }
                 let frame = qos0_frame.get_or_insert_with(|| codec::encode_qos0_delivery(publish));
@@ -993,9 +1050,8 @@ impl<C: Ord + Clone> Broker<C> {
                             return;
                         }
                         if session.persistent {
-                            wal_note(&mut self.wal, || WalRecord::Queued {
-                                client: client_id.to_owned(),
-                                message: durable_of(&publish),
+                            wal_note(&mut self.wal, |out| {
+                                wal::put_queued(out, client_id, message_of(&publish));
                             });
                         }
                         session.queue.push_back(publish);
@@ -1009,11 +1065,14 @@ impl<C: Ord + Clone> Broker<C> {
                         OutStage::AwaitPuback
                     };
                     if session.persistent {
-                        wal_note(&mut self.wal, || WalRecord::InflightInsert {
-                            client: client_id.to_owned(),
-                            pid,
-                            stage: stage_to_wal(stage),
-                            message: durable_of(&publish),
+                        wal_note(&mut self.wal, |out| {
+                            wal::put_inflight_insert(
+                                out,
+                                client_id,
+                                pid,
+                                stage_to_wal(stage),
+                                message_of(&publish),
+                            );
                         });
                     }
                     session.inflight.insert(
@@ -1037,9 +1096,8 @@ impl<C: Ord + Clone> Broker<C> {
                         session.dropped += 1;
                         self.stats.messages_dropped += 1;
                     } else {
-                        wal_note(&mut self.wal, || WalRecord::Queued {
-                            client: client_id.to_owned(),
-                            message: durable_of(&publish),
+                        wal_note(&mut self.wal, |out| {
+                            wal::put_queued(out, client_id, message_of(&publish));
                         });
                         session.queue.push_back(publish);
                     }
@@ -1057,36 +1115,38 @@ impl<C: Ord + Clone> Broker<C> {
                 break;
             };
             if session.persistent {
-                wal_note(&mut self.wal, || WalRecord::QueuePopped {
-                    client: client_id.to_owned(),
-                });
+                wal_note(&mut self.wal, |out| wal::put_queue_popped(out, client_id));
             }
             self.deliver(client_id, next, now_ns, actions);
         }
     }
 
-    fn on_puback(&mut self, conn: &C, pid: PacketId, now_ns: u64) -> Vec<Action<C>> {
+    /// The subscriber completed an outbound delivery (PUBACK, or PUBCOMP
+    /// for QoS 2): the window slot is free, so queued messages move out.
+    fn on_delivery_complete(
+        &mut self,
+        conn: &C,
+        pid: PacketId,
+        now_ns: u64,
+        actions: &mut Vec<Action<C>>,
+    ) {
         let Some(client_id) = self.client_of(conn) else {
-            return Vec::new();
+            return;
         };
         if let Some(session) = self.sessions.get_mut(&*client_id) {
             if session.inflight.remove(&pid).is_some() && session.persistent {
-                wal_note(&mut self.wal, || WalRecord::InflightRemove {
-                    client: client_id.to_string(),
-                    pid,
+                wal_note(&mut self.wal, |out| {
+                    wal::put_inflight_remove(out, &client_id, pid);
                 });
             }
         }
-        // Window freed: push queued messages out.
-        let mut actions = Vec::new();
-        self.flush_queue(&client_id, now_ns, &mut actions);
-        actions
+        self.flush_queue(&client_id, now_ns, actions);
     }
 
     /// Subscriber acknowledged a QoS 2 delivery: release it with PUBREL.
-    fn on_pubrec(&mut self, conn: &C, pid: PacketId, now_ns: u64) -> Vec<Action<C>> {
+    fn on_pubrec(&mut self, conn: &C, pid: PacketId, now_ns: u64, actions: &mut Vec<Action<C>>) {
         let Some(client_id) = self.client_of(conn) else {
-            return Vec::new();
+            return;
         };
         if let Some(session) = self.sessions.get_mut(&*client_id) {
             let persistent = session.persistent;
@@ -1094,79 +1154,62 @@ impl<C: Ord + Clone> Broker<C> {
                 inflight.stage = OutStage::AwaitPubcomp;
                 inflight.sent_at_ns = now_ns;
                 if persistent {
-                    wal_note(&mut self.wal, || WalRecord::InflightStage {
-                        client: client_id.to_string(),
-                        pid,
-                        stage: WalStage::AwaitPubcomp,
+                    wal_note(&mut self.wal, |out| {
+                        wal::put_inflight_stage(out, &client_id, pid, WalStage::AwaitPubcomp);
                     });
                 }
-                return vec![Action::Send {
+                actions.push(Action::Send {
                     conn: conn.clone(),
                     packet: Packet::Pubrel(pid),
-                }];
-            }
-        }
-        Vec::new()
-    }
-
-    /// Publisher released an inbound QoS 2 message: close the window.
-    fn on_pubrel(&mut self, conn: &C, pid: PacketId) -> Vec<Action<C>> {
-        if let Some(client_id) = self.client_of(conn) {
-            if let Some(session) = self.sessions.get_mut(&*client_id) {
-                if session.incoming_qos2.remove(&pid) && session.persistent {
-                    wal_note(&mut self.wal, || WalRecord::InQos2Remove {
-                        client: client_id.to_string(),
-                        pid,
-                    });
-                }
-            }
-        }
-        vec![Action::Send {
-            conn: conn.clone(),
-            packet: Packet::Pubcomp(pid),
-        }]
-    }
-
-    /// Subscriber completed a QoS 2 delivery.
-    fn on_pubcomp(&mut self, conn: &C, pid: PacketId, now_ns: u64) -> Vec<Action<C>> {
-        let Some(client_id) = self.client_of(conn) else {
-            return Vec::new();
-        };
-        if let Some(session) = self.sessions.get_mut(&*client_id) {
-            if session.inflight.remove(&pid).is_some() && session.persistent {
-                wal_note(&mut self.wal, || WalRecord::InflightRemove {
-                    client: client_id.to_string(),
-                    pid,
                 });
             }
         }
-        let mut actions = Vec::new();
-        self.flush_queue(&client_id, now_ns, &mut actions);
-        actions
     }
 
-    fn on_subscribe(&mut self, conn: &C, sub: Subscribe, now_ns: u64) -> Vec<Action<C>> {
-        let Some(client_id) = self.client_of(conn).map(|id| id.to_string()) else {
-            return self.protocol_error(conn, now_ns);
+    /// Publisher released an inbound QoS 2 message: close the window.
+    fn on_pubrel(&mut self, conn: &C, pid: PacketId, actions: &mut Vec<Action<C>>) {
+        if let Some(client_id) = self.client_of(conn) {
+            if let Some(session) = self.sessions.get_mut(&*client_id) {
+                if session.incoming_qos2.remove(&pid) && session.persistent {
+                    wal_note(&mut self.wal, |out| {
+                        wal::put_inqos2_remove(out, &client_id, pid);
+                    });
+                }
+            }
+        }
+        actions.push(Action::Send {
+            conn: conn.clone(),
+            packet: Packet::Pubcomp(pid),
+        });
+    }
+
+    fn on_subscribe(
+        &mut self,
+        conn: &C,
+        sub: Subscribe,
+        now_ns: u64,
+        actions: &mut Vec<Action<C>>,
+    ) {
+        let Some(client_id) = self.client_of(conn) else {
+            return self.protocol_error(conn, now_ns, actions);
         };
         let mut codes = Vec::with_capacity(sub.filters.len());
         let mut retained_out: Vec<Publish> = Vec::new();
         for f in &sub.filters {
             let granted = f.qos;
-            self.tree.subscribe(client_id.clone(), &f.filter, granted);
+            self.tree
+                .subscribe(Arc::clone(&client_id), &f.filter, granted);
             self.capture(|| BrokerEvent::Subscribed {
-                client: client_id.clone(),
+                client: Arc::clone(&client_id),
                 filter: f.filter.clone(),
                 qos: granted,
             });
-            let session = self.sessions.entry(client_id.clone()).or_default();
+            let session = self.sessions.entry(Arc::clone(&client_id)).or_default();
             session.subscriptions.retain(|(sf, _)| sf != &f.filter);
             session.subscriptions.push((f.filter.clone(), granted));
             if session.persistent {
-                wal_note(&mut self.wal, || WalRecord::Subscribed {
-                    client: client_id.clone(),
-                    filter: f.filter.as_str().to_owned(),
-                    qos: granted,
+                wal_note(&mut self.wal, |out| {
+                    wal::put_subscribed(out, &client_id, f.filter.as_str(), granted);
                 });
             }
             codes.push(SubackCode::Granted(granted));
@@ -1181,67 +1224,70 @@ impl<C: Ord + Clone> Broker<C> {
                 }
             }
         }
-        let mut actions = vec![Action::Send {
+        actions.push(Action::Send {
             conn: conn.clone(),
             packet: Packet::Suback(Suback {
                 packet_id: sub.packet_id,
                 codes,
             }),
-        }];
+        });
         for out in retained_out {
-            self.deliver(&client_id, out, now_ns, &mut actions);
+            self.deliver(&client_id, out, now_ns, actions);
         }
-        actions
     }
 
-    fn on_unsubscribe(&mut self, conn: &C, unsub: Unsubscribe) -> Vec<Action<C>> {
-        let Some(client_id) = self.client_of(conn).map(|id| id.to_string()) else {
-            return Vec::new();
+    fn on_unsubscribe(&mut self, conn: &C, unsub: Unsubscribe, actions: &mut Vec<Action<C>>) {
+        let Some(client_id) = self.client_of(conn) else {
+            return;
         };
         for f in &unsub.filters {
             self.tree.unsubscribe(&client_id, f);
             self.capture(|| BrokerEvent::Unsubscribed {
-                client: client_id.clone(),
+                client: Arc::clone(&client_id),
                 filter: f.clone(),
             });
-            if let Some(session) = self.sessions.get_mut(&client_id) {
+            if let Some(session) = self.sessions.get_mut(&*client_id) {
                 session.subscriptions.retain(|(sf, _)| sf != f);
                 if session.persistent {
-                    wal_note(&mut self.wal, || WalRecord::Unsubscribed {
-                        client: client_id.clone(),
-                        filter: f.as_str().to_owned(),
+                    wal_note(&mut self.wal, |out| {
+                        wal::put_unsubscribed(out, &client_id, f.as_str());
                     });
                 }
             }
         }
-        vec![Action::Send {
+        actions.push(Action::Send {
             conn: conn.clone(),
             packet: Packet::Unsuback(unsub.packet_id),
-        }]
+        });
     }
 
     /// Removes the connection; `publish_will` selects ungraceful semantics.
-    fn teardown(&mut self, conn: &C, now_ns: u64, publish_will: bool) -> Vec<Action<C>> {
+    fn teardown(
+        &mut self,
+        conn: &C,
+        now_ns: u64,
+        publish_will: bool,
+        actions: &mut Vec<Action<C>>,
+    ) {
         let Some(connection) = self.connections.remove(conn) else {
-            return Vec::new();
+            return;
         };
-        let mut actions = Vec::new();
-        if let Some(client_id) = connection.client_id.map(|id| id.to_string()) {
-            if self.online.get(&client_id) == Some(conn) {
-                self.online.remove(&client_id);
+        if let Some(client_id) = connection.client_id {
+            if self.online.get(&*client_id) == Some(conn) {
+                self.online.remove(&*client_id);
             }
             let persistent = self
                 .sessions
-                .get(&client_id)
+                .get(&*client_id)
                 .map(|s| s.persistent)
                 .unwrap_or(false);
             if !persistent {
                 // Transient sessions were never logged, so there is no
                 // durable record to clear here.
-                self.sessions.remove(&client_id);
+                self.sessions.remove(&*client_id);
                 self.tree.remove_key(&client_id);
                 self.capture(|| BrokerEvent::SessionCleared {
-                    client: client_id.clone(),
+                    client: Arc::clone(&client_id),
                 });
             }
             if publish_will {
@@ -1257,11 +1303,10 @@ impl<C: Ord + Clone> Broker<C> {
                     if publish.retain {
                         self.store_retained(&publish);
                     }
-                    self.route(&publish, now_ns, &mut actions);
+                    self.route(&publish, now_ns, actions);
                 }
             }
         }
-        actions
     }
 }
 
@@ -1276,6 +1321,51 @@ mod tests {
 
     fn filter(s: &str) -> TopicFilter {
         TopicFilter::new(s).expect("valid filter")
+    }
+
+    /// The hot paths log a message borrowed from the `Publish` they hold;
+    /// snapshots and replay log the owned `DurablePublish`. One encoding.
+    #[test]
+    fn a_borrowed_message_logs_the_bytes_of_its_owned_form() {
+        let mut retained = Publish::qos0(topic("sensor/温/1"), Vec::new());
+        retained.retain = true;
+        let mut large = Publish::qos1(topic("t"), vec![0xA5; 64 * 1024], 9);
+        large.qos = QoS::ExactlyOnce;
+        for p in [
+            retained,
+            Publish::qos1(topic("a/b"), b"xyz".to_vec(), 7),
+            large,
+        ] {
+            let mut borrowed = Vec::new();
+            wal::put_retain_set(&mut borrowed, message_of(&p));
+            wal::put_queued(&mut borrowed, "sub-ç", message_of(&p));
+            wal::put_inflight_insert(
+                &mut borrowed,
+                "",
+                65_535,
+                WalStage::AwaitPubrec,
+                message_of(&p),
+            );
+            let mut owned = Vec::new();
+            for rec in [
+                WalRecord::RetainSet {
+                    message: durable_of(&p),
+                },
+                WalRecord::Queued {
+                    client: "sub-ç".into(),
+                    message: durable_of(&p),
+                },
+                WalRecord::InflightInsert {
+                    client: String::new(),
+                    pid: 65_535,
+                    stage: WalStage::AwaitPubrec,
+                    message: durable_of(&p),
+                },
+            ] {
+                wal::encode_record(&mut owned, &rec);
+            }
+            assert!(borrowed == owned, "{:?}", p.topic);
+        }
     }
 
     fn connect(broker: &mut Broker<u32>, conn: u32, id: &str) {

@@ -4,8 +4,21 @@
 //! fixed header (packet type, flags, remaining-length varint) and each
 //! variable header/payload of the supported subset. Decoding never panics
 //! on malformed input — every anomaly maps to a [`DecodeError`].
+//!
+//! What each direction allocates: [`encode`] sizes the frame first and
+//! makes the one buffer it returns; decoding reads a packet where its
+//! bytes lie and gives storage only to what the packet keeps — nothing for
+//! the fixed-size packets (PUBACK, PUBREC, PUBREL, PUBCOMP, UNSUBACK, the
+//! pings, DISCONNECT), the topic and one payload buffer for a PUBLISH off a
+//! stream, the topic alone when the frame arrived as a shared [`Bytes`]
+//! (the payload is then a view of it). [`StreamDecoder`] keeps one buffer
+//! per stream — 256 bytes for a socket that trickles, grown by the reads
+//! that fill it ([`StreamDecoder::read_from`]), given back down to 64 KiB
+//! once a burst is decoded.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::io::{self, Read};
+
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::error::DecodeError;
 use crate::packet::{
@@ -255,8 +268,7 @@ pub fn decode(buf: &[u8]) -> Result<Option<(Packet, usize)>, DecodeError> {
     let Some((body_start, total)) = frame_bounds(buf)? else {
         return Ok(None);
     };
-    let body = Bytes::copy_from_slice(&buf[body_start..total]);
-    let packet = decode_body(buf[0] >> 4, buf[0] & 0x0F, body)?;
+    let packet = decode_body(buf[0], Reader::borrowed(&buf[body_start..total]))?;
     Ok(Some((packet, total)))
 }
 
@@ -294,64 +306,96 @@ fn decode_remaining_length(buf: &[u8]) -> Result<Option<(usize, usize)>, DecodeE
     }
 }
 
-/// Cursor over a packet body held as [`Bytes`]: length-prefixed binary
-/// fields and the publish payload are *sliced* out of the shared frame
-/// (reference-count bump) rather than copied into fresh allocations.
-struct Reader {
-    buf: Bytes,
+/// Cursor over a packet body. The body is read where it lies; only a
+/// field that outlives the call is given storage of its own, and when the
+/// body is a view of a shared frame even that is a refcounted slice of the
+/// frame: length-prefixed binary fields and the publish payload are then
+/// *sliced* out rather than copied.
+struct Reader<'a> {
+    body: &'a [u8],
+    pos: usize,
+    /// The shared frame `body` is a view of, and where it starts in it.
+    shared: Option<(&'a Bytes, usize)>,
 }
 
-impl Reader {
-    fn new(body: Bytes) -> Self {
-        Reader { buf: body }
+impl<'a> Reader<'a> {
+    /// Over bytes the caller will reuse (a stream buffer): fields that
+    /// outlive the call are copied out.
+    fn borrowed(body: &'a [u8]) -> Self {
+        Reader {
+            body,
+            pos: 0,
+            shared: None,
+        }
+    }
+
+    /// Over the body of a shared frame, which starts at `body_start`.
+    fn shared(frame: &'a Bytes, body_start: usize) -> Self {
+        Reader {
+            body: &frame[body_start..],
+            pos: 0,
+            shared: Some((frame, body_start)),
+        }
     }
 
     fn remaining(&self) -> usize {
-        self.buf.remaining()
+        self.body.len() - self.pos
+    }
+
+    /// The next `len` bytes, borrowed.
+    fn take(&mut self, len: usize) -> Result<&'a [u8], DecodeError> {
+        if self.remaining() < len {
+            return Err(DecodeError::UnexpectedEof);
+        }
+        let field = &self.body[self.pos..self.pos + len];
+        self.pos += len;
+        Ok(field)
     }
 
     fn u8(&mut self) -> Result<u8, DecodeError> {
-        if self.buf.remaining() < 1 {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        Ok(self.buf.get_u8())
+        Ok(self.take(1)?[0])
     }
 
     fn u16(&mut self) -> Result<u16, DecodeError> {
-        if self.buf.remaining() < 2 {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        Ok(self.buf.get_u16())
+        let b = self.take(2)?;
+        Ok(u16::from_be_bytes([b[0], b[1]]))
+    }
+
+    /// The next `len` bytes as a buffer of their own: a slice of the
+    /// shared frame if there is one, else the one copy.
+    fn owned(&mut self, len: usize) -> Result<Bytes, DecodeError> {
+        let at = self.pos;
+        let field = self.take(len)?;
+        Ok(match self.shared {
+            Some((frame, body_start)) => frame.slice(body_start + at..body_start + at + len),
+            None if field.is_empty() => Bytes::new(),
+            None => Bytes::copy_from_slice(field),
+        })
     }
 
     fn bytes(&mut self) -> Result<Bytes, DecodeError> {
         let len = self.u16()? as usize;
-        if self.buf.remaining() < len {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        Ok(self.buf.split_to(len))
+        self.owned(len)
+    }
+
+    fn str(&mut self) -> Result<&'a str, DecodeError> {
+        let len = self.u16()? as usize;
+        core::str::from_utf8(self.take(len)?).map_err(|_| DecodeError::InvalidString)
     }
 
     fn string(&mut self) -> Result<String, DecodeError> {
-        String::from_utf8(self.bytes()?.to_vec()).map_err(|_| DecodeError::InvalidString)
+        self.str().map(str::to_owned)
     }
 
     /// A topic name, validated on the frame's own bytes and copied once,
     /// into its shared form.
     fn topic_name(&mut self, what: &'static str) -> Result<TopicName, DecodeError> {
-        let len = self.u16()? as usize;
-        if self.buf.remaining() < len {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        let name =
-            core::str::from_utf8(&self.buf[..len]).map_err(|_| DecodeError::InvalidString)?;
-        let topic = TopicName::new(name).map_err(|_| DecodeError::MalformedPacket(what))?;
-        self.buf.advance(len);
-        Ok(topic)
+        TopicName::new(self.str()?).map_err(|_| DecodeError::MalformedPacket(what))
     }
 
     fn rest(&mut self) -> Bytes {
-        self.buf.split_to(self.buf.remaining())
+        self.owned(self.remaining())
+            .expect("what remains is there to take")
     }
 
     fn expect_empty(&self) -> Result<(), DecodeError> {
@@ -371,8 +415,12 @@ fn require_flags(packet_type: u8, flags: u8, expected: u8) -> Result<(), DecodeE
     }
 }
 
-fn decode_body(packet_type: u8, flags: u8, body: Bytes) -> Result<Packet, DecodeError> {
-    let mut r = Reader::new(body);
+/// Decodes the packet whose fixed header starts with `first` from its
+/// body. The fixed-size packets (the acknowledgements, the pings,
+/// DISCONNECT) allocate nothing; a PUBLISH its topic and, off a stream,
+/// its payload.
+fn decode_body(first: u8, mut r: Reader<'_>) -> Result<Packet, DecodeError> {
+    let (packet_type, flags) = (first >> 4, first & 0x0F);
     match packet_type {
         1 => {
             require_flags(1, flags, 0)?;
@@ -513,8 +561,8 @@ fn decode_body(packet_type: u8, flags: u8, body: Bytes) -> Result<Packet, Decode
     }
 }
 
-fn decode_connect(r: &mut Reader) -> Result<Packet, DecodeError> {
-    let proto = r.string()?;
+fn decode_connect(r: &mut Reader<'_>) -> Result<Packet, DecodeError> {
+    let proto = r.str()?;
     let level = r.u8()?;
     if proto != "MQTT" || level != 4 {
         return Err(DecodeError::UnsupportedProtocol);
@@ -563,8 +611,32 @@ fn decode_connect(r: &mut Reader) -> Result<Packet, DecodeError> {
     }))
 }
 
+/// Room a socket read is offered at least, and so what every connection
+/// that has read anything holds for life. Sized for the connection count,
+/// not for throughput: 10 000 quiet connections pin 10 000 of these (the
+/// 10 000-subscriber cell of `tests/broker_c10k.rs` peaks at 23.5 MiB with
+/// 256, 26 with 512, 31 with 1 024, and at 25 before the decoder kept one
+/// buffer — EXPERIMENTS.md), and a connection whose reads fill what they
+/// are offered is offered more (see [`StreamDecoder::read_from`]).
+const MIN_READ: usize = 256;
+
+/// Room a socket read is offered once reads have filled what they were
+/// offered: the read size of a connection that streams.
+const MAX_READ: usize = 16 * 1024;
+
+/// Largest stream buffer a drained decoder keeps: a burst may grow the
+/// buffer past this, and gives the excess back once it is decoded.
+pub(crate) const MAX_IDLE_BUFFER: usize = 64 * 1024;
+
 /// Incremental decoder over a byte stream: feed arbitrary chunks, pop
 /// complete packets.
+///
+/// The stream lives in **one** growable buffer with a consumed cursor in
+/// front of it: a packet is decoded from the buffer where it lies (see
+/// [`decode`] for what that costs per packet type), the cursor moves past
+/// it, and the room is reused — reset when everything is consumed, moved
+/// down when the cursor has passed half of what is buffered. Nothing is
+/// allocated per packet for the framing.
 ///
 /// ```
 /// use ifot_mqtt::codec::{encode, StreamDecoder};
@@ -580,7 +652,11 @@ fn decode_connect(r: &mut Reader) -> Result<Packet, DecodeError> {
 /// ```
 #[derive(Debug, Default)]
 pub struct StreamDecoder {
-    buf: BytesMut,
+    /// `buf[start..end]` is received and not yet decoded; `buf[end..]` is
+    /// initialised room for the next bytes.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
     /// A shared chunk that arrived as exactly one frame on an empty
     /// stream: decoded in place, never copied into `buf`. Kept with the
     /// offset of its body.
@@ -599,38 +675,99 @@ impl StreamDecoder {
         chunk.feed_to(self);
     }
 
-    fn append(&mut self, bytes: &[u8]) {
-        if let Some((whole, _)) = self.whole.take() {
-            self.buf.extend_from_slice(&whole);
+    /// Reads once from `src` straight into the buffer's spare room.
+    /// Returns what `read` returned, and whether that filled the room it
+    /// was offered — if so the source may hold more. The room is at least
+    /// `MIN_READ` bytes; a read that fills it doubles the buffer, up to
+    /// `MAX_READ`, so a connection that streams is read in large pieces
+    /// and one that trickles keeps a small buffer.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `src.read` reports, `WouldBlock` included.
+    pub fn read_from(&mut self, src: &mut impl Read) -> io::Result<(usize, bool)> {
+        self.unpark();
+        self.make_room(MIN_READ);
+        let room = self.buf.len() - self.end;
+        let n = src.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        let filled = n == room;
+        if filled && self.buf.len() < MAX_READ {
+            self.buf.resize((self.buf.len() * 2).min(MAX_READ), 0);
         }
-        self.buf.extend_from_slice(bytes);
+        Ok((n, filled))
+    }
+
+    /// Appends `bytes` to the stream, behind a parked whole frame if
+    /// there is one.
+    fn append(&mut self, bytes: &[u8]) {
+        self.unpark();
+        self.extend(bytes);
+    }
+
+    /// Moves a parked whole frame onto the stream: more bytes follow it.
+    fn unpark(&mut self) {
+        if let Some((whole, _)) = self.whole.take() {
+            self.extend(&whole);
+        }
+    }
+
+    fn extend(&mut self, bytes: &[u8]) {
+        self.make_room(bytes.len());
+        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// Makes `buf[end..]` at least `n` bytes long, first by reusing what
+    /// the cursor has passed, then by growing.
+    fn make_room(&mut self, n: usize) {
+        if self.start > self.end / 2 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.buf.len() - self.end < n {
+            self.buf.resize(self.end + n, 0);
+            // Growth is amortised: open up whatever capacity it bought.
+            self.buf.resize(self.buf.capacity(), 0);
+        }
     }
 
     /// Pops the next complete packet, if any.
     ///
-    /// A complete frame is split off the stream buffer and frozen (or is
-    /// the shared chunk itself), so a decoded publish payload is a
-    /// zero-copy slice of that frame rather than a fresh allocation.
+    /// A frame on the stream is decoded from the buffer where it lies; a
+    /// whole shared chunk is decoded as slices of itself, so its publish
+    /// payload is a zero-copy view of the chunk that was fed.
     ///
     /// # Errors
     ///
     /// Propagates [`DecodeError`] on malformed input; the stream should be
     /// dropped afterwards.
     pub fn next_packet(&mut self) -> Result<Option<Packet>, DecodeError> {
-        let (frame, body_start) = match self.whole.take() {
-            Some(whole) => whole,
-            None => match frame_bounds(&self.buf)? {
-                Some((body_start, total)) => (self.buf.split_to(total).freeze(), body_start),
-                None => return Ok(None),
-            },
+        if let Some((frame, body_start)) = self.whole.take() {
+            return decode_body(frame[0], Reader::shared(&frame, body_start)).map(Some);
+        }
+        let stream = &self.buf[self.start..self.end];
+        let Some((body_start, total)) = frame_bounds(stream)? else {
+            return Ok(None);
         };
-        let body = frame.slice(body_start..);
-        Ok(Some(decode_body(frame[0] >> 4, frame[0] & 0x0F, body)?))
+        let packet = decode_body(stream[0], Reader::borrowed(&stream[body_start..total]))?;
+        self.start += total;
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+            if self.buf.len() > MAX_IDLE_BUFFER {
+                // A drained burst does not pin its peak.
+                self.buf.truncate(MAX_IDLE_BUFFER);
+                self.buf.shrink_to_fit();
+            }
+        }
+        Ok(Some(packet))
     }
 
     /// Bytes currently buffered but not yet consumed.
     pub fn buffered(&self) -> usize {
-        self.buf.len() + self.whole.as_ref().map_or(0, |(whole, _)| whole.len())
+        self.end - self.start + self.whole.as_ref().map_or(0, |(whole, _)| whole.len())
     }
 }
 
@@ -970,6 +1107,83 @@ mod tests {
             dec.next_packet(),
             Err(DecodeError::MalformedRemainingLength)
         );
+    }
+
+    #[test]
+    fn a_drained_burst_does_not_pin_its_peak() {
+        let frame = encode(&Packet::Publish(Publish::qos0(
+            topic("burst"),
+            vec![5u8; 1000],
+        )));
+        let mut burst = Vec::new();
+        while burst.len() < 1 << 20 {
+            burst.extend_from_slice(&frame);
+        }
+        let mut dec = StreamDecoder::new();
+        dec.feed(&burst[..]);
+        assert!(dec.buf.capacity() >= 1 << 20);
+        let mut popped = 0;
+        while let Some(p) = dec.next_packet().expect("valid") {
+            assert!(matches!(p, Packet::Publish(_)));
+            popped += 1;
+        }
+        assert_eq!(popped, burst.len() / frame.len());
+        assert_eq!(dec.buffered(), 0);
+        assert!(
+            dec.buf.capacity() <= MAX_IDLE_BUFFER,
+            "{} bytes kept after the burst",
+            dec.buf.capacity()
+        );
+        // A steady trickle through a small buffer never grows it: the
+        // cursor is reset or the tail moved down, not appended behind.
+        let mut dec = StreamDecoder::new();
+        for piece in burst.chunks(700) {
+            dec.feed(piece);
+            while dec.next_packet().expect("valid").is_some() {}
+        }
+        assert!(dec.buf.capacity() <= 8 * 1024, "{}", dec.buf.capacity());
+    }
+
+    #[test]
+    fn reads_grow_with_a_source_that_fills_them_and_only_then() {
+        let frame = encode(&Packet::Publish(Publish::qos0(topic("r"), vec![7u8; 90])));
+        // A trickle: every read is offered more than it takes, says so,
+        // and the buffer stays at its first size.
+        let mut dec = StreamDecoder::new();
+        for _ in 0..100 {
+            let mut src = &frame[..];
+            assert_eq!(dec.read_from(&mut src).expect("read"), (frame.len(), false));
+            assert!(dec.next_packet().expect("valid").is_some());
+        }
+        assert_eq!(dec.buf.len(), MIN_READ);
+        // A stream: each read fills what it was offered — known from the
+        // read itself, although decoding then empties the buffer — and the
+        // next is offered twice as much, up to `MAX_READ`.
+        let stream = frame.repeat(1 + 4 * MAX_READ / frame.len());
+        let mut src = &stream[..];
+        let mut dec = StreamDecoder::new();
+        let mut offered = Vec::new();
+        let mut popped = 0;
+        loop {
+            let (n, filled) = dec.read_from(&mut src).expect("read");
+            if n == 0 {
+                break;
+            }
+            offered.push(n);
+            assert!(filled || src.is_empty(), "bytes left behind a short read");
+            while dec.next_packet().expect("valid").is_some() {
+                popped += 1;
+            }
+        }
+        assert_eq!(popped, stream.len() / frame.len());
+        // (Less the torn frame the read before left in front of it.)
+        let doublings = (MAX_READ / MIN_READ).trailing_zeros() as usize;
+        assert!(offered.len() > doublings + 2, "{offered:?}");
+        for (i, &n) in offered[..offered.len() - 1].iter().enumerate() {
+            let room = (MIN_READ << i.min(doublings)) - n;
+            assert!(room < frame.len(), "read {i} took {n}");
+        }
+        assert!(dec.buf.len() <= 2 * MAX_READ, "{}", dec.buf.len());
     }
 
     #[test]

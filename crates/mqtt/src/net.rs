@@ -18,23 +18,37 @@
 //! end-to-end — a nonblocking slab of sockets (generational tokens, see
 //! [`Slab`]) driven by a readiness [`Poller`] (epoll on Linux):
 //!
-//! * **reads**: readable sockets feed the per-connection
-//!   [`StreamDecoder`]; decoded packets go through
-//!   [`ShardedBroker::handle_packet`] exactly as before.
+//! * **reads**: a readable socket is read straight into its
+//!   connection's [`StreamDecoder`] buffer; decoded packets go through
+//!   [`ShardedBroker::handle_packet_into`], into an output the loop
+//!   keeps.
 //! * **writes**: resulting frames land on per-connection outbound
 //!   queues; the owning loop drains dirty queues with `write_vectored`
-//!   batches of up to [`BrokerConfig::write_batch`] frames. A partial
-//!   write arms write-readiness (`EPOLLOUT`) and the drain resumes when
-//!   the socket unjams; a consumer that stays jammed past
+//!   batches of up to [`BrokerConfig::write_batch`] frames, their
+//!   `IoSlice`s built in a stack array. A partial write arms
+//!   write-readiness (`EPOLLOUT`) and the drain resumes when the socket
+//!   unjams; a consumer that stays jammed past
 //!   [`BrokerConfig::write_timeout_ns`] is evicted without the loop ever
 //!   blocking on it. **No TCP write happens under a broker lock.**
 //! * **wakes**: a producer on another thread that queues frames for an
 //!   idle connection marks it dirty **once** (an `in_dirty` flag
 //!   deduplicates concurrent producers) and signals the owning loop
 //!   through its [`Waker`] self-pipe.
-//! * **timers**: the PR 3 [`TimerWheel`] deadlines feed the same loop's
-//!   poll timeout — an idle broker parks every loop indefinitely and
-//!   makes **zero** timer wakeups (asserted in tests).
+//! * **timers**: each loop arms its poll timeout with a lower bound on
+//!   its shard's earliest deadline (`LoopHandle::broker_deadline`), which
+//!   producers lower when they create timer state and the loop rescans
+//!   only after a deadline wake-up — not on every turn. An idle broker
+//!   parks every loop indefinitely and makes **zero** timer wakeups
+//!   (asserted in tests).
+//!
+//! ## What a turn allocates
+//!
+//! Only what outlives it: the topic and payload of a PUBLISH it routes,
+//! and the frames it queues. The readiness list, the decoded packets, the
+//! dirty list, the write snapshot and the broker's output are scratch the
+//! event loop owns and reuses; the broker writes its WAL records from
+//! borrowed fields into a batch buffer that is framed in place. The gate
+//! is `tests/net_alloc_budget.rs`.
 //!
 //! Cross-shard publishes travel between loops over bounded channels
 //! carrying the shared-payload [`Publish`] (the payload `Bytes` is
@@ -49,7 +63,7 @@
 //! [`classify_accept_error`]).
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, IoSlice, Read, Write};
+use std::io::{ErrorKind, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -67,7 +81,7 @@ use crate::poll::{Event, Interest, Poller, Waker, WAKE_TOKEN};
 use crate::shard::{ShardOutput, ShardedBroker};
 use crate::slab::Slab;
 use crate::topic::{TopicFilter, TopicName};
-use crate::wheel::{TimerWheel, Wake};
+use crate::wheel::{TimerWheel, Wake, NO_DEADLINE};
 
 /// Capacity of each loop's inbound channel (cross-shard forwards and
 /// freshly accepted sockets). Loops never block on a full channel — a
@@ -84,6 +98,10 @@ const PRE_CONNECT_TIMEOUT_NS: u64 = 10_000_000_000;
 /// monopolize its loop; the remaining bytes re-trigger immediately).
 /// Edge-triggered mode must drain to `WouldBlock` and ignores this.
 const LEVEL_READS_PER_EVENT: usize = 8;
+
+/// Frames one `write_vectored` call carries at most: the size of the
+/// stack array its `IoSlice`s are built in.
+const MAX_WRITE_SLICES: usize = 64;
 
 fn now_ns(epoch: Instant) -> u64 {
     epoch.elapsed().as_nanos() as u64
@@ -168,6 +186,32 @@ struct LoopHandle {
     /// Connections with queued frames, drained each loop iteration.
     dirty: Mutex<Vec<usize>>,
     wheel: TimerWheel,
+    /// A lower bound on the earliest deadline of this shard's broker
+    /// (keep-alive expiry, retransmission; [`NO_DEADLINE`] if it has
+    /// none): what the loop arms its wait with instead of taking the
+    /// shard lock and walking every connection and in-flight message on
+    /// every turn. Activity only moves broker deadlines *later*, and
+    /// waking early is harmless (the loop polls, finds nothing due and
+    /// rescans), so the bound stays valid as long as it never sits above
+    /// the true deadline. The invariant that keeps it there:
+    ///
+    /// > every site that can create an *earlier* deadline on shard `s` —
+    /// > a session coming online (its keep-alive starts, and the in-flight
+    /// > messages a resumed session kept are timed again), a QoS > 0
+    /// > delivery or PUBREL entering the in-flight window — calls
+    /// > [`Shared::note_deadline`]`(s, …)` after the broker call that
+    /// > created it, from whichever loop it runs on.
+    ///
+    /// A delivery notes `now + retransmit_timeout`. An accepted CONNECT
+    /// notes `now`: what a resumed session holds may be due already (a
+    /// recovered one's is, its send times are reset), so the shard's loop
+    /// polls at once and rescans. `note_deadline` lowers the bound
+    /// (`fetch_min`); only loop `s` raises it, in
+    /// [`EventLoop::rescan_broker_deadline`], after a deadline wake-up.
+    broker_deadline: AtomicU64,
+    /// Shard scans [`EventLoop::rescan_broker_deadline`] made.
+    #[cfg(test)]
+    deadline_scans: AtomicU64,
 }
 
 struct Shared {
@@ -199,6 +243,9 @@ impl Shared {
                 waker: poller.waker(),
                 dirty: Mutex::new(Vec::new()),
                 wheel: TimerWheel::new(),
+                broker_deadline: AtomicU64::new(NO_DEADLINE),
+                #[cfg(test)]
+                deadline_scans: AtomicU64::new(0),
             });
             parts.push(LoopParts { poller, rx });
         }
@@ -270,81 +317,80 @@ impl Shared {
         self.mark_dirty(conn, &state, from_loop);
     }
 
-    fn apply_actions(&self, actions: Vec<Action<usize>>, from_loop: Option<usize>) {
-        for action in actions {
+    /// Performs and drains the `actions` shard `shard`'s broker just
+    /// produced at `now`: frames are queued for the loops owning their
+    /// connections, and a delivery that started a retransmission timer is
+    /// noted on the shard's deadline.
+    fn apply_actions(
+        &self,
+        actions: &mut Vec<Action<usize>>,
+        shard: usize,
+        now: u64,
+        from_loop: usize,
+    ) {
+        let mut starts_retransmit_timer = false;
+        for action in actions.drain(..) {
             match action {
-                Action::Send { conn, packet } => self.enqueue(conn, encode(&packet), from_loop),
-                Action::SendFrame { conn, frame } => self.enqueue(conn, frame, from_loop),
-                Action::Close { conn } => self.close_conn(conn, from_loop),
-            }
-        }
-    }
-
-    /// Applies one shard operation's output. Frames are queued for the
-    /// owning loops; cross-shard forwards go over the target loop's
-    /// channel with a waker nudge. Forwards must never block (two loops
-    /// forwarding into each other's full channels would deadlock) — a
-    /// full (or own-loop) target gets the forward applied inline.
-    fn dispatch(&self, out: ShardOutput<usize>, from_loop: Option<usize>) {
-        self.apply_actions(out.actions, from_loop);
-        for (shard, publish) in out.forwards {
-            if Some(shard) == from_loop {
-                let actions = self.broker.apply_forward(shard, publish, self.now());
-                self.apply_actions(actions, from_loop);
-                continue;
-            }
-            match self.loops[shard].tx.try_send(LoopMsg::Forward(publish)) {
-                Ok(()) => self.loops[shard].waker.wake(),
-                Err(TrySendError::Full(msg)) => {
-                    if let LoopMsg::Forward(p) = msg {
-                        let actions = self.broker.apply_forward(shard, p, self.now());
-                        self.apply_actions(actions, from_loop);
-                    }
+                Action::Send { conn, packet } => {
+                    starts_retransmit_timer |= match &packet {
+                        Packet::Publish(p) => p.qos != QoS::AtMostOnce,
+                        Packet::Pubrel(_) => true,
+                        _ => false,
+                    };
+                    self.enqueue(conn, encode(&packet), Some(from_loop));
                 }
-                Err(_) => {}
+                Action::SendFrame { conn, frame } => self.enqueue(conn, frame, Some(from_loop)),
+                Action::Close { conn } => self.close_conn(conn, Some(from_loop)),
             }
         }
-    }
-
-    /// Wakes shard `shard`'s loop iff `deadline_ns` is earlier than
-    /// whatever it is parked on.
-    fn note_deadline(&self, shard: usize, deadline_ns: u64) {
-        if self.loops[shard].wheel.note_deadline(deadline_ns) {
-            self.loops[shard].waker.wake();
-        }
-    }
-
-    /// Conservative deadline accounting: packets that can only move
-    /// deadlines *later* (activity refreshes) are ignored — the parked
-    /// loop just re-arms after its (now harmless) timeout. Only
-    /// operations that create a possibly-earlier deadline signal the
-    /// wheel.
-    fn note_deadlines_for(&self, shard: usize, packet_in: &Packet, actions: &[Action<usize>]) {
-        let cfg = self.broker.config();
-        let now = self.now();
-        if let Packet::Connect(c) = packet_in {
-            if c.keep_alive_secs > 0 {
-                let grace = (f64::from(c.keep_alive_secs) * 1e9 * cfg.keep_alive_factor) as u64;
-                self.note_deadline(shard, now + grace);
-            }
-        }
-        let starts_retransmit_timer = actions.iter().any(|a| {
-            matches!(
-                a,
-                Action::Send {
-                    packet: Packet::Publish(p),
-                    ..
-                } if p.qos != QoS::AtMostOnce
-            ) || matches!(
-                a,
-                Action::Send {
-                    packet: Packet::Pubrel(_),
-                    ..
-                }
-            )
-        });
         if starts_retransmit_timer {
-            self.note_deadline(shard, now + cfg.retransmit_timeout_ns);
+            let due = now + self.broker.config().retransmit_timeout_ns;
+            self.note_deadline(shard, due, from_loop);
+        }
+    }
+
+    /// Applies and drains the output of one operation on shard `shard` at
+    /// `now`. Frames are queued for the owning loops; cross-shard forwards
+    /// go over the target loop's channel with a waker nudge. Forwards must
+    /// never block (two loops forwarding into each other's full channels
+    /// would deadlock) — a full (or own-loop) target gets the forward
+    /// applied inline.
+    fn dispatch(&self, out: &mut ShardOutput<usize>, shard: usize, now: u64, from_loop: usize) {
+        let ShardOutput { actions, forwards } = out;
+        self.apply_actions(actions, shard, now, from_loop);
+        for (target, publish) in forwards.drain(..) {
+            let inline = if target == from_loop {
+                Some(publish)
+            } else {
+                match self.loops[target].tx.try_send(LoopMsg::Forward(publish)) {
+                    Ok(()) => {
+                        self.loops[target].waker.wake();
+                        None
+                    }
+                    Err(TrySendError::Full(LoopMsg::Forward(publish))) => Some(publish),
+                    Err(_) => None,
+                }
+            };
+            if let Some(publish) = inline {
+                // `actions` was drained above: it carries the forward's.
+                self.broker
+                    .apply_forward_into(target, publish, now, actions);
+                self.apply_actions(actions, target, now, from_loop);
+            }
+        }
+    }
+
+    /// Shard `shard`'s broker now has something due at `deadline_ns` that
+    /// it may not have had before: lowers the shard's deadline bound and,
+    /// called from another loop, wakes the shard's loop iff it is parked
+    /// past it. (The shard's own loop reads the bound before it arms.)
+    fn note_deadline(&self, shard: usize, deadline_ns: u64, from_loop: usize) {
+        let handle = &self.loops[shard];
+        handle
+            .broker_deadline
+            .fetch_min(deadline_ns, Ordering::SeqCst);
+        if from_loop != shard && handle.wheel.note_deadline(deadline_ns) {
+            handle.waker.wake();
         }
     }
 }
@@ -643,15 +689,30 @@ struct EventLoop {
     /// write has the socket jammed).
     write_blocked: HashMap<u64, u64>,
     edge: bool,
+    /// Frames per vectored write: [`BrokerConfig::write_batch`], served
+    /// in several writes where it exceeds [`MAX_WRITE_SLICES`].
     write_batch: usize,
     write_timeout_ns: u64,
+    // Scratch that lives as long as the loop and is empty between uses: a
+    // turn allocates only what outlives it (the frames it queues, the
+    // topic and payload of a PUBLISH it routes).
+    /// Readiness events of the current turn.
+    events: Vec<Event>,
+    /// Packets decoded off one readable socket.
+    packets: Vec<Packet>,
+    /// The dirty list being flushed, swapped with the shared one.
+    dirty: Vec<usize>,
+    /// Handles to the frames of the vectored write in progress.
+    batch: Vec<Bytes>,
+    /// Output of the broker operation in progress.
+    out: ShardOutput<usize>,
 }
 
 impl EventLoop {
     fn new(idx: usize, shared: Arc<Shared>, parts: LoopParts) -> EventLoop {
         let config = shared.broker.config();
         let edge = config.edge_triggered;
-        let write_batch = config.write_batch.max(1);
+        let write_batch = config.write_batch.clamp(1, MAX_WRITE_SLICES);
         let write_timeout_ns = config.write_timeout_ns.max(1);
         EventLoop {
             idx,
@@ -665,11 +726,16 @@ impl EventLoop {
             edge,
             write_batch,
             write_timeout_ns,
+            events: Vec::with_capacity(256),
+            packets: Vec::new(),
+            dirty: Vec::new(),
+            batch: Vec::with_capacity(write_batch),
+            out: ShardOutput::default(),
         }
     }
 
     fn run(mut self) {
-        let mut events: Vec<Event> = Vec::with_capacity(256);
+        self.rescan_broker_deadline();
         loop {
             if self.shared.shutdown.load(Ordering::Relaxed) {
                 self.teardown_all();
@@ -679,16 +745,17 @@ impl EventLoop {
             self.flush_dirty();
 
             let now = self.shared.now();
-            let deadline = min_deadline(
-                self.shared.broker.next_deadline_ns(self.idx),
-                self.earliest_aux_deadline(),
-            );
-            let wheel = &self.shared.loops[self.idx].wheel;
-            let timeout = wheel.arm(now, deadline);
+            let handle = &self.shared.loops[self.idx];
+            let broker_deadline = match handle.broker_deadline.load(Ordering::SeqCst) {
+                NO_DEADLINE => None,
+                due => Some(due),
+            };
+            let deadline = min_deadline(broker_deadline, self.earliest_aux_deadline());
+            let timeout = handle.wheel.arm(now, deadline);
             // Producers that queued work after `flush_dirty` above have
             // already written a wake byte (cross-loop marks always
             // wake), so this wait cannot oversleep new work.
-            if let Err(e) = self.poller.wait(&mut events, timeout) {
+            if let Err(e) = self.poller.wait(&mut self.events, timeout) {
                 eprintln!("mqtt-loop-{}: poller failed ({e}), stopping", self.idx);
                 self.teardown_all();
                 return;
@@ -696,14 +763,35 @@ impl EventLoop {
             let woke = self.shared.loops[self.idx].wheel.on_wake(self.shared.now());
             if woke == Wake::Deadline {
                 let now = self.shared.now();
-                let out = self.shared.broker.poll_shard(self.idx, now);
-                self.shared.dispatch(out, Some(self.idx));
+                self.shared
+                    .broker
+                    .poll_shard_into(self.idx, now, &mut self.out);
+                self.shared.dispatch(&mut self.out, self.idx, now, self.idx);
                 self.expire_aux_deadlines(now);
+                self.rescan_broker_deadline();
             }
-            let batch: Vec<Event> = std::mem::take(&mut events);
-            for ev in batch {
-                self.handle_event(&ev);
+            // `Event` is `Copy`: the list is read in place and keeps its
+            // room for the next wait.
+            for i in 0..self.events.len() {
+                let ev = self.events[i];
+                self.handle_event(ev);
             }
+        }
+    }
+
+    /// Replaces the shard's deadline bound with its exact value: the one
+    /// place that takes the shard lock and walks its connections and
+    /// in-flight messages for a deadline. Runs on this loop only.
+    fn rescan_broker_deadline(&self) {
+        let handle = &self.shared.loops[self.idx];
+        #[cfg(test)]
+        handle.deadline_scans.fetch_add(1, Ordering::Relaxed);
+        // Open the bound first: a deadline noted from here on stays in,
+        // one noted before came from a broker call that finished before
+        // the scan below takes the shard lock, and is in its result.
+        handle.broker_deadline.store(NO_DEADLINE, Ordering::SeqCst);
+        if let Some(due) = self.shared.broker.next_deadline_ns(self.idx) {
+            handle.broker_deadline.fetch_min(due, Ordering::SeqCst);
         }
     }
 
@@ -715,8 +803,11 @@ impl EventLoop {
                 LoopMsg::Accept(stream, id) => self.adopt(stream, id),
                 LoopMsg::Forward(publish) => {
                     let now = self.shared.now();
-                    let actions = self.shared.broker.apply_forward(self.idx, publish, now);
-                    self.shared.apply_actions(actions, Some(self.idx));
+                    let actions = &mut self.out.actions;
+                    self.shared
+                        .broker
+                        .apply_forward_into(self.idx, publish, now, actions);
+                    self.shared.apply_actions(actions, self.idx, now, self.idx);
                 }
             }
         }
@@ -768,17 +859,19 @@ impl EventLoop {
     /// actions).
     fn flush_dirty(&mut self) {
         loop {
-            let dirty: Vec<usize> = std::mem::take(
+            // Swapped, not taken: both lists keep their room.
+            std::mem::swap(
+                &mut self.dirty,
                 &mut *self.shared.loops[self.idx]
                     .dirty
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner),
             );
-            if dirty.is_empty() {
+            if self.dirty.is_empty() {
                 return;
             }
-            for id in dirty {
-                let Some(&token) = self.tokens.get(&id) else {
+            for i in 0..self.dirty.len() {
+                let Some(&token) = self.tokens.get(&self.dirty[i]) else {
                     continue; // already torn down
                 };
                 if let Some(conn) = self.conns.get(token) {
@@ -789,6 +882,7 @@ impl EventLoop {
                 }
                 self.flush_conn(token);
             }
+            self.dirty.clear();
         }
     }
 
@@ -845,33 +939,38 @@ impl EventLoop {
 
     /// The socket-write half of [`flush_conn`]: drains until empty,
     /// jammed, or dead. The queue is snapshotted per batch under its
-    /// lock (cloning `Bytes` handles, not payloads) and popped only
-    /// after the bytes are written, so producers can append concurrently
-    /// without coordination.
+    /// lock (cloning `Bytes` handles, not payloads, into the loop's
+    /// `batch` list) and popped only after the bytes are written, so
+    /// producers can append concurrently without coordination.
     fn write_queue(&mut self, token: u64) -> FlushOutcome {
         loop {
             let Some(conn) = self.conns.get_mut(token) else {
                 return FlushOutcome::Gone;
             };
-            let batch: Vec<Bytes> = {
-                let queue = conn
-                    .shared_state
+            self.batch.clear();
+            self.batch.extend(
+                conn.shared_state
                     .queue
                     .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                queue.iter().take(self.write_batch).cloned().collect()
-            };
-            if batch.is_empty() {
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .iter()
+                    .take(self.write_batch)
+                    .cloned(),
+            );
+            if self.batch.is_empty() {
                 return FlushOutcome::Drained;
             }
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(batch.len());
-            slices.push(IoSlice::new(&batch[0][conn.partial..]));
-            for frame in &batch[1..] {
-                slices.push(IoSlice::new(frame));
+            let mut slices = [IoSlice::new(&[]); MAX_WRITE_SLICES];
+            for (slice, frame) in slices.iter_mut().zip(&self.batch) {
+                *slice = IoSlice::new(frame);
             }
+            slices[0] = IoSlice::new(&self.batch[0][conn.partial..]);
             // The socket write happens here — far away from any broker
             // lock, and never blocking (the socket is nonblocking).
-            match (&conn.stream).write_vectored(&slices) {
+            let written = (&conn.stream).write_vectored(&slices[..self.batch.len()]);
+            // The queue keeps the frames; the snapshot must not.
+            self.batch.clear();
+            match written {
                 Ok(0) => return FlushOutcome::Dead,
                 Ok(mut written) => {
                     let mut queue = conn
@@ -904,7 +1003,7 @@ impl EventLoop {
 
     // ----- readiness events -----------------------------------------------
 
-    fn handle_event(&mut self, ev: &Event) {
+    fn handle_event(&mut self, ev: Event) {
         if ev.token == WAKE_TOKEN {
             self.poller.drain_waker();
             return;
@@ -922,27 +1021,25 @@ impl EventLoop {
     /// whether the connection is still alive.
     fn on_readable(&mut self, token: u64) -> bool {
         let edge = self.edge;
-        let mut packets: Vec<Packet> = Vec::new();
         let mut failed = false;
         let mut eof = false;
         let id = {
             let Some(conn) = self.conns.get_mut(token) else {
                 return false; // stale event for a recycled slot
             };
-            let mut buf = [0u8; 16 * 1024];
             let mut reads = 0usize;
             'reading: loop {
                 reads += 1;
-                match conn.stream.read(&mut buf) {
-                    Ok(0) => {
+                // Straight into the decoder's buffer: no copy in between.
+                match conn.decoder.read_from(&mut conn.stream) {
+                    Ok((0, _)) => {
                         eof = true;
                         break 'reading;
                     }
-                    Ok(n) => {
-                        conn.decoder.feed(&buf[..n]);
+                    Ok((_, filled)) => {
                         loop {
                             match conn.decoder.next_packet() {
-                                Ok(Some(packet)) => packets.push(packet),
+                                Ok(Some(packet)) => self.packets.push(packet),
                                 Ok(None) => break,
                                 Err(_) => {
                                     failed = true;
@@ -950,9 +1047,11 @@ impl EventLoop {
                                 }
                             }
                         }
-                        // Level mode re-notifies for leftover bytes, so
-                        // fairness wins; edge mode must drain fully.
-                        if !edge && (n < buf.len() || reads >= LEVEL_READS_PER_EVENT) {
+                        // A read that was offered more than it took
+                        // emptied the socket. Otherwise level mode
+                        // re-notifies for leftover bytes, so fairness
+                        // wins; edge mode must drain fully.
+                        if !edge && (!filled || reads >= LEVEL_READS_PER_EVENT) {
                             break 'reading;
                         }
                     }
@@ -967,9 +1066,13 @@ impl EventLoop {
             conn.id
         };
 
-        for packet in packets {
+        for packet in self.packets.drain(..) {
             let now = self.shared.now();
-            let out = self.shared.broker.handle_packet(&id, packet.clone(), now);
+            // All a deadline needs of the packet, read before it moves.
+            let is_connect = matches!(packet, Packet::Connect(_));
+            self.shared
+                .broker
+                .handle_packet_into(&id, packet, now, &mut self.out);
             let routed = self.conns.get(token).and_then(|c| c.routed);
             let routed = match routed {
                 Some(s) => Some(s),
@@ -986,10 +1089,17 @@ impl EventLoop {
                     assigned
                 }
             };
-            if let Some(shard) = routed {
-                self.shared.note_deadlines_for(shard, &packet, &out.actions);
+            if let (Some(shard), true) = (routed, is_connect) {
+                // A session came online: its keep-alive starts, and if it
+                // was resumed, the in-flight messages it kept count again
+                // from when they were sent — possibly due already. The
+                // shard's loop polls at once and rescans for the exact
+                // value.
+                self.shared.note_deadline(shard, now, self.idx);
             }
-            self.shared.dispatch(out, Some(self.idx));
+            // Unrouted: refused before CONNECT, nothing but a close.
+            let shard = routed.unwrap_or(self.idx);
+            self.shared.dispatch(&mut self.out, shard, now, self.idx);
         }
 
         if failed || eof {
@@ -1054,8 +1164,12 @@ impl EventLoop {
             .remove(&conn.id);
         if lost {
             let now = self.shared.now();
-            let out = self.shared.broker.connection_lost(&conn.id, now);
-            self.shared.dispatch(out, Some(self.idx));
+            // A will is routed on the shard the session lived on.
+            let shard = conn.routed.unwrap_or(self.idx);
+            self.shared
+                .broker
+                .connection_lost_into(&conn.id, now, &mut self.out);
+            self.shared.dispatch(&mut self.out, shard, now, self.idx);
         }
         // conn.stream drops here, closing the socket.
     }
@@ -1160,15 +1274,14 @@ impl TcpClient {
     ///
     /// Propagates socket errors and protocol violations.
     pub fn drive(&mut self) -> std::io::Result<()> {
-        let mut buf = [0u8; 4096];
-        match self.stream.read(&mut buf) {
-            Ok(0) => {
+        match self.decoder.read_from(&mut self.stream) {
+            Ok((0, _)) => {
                 return Err(std::io::Error::new(
                     ErrorKind::ConnectionReset,
                     "broker closed the connection",
                 ))
             }
-            Ok(n) => self.decoder.feed(&buf[..n]),
+            Ok(_) => {}
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
             Err(e) => return Err(e),
         }
@@ -1275,6 +1388,8 @@ impl TcpClient {
 
 #[cfg(test)]
 mod tests {
+    use std::io::Read;
+
     use super::*;
 
     #[test]
@@ -1434,6 +1549,299 @@ mod tests {
             0,
             "the old transport would have woken ~3 times per shard here"
         );
+        broker.shutdown();
+    }
+
+    /// First id `{prefix}{n}` whose session lives on shard `target` of 4.
+    fn id_on_shard(prefix: &str, target: usize) -> String {
+        (0..)
+            .map(|n| format!("{prefix}{n}"))
+            .find(|id| crate::shard::shard_of(id, 4) == target)
+            .expect("some id lands on every shard")
+    }
+
+    /// A client that is only a socket: it acknowledges nothing on its own.
+    fn raw_connect(addr: SocketAddr, id: &str, keep_alive_secs: u16) -> TcpStream {
+        let mut connect = crate::packet::Connect::new(id);
+        connect.keep_alive_secs = keep_alive_secs;
+        raw_connect_with(addr, connect)
+    }
+
+    fn raw_connect_with(addr: SocketAddr, connect: crate::packet::Connect) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let session_present = u8::from(!connect.clean_session);
+        stream
+            .write_all(&encode(&Packet::Connect(connect)))
+            .expect("send CONNECT");
+        let mut connack = [0u8; 4];
+        stream.read_exact(&mut connack).expect("CONNACK");
+        assert_eq!([connack[0], connack[1], connack[3]], [0x20, 0x02, 0x00]);
+        assert!(connack[2] <= session_present);
+        stream
+    }
+
+    /// The next packet off a raw client's socket.
+    fn raw_recv(stream: &mut TcpStream, decoder: &mut StreamDecoder) -> Packet {
+        loop {
+            if let Some(packet) = decoder.next_packet().expect("broker frames decode") {
+                return packet;
+            }
+            assert_ne!(decoder.read_from(stream).expect("read").0, 0, "closed");
+        }
+    }
+
+    #[test]
+    fn deadline_is_rescanned_per_deadline_wake_not_per_turn() {
+        let broker = TcpBroker::bind("127.0.0.1:0").expect("bind");
+        let addr = broker.local_addr();
+        let mut subscriber = TcpClient::connect(addr, "scan-sub").expect("connect");
+        subscriber
+            .subscribe("scan/#", QoS::AtLeastOnce)
+            .expect("subscribe");
+        let mut publisher = TcpClient::connect(addr, "scan-pub").expect("connect");
+        let mut got = 0;
+        for i in 0..1_000u32 {
+            publisher
+                .publish("scan/t", i.to_be_bytes().to_vec(), QoS::AtLeastOnce, false)
+                .expect("publish");
+            publisher.drive().expect("drive");
+            while subscriber
+                .recv(Duration::from_millis(0))
+                .expect("recv")
+                .is_some()
+            {
+                got += 1;
+            }
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while got < 1_000 && Instant::now() < deadline {
+            if subscriber
+                .recv(Duration::from_millis(50))
+                .expect("recv")
+                .is_some()
+            {
+                got += 1;
+            }
+        }
+        assert_eq!(got, 1_000);
+        let turns = broker.timer_wakeups();
+        assert!(turns >= 1_000, "a turn per packet or so: {turns}");
+        let mut scans = 0;
+        for handle in &broker.shared.loops {
+            let of_loop = handle.deadline_scans.load(Ordering::Relaxed);
+            // One when the loop starts, one after each deadline wake-up —
+            // of which a retransmission timer causes one per timeout.
+            assert!(
+                of_loop <= 1 + handle.wheel.deadline_wakeups(),
+                "{of_loop} scans over {} deadline wake-ups",
+                handle.wheel.deadline_wakeups()
+            );
+            scans += of_loop;
+        }
+        assert!(scans * 50 < turns, "{scans} scans over {turns} turns");
+        publisher.disconnect();
+        subscriber.disconnect();
+        broker.shutdown();
+    }
+
+    /// The timer of an unacknowledged delivery fires on the shard the
+    /// session lives on, whichever loop's turn put it in flight: another
+    /// shard's forward, or a packet read by the loop of another shard.
+    #[test]
+    fn unacked_qos1_delivery_is_retransmitted_on_time() {
+        const TIMEOUT: Duration = Duration::from_millis(300);
+        let broker = TcpBroker::bind_with(
+            "127.0.0.1:0",
+            BrokerConfig {
+                shards: 4,
+                retransmit_timeout_ns: TIMEOUT.as_nanos() as u64,
+                ..BrokerConfig::default()
+            },
+        )
+        .expect("bind");
+        let addr = broker.local_addr();
+        // Accepted first: its socket is loop 0's, its session shard 2's.
+        let mut subscriber = raw_connect(addr, &id_on_shard("rt-sub-", 2), 0);
+        let mut decoder = StreamDecoder::new();
+        let subscribe = Packet::Subscribe(crate::packet::Subscribe {
+            packet_id: 1,
+            filters: vec![crate::packet::SubscribeFilter {
+                filter: TopicFilter::new("rt/#").expect("valid filter"),
+                qos: QoS::AtLeastOnce,
+            }],
+        });
+        subscriber
+            .write_all(&encode(&subscribe))
+            .expect("send SUBSCRIBE");
+        assert!(matches!(
+            raw_recv(&mut subscriber, &mut decoder),
+            Packet::Suback(_)
+        ));
+        let mut publisher = TcpClient::connect(addr, &id_on_shard("rt-pub-", 0)).expect("connect");
+
+        let expect_retransmission =
+            |subscriber: &mut TcpStream, decoder: &mut StreamDecoder, sent: Instant, what: &str| {
+                let Packet::Publish(first) = raw_recv(subscriber, decoder) else {
+                    panic!("{what}: expected the delivery");
+                };
+                assert!(!first.dup);
+                // Never acknowledged: the broker must send it again.
+                let Packet::Publish(again) = raw_recv(subscriber, decoder) else {
+                    panic!("{what}: expected the retransmission");
+                };
+                let waited = sent.elapsed();
+                assert!(again.dup, "{what}");
+                assert_eq!(again.packet_id, first.packet_id, "{what}");
+                assert!(waited >= TIMEOUT, "{what}: early, after {waited:?}");
+                assert!(
+                    waited < TIMEOUT + Duration::from_millis(250),
+                    "{what}: late, after {waited:?}"
+                );
+                // Settle it, so the next case starts from an empty window.
+                let id = again.packet_id.expect("a QoS 1 delivery");
+                subscriber
+                    .write_all(&encode(&Packet::Puback(id)))
+                    .expect("send PUBACK");
+            };
+
+        // Routed on shard 0, forwarded to shard 2 over its loop's channel.
+        let sent = Instant::now();
+        publisher
+            .publish("rt/forwarded", b"x".to_vec(), QoS::AtLeastOnce, false)
+            .expect("publish");
+        expect_retransmission(&mut subscriber, &mut decoder, sent, "forwarded");
+
+        // Published by the subscriber itself: loop 0 reads the packet and
+        // puts the delivery in flight on shard 2, whose loop is parked.
+        std::thread::sleep(Duration::from_millis(50));
+        let own = Publish::qos1(TopicName::new("rt/own").expect("valid"), b"y".to_vec(), 77);
+        let sent = Instant::now();
+        subscriber
+            .write_all(&encode(&Packet::Publish(own)))
+            .expect("send PUBLISH");
+        assert_eq!(raw_recv(&mut subscriber, &mut decoder), Packet::Puback(77));
+        expect_retransmission(
+            &mut subscriber,
+            &mut decoder,
+            sent,
+            "read by another shard's loop",
+        );
+
+        assert!(broker.stats().retransmissions >= 2);
+        publisher.disconnect();
+        broker.shutdown();
+    }
+
+    /// What a persistent session holds unacknowledged is timed again when
+    /// it comes back online — on whichever loop its new socket landed, and
+    /// with no keep-alive and no other traffic to wake the shard's loop.
+    #[test]
+    fn a_resumed_session_is_retransmitted_to_on_time() {
+        const TIMEOUT: Duration = Duration::from_millis(300);
+        const SLACK: Duration = Duration::from_millis(250);
+        let broker = TcpBroker::bind_with(
+            "127.0.0.1:0",
+            BrokerConfig {
+                shards: 4,
+                retransmit_timeout_ns: TIMEOUT.as_nanos() as u64,
+                ..BrokerConfig::default()
+            },
+        )
+        .expect("bind");
+        let addr = broker.local_addr();
+        // The session lives on shard 2; sockets go to loops 0, 1, 2, 3 in
+        // the order they are accepted.
+        let id = id_on_shard("back-", 2);
+        let connect = || {
+            let mut connect = crate::packet::Connect::new(id.as_str());
+            connect.clean_session = false;
+            connect.keep_alive_secs = 0;
+            raw_connect_with(addr, connect)
+        };
+        let mut subscriber = connect(); // loop 0
+        let mut decoder = StreamDecoder::new();
+        let subscribe = Packet::Subscribe(crate::packet::Subscribe {
+            packet_id: 1,
+            filters: vec![crate::packet::SubscribeFilter {
+                filter: TopicFilter::new("back/#").expect("valid filter"),
+                qos: QoS::AtLeastOnce,
+            }],
+        });
+        subscriber
+            .write_all(&encode(&subscribe))
+            .expect("send SUBSCRIBE");
+        assert!(matches!(
+            raw_recv(&mut subscriber, &mut decoder),
+            Packet::Suback(_)
+        ));
+        let mut publisher = TcpClient::connect(addr, "back-pub").expect("connect"); // loop 1
+
+        let deliver_unacked = |publisher: &mut TcpClient, subscriber: &mut TcpStream| {
+            let sent = Instant::now();
+            publisher
+                .publish("back/t", b"x".to_vec(), QoS::AtLeastOnce, false)
+                .expect("publish");
+            let Packet::Publish(first) = raw_recv(subscriber, &mut StreamDecoder::new()) else {
+                panic!("expected the delivery");
+            };
+            assert!(!first.dup);
+            (sent, first.packet_id.expect("a QoS 1 delivery"))
+        };
+
+        // Back after the timeout ran out, on the session's own loop (2):
+        // due at once.
+        let (_, pid) = deliver_unacked(&mut publisher, &mut subscriber);
+        drop(subscriber);
+        std::thread::sleep(TIMEOUT + Duration::from_millis(100));
+        let back = Instant::now();
+        let mut subscriber = connect();
+        let mut decoder = StreamDecoder::new();
+        let Packet::Publish(again) = raw_recv(&mut subscriber, &mut decoder) else {
+            panic!("expected the retransmission");
+        };
+        assert!(again.dup);
+        assert_eq!(again.packet_id, Some(pid));
+        assert!(back.elapsed() < SLACK, "late: {:?}", back.elapsed());
+        subscriber
+            .write_all(&encode(&Packet::Puback(pid)))
+            .expect("send PUBACK");
+
+        // Back before it ran out, on another shard's loop (3): due when it
+        // does, counted from when the delivery was sent.
+        let (sent, pid) = deliver_unacked(&mut publisher, &mut subscriber);
+        drop(subscriber);
+        let mut subscriber = connect();
+        let mut decoder = StreamDecoder::new();
+        let Packet::Publish(again) = raw_recv(&mut subscriber, &mut decoder) else {
+            panic!("expected the retransmission");
+        };
+        let waited = sent.elapsed();
+        assert!(again.dup);
+        assert_eq!(again.packet_id, Some(pid));
+        assert!(waited >= TIMEOUT, "early, after {waited:?}");
+        assert!(waited < TIMEOUT + SLACK, "late, after {waited:?}");
+
+        assert!(broker.stats().retransmissions >= 2);
+        publisher.disconnect();
+        broker.shutdown();
+    }
+
+    #[test]
+    fn silent_client_is_dropped_at_its_keep_alive_grace() {
+        let broker = TcpBroker::bind("127.0.0.1:0").expect("bind");
+        let connected = Instant::now();
+        // Keep-alive 1 s at the default factor 1.5: due at 1.5 s.
+        let mut silent = raw_connect(broker.local_addr(), &id_on_shard("quiet-", 3), 1);
+        let mut byte = [0u8; 1];
+        let closed = silent.read(&mut byte);
+        let waited = connected.elapsed();
+        assert!(matches!(closed, Ok(0)), "expected a close, got {closed:?}");
+        assert!(waited >= Duration::from_millis(1_500), "early: {waited:?}");
+        assert!(waited < Duration::from_millis(2_200), "late: {waited:?}");
+        assert_eq!(broker.stats().clients_connected, 0);
         broker.shutdown();
     }
 

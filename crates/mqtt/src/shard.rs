@@ -87,7 +87,7 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use crate::broker::{Action, Broker, BrokerConfig, BrokerEvent, BrokerStats};
 use crate::packet::{Packet, Publish, QoS};
@@ -101,8 +101,9 @@ use crate::wal::{FileBackend, RecoveryReport, Wal, WalBackend, WalConfig, WalSta
 const LOG_COMPACT_CAP: usize = 256;
 
 /// Replica trees key subscriptions by owning shard *and* client id so a
-/// client's subscriptions can be dropped without scanning.
-type ReplicaKey = (usize, String);
+/// client's subscriptions can be dropped without scanning. The id is the
+/// string the owning broker shares, so a match clones no text.
+type ReplicaKey = (usize, Arc<str>);
 
 /// FNV-1a hash of a client id mapped onto `shards` buckets. Stable
 /// across processes so a reconnecting client always lands on the shard
@@ -121,18 +122,18 @@ pub fn shard_of(client_id: &str, shards: usize) -> usize {
 enum LogEntry {
     Subscribe {
         shard: usize,
-        client: String,
+        client: Arc<str>,
         filter: TopicFilter,
         qos: QoS,
     },
     Unsubscribe {
         shard: usize,
-        client: String,
+        client: Arc<str>,
         filter: TopicFilter,
     },
     RemoveClient {
         shard: usize,
-        client: String,
+        client: Arc<str>,
     },
 }
 
@@ -311,11 +312,12 @@ impl<C: Ord + Clone> ShardedBroker<C> {
                 // replica starts complete (epoch 0, nothing to catch up).
                 for (idx, (_, report)) in pairs.iter().enumerate() {
                     for (client, session) in &report.state.sessions {
+                        let client: Arc<str> = Arc::from(client.as_str());
                         for (filter, qos) in &session.subscriptions {
                             let Ok(filter) = TopicFilter::new(filter.clone()) else {
                                 continue;
                             };
-                            master.subscribe((idx, client.clone()), &filter, *qos);
+                            master.subscribe((idx, Arc::clone(&client)), &filter, *qos);
                         }
                     }
                 }
@@ -416,10 +418,11 @@ impl<C: Ord + Clone> ShardedBroker<C> {
     /// re-CONNECT re-selects the same shard anyway.
     pub fn connection_opened(&self, conn: C, now_ns: u64) {
         if let Some(idx) = self.shard_of_conn(&conn) {
-            let _ = self.run_on_shard(idx, |b| {
-                b.connection_opened(conn.clone(), now_ns);
-                Vec::new()
-            });
+            self.shards[idx]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .broker
+                .connection_opened(conn, now_ns);
             return;
         }
         self.pending
@@ -428,37 +431,61 @@ impl<C: Ord + Clone> ShardedBroker<C> {
             .insert(conn, now_ns);
     }
 
+    // The per-packet entry points have two forms, as on [`Broker`]: the
+    // `_into` form appends to an output the caller owns and reuses (what
+    // the TCP event loops call), the by-value form lends it a fresh one.
+
     /// Handles one inbound packet. The first packet on a connection must
     /// be CONNECT (it selects the shard); anything else closes the
     /// connection, as the MQTT spec requires.
     pub fn handle_packet(&self, conn: &C, packet: Packet, now_ns: u64) -> ShardOutput<C> {
+        let mut out = ShardOutput::default();
+        self.handle_packet_into(conn, packet, now_ns, &mut out);
+        out
+    }
+
+    /// [`handle_packet`](Self::handle_packet), appending to `out`.
+    pub fn handle_packet_into(
+        &self,
+        conn: &C,
+        packet: Packet,
+        now_ns: u64,
+        out: &mut ShardOutput<C>,
+    ) {
         if let Some(idx) = self.shard_of_conn(conn) {
-            return self.run_on_shard(idx, |b| b.handle_packet(conn, packet, now_ns));
+            return self.run_on_shard(idx, out, |b, actions| {
+                b.handle_packet_into(conn, packet, now_ns, actions);
+            });
         }
         self.pending
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .remove(conn);
         let Packet::Connect(c) = packet else {
-            return ShardOutput {
-                actions: vec![Action::Close { conn: conn.clone() }],
-                forwards: Vec::new(),
-            };
+            out.actions.push(Action::Close { conn: conn.clone() });
+            return;
         };
         let idx = shard_of(&c.client_id, self.shards.len());
         self.registry
             .write()
             .unwrap_or_else(PoisonError::into_inner)
             .insert(conn.clone(), idx);
-        self.run_on_shard(idx, |b| {
+        self.run_on_shard(idx, out, |b, actions| {
             b.connection_opened(conn.clone(), now_ns);
-            b.handle_packet(conn, Packet::Connect(c), now_ns)
-        })
+            b.handle_packet_into(conn, Packet::Connect(c), now_ns, actions);
+        });
     }
 
     /// Transport-level connection loss (no DISCONNECT seen): the owning
     /// shard publishes the will and keeps persistent session state.
     pub fn connection_lost(&self, conn: &C, now_ns: u64) -> ShardOutput<C> {
+        let mut out = ShardOutput::default();
+        self.connection_lost_into(conn, now_ns, &mut out);
+        out
+    }
+
+    /// [`connection_lost`](Self::connection_lost), appending to `out`.
+    pub fn connection_lost_into(&self, conn: &C, now_ns: u64, out: &mut ShardOutput<C>) {
         self.pending
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -468,24 +495,30 @@ impl<C: Ord + Clone> ShardedBroker<C> {
             .write()
             .unwrap_or_else(PoisonError::into_inner)
             .remove(conn);
-        match idx {
-            Some(idx) => self.run_on_shard(idx, |b| b.connection_lost(conn, now_ns)),
-            None => ShardOutput::default(),
+        if let Some(idx) = idx {
+            self.run_on_shard(idx, out, |b, actions| {
+                b.connection_lost_into(conn, now_ns, actions);
+            });
         }
     }
 
     /// Runs one shard's timer work (keep-alive expiry, retransmissions).
     pub fn poll_shard(&self, shard: usize, now_ns: u64) -> ShardOutput<C> {
-        self.run_on_shard(shard, |b| b.poll(now_ns))
+        let mut out = ShardOutput::default();
+        self.poll_shard_into(shard, now_ns, &mut out);
+        out
+    }
+
+    /// [`poll_shard`](Self::poll_shard), appending to `out`.
+    pub fn poll_shard_into(&self, shard: usize, now_ns: u64, out: &mut ShardOutput<C>) {
+        self.run_on_shard(shard, out, |b, actions| b.poll_into(now_ns, actions));
     }
 
     /// Runs timer work on every shard (single-threaded embeddings).
     pub fn poll(&self, now_ns: u64) -> ShardOutput<C> {
         let mut out = ShardOutput::default();
         for shard in 0..self.shards.len() {
-            let mut one = self.poll_shard(shard, now_ns);
-            out.actions.append(&mut one.actions);
-            out.forwards.append(&mut one.forwards);
+            self.poll_shard_into(shard, now_ns, &mut out);
         }
         out
     }
@@ -512,30 +545,44 @@ impl<C: Ord + Clone> ShardedBroker<C> {
     /// delivery actions for that shard's connections. Never produces
     /// further forwards (loop freedom by construction).
     pub fn apply_forward(&self, shard: usize, publish: Publish, now_ns: u64) -> Vec<Action<C>> {
+        let mut actions = Vec::new();
+        self.apply_forward_into(shard, publish, now_ns, &mut actions);
+        actions
+    }
+
+    /// [`apply_forward`](Self::apply_forward), appending to `actions`.
+    pub fn apply_forward_into(
+        &self,
+        shard: usize,
+        publish: Publish,
+        now_ns: u64,
+        actions: &mut Vec<Action<C>>,
+    ) {
         let mut inner = self.shards[shard]
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let actions = inner.broker.publish_internal(publish, now_ns);
+        inner.broker.publish_internal_into(publish, now_ns, actions);
         // The only events a publish application can raise are Routed
         // echoes of this same publish; dropping them is what prevents
         // forward loops.
         inner.discard_events();
-        actions
     }
 
     /// Applies `out.forwards` inline and returns every action. The
     /// convenience path for single-threaded embeddings (the simulator
     /// and the in-process runtimes); the TCP front-end ships forwards
     /// over channels between shard threads instead.
-    pub fn resolve(&self, out: ShardOutput<C>, now_ns: u64) -> Vec<Action<C>> {
-        let ShardOutput {
-            mut actions,
-            forwards,
-        } = out;
-        for (shard, publish) in forwards {
-            actions.extend(self.apply_forward(shard, publish, now_ns));
+    pub fn resolve(&self, mut out: ShardOutput<C>, now_ns: u64) -> Vec<Action<C>> {
+        self.resolve_into(&mut out, now_ns);
+        out.actions
+    }
+
+    /// [`resolve`](Self::resolve) in place: drains `out.forwards`, their
+    /// actions following the ones already in `out.actions`.
+    pub fn resolve_into(&self, out: &mut ShardOutput<C>, now_ns: u64) {
+        for (shard, publish) in out.forwards.drain(..) {
+            self.apply_forward_into(shard, publish, now_ns, &mut out.actions);
         }
-        actions
     }
 
     /// Publishes a broker-originated message (e.g. `$SYS` status) on
@@ -545,7 +592,9 @@ impl<C: Ord + Clone> ShardedBroker<C> {
         let mut actions = Vec::new();
         for shard in &self.shards {
             let mut inner = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            actions.extend(inner.broker.publish_internal(publish.clone(), now_ns));
+            inner
+                .broker
+                .publish_internal_into(publish.clone(), now_ns, &mut actions);
             inner.discard_events();
         }
         actions
@@ -578,31 +627,29 @@ impl<C: Ord + Clone> ShardedBroker<C> {
         Broker::<C>::sys_packets_for(self.stats())
     }
 
-    /// Locks shard `idx`, runs `f` on its broker, then drains the
-    /// captured events: tree mutations are appended to the global log
-    /// (keeping this shard's replica and the master coherent) and routed
-    /// publishes are matched against the replica to compute cross-shard
-    /// forwards. With a single shard there is nothing to drain.
+    /// Locks shard `idx`, runs `f` on its broker and `out.actions`, then
+    /// drains the captured events: tree mutations are appended to the
+    /// global log (keeping this shard's replica and the master coherent)
+    /// and routed publishes are matched against the replica to compute
+    /// cross-shard forwards onto `out.forwards`. With a single shard there
+    /// is nothing to drain.
     fn run_on_shard(
         &self,
         idx: usize,
-        f: impl FnOnce(&mut Broker<C>) -> Vec<Action<C>>,
-    ) -> ShardOutput<C> {
+        out: &mut ShardOutput<C>,
+        f: impl FnOnce(&mut Broker<C>, &mut Vec<Action<C>>),
+    ) {
         let mut shard = self.shards[idx]
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let actions = f(&mut shard.broker);
+        f(&mut shard.broker, &mut out.actions);
         if self.shards.len() == 1 {
-            return ShardOutput {
-                actions,
-                forwards: Vec::new(),
-            };
+            return;
         }
         let mut events = std::mem::take(&mut shard.events);
         shard.broker.drain_events_into(&mut events);
-        let forwards = self.sync_and_forward(idx, &mut shard, &mut events);
+        self.sync_and_forward(idx, &mut shard, &mut events, &mut out.forwards);
         shard.events = events;
-        ShardOutput { actions, forwards }
     }
 
     /// The coherence step. Fast path: no mutations in this batch and the
@@ -617,19 +664,19 @@ impl<C: Ord + Clone> ShardedBroker<C> {
         idx: usize,
         shard: &mut ShardInner<C>,
         events: &mut Vec<BrokerEvent>,
-    ) -> Vec<(usize, Publish)> {
+        forwards: &mut Vec<(usize, Publish)>,
+    ) {
         let has_mutations = events.iter().any(|e| !matches!(e, BrokerEvent::Routed(_)));
-        let mut forwards = Vec::new();
         if !has_mutations {
             if shard.applied != self.log.epoch.load(Ordering::Acquire) {
                 self.catch_up(shard);
             }
             for event in events.drain(..) {
                 if let BrokerEvent::Routed(p) = event {
-                    self.collect_forwards(idx, &shard.replica, p, &mut forwards);
+                    self.collect_forwards(idx, &shard.replica, p, forwards);
                 }
             }
-            return forwards;
+            return;
         }
 
         let mut log = self
@@ -651,7 +698,7 @@ impl<C: Ord + Clone> ShardedBroker<C> {
         for event in events.drain(..) {
             let entry = match event {
                 BrokerEvent::Routed(p) => {
-                    self.collect_forwards(idx, &shard.replica, p, &mut forwards);
+                    self.collect_forwards(idx, &shard.replica, p, forwards);
                     continue;
                 }
                 BrokerEvent::Subscribed {
@@ -685,7 +732,6 @@ impl<C: Ord + Clone> ShardedBroker<C> {
         self.log
             .epoch
             .store(log.base + log.entries.len() as u64, Ordering::Release);
-        forwards
     }
 
     /// Brings a shard's replica up to the current log epoch without

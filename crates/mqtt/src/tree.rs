@@ -20,6 +20,9 @@ use crate::topic::{TopicFilter, TopicName};
 /// topics; the cap only guards against unbounded adversarial topic churn.
 const MATCH_CACHE_CAP: usize = 1024;
 
+/// A memoised lookup result, shared.
+type Matches<K> = Arc<[Subscription<K>]>;
+
 /// One stored subscription: the subscriber key and its granted QoS.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Subscription<K> {
@@ -81,7 +84,8 @@ pub struct SubscriptionTree<K> {
     /// [`unsubscribe`](Self::unsubscribe), [`remove_key`](Self::remove_key))
     /// clears the whole cache — coarse, but mutations are rare next to
     /// per-publish lookups in the steady-state flow workload.
-    cache: RefCell<HashMap<String, Arc<[Subscription<K>]>>>,
+    /// The key is the looked-up topic's own shared string.
+    cache: RefCell<HashMap<Arc<str>, Matches<K>>>,
 }
 
 impl<K> Default for SubscriptionTree<K> {
@@ -215,7 +219,7 @@ impl<K: Ord + Clone> SubscriptionTree<K> {
         if cache.len() >= MATCH_CACHE_CAP {
             cache.clear();
         }
-        cache.insert(name.to_owned(), Arc::clone(&shared));
+        cache.insert(topic.clone().into_shared(), Arc::clone(&shared));
         shared
     }
 

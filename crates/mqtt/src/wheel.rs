@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Sentinel for "no deadline": the owner sleeps until signalled.
-const NO_DEADLINE: u64 = u64::MAX;
+pub(crate) const NO_DEADLINE: u64 = u64::MAX;
 
 /// Why [`TimerWheel::on_wake`] believes the owner woke.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
