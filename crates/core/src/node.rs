@@ -301,8 +301,12 @@ pub struct MiddlewareNode {
     /// node name in shared form, is also its connection key.
     broker_peers: BTreeMap<Arc<str>, StreamDecoder>,
     /// Ingress scratch, kept for its capacity: the packets of one
-    /// transport chunk, the actions they cause, the local hop queue.
+    /// transport chunk, what the client session makes of one of them
+    /// (events for this node, packets for the wire), the actions they
+    /// cause at the broker, the local hop queue.
     ingress_packets: Vec<Packet>,
+    client_events: Vec<ClientEvent>,
+    client_out: Vec<Packet>,
     /// Output of the embedded broker, kept for its room between packets.
     broker_out: ShardOutput<Arc<str>>,
     hop_queue: VecDeque<Hop>,
@@ -458,6 +462,8 @@ impl MiddlewareNode {
             }),
             broker_peers: BTreeMap::new(),
             ingress_packets: Vec::new(),
+            client_events: Vec::new(),
+            client_out: Vec::new(),
             broker_out: ShardOutput::default(),
             hop_queue: VecDeque::new(),
             client,
@@ -822,8 +828,9 @@ impl MiddlewareNode {
         };
         env.consume_ref_ms(costs::SENSOR_READ_MS);
         // The sample is a plain value; what it costs the heap is the one
-        // encoded buffer below (see the allocation table in DESIGN.md §5),
-        // reference-shared through codec, broker fan-out and dispatch.
+        // PUBLISH frame its image is written into below (see the
+        // allocation table in DESIGN.md §5), which broker fan-out and
+        // dispatch then share.
         let labelled = s.injector.read(now);
         let topic = s.topic.clone();
         // Schedule the next sample on the nominal grid (no drift).
@@ -844,9 +851,9 @@ impl MiddlewareNode {
                     .into_message(self.producer.clone());
                 self.enqueue_batch(env, topic.as_str(), message);
             } else {
-                let payload = labelled.sample.encode_bytes();
-                note_flow_frame(env, 1, payload.len());
-                self.publish_named(env, topic, payload, false);
+                let image = labelled.sample.encode();
+                note_flow_frame(env, 1, image.len());
+                self.publish_named(env, &topic, &image, false);
             }
         } else if self.config.offline_queue_capacity > 0 {
             // Publish class offline buffering: hold samples through the
@@ -893,18 +900,18 @@ impl MiddlewareNode {
         self.offline_flushed += n;
         env.add("offline_flushed", n);
         for (topic, payload, retain) in drained {
-            self.publish_named(env, topic, payload, retain);
+            self.publish_named(env, &topic, &payload, retain);
         }
     }
 
     /// Publishes a payload through the client (consuming publish CPU).
-    fn publish(&mut self, env: &mut dyn NodeEnv, topic: &str, payload: Bytes) {
+    fn publish(&mut self, env: &mut dyn NodeEnv, topic: &str, payload: &[u8]) {
         self.publish_opts(env, topic, payload, false);
     }
 
     /// Publishes with an explicit retain flag on a topic given as text,
     /// validating it first.
-    fn publish_opts(&mut self, env: &mut dyn NodeEnv, topic: &str, payload: Bytes, retain: bool) {
+    fn publish_opts(&mut self, env: &mut dyn NodeEnv, topic: &str, payload: &[u8], retain: bool) {
         if self.client.is_none() {
             env.incr("publish_without_client");
             return;
@@ -913,16 +920,17 @@ impl MiddlewareNode {
             env.incr("publish_bad_topic");
             return;
         };
-        self.publish_named(env, topic, payload, retain);
+        self.publish_named(env, &topic, payload, retain);
     }
 
-    /// Publishes on an already validated topic. While disconnected the
-    /// payload goes to the offline queue instead of being lost.
+    /// Publishes on an already validated topic: the payload is written
+    /// once, into the frame that goes to the broker. While disconnected it
+    /// goes to the offline queue instead of being lost.
     fn publish_named(
         &mut self,
         env: &mut dyn NodeEnv,
-        topic: TopicName,
-        payload: Bytes,
+        topic: &TopicName,
+        payload: &[u8],
         retain: bool,
     ) {
         let Some(client) = self.client.as_mut() else {
@@ -931,33 +939,34 @@ impl MiddlewareNode {
         };
         if client.state() != ClientState::Connected {
             env.incr("publish_not_connected");
-            self.buffer_offline(env, topic, payload, retain);
+            let payload = Bytes::copy_from_slice(payload);
+            self.buffer_offline(env, topic.clone(), payload, retain);
             return;
         }
         env.consume_ref_ms(costs::PUBLISH_MS);
-        match client.publish(
+        match client.publish_frame(
             topic,
             payload,
             self.config.publish_qos,
             retain,
             env.now_ns(),
         ) {
-            Ok(packet) => {
-                self.send_to_broker(env, &packet);
+            Ok(frame) => {
+                self.send_to_broker(env, frame);
                 env.incr("published");
             }
             Err(_) => env.incr("publish_not_connected"),
         }
     }
 
-    /// Encodes a client packet and sends it to the node's broker.
-    fn send_to_broker(&self, env: &mut dyn NodeEnv, packet: &Packet) {
+    /// Sends a client frame to the node's broker.
+    fn send_to_broker(&self, env: &mut dyn NodeEnv, frame: Bytes) {
         let broker = self
             .config
             .broker_node
             .as_deref()
             .expect("client implies broker_node");
-        env.send(broker, MQTT_BROKER_PORT, encode(packet));
+        env.send(broker, MQTT_BROKER_PORT, frame);
     }
 
     // ------------------------------------------------------------------
@@ -1050,7 +1059,7 @@ impl MiddlewareNode {
             encode_batch_binary(&FlowBatch { items })
         };
         note_flow_frame(env, n, encoded.len());
-        self.publish(env, topic, encoded.into());
+        self.publish(env, topic, &encoded);
     }
 
     // ------------------------------------------------------------------
@@ -1250,7 +1259,7 @@ impl MiddlewareNode {
             return;
         };
         if let Ok(packet) = client.connect() {
-            self.send_to_broker(env, &packet);
+            self.send_to_broker(env, encode(&packet));
             let before = self.supervisor.stats().reconnects;
             self.supervisor.on_connect_sent(env.now_ns());
             if self.supervisor.stats().reconnects > before {
@@ -1269,7 +1278,7 @@ impl MiddlewareNode {
             state = Some(client.state());
         }
         for packet in to_send {
-            self.send_to_broker(env, &packet);
+            self.send_to_broker(env, encode(&packet));
         }
         if let Some(state) = state {
             // Reconnect supervision: dead-peer detection, CONNACK
@@ -1277,13 +1286,7 @@ impl MiddlewareNode {
             // from the runtime's deterministic RNG.
             let action = self.supervisor.poll(state, now, &mut || env.rand_u64());
             match action {
-                SupervisorAction::TransportLost => {
-                    if let Some(client) = self.client.as_mut() {
-                        client.transport_lost();
-                    }
-                    self.connected = false;
-                    env.incr("transport_lost");
-                }
+                SupervisorAction::TransportLost => self.on_transport_lost(env),
                 SupervisorAction::Connect => self.send_connect(env),
                 SupervisorAction::None => {}
             }
@@ -1317,7 +1320,7 @@ impl MiddlewareNode {
                 ShedPolicy::ShedNewest => "shed_newest",
             };
             env.incr("shed_policy_transitions");
-            self.publish_opts(env, &topic, Bytes::from_static(name.as_bytes()), true);
+            self.publish_opts(env, &topic, name.as_bytes(), true);
         }
     }
 
@@ -1325,35 +1328,34 @@ impl MiddlewareNode {
         let now = env.now_ns();
         self.client_decoder.feed(payload);
         let mut packets = std::mem::take(&mut self.ingress_packets);
-        loop {
+        let corrupt = loop {
             match self.client_decoder.next_packet() {
                 Ok(Some(p)) => packets.push(p),
-                Ok(None) => break,
-                Err(_) => {
-                    env.incr("client_decode_errors");
-                    self.client_decoder = StreamDecoder::new();
-                    packets.clear();
-                    self.ingress_packets = packets;
-                    return;
-                }
+                Ok(None) => break false,
+                Err(_) => break true,
             }
-        }
+        };
         if !packets.is_empty() {
             // Any inbound broker traffic proves the peer is alive.
             self.supervisor.on_inbound(now);
         }
+        let mut events = std::mem::take(&mut self.client_events);
+        let mut out = std::mem::take(&mut self.client_out);
         for packet in packets.drain(..) {
             let Some(client) = self.client.as_mut() else {
                 break;
             };
-            let Ok((events, out)) = client.handle_packet(packet, now) else {
+            if client
+                .handle_packet_into(packet, now, &mut events, &mut out)
+                .is_err()
+            {
                 env.incr("client_protocol_errors");
                 continue;
-            };
-            for p in out {
-                self.send_to_broker(env, &p);
             }
-            for event in events {
+            for p in out.drain(..) {
+                self.send_to_broker(env, encode(&p));
+            }
+            for event in events.drain(..) {
                 match event {
                     ClientEvent::Connected { session_present } => {
                         self.connected = true;
@@ -1392,6 +1394,27 @@ impl MiddlewareNode {
             }
         }
         self.ingress_packets = packets;
+        self.client_events = events;
+        self.client_out = out;
+        if corrupt {
+            // MQTT has no resynchronization: what decoded ahead of the
+            // garbage was handled above; the transport is now lost, and the
+            // supervisor reconnects on its backoff schedule (a persistent
+            // session resumes there).
+            env.incr("client_decode_errors");
+            self.client_decoder = StreamDecoder::new();
+            self.on_transport_lost(env);
+        }
+    }
+
+    /// The link to the broker is gone: the session keeps its unfinished
+    /// flows for the next CONNACK, the node buffers or drops until then.
+    fn on_transport_lost(&mut self, env: &mut dyn NodeEnv) {
+        if let Some(client) = self.client.as_mut() {
+            client.transport_lost();
+        }
+        self.connected = false;
+        env.incr("transport_lost");
     }
 
     /// Publishes the retained self-description on the discovery plane.
@@ -1444,7 +1467,7 @@ impl MiddlewareNode {
             revision: self.announce_revision,
         };
         let topic = announce_topic(&self.config.name);
-        self.publish_opts(env, &topic, announcement.encode().into(), true);
+        self.publish_opts(env, &topic, &announcement.encode(), true);
         env.incr("announcements");
     }
 
@@ -1462,7 +1485,7 @@ impl MiddlewareNode {
             return;
         };
         if let Ok(packet) = client.subscribe(filters, env.now_ns()) {
-            self.send_to_broker(env, &packet);
+            self.send_to_broker(env, encode(&packet));
         }
     }
 
@@ -1507,7 +1530,7 @@ impl MiddlewareNode {
             stages,
         };
         let topic = load_topic(&self.config.name);
-        self.publish_opts(env, &topic, report.encode().into(), true);
+        self.publish_opts(env, &topic, &report.encode(), true);
         env.incr("load_reports");
     }
 
@@ -1523,7 +1546,7 @@ impl MiddlewareNode {
         for m in decisions {
             let topic = crate::rebalance::control_topic(&m.from);
             let cmd = crate::rebalance::ControlCommand::Migrate(m);
-            self.publish_opts(env, &topic, cmd.encode().into(), false);
+            self.publish_opts(env, &topic, &cmd.encode(), false);
             env.incr("rebalance_decisions");
         }
         let interval_ms = self
@@ -1600,7 +1623,7 @@ impl MiddlewareNode {
             origin: self.config.name.clone(),
         };
         let topic = crate::rebalance::control_topic(&m.to);
-        self.publish_opts(env, &topic, cmd.encode().into(), false);
+        self.publish_opts(env, &topic, &cmd.encode(), false);
         env.incr("migrations_offered");
     }
 
@@ -1632,7 +1655,7 @@ impl MiddlewareNode {
             taker: self.config.name.clone(),
         };
         let topic = crate::rebalance::control_topic(&origin);
-        self.publish_opts(env, &topic, cmd.encode().into(), false);
+        self.publish_opts(env, &topic, &cmd.encode(), false);
         env.incr("migrations_installing");
     }
 
@@ -1693,7 +1716,7 @@ impl MiddlewareNode {
             envelope,
         };
         let topic = crate::rebalance::control_topic(&taker);
-        self.publish_opts(env, &topic, cmd.encode().into(), false);
+        self.publish_opts(env, &topic, &cmd.encode(), false);
         self.migrations_out += 1;
         env.incr("migrations_out");
         if self.config.announce {
@@ -2005,7 +2028,7 @@ impl MiddlewareNode {
         if self.has_local_consumer(topic, None) && !echoed_back {
             queue.push_back(Hop::Wire(topic.into(), payload.clone()));
         }
-        self.publish(env, topic, payload);
+        self.publish(env, topic, &payload);
     }
 
     /// Publishes one emission of a `publish_output` stage: through the
@@ -2014,8 +2037,7 @@ impl MiddlewareNode {
         if self.batching_enabled() && self.connected {
             self.enqueue_batch(env, topic, message);
         } else {
-            let payload = encode_message_binary(&message).into();
-            self.publish(env, topic, payload);
+            self.publish(env, topic, &encode_message_binary(&message));
         }
     }
 
@@ -2735,6 +2757,83 @@ mod tests {
         feed(&mut node, &mut env, "pub", encode(&publish));
         assert_eq!(publishes_to(&env, "sub"), vec![("t/b".to_owned(), vec![8])]);
         assert_eq!(env.counter("broker_decode_errors"), 1);
+    }
+
+    #[test]
+    fn corrupt_client_stream_keeps_what_decoded_and_reconnects() {
+        use ifot_mqtt::packet::{Connack, ConnectReturnCode, Publish};
+        let config = NodeConfig::new("n")
+            .with_broker_node("hub")
+            .with_persistent_session()
+            .with_operator(probe_sink("p"));
+        let mut node = MiddlewareNode::new(config);
+        let mut env = MockEnv::new();
+        fn feed(node: &mut MiddlewareNode, env: &mut MockEnv, chunk: Bytes) {
+            node.on_packet(env, "hub", MQTT_CLIENT_PORT, &chunk);
+        }
+        /// Kinds of the packets the node sent to its broker.
+        fn sent_kinds(env: &MockEnv) -> Vec<&'static str> {
+            env.sent_to("hub", MQTT_BROKER_PORT)
+                .into_iter()
+                .map(|frame| match ifot_mqtt::codec::decode(frame) {
+                    Ok(Some((packet, _))) => packet.kind_name(),
+                    other => panic!("the node sent {other:?}"),
+                })
+                .collect()
+        }
+        let connack = |session_present| {
+            encode(&Packet::Connack(Connack {
+                session_present,
+                code: ConnectReturnCode::Accepted,
+            }))
+        };
+        let sample = |seq: u64| {
+            let payload = encode_message_binary(&flow_message(seq));
+            encode(&Packet::Publish(Publish::qos0(
+                TopicName::new("sensor/a").expect("valid topic"),
+                payload,
+            )))
+        };
+
+        node.on_start(&mut env);
+        feed(&mut node, &mut env, connack(false));
+        assert!(node.is_connected());
+        assert_eq!(sent_kinds(&env), ["CONNECT", "SUBSCRIBE"]);
+
+        // One read: a valid PUBLISH, then a packet type that does not exist.
+        let mut chunk = sample(1).to_vec();
+        chunk.extend_from_slice(&[0xF0, 0x00]);
+        feed(&mut node, &mut env, chunk.into());
+        assert_eq!(
+            node.executor.stats(0).processed,
+            1,
+            "the PUBLISH ahead of the garbage reaches the operator"
+        );
+        assert_eq!(env.counter("client_decode_errors"), 1);
+        assert_eq!(env.counter("transport_lost"), 1);
+        assert!(!node.is_connected());
+        // What the dead connection still delivers is not read.
+        feed(&mut node, &mut env, sample(2));
+        assert_eq!(node.executor.stats(0).processed, 1);
+
+        // The supervisor reconnects on its backoff schedule, and the
+        // persistent session resumes on a clean stream.
+        env.clear();
+        for _ in 0..40 {
+            env.now_ns += CLIENT_POLL_NS;
+            node.on_timer(&mut env, tag(TAG_CLIENT_POLL, 0));
+            if !env.sent.is_empty() {
+                break;
+            }
+        }
+        assert_eq!(sent_kinds(&env), ["CONNECT"]);
+        assert_eq!(env.counter("reconnects"), 1);
+        feed(&mut node, &mut env, connack(true));
+        assert!(node.is_connected());
+        assert_eq!(node.resilience().session_resumes, 1);
+        feed(&mut node, &mut env, sample(3));
+        assert_eq!(node.executor.stats(0).processed, 2);
+        assert_eq!(env.counter("client_decode_errors"), 1);
     }
 
     #[test]

@@ -365,12 +365,10 @@ fn durable_of(p: &Publish) -> DurablePublish {
 fn publish_of(m: &DurablePublish, packet_id: Option<PacketId>) -> Option<Publish> {
     let topic = TopicName::new(&m.topic).ok()?;
     Some(Publish {
-        dup: false,
         qos: m.qos,
         retain: m.retain,
-        topic,
         packet_id,
-        payload: m.payload.clone(),
+        ..Publish::qos0(topic, m.payload.clone())
     })
 }
 
@@ -989,17 +987,19 @@ impl<C: Ord + Clone> Broker<C> {
     /// Routes a publish to every matching subscriber.
     ///
     /// QoS 0 deliveries are byte-for-byte identical across subscribers
-    /// (no packet id, dup/retain cleared), so the outgoing frame is
-    /// encoded **once** and shared via [`Action::SendFrame`]. QoS 1/2
-    /// deliveries carry per-subscriber packet ids and go through
-    /// [`deliver`](Self::deliver); their in-flight copies still share the
-    /// payload `Bytes` with the original, so only the small header state
-    /// is per-subscriber.
+    /// (no packet id, dup/retain cleared), so one frame is shared via
+    /// [`Action::SendFrame`]: the frame the publish arrived in when it
+    /// kept it (see [`Publish`] — a QoS 0 publish then crosses the broker
+    /// in the buffer it came in, on every shard it is forwarded to), else
+    /// one encoded here. QoS 1/2 deliveries carry per-subscriber packet
+    /// ids and go through [`deliver`](Self::deliver); their in-flight
+    /// copies still share the payload `Bytes` with the original, so only
+    /// the small header state is per-subscriber.
     fn route(&mut self, publish: &Publish, now_ns: u64, actions: &mut Vec<Action<C>>) {
         self.capture(|| BrokerEvent::Routed(publish.clone()));
         let subs = self.tree.matches_shared(&publish.topic);
-        // Lazily encoded: first QoS 0 subscriber pays the single encode,
-        // the rest bump a refcount.
+        // Lazily made: the first QoS 0 subscriber takes the kept frame or
+        // pays the single encode, the rest bump a refcount.
         let mut qos0_frame: Option<Bytes> = None;
         for sub in subs.iter() {
             let effective_qos = publish.qos.min(sub.qos);
@@ -1010,7 +1010,10 @@ impl<C: Ord + Clone> Broker<C> {
                 if !self.sessions.contains_key(&*sub.key) {
                     continue;
                 }
-                let frame = qos0_frame.get_or_insert_with(|| codec::encode_qos0_delivery(publish));
+                let frame = qos0_frame.get_or_insert_with(|| match &publish.qos0_frame {
+                    Some(kept) => kept.clone(),
+                    None => codec::encode_qos0_delivery(publish),
+                });
                 self.stats.messages_out += 1;
                 actions.push(Action::SendFrame {
                     conn: conn.clone(),
@@ -1293,12 +1296,9 @@ impl<C: Ord + Clone> Broker<C> {
             if publish_will {
                 if let Some(will) = connection.will {
                     let publish = Publish {
-                        dup: false,
                         qos: will.qos,
                         retain: will.retain,
-                        topic: will.topic,
-                        packet_id: None,
-                        payload: will.payload,
+                        ..Publish::qos0(will.topic, will.payload)
                     };
                     if publish.retain {
                         self.store_retained(&publish);

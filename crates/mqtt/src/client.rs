@@ -5,11 +5,18 @@
 //! the packets to put on the wire, feeding received packets returns
 //! [`ClientEvent`]s for the application, and [`Client::poll`] drives
 //! retransmission and keep-alive pings against a caller-supplied clock.
+//!
+//! What the per-message paths allocate: [`Client::publish_frame`] takes the
+//! payload as borrowed bytes and makes one buffer, the encoded frame — at
+//! QoS 1/2 the copy tracked for retransmission is a view of that frame, not
+//! a second buffer; [`Client::handle_packet_into`] appends to lists the
+//! caller keeps, so an inbound QoS 0 PUBLISH allocates nothing here.
 
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
+use crate::codec;
 use crate::error::SessionError;
 use crate::packet::{
     Connack, Connect, ConnectReturnCode, LastWill, Packet, PacketId, Publish, QoS, Subscribe,
@@ -201,11 +208,51 @@ impl Client {
         Ok(Packet::Connect(c))
     }
 
-    /// Builds a PUBLISH packet.
+    /// Encodes a PUBLISH of `payload` and returns the frame to put on the
+    /// wire: the only buffer the call makes.
     ///
-    /// For QoS 1 the message is tracked and retransmitted by
-    /// [`Client::poll`] until a PUBACK arrives; for QoS 2 the full
-    /// exactly-once handshake (PUBREC/PUBREL/PUBCOMP) is driven.
+    /// QoS 0 keeps nothing. For QoS 1 the message is tracked and
+    /// retransmitted by [`Client::poll`] until a PUBACK arrives; for QoS 2
+    /// the full exactly-once handshake (PUBREC/PUBREL/PUBCOMP) is driven.
+    /// The tracked copy's payload is a view of the returned frame.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SessionError::NotConnected`] before a successful CONNACK.
+    pub fn publish_frame(
+        &mut self,
+        topic: &TopicName,
+        payload: &[u8],
+        qos: QoS,
+        retain: bool,
+        now_ns: u64,
+    ) -> Result<Bytes, SessionError> {
+        if self.state != ClientState::Connected {
+            return Err(SessionError::NotConnected);
+        }
+        let packet_id = (qos != QoS::AtMostOnce).then(|| self.alloc_pid());
+        let frame = codec::encode_publish(topic, payload, qos, retain, packet_id);
+        if let Some(pid) = packet_id {
+            let view = frame.slice(frame.len() - payload.len()..);
+            let publish = Publish {
+                qos,
+                retain,
+                ..Publish::qos1(topic.clone(), view, pid)
+            };
+            if qos == QoS::ExactlyOnce {
+                let sent_ns = now_ns;
+                self.inflight2
+                    .insert(pid, Qos2Out::AwaitRec { publish, sent_ns });
+            } else {
+                self.inflight.insert(pid, (publish, now_ns));
+            }
+        }
+        self.last_sent_ns = now_ns;
+        Ok(frame)
+    }
+
+    /// [`publish_frame`](Self::publish_frame) for callers that work in
+    /// packets: the PUBLISH its frame decodes to.
     ///
     /// # Errors
     ///
@@ -218,44 +265,11 @@ impl Client {
         retain: bool,
         now_ns: u64,
     ) -> Result<Packet, SessionError> {
-        if self.state != ClientState::Connected {
-            return Err(SessionError::NotConnected);
-        }
-        // Convert once: the tracked in-flight copy and the wire packet
-        // share the same payload allocation.
-        let payload: Bytes = payload.into();
-        let mut publish = match qos {
-            QoS::AtMostOnce => Publish::qos0(topic, payload),
-            QoS::AtLeastOnce => {
-                let pid = self.alloc_pid();
-                let p = Publish::qos1(topic, payload, pid);
-                self.inflight.insert(pid, (p.clone(), now_ns));
-                p
-            }
-            QoS::ExactlyOnce => {
-                let pid = self.alloc_pid();
-                let mut p = Publish::qos1(topic, payload, pid);
-                p.qos = QoS::ExactlyOnce;
-                p.retain = retain;
-                self.inflight2.insert(
-                    pid,
-                    Qos2Out::AwaitRec {
-                        publish: p.clone(),
-                        sent_ns: now_ns,
-                    },
-                );
-                p
-            }
-        };
-        publish.retain = retain;
-        if let Some((tracked, _)) = publish
-            .packet_id
-            .and_then(|pid| self.inflight.get_mut(&pid))
-        {
-            tracked.retain = retain;
-        }
-        self.last_sent_ns = now_ns;
-        Ok(Packet::Publish(publish))
+        let frame = self.publish_frame(&topic, &payload.into(), qos, retain, now_ns)?;
+        let (packet, _) = codec::decode(&frame)
+            .expect("the codec's own frame")
+            .expect("a whole frame");
+        Ok(packet)
     }
 
     /// Builds a SUBSCRIBE packet for the given filters (at the given QoS).
@@ -349,6 +363,26 @@ impl Client {
         packet: Packet,
         now_ns: u64,
     ) -> Result<(Vec<ClientEvent>, Vec<Packet>), SessionError> {
+        let (mut events, mut out) = (Vec::new(), Vec::new());
+        self.handle_packet_into(packet, now_ns, &mut events, &mut out)?;
+        Ok((events, out))
+    }
+
+    /// [`handle_packet`](Self::handle_packet), appending what the
+    /// application should see to `events` and what goes on the wire to
+    /// `out`: lists the caller keeps for their room, so a packet that fits
+    /// them allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`handle_packet`](Self::handle_packet); nothing was appended.
+    pub fn handle_packet_into(
+        &mut self,
+        packet: Packet,
+        now_ns: u64,
+        events: &mut Vec<ClientEvent>,
+        out: &mut Vec<Packet>,
+    ) -> Result<(), SessionError> {
         // Packets arriving after the transport was declared lost — or
         // before the new connection's CONNACK — belong to a previous
         // incarnation of the connection and are discarded, exactly as a
@@ -356,11 +390,9 @@ impl Client {
         if self.state == ClientState::Disconnected
             || (self.state == ClientState::Connecting && !matches!(packet, Packet::Connack(_)))
         {
-            return Ok((Vec::new(), Vec::new()));
+            return Ok(());
         }
         self.last_rx_ns = self.last_rx_ns.max(now_ns);
-        let mut events = Vec::new();
-        let mut out = Vec::new();
         match packet {
             Packet::Connack(Connack {
                 session_present,
@@ -372,7 +404,7 @@ impl Client {
                 if code == ConnectReturnCode::Accepted {
                     self.state = ClientState::Connected;
                     events.push(ClientEvent::Connected { session_present });
-                    out.extend(self.connack_replay(now_ns));
+                    self.connack_replay(now_ns, out);
                 } else {
                     self.state = ClientState::Disconnected;
                     events.push(ClientEvent::Refused(code));
@@ -441,13 +473,13 @@ impl Client {
                 ));
             }
         }
-        Ok((events, out))
+        Ok(())
     }
 
     /// Replays the unfinished acknowledged flows after a reconnect: QoS 1
     /// publishes with `dup` set, QoS 2 publishes or their pending PUBRELs.
-    fn connack_replay(&mut self, now_ns: u64) -> Vec<Packet> {
-        let mut out = Vec::new();
+    fn connack_replay(&mut self, now_ns: u64, out: &mut Vec<Packet>) {
+        let before = out.len();
         for (pid, (publish, sent)) in self.inflight.iter_mut() {
             let mut p = publish.clone();
             p.dup = true;
@@ -469,8 +501,7 @@ impl Client {
                 }
             }
         }
-        self.replayed_packets += out.len() as u64;
-        out
+        self.replayed_packets += (out.len() - before) as u64;
     }
 
     /// Drives retransmission and keep-alive; call regularly.
@@ -835,6 +866,84 @@ mod tests {
             .expect("connack");
         assert_eq!(replays.len(), 1);
         assert!(matches!(&replays[0], Packet::Publish(p) if p.dup));
+    }
+
+    fn reconnect(c: &mut Client, now_ns: u64) -> Vec<Packet> {
+        c.transport_lost();
+        let _ = c.connect().expect("reconnect");
+        let connack = Packet::Connack(Connack {
+            session_present: true,
+            code: ConnectReturnCode::Accepted,
+        });
+        c.handle_packet(connack, now_ns).expect("connack").1
+    }
+
+    #[test]
+    fn a_frame_published_from_borrowed_bytes_replays_after_a_reconnect() {
+        let payload = [0xA5u8; 40];
+        for qos in [QoS::AtLeastOnce, QoS::ExactlyOnce] {
+            let mut c = connected_client();
+            let frame = c
+                .publish_frame(&topic("a/é"), &payload, qos, true, 0)
+                .expect("publish");
+            let (sent, used) = codec::decode(&frame).expect("valid").expect("whole");
+            assert_eq!(used, frame.len());
+            let Packet::Publish(sent) = sent else {
+                panic!("expected a publish, got {sent:?}");
+            };
+            assert_eq!((sent.qos, sent.dup, sent.retain), (qos, false, true));
+            assert_eq!(sent.payload.as_ref(), payload);
+
+            let replays = reconnect(&mut c, 5);
+            let [Packet::Publish(again)] = &replays[..] else {
+                panic!("expected one publish, got {replays:?}");
+            };
+            assert!(again.dup);
+            assert_eq!(
+                (again.qos, again.retain, again.packet_id, &again.topic),
+                (qos, true, sent.packet_id, &sent.topic)
+            );
+            assert_eq!(again.payload.as_ref(), payload);
+            // The tracked payload is a view of the frame that was sent, and
+            // what goes on the wire is that frame with `dup` set.
+            let tail = &frame[frame.len() - payload.len()..];
+            assert!(std::ptr::eq(again.payload.as_ptr(), tail.as_ptr()));
+            let mut expected = frame.to_vec();
+            expected[0] |= 0b1000;
+            assert_eq!(codec::encode(&replays[0]).as_ref(), expected);
+            // The retransmission timer sends the same.
+            assert_eq!(c.poll(5 + 2_000_000_000), replays);
+        }
+        // QoS 2 past its PUBREC resumes with the PUBREL.
+        let mut c = connected_client();
+        let frame = c
+            .publish_frame(&topic("a"), &payload, QoS::ExactlyOnce, false, 0)
+            .expect("publish");
+        let pid = u16::from_be_bytes([frame[5], frame[6]]);
+        let (_, out) = c.handle_packet(Packet::Pubrec(pid), 1).expect("handled");
+        assert_eq!(out, vec![Packet::Pubrel(pid)]);
+        assert_eq!(reconnect(&mut c, 5), vec![Packet::Pubrel(pid)]);
+        assert_eq!(c.replayed_packets(), 1);
+    }
+
+    #[test]
+    fn handle_packet_into_appends_behind_what_the_lists_hold() {
+        let mut c = connected_client();
+        let mut events = vec![ClientEvent::Pong];
+        let mut out = vec![Packet::Pingreq];
+        let message = Publish::qos1(topic("s"), b"m".to_vec(), 7);
+        c.handle_packet_into(Packet::Publish(message.clone()), 0, &mut events, &mut out)
+            .expect("handled");
+        assert_eq!(
+            events,
+            vec![ClientEvent::Pong, ClientEvent::Message(message)]
+        );
+        assert_eq!(out, vec![Packet::Pingreq, Packet::Puback(7)]);
+        // A protocol error appends nothing.
+        assert!(c
+            .handle_packet_into(Packet::Pingreq, 1, &mut events, &mut out)
+            .is_err());
+        assert_eq!((events.len(), out.len()), (2, 2));
     }
 
     #[test]

@@ -5,16 +5,30 @@
 //! variable header/payload of the supported subset. Decoding never panics
 //! on malformed input — every anomaly maps to a [`DecodeError`].
 //!
-//! What each direction allocates: [`encode`] sizes the frame first and
-//! makes the one buffer it returns; decoding reads a packet where its
-//! bytes lie and gives storage only to what the packet keeps — nothing for
-//! the fixed-size packets (PUBACK, PUBREC, PUBREL, PUBCOMP, UNSUBACK, the
-//! pings, DISCONNECT), the topic and one payload buffer for a PUBLISH off a
-//! stream, the topic alone when the frame arrived as a shared [`Bytes`]
-//! (the payload is then a view of it). [`StreamDecoder`] keeps one buffer
-//! per stream — 256 bytes for a socket that trickles, grown by the reads
-//! that fill it ([`StreamDecoder::read_from`]), given back down to 64 KiB
-//! once a burst is decoded.
+//! What each direction allocates: [`encode`] and [`encode_publish`] size
+//! the frame first and make the one buffer they return; decoding reads a
+//! packet where its bytes lie and gives storage only to what the packet
+//! keeps — nothing for the fixed-size packets (PUBACK, PUBREC, PUBREL,
+//! PUBCOMP, UNSUBACK, the pings, DISCONNECT). A PUBLISH keeps a topic name
+//! and a payload:
+//!
+//! * the **name** is allocated and validated the first time a stream
+//!   carries it; [`StreamDecoder`] remembers the last names it validated
+//!   (16 slots, direct-mapped) and hands a repeated one out as the shared
+//!   [`TopicName`] it already holds — no allocation, no re-validation;
+//! * the **payload** off a stream is one copy; when the frame arrived as
+//!   a shared [`Bytes`] it is a view of that and costs nothing.
+//!
+//! A PUBLISH whose frame already is its own QoS 0 delivery — first byte
+//! `0x30` and a minimal remaining-length varint — also **keeps the
+//! frame** (see [`Publish`]): on the shared path that is a reference
+//! count, off a stream the one copy is made of the whole frame instead of
+//! the payload alone and the payload becomes a view of it. So a QoS 0
+//! PUBLISH with a repeated name costs one `Bytes` off a stream and nothing
+//! as a shared frame. [`StreamDecoder`] keeps one buffer per stream — 256
+//! bytes for a socket that trickles, grown by the reads that fill it
+//! ([`StreamDecoder::read_from`]), given back down to 64 KiB once a burst
+//! is decoded.
 
 use std::io::{self, Read};
 
@@ -22,10 +36,10 @@ use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::error::DecodeError;
 use crate::packet::{
-    Connack, Connect, ConnectReturnCode, LastWill, Packet, Publish, QoS, Suback, SubackCode,
-    Subscribe, SubscribeFilter, Unsubscribe,
+    Connack, Connect, ConnectReturnCode, LastWill, Packet, PacketId, Publish, QoS, Suback,
+    SubackCode, Subscribe, SubscribeFilter, Unsubscribe,
 };
-use crate::topic::{TopicFilter, TopicName};
+use crate::topic::{fnv1a, TopicFilter, TopicName};
 
 /// Maximum value of the remaining-length varint.
 pub const MAX_REMAINING_LENGTH: usize = 268_435_455;
@@ -103,13 +117,41 @@ pub fn encode(packet: &Packet) -> Bytes {
     frame(first_byte(packet), |out| put_body(out, packet))
 }
 
+/// Encodes the first transmission of a PUBLISH (dup clear) straight from
+/// borrowed fields: the one buffer a publisher makes per message.
+///
+/// # Panics
+///
+/// Panics unless `packet_id` is present exactly when `qos` is above 0, and
+/// on a body past [`MAX_REMAINING_LENGTH`] like [`encode`].
+pub fn encode_publish(
+    topic: &TopicName,
+    payload: &[u8],
+    qos: QoS,
+    retain: bool,
+    packet_id: Option<PacketId>,
+) -> Bytes {
+    assert_eq!(
+        packet_id.is_some(),
+        qos != QoS::AtMostOnce,
+        "a publish carries a packet id iff qos > 0"
+    );
+    frame((3 << 4) | (qos.bits() << 1) | u8::from(retain), |out| {
+        put_publish(out, topic, packet_id, payload)
+    })
+}
+
 /// Encodes the QoS 0 delivery of `publish` — dup, retain and packet id
 /// cleared, whatever QoS it arrived with — straight from the borrowed
 /// packet: the frame the broker's fan-out shares among subscribers.
 pub fn encode_qos0_delivery(publish: &Publish) -> Bytes {
-    frame(3 << 4, |out| {
-        put_publish(out, &publish.topic, None, &publish.payload)
-    })
+    encode_publish(
+        &publish.topic,
+        &publish.payload,
+        QoS::AtMostOnce,
+        false,
+        None,
+    )
 }
 
 /// Length of the frame [`encode`] produces for `packet`.
@@ -268,7 +310,7 @@ pub fn decode(buf: &[u8]) -> Result<Option<(Packet, usize)>, DecodeError> {
     let Some((body_start, total)) = frame_bounds(buf)? else {
         return Ok(None);
     };
-    let packet = decode_body(buf[0], Reader::borrowed(&buf[body_start..total]))?;
+    let packet = decode_frame(Reader::borrowed(&buf[..total], body_start), None)?;
     Ok(Some((packet, total)))
 }
 
@@ -306,40 +348,44 @@ fn decode_remaining_length(buf: &[u8]) -> Result<Option<(usize, usize)>, DecodeE
     }
 }
 
-/// Cursor over a packet body. The body is read where it lies; only a
+/// Cursor over one frame's body. The body is read where it lies; only a
 /// field that outlives the call is given storage of its own, and when the
-/// body is a view of a shared frame even that is a refcounted slice of the
-/// frame: length-prefixed binary fields and the publish payload are then
-/// *sliced* out rather than copied.
+/// frame is a shared buffer even that is a refcounted slice of it:
+/// length-prefixed binary fields and the publish payload are then *sliced*
+/// out rather than copied.
 struct Reader<'a> {
-    body: &'a [u8],
+    /// The whole frame, fixed header included.
+    frame: &'a [u8],
+    /// Where the body starts in `frame`.
+    body_start: usize,
+    /// Read position in `frame`.
     pos: usize,
-    /// The shared frame `body` is a view of, and where it starts in it.
-    shared: Option<(&'a Bytes, usize)>,
+    /// The shared buffer `frame` is the contents of, if it arrived as one.
+    shared: Option<&'a Bytes>,
 }
 
 impl<'a> Reader<'a> {
     /// Over bytes the caller will reuse (a stream buffer): fields that
     /// outlive the call are copied out.
-    fn borrowed(body: &'a [u8]) -> Self {
+    fn borrowed(frame: &'a [u8], body_start: usize) -> Self {
         Reader {
-            body,
-            pos: 0,
+            frame,
+            body_start,
+            pos: body_start,
             shared: None,
         }
     }
 
-    /// Over the body of a shared frame, which starts at `body_start`.
+    /// Over a shared frame whose body starts at `body_start`.
     fn shared(frame: &'a Bytes, body_start: usize) -> Self {
         Reader {
-            body: &frame[body_start..],
-            pos: 0,
-            shared: Some((frame, body_start)),
+            shared: Some(frame),
+            ..Reader::borrowed(frame, body_start)
         }
     }
 
     fn remaining(&self) -> usize {
-        self.body.len() - self.pos
+        self.frame.len() - self.pos
     }
 
     /// The next `len` bytes, borrowed.
@@ -347,7 +393,7 @@ impl<'a> Reader<'a> {
         if self.remaining() < len {
             return Err(DecodeError::UnexpectedEof);
         }
-        let field = &self.body[self.pos..self.pos + len];
+        let field = &self.frame[self.pos..self.pos + len];
         self.pos += len;
         Ok(field)
     }
@@ -367,7 +413,7 @@ impl<'a> Reader<'a> {
         let at = self.pos;
         let field = self.take(len)?;
         Ok(match self.shared {
-            Some((frame, body_start)) => frame.slice(body_start + at..body_start + at + len),
+            Some(frame) => frame.slice(at..at + len),
             None if field.is_empty() => Bytes::new(),
             None => Bytes::copy_from_slice(field),
         })
@@ -378,19 +424,18 @@ impl<'a> Reader<'a> {
         self.owned(len)
     }
 
-    fn str(&mut self) -> Result<&'a str, DecodeError> {
+    /// A length-prefixed field, not yet checked to be text.
+    fn raw_str(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.u16()? as usize;
-        core::str::from_utf8(self.take(len)?).map_err(|_| DecodeError::InvalidString)
+        self.take(len)
+    }
+
+    fn str(&mut self) -> Result<&'a str, DecodeError> {
+        core::str::from_utf8(self.raw_str()?).map_err(|_| DecodeError::InvalidString)
     }
 
     fn string(&mut self) -> Result<String, DecodeError> {
         self.str().map(str::to_owned)
-    }
-
-    /// A topic name, validated on the frame's own bytes and copied once,
-    /// into its shared form.
-    fn topic_name(&mut self, what: &'static str) -> Result<TopicName, DecodeError> {
-        TopicName::new(self.str()?).map_err(|_| DecodeError::MalformedPacket(what))
     }
 
     fn rest(&mut self) -> Bytes {
@@ -398,11 +443,76 @@ impl<'a> Reader<'a> {
             .expect("what remains is there to take")
     }
 
+    /// What remains as a PUBLISH payload, and the frame itself when it
+    /// already is the publish's QoS 0 delivery (QoS 0, no dup, no retain,
+    /// minimal remaining length): the payload is then a view of the kept
+    /// frame — the shared buffer that arrived, or the one copy made of the
+    /// whole frame where the payload alone would have been copied.
+    fn publish_payload(&mut self) -> (Bytes, Option<Bytes>) {
+        let body = self.frame.len() - self.body_start;
+        if self.frame[0] != 3 << 4 || self.body_start != 1 + remaining_length_len(body) {
+            return (self.rest(), None);
+        }
+        let frame = match self.shared {
+            Some(frame) => frame.clone(),
+            None => Bytes::copy_from_slice(self.frame),
+        };
+        let payload = frame.slice(self.pos..);
+        self.pos = self.frame.len();
+        (payload, Some(frame))
+    }
+
     fn expect_empty(&self) -> Result<(), DecodeError> {
         if self.remaining() == 0 {
             Ok(())
         } else {
             Err(DecodeError::TrailingBytes)
+        }
+    }
+}
+
+/// Validates a topic name on the frame's own bytes and copies it once,
+/// into its shared form.
+fn topic_name(raw: &[u8], what: &'static str) -> Result<TopicName, DecodeError> {
+    let name = core::str::from_utf8(raw).map_err(|_| DecodeError::InvalidString)?;
+    TopicName::new(name).map_err(|_| DecodeError::MalformedPacket(what))
+}
+
+/// Slots of a [`NameTable`].
+const NAME_SLOTS: usize = 16;
+
+/// The topic names a stream validated last: a fixed, direct-mapped table
+/// (one probe, replace on miss). A publisher repeats a handful of names —
+/// a sensor its one topic, thousands of times a second — so a hit returns
+/// the shared [`TopicName`] already held, without allocating or validating
+/// again, and gives the broker's match cache the very string it is keyed
+/// by. The table is made by the first PUBLISH: a connection that only
+/// subscribes holds the empty handle.
+#[derive(Debug, Default)]
+struct NameTable(Option<Box<[Option<TopicName>; NAME_SLOTS]>>);
+
+/// The slot a name maps to. FNV-1a's last bytes barely reach its top bits
+/// and its low bits see only each byte's low bits, so the hash is spread
+/// once more (multiplied by 2^64 / φ) before the top bits are taken.
+fn name_slot(raw: &[u8]) -> usize {
+    let spread = fnv1a(raw).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (spread >> (64 - NAME_SLOTS.trailing_zeros())) as usize
+}
+
+impl NameTable {
+    /// The name `raw` spells: the remembered one if its slot holds these
+    /// very bytes, else validated, stored in place of the slot's previous
+    /// name and returned. An invalid name is an error and is not stored.
+    fn name(&mut self, raw: &[u8], what: &'static str) -> Result<TopicName, DecodeError> {
+        let slots = self.0.get_or_insert_with(Box::default);
+        let slot = &mut slots[name_slot(raw)];
+        match slot {
+            Some(known) if known.as_str().as_bytes() == raw => Ok(known.clone()),
+            _ => {
+                let name = topic_name(raw, what)?;
+                *slot = Some(name.clone());
+                Ok(name)
+            }
         }
     }
 }
@@ -415,11 +525,12 @@ fn require_flags(packet_type: u8, flags: u8, expected: u8) -> Result<(), DecodeE
     }
 }
 
-/// Decodes the packet whose fixed header starts with `first` from its
-/// body. The fixed-size packets (the acknowledgements, the pings,
-/// DISCONNECT) allocate nothing; a PUBLISH its topic and, off a stream,
-/// its payload.
-fn decode_body(first: u8, mut r: Reader<'_>) -> Result<Packet, DecodeError> {
+/// Decodes the frame `r` is over. The fixed-size packets (the
+/// acknowledgements, the pings, DISCONNECT) allocate nothing; for a
+/// PUBLISH see the module docs. `names` is the stream's name table, if the
+/// frame came off a stream.
+fn decode_frame(mut r: Reader<'_>, names: Option<&mut NameTable>) -> Result<Packet, DecodeError> {
+    let first = r.frame[0];
     let (packet_type, flags) = (first >> 4, first & 0x0F);
     match packet_type {
         1 => {
@@ -447,7 +558,11 @@ fn decode_body(first: u8, mut r: Reader<'_>) -> Result<Packet, DecodeError> {
             if dup && qos == QoS::AtMostOnce {
                 return Err(DecodeError::MalformedPacket("dup set on qos 0 publish"));
             }
-            let topic = r.topic_name("publish topic")?;
+            let raw = r.raw_str()?;
+            let topic = match names {
+                Some(names) => names.name(raw, "publish topic")?,
+                None => topic_name(raw, "publish topic")?,
+            };
             let packet_id = if qos != QoS::AtMostOnce {
                 let pid = r.u16()?;
                 if pid == 0 {
@@ -457,7 +572,7 @@ fn decode_body(first: u8, mut r: Reader<'_>) -> Result<Packet, DecodeError> {
             } else {
                 None
             };
-            let payload = r.rest();
+            let (payload, qos0_frame) = r.publish_payload();
             Ok(Packet::Publish(Publish {
                 dup,
                 qos,
@@ -465,6 +580,7 @@ fn decode_body(first: u8, mut r: Reader<'_>) -> Result<Packet, DecodeError> {
                 topic,
                 packet_id,
                 payload,
+                qos0_frame,
             }))
         }
         4 => {
@@ -583,7 +699,7 @@ fn decode_connect(r: &mut Reader<'_>) -> Result<Packet, DecodeError> {
     let keep_alive_secs = r.u16()?;
     let client_id = r.string()?;
     let will = if has_will {
-        let topic = r.topic_name("will topic")?;
+        let topic = topic_name(r.raw_str()?, "will topic")?;
         let payload = r.bytes()?;
         Some(LastWill {
             topic,
@@ -661,6 +777,8 @@ pub struct StreamDecoder {
     /// stream: decoded in place, never copied into `buf`. Kept with the
     /// offset of its body.
     whole: Option<(Bytes, usize)>,
+    /// The topic names this stream's last publishes carried.
+    names: NameTable,
 }
 
 impl StreamDecoder {
@@ -745,13 +863,17 @@ impl StreamDecoder {
     /// dropped afterwards.
     pub fn next_packet(&mut self) -> Result<Option<Packet>, DecodeError> {
         if let Some((frame, body_start)) = self.whole.take() {
-            return decode_body(frame[0], Reader::shared(&frame, body_start)).map(Some);
+            return decode_frame(Reader::shared(&frame, body_start), Some(&mut self.names))
+                .map(Some);
         }
         let stream = &self.buf[self.start..self.end];
         let Some((body_start, total)) = frame_bounds(stream)? else {
             return Ok(None);
         };
-        let packet = decode_body(stream[0], Reader::borrowed(&stream[body_start..total]))?;
+        let packet = decode_frame(
+            Reader::borrowed(&stream[..total], body_start),
+            Some(&mut self.names),
+        )?;
         self.start += total;
         if self.start == self.end {
             self.start = 0;
@@ -1184,6 +1306,199 @@ mod tests {
             assert!(room < frame.len(), "read {i} took {n}");
         }
         assert!(dec.buf.len() <= 2 * MAX_READ, "{}", dec.buf.len());
+    }
+
+    /// Feeds `frame` as borrowed bytes and pops the publish it holds.
+    fn pop_publish(dec: &mut StreamDecoder, frame: &[u8]) -> Publish {
+        dec.feed(frame);
+        match dec.next_packet() {
+            Ok(Some(Packet::Publish(p))) => p,
+            other => panic!("expected a publish, got {other:?}"),
+        }
+    }
+
+    /// Two valid names that share a slot of the table, found by search.
+    fn colliding_names() -> (String, String) {
+        let first = "sensor/0/sound".to_owned();
+        let second = (1..)
+            .map(|n| format!("sensor/{n}/sound"))
+            .find(|s| name_slot(s.as_bytes()) == name_slot(first.as_bytes()))
+            .expect("sixteen slots");
+        (first, second)
+    }
+
+    #[test]
+    fn a_repeated_name_is_the_name_the_stream_already_holds() {
+        let frame = |name: &str| encode(&Packet::Publish(Publish::qos0(topic(name), vec![1])));
+        let mut dec = StreamDecoder::new();
+        // Miss, then hit: the second publish carries the first's string.
+        let a1 = pop_publish(&mut dec, &frame("sensor/1/sound"));
+        let a2 = pop_publish(&mut dec, &frame("sensor/1/sound"));
+        assert_eq!(a2.topic.as_str(), "sensor/1/sound");
+        assert!(std::ptr::eq(a1.topic.as_str(), a2.topic.as_str()));
+        // The whole-frame path shares the table.
+        dec.feed(&frame("sensor/1/sound"));
+        let Ok(Some(Packet::Publish(a3))) = dec.next_packet() else {
+            panic!("expected the publish");
+        };
+        assert!(std::ptr::eq(a1.topic.as_str(), a3.topic.as_str()));
+        // Another stream has a table of its own.
+        let other = pop_publish(&mut StreamDecoder::new(), &frame("sensor/1/sound"));
+        assert_eq!(other.topic, a1.topic);
+        assert!(!std::ptr::eq(a1.topic.as_str(), other.topic.as_str()));
+    }
+
+    #[test]
+    fn names_colliding_in_one_slot_replace_each_other() {
+        let (first, second) = colliding_names();
+        let frame = |name: &str| encode(&Packet::Publish(Publish::qos0(topic(name), vec![1])));
+        let mut dec = StreamDecoder::new();
+        let mut last: Option<Publish> = None;
+        for round in 0..6 {
+            let name = if round % 2 == 0 { &first } else { &second };
+            let p = pop_publish(&mut dec, &frame(name));
+            assert_eq!(p.topic.as_str(), name, "round {round}");
+            if let Some(previous) = &last {
+                assert_ne!(previous.topic, p.topic);
+            }
+            last = Some(p);
+        }
+        // Alternating, each evicted the other: the slot holds the last one.
+        let again = pop_publish(&mut dec, &frame(&second));
+        let held = last.expect("six rounds").topic;
+        assert!(std::ptr::eq(held.as_str(), again.topic.as_str()));
+    }
+
+    #[test]
+    fn names_that_differ_in_their_last_byte_spread_over_the_table() {
+        // FNV-1a alone would put all of these in one slot (see `name_slot`).
+        let slots: std::collections::BTreeSet<usize> = (b'a'..=b'p')
+            .map(|last| name_slot(&[b"sensor/1/".as_slice(), &[last]].concat()))
+            .collect();
+        assert!(slots.len() >= NAME_SLOTS / 2, "{slots:?}");
+    }
+
+    #[test]
+    fn an_invalid_name_is_an_error_and_is_not_remembered() {
+        let first = b"sensor/0/sound";
+        let mut names = NameTable::default();
+        let held = names.name(first, "publish topic").expect("valid");
+        // A wildcard name and one that is not text, both mapping to the
+        // held name's slot.
+        let wildcard = (0..)
+            .map(|n| format!("sensor/{n}/+").into_bytes())
+            .find(|raw| name_slot(raw) == name_slot(first))
+            .expect("sixteen slots");
+        let not_text = (0..=u8::MAX)
+            .map(|n| vec![0xFF, n])
+            .find(|raw| name_slot(raw) == name_slot(first))
+            .expect("sixteen slots");
+        assert_eq!(
+            names.name(&wildcard, "publish topic"),
+            Err(DecodeError::MalformedPacket("publish topic"))
+        );
+        assert_eq!(
+            names.name(&not_text, "publish topic"),
+            Err(DecodeError::InvalidString)
+        );
+        let table = names.0.as_ref().expect("made by the first name");
+        assert_eq!(table.iter().flatten().count(), 1);
+        let again = names.name(first, "publish topic").expect("valid");
+        assert!(std::ptr::eq(held.as_str(), again.as_str()), "slot moved");
+        // The decoder reports it as it always did.
+        let mut dec = StreamDecoder::new();
+        dec.feed(&[0x30u8, 0x03, 0x00, 0x01, b'#'][..]);
+        assert_eq!(
+            dec.next_packet(),
+            Err(DecodeError::MalformedPacket("publish topic"))
+        );
+    }
+
+    #[test]
+    fn a_stream_without_publishes_holds_no_table() {
+        let mut dec = StreamDecoder::new();
+        let mut connect = Connect::new("sub-1");
+        connect.will = Some(LastWill {
+            topic: topic("status/sub-1"),
+            payload: Bytes::from_static(b"offline"),
+            qos: QoS::AtMostOnce,
+            retain: true,
+        });
+        for packet in [
+            Packet::Connect(connect),
+            Packet::Subscribe(Subscribe {
+                packet_id: 1,
+                filters: vec![SubscribeFilter {
+                    filter: filter("sensor/#"),
+                    qos: QoS::AtMostOnce,
+                }],
+            }),
+            Packet::Puback(7),
+            Packet::Pingreq,
+        ] {
+            dec.feed(&encode(&packet)[..]);
+            assert_eq!(dec.next_packet(), Ok(Some(packet)));
+        }
+        assert!(dec.names.0.is_none());
+        // The handle is what such a connection pays: one pointer on top
+        // of the buffer, its two cursors and the parked frame (88 bytes in
+        // all on a 64-bit target).
+        assert_eq!(
+            std::mem::size_of::<StreamDecoder>(),
+            std::mem::size_of::<Vec<u8>>()
+                + 2 * std::mem::size_of::<usize>()
+                + std::mem::size_of::<Option<(Bytes, usize)>>()
+                + std::mem::size_of::<usize>()
+        );
+        assert_eq!(
+            std::mem::size_of::<[Option<TopicName>; NAME_SLOTS]>(),
+            NAME_SLOTS * 2 * std::mem::size_of::<usize>()
+        );
+    }
+
+    #[test]
+    fn a_publish_keeps_its_frame_only_when_the_frame_is_its_qos0_delivery() {
+        // `3 << 4`, minimal length: kept, on the stream and as a whole
+        // frame; the payload is a view of the kept frame.
+        let plain = encode(&Packet::Publish(Publish::qos0(topic("t"), vec![1, 2, 3])));
+        let mut dec = StreamDecoder::new();
+        let off_stream = pop_publish(&mut dec, &plain);
+        let kept = off_stream.qos0_frame.as_ref().expect("kept");
+        assert_eq!(kept, &plain);
+        assert!(std::ptr::eq(
+            off_stream.payload.as_ptr(),
+            kept[kept.len() - 3..].as_ptr()
+        ));
+        dec.feed(&plain);
+        let Ok(Some(Packet::Publish(whole))) = dec.next_packet() else {
+            panic!("expected the publish");
+        };
+        let kept = whole.qos0_frame.as_ref().expect("kept");
+        assert!(std::ptr::eq(kept.as_ptr(), plain.as_ptr()));
+        assert_eq!(encode_qos0_delivery(&whole), plain);
+        // The same publish behind a padded remaining length decodes to the
+        // same packet and keeps nothing: its frame is not what is sent.
+        let mut padded = vec![plain[0], plain[1] | 0x80, 0x00];
+        padded.extend_from_slice(&plain[2..]);
+        let p = pop_publish(&mut dec, &padded);
+        assert_eq!(p, whole);
+        assert!(p.qos0_frame.is_none());
+        // Retained, QoS 1 and dup publishes keep nothing.
+        let mut retained = Publish::qos0(topic("t"), vec![1, 2, 3]);
+        retained.retain = true;
+        let mut dup = Publish::qos1(topic("t"), vec![1, 2, 3], 9);
+        dup.dup = true;
+        for publish in [retained, Publish::qos1(topic("t"), vec![1, 2, 3], 9), dup] {
+            let frame = encode(&Packet::Publish(publish.clone()));
+            let p = pop_publish(&mut dec, &frame);
+            assert_eq!(p, publish);
+            assert!(p.qos0_frame.is_none(), "{publish:?}");
+            dec.feed(&frame);
+            let Ok(Some(Packet::Publish(p))) = dec.next_packet() else {
+                panic!("expected the publish");
+            };
+            assert!(p.qos0_frame.is_none(), "{publish:?} as a whole frame");
+        }
     }
 
     #[test]

@@ -1328,11 +1328,11 @@ impl TcpClient {
         let topic = TopicName::new(topic)
             .map_err(|e| std::io::Error::new(ErrorKind::InvalidInput, e.to_string()))?;
         let now = self.now();
-        let packet = self
+        let frame = self
             .session
-            .publish(topic, payload, qos, retain, now)
+            .publish_frame(&topic, &payload.into(), qos, retain, now)
             .map_err(|e| std::io::Error::new(ErrorKind::InvalidInput, e.to_string()))?;
-        self.stream.write_all(&encode(&packet))
+        self.stream.write_all(&frame)
     }
 
     /// Subscribes to a filter and waits for the SUBACK (2 s timeout).

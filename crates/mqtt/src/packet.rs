@@ -157,7 +157,19 @@ pub struct Connack {
 }
 
 /// PUBLISH packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A publish the codec decoded may keep the frame it came from: it does
+/// when, and only when, that frame already *is* the publish's QoS 0
+/// delivery — first byte `0x30` (QoS 0, no dup, no retain) and a minimal
+/// remaining-length varint — so the broker forwards the buffer that
+/// arrived instead of encoding an identical one. The kept frame is a
+/// function of `topic` and `payload` (the payload is a view of it), which
+/// is why equality ignores it and why the **topic and payload of a decoded
+/// publish are not edited in place**: build a new publish with
+/// [`Publish::qos0`] / [`Publish::qos1`] instead. The per-hop fields
+/// (`dup`, `qos`, `retain`, `packet_id`) may be changed freely; a QoS 0
+/// delivery clears them anyway.
+#[derive(Debug, Clone)]
 pub struct Publish {
     /// Duplicate redelivery flag.
     pub dup: bool,
@@ -173,7 +185,21 @@ pub struct Publish {
     /// the producer is reference-shared through codec, broker fan-out,
     /// inflight/retained state and every subscriber without copying.
     pub payload: Bytes,
+    /// The frame this publish was decoded from, kept when it equals
+    /// `codec::encode_qos0_delivery(self)` byte for byte (see above).
+    pub(crate) qos0_frame: Option<Bytes>,
 }
+
+impl PartialEq for Publish {
+    fn eq(&self, other: &Self) -> bool {
+        (self.dup, self.qos, self.retain, self.packet_id)
+            == (other.dup, other.qos, other.retain, other.packet_id)
+            && self.topic == other.topic
+            && self.payload == other.payload
+    }
+}
+
+impl Eq for Publish {}
 
 impl Publish {
     /// A QoS 0 publication.
@@ -185,18 +211,16 @@ impl Publish {
             topic,
             packet_id: None,
             payload: payload.into(),
+            qos0_frame: None,
         }
     }
 
     /// A QoS 1 publication with the given packet id.
     pub fn qos1(topic: TopicName, payload: impl Into<Bytes>, packet_id: PacketId) -> Self {
         Publish {
-            dup: false,
             qos: QoS::AtLeastOnce,
-            retain: false,
-            topic,
             packet_id: Some(packet_id),
-            payload: payload.into(),
+            ..Publish::qos0(topic, payload)
         }
     }
 }

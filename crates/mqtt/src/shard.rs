@@ -91,7 +91,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use crate::broker::{Action, Broker, BrokerConfig, BrokerEvent, BrokerStats};
 use crate::packet::{Packet, Publish, QoS};
-use crate::topic::TopicFilter;
+use crate::topic::{fnv1a, TopicFilter};
 use crate::tree::SubscriptionTree;
 use crate::wal::{FileBackend, RecoveryReport, Wal, WalBackend, WalConfig, WalStats};
 
@@ -109,12 +109,7 @@ type ReplicaKey = (usize, Arc<str>);
 /// across processes so a reconnecting client always lands on the shard
 /// holding its persistent session.
 pub fn shard_of(client_id: &str, shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in client_id.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % shards.max(1) as u64) as usize
+    (fnv1a(client_id.as_bytes()) % shards.max(1) as u64) as usize
 }
 
 /// One replicated subscription-tree mutation.

@@ -30,6 +30,14 @@ fn validate_common(s: &str) -> Result<(), TopicError> {
     Ok(())
 }
 
+/// FNV-1a over `bytes`: the hash behind [`crate::shard::shard_of`] (stable
+/// across processes) and the stream decoder's name table.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// A validated topic name (no wildcards).
 ///
 /// The name is a shared string: a clone bumps a reference count, so a

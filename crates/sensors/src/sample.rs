@@ -240,9 +240,10 @@ impl Sample {
         out
     }
 
-    /// Encodes to a shared [`bytes::Bytes`] buffer — the one allocation a
-    /// sample costs between sensing and the wire; the publish path
-    /// reference-shares it all the way to subscribers.
+    /// Encodes to a shared [`bytes::Bytes`] buffer, for a sample that must
+    /// be held (the node's offline queue). A connected publish needs no
+    /// buffer of the sample's own: it writes [`Sample::encode`]'s image
+    /// straight into the PUBLISH frame.
     pub fn encode_bytes(&self) -> bytes::Bytes {
         bytes::Bytes::copy_from_slice(&self.encode())
     }

@@ -34,8 +34,11 @@ use ifot::core::wire::{decode_items_on, encode_batch_binary, WireFormat};
 use ifot::ml::feature::{Datum, DEFAULT_DIMENSIONS};
 use ifot::ml::runtime::AnyClassifier;
 use ifot::mqtt::broker::{Action, BrokerConfig};
+use ifot::mqtt::client::{Client, ClientConfig, ClientEvent};
 use ifot::mqtt::codec::{encode, StreamDecoder};
-use ifot::mqtt::packet::{Connect, Packet, Publish, QoS, Subscribe, SubscribeFilter};
+use ifot::mqtt::packet::{
+    Connack, Connect, ConnectReturnCode, Packet, Publish, QoS, Subscribe, SubscribeFilter,
+};
 use ifot::mqtt::shard::{shard_of, ShardOutput, ShardedBroker};
 use ifot::mqtt::topic::{TopicFilter, TopicName};
 use ifot::mqtt::wal::{MemBackend, Wal, WalBackend, WalConfig, WalRecord};
@@ -309,15 +312,18 @@ fn step(warmup_ns: u64, measure_ns: u64) -> Legs {
 }
 
 /// Committed budgets, in allocation calls per sample (three samples make
-/// one prediction), as measured on the `.offline-stubs` build. The last
-/// leg measures 3.33 — ten per prediction: six for the three frames' topic
-/// and payload handles, the join's and the predictor's output lists, two
-/// hashed vectors and the returned label — and gets one more of room.
-/// The broker leg measures 3.00 — the topic, and the two of the shared
-/// delivery frame's `Bytes` — and gets a tenth of room.
-const SENSE_PUBLISH_BUDGET: f64 = 4.0;
-const BROKER_ROUTE_BUDGET: f64 = 3.3;
-const INGEST_EXEC_BUDGET: f64 = 4.34;
+/// one prediction), as measured on the `.offline-stubs` build. The first
+/// leg measures 2.00 — the one PUBLISH frame the sample's image is written
+/// into, a `Bytes` — and gets a tenth of room. The broker leg measures
+/// 0.00: the name is one the stream repeats and the frame that arrived is
+/// the frame that is forwarded. The last leg measures 1.33 — four per
+/// prediction: the join's and the predictor's output lists and two hashed
+/// vectors; the three frames' names, their payloads (views of the frames)
+/// and the client's event list cost nothing — and gets half an allocation
+/// per prediction of room.
+const SENSE_PUBLISH_BUDGET: f64 = 2.2;
+const BROKER_ROUTE_BUDGET: f64 = 0.1;
+const INGEST_EXEC_BUDGET: f64 = 1.5;
 
 #[test]
 fn one_samples_journey_stays_within_its_allocation_budget() {
@@ -471,38 +477,107 @@ fn topic(s: &str) -> TopicName {
 
 #[test]
 fn decoding_off_a_stream_allocates_only_what_the_packet_keeps() {
+    let cost = bytes_cost();
     let puback = encode(&Packet::Puback(7));
-    let publish = encode(&Packet::Publish(Publish::qos1(
-        topic("sensor/1/sound"),
+    let name = topic("sensor/1/sound");
+    let qos0 = encode(&Packet::Publish(Publish::qos0(name.clone(), vec![9u8; 32])));
+    let qos1 = encode(&Packet::Publish(Publish::qos1(name, vec![9u8; 32], 7)));
+    let other = encode(&Packet::Publish(Publish::qos0(
+        topic("sensor/2/sound"),
         vec![9u8; 32],
-        7,
     )));
     let mut decoder = StreamDecoder::new();
-    // The first bytes give the stream buffer its room.
-    decoder.feed(&publish[..]);
+    // The first bytes (the longest frame) give the stream buffer its room,
+    // the first publish makes the stream's name table.
+    decoder.feed(&qos1[..]);
     decoder.next_packet().expect("valid").expect("complete");
 
-    let (spent, packet) = allocs_in(|| {
-        decoder.feed(&puback[..]);
-        decoder.next_packet()
-    });
-    assert_eq!(packet, Ok(Some(Packet::Puback(7))));
+    let mut pop = |feed: &dyn Fn(&mut StreamDecoder)| {
+        let (spent, packet) = allocs_in(|| {
+            feed(&mut decoder);
+            decoder.next_packet()
+        });
+        (spent, packet.expect("valid").expect("complete"))
+    };
+    let (spent, packet) = pop(&|d| d.feed(&puback[..]));
+    assert_eq!(packet, Packet::Puback(7));
     assert_eq!(spent, 0, "a fixed-size packet is read where it lies");
 
-    let (spent, packet) = allocs_in(|| {
-        decoder.feed(&publish[..]);
-        decoder.next_packet()
-    });
-    assert!(matches!(packet, Ok(Some(Packet::Publish(_)))));
-    assert_eq!(spent, 1 + bytes_cost(), "the topic and the payload");
+    // A QoS 0 PUBLISH off the stream: one buffer, the frame it keeps (the
+    // payload is a view of it) — and the name, the first time only.
+    let (spent, _) = pop(&|d| d.feed(&other[..]));
+    assert_eq!(spent, 1 + cost, "a new name, and the frame");
+    for frame in [&other, &qos0] {
+        let (spent, packet) = pop(&|d| d.feed(&frame[..]));
+        assert!(matches!(packet, Packet::Publish(_)));
+        assert_eq!(spent, cost, "the frame; the stream knows the name");
+    }
+    // QoS 1 keeps no frame: its payload is the one copy, as it was.
+    let (spent, _) = pop(&|d| d.feed(&qos1[..]));
+    assert_eq!(spent, cost, "the payload");
 
-    // A whole shared frame: the payload is a view of it.
-    let (spent, packet) = allocs_in(|| {
-        decoder.feed(&publish);
-        decoder.next_packet()
+    // A whole shared frame with a repeated name: views of what arrived.
+    for frame in [&qos0, &qos1] {
+        let (spent, packet) = pop(&|d| d.feed(frame));
+        assert!(matches!(packet, Packet::Publish(_)));
+        assert_eq!(spent, 0);
+    }
+}
+
+/// A client session whose CONNECT was accepted, with the event and packet
+/// lists that CONNACK went through.
+fn connected_client(id: &str) -> (Client, Vec<ClientEvent>, Vec<Packet>) {
+    let connack = Packet::Connack(Connack {
+        session_present: false,
+        code: ConnectReturnCode::Accepted,
     });
-    assert!(matches!(packet, Ok(Some(Packet::Publish(_)))));
-    assert_eq!(spent, 1, "the topic");
+    let mut client = Client::new(id, ClientConfig::default());
+    client.connect().expect("first connect");
+    let (mut events, mut out) = (Vec::new(), Vec::new());
+    client
+        .handle_packet_into(connack, 0, &mut events, &mut out)
+        .expect("accepted");
+    (client, events, out)
+}
+
+#[test]
+fn a_client_publish_from_borrowed_bytes_allocates_its_frame_only() {
+    let (mut client, ..) = connected_client("edge");
+    let name = topic("sensor/1/sound");
+    let image = Sample::new(SensorKind::Sound, 1, 9, 555, &[40.0]).encode();
+    let cost = bytes_cost();
+
+    let (spent, frame) =
+        allocs_in(|| client.publish_frame(&name, &image, QoS::AtMostOnce, false, 1));
+    assert_eq!(spent, cost, "QoS 0: the frame");
+    assert!(frame.expect("connected").ends_with(&image));
+
+    // One publish stays unacknowledged, so the in-flight map keeps its node.
+    client
+        .publish_frame(&name, &image, QoS::AtLeastOnce, false, 2)
+        .expect("connected");
+    let (spent, frame) =
+        allocs_in(|| client.publish_frame(&name, &image, QoS::AtLeastOnce, false, 3));
+    assert_eq!(
+        spent, cost,
+        "QoS 1: the tracked copy is a view of the frame"
+    );
+    assert!(frame.expect("connected").ends_with(&image));
+    assert_eq!(client.inflight_count(), 2);
+}
+
+#[test]
+fn an_inbound_qos0_publish_costs_the_client_nothing() {
+    let (mut client, mut events, mut out) = connected_client("hub");
+    let message = Packet::Publish(Publish::qos0(topic("sensor/1/sound"), vec![9u8; 32]));
+    // The CONNACK's event gave the list its room.
+    events.clear();
+    let (spent, result) =
+        allocs_in(|| client.handle_packet_into(message, 1, &mut events, &mut out));
+    result.expect("handled");
+    assert_eq!(spent, 0);
+    assert!(matches!(events[..], [ClientEvent::Message(_)]));
+    assert!(out.is_empty());
 }
 
 #[test]

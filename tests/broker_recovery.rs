@@ -372,13 +372,10 @@ fn retained_messages_survive_restart_plain_broker() {
         Broker::<u8>::open_durable(BrokerConfig::default(), Box::new(backend.clone()))
             .expect("open");
 
-    let retained = |t: &str, payload: &[u8]| Publish {
-        dup: false,
-        qos: QoS::AtMostOnce,
-        retain: true,
-        topic: topic(t),
-        packet_id: None,
-        payload: payload.to_vec().into(),
+    let retained = |t: &str, payload: &[u8]| {
+        let mut p = Publish::qos0(topic(t), payload.to_vec());
+        p.retain = true;
+        p
     };
     broker.publish_internal(retained("conf/a", b"alpha"), 0);
     broker.publish_internal(retained("conf/b", b"beta"), 0);

@@ -248,7 +248,10 @@ fn a_delivery_over_tcp_stays_within_its_allocation_budget() {
     });
     // QoS 0 at fan-out 16 over four times the match cache: every publish
     // misses the cache in each of the four shards' trees and in the origin's
-    // replica. Measured: 1.31 on the stand-in.
+    // replica, and every name is new to its stream's name table. The frame
+    // is not among the costs of routing: the one copy made off the socket
+    // is the frame all four shards send. Measured: 0.813 on the stand-in
+    // (1.313 while every shard with a subscriber encoded its own).
     let fanout = allocations_per_delivery(&Shape {
         name: "fanout_qos0",
         qos: QoS::AtMostOnce,
@@ -268,5 +271,6 @@ fn a_delivery_over_tcp_stays_within_its_allocation_budget() {
         durable <= durable_budget,
         "durable QoS 1, fan-out 4: {durable:.3} > {durable_budget:.3}"
     );
-    assert!(fanout <= 2.5, "QoS 0, fan-out 16: {fanout:.3} > 2.5");
+    // Measured + 10 %; a `Bytes` of one allocation only lowers it.
+    assert!(fanout <= 0.9, "QoS 0, fan-out 16: {fanout:.3} > 0.9");
 }

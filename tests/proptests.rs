@@ -59,13 +59,14 @@ fn arb_publish() -> impl Strategy<Value = Publish> {
         prop::collection::vec(any::<u8>(), 0..128),
         1u16..=u16::MAX,
     )
-        .prop_map(|(topic, qos, dup, retain, payload, pid)| Publish {
-            dup: dup && qos != QoS::AtMostOnce,
-            qos,
-            retain,
-            topic: TopicName::new(topic).expect("generated topics are valid"),
-            packet_id: (qos != QoS::AtMostOnce).then_some(pid),
-            payload: payload.into(),
+        .prop_map(|(topic, qos, dup, retain, payload, pid)| {
+            let topic = TopicName::new(topic).expect("generated topics are valid");
+            let mut p = Publish::qos0(topic, payload);
+            p.dup = dup && qos != QoS::AtMostOnce;
+            p.qos = qos;
+            p.retain = retain;
+            p.packet_id = (qos != QoS::AtMostOnce).then_some(pid);
+            p
         })
 }
 
@@ -365,14 +366,8 @@ proptest! {
         );
         broker.connection_opened(0, 0);
         broker.handle_packet(&0, Packet::Connect(Connect::new("pub")), 0);
-        let publish = Publish {
-            dup: false,
-            qos,
-            retain: false,
-            topic: TopicName::new("t").expect("valid"),
-            packet_id: Some(7),
-            payload: payload.clone().into(),
-        };
+        let mut publish = Publish::qos1(TopicName::new("t").expect("valid"), payload.clone(), 7);
+        publish.qos = qos;
         // The broker routes on first receipt for both QoS levels (QoS 2
         // deduplicates repeats of the pid until PUBREL closes the window).
         let actions = broker.handle_packet(&0, Packet::Publish(publish.clone()), 0);

@@ -1,8 +1,10 @@
 //! The bytes did not move: MQTT frames and write-ahead-log bytes against
 //! goldens recorded at the commit before the broker's per-packet path
 //! stopped allocating its scratch (PR 20), and the stream decoder against
-//! itself under every chunking. Seed-driven sweeps, so they run on the
-//! offline build too; a failure prints its seed. (What needs crate
+//! itself under every chunking, and the frames a broker forwards — kept
+//! as they arrived or encoded — against frames assembled by hand.
+//! Seed-driven sweeps, so they run on the offline build too; a failure
+//! prints its seed. (What needs crate
 //! internals sits beside them: the per-kind record writers against
 //! `encode_record` in `wal.rs` and `broker.rs`, the decoder's buffer
 //! bounds in `codec.rs`.)
@@ -14,6 +16,7 @@ use ifot::mqtt::packet::{
     Connack, Connect, ConnectReturnCode, LastWill, Packet, Publish, QoS, Suback, SubackCode,
     Subscribe, SubscribeFilter, Unsubscribe,
 };
+use ifot::mqtt::shard::{shard_of, ShardedBroker};
 use ifot::mqtt::topic::{TopicFilter, TopicName};
 use ifot::mqtt::wal::MemBackend;
 use ifot::netsim::rng::SimRng;
@@ -411,4 +414,251 @@ fn a_corrupt_frame_is_an_error_and_never_a_panic() {
     let mut dec = StreamDecoder::new();
     dec.feed(&[0x41u8, 0x02, 0x00, 0x01][..]);
     assert!(dec.next_packet().is_err(), "PUBACK with flags");
+}
+
+// ---------------------------------------------------------------------------
+// (d) the forwarded frame is the encoded frame
+// ---------------------------------------------------------------------------
+
+/// The remaining-length varint of `len`: minimal, or padded with one
+/// redundant continuation byte (which the decoder accepts).
+fn remaining_length(mut len: usize, padded: bool) -> Vec<u8> {
+    let mut out = Vec::new();
+    while len >= 128 {
+        out.push((len % 128) as u8 | 0x80);
+        len /= 128;
+    }
+    out.push(len as u8);
+    if padded {
+        *out.last_mut().expect("one byte at least") |= 0x80;
+        out.push(0);
+    }
+    out
+}
+
+/// A PUBLISH frame assembled by hand: the reference every frame in the
+/// sweep is held against.
+fn publish_frame(
+    first: u8,
+    topic: &str,
+    pid: Option<u16>,
+    payload: &[u8],
+    padded: bool,
+) -> Vec<u8> {
+    let mut body = (topic.len() as u16).to_be_bytes().to_vec();
+    body.extend_from_slice(topic.as_bytes());
+    if let Some(pid) = pid {
+        body.extend_from_slice(&pid.to_be_bytes());
+    }
+    body.extend_from_slice(payload);
+    let mut frame = vec![first];
+    frame.extend(remaining_length(body.len(), padded));
+    frame.extend(body);
+    frame
+}
+
+/// A `Broker` or a `ShardedBroker` behind one face: a packet in, every
+/// action it causes out (cross-shard forwards applied).
+enum Fleet {
+    One(Broker<u32>),
+    Sharded(ShardedBroker<u32>),
+}
+
+impl Fleet {
+    fn with_shards(shards: Option<usize>) -> Fleet {
+        match shards {
+            None => Fleet::One(Broker::new()),
+            Some(shards) => Fleet::Sharded(ShardedBroker::new(BrokerConfig {
+                shards,
+                ..BrokerConfig::default()
+            })),
+        }
+    }
+
+    fn opened(&mut self, conn: u32) {
+        match self {
+            Fleet::One(b) => b.connection_opened(conn, 0),
+            Fleet::Sharded(b) => b.connection_opened(conn, 0),
+        }
+    }
+
+    fn handle(&mut self, conn: u32, packet: Packet) -> Vec<Action<u32>> {
+        match self {
+            Fleet::One(b) => b.handle_packet(&conn, packet, 0),
+            Fleet::Sharded(b) => b.resolve(b.handle_packet(&conn, packet, 0), 0),
+        }
+    }
+}
+
+const PUBLISHER: u32 = 1_000;
+
+/// A fleet with a QoS 0 and a QoS 1 subscriber of `s/#` on every shard and
+/// the publisher on shard 0. Returns it with its subscriber count per QoS.
+fn subscribed_fleet(shards: Option<usize>) -> (Fleet, usize) {
+    let mut fleet = Fleet::with_shards(shards);
+    let n = shards.unwrap_or(1);
+    let id_on = |prefix: &str, shard: usize| {
+        (0..)
+            .map(|i| format!("{prefix}{i}"))
+            .find(|id| shard_of(id, n) == shard)
+            .expect("some id lands on every shard")
+    };
+    for shard in 0..n {
+        for (qos, prefix) in [(QoS::AtMostOnce, "q0-"), (QoS::AtLeastOnce, "q1-")] {
+            let conn = 2 * shard as u32 + qos.bits() as u32;
+            fleet.opened(conn);
+            fleet.handle(conn, Packet::Connect(Connect::new(id_on(prefix, shard))));
+            let subscribe = Subscribe {
+                packet_id: 1,
+                filters: vec![SubscribeFilter {
+                    filter: TopicFilter::new("s/#").expect("valid filter"),
+                    qos,
+                }],
+            };
+            fleet.handle(conn, Packet::Subscribe(subscribe));
+        }
+    }
+    fleet.opened(PUBLISHER);
+    fleet.handle(PUBLISHER, Packet::Connect(Connect::new(id_on("pub-", 0))));
+    (fleet, n)
+}
+
+/// Whether `frame` and `view` are one buffer: `view` is the tail of it.
+fn tail_of(frame: &Bytes, view: &Bytes) -> bool {
+    let end = frame.as_ptr() as usize + frame.len();
+    view.as_ptr() as usize + view.len() == end && view.len() <= frame.len()
+}
+
+#[test]
+fn a_forwarded_frame_is_the_encoded_frame() {
+    let mut fleets: Vec<(Fleet, usize)> = [None, Some(1), Some(2), Some(4)]
+        .into_iter()
+        .map(subscribed_fleet)
+        .collect();
+    let (mut kept_seen, mut encoded_seen) = (0, 0);
+    for seed in 0..1_000 {
+        let mut rng = SimRng::seed_from(seed);
+        let letters = 1 + rng.below(12) as usize;
+        let name = format!("s/{}", text(&mut rng, letters));
+        let payload = vec![seed as u8; [0usize, 32, 130, 64 * 1024][rng.below(4) as usize]];
+        let qos = rng.below(3) as u8;
+        let pid = (qos > 0).then(|| 1 + rng.below(u64::from(u16::MAX)) as u16);
+        let dup = qos > 0 && rng.chance(0.3);
+        let retain = rng.chance(0.3);
+        let padded = rng.chance(0.3);
+        let first = 0x30 | u8::from(dup) << 3 | qos << 1 | u8::from(retain);
+        let inbound: Bytes = publish_frame(first, &name, pid, &payload, padded).into();
+        // The frame is its own QoS 0 delivery under exactly this condition.
+        let is_delivery = first == 0x30 && !padded;
+        let delivery = publish_frame(0x30, &name, None, &payload, false);
+        assert_eq!(is_delivery, inbound == delivery, "seed {seed}");
+
+        // Whole, and cut in two somewhere — inside the varint included.
+        let cut = 1 + rng.below(inbound.len() as u64 - 1) as usize;
+        let cut = if rng.chance(0.3) { 2 } else { cut };
+        for whole in [true, false] {
+            let mut decoder = StreamDecoder::new();
+            if whole {
+                decoder.feed(&inbound);
+            } else {
+                decoder.feed(&inbound[..cut]);
+                assert_eq!(decoder.next_packet(), Ok(None), "seed {seed}");
+                decoder.feed(&inbound[cut..]);
+            }
+            let Ok(Some(Packet::Publish(publish))) = decoder.next_packet() else {
+                panic!("seed {seed}: the frame holds a publish");
+            };
+            assert_eq!(publish.topic.as_str(), name, "seed {seed}");
+            assert_eq!(publish.payload, payload, "seed {seed}");
+            assert_eq!(
+                (
+                    publish.qos.bits(),
+                    publish.packet_id,
+                    publish.dup,
+                    publish.retain
+                ),
+                (qos, pid, dup, retain),
+                "seed {seed}"
+            );
+            assert_eq!(encode_qos0_delivery(&publish), delivery, "seed {seed}");
+
+            for (fleet, shards) in &mut fleets {
+                let at = format!("seed {seed}, {shards} shard(s), whole {whole}");
+                let actions = fleet.handle(PUBLISHER, Packet::Publish(publish.clone()));
+                let mut frames: Vec<&Bytes> = Vec::new();
+                let mut sends = 0;
+                for action in &actions {
+                    match action {
+                        Action::SendFrame { frame, .. } => {
+                            assert!(**frame == delivery, "{at}: a QoS 0 delivery");
+                            frames.push(frame);
+                        }
+                        Action::Send {
+                            conn: PUBLISHER,
+                            packet,
+                        } => {
+                            let ack = [0x30 + (qos << 4), 2]; // PUBACK, PUBREC
+                            let pid = pid.expect("only QoS 1/2 is acknowledged");
+                            let expected = [&ack[..], &pid.to_be_bytes()].concat();
+                            assert_eq!(encode(packet), expected, "{at}: the acknowledgement");
+                        }
+                        Action::Send { packet, .. } => {
+                            let Packet::Publish(p) = packet else {
+                                panic!("{at}: {packet:?} to a subscriber");
+                            };
+                            let expected = publish_frame(0x32, &name, p.packet_id, &payload, false);
+                            assert!(encode(packet) == expected, "{at}: a QoS 1 delivery");
+                            sends += 1;
+                        }
+                        Action::Close { conn } => panic!("{at}: closed {conn}"),
+                    }
+                }
+                // QoS 0 subscribers always get the frame; QoS 1 subscribers
+                // get it when the publish came at QoS 0.
+                let (q0, q1) = if qos == 0 {
+                    (2 * *shards, 0)
+                } else {
+                    (*shards, *shards)
+                };
+                assert_eq!((frames.len(), sends), (q0, q1), "{at}");
+
+                // Kept exactly when the inbound frame already was the
+                // delivery: then every subscriber on every shard is sent
+                // the buffer the decoder made (or was handed).
+                let one_buffer = frames.iter().all(|f| f.as_ptr() == frames[0].as_ptr());
+                if is_delivery {
+                    kept_seen += 1;
+                    assert!(one_buffer, "{at}: one buffer for all shards");
+                    assert_eq!(whole, frames[0].as_ptr() == inbound.as_ptr(), "{at}");
+                } else {
+                    encoded_seen += 1;
+                    assert!(*shards > 1 || one_buffer, "{at}: one encode per shard");
+                }
+                // (An empty view need not point into its buffer.)
+                if !payload.is_empty() {
+                    let kept = tail_of(frames[0], &publish.payload);
+                    assert_eq!(kept, is_delivery, "{at}: the payload views a kept frame");
+                }
+
+                // Complete every flow, so windows and id sets stay open.
+                for action in actions {
+                    if let Action::Send {
+                        conn,
+                        packet: Packet::Publish(p),
+                    } = action
+                    {
+                        let ack = Packet::Puback(p.packet_id.expect("a QoS 1 delivery"));
+                        fleet.handle(conn, ack);
+                    }
+                }
+                if qos == 2 {
+                    fleet.handle(PUBLISHER, Packet::Pubrel(pid.expect("QoS 2")));
+                }
+            }
+        }
+    }
+    assert!(
+        kept_seen > 1_000 && encoded_seen > 1_000,
+        "{kept_seen} / {encoded_seen}"
+    );
 }

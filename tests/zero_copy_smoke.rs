@@ -267,14 +267,8 @@ fn qos2_release_preserves_payload() {
     broker.connection_opened(0, 0);
     broker.handle_packet(&0, Packet::Connect(Connect::new("pub")), 0);
 
-    let publish = Publish {
-        dup: false,
-        qos: QoS::ExactlyOnce,
-        retain: false,
-        topic: topic("t"),
-        packet_id: Some(7),
-        payload: Bytes::from_static(b"exactly"),
-    };
+    let mut publish = Publish::qos1(topic("t"), Bytes::from_static(b"exactly"), 7);
+    publish.qos = QoS::ExactlyOnce;
     let first = deliveries_to(
         &broker.handle_packet(&0, Packet::Publish(publish.clone()), 0),
         1,
