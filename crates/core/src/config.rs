@@ -5,7 +5,6 @@
 //! module receives the sensor, analysis and actuator classes it must run.
 
 use ifot_mqtt::packet::QoS;
-use ifot_mqtt::supervisor::ReconnectConfig;
 use ifot_sensors::inject::FaultWindow;
 use ifot_sensors::sample::SensorKind;
 
@@ -317,9 +316,6 @@ pub struct NodeConfig {
     /// the client is disconnected are buffered (oldest dropped beyond
     /// this bound) and flushed on reconnect. 0 disables buffering.
     pub offline_queue_capacity: usize,
-    /// Reconnect supervision tuning (dead-peer grace, CONNACK timeout,
-    /// backoff bounds and jitter).
-    pub reconnect: ReconnectConfig,
     /// Participate in the discovery plane: publish a retained
     /// announcement on connect and an offline last will (see
     /// [`crate::discovery`]).
@@ -356,22 +352,6 @@ pub struct NodeConfig {
     /// default: per-frame dispatch order — and therefore seeded netsim
     /// trace digests — is unchanged at defaults.
     pub stage_coalesce: bool,
-    /// Load-heartbeat period in milliseconds: publish a retained
-    /// [`crate::discovery::LoadReport`] (per-stage queue-wait, depth,
-    /// shed and processed counters) on `ifot/announce/<node>/load` every
-    /// period. `0` (the default) disables the heartbeat, keeping the
-    /// announcement plane — and seeded netsim digests — unchanged.
-    pub load_report_ms: u64,
-    /// Accept live shard migrations: subscribe `ifot/control/<node>`
-    /// and execute [`crate::rebalance::ControlCommand`]s (give up or
-    /// install sharded stages at runtime). Off by default.
-    pub accept_migrations: bool,
-    /// Run the rebalancing controller on this node (requires
-    /// [`NodeConfig::track_directory`] so the load view exists): tick a
-    /// [`crate::rebalance::Rebalancer`] against the local directory and
-    /// publish its migration decisions on the control plane. `None`
-    /// (the default) disables the controller.
-    pub rebalance: Option<crate::rebalance::RebalanceConfig>,
 }
 
 impl NodeConfig {
@@ -391,7 +371,6 @@ impl NodeConfig {
             keep_alive_secs: 30,
             persistent_session: false,
             offline_queue_capacity: 64,
-            reconnect: ReconnectConfig::default(),
             announce: false,
             track_directory: false,
             executor: ExecutorConfig::default(),
@@ -399,33 +378,7 @@ impl NodeConfig {
             batch_linger_ms: 0,
             adaptive_linger: false,
             stage_coalesce: false,
-            load_report_ms: 0,
-            accept_migrations: false,
-            rebalance: None,
         }
-    }
-
-    /// Publishes retained load heartbeats every `period_ms` milliseconds
-    /// (builder style; see [`NodeConfig::load_report_ms`]).
-    pub fn with_load_reports(mut self, period_ms: u64) -> Self {
-        self.load_report_ms = period_ms;
-        self
-    }
-
-    /// Accepts live shard migrations over the control plane (builder
-    /// style; see [`NodeConfig::accept_migrations`]).
-    pub fn with_migrations(mut self) -> Self {
-        self.accept_migrations = true;
-        self
-    }
-
-    /// Runs the rebalancing controller with the given thresholds
-    /// (builder style). Implies [`NodeConfig::with_directory`]: the
-    /// controller reads the local directory's load view.
-    pub fn with_rebalancer(mut self, config: crate::rebalance::RebalanceConfig) -> Self {
-        self.track_directory = true;
-        self.rebalance = Some(config);
-        self
     }
 
     /// Does nothing: the flow plane has one encoding. Kept because the
@@ -561,12 +514,6 @@ impl NodeConfig {
         self
     }
 
-    /// Sets the reconnect supervision tuning (builder style).
-    pub fn with_reconnect(mut self, reconnect: ReconnectConfig) -> Self {
-        self.reconnect = reconnect;
-        self
-    }
-
     /// Every topic filter this node's operators subscribe to
     /// (deduplicated, order-preserving).
     pub fn subscription_filters(&self) -> Vec<String> {
@@ -582,12 +529,6 @@ impl NodeConfig {
             let announce = crate::discovery::announce_filter();
             if !out.contains(&announce) {
                 out.push(announce);
-            }
-        }
-        if self.accept_migrations {
-            let control = crate::rebalance::control_topic(&self.name);
-            if !out.contains(&control) {
-                out.push(control);
             }
         }
         out

@@ -22,18 +22,9 @@ use ifot_mqtt::topic::{TopicFilter, TopicName};
 /// Topic prefix of the announcement plane.
 pub const ANNOUNCE_PREFIX: &str = "ifot/announce";
 
-/// Suffix distinguishing load heartbeats from announcements on the
-/// announcement plane.
-const LOAD_SUFFIX: &str = "/load";
-
 /// The announcement topic of a node.
 pub fn announce_topic(node: &str) -> String {
     format!("{ANNOUNCE_PREFIX}/{node}")
-}
-
-/// The load-heartbeat topic of a node.
-pub fn load_topic(node: &str) -> String {
-    format!("{ANNOUNCE_PREFIX}/{node}{LOAD_SUFFIX}")
 }
 
 /// The filter that observes every announcement.
@@ -98,66 +89,6 @@ impl NodeAnnouncement {
     }
 }
 
-/// Cumulative load counters for one executor stage, lifted from
-/// `StageStats` into the heartbeat a node publishes on its load topic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageLoad {
-    /// Operator id of the stage.
-    pub op: String,
-    /// `(modulus, index)` for sequence-sharded stages, `None` otherwise.
-    pub shard: Option<(u64, u64)>,
-    /// Current mailbox depth.
-    pub depth: usize,
-    /// Items executed so far.
-    pub processed: u64,
-    /// Items shed by the mailbox policy so far.
-    pub shed: u64,
-    /// Total queue wait accumulated by executed items (ns).
-    pub wait_ns_total: u64,
-}
-
-impl StageLoad {
-    /// Mean queue wait per executed item in milliseconds.
-    pub fn mean_wait_ms(&self) -> f64 {
-        if self.processed == 0 {
-            0.0
-        } else {
-            self.wait_ns_total as f64 / self.processed as f64 / 1e6
-        }
-    }
-}
-
-/// The retained load heartbeat a node publishes on
-/// `ifot/announce/<node>/load`.
-///
-/// Counters are cumulative; consumers (the rebalancer) difference
-/// consecutive reports to obtain windowed rates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadReport {
-    /// Node name.
-    pub node: String,
-    /// Report time (nanoseconds, reporting node's clock).
-    pub at_ns: u64,
-    /// Per-stage cumulative counters.
-    pub stages: Vec<StageLoad>,
-}
-
-impl LoadReport {
-    /// Serializes to the wire payload: a load frame.
-    pub fn encode(&self) -> Vec<u8> {
-        crate::wire::encode_load_binary(self)
-    }
-
-    /// Parses from a wire payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description for malformed payloads.
-    pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        crate::wire::decode_load_binary(bytes)
-    }
-}
-
 /// A live view of the announcement plane: who is online and what streams
 /// exist.
 ///
@@ -184,7 +115,6 @@ impl LoadReport {
 #[derive(Debug, Clone, Default)]
 pub struct FlowDirectory {
     nodes: BTreeMap<String, NodeAnnouncement>,
-    loads: BTreeMap<String, LoadReport>,
     malformed: u64,
     stale: u64,
 }
@@ -196,21 +126,21 @@ impl FlowDirectory {
     }
 
     /// Feeds one message from the announcement plane. Messages on other
-    /// topics are ignored; malformed payloads are counted.
+    /// topics are ignored; malformed payloads are counted, and so is
+    /// anything below `ifot/announce/<node>` — the plane is one level
+    /// deep, and a deeper topic (a retained `…/<node>/load` heartbeat an
+    /// older build left in a durable broker, say) names no node.
     pub fn apply(&mut self, topic: &str, payload: &[u8]) {
-        let Some(rest) = topic.strip_prefix(&format!("{ANNOUNCE_PREFIX}/")) else {
+        let Some(node) = topic
+            .strip_prefix(ANNOUNCE_PREFIX)
+            .and_then(|rest| rest.strip_prefix('/'))
+        else {
             return;
         };
-        if let Some(node) = rest.strip_suffix(LOAD_SUFFIX) {
-            match LoadReport::decode(payload) {
-                Ok(report) if report.node == node => {
-                    self.loads.insert(node.to_owned(), report);
-                }
-                Ok(_) | Err(_) => self.malformed += 1,
-            }
+        if node.contains('/') {
+            self.malformed += 1;
             return;
         }
-        let node = rest;
         match NodeAnnouncement::decode(payload) {
             Ok(ann) if ann.node == node => {
                 // A live announcement with a lower revision than the one
@@ -239,16 +169,6 @@ impl FlowDirectory {
     /// Stale (lower-revision) announcements that were rejected.
     pub fn stale_count(&self) -> u64 {
         self.stale
-    }
-
-    /// The latest load report of a node, if any.
-    pub fn load(&self, node: &str) -> Option<&LoadReport> {
-        self.loads.get(node)
-    }
-
-    /// All load reports, keyed by node name.
-    pub fn loads(&self) -> &BTreeMap<String, LoadReport> {
-        &self.loads
     }
 
     /// Names of currently online nodes, sorted.
@@ -401,47 +321,16 @@ mod tests {
         assert!(dir.is_empty());
         // Non-announce topics ignored silently.
         dir.apply("sensor/1/sound", b"whatever");
+        dir.apply("ifot/announcements/x", b"whatever");
         assert_eq!(dir.malformed_count(), 2);
-    }
-
-    #[test]
-    fn load_reports_aggregate_next_to_announcements() {
-        let mut dir = FlowDirectory::new();
-        dir.apply(
-            &announce_topic("a"),
-            &ann("a", true, &[("sensor/1/sound", "sound")]).encode(),
-        );
-        let report = LoadReport {
-            node: "a".into(),
-            at_ns: 42,
-            stages: vec![StageLoad {
-                op: "predict".into(),
-                shard: Some((4, 1)),
-                depth: 3,
-                processed: 10,
-                shed: 1,
-                wait_ns_total: 20_000_000,
-            }],
-        };
-        dir.apply(&load_topic("a"), &report.encode());
-        assert_eq!(dir.load("a"), Some(&report));
-        assert_eq!(dir.loads().len(), 1);
-        // The heartbeat must not shadow or corrupt the announcement.
-        assert_eq!(dir.online_nodes(), vec!["a"]);
-        assert_eq!(dir.node("a").expect("present").streams.len(), 1);
-        assert!((report.stages[0].mean_wait_ms() - 2.0).abs() < 1e-9);
-        // Spoofed / malformed load reports are counted, not stored.
-        dir.apply(&load_topic("b"), &report.encode());
-        dir.apply(&load_topic("a"), b"not a frame");
-        assert_eq!(dir.malformed_count(), 2);
-        assert!(dir.load("b").is_none());
-
-        // Round trip through the binary heartbeat frame.
-        assert_eq!(
-            LoadReport::decode(&report.encode()).expect("round trip"),
-            report
-        );
-        assert!(LoadReport::decode(b"junk").is_err());
+        // The plane is one level deep: a topic below a node's own is not
+        // a node, whatever the frame on it claims to be.
+        let nested = ann("x/load", true, &[("t", "sound")]);
+        dir.apply(&announce_topic("x/load"), &nested.encode());
+        dir.apply(&announce_topic("x/load"), b"not a frame");
+        dir.apply(&announce_topic("x"), &nested.encode());
+        assert_eq!(dir.malformed_count(), 5);
+        assert!(dir.is_empty());
     }
 
     #[test]

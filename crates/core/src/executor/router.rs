@@ -9,17 +9,16 @@
 //! ingress, the node thread's local emissions and the worker handoff all
 //! call the pair and differ only in how they *admit* the resulting
 //! `(route, work item)`: run to completion, blocking enqueue, or
-//! try-enqueue (the handoff takes its ingress locks and re-checks the
-//! topology version between the two halves).
+//! try-enqueue (the handoff takes its ingress locks and tries the
+//! capacity between the two halves).
 //!
-//! Resolution is memoized per topic. [`SharedRouteView`] owns the spec
-//! snapshot and a mutation version; every mutation of the underlying
-//! specs drops the memo and bumps the version, a capacity cap clears it
-//! when full.
+//! Resolution is memoized per topic. [`SharedRouteView`] owns the specs
+//! the graph was compiled from — they never change afterwards, so a
+//! resolved plan is good for the graph's lifetime — and the memo, which
+//! a capacity cap clears when full.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::config::OperatorSpec;
@@ -27,8 +26,9 @@ use crate::executor::WorkItem;
 use crate::flow::FlowItem;
 use crate::wire::DecodedItems;
 
-/// Resolved plans cached per topic; cleared when full (same policy as
-/// the MQTT tree's match cache).
+/// Resolved plans cached per topic, in the shared table and in each
+/// thread's own memo; cleared when full (same policy as the MQTT tree's
+/// match cache).
 const ROUTE_CACHE_CAP: usize = 1024;
 
 /// One accepting stage in a [`RoutePlan`].
@@ -82,10 +82,10 @@ impl RoutePlan {
 /// Plan half of the fan-out rule: the routes of `plan` that receive at
 /// least one item of a group whose sequence numbers are `seqs`, in
 /// stage order. Nothing is consumed, so a caller may still abandon the
-/// delivery (the worker handoff does, on a stale version or a saturated
-/// destination). Borrows the plan when every route claims something —
-/// always the case without sharded routes — so the common dispatch
-/// allocates nothing here.
+/// delivery (the worker handoff does, on a saturated destination).
+/// Borrows the plan when every route claims something — always the case
+/// without sharded routes — so the common dispatch allocates nothing
+/// here.
 pub fn claimants<I>(plan: &RoutePlan, seqs: I) -> Cow<'_, [StageRoute]>
 where
     I: Iterator<Item = u64> + Clone,
@@ -224,79 +224,58 @@ fn materialize_one(
     }
 }
 
-/// The thread-safe, mutation-versioned route-plan view the node thread
-/// and the worker pool both resolve through (each behind its own
-/// [`crate::executor::handoff::PlanCache`]).
-///
-/// Callers resolve against a *pinned* version: [`SharedRouteView::resolve`]
-/// returns `None` whenever the view has moved past the caller's pinned
-/// version, forcing a worker to fall back to node-thread delivery
-/// instead of routing on a stale topology. The version counter is the
-/// fence the migration protocol leans on — [`SharedRouteView::refresh`]
-/// bumps it (release-ordered) *before* the mutated graph is acted upon,
-/// so a worker that re-reads the version under a destination's ingress
-/// lock is guaranteed to observe the bump made before that destination
-/// was drained (the ingress mutex provides the happens-before edge).
-#[derive(Debug, Default)]
+/// The route table the node thread and the worker pool both resolve
+/// through, each behind its own
+/// [`crate::executor::handoff::PlanCache`]: the graph's operator specs,
+/// fixed at [`crate::executor::ExecutorGraph::compile`], and the plans
+/// resolved against them so far. The specs are read without a lock; the
+/// mutex guards the memo alone and is taken only when a thread's own
+/// cache misses.
+#[derive(Debug)]
 pub struct SharedRouteView {
-    /// Fast-path version stamp: readers validate a locally cached plan
-    /// with one acquire load instead of taking the mutex.
-    version: AtomicU64,
-    inner: Mutex<SharedRouteInner>,
-}
-
-#[derive(Debug, Default)]
-struct SharedRouteInner {
     specs: Vec<OperatorSpec>,
-    plans: HashMap<String, Arc<RoutePlan>>,
-    version: u64,
+    plans: Mutex<HashMap<String, Arc<RoutePlan>>>,
 }
 
 impl SharedRouteView {
-    /// Creates an empty view at version 0 (resolves nothing until the
-    /// first [`SharedRouteView::refresh`]).
-    pub fn new() -> Self {
-        Self::default()
+    /// The route table over `specs`.
+    pub fn new(specs: Vec<OperatorSpec>) -> Self {
+        SharedRouteView {
+            specs,
+            plans: Mutex::default(),
+        }
     }
 
-    /// The current route-topology version (acquire-ordered).
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
+    /// The operator specs, indexed like the stages.
+    pub fn specs(&self) -> &[OperatorSpec] {
+        &self.specs
     }
 
-    /// Replaces the spec snapshot, drops every memoized plan and bumps
-    /// the version. Call on *any* mutation of the underlying operator
-    /// set (install, retire, recompile) — before the mutation is acted
-    /// upon, so in-flight workers pinned to the old version go stale.
-    pub fn refresh(&self, specs: Vec<OperatorSpec>) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.specs = specs;
-        inner.plans.clear();
-        inner.version += 1;
-        let version = inner.version;
-        // Publish under the lock so version() never runs ahead of the
-        // specs it stamps.
-        self.version.store(version, Ordering::Release);
+    /// The memoized plan for `topic`, resolving and inserting on miss.
+    pub fn resolve(&self, topic: &str) -> Arc<RoutePlan> {
+        let mut plans = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
+        memoized(&mut plans, topic, || {
+            Arc::new(RoutePlan::resolve(&self.specs, topic))
+        })
     }
+}
 
-    /// The memoized plan for `topic` at `pinned_version`, resolving and
-    /// inserting on miss; `None` when the view has moved on (caller must
-    /// fall back to node-thread delivery and re-pin).
-    pub fn resolve(&self, topic: &str, pinned_version: u64) -> Option<Arc<RoutePlan>> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if inner.version != pinned_version {
-            return None;
-        }
-        if let Some(plan) = inner.plans.get(topic) {
-            return Some(Arc::clone(plan));
-        }
-        let plan = Arc::new(RoutePlan::resolve(&inner.specs, topic));
-        if inner.plans.len() >= ROUTE_CACHE_CAP {
-            inner.plans.clear();
-        }
-        inner.plans.insert(topic.to_owned(), Arc::clone(&plan));
-        Some(plan)
+/// The plan `plans` holds for `topic`, made by `resolve` and kept on a
+/// miss. A hit allocates nothing; a full memo is cleared first.
+pub(super) fn memoized(
+    plans: &mut HashMap<String, Arc<RoutePlan>>,
+    topic: &str,
+    resolve: impl FnOnce() -> Arc<RoutePlan>,
+) -> Arc<RoutePlan> {
+    if let Some(plan) = plans.get(topic) {
+        return Arc::clone(plan);
     }
+    let plan = resolve();
+    if plans.len() >= ROUTE_CACHE_CAP {
+        plans.clear();
+    }
+    plans.insert(topic.to_owned(), Arc::clone(&plan));
+    plan
 }
 
 #[cfg(test)]
@@ -503,50 +482,17 @@ mod tests {
     }
 
     #[test]
-    fn shared_view_resolves_only_at_the_pinned_version() {
-        let view = SharedRouteView::new();
-        view.refresh(vec![custom("a", vec!["s/#".into()])]);
-        let v = view.version();
-        assert_eq!(v, 1);
-
-        let plan = view.resolve("s/1", v).expect("current version resolves");
-        assert_eq!(plan.stages.len(), 1);
+    fn route_table_memoizes_and_the_cap_clears_instead_of_growing() {
+        let view = SharedRouteView::new(vec![custom("a", vec!["s/#".into()])]);
+        let plan = view.resolve("s/1");
+        assert_eq!(plan.stages, vec![route(0, None)]);
         // A hit shares the memoized plan.
-        let again = view.resolve("s/1", v).unwrap();
-        assert!(Arc::ptr_eq(&plan, &again));
-
-        // A stale pin resolves nothing, even for memoized topics.
-        view.refresh(vec![
-            custom("a", vec!["s/#".into()]),
-            custom("b", vec!["s/#".into()]),
-        ]);
-        assert!(view.resolve("s/1", v).is_none());
-        let v2 = view.version();
-        assert_eq!(view.resolve("s/1", v2).unwrap().stages.len(), 2);
-    }
-
-    #[test]
-    fn shared_view_version_zero_resolves_empty_spec_set() {
-        let view = SharedRouteView::new();
-        // Before the first refresh the view is valid but routes nothing.
-        let plan = view.resolve("s/1", 0).expect("version 0 is current");
-        assert!(plan.is_empty());
-    }
-
-    #[test]
-    fn shared_view_cap_clears_instead_of_growing() {
-        let view = SharedRouteView::new();
-        view.refresh(vec![custom("a", vec!["s/#".into()])]);
+        assert!(Arc::ptr_eq(&plan, &view.resolve("s/1")));
+        assert!(view.resolve("t/1").is_empty());
         for i in 0..(ROUTE_CACHE_CAP + 8) {
-            view.resolve(&format!("s/{i}"), 1);
+            view.resolve(&format!("s/{i}"));
         }
-        assert!(
-            view.inner
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .plans
-                .len()
-                <= ROUTE_CACHE_CAP
-        );
+        let memo = view.plans.lock().unwrap_or_else(PoisonError::into_inner);
+        assert!(memo.len() <= ROUTE_CACHE_CAP);
     }
 }

@@ -33,7 +33,6 @@ pub mod executor;
 pub mod flow;
 pub mod node;
 pub mod operators;
-pub mod rebalance;
 pub mod sim_adapter;
 pub mod thread_rt;
 pub mod wire;
@@ -43,12 +42,11 @@ pub use config::{
     SensorSpec, ShedPolicy,
 };
 pub use deploy::{deploy, DeployError, DeploymentPlan};
-pub use discovery::{FlowDirectory, LoadReport, NodeAnnouncement, StageLoad, StreamInfo};
+pub use discovery::{FlowDirectory, NodeAnnouncement, StreamInfo};
 pub use env::{MockEnv, NodeEnv};
 pub use executor::{ExecutorGraph, StageStats, StreamOperator};
 pub use flow::{topics, FlowBatch, FlowItem, FlowMessage};
 pub use node::{MiddlewareNode, MQTT_BROKER_PORT, MQTT_CLIENT_PORT};
 pub use operators::NodeEvent;
-pub use rebalance::{ControlCommand, MigrateShard, RebalanceConfig, Rebalancer};
 pub use sim_adapter::{add_middleware_node, SimNode};
 pub use thread_rt::{ClusterBuilder, ClusterReport, RunningCluster};

@@ -14,6 +14,10 @@
 //! * **Actuator class** — locally hosted virtual actuators driven by
 //!   `Actuate` operators.
 //!
+//! What a node hosts is decided by its config and fixed when it is
+//! built: the operators compile into the executor graph once, in
+//! [`MiddlewareNode::new`], and the subscription set follows from them.
+//!
 //! The node is runtime-agnostic: all side effects go through
 //! [`crate::env::NodeEnv`], so the identical logic runs on the
 //! deterministic simulator and on real threads.
@@ -28,14 +32,14 @@ use ifot_mqtt::client::{Client, ClientConfig, ClientEvent, ClientState};
 use ifot_mqtt::codec::{encode, StreamDecoder};
 use ifot_mqtt::packet::{Packet, QoS};
 use ifot_mqtt::shard::{ShardOutput, ShardedBroker};
-use ifot_mqtt::supervisor::{ReconnectSupervisor, SupervisorAction};
+use ifot_mqtt::supervisor::{ReconnectConfig, ReconnectSupervisor, SupervisorAction};
 use ifot_mqtt::topic::{TopicFilter, TopicName};
 use ifot_sensors::actuator::{Actuator, AirConditioner, AlertSink, CeilingLight, Command};
 use ifot_sensors::device::VirtualSensor;
 use ifot_sensors::inject::AnomalyInjector;
 use ifot_sensors::sample::{Sample, SAMPLE_WIRE_SIZE};
 
-use crate::config::{ActuatorKindSpec, NodeConfig, OperatorSpec, ShedPolicy};
+use crate::config::{ActuatorKindSpec, NodeConfig, ShedPolicy};
 use crate::costs;
 use crate::env::NodeEnv;
 use crate::executor::handoff::{plain_flow_topic, DirectHandoff};
@@ -58,8 +62,6 @@ const TAG_FLUSH: u64 = 4;
 const TAG_MIX: u64 = 5;
 const TAG_BATCH: u64 = 6;
 const TAG_STAGE: u64 = 7;
-const TAG_LOAD: u64 = 8;
-const TAG_REBALANCE: u64 = 9;
 
 const CLIENT_POLL_NS: u64 = 200_000_000;
 const BROKER_POLL_NS: u64 = 500_000_000;
@@ -162,8 +164,7 @@ fn peek_origin_ns(payload: &[u8]) -> Option<u64> {
     }
 }
 
-/// The node's subscription filters, parsed once per (re)subscription
-/// instead of per published output.
+/// The node's subscription filters, parsed once.
 fn parse_filters(config: &NodeConfig) -> Vec<TopicFilter> {
     config
         .subscription_filters()
@@ -322,8 +323,7 @@ pub struct MiddlewareNode {
     seq_ledger: BTreeMap<String, SeqTracker>,
     sensors: Vec<SensorRuntime>,
     executor: ExecutorGraph,
-    /// The node's parsed subscription filters, as of the last
-    /// `subscribe_all` (or local operator-set change).
+    /// The node's parsed subscription filters (fixed with the config).
     subscribed: Vec<TopicFilter>,
     actuators: BTreeMap<u16, ActuatorDevice>,
     events: Vec<NodeEvent>,
@@ -352,25 +352,10 @@ pub struct MiddlewareNode {
     /// Monotone announcement revision: bumped every [`Self::announce`]
     /// so directories can reject stale retained announcements.
     announce_revision: u64,
-    /// Elastic-placement controller (only on nodes configured with
-    /// [`NodeConfig::with_rebalancer`]).
-    rebalancer: Option<crate::rebalance::Rebalancer>,
-    /// Number of stages the worker pool executes; dispatch enqueues into
-    /// those and runs every other stage inline (all of them when 0 — the
-    /// inline executor is the pool's zero-worker case). The pool
-    /// snapshots the cell vector once at [`Self::engage_pool`], so
-    /// stages installed later (migrations) run on the node thread.
-    pooled_stages: usize,
-    /// Stages installed by a migration that are still waiting for the
-    /// `Handover` fence: arriving items are buffered here, not executed.
-    pending_takeover: BTreeMap<usize, Vec<FlowItem>>,
-    /// Operator ids this node is currently handing off (guards against
-    /// duplicate `Migrate` commands racing the protocol).
-    handing_off: BTreeSet<String>,
-    /// Completed outbound migrations (shards this node gave up).
-    migrations_out: u64,
-    /// Completed inbound migrations (shards this node took over).
-    migrations_in: u64,
+    /// Whether a worker pool executes the stages: dispatch then only
+    /// enqueues; otherwise it runs each stage inline (the inline executor
+    /// is the pool's zero-worker case).
+    pooled: bool,
 }
 
 impl MiddlewareNode {
@@ -448,7 +433,8 @@ impl MiddlewareNode {
                 },
             )
         });
-        let supervisor = ReconnectSupervisor::new(config.reconnect.clone(), config.keep_alive_secs);
+        let supervisor =
+            ReconnectSupervisor::new(ReconnectConfig::default(), config.keep_alive_secs);
         let shed_policy_seen = (0..executor.len()).map(|i| executor.policy(i)).collect();
         let stage_batches = (0..executor.len()).map(|_| Vec::new()).collect();
         MiddlewareNode {
@@ -491,15 +477,7 @@ impl MiddlewareNode {
             ingress_rate: LingerEstimator::default(),
             shed_policy_seen,
             announce_revision: 0,
-            rebalancer: config
-                .rebalance
-                .clone()
-                .map(crate::rebalance::Rebalancer::new),
-            pooled_stages: 0,
-            pending_takeover: BTreeMap::new(),
-            handing_off: BTreeSet::new(),
-            migrations_out: 0,
-            migrations_in: 0,
+            pooled: false,
             producer: config.name.as_str().into(),
             config,
         }
@@ -607,28 +585,21 @@ impl MiddlewareNode {
         }
     }
 
-    /// Switches dispatch to pooled mode: the current stages are enqueued
-    /// for a worker pool instead of being drained inline on this thread.
+    /// Switches dispatch to pooled mode: work is enqueued for a worker
+    /// pool instead of being drained inline on this thread.
     pub(crate) fn engage_pool(&mut self) {
-        self.pooled_stages = self.executor.len();
+        self.pooled = true;
     }
 
     /// Back to inline dispatch, once the pool's workers are gone: what
     /// they left queued is then run to completion on this thread (an
     /// enqueue nobody pops could block forever).
     pub(crate) fn disengage_pool(&mut self) {
-        self.pooled_stages = 0;
+        self.pooled = false;
     }
 
-    /// Completed migrations: `(given_up, taken_over)` shard counts.
-    pub fn migrations(&self) -> (u64, u64) {
-        (self.migrations_out, self.migrations_in)
-    }
-
-    /// Current placement: one entry per live operator spec with its
-    /// sequence-shard filter. Live migration keeps this in sync as
-    /// shards move between modules, so the management screen shows
-    /// where every shard runs *now*, not where deploy put it.
+    /// The node's placement: one entry per operator spec with its
+    /// sequence-shard filter, as deploy assigned them.
     pub fn placement(&self) -> Vec<String> {
         self.config
             .operators
@@ -751,12 +722,6 @@ impl MiddlewareNode {
                 env.set_timer_after_ns(ms * 1_000_000, tag(TAG_MIX, i));
             }
         }
-        if self.config.load_report_ms > 0 {
-            env.set_timer_after_ns(self.config.load_report_ms * 1_000_000, tag(TAG_LOAD, 0));
-        }
-        if let Some(cfg) = self.config.rebalance.as_ref() {
-            env.set_timer_after_ns(cfg.interval_ms * 1_000_000, tag(TAG_REBALANCE, 0));
-        }
     }
 
     /// Handles a timer previously armed by this node.
@@ -771,8 +736,6 @@ impl MiddlewareNode {
             TAG_MIX => self.on_stage_timer(env, index, OpTimer::Mix),
             TAG_BATCH => self.flush_pending_batches(env),
             TAG_STAGE => self.flush_stage_coalescers(env),
-            TAG_LOAD => self.on_load_timer(env),
-            TAG_REBALANCE => self.on_rebalance_timer(env),
             _ => env.incr("unknown_timer"),
         }
     }
@@ -790,7 +753,7 @@ impl MiddlewareNode {
         // Coalesced ingress must reach the operator before its periodic
         // tick, or a Flush/Mix would act on a stale view of the stream.
         self.flush_stage_then_drain(env, index);
-        if index < self.pooled_stages {
+        if self.pooled {
             self.executor
                 .enqueue(index, WorkItem::Timer(timer), env.now_ns());
         } else {
@@ -1120,7 +1083,7 @@ impl MiddlewareNode {
         let pending = std::mem::take(&mut self.stage_batches[stage]);
         env.incr("stage_coalesce_flushes");
         env.add("stage_coalesced_items", pending.len() as u64);
-        self.deliver_items(env, stage, pending, queue);
+        self.deliver_work(env, stage, router::work_item(pending), queue);
     }
 
     /// Flushes one stage's accumulator and drains any local chain
@@ -1456,7 +1419,7 @@ impl MiddlewareNode {
         capabilities.sort();
         capabilities.dedup();
         // Revisions are monotone per node lifetime, so a directory can
-        // reject a stale retained announcement that outlived a migration.
+        // reject a stale retained announcement.
         self.announce_revision += 1;
         let announcement = NodeAnnouncement {
             node: self.config.name.clone(),
@@ -1472,7 +1435,6 @@ impl MiddlewareNode {
     }
 
     fn subscribe_all(&mut self, env: &mut dyn NodeEnv) {
-        self.subscribed = parse_filters(&self.config);
         if self.subscribed.is_empty() {
             return;
         }
@@ -1487,301 +1449,6 @@ impl MiddlewareNode {
         if let Ok(packet) = client.subscribe(filters, env.now_ns()) {
             self.send_to_broker(env, encode(&packet));
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Elastic placement: load heartbeats, controller, live migration
-    // ------------------------------------------------------------------
-
-    /// Publishes the retained load heartbeat and re-arms its timer.
-    fn on_load_timer(&mut self, env: &mut dyn NodeEnv) {
-        let period_ms = self.config.load_report_ms;
-        if period_ms == 0 {
-            return;
-        }
-        self.publish_load_report(env);
-        env.set_timer_after_ns(period_ms * 1_000_000, tag(TAG_LOAD, 0));
-    }
-
-    /// Snapshots per-stage mailbox counters into a retained
-    /// [`crate::discovery::LoadReport`] on the discovery plane.
-    /// Counters are cumulative; consumers difference consecutive
-    /// reports, so a dropped heartbeat only widens a window.
-    fn publish_load_report(&mut self, env: &mut dyn NodeEnv) {
-        use crate::discovery::{load_topic, LoadReport, StageLoad};
-        let stages: Vec<StageLoad> = (0..self.executor.len())
-            .filter(|&i| !self.executor.is_retired(i))
-            .map(|i| {
-                let stats = self.executor.stats(i);
-                let spec = &self.executor.specs()[i];
-                StageLoad {
-                    op: spec.id.clone(),
-                    shard: spec.shard,
-                    depth: stats.depth,
-                    processed: stats.processed,
-                    shed: stats.shed_oldest + stats.shed_newest,
-                    wait_ns_total: stats.wait_ns_total,
-                }
-            })
-            .collect();
-        let report = LoadReport {
-            node: self.config.name.clone(),
-            at_ns: env.now_ns(),
-            stages,
-        };
-        let topic = load_topic(&self.config.name);
-        self.publish_opts(env, &topic, &report.encode(), true);
-        env.incr("load_reports");
-    }
-
-    /// Runs one controller tick against the directory's load view and
-    /// publishes every resulting migration command to the losing node's
-    /// control topic.
-    fn on_rebalance_timer(&mut self, env: &mut dyn NodeEnv) {
-        let Some(mut rebalancer) = self.rebalancer.take() else {
-            return;
-        };
-        let decisions = rebalancer.tick(env.now_ns(), &self.directory);
-        self.rebalancer = Some(rebalancer);
-        for m in decisions {
-            let topic = crate::rebalance::control_topic(&m.from);
-            let cmd = crate::rebalance::ControlCommand::Migrate(m);
-            self.publish_opts(env, &topic, &cmd.encode(), false);
-            env.incr("rebalance_decisions");
-        }
-        let interval_ms = self
-            .config
-            .rebalance
-            .as_ref()
-            .map(|c| c.interval_ms)
-            .unwrap_or(0);
-        if interval_ms > 0 {
-            env.set_timer_after_ns(interval_ms * 1_000_000, tag(TAG_REBALANCE, 0));
-        }
-    }
-
-    /// Handles a [`crate::rebalance::ControlCommand`] addressed to this
-    /// node — one step of the four-message migration protocol (see the
-    /// enum docs for the exactly-once argument).
-    fn on_control_plane(
-        &mut self,
-        env: &mut dyn NodeEnv,
-        topic: &str,
-        payload: &[u8],
-        queue: &mut VecDeque<Hop>,
-    ) {
-        use crate::rebalance::ControlCommand;
-        if topic != crate::rebalance::control_topic(&self.config.name) {
-            // A wildcard subscription can deliver commands meant for
-            // someone else; never act on those.
-            env.incr("control_misrouted");
-            return;
-        }
-        let cmd = match ControlCommand::decode(payload) {
-            Ok(cmd) => cmd,
-            Err(_) => {
-                env.incr("control_decode_errors");
-                return;
-            }
-        };
-        match cmd {
-            ControlCommand::Migrate(m) => self.migrate_out(env, m),
-            ControlCommand::Install { spec, origin } => self.install_shard(env, spec, origin),
-            ControlCommand::Release { op, taker } => self.release_shard(env, op, taker, queue),
-            ControlCommand::Handover {
-                op,
-                fence,
-                envelope,
-            } => self.finish_takeover(env, op, fence, envelope, queue),
-        }
-    }
-
-    /// Source, step 1: offer the shard's spec to the new owner while
-    /// continuing to process it (make-before-break — nothing is lost
-    /// while the destination boots).
-    fn migrate_out(&mut self, env: &mut dyn NodeEnv, m: crate::rebalance::MigrateShard) {
-        if m.from != self.config.name || m.to == self.config.name {
-            env.incr("control_misrouted");
-            return;
-        }
-        if self.handing_off.contains(&m.op) {
-            env.incr("migrate_duplicate");
-            return;
-        }
-        let Some(stage) = self.executor.find(&m.op) else {
-            env.incr("migrate_unknown_stage");
-            return;
-        };
-        let spec = self.executor.specs()[stage].clone();
-        if spec.shard != Some((m.modulus, m.shard)) {
-            env.incr("migrate_unknown_stage");
-            return;
-        }
-        self.handing_off.insert(m.op.clone());
-        let cmd = crate::rebalance::ControlCommand::Install {
-            spec,
-            origin: self.config.name.clone(),
-        };
-        let topic = crate::rebalance::control_topic(&m.to);
-        self.publish_opts(env, &topic, &cmd.encode(), false);
-        env.incr("migrations_offered");
-    }
-
-    /// Destination, step 2: install the spec with its mailbox in
-    /// buffering mode, subscribe its inputs, then release the old
-    /// owner. The release is published on the same connection as the
-    /// SUBSCRIBE, so the broker processes the subscription first — the
-    /// fence invariant depends on that ordering.
-    fn install_shard(&mut self, env: &mut dyn NodeEnv, spec: OperatorSpec, origin: String) {
-        if !self.config.accept_migrations || self.executor.find(&spec.id).is_some() {
-            env.incr("migrate_conflict");
-            return;
-        }
-        let index = self.executor.install(spec.clone(), &self.config.executor);
-        self.stage_batches.push(Vec::new());
-        self.shed_policy_seen.push(self.executor.policy(index));
-        self.pending_takeover.insert(index, Vec::new());
-        if let Some(ms) = spec.flush_period_ms() {
-            env.set_timer_after_ns(ms * 1_000_000, tag(TAG_FLUSH, index));
-        }
-        if let Some(ms) = spec.mix_period_ms() {
-            env.set_timer_after_ns(ms * 1_000_000, tag(TAG_MIX, index));
-        }
-        let op = spec.id.clone();
-        self.config.operators.push(spec);
-        self.subscribe_all(env);
-        let cmd = crate::rebalance::ControlCommand::Release {
-            op,
-            taker: self.config.name.clone(),
-        };
-        let topic = crate::rebalance::control_topic(&origin);
-        self.publish_opts(env, &topic, &cmd.encode(), false);
-        env.incr("migrations_installing");
-    }
-
-    /// Source, step 3: the new owner is subscribed — drain the stage,
-    /// snapshot the per-topic fence and the model, retire the stage and
-    /// hand over. Every item the broker routed before the release was
-    /// delivered here and sits at or below the fence.
-    fn release_shard(
-        &mut self,
-        env: &mut dyn NodeEnv,
-        op: String,
-        taker: String,
-        queue: &mut VecDeque<Hop>,
-    ) {
-        if !self.handing_off.remove(&op) {
-            env.incr("control_misrouted");
-            return;
-        }
-        let Some(stage) = self.executor.find(&op) else {
-            env.incr("migrate_unknown_stage");
-            return;
-        };
-        // Drain coalesced sub-batches, then the mailbox, so the fence
-        // covers everything delivered before the release arrived.
-        self.flush_stage_batch(env, stage, queue);
-        let cell = self.executor.cells()[stage].clone();
-        // Retire *before* draining: retiring bumps the shared route
-        // version, so a worker racing a direct handoff at this stage
-        // either already landed in the ingress (folded into the drain
-        // below, hence covered by the fence) or re-reads the version
-        // under the ingress lock, aborts, and falls back to this thread
-        // — where the fresh route plan no longer includes the stage.
-        // Draining first would leave a window for an item to land
-        // *behind* the fence and be silently lost.
-        self.executor.retire(stage);
-        loop {
-            let outputs = cell.with_stage(|s| s.step(env));
-            match outputs {
-                Some(outputs) => self.process_outputs(env, stage, outputs, queue),
-                None => break,
-            }
-        }
-        let fence = cell.with_stage(|s| s.last_seqs().clone());
-        // The stage is already retired (invisible to `find`), so read
-        // the model straight off its cell.
-        let envelope = cell
-            .with_stage(|s| s.model().cloned())
-            .map(|model| MixEnvelope {
-                role: "avg".into(),
-                task: op.clone(),
-                diff: model.export_diff(),
-            });
-        self.config.operators.retain(|o| o.id != op);
-        self.subscribed = parse_filters(&self.config);
-        let cmd = crate::rebalance::ControlCommand::Handover {
-            op,
-            fence,
-            envelope,
-        };
-        let topic = crate::rebalance::control_topic(&taker);
-        self.publish_opts(env, &topic, &cmd.encode(), false);
-        self.migrations_out += 1;
-        env.incr("migrations_out");
-        if self.config.announce {
-            self.announce(env);
-        }
-    }
-
-    /// Destination, step 4: seed the model snapshot, drop buffered
-    /// items the old owner already processed (at or below the fence),
-    /// execute the rest and go live.
-    fn finish_takeover(
-        &mut self,
-        env: &mut dyn NodeEnv,
-        op: String,
-        fence: BTreeMap<String, u64>,
-        envelope: Option<MixEnvelope>,
-        queue: &mut VecDeque<Hop>,
-    ) {
-        let Some(stage) = self.executor.find(&op) else {
-            env.incr("migrate_unknown_stage");
-            return;
-        };
-        let Some(buffer) = self.pending_takeover.remove(&stage) else {
-            env.incr("control_misrouted");
-            return;
-        };
-        if let Some(envelope) = envelope {
-            let msg = ControlMsg::Mix(envelope);
-            self.deliver_work(env, stage, WorkItem::Control(msg), queue);
-        }
-        let total = buffer.len() as u64;
-        let items: Vec<FlowItem> = buffer
-            .into_iter()
-            .filter(|item| fence.get(item.topic.as_str()).is_none_or(|&f| item.seq > f))
-            .collect();
-        let fenced = total - items.len() as u64;
-        if fenced > 0 {
-            env.add("migration_items_fenced", fenced);
-        }
-        if !items.is_empty() {
-            env.add("migration_items_resumed", items.len() as u64);
-        }
-        self.deliver_items(env, stage, items, queue);
-        self.migrations_in += 1;
-        env.incr("migrations_in");
-        if self.config.announce {
-            self.announce(env);
-        }
-    }
-
-    /// Shutdown path: executes takeover items still buffered because a
-    /// fence never arrived. Exactly-once can no longer be proven at
-    /// this point, but dropping data silently would be worse.
-    pub(crate) fn flush_pending_takeovers(&mut self, env: &mut dyn NodeEnv) {
-        if self.pending_takeover.is_empty() {
-            return;
-        }
-        let pending: Vec<(usize, Vec<FlowItem>)> = std::mem::take(&mut self.pending_takeover)
-            .into_iter()
-            .collect();
-        let mut queue = VecDeque::new();
-        for (stage, items) in pending {
-            self.deliver_items(env, stage, items, &mut queue);
-        }
-        self.run_hops(env, &mut queue);
     }
 
     /// Routes a payload on `topic` to every matching local operator,
@@ -1832,10 +1499,6 @@ impl MiddlewareNode {
                 String::from_utf8_lossy(&payload).into_owned(),
             );
             env.incr("sys_updates");
-            return;
-        }
-        if topic.starts_with(crate::rebalance::CONTROL_PREFIX) {
-            self.on_control_plane(env, topic, &payload, queue);
             return;
         }
         if topic.starts_with("mix/") {
@@ -1934,54 +1597,11 @@ impl MiddlewareNode {
         work: WorkItem,
         queue: &mut VecDeque<Hop>,
     ) {
-        // A stage installed by a migration buffers its items until the
-        // old owner's `Handover` fence arrives; executing them earlier
-        // would double-process what the old owner still covers.
-        if let Some(buffer) = self.pending_takeover.get_mut(&stage) {
-            match work {
-                WorkItem::Item(item) => {
-                    buffer.push(item);
-                    env.incr("migration_items_buffered");
-                    return;
-                }
-                WorkItem::Batch(items) => {
-                    env.add("migration_items_buffered", items.len() as u64);
-                    buffer.extend(items);
-                    return;
-                }
-                WorkItem::SharedBatch(shared) => {
-                    env.add("migration_items_buffered", shared.len() as u64);
-                    let items = Arc::try_unwrap(shared).unwrap_or_else(|arc| (*arc).clone());
-                    buffer.extend(items);
-                    return;
-                }
-                // Timers and control messages pass through: shedding a
-                // MIX import would lose model state, and neither touches
-                // the exactly-once item ledger.
-                WorkItem::Control(_) | WorkItem::Timer(_) => {}
-            }
-        }
-        // Stages installed after the pool snapshot run inline: the pool's
-        // workers only know the cells captured at engage time.
-        if stage < self.pooled_stages {
+        if self.pooled {
             self.executor.enqueue(stage, work, env.now_ns());
         } else {
             let outputs = self.executor.offer(env, stage, work);
             self.process_outputs(env, stage, outputs, queue);
-        }
-    }
-
-    /// Delivers an owned item list to one stage under the router's
-    /// framing rule. Empty lists are dropped.
-    fn deliver_items(
-        &mut self,
-        env: &mut dyn NodeEnv,
-        stage: usize,
-        items: Vec<FlowItem>,
-        queue: &mut VecDeque<Hop>,
-    ) {
-        if !items.is_empty() {
-            self.deliver_work(env, stage, router::work_item(items), queue);
         }
     }
 
@@ -2852,5 +2472,25 @@ mod tests {
             assert_eq!(stats.batch_entries, 4, "one delivery per frame");
             assert_eq!(stats.batched_items, 8, "two items per frame per shard");
         }
+    }
+
+    #[test]
+    fn retired_frame_kinds_count_a_decode_error_and_the_node_goes_on() {
+        let all = OperatorSpec::sink(
+            "all",
+            OperatorKind::Custom {
+                operator: "probe".into(),
+            },
+            vec!["#".into()],
+        );
+        let mut node = MiddlewareNode::new(NodeConfig::new("n").with_broker().with_operator(all));
+        let mut env = MockEnv::new();
+        for frame in crate::wire::retired_frames() {
+            node.dispatch_flow(&mut env, "legacy/plane".into(), frame.into());
+        }
+        assert_eq!(env.counter("flow_decode_errors"), 2);
+        assert_eq!(node.executor.stats(0).processed, 0);
+        node.dispatch_flow(&mut env, "sensor/a".into(), batch_frame(0..4));
+        assert_eq!(node.executor.stats(0).batched_items, 4);
     }
 }

@@ -538,13 +538,11 @@ fn run_node(
         }
         let mut env = env!();
         // Deliver coalesced stage ingress first (it can emit new
-        // publishes), then takeover items whose fence never arrived —
-        // execute them rather than drop them — then the lingering
-        // publish micro-batches, so coalesced tail samples reach the
-        // broker (it stops after us in the phased shutdown).
+        // publishes), then the lingering publish micro-batches, so
+        // coalesced tail samples reach the broker (it stops after us in
+        // the phased shutdown).
         progressed |= node.has_stage_backlog();
         node.flush_stage_coalescers(&mut env);
-        node.flush_pending_takeovers(&mut env);
         node.flush_pending_batches(&mut env);
         rng_state = env.rng_state;
         if progressed {

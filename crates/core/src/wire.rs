@@ -27,9 +27,8 @@
 //!                          datum{n, (dict-idx, f64)...}, label?, score?
 //!                   0x03   MixEnvelope: role, task,
 //!                          diff{labels, (label, {n, (idx, f64)...})...}
-//!                   0x04   LoadReport: node, at, stages{n, (op, shard?,
-//!                          depth, processed, shed, wait)...}
-//!                   0x05   ControlCommand: tag, then the variant's fields
+//!                   0x04   retired in PR 24, not to be reassigned
+//!                   0x05   retired in PR 24, not to be reassigned
 //!                   0x06   NodeAnnouncement: node, online(1), at, revision,
 //!                          streams{n, (topic, kind?, rate?)...},
 //!                          capabilities{n, string...}
@@ -57,10 +56,6 @@ pub const KIND_MESSAGE: u8 = 0x01;
 pub const KIND_BATCH: u8 = 0x02;
 /// Frame kind: a [`MixEnvelope`].
 pub const KIND_MIX: u8 = 0x03;
-/// Frame kind: a [`crate::discovery::LoadReport`] heartbeat.
-pub const KIND_LOAD: u8 = 0x04;
-/// Frame kind: a [`crate::rebalance::ControlCommand`].
-pub const KIND_CONTROL: u8 = 0x05;
 /// Frame kind: a [`crate::discovery::NodeAnnouncement`].
 pub const KIND_ANNOUNCE: u8 = 0x06;
 
@@ -521,7 +516,7 @@ pub fn decode_mix_binary(payload: &[u8]) -> Result<MixEnvelope, String> {
 }
 
 // ---------------------------------------------------------------------
-// Control-plane frames: announcements, load heartbeats, migration control.
+// Discovery-plane frames: node announcements.
 // ---------------------------------------------------------------------
 
 /// Encodes a node announcement as a binary frame.
@@ -590,346 +585,6 @@ pub fn decode_announce_binary(
         at_ns,
         revision,
     })
-}
-
-/// Encodes a load heartbeat as a binary frame.
-pub fn encode_load_binary(report: &crate::discovery::LoadReport) -> Vec<u8> {
-    let mut w = header(KIND_LOAD);
-    put_string(&mut w, &report.node);
-    put_varint(&mut w, report.at_ns);
-    put_varint(&mut w, report.stages.len() as u64);
-    for stage in &report.stages {
-        put_string(&mut w, &stage.op);
-        match stage.shard {
-            None => w.push(0),
-            Some((modulus, index)) => {
-                w.push(1);
-                put_varint(&mut w, modulus);
-                put_varint(&mut w, index);
-            }
-        }
-        put_varint(&mut w, stage.depth as u64);
-        put_varint(&mut w, stage.processed);
-        put_varint(&mut w, stage.shed);
-        put_varint(&mut w, stage.wait_ns_total);
-    }
-    w
-}
-
-/// Decodes a strictly binary load heartbeat.
-///
-/// # Errors
-///
-/// Returns a description for wrong kinds, truncation or trailing bytes.
-pub fn decode_load_binary(payload: &[u8]) -> Result<crate::discovery::LoadReport, String> {
-    let kind = frame_kind(payload)?;
-    if kind != KIND_LOAD {
-        return Err(format!("frame kind {kind:#04x} is not a load report"));
-    }
-    let mut r = Reader::new(&payload[3..]);
-    let node = r.string()?;
-    let at_ns = r.varint()?;
-    let count = r.varint()? as usize;
-    if count > payload.len() {
-        return Err("load stage table longer than the frame".to_owned());
-    }
-    let mut stages = Vec::with_capacity(count);
-    for _ in 0..count {
-        let op = r.string()?;
-        let shard = match r.u8()? {
-            0 => None,
-            1 => Some((r.varint()?, r.varint()?)),
-            other => return Err(format!("bad shard tag {other:#04x}")),
-        };
-        stages.push(crate::discovery::StageLoad {
-            op,
-            shard,
-            depth: r.varint()? as usize,
-            processed: r.varint()?,
-            shed: r.varint()?,
-            wait_ns_total: r.varint()?,
-        });
-    }
-    r.finish()?;
-    Ok(crate::discovery::LoadReport {
-        node,
-        at_ns,
-        stages,
-    })
-}
-
-const CTRL_MIGRATE: u8 = 0;
-const CTRL_INSTALL: u8 = 1;
-const CTRL_RELEASE: u8 = 2;
-const CTRL_HANDOVER: u8 = 3;
-
-const OPKIND_JOIN: u8 = 0;
-const OPKIND_WINDOW: u8 = 1;
-const OPKIND_TRAIN: u8 = 2;
-const OPKIND_PREDICT: u8 = 3;
-const OPKIND_ANOMALY: u8 = 4;
-const OPKIND_ESTIMATE: u8 = 5;
-const OPKIND_POLICY: u8 = 6;
-const OPKIND_ACTUATE: u8 = 7;
-const OPKIND_CUSTOM: u8 = 8;
-const OPKIND_MIX_COORDINATOR: u8 = 9;
-
-fn put_operator_kind(w: &mut Vec<u8>, kind: &crate::config::OperatorKind) {
-    use crate::config::OperatorKind;
-    match kind {
-        OperatorKind::Join { expected_sources } => {
-            w.push(OPKIND_JOIN);
-            put_varint(w, *expected_sources as u64);
-        }
-        OperatorKind::Window { size_ms } => {
-            w.push(OPKIND_WINDOW);
-            put_varint(w, *size_ms);
-        }
-        OperatorKind::Train {
-            algorithm,
-            mix_interval_ms,
-        } => {
-            w.push(OPKIND_TRAIN);
-            put_string(w, algorithm);
-            put_varint(w, *mix_interval_ms);
-        }
-        OperatorKind::Predict { algorithm } => {
-            w.push(OPKIND_PREDICT);
-            put_string(w, algorithm);
-        }
-        OperatorKind::Anomaly {
-            detector,
-            threshold,
-        } => {
-            w.push(OPKIND_ANOMALY);
-            put_string(w, detector);
-            put_f64(w, *threshold);
-        }
-        OperatorKind::Estimate { model } => {
-            w.push(OPKIND_ESTIMATE);
-            put_string(w, model);
-        }
-        OperatorKind::Policy {
-            key,
-            on_above,
-            off_below,
-            emit,
-        } => {
-            w.push(OPKIND_POLICY);
-            put_string(w, key);
-            put_f64(w, *on_above);
-            put_f64(w, *off_below);
-            put_string(w, emit);
-        }
-        OperatorKind::Actuate { device_id } => {
-            w.push(OPKIND_ACTUATE);
-            put_varint(w, *device_id as u64);
-        }
-        OperatorKind::Custom { operator } => {
-            w.push(OPKIND_CUSTOM);
-            put_string(w, operator);
-        }
-        OperatorKind::MixCoordinator { expected } => {
-            w.push(OPKIND_MIX_COORDINATOR);
-            put_varint(w, *expected as u64);
-        }
-    }
-}
-
-fn read_operator_kind(r: &mut Reader<'_>) -> Result<crate::config::OperatorKind, String> {
-    use crate::config::OperatorKind;
-    Ok(match r.u8()? {
-        OPKIND_JOIN => OperatorKind::Join {
-            expected_sources: r.varint()? as usize,
-        },
-        OPKIND_WINDOW => OperatorKind::Window {
-            size_ms: r.varint()?,
-        },
-        OPKIND_TRAIN => OperatorKind::Train {
-            algorithm: r.string()?,
-            mix_interval_ms: r.varint()?,
-        },
-        OPKIND_PREDICT => OperatorKind::Predict {
-            algorithm: r.string()?,
-        },
-        OPKIND_ANOMALY => OperatorKind::Anomaly {
-            detector: r.string()?,
-            threshold: r.f64()?,
-        },
-        OPKIND_ESTIMATE => OperatorKind::Estimate { model: r.string()? },
-        OPKIND_POLICY => OperatorKind::Policy {
-            key: r.string()?,
-            on_above: r.f64()?,
-            off_below: r.f64()?,
-            emit: r.string()?,
-        },
-        OPKIND_ACTUATE => OperatorKind::Actuate {
-            device_id: r.varint()? as u16,
-        },
-        OPKIND_CUSTOM => OperatorKind::Custom {
-            operator: r.string()?,
-        },
-        OPKIND_MIX_COORDINATOR => OperatorKind::MixCoordinator {
-            expected: r.varint()? as usize,
-        },
-        other => return Err(format!("unknown operator kind tag {other:#04x}")),
-    })
-}
-
-fn put_spec(w: &mut Vec<u8>, spec: &crate::config::OperatorSpec) {
-    put_string(w, &spec.id);
-    put_operator_kind(w, &spec.kind);
-    put_varint(w, spec.inputs.len() as u64);
-    for input in &spec.inputs {
-        put_string(w, input);
-    }
-    put_opt_string(w, spec.output.as_deref());
-    w.push(spec.publish_output as u8);
-    match spec.shard {
-        None => w.push(0),
-        Some((modulus, index)) => {
-            w.push(1);
-            put_varint(w, modulus);
-            put_varint(w, index);
-        }
-    }
-}
-
-fn read_spec(r: &mut Reader<'_>) -> Result<crate::config::OperatorSpec, String> {
-    let id = r.string()?;
-    let kind = read_operator_kind(r)?;
-    let input_count = r.varint()? as usize;
-    if input_count > r.remaining() {
-        return Err("spec input list longer than the frame".to_owned());
-    }
-    let mut inputs = Vec::with_capacity(input_count);
-    for _ in 0..input_count {
-        inputs.push(r.string()?);
-    }
-    let output = r.opt_string()?;
-    let publish_output = r.flag()?;
-    let shard = match r.u8()? {
-        0 => None,
-        1 => Some((r.varint()?, r.varint()?)),
-        other => return Err(format!("bad shard tag {other:#04x}")),
-    };
-    Ok(crate::config::OperatorSpec {
-        id,
-        kind,
-        inputs,
-        output,
-        publish_output,
-        shard,
-    })
-}
-
-/// Encodes a migration control command as a binary frame.
-pub fn encode_control_binary(cmd: &crate::rebalance::ControlCommand) -> Vec<u8> {
-    use crate::rebalance::ControlCommand;
-    let mut w = header(KIND_CONTROL);
-    match cmd {
-        ControlCommand::Migrate(m) => {
-            w.push(CTRL_MIGRATE);
-            put_string(&mut w, &m.op);
-            put_varint(&mut w, m.modulus);
-            put_varint(&mut w, m.shard);
-            put_string(&mut w, &m.from);
-            put_string(&mut w, &m.to);
-        }
-        ControlCommand::Install { spec, origin } => {
-            w.push(CTRL_INSTALL);
-            put_spec(&mut w, spec);
-            put_string(&mut w, origin);
-        }
-        ControlCommand::Release { op, taker } => {
-            w.push(CTRL_RELEASE);
-            put_string(&mut w, op);
-            put_string(&mut w, taker);
-        }
-        ControlCommand::Handover {
-            op,
-            fence,
-            envelope,
-        } => {
-            w.push(CTRL_HANDOVER);
-            put_string(&mut w, op);
-            put_varint(&mut w, fence.len() as u64);
-            for (topic, seq) in fence {
-                put_string(&mut w, topic);
-                put_varint(&mut w, *seq);
-            }
-            match envelope {
-                None => w.push(0),
-                Some(envelope) => {
-                    w.push(1);
-                    let frame = encode_mix_binary(envelope);
-                    put_varint(&mut w, frame.len() as u64);
-                    w.extend_from_slice(&frame);
-                }
-            }
-        }
-    }
-    w
-}
-
-/// Decodes a strictly binary migration control command.
-///
-/// # Errors
-///
-/// Returns a description for wrong kinds, truncation or trailing bytes.
-pub fn decode_control_binary(payload: &[u8]) -> Result<crate::rebalance::ControlCommand, String> {
-    use crate::rebalance::{ControlCommand, MigrateShard};
-    let kind = frame_kind(payload)?;
-    if kind != KIND_CONTROL {
-        return Err(format!("frame kind {kind:#04x} is not a control command"));
-    }
-    let mut r = Reader::new(&payload[3..]);
-    let cmd = match r.u8()? {
-        CTRL_MIGRATE => ControlCommand::Migrate(MigrateShard {
-            op: r.string()?,
-            modulus: r.varint()?,
-            shard: r.varint()?,
-            from: r.string()?,
-            to: r.string()?,
-        }),
-        CTRL_INSTALL => ControlCommand::Install {
-            spec: read_spec(&mut r)?,
-            origin: r.string()?,
-        },
-        CTRL_RELEASE => ControlCommand::Release {
-            op: r.string()?,
-            taker: r.string()?,
-        },
-        CTRL_HANDOVER => {
-            let op = r.string()?;
-            let fence_count = r.varint()? as usize;
-            if fence_count > r.remaining() {
-                return Err("fence table longer than the frame".to_owned());
-            }
-            let mut fence = std::collections::BTreeMap::new();
-            for _ in 0..fence_count {
-                let topic = r.string()?;
-                let seq = r.varint()?;
-                fence.insert(topic, seq);
-            }
-            let envelope = match r.u8()? {
-                0 => None,
-                1 => {
-                    let len = r.varint()? as usize;
-                    Some(decode_mix_binary(r.slice(len)?)?)
-                }
-                other => return Err(format!("bad option tag {other:#04x}")),
-            };
-            ControlCommand::Handover {
-                op,
-                fence,
-                envelope,
-            }
-        }
-        other => return Err(format!("unknown control tag {other:#04x}")),
-    };
-    r.finish()?;
-    Ok(cmd)
 }
 
 // ---------------------------------------------------------------------
@@ -1084,15 +739,6 @@ impl<'a> Reader<'a> {
         self.bytes.len() - self.pos
     }
 
-    fn slice(&mut self, len: usize) -> Result<&'a [u8], String> {
-        if self.pos + len > self.bytes.len() {
-            return Err("frame truncated inside an embedded frame".to_owned());
-        }
-        let s = &self.bytes[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(s)
-    }
-
     fn finish(&self) -> Result<(), String> {
         if self.pos == self.bytes.len() {
             Ok(())
@@ -1103,6 +749,26 @@ impl<'a> Reader<'a> {
             ))
         }
     }
+}
+
+/// One frame each of kinds `0x04` (a node's load heartbeat) and `0x05`
+/// (a placement command), retired in PR 24: well-formed as the last
+/// build that wrote them encoded them — a durable broker may still hold
+/// one retained — so tests can show that nothing takes them for anything.
+#[cfg(test)]
+pub(crate) fn retired_frames() -> Vec<Vec<u8>> {
+    [
+        "fb010401612a010770726564696374010401030a0180dac409",
+        "fb01050207707265646963740162",
+    ]
+    .iter()
+    .map(|hex| {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+            .collect()
+    })
+    .collect()
 }
 
 #[cfg(test)]
@@ -1183,11 +849,11 @@ mod tests {
         assert_eq!(items.len(), 5);
         assert_eq!(items[4].seq, 4);
         // Anything else is rejected: garbage, a 32-byte non-sample, the
-        // JSON document an older node would have sent, a control frame.
+        // JSON document an older node would have sent, a discovery frame.
         assert!(decode_items("t", &[0u8; 10]).is_err());
         assert!(decode_items("t", &[0xFFu8; 32]).is_err());
         assert!(decode_items("t", br#"{"producer":"agg","seq":1}"#).is_err());
-        assert!(decode_items("t", &header(KIND_LOAD)).is_err());
+        assert!(decode_items("t", &header(KIND_ANNOUNCE)).is_err());
     }
 
     #[test]
@@ -1212,6 +878,13 @@ mod tests {
         let bytes = encode_batch_binary(&batch);
         for cut in 1..bytes.len() {
             assert!(decode_batch_binary(&bytes[..cut]).is_err());
+        }
+        for frame in retired_frames() {
+            assert!(matches!(frame[2], 0x04 | 0x05));
+            assert!(decode_items("t", &frame).is_err());
+            assert!(decode_items_lean("t", &frame).is_err());
+            assert!(decode_mix_binary(&frame).is_err());
+            assert!(decode_announce_binary(&frame).is_err());
         }
     }
 

@@ -14,11 +14,9 @@ pub struct ModuleStatus {
     pub connected: bool,
     /// One line per hosted class.
     pub classes: Vec<String>,
-    /// One entry per live operator spec with its sequence-shard filter —
-    /// the *current* placement, tracking live migrations.
+    /// One entry per operator spec with its sequence-shard filter, as
+    /// deploy placed them.
     pub placement: Vec<String>,
-    /// Completed shard migrations: `(given_up, taken_over)`.
-    pub migrations: (u64, u64),
     /// Connection-resilience counters (reconnects, offline buffering,
     /// session replay, sequence-ledger loss accounting).
     pub resilience: ResilienceStats,
@@ -32,7 +30,6 @@ impl ModuleStatus {
             connected: node.is_connected(),
             classes: node.describe_classes(),
             placement: node.placement(),
-            migrations: node.migrations(),
             resilience: node.resilience(),
         }
     }
@@ -75,10 +72,6 @@ pub fn render_screen(statuses: &[ModuleStatus], now_label: &str) -> String {
         }
         if !status.placement.is_empty() {
             out.push_str(&format!("    placement: {}\n", status.placement.join(", ")));
-        }
-        let (given_up, taken_over) = status.migrations;
-        if given_up > 0 || taken_over > 0 {
-            out.push_str(&format!("    migrations: out={given_up} in={taken_over}\n"));
         }
         let r = &status.resilience;
         if r.reconnects > 0 || r.transport_lost > 0 || r.offline_buffered > 0 || r.seq_gaps > 0 {
@@ -128,36 +121,28 @@ mod tests {
             connected: false,
             classes: vec![],
             placement: vec![],
-            migrations: (0, 0),
             resilience: ResilienceStats::default(),
         };
         let screen = render_screen(&[status], "t=0");
         assert!(screen.contains("no classes deployed"));
         assert!(screen.contains("offline"));
-        // A module that never struggled shows no resilience line, and a
-        // module that never migrated shows no migrations line.
+        // A module that never struggled shows no resilience line.
         assert!(!screen.contains("resilience:"));
-        assert!(!screen.contains("migrations:"));
         assert!(!screen.contains("placement:"));
     }
 
     #[test]
-    fn placement_and_migrations_render_when_active() {
+    fn placement_renders_when_present() {
         let status = ModuleStatus {
             name: "edge".into(),
             connected: true,
             classes: vec![],
             placement: vec!["predict shard 1/3".into(), "train".into()],
-            migrations: (1, 2),
             resilience: ResilienceStats::default(),
         };
         let screen = render_screen(&[status], "t=4");
         assert!(
             screen.contains("placement: predict shard 1/3, train"),
-            "screen:\n{screen}"
-        );
-        assert!(
-            screen.contains("migrations: out=1 in=2"),
             "screen:\n{screen}"
         );
     }
@@ -169,7 +154,6 @@ mod tests {
             connected: true,
             classes: vec![],
             placement: vec![],
-            migrations: (0, 0),
             resilience: ResilienceStats {
                 reconnects: 2,
                 transport_lost: 2,

@@ -171,8 +171,9 @@ fn layouts_are_pinned() {
 }
 
 /// `FlowDirectory` keeps whichever live announcement carries the higher
-/// revision, whatever order the two arrive in, and a tombstone always
-/// applies — through the frame codec, as the node publishes them.
+/// revision, whatever order the two arrive in, a tombstone always
+/// applies, and nothing on a topic below the node's own touches it —
+/// through the frame codec, as the node publishes them.
 #[test]
 fn stale_revisions_never_regress_the_directory() {
     for seed in 0..500u64 {
@@ -205,5 +206,15 @@ fn stale_revisions_never_regress_the_directory() {
         );
         assert!(dir.online_nodes().is_empty(), "seed {seed}");
         assert_eq!(dir.malformed_count(), 0, "seed {seed}");
+        // `ifot/announce/n/load` is not a node, whichever name the frame
+        // on it carries and however fresh it claims to be.
+        let below = announce_topic("n/load");
+        let mut nested = make(3, first.max(second) + 1);
+        dir.apply(&below, &nested.encode());
+        nested.node = "n/load".into();
+        dir.apply(&below, &nested.encode());
+        assert_eq!(dir.malformed_count(), 2, "seed {seed}");
+        assert_eq!(dir.len(), 1, "seed {seed}");
+        assert!(dir.online_nodes().is_empty(), "seed {seed}");
     }
 }

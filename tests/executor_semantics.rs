@@ -1,6 +1,6 @@
 //! Integration: staged-executor semantics on the deterministic runtime.
 //!
-//! Two properties are pinned here:
+//! Pinned here:
 //!
 //! * **Backpressure semantics** — bounded stage mailboxes shed exactly
 //!   the configured victims (oldest/newest *items*, never timers) and
@@ -9,20 +9,27 @@
 //!   runtime produces the same trace digest as the pre-executor
 //!   monolithic dispatch: the inline execution path walks the same
 //!   operator graph with the same env-call order.
+//! * **Sharded placement** — a sharded stage's digest repeats under its
+//!   seed, and a `replicas = 2` recipe deployed onto threads covers the
+//!   stream exactly once.
 
 use ifot::core::config::{NodeConfig, OperatorKind, OperatorSpec, SensorSpec, ShedPolicy};
+use ifot::core::deploy::deploy;
 use ifot::core::env::MockEnv;
 use ifot::core::executor::ops::build_operator;
 use ifot::core::executor::{ExecutorStage, OpTimer, WorkItem};
 use ifot::core::flow::FlowItem;
 use ifot::core::operators::OpOutput;
 use ifot::core::sim_adapter::add_middleware_node;
+use ifot::core::thread_rt::ClusterBuilder;
 use ifot::ml::feature::Datum;
 use ifot::mqtt::packet::QoS;
 use ifot::netsim::cpu::CpuProfile;
 use ifot::netsim::sim::Simulation;
-use ifot::netsim::time::SimTime;
+use ifot::netsim::time::{SimDuration, SimTime};
 use ifot::netsim::wlan::WlanConfig;
+use ifot::recipe::assign::{LoadAware, ModuleInfo};
+use ifot::recipe::dsl;
 use ifot::sensors::sample::SensorKind;
 
 /// A two-stage analysis pipeline (train + anomaly, both fed from the
@@ -114,6 +121,129 @@ fn netsim_trace_digest_reproduces_across_runs() {
     let first = digest_schedule(7);
     let second = digest_schedule(7);
     assert_eq!(first, second, "same seed must reproduce the same run");
+}
+
+/// A lone sequence-sharded predict stage — half the stream claimed,
+/// half dropped at the router — replays bit-identically under the same
+/// seed.
+#[test]
+fn same_seed_digests_identical_for_a_sharded_stage() {
+    let run = |seed: u64| -> (u64, u64) {
+        let mut sim = Simulation::with_wlan(WlanConfig::ideal(), seed);
+        sim.enable_trace();
+        add_middleware_node(
+            &mut sim,
+            CpuProfile::RASPBERRY_PI_2,
+            NodeConfig::new("broker").with_broker(),
+        );
+        add_middleware_node(
+            &mut sim,
+            CpuProfile::RASPBERRY_PI_2,
+            NodeConfig::new("sensor-node")
+                .with_broker_node("broker")
+                .with_sensor(SensorSpec::new(SensorKind::Sound, 1, 40.0, 3)),
+        );
+        add_middleware_node(
+            &mut sim,
+            CpuProfile::RASPBERRY_PI_2,
+            NodeConfig::new("edge")
+                .with_broker_node("broker")
+                .with_operator(
+                    OperatorSpec::sink(
+                        "predict",
+                        OperatorKind::Predict {
+                            algorithm: "pa".into(),
+                        },
+                        vec!["sensor/#".into()],
+                    )
+                    .sharded(2, 0),
+                ),
+        );
+        sim.run_for(SimDuration::from_secs(4));
+        (
+            sim.metrics().counter("predicted"),
+            sim.take_trace().digest(),
+        )
+    };
+    let (predicted_a, digest_a) = run(7);
+    let (predicted_b, digest_b) = run(7);
+    assert!(predicted_a > 0, "defaults-off pipeline made progress");
+    assert_eq!(predicted_a, predicted_b);
+    assert_eq!(digest_a, digest_b, "defaults-off digests diverged");
+}
+
+/// A `replicas = 2` predict task compiled through `deploy` must land
+/// its shards on two distinct modules via the assignment strategy, and
+/// the thread runtime must process every sensed item exactly once
+/// (complementary shard cover + phased-shutdown drain), with a clean
+/// sequence ledger on every node.
+#[test]
+fn replicated_recipe_deploys_and_conserves_on_threads() {
+    let recipe = dsl::parse(
+        r#"
+        recipe elastic {
+            task mic:     sense(sensor = "sound", rate_hz = 25);
+            task predict: predict(algorithm = "pa", replicas = 2);
+            mic -> predict;
+        }
+    "#,
+    )
+    .expect("recipe parses");
+    let modules = vec![
+        ModuleInfo::new("m-sound", 1.0).with_capability("sensor:sound"),
+        ModuleInfo::new("m-hub", 2.0),
+        ModuleInfo::new("m-edge", 1.0),
+    ];
+    let plan = deploy(&recipe, &modules, &LoadAware, "m-hub").expect("deploys");
+
+    // The strategy spread the two shards over two distinct modules,
+    // with complementary sequence filters.
+    let hosts: Vec<(&str, (u64, u64))> = plan
+        .configs
+        .iter()
+        .flat_map(|c| c.operators.iter().map(move |o| (c, o)))
+        .filter(|(_, o)| o.id == "predict")
+        .map(|(c, o)| (c.name.as_str(), o.shard.expect("replicas are sharded")))
+        .collect();
+    assert_eq!(hosts.len(), 2, "two replicas placed: {hosts:?}");
+    assert_ne!(hosts[0].0, hosts[1].0, "replicas on distinct modules");
+    let mut shards: Vec<u64> = hosts.iter().map(|(_, (_, k))| *k).collect();
+    shards.sort_unstable();
+    assert_eq!(shards, vec![0, 1]);
+    assert!(hosts.iter().all(|(_, (m, _))| *m == 2));
+
+    let mut builder = ClusterBuilder::new();
+    for cfg in plan.configs.clone() {
+        builder = builder.node(cfg);
+    }
+    let report = builder
+        .start()
+        .run_for(std::time::Duration::from_millis(1500));
+
+    let sensed = report.metrics.counter("flow_items_published");
+    let predicted = report.metrics.counter("predicted");
+    assert!(predicted > 10, "pipeline made progress: {predicted}");
+    // Exactly-once across the shard cover: each sensed item predicted
+    // by exactly one replica, none lost and none duplicated.
+    assert_eq!(
+        sensed, predicted,
+        "shard cover lost or duplicated items: sensed={sensed} predicted={predicted}"
+    );
+    for node in &report.nodes {
+        let r = node.resilience();
+        assert_eq!(r.seq_gaps, 0, "{}: gaps {r:?}", node.name());
+        assert_eq!(r.seq_duplicates, 0, "{}: dups {r:?}", node.name());
+    }
+    // The monitor's placement view shows the shard assignment.
+    let placements: Vec<String> = report.nodes.iter().flat_map(|n| n.placement()).collect();
+    assert!(
+        placements.iter().any(|p| p.contains("predict shard 0/2")),
+        "placement view missing shard 0: {placements:?}"
+    );
+    assert!(
+        placements.iter().any(|p| p.contains("predict shard 1/2")),
+        "placement view missing shard 1: {placements:?}"
+    );
 }
 
 /// Like [`digest_schedule`] but with stage tracing on: the trace now

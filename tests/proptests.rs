@@ -1683,7 +1683,6 @@ fn check_flow_tree_handoff(parents: &[usize], count: u64) {
             };
             progress = true;
             assert_eq!(outcome.fallback, 0, "stage {i} fell back");
-            assert_eq!(outcome.stale, 0, "stage {i} saw a stale route");
             for output in outcome.leftover {
                 match output {
                     OpOutput::Emit(m) => {
@@ -1720,7 +1719,6 @@ fn check_flow_tree_handoff(parents: &[usize], count: u64) {
         let stats = graph.stats(i);
         assert_eq!(stats.handoff_direct, count * *fanout as u64);
         assert_eq!(stats.handoff_fallback, 0);
-        assert_eq!(stats.handoff_stale_route, 0);
     }
 }
 
