@@ -34,9 +34,14 @@ use crate::wal::{
     WalRecord, WalStage, WalStats,
 };
 
+/// How many keep-alive periods a silent peer is given before it is
+/// declared gone: MQTT 3.1.1 §3.1.2.10's one and a half. The broker
+/// applies it to its clients, the client's supervisor to its broker.
+pub(crate) const KEEP_ALIVE_FACTOR: f64 = 1.5;
+
 /// Broker tuning knobs.
 ///
-/// The first four fields configure the sans-I/O protocol state machine
+/// The first three fields configure the sans-I/O protocol state machine
 /// itself; the remaining fields are transport-level knobs that the TCP
 /// front-end ([`crate::net::TcpBroker`]) and the sharded routing layer
 /// ([`crate::shard::ShardedBroker`]) honour. Keeping them on one struct
@@ -49,21 +54,11 @@ pub struct BrokerConfig {
     pub max_inflight: usize,
     /// Maximum messages queued for an offline persistent session.
     pub max_offline_queue: usize,
-    /// Keep-alive grace factor (spec mandates 1.5).
-    pub keep_alive_factor: f64,
     /// Number of routing shards the concurrent front-ends partition
     /// sessions across (hash of client id). `1` reproduces the classic
     /// single-broker behaviour; the sans-I/O [`Broker`] itself ignores
     /// this field.
     pub shards: usize,
-    /// Maximum frames coalesced into a single `write_vectored` call by
-    /// the TCP front-end's event loops. The call's `IoSlice`s (up to three
-    /// a frame) are built in a stack array with room for 64 frames, so a
-    /// value above 64 is served in several writes of 64.
-    pub write_batch: usize,
-    /// Whether the TCP front-end sets `TCP_NODELAY` on accepted sockets
-    /// (latency over throughput for small frames).
-    pub tcp_nodelay: bool,
     /// TCP write timeout in nanoseconds before a connection is declared a
     /// slow consumer and closed (protects a shard's writer loop from one
     /// stalled subscriber).
@@ -113,10 +108,7 @@ impl Default for BrokerConfig {
             retransmit_timeout_ns: 2_000_000_000,
             max_inflight: 32,
             max_offline_queue: 1_000,
-            keep_alive_factor: 1.5,
             shards: 4,
-            write_batch: 32,
-            tcp_nodelay: true,
             write_timeout_ns: 2_000_000_000,
             max_connections: 0,
             durability: None,
@@ -725,7 +717,7 @@ impl<C: Ord + Clone> Broker<C> {
             .filter(|c| {
                 c.keep_alive_ns > 0
                     && now_ns.saturating_sub(c.last_activity_ns)
-                        > (c.keep_alive_ns as f64 * self.config.keep_alive_factor) as u64
+                        > (c.keep_alive_ns as f64 * KEEP_ALIVE_FACTOR) as u64
             })
             .map(|c| c.conn.clone())
             .collect();
@@ -776,10 +768,7 @@ impl<C: Ord + Clone> Broker<C> {
         };
         for c in self.connections.values() {
             if c.keep_alive_ns > 0 {
-                consider(
-                    c.last_activity_ns
-                        + (c.keep_alive_ns as f64 * self.config.keep_alive_factor) as u64,
-                );
+                consider(c.last_activity_ns + (c.keep_alive_ns as f64 * KEEP_ALIVE_FACTOR) as u64);
             }
         }
         for (client_id, _) in self.online.iter() {

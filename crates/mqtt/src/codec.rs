@@ -19,23 +19,28 @@
 //! * the **payload** off a stream is one copy; when the frame arrived as
 //!   a shared [`Bytes`] it is a view of that and costs nothing.
 //!
-//! A PUBLISH whose frame already is its own QoS 0 delivery — first byte
-//! `0x30` and a minimal remaining-length varint — also **keeps the
-//! frame** (see [`Publish`]): on the shared path that is a reference
-//! count, off a stream the one copy is made of the whole frame instead of
-//! the payload alone and the payload becomes a view of it. So a QoS 0
-//! PUBLISH with a repeated name costs one `Bytes` off a stream and nothing
-//! as a shared frame. [`StreamDecoder`] keeps one buffer per stream — 256
-//! bytes for a socket that trickles, grown by the reads that fill it
+//! A PUBLISH whose frame already is its first delivery at its own QoS —
+//! first byte `0x30`, `0x32` or `0x34` (no dup, no retain) and a minimal
+//! remaining-length varint — also **keeps the frame** (see [`Publish`]):
+//! on the shared path that is a reference count, off a stream the one
+//! copy is made of the whole frame instead of the payload alone. The
+//! payload is a view of the kept frame, and so are the bytes its
+//! deliveries share: the whole frame at QoS 0, everything before the
+//! packet id (first byte, remaining length, topic) at QoS 1 and 2. So a
+//! PUBLISH at any QoS with a repeated name costs one `Bytes` off a stream
+//! and nothing as a shared frame, and the broker finds its deliveries'
+//! bytes already made. [`StreamDecoder`] keeps one buffer per stream —
+//! 256 bytes for a socket that trickles, grown by the reads that fill it
 //! ([`StreamDecoder::read_from`]), given back down to 64 KiB once a burst
 //! is decoded.
 //!
-//! Going out, a QoS 1 or 2 delivery needs no frame of its own: its bytes
-//! are the head its publish shares with every delivery at that QoS (first
-//! byte, remaining length, topic), its two-byte packet id and the shared
-//! payload — an [`OutFrame::Split`], written as three slices. What a
-//! transport queues is an [`OutFrame`]; [`OutFrame::from`] encodes only a
-//! packet that is not such a delivery.
+//! Going out, no packet a broker sends per publish needs a buffer of its
+//! own. A QoS 1 or 2 delivery is the head its publish shares with every
+//! delivery at that QoS, its two-byte packet id and the shared payload —
+//! an [`OutFrame::Split`], written as three slices; a fixed-size packet
+//! (CONNACK, the acknowledgements, the pings, DISCONNECT) is at most four
+//! bytes, held in an [`OutFrame::Inline`]. What a transport queues is an
+//! [`OutFrame`]; [`OutFrame::from`] encodes only a packet that is neither.
 
 use std::io::{self, Read};
 
@@ -243,8 +248,9 @@ pub(crate) fn carry_delivery(publish: &mut Publish) -> &Bytes {
 /// differ only in a field: its [`Split`](OutFrame::Split) form holds the
 /// head its publish shares with every delivery at that QoS, its own packet
 /// id inline and the shared payload, so fanning a publish out costs one
-/// head, not a frame per subscriber. The bytes are those [`encode`] would
-/// write.
+/// head, not a frame per subscriber. A fixed-size packet is held
+/// [`Inline`](OutFrame::Inline) whole. The bytes are those [`encode`]
+/// would write.
 #[derive(Debug, Clone)]
 pub enum OutFrame {
     /// A frame in one buffer.
@@ -258,11 +264,19 @@ pub enum OutFrame {
         /// The publish's payload, shared.
         payload: Bytes,
     },
+    /// A fixed-size packet's frame, up to four bytes: CONNACK, PUBACK,
+    /// PUBREC, PUBREL, PUBCOMP, UNSUBACK, PINGREQ, PINGRESP, DISCONNECT.
+    Inline {
+        /// The frame, in its first `len` bytes.
+        bytes: [u8; 4],
+        /// Length of the frame.
+        len: u8,
+    },
 }
 
 impl OutFrame {
     /// The frame's bytes, in order, as up to three slices (empty ones at
-    /// the end of a whole frame).
+    /// the end of a frame in one piece).
     pub fn parts(&self) -> [&[u8]; 3] {
         match self {
             OutFrame::Whole(frame) => [frame, &[], &[]],
@@ -271,6 +285,7 @@ impl OutFrame {
                 packet_id,
                 payload,
             } => [head, packet_id, payload],
+            OutFrame::Inline { bytes, len } => [&bytes[..usize::from(*len)], &[], &[]],
         }
     }
 
@@ -288,7 +303,9 @@ impl OutFrame {
 /// The packet's frame. A publish that carries the delivery bytes for
 /// exactly its first byte — a QoS 1/2 delivery's first transmission, or a
 /// QoS 0 delivery — costs no allocation: split around its packet id, or
-/// the whole frame. Anything else is [`encode`]d.
+/// the whole frame. Neither does a fixed-size packet, written inline
+/// through the sinks [`encode`] writes through. Anything else is
+/// [`encode`]d.
 impl From<Packet> for OutFrame {
     fn from(packet: Packet) -> OutFrame {
         let shared = match &packet {
@@ -314,6 +331,26 @@ impl From<Packet> for OutFrame {
                 packet_id: pid.to_be_bytes(),
                 payload,
             },
+            Packet::Connack(_)
+            | Packet::Puback(_)
+            | Packet::Pubrec(_)
+            | Packet::Pubrel(_)
+            | Packet::Pubcomp(_)
+            | Packet::Unsuback(_)
+            | Packet::Pingreq
+            | Packet::Pingresp
+            | Packet::Disconnect => {
+                let body = |out: &mut dyn Sink| put_body(out, &packet);
+                let remaining = body_len(&body);
+                let mut bytes = [0; 4];
+                let mut out = Frame {
+                    buf: &mut bytes,
+                    at: 0,
+                };
+                put_frame(&mut out, first_byte(&packet), remaining, body);
+                let len = out.at as u8;
+                OutFrame::Inline { bytes, len }
+            }
             packet => OutFrame::Whole(encode(&packet)),
         }
     }
@@ -329,6 +366,14 @@ pub fn encoded_len(packet: &Packet) -> usize {
 /// One frame: `first`, the remaining length, then whatever `body` puts —
 /// called twice, to size the buffer and to fill it.
 fn frame(first: u8, body: impl Fn(&mut dyn Sink)) -> Bytes {
+    let remaining = body_len(&body);
+    written(1 + remaining_length_len(remaining) + remaining, |out| {
+        put_frame(out, first, remaining, body)
+    })
+}
+
+/// The length of what `body` puts, which a remaining length must hold.
+fn body_len(body: &impl Fn(&mut dyn Sink)) -> usize {
     let mut length = Length(0);
     body(&mut length);
     let remaining = length.0;
@@ -336,11 +381,15 @@ fn frame(first: u8, body: impl Fn(&mut dyn Sink)) -> Bytes {
         remaining <= MAX_REMAINING_LENGTH,
         "packet body of {remaining} bytes exceeds the MQTT remaining-length limit"
     );
-    written(1 + remaining_length_len(remaining) + remaining, |out| {
-        out.put_u8(first);
-        put_remaining_length(out, remaining);
-        body(out);
-    })
+    remaining
+}
+
+/// Puts `first`, the remaining length and the `remaining` bytes `body`
+/// puts.
+fn put_frame(out: &mut dyn Sink, first: u8, remaining: usize, body: impl Fn(&mut dyn Sink)) {
+    out.put_u8(first);
+    put_remaining_length(out, remaining);
+    body(out);
 }
 
 /// Packet type nibble and flags.
@@ -606,23 +655,31 @@ impl<'a> Reader<'a> {
             .expect("what remains is there to take")
     }
 
-    /// What remains as a PUBLISH payload, and the frame itself when it
-    /// already is the publish's QoS 0 delivery (QoS 0, no dup, no retain,
-    /// minimal remaining length): the payload is then a view of the kept
-    /// frame — the shared buffer that arrived, or the one copy made of the
-    /// whole frame where the payload alone would have been copied.
-    fn publish_payload(&mut self) -> (Bytes, Option<Bytes>) {
+    /// What remains as the payload of a PUBLISH at `qos`, and what its
+    /// deliveries share when the frame already is its first delivery at
+    /// that QoS (no dup, no retain, minimal remaining length). Both are
+    /// then views of the kept frame — the shared buffer that arrived, or
+    /// the one copy made of the whole frame where the payload alone would
+    /// have been copied: the whole frame at QoS 0, everything before the
+    /// packet id above it.
+    fn publish_payload(&mut self, qos: QoS) -> (Bytes, Option<Bytes>) {
         let body = self.frame.len() - self.body_start;
-        if self.frame[0] != 3 << 4 || self.body_start != 1 + remaining_length_len(body) {
+        if self.frame[0] != delivery_first_byte(qos)
+            || self.body_start != 1 + remaining_length_len(body)
+        {
             return (self.rest(), None);
         }
         let frame = match self.shared {
             Some(frame) => frame.clone(),
             None => Bytes::copy_from_slice(self.frame),
         };
+        let head_len = match qos {
+            QoS::AtMostOnce => frame.len(),
+            QoS::AtLeastOnce | QoS::ExactlyOnce => self.pos - 2,
+        };
         let payload = frame.slice(self.pos..);
         self.pos = self.frame.len();
-        (payload, Some(frame))
+        (payload, Some(frame.slice(..head_len)))
     }
 
     fn expect_empty(&self) -> Result<(), DecodeError> {
@@ -734,7 +791,7 @@ fn decode_frame(mut r: Reader<'_>, names: Option<&mut NameTable>) -> Result<Pack
             } else {
                 None
             };
-            let (payload, delivery) = r.publish_payload();
+            let (payload, delivery) = r.publish_payload(qos);
             Ok(Packet::Publish(Publish {
                 dup,
                 qos,
@@ -1618,48 +1675,81 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_publish_keeps_its_frame_only_when_the_frame_is_its_qos0_delivery() {
-        // `3 << 4`, minimal length: kept, on the stream and as a whole
-        // frame; the payload is a view of the kept frame.
-        let plain = encode(&Packet::Publish(Publish::qos0(topic("t"), vec![1, 2, 3])));
-        let mut dec = StreamDecoder::new();
-        let off_stream = pop_publish(&mut dec, &plain);
-        let kept = off_stream.delivery.as_ref().expect("kept");
-        assert_eq!(kept, &plain);
-        assert!(std::ptr::eq(
-            off_stream.payload.as_ptr(),
-            kept[kept.len() - 3..].as_ptr()
-        ));
-        dec.feed(&plain);
+    /// A publish at `qos` on topic `t` with a three-byte payload.
+    fn publish_at(qos: QoS) -> Publish {
+        Publish {
+            qos,
+            packet_id: (qos != QoS::AtMostOnce).then_some(9),
+            ..Publish::qos0(topic("t"), vec![1, 2, 3])
+        }
+    }
+
+    /// Decodes `frame` off the stream and as a whole shared frame.
+    fn both_ways(dec: &mut StreamDecoder, frame: &Bytes) -> [Publish; 2] {
+        let off_stream = pop_publish(dec, frame);
+        dec.feed(frame);
         let Ok(Some(Packet::Publish(whole))) = dec.next_packet() else {
             panic!("expected the publish");
         };
-        let kept = whole.delivery.as_ref().expect("kept");
-        assert!(std::ptr::eq(kept.as_ptr(), plain.as_ptr()));
-        assert_eq!(encode_qos0_delivery(&whole), plain);
-        // The same publish behind a padded remaining length decodes to the
-        // same packet and keeps nothing: its frame is not what is sent.
-        let mut padded = vec![plain[0], plain[1] | 0x80, 0x00];
-        padded.extend_from_slice(&plain[2..]);
-        let p = pop_publish(&mut dec, &padded);
-        assert_eq!(p, whole);
-        assert!(p.delivery.is_none());
-        // Retained, QoS 1 and dup publishes keep nothing.
-        let mut retained = Publish::qos0(topic("t"), vec![1, 2, 3]);
-        retained.retain = true;
-        let mut dup = Publish::qos1(topic("t"), vec![1, 2, 3], 9);
-        dup.dup = true;
-        for publish in [retained, Publish::qos1(topic("t"), vec![1, 2, 3], 9), dup] {
+        [off_stream, whole]
+    }
+
+    #[test]
+    fn a_first_transmission_keeps_its_frame_at_every_qos() {
+        let mut dec = StreamDecoder::new();
+        for qos in [QoS::AtMostOnce, QoS::AtLeastOnce, QoS::ExactlyOnce] {
+            // No dup, no retain, minimal length: kept, on the stream and
+            // as a whole frame. What the deliveries share is the frame at
+            // QoS 0 and everything before the packet id above it; it and
+            // the payload are views of one buffer holding the frame.
+            let publish = publish_at(qos);
             let frame = encode(&Packet::Publish(publish.clone()));
-            let p = pop_publish(&mut dec, &frame);
-            assert_eq!(p, publish);
-            assert!(p.delivery.is_none(), "{publish:?}");
-            dec.feed(&frame);
-            let Ok(Some(Packet::Publish(p))) = dec.next_packet() else {
-                panic!("expected the publish");
+            let head_len = match qos {
+                QoS::AtMostOnce => frame.len(),
+                _ => frame.len() - 2 - 3,
             };
-            assert!(p.delivery.is_none(), "{publish:?} as a whole frame");
+            let [off_stream, whole] = both_ways(&mut dec, &frame);
+            for (p, path) in [(&off_stream, "off the stream"), (&whole, "whole")] {
+                assert_eq!(p, &publish, "{qos:?} {path}");
+                let kept = p.delivery.as_ref().expect("kept");
+                assert_eq!(kept[..], frame[..head_len], "{qos:?} {path}");
+                assert!(std::ptr::eq(
+                    p.payload.as_ptr(),
+                    kept.as_ptr().wrapping_add(frame.len() - 3)
+                ));
+                // The broker finds it made.
+                let shared = delivery_bytes(p, qos);
+                assert!(std::ptr::eq(shared.as_ptr(), kept.as_ptr()));
+                let queued = OutFrame::from(Packet::Publish(p.clone()));
+                assert_eq!(queued.parts().concat(), frame.to_vec());
+            }
+            let kept = whole.delivery.as_ref().expect("kept");
+            assert!(std::ptr::eq(kept.as_ptr(), frame.as_ptr()), "a view");
+            // The same publish behind a padded remaining length decodes to
+            // the same packet and keeps nothing: its frame is not what is
+            // sent.
+            let mut padded = vec![frame[0], frame[1] | 0x80, 0x00];
+            padded.extend_from_slice(&frame[2..]);
+            for p in both_ways(&mut dec, &Bytes::from(padded)) {
+                assert_eq!(p, publish);
+                assert!(p.delivery.is_none(), "padded {qos:?}");
+            }
+        }
+        // Retained and dup publishes keep nothing.
+        let mut retained = [QoS::AtMostOnce, QoS::AtLeastOnce].map(publish_at);
+        for p in &mut retained {
+            p.retain = true;
+        }
+        let mut dups = [QoS::AtLeastOnce, QoS::ExactlyOnce].map(publish_at);
+        for p in &mut dups {
+            p.dup = true;
+        }
+        for publish in retained.into_iter().chain(dups) {
+            let frame = encode(&Packet::Publish(publish.clone()));
+            for p in both_ways(&mut dec, &frame) {
+                assert_eq!(p, publish);
+                assert!(p.delivery.is_none(), "{publish:?}");
+            }
         }
     }
 

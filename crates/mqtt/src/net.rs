@@ -24,10 +24,9 @@
 //!   keeps.
 //! * **writes**: resulting frames land on per-connection outbound
 //!   queues as [`OutFrame`]s; the owning loop drains dirty queues with
-//!   `write_vectored` batches of up to [`BrokerConfig::write_batch`]
-//!   frames, their `IoSlice`s (three for a QoS 1/2 delivery: its
-//!   publish's shared head, its packet id, the shared payload) built in a
-//!   stack array. A partial write arms
+//!   `write_vectored` batches of up to 32 frames, their `IoSlice`s (three
+//!   for a QoS 1/2 delivery: its publish's shared head, its packet id,
+//!   the shared payload) built in a stack array. A partial write arms
 //!   write-readiness (`EPOLLOUT`) and the drain resumes when the socket
 //!   unjams; a consumer that stays jammed past
 //!   [`BrokerConfig::write_timeout_ns`] is evicted without the loop ever
@@ -45,9 +44,10 @@
 //!
 //! ## What a turn allocates
 //!
-//! Only what outlives it: the topic and payload of a PUBLISH it routes,
-//! and the frames it queues — of which a QoS 1/2 publish's deliveries
-//! share the one head its route made. The readiness list, the decoded packets, the
+//! Only what outlives it: the topic of a PUBLISH it routes and the frame
+//! it kept, and the frames it queues — of which a QoS 1/2 publish's
+//! deliveries are views of that frame and the acknowledgements are held
+//! inline. The readiness list, the decoded packets, the
 //! dirty list, the write snapshot and the broker's output are scratch the
 //! event loop owns and reuses; the broker writes its WAL records from
 //! borrowed fields into a batch buffer that is framed in place. The gate
@@ -76,7 +76,7 @@ use std::time::{Duration, Instant};
 
 use crate::broker::{Action, BrokerConfig};
 use crate::client::{Client, ClientConfig, ClientEvent};
-use crate::codec::{encode, OutFrame, StreamDecoder};
+use crate::codec::{OutFrame, StreamDecoder};
 use crate::packet::{Packet, Publish, QoS};
 use crate::poll::{Event, Interest, Poller, Waker, WAKE_TOKEN};
 use crate::shard::{ShardOutput, ShardedBroker};
@@ -103,6 +103,12 @@ const READS_PER_EVENT: usize = 8;
 /// three `IoSlice`s ([`OutFrame::parts`]), built in a stack array with room
 /// for this many frames.
 const MAX_WRITE_FRAMES: usize = 64;
+
+/// Frames an event loop hands one `write_vectored` call: a fan-out's
+/// deliveries go out in one syscall per this many, not one per frame.
+const WRITE_BATCH: usize = 32;
+
+const _: () = assert!(WRITE_BATCH <= MAX_WRITE_FRAMES);
 
 fn now_ns(epoch: Instant) -> u64 {
     epoch.elapsed().as_nanos() as u64
@@ -434,9 +440,8 @@ impl TcpBroker {
     }
 
     /// Binds and starts serving with an explicit configuration
-    /// (`config.shards` event loops, `config.write_batch` frames per
-    /// vectored write, `config.max_connections` admission bound,
-    /// `config.tcp_nodelay` on accepted sockets).
+    /// (`config.shards` event loops, `config.max_connections` admission
+    /// bound). Accepted sockets are set `TCP_NODELAY`.
     ///
     /// # Errors
     ///
@@ -613,8 +618,7 @@ fn register_conn(
     shared: &Arc<Shared>,
     next_loop: &mut usize,
 ) -> std::io::Result<()> {
-    let config = shared.broker.config();
-    stream.set_nodelay(config.tcp_nodelay)?;
+    stream.set_nodelay(true)?;
     stream.set_nonblocking(true)?;
     let conn = shared.next_conn.fetch_add(1, Ordering::Relaxed);
     let owner = *next_loop % shared.loops.len();
@@ -750,9 +754,6 @@ struct EventLoop {
     /// Slow-consumer eviction deadlines by token (set while a partial
     /// write has the socket jammed).
     write_blocked: HashMap<u64, u64>,
-    /// Frames per vectored write: [`BrokerConfig::write_batch`], served
-    /// in several writes where it exceeds [`MAX_WRITE_FRAMES`].
-    write_batch: usize,
     write_timeout_ns: u64,
     // Scratch that lives as long as the loop and is empty between uses: a
     // turn allocates only what outlives it (the frames it queues, the
@@ -771,9 +772,7 @@ struct EventLoop {
 
 impl EventLoop {
     fn new(idx: usize, shared: Arc<Shared>, parts: LoopParts) -> EventLoop {
-        let config = shared.broker.config();
-        let write_batch = config.write_batch.clamp(1, MAX_WRITE_FRAMES);
-        let write_timeout_ns = config.write_timeout_ns.max(1);
+        let write_timeout_ns = shared.broker.config().write_timeout_ns.max(1);
         EventLoop {
             idx,
             shared,
@@ -783,12 +782,11 @@ impl EventLoop {
             tokens: HashMap::new(),
             pre_connect: HashMap::new(),
             write_blocked: HashMap::new(),
-            write_batch,
             write_timeout_ns,
             events: Vec::with_capacity(256),
             packets: Vec::new(),
             dirty: Vec::new(),
-            batch: Vec::with_capacity(write_batch),
+            batch: Vec::with_capacity(WRITE_BATCH),
             out: ShardOutput::default(),
         }
     }
@@ -941,7 +939,7 @@ impl EventLoop {
         }
     }
 
-    /// Drains one connection's outbound queue in `write_batch`-sized
+    /// Drains one connection's outbound queue in [`WRITE_BATCH`]-sized
     /// vectored writes, resuming across partial frames, then applies the
     /// outcome (interest re-arm, slow-consumer clock, close-after-flush,
     /// teardown). Returns whether the connection is still alive.
@@ -1002,7 +1000,7 @@ impl EventLoop {
                 &conn.shared_state.queue,
                 &mut conn.partial,
                 &mut self.batch,
-                self.write_batch,
+                WRITE_BATCH,
             );
             match written {
                 Ok(None) => return FlushOutcome::Drained,
@@ -1255,7 +1253,7 @@ impl TcpClient {
             .session
             .connect()
             .expect("fresh session can always connect");
-        this.stream.write_all(&encode(&connect))?;
+        this.send(connect)?;
         let deadline = Instant::now() + Duration::from_secs(2);
         while this.session.state() != crate::client::ClientState::Connected {
             if Instant::now() > deadline {
@@ -1271,6 +1269,16 @@ impl TcpClient {
 
     fn now(&self) -> u64 {
         now_ns(self.epoch)
+    }
+
+    /// Writes `packet` as the broker's transport queues it
+    /// ([`OutFrame::from`]): an acknowledgement, a ping or DISCONNECT from
+    /// the bytes held inline, anything else encoded.
+    fn send(&mut self, packet: Packet) -> std::io::Result<()> {
+        for part in OutFrame::from(packet).parts() {
+            self.stream.write_all(part)?;
+        }
+        Ok(())
     }
 
     /// QoS 1 publications awaiting PUBACK.
@@ -1315,7 +1323,7 @@ impl TcpClient {
                         }
                     }
                     for p in out {
-                        self.stream.write_all(&encode(&p))?;
+                        self.send(p)?;
                     }
                 }
                 Ok(None) => break,
@@ -1324,7 +1332,7 @@ impl TcpClient {
         }
         let now = self.now();
         for p in self.session.poll(now) {
-            self.stream.write_all(&encode(&p))?;
+            self.send(p)?;
         }
         Ok(())
     }
@@ -1365,7 +1373,7 @@ impl TcpClient {
             .session
             .subscribe(vec![(filter.clone(), qos)], now)
             .map_err(|e| std::io::Error::new(ErrorKind::InvalidInput, e.to_string()))?;
-        self.stream.write_all(&encode(&packet))?;
+        self.send(packet)?;
         let deadline = Instant::now() + Duration::from_secs(2);
         while !self.session.subscriptions().contains(&filter) {
             if Instant::now() > deadline {
@@ -1397,7 +1405,7 @@ impl TcpClient {
     /// Sends DISCONNECT and closes the socket.
     pub fn disconnect(mut self) {
         let packet = self.session.disconnect();
-        let _ = self.stream.write_all(&encode(&packet));
+        let _ = self.send(packet);
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 }
@@ -1409,6 +1417,7 @@ mod tests {
     use bytes::Bytes;
 
     use super::*;
+    use crate::codec::encode;
 
     #[test]
     fn tcp_round_trip_qos0_and_retained() {
@@ -1496,7 +1505,6 @@ mod tests {
             "127.0.0.1:0",
             BrokerConfig {
                 shards: 1,
-                write_batch: 1,
                 ..BrokerConfig::default()
             },
         )

@@ -161,16 +161,19 @@ pub struct Connack {
 /// A publish may carry the bytes that every delivery of it at its own QoS
 /// shares — no dup, no retain (see [`crate::codec::OutFrame`]):
 ///
-/// * at **QoS 0**, the whole delivery frame. The codec keeps the frame a
-///   publish arrived in when, and only when, it already *is* that frame —
-///   first byte `0x30` and a minimal remaining-length varint — so the
-///   broker forwards the buffer that arrived instead of encoding an
-///   identical one;
+/// * at **QoS 0**, the whole delivery frame;
 /// * at **QoS 1 and 2**, the frame's *head* — first byte, remaining length
 ///   and topic — that each delivery's own packet id and the shared payload
-///   follow. The broker makes it once per publish, on the shard the publish
-///   arrived at, and it travels with every delivery and cross-shard
-///   forward.
+///   follow.
+///
+/// The codec keeps the frame a publish arrived in when, and only when, it
+/// already *is* its first delivery at its QoS — first byte `0x30`, `0x32`
+/// or `0x34` and a minimal remaining-length varint — and the carried bytes
+/// are then a view of that frame: the whole of it at QoS 0, everything
+/// before the packet id above it. So the broker sends the buffer that
+/// arrived instead of encoding an identical one. Otherwise the broker
+/// makes them once per publish, on the shard the publish arrived at. Either
+/// way they travel with every delivery and cross-shard forward.
 ///
 /// The carried bytes are a function of `qos`, `topic` and `payload` (the
 /// payload may be a view of them), which is why equality ignores them and

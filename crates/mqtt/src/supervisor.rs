@@ -11,9 +11,10 @@
 //!
 //! * **Dead-peer detection** — the owner reports every inbound packet
 //!   via [`ReconnectSupervisor::on_inbound`]; if a connected session
-//!   receives nothing for `keep_alive_factor ×` the keep-alive interval
-//!   (the client pings an idle link, so a live broker always produces
-//!   traffic), the supervisor declares the transport lost.
+//!   receives nothing for 1.5 × the keep-alive interval, the grace the
+//!   broker gives its clients (the client pings an idle link, so a live
+//!   broker always produces traffic), the supervisor declares the
+//!   transport lost.
 //! * **CONNACK timeout** — a CONNECT that stays unanswered past
 //!   [`ReconnectConfig::connect_timeout_ns`] is abandoned the same way
 //!   (covers a broker that crashes mid-handshake).
@@ -28,15 +29,12 @@
 //! and no socket. The owner calls [`ReconnectSupervisor::poll`]
 //! periodically and executes the returned [`SupervisorAction`].
 
+use crate::broker::KEEP_ALIVE_FACTOR;
 use crate::client::ClientState;
 
 /// Tuning knobs of the reconnect supervisor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReconnectConfig {
-    /// Declare a connected peer dead after this multiple of the
-    /// keep-alive interval without any inbound traffic (MQTT uses 1.5 on
-    /// the broker side; the client mirrors it).
-    pub keep_alive_factor: f64,
     /// Abandon a CONNECT whose CONNACK has not arrived after this many
     /// nanoseconds.
     pub connect_timeout_ns: u64,
@@ -53,7 +51,6 @@ pub struct ReconnectConfig {
 impl Default for ReconnectConfig {
     fn default() -> Self {
         ReconnectConfig {
-            keep_alive_factor: 1.5,
             connect_timeout_ns: 1_000_000_000,
             backoff_base_ns: 250_000_000,
             backoff_max_ns: 8_000_000_000,
@@ -137,7 +134,7 @@ impl ReconnectSupervisor {
     /// Nanoseconds of inbound silence after which a connected peer is
     /// declared dead (0 disables detection, like a zero keep-alive).
     pub fn grace_ns(&self) -> u64 {
-        (self.keep_alive_ns as f64 * self.config.keep_alive_factor) as u64
+        (self.keep_alive_ns as f64 * KEEP_ALIVE_FACTOR) as u64
     }
 
     /// Records inbound traffic from the broker (any packet counts —

@@ -527,9 +527,9 @@ fn decoding_off_a_stream_allocates_only_what_the_packet_keeps() {
         assert!(matches!(packet, Packet::Publish(_)));
         assert_eq!(spent, 1, "the frame; the stream knows the name");
     }
-    // QoS 1 keeps no frame: its payload is the one copy, as it was.
+    // So does QoS 1, its deliveries' head a view of it beside the payload.
     let (spent, _) = pop(&|d| d.feed(&qos1[..]));
-    assert_eq!(spent, 1, "the payload");
+    assert_eq!(spent, 1, "the frame");
 
     // A whole shared frame with a repeated name: views of what arrived.
     for frame in [&qos0, &qos1] {
@@ -645,6 +645,30 @@ fn encoding_a_packet_allocates_its_frame_and_nothing_else() {
     }
 }
 
+#[test]
+fn queueing_a_fixed_size_packet_allocates_nothing() {
+    let connack = Packet::Connack(Connack {
+        session_present: true,
+        code: ConnectReturnCode::Accepted,
+    });
+    for packet in [
+        connack,
+        Packet::Puback(9),
+        Packet::Pubrec(9),
+        Packet::Pubrel(9),
+        Packet::Pubcomp(9),
+        Packet::Unsuback(2),
+        Packet::Pingreq,
+        Packet::Pingresp,
+        Packet::Disconnect,
+    ] {
+        let kind = packet.kind_name();
+        let (spent, frame) = allocs_in(|| OutFrame::from(packet));
+        assert_eq!(spent, 0, "{kind}");
+        assert!(matches!(frame, OutFrame::Inline { .. }), "{kind}");
+    }
+}
+
 /// A memory backend with room for `bytes` of log, so that a growing
 /// backend is not charged to the writer under test.
 fn presized_backend(bytes: usize) -> MemBackend {
@@ -686,7 +710,7 @@ fn id_on_shard(prefix: &str, target: usize, shards: usize) -> String {
 }
 
 #[test]
-fn a_durable_qos1_publish_queues_one_head_for_its_four_deliveries() {
+fn a_durable_qos1_publish_off_its_shared_frame_queues_four_deliveries_for_nothing() {
     const SHARDS: usize = 4;
     let backends: Vec<MemBackend> = (0..SHARDS).map(|_| presized_backend(1 << 20)).collect();
     let config = BrokerConfig {
@@ -729,10 +753,15 @@ fn a_durable_qos1_publish_queues_one_head_for_its_four_deliveries() {
     let id = id_on_shard("pub-", 0, SHARDS);
     broker.resolve(broker.handle_packet(&PUBLISHER, persistent(id), 0), 0);
 
+    // Each publish as a transport hands it over: decoded from the shared
+    // frame it arrived in, which it keeps.
+    let mut decoder = StreamDecoder::new();
     let publishes: Vec<Packet> = (0..8u16)
         .map(|t| {
             let name = topic(&format!("sensor/{t}/sound"));
-            Packet::Publish(Publish::qos1(name, vec![t as u8; 32], 100 + t))
+            let publish = Publish::qos1(name, vec![t as u8; 32], 100 + t);
+            decoder.feed(&encode(&Packet::Publish(publish)));
+            decoder.next_packet().expect("valid").expect("complete")
         })
         .collect();
     let mut out = ShardOutput::default();
@@ -759,7 +788,15 @@ fn a_durable_qos1_publish_queues_one_head_for_its_four_deliveries() {
             .iter()
             .filter(|f| matches!(f, OutFrame::Split { .. }))
             .count();
-        assert_eq!(split, SHARDS, "every delivery is queued split");
+        let inline = queued
+            .iter()
+            .filter(|f| matches!(f, OutFrame::Inline { .. }))
+            .count();
+        assert_eq!(
+            (split, inline),
+            (SHARDS, 1),
+            "every delivery split, the PUBACK inline"
+        );
         queued.clear();
     };
     // Warm-up: match lists, in-flight windows, event and record buffers.
@@ -773,13 +810,13 @@ fn a_durable_qos1_publish_queues_one_head_for_its_four_deliveries() {
         }
     });
     assert_eq!(deliveries, (64 + MEASURED) * SHARDS as u64, "fan-out 4");
-    // Two a publish: the head its four deliveries share, made once on the
-    // origin shard before the forwards, and the publisher's PUBACK frame.
-    // Not a frame per delivery: the topic and payload came with the packet,
-    // and every record is written from borrowed fields.
+    // Nothing: the head the four deliveries share is a view of the frame
+    // the publish kept, the publisher's PUBACK is held inline, the topic
+    // and payload came with the packet, and every record is written from
+    // borrowed fields. (Two a publish while the origin shard made the head
+    // and the PUBACK was a buffer of its own.)
     assert_eq!(
-        spent,
-        2 * MEASURED,
+        spent, 0,
         "over {MEASURED} publishes, acknowledgements included"
     );
     let stats = broker.wal_stats().expect("durable");

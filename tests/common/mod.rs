@@ -95,7 +95,6 @@ pub fn run_with_reconnects(
     let sup = || {
         ReconnectSupervisor::new(
             ReconnectConfig {
-                keep_alive_factor: 1.5,
                 connect_timeout_ns: 200,
                 backoff_base_ns: 100,
                 backoff_max_ns: 1_000,
@@ -378,7 +377,6 @@ pub fn run_with_broker_crashes(
     let sup = || {
         ReconnectSupervisor::new(
             ReconnectConfig {
-                keep_alive_factor: 1.5,
                 connect_timeout_ns: 200,
                 backoff_base_ns: 100,
                 backoff_max_ns: 1_000,

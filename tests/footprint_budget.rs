@@ -161,6 +161,15 @@ fn a_publish_is_88_bytes_and_a_buffer_32() {
     assert_eq!(std::mem::size_of::<bytes::Bytes>(), 32);
 }
 
+/// An `OutFrame` is one entry of a connection's outbound queue: its
+/// largest form is a QoS 1/2 delivery (two `Bytes` and a packet id). The
+/// four bytes of a fixed-size packet held inline fit beside the
+/// discriminant and do not grow it.
+#[test]
+fn a_queued_frame_is_72_bytes() {
+    assert_eq!(std::mem::size_of::<ifot::mqtt::codec::OutFrame>(), 72);
+}
+
 /// Subscribers in the broker footprint gate, one filter each.
 const SUBSCRIBERS: u32 = 1_000;
 

@@ -178,6 +178,46 @@ fn stream_decoder_chunking_invariance() {
     });
 }
 
+/// What a transport queues for a packet — as generated, decoded off a
+/// stream, or decoded from its shared frame and so carrying the views it
+/// kept — is, slice by slice, the frame `encode` writes; the fixed-size
+/// packets, and only they, are queued inline.
+#[test]
+fn a_queued_frame_is_the_encoded_frame() {
+    use ifot::mqtt::codec::{OutFrame, StreamDecoder};
+    check("a_queued_frame_is_the_encoded_frame", CASES, |g| {
+        let packet = common::packet(g);
+        let frame = encode(&packet);
+        let fixed = matches!(
+            packet,
+            Packet::Connack(_)
+                | Packet::Puback(_)
+                | Packet::Pubrec(_)
+                | Packet::Pubrel(_)
+                | Packet::Pubcomp(_)
+                | Packet::Unsuback(_)
+                | Packet::Pingreq
+                | Packet::Pingresp
+                | Packet::Disconnect
+        );
+        let mut dec = StreamDecoder::new();
+        dec.feed(&frame[..]);
+        let off_stream = dec.next_packet().expect("valid").expect("complete");
+        dec.feed(&frame);
+        let whole = dec.next_packet().expect("valid").expect("complete");
+        for p in [packet, off_stream, whole] {
+            let kind = p.kind_name();
+            let queued = OutFrame::from(p);
+            let mut wire = Vec::new();
+            for part in queued.parts() {
+                wire.extend_from_slice(part);
+            }
+            assert_eq!(wire, frame.to_vec(), "{kind}");
+            assert_eq!(matches!(queued, OutFrame::Inline { .. }), fixed, "{kind}");
+        }
+    });
+}
+
 /// A payload built from a `Vec<u8>` and one built from a shared `Bytes` of
 /// the same content produce byte-identical encodings.
 #[test]
