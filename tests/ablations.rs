@@ -1,6 +1,6 @@
-//! Ablation and supplementary studies (DESIGN.md §5), and the two
-//! supplementary paper figures (the Fig. 9 stage breakdown, Fig. 1
-//! quantified), pinned.
+//! Ablation and supplementary studies (DESIGN.md §5), the paper's Tables
+//! II and III, and the two supplementary paper figures (the Fig. 9 stage
+//! breakdown, Fig. 1 quantified), pinned.
 //!
 //! Each test runs one study on the simulator at fixed seeds and compares
 //! its table with the one pinned below: counts exactly, virtual-time
@@ -18,7 +18,7 @@ use common::model_distance;
 use ifot::core::config::{NodeConfig, OperatorKind, OperatorSpec, SensorSpec};
 use ifot::core::deploy::deploy;
 use ifot::core::sim_adapter::{add_middleware_node, SimNode};
-use ifot::mgmt::experiment::run_rate;
+use ifot::mgmt::experiment::{check_shape, run_paper_sweep, run_rate};
 use ifot::mgmt::testbed::{paper_testbed, TestbedConfig};
 use ifot::mqtt::packet::QoS;
 use ifot::netsim::cpu::CpuProfile;
@@ -509,6 +509,39 @@ fn centralized() {
         at_10.0,
         at_10.1
     );
+}
+
+/// Tables II and III as `tables` prints them: the paper sweep
+/// (`run_paper_sweep`, seed 2016), one row per rate and process.
+#[test]
+fn tables_ii_iii() {
+    let sweep = run_paper_sweep(2016);
+    let mut rows = Vec::new();
+    for (table, points) in [("II", &sweep.training), ("III", &sweep.predicting)] {
+        for p in points {
+            rows.push(format!(
+                "{table} {} Hz: n={} avg_ms={:.3} max_ms={:.3} p50_ms={:.3} p95_ms={:.3}",
+                p.rate_hz, p.count, p.avg_ms, p.max_ms, p.p50_ms, p.p95_ms
+            ));
+        }
+    }
+    check(
+        "Tables II (sensing → training) and III (sensing → predicting)",
+        &rows,
+        &[
+            "II 5 Hz: n=24 avg_ms=85.470 max_ms=372.557 p50_ms=58.451 p95_ms=180.585",
+            "II 10 Hz: n=48 avg_ms=85.732 max_ms=353.477 p50_ms=65.513 p95_ms=176.823",
+            "II 20 Hz: n=99 avg_ms=422.613 max_ms=714.708 p50_ms=396.742 p95_ms=690.435",
+            "II 40 Hz: n=124 avg_ms=1279.248 max_ms=1774.127 p50_ms=1622.308 p95_ms=1659.040",
+            "II 80 Hz: n=134 avg_ms=1397.833 max_ms=1762.962 p50_ms=1645.628 p95_ms=1660.480",
+            "III 5 Hz: n=23 avg_ms=67.679 max_ms=361.968 p50_ms=47.273 p95_ms=125.999",
+            "III 10 Hz: n=48 avg_ms=52.562 max_ms=144.957 p50_ms=47.073 p95_ms=101.741",
+            "III 20 Hz: n=98 avg_ms=70.304 max_ms=380.001 p50_ms=49.041 p95_ms=182.363",
+            "III 40 Hz: n=171 avg_ms=1043.172 max_ms=1921.291 p50_ms=1114.203 p95_ms=1647.288",
+            "III 80 Hz: n=172 avg_ms=1373.002 max_ms=1962.703 p50_ms=1632.909 p95_ms=1647.098",
+        ],
+    );
+    assert_eq!(check_shape(&sweep), Vec::<String>::new(), "shape check");
 }
 
 /// The Fig. 9 stage breakdown (`fig9_breakdown`): the paper testbed,
