@@ -15,6 +15,10 @@
 //! `Vec`'s buffer without `unsafe`) and [`Bytes::from_static`]. Neither is
 //! on a per-item path: frames are written through `BytesMut`, and received
 //! bytes are taken with [`Bytes::copy_from_slice`].
+//!
+//! Beside that API sits the workspace's one LEB128 varint pair,
+//! [`put_varint`] / [`get_varint`], which the flow wire and the broker's
+//! WAL both read and write through.
 
 #![forbid(unsafe_code)]
 
@@ -473,6 +477,47 @@ impl BufMut for BytesMut {
     }
 }
 
+impl BufMut for Vec<u8> {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.extend_from_slice(src);
+    }
+}
+
+/// Most bytes a [`put_varint`] writes: a `u64` in 7-bit groups.
+pub const VARINT_MAX_LEN: usize = 10;
+
+/// Appends `v` as an unsigned LEB128 varint: 7 bits a byte, low group
+/// first, the high bit set on every byte but the last. The one varint of
+/// the flow wire and the broker's WAL; MQTT's remaining length has its
+/// own, shorter rule.
+pub fn put_varint(out: &mut impl BufMut, mut v: u64) {
+    while v >= 0x80 {
+        out.put_u8(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.put_u8(v as u8);
+}
+
+/// Reads the varint at `buf[*pos..]` and moves `pos` past it. `None` when
+/// the bytes end first or the value does not fit a `u64`: a 10th byte
+/// above 1 would lose its high bits, so it is refused, and no 11th byte
+/// is ever read.
+pub fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let byte = *buf.get(*pos)?;
+        *pos += 1;
+        if shift == 63 && byte > 1 {
+            return None;
+        }
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return Some(v);
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,6 +573,22 @@ mod tests {
         let mut want: Vec<u8> = (0..10).collect();
         want.extend([7; 3]);
         assert_eq!(m.freeze(), want);
+    }
+
+    #[test]
+    fn varints_round_trip_and_refuse_what_does_not_fit_64_bits() {
+        for v in [0u64, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX] {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, v);
+            let mut pos = 0;
+            assert_eq!((get_varint(&buf, &mut pos), pos), (Some(v), buf.len()));
+        }
+        let tenth = |last: u8| [[0xFF; 9].as_slice(), &[last]].concat();
+        assert_eq!(get_varint(&tenth(0x01), &mut 0), Some(u64::MAX));
+        for last in [0x02, 0x7F, 0x81] {
+            assert_eq!(get_varint(&tenth(last), &mut 0), None, "{last:#04x}");
+        }
+        assert_eq!(get_varint(&[0x80, 0x80], &mut 0), None, "cut short");
     }
 
     #[test]

@@ -27,11 +27,10 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use ifot_mqtt::broker::{Action, BrokerConfig};
+use ifot_mqtt::broker::{Action, Broker, BrokerStats};
 use ifot_mqtt::client::{Client, ClientConfig, ClientEvent, ClientState};
 use ifot_mqtt::codec::{encode, StreamDecoder};
 use ifot_mqtt::packet::{Packet, QoS};
-use ifot_mqtt::shard::{ShardOutput, ShardedBroker};
 use ifot_mqtt::supervisor::{ReconnectConfig, ReconnectSupervisor, SupervisorAction};
 use ifot_mqtt::topic::{TopicFilter, TopicName};
 use ifot_sensors::actuator::{Actuator, AirConditioner, AlertSink, CeilingLight, Command};
@@ -255,10 +254,10 @@ pub struct MiddlewareNode {
     /// The node's name as the producer of the flow messages its sensors
     /// feed the micro-batcher.
     producer: Name,
-    /// Embedded Broker class: the sharded routing layer, with the
-    /// [`BrokerConfig`] defaults (transports identify peer connections by
-    /// node name).
-    broker: Option<ShardedBroker<Arc<str>>>,
+    /// Embedded Broker class: one sans-I/O [`Broker`] with the default
+    /// config, driven from this node's thread like module D's single
+    /// Mosquitto (transports identify peer connections by node name).
+    broker: Option<Broker<Arc<str>>>,
     /// Stream state of the embedded broker's peers. The key, a peer's
     /// node name in shared form, is also its connection key.
     broker_peers: BTreeMap<Arc<str>, StreamDecoder>,
@@ -270,8 +269,8 @@ pub struct MiddlewareNode {
     ingress_packets: Vec<Packet>,
     client_events: Vec<ClientEvent>,
     client_out: Vec<Packet>,
-    /// Output of the embedded broker, kept for its room between packets.
-    broker_out: ShardOutput<Arc<str>>,
+    /// Actions of the embedded broker, kept for its room between packets.
+    broker_actions: Vec<Action<Arc<str>>>,
     hop_queue: VecDeque<Hop>,
     stage_out: Vec<OpOutput>,
     client: Option<Client>,
@@ -393,14 +392,12 @@ impl MiddlewareNode {
         let shed_policy_seen = (0..executor.len()).map(|i| executor.policy(i)).collect();
         MiddlewareNode {
             subscribed: parse_filters(&config),
-            broker: config
-                .run_broker
-                .then(|| ShardedBroker::new(BrokerConfig::default())),
+            broker: config.run_broker.then(Broker::new),
             broker_peers: BTreeMap::new(),
             ingress_packets: Vec::new(),
             client_events: Vec::new(),
             client_out: Vec::new(),
-            broker_out: ShardOutput::default(),
+            broker_actions: Vec::new(),
             hop_queue: VecDeque::new(),
             stage_out: Vec::new(),
             client,
@@ -477,8 +474,8 @@ impl MiddlewareNode {
     }
 
     /// Broker statistics, when this node runs the Broker class.
-    pub fn broker_stats(&self) -> Option<ifot_mqtt::broker::BrokerStats> {
-        self.broker.as_ref().map(|b| b.stats())
+    pub fn broker_stats(&self) -> Option<BrokerStats> {
+        self.broker.as_ref().map(Broker::stats)
     }
 
     /// Connection-resilience counters (reconnects, offline buffering,
@@ -558,14 +555,10 @@ impl MiddlewareNode {
     /// One-line descriptions of every hosted class (monitoring screen).
     pub fn describe_classes(&self) -> Vec<String> {
         let mut out = Vec::new();
-        if let Some(broker) = self.broker.as_ref() {
-            let stats = broker.stats();
+        if let Some(stats) = self.broker_stats() {
             out.push(format!(
-                "broker shards={} clients={} in={} out={}",
-                broker.shard_count(),
-                stats.clients_connected,
-                stats.messages_in,
-                stats.messages_out
+                "broker clients={} in={} out={}",
+                stats.clients_connected, stats.messages_in, stats.messages_out
             ));
         }
         for s in &self.sensors {
@@ -937,7 +930,7 @@ impl MiddlewareNode {
     // ------------------------------------------------------------------
 
     fn on_broker_ingress(&mut self, env: &mut dyn NodeEnv, src: &str, payload: &Bytes) {
-        let Some(broker) = self.broker.as_ref() else {
+        let Some(broker) = self.broker.as_mut() else {
             env.incr("broker_ingress_without_broker");
             return;
         };
@@ -945,7 +938,10 @@ impl MiddlewareNode {
         let conn = match self.broker_peers.get_key_value(src) {
             Some((conn, _)) => Arc::clone(conn),
             None => {
+                // A new stream is a new transport connection (TCP accept):
+                // the broker closes it unless its first packet is CONNECT.
                 let conn: Arc<str> = Arc::from(src);
+                broker.connection_opened(Arc::clone(&conn), now);
                 self.broker_peers
                     .insert(Arc::clone(&conn), StreamDecoder::new());
                 conn
@@ -961,7 +957,7 @@ impl MiddlewareNode {
                 Err(_) => break true,
             }
         };
-        let mut out = std::mem::take(&mut self.broker_out);
+        let mut actions = std::mem::take(&mut self.broker_actions);
         for packet in packets.drain(..) {
             env.consume_ref_ms(costs::BROKER_IN_MS);
             if matches!(packet, Packet::Connect(_)) {
@@ -974,10 +970,7 @@ impl MiddlewareNode {
                     env.record_latency_since_ns("sensing_to_broker", origin);
                 }
             }
-            // Single-threaded embedding: apply cross-shard forwards
-            // inline so delivery stays deterministic.
-            broker.handle_packet_into(&conn, packet, now, &mut out);
-            broker.resolve_into(&mut out, now);
+            broker.handle_packet_into(&conn, packet, now, &mut actions);
         }
         if corrupt {
             // MQTT has no resynchronization: what decoded ahead of the
@@ -985,30 +978,31 @@ impl MiddlewareNode {
             // the broker (will, session) as for the stream state.
             env.incr("broker_decode_errors");
             self.broker_peers.remove(src);
-            broker.connection_lost_into(&conn, now, &mut out);
-            broker.resolve_into(&mut out, now);
+            broker.connection_lost_into(&conn, now, &mut actions);
         }
         self.ingress_packets = packets;
-        self.apply_broker_actions(env, &mut out.actions);
-        self.broker_out = out;
+        self.apply_broker_actions(env, &mut actions);
+        self.broker_actions = actions;
     }
 
     fn on_broker_poll(&mut self, env: &mut dyn NodeEnv) {
         let now = env.now_ns();
-        if let Some(broker) = self.broker.as_ref() {
-            let out = broker.poll(now);
-            let mut actions = broker.resolve(out, now);
-            // $SYS status publications (Mosquitto-style), every 4th poll
-            // (~2 s): subscribers of `$SYS/#` observe the broker load.
-            self.broker_polls += 1;
-            if self.broker_polls.is_multiple_of(4) {
-                for publish in broker.sys_stats_packets() {
-                    actions.extend(broker.publish_internal(publish, now));
-                }
+        let Some(broker) = self.broker.as_mut() else {
+            return;
+        };
+        let mut actions = std::mem::take(&mut self.broker_actions);
+        broker.poll_into(now, &mut actions);
+        // $SYS status publications (Mosquitto-style), every 4th poll
+        // (~2 s): subscribers of `$SYS/#` observe the broker load.
+        self.broker_polls += 1;
+        if self.broker_polls.is_multiple_of(4) {
+            for publish in broker.sys_stats_packets() {
+                broker.publish_internal_into(publish, now, &mut actions);
             }
-            self.apply_broker_actions(env, &mut actions);
-            env.set_timer_after_ns(BROKER_POLL_NS, tag(TAG_BROKER_POLL, 0));
         }
+        self.apply_broker_actions(env, &mut actions);
+        self.broker_actions = actions;
+        env.set_timer_after_ns(BROKER_POLL_NS, tag(TAG_BROKER_POLL, 0));
     }
 
     /// Performs and drains `actions`.
@@ -2093,6 +2087,45 @@ mod tests {
         feed(&mut node, &mut env, "pub", encode(&publish));
         assert_eq!(publishes_to(&env, "sub"), vec![("t/b".to_owned(), vec![8])]);
         assert_eq!(env.counter("broker_decode_errors"), 1);
+    }
+
+    /// A peer whose first packet is not CONNECT is closed: its PUBLISH is
+    /// not routed and its stream state is dropped; a CONNECT afterwards
+    /// opens a normal session.
+    #[test]
+    fn hub_closes_a_peer_whose_first_packet_is_not_connect() {
+        use ifot_mqtt::packet::{Connect, Publish, Subscribe, SubscribeFilter};
+        let mut node = MiddlewareNode::new(NodeConfig::new("hub").with_broker());
+        let mut env = MockEnv::new();
+        let mut feed = |node: &mut MiddlewareNode, src: &str, packet: Packet| {
+            node.on_packet(&mut env, src, MQTT_BROKER_PORT, &encode(&packet));
+        };
+        let filter = TopicFilter::new("#").expect("valid filter");
+        let filters = vec![SubscribeFilter {
+            filter,
+            qos: QoS::AtMostOnce,
+        }];
+        let publish = Publish::qos0(TopicName::new("t/a").expect("valid topic"), vec![7]);
+        feed(&mut node, "sub", Packet::Connect(Connect::new("sub")));
+        feed(
+            &mut node,
+            "sub",
+            Packet::Subscribe(Subscribe {
+                packet_id: 1,
+                filters,
+            }),
+        );
+        feed(&mut node, "stray", Packet::Publish(publish.clone()));
+        let stats = node.broker_stats().expect("broker");
+        assert_eq!((stats.messages_in, stats.messages_out), (0, 0));
+        assert!(!node.broker_peers.contains_key("stray"));
+
+        feed(&mut node, "stray", Packet::Connect(Connect::new("stray")));
+        feed(&mut node, "stray", Packet::Publish(publish));
+        let stats = node.broker_stats().expect("broker");
+        assert_eq!((stats.clients_connected, stats.messages_out), (2, 1));
+        let sent = |dst| env.sent_to(dst, MQTT_CLIENT_PORT).len();
+        assert_eq!((sent("stray"), sent("sub")), (1, 3));
     }
 
     #[test]

@@ -40,6 +40,7 @@
 
 use std::sync::Arc;
 
+use bytes::{get_varint, put_varint};
 use ifot_ml::feature::{Datum, FeatureKey, SparseWeights};
 use ifot_ml::mix::ModelDiff;
 
@@ -591,18 +592,6 @@ pub fn decode_announce_binary(
 // Primitives
 // ---------------------------------------------------------------------
 
-fn put_varint(w: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            w.push(byte);
-            return;
-        }
-        w.push(byte | 0x80);
-    }
-}
-
 fn put_zigzag(w: &mut Vec<u8>, v: i64) {
     put_varint(w, ((v << 1) ^ (v >> 63)) as u64);
 }
@@ -656,15 +645,8 @@ impl<'a> Reader<'a> {
     }
 
     fn varint(&mut self) -> Result<u64, String> {
-        let mut v: u64 = 0;
-        for shift in (0..64).step_by(7) {
-            let byte = self.u8()?;
-            v |= ((byte & 0x7F) as u64) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err("varint longer than 64 bits".to_owned())
+        get_varint(self.bytes, &mut self.pos)
+            .ok_or_else(|| "varint truncated or longer than 64 bits".to_owned())
     }
 
     fn zigzag(&mut self) -> Result<i64, String> {
@@ -927,6 +909,30 @@ mod tests {
             items: (0..6).map(msg).collect(),
         };
         assert_eq!(peek_item_count(&encode_batch_binary(&batch)), Some(6));
+    }
+
+    /// A varint whose 10th byte carries bits past 64 is an error, not a
+    /// value with those bits shifted away.
+    #[test]
+    fn a_varint_longer_than_64_bits_is_rejected() {
+        let overlong = [[0xFF; 9].as_slice(), &[0x7F]].concat();
+        let message = |origin: &[u8]| {
+            let mut w = header(KIND_MESSAGE);
+            put_string(&mut w, "p");
+            w.extend_from_slice(origin);
+            // seq 0, an empty datum, no label, no score.
+            w.extend_from_slice(&[0, 0, 0, 0]);
+            w
+        };
+        let bad = message(&overlong);
+        assert!(decode_message_binary(&bad).is_err());
+        assert!(decode_items("t", &bad).is_err());
+        assert_eq!(peek_first_origin(&bad), None);
+        let mut batch = header(KIND_BATCH);
+        put_string(&mut batch, "p");
+        batch.extend_from_slice(&overlong);
+        assert!(decode_batch_binary(&batch).is_err());
+        assert_eq!(peek_item_count(&batch), None);
     }
 
     #[test]

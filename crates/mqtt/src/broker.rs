@@ -42,10 +42,10 @@ pub(crate) const KEEP_ALIVE_FACTOR: f64 = 1.5;
 /// Broker tuning knobs.
 ///
 /// The first three fields configure the sans-I/O protocol state machine
-/// itself; the remaining fields are transport-level knobs that the TCP
-/// front-end ([`crate::net::TcpBroker`]) and the sharded routing layer
-/// ([`crate::shard::ShardedBroker`]) honour. Keeping them on one struct
-/// means a deployment tunes the broker in one place.
+/// itself; `shards` and `durability` are read by the sharded routing
+/// layer ([`crate::shard::ShardedBroker`]), and the remaining fields by
+/// it or the TCP front-end ([`crate::net::TcpBroker`]). Keeping them on
+/// one struct means a deployment tunes the broker in one place.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BrokerConfig {
     /// Resend an unacked QoS 1 publish after this many nanoseconds.
@@ -54,10 +54,10 @@ pub struct BrokerConfig {
     pub max_inflight: usize,
     /// Maximum messages queued for an offline persistent session.
     pub max_offline_queue: usize,
-    /// Number of routing shards the concurrent front-ends partition
-    /// sessions across (hash of client id). `1` reproduces the classic
-    /// single-broker behaviour; the sans-I/O [`Broker`] itself ignores
-    /// this field.
+    /// Number of routing shards a [`crate::shard::ShardedBroker`] (and so
+    /// the TCP front-end) partitions sessions across (hash of client id).
+    /// `1` reproduces the classic single-broker behaviour. The sans-I/O
+    /// [`Broker`], a node's embedded broker, ignores this field.
     pub shards: usize,
     /// TCP write timeout in nanoseconds before a connection is declared a
     /// slow consumer and closed (protects a shard's writer loop from one
@@ -68,13 +68,13 @@ pub struct BrokerConfig {
     /// a connection storm degrades into refusals instead of `EMFILE`
     /// inside the event loops. `0` means unlimited.
     pub max_connections: usize,
-    /// Directory for write-ahead durability. When set, the embedding
-    /// layers ([`crate::shard::ShardedBroker`], and through it the TCP
-    /// front-end) open per-shard WAL + snapshot files under it and replay
-    /// them on startup, so persistent sessions, subscriptions, retained
-    /// messages and QoS 1/2 in-flight state survive restarts. The sans-I/O
-    /// [`Broker`] itself ignores this field (like `shards`); attach a
-    /// backend explicitly with [`Broker::open_durable`].
+    /// Directory for write-ahead durability. When set, a
+    /// [`crate::shard::ShardedBroker`] (and through it the TCP front-end)
+    /// opens per-shard WAL + snapshot files under it and replays them on
+    /// startup, so persistent sessions, subscriptions, retained messages
+    /// and QoS 1/2 in-flight state survive restarts. The sans-I/O
+    /// [`Broker`] ignores this field (like `shards`); attach a backend
+    /// explicitly with [`Broker::open_durable`].
     pub durability: Option<PathBuf>,
     /// Install a durability snapshot (and truncate the log) after this
     /// many WAL records. `0` disables automatic snapshots. Ignored unless
@@ -666,10 +666,13 @@ impl<C: Ord + Clone> Broker<C> {
         now_ns: u64,
         actions: &mut Vec<Action<C>>,
     ) {
-        if let Some(c) = self.connections.get_mut(conn) {
-            c.last_activity_ns = now_ns;
-        } else {
+        let Some(c) = self.connections.get_mut(conn) else {
             return;
+        };
+        c.last_activity_ns = now_ns;
+        // MQTT 3.1.1 §3.1: a connection's first packet must be CONNECT.
+        if c.client_id.is_none() && !matches!(packet, Packet::Connect(_)) {
+            return self.protocol_error(conn, now_ns, actions);
         }
         match packet {
             Packet::Connect(c) => self.on_connect(conn, c, now_ns, actions),
@@ -831,13 +834,7 @@ impl<C: Ord + Clone> Broker<C> {
     /// Builds `$SYS` status publications describing the broker load; the
     /// transport may feed them back through a loopback publish.
     pub fn sys_stats_packets(&self) -> Vec<Publish> {
-        Self::sys_packets_for(self.stats())
-    }
-
-    /// Builds the `$SYS` publications for an arbitrary statistics
-    /// snapshot — shared with the sharded layer, which aggregates stats
-    /// across shards before formatting.
-    pub fn sys_packets_for(stats: BrokerStats) -> Vec<Publish> {
+        let stats = self.stats();
         let mk = |suffix: &str, value: String| {
             Publish::qos0(
                 TopicName::new(format!("$SYS/broker/{suffix}"))
@@ -1778,15 +1775,17 @@ mod tests {
     }
 
     #[test]
-    fn publish_before_connect_is_protocol_error() {
-        let mut b: Broker<u32> = Broker::new();
-        b.connection_opened(1, 0);
-        let out = b.handle_packet(
-            &1,
+    fn any_first_packet_but_connect_is_a_protocol_error() {
+        for first in [
             Packet::Publish(Publish::qos0(topic("a"), Bytes::new())),
-            0,
-        );
-        assert!(out.iter().any(|a| matches!(a, Action::Close { conn: 1 })));
+            Packet::Pingreq,
+            Packet::Puback(1),
+        ] {
+            let mut b: Broker<u32> = Broker::new();
+            b.connection_opened(1, 0);
+            let out = b.handle_packet(&1, first, 0);
+            assert_eq!(out, vec![Action::Close { conn: 1 }]);
+        }
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //! arriving on different connections route concurrently with no global
 //! lock on the hot path.
 //!
+//! Its one runtime user is the TCP front-end ([`crate::net::TcpBroker`]),
+//! which gives every shard its own service thread. A middleware node's
+//! embedded broker runs on the node's one thread, where shards could
+//! never run in parallel, so it embeds a plain [`Broker`] instead.
+//!
 //! ## Partitioning
 //!
 //! A session lives on the shard selected by an FNV-1a hash of its MQTT
@@ -42,9 +47,9 @@
 //! shards. The origin computes the distinct set of remote shards from
 //! the index and reports them as [`ShardOutput::forwards`]; the
 //! embedding applies each forward with
-//! [`ShardedBroker::apply_forward_into`] (inline in single-threaded
-//! runtimes via [`resolve`](ShardedBroker::resolve); over bounded
-//! channels between shard service threads in the TCP front-end). Forward
+//! [`ShardedBroker::apply_forward_into`] (over bounded channels between
+//! shard service threads in the TCP front-end; inline, via
+//! [`resolve`](ShardedBroker::resolve), for a caller on one thread). Forward
 //! application never generates further forwards, so a forwarded publish
 //! cannot loop. Retained publishes are forwarded to *all* shards so every
 //! shard's retained store replicates and a later subscriber on any shard
@@ -170,12 +175,6 @@ impl<C: Ord + Clone> ShardInner<C> {
             events: Vec::new(),
             matched: Vec::new(),
         }
-    }
-
-    /// Drops whatever the broker captured during the last call.
-    fn discard_events(&mut self) {
-        self.broker.drain_events_into(&mut self.events);
-        self.events.clear();
     }
 }
 
@@ -306,11 +305,6 @@ impl<C: Ord + Clone> ShardedBroker<C> {
         &self.config
     }
 
-    /// Number of routing shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard owning `conn`, if the connection has completed CONNECT.
     pub fn shard_of_conn(&self, conn: &C) -> Option<usize> {
         self.registry
@@ -324,9 +318,9 @@ impl<C: Ord + Clone> ShardedBroker<C> {
     /// unknown until the CONNECT arrives, so the connection parks in a
     /// pending set.
     ///
-    /// Reusing a live connection key (embeddings that identify peers by
-    /// stable names, like the simulator, do this on reconnect) resets
-    /// the transport record on the owning shard in place — mirroring
+    /// Reusing a live connection key (an embedding that identifies peers
+    /// by stable names does this on reconnect) resets the transport
+    /// record on the owning shard in place — mirroring
     /// [`Broker::connection_opened`]'s overwrite semantics — so the
     /// following CONNECT is a normal session (re)establishment rather
     /// than a protocol violation. The connection stays on its shard;
@@ -418,28 +412,13 @@ impl<C: Ord + Clone> ShardedBroker<C> {
         }
     }
 
-    /// Runs one shard's timer work (keep-alive expiry, retransmissions).
-    pub fn poll_shard(&self, shard: usize, now_ns: u64) -> ShardOutput<C> {
-        let mut out = ShardOutput::default();
-        self.poll_shard_into(shard, now_ns, &mut out);
-        out
-    }
-
-    /// [`poll_shard`](Self::poll_shard), appending to `out`.
+    /// Runs one shard's timer work (keep-alive expiry, retransmissions),
+    /// appending to `out`.
     pub fn poll_shard_into(&self, shard: usize, now_ns: u64, out: &mut ShardOutput<C>) {
         self.run_on_shard(shard, out, |b, actions| b.poll_into(now_ns, actions));
     }
 
-    /// Runs timer work on every shard (single-threaded embeddings).
-    pub fn poll(&self, now_ns: u64) -> ShardOutput<C> {
-        let mut out = ShardOutput::default();
-        for shard in 0..self.shards.len() {
-            self.poll_shard_into(shard, now_ns, &mut out);
-        }
-        out
-    }
-
-    /// The earliest instant at which [`ShardedBroker::poll_shard`] has
+    /// The earliest instant at which [`ShardedBroker::poll_shard_into`] has
     /// work for `shard`, if any. Shard service threads park on exactly
     /// this deadline instead of sleep-polling.
     pub fn next_deadline_ns(&self, shard: usize) -> Option<u64> {
@@ -460,20 +439,22 @@ impl<C: Ord + Clone> ShardedBroker<C> {
         now_ns: u64,
         actions: &mut Vec<Action<C>>,
     ) {
-        let mut inner = self.shards[shard]
+        let mut guard = self.shards[shard]
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
+        let inner = &mut *guard;
         inner.broker.publish_internal_into(publish, now_ns, actions);
         // The only events a publish application can raise are Routed
         // echoes of this same publish; dropping them is what prevents
         // forward loops.
-        inner.discard_events();
+        inner.broker.drain_events_into(&mut inner.events);
+        inner.events.clear();
     }
 
-    /// Applies `out.forwards` inline and returns every action. The
-    /// convenience path for single-threaded embeddings (the simulator
-    /// and the in-process runtimes); the TCP front-end ships forwards
-    /// over channels between shard threads instead.
+    /// Applies `out.forwards` inline and returns every action: the
+    /// convenience path for a caller on one thread (tests, benchmark
+    /// replays). The TCP front-end ships forwards over channels between
+    /// shard threads instead.
     pub fn resolve(&self, mut out: ShardOutput<C>, now_ns: u64) -> Vec<Action<C>> {
         self.resolve_into(&mut out, now_ns);
         out.actions
@@ -485,21 +466,6 @@ impl<C: Ord + Clone> ShardedBroker<C> {
         for (shard, publish) in out.forwards.drain(..) {
             self.apply_forward_into(shard, publish, now_ns, &mut out.actions);
         }
-    }
-
-    /// Publishes a broker-originated message (e.g. `$SYS` status) on
-    /// every shard: each shard routes to its local subscribers and
-    /// stores retained state, so the result matches a single broker.
-    pub fn publish_internal(&self, publish: Publish, now_ns: u64) -> Vec<Action<C>> {
-        let mut actions = Vec::new();
-        for shard in &self.shards {
-            let mut inner = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            inner
-                .broker
-                .publish_internal_into(publish.clone(), now_ns, &mut actions);
-            inner.discard_events();
-        }
-        actions
     }
 
     /// Aggregated statistics across shards. Counters sum; the retained
@@ -521,12 +487,6 @@ impl<C: Ord + Clone> ShardedBroker<C> {
             total.retained_count = total.retained_count.max(s.retained_count);
         }
         total
-    }
-
-    /// `$SYS` status publications describing the aggregated load, in the
-    /// same shape as [`Broker::sys_stats_packets`].
-    pub fn sys_stats_packets(&self) -> Vec<Publish> {
-        Broker::<C>::sys_packets_for(self.stats())
     }
 
     /// Locks shard `idx`, runs `f` on its broker and `out.actions`, then
@@ -744,8 +704,8 @@ mod tests {
 
     #[test]
     fn reused_connection_key_reconnects_instead_of_violating() {
-        // Embeddings with stable peer names (the simulator) reuse the
-        // same connection key across transport sessions: a reconnect is
+        // Embeddings with stable peer names reuse the same connection
+        // key across transport sessions: a reconnect is
         // connection_opened + CONNECT again, not a fresh key. The
         // second CONNECT must be a session (re)establishment, never a
         // "second CONNECT on a live connection" protocol close.
@@ -957,7 +917,8 @@ mod tests {
         // Unacked ⇒ the *subscriber's* shard owns the retransmit timer.
         let timeout = BrokerConfig::default().retransmit_timeout_ns;
         assert_eq!(sb.next_deadline_ns(0), Some(timeout));
-        let out = sb.poll_shard(0, timeout);
+        let mut out = ShardOutput::default();
+        sb.poll_shard_into(0, timeout, &mut out);
         assert!(
             sends_to(&out.actions, 1)
                 .iter()
@@ -1073,7 +1034,6 @@ mod tests {
         assert_eq!(stats.clients_connected, 2);
         assert_eq!(stats.messages_in, 1, "counted only at the origin shard");
         assert_eq!(stats.messages_out, 1, "delivered exactly once");
-        assert!(!sb.sys_stats_packets().is_empty());
     }
 
     #[test]

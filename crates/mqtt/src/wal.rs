@@ -13,7 +13,8 @@
 //!
 //! ## Framing
 //!
-//! A batch on the wire (same varint style as `ifot-core`'s `wire.rs`):
+//! A batch on the wire (varints are `bytes::{put_varint, get_varint}`, as
+//! in `ifot-core`'s `wire.rs`):
 //!
 //! ```text
 //! varint len(body) | u32-LE crc32(body) | body
@@ -63,7 +64,7 @@ use std::io::{self, Read as _, Seek as _, Write as _};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use bytes::Bytes;
+use bytes::{get_varint, put_varint, BufMut, Bytes, VARINT_MAX_LEN};
 
 use crate::packet::QoS;
 
@@ -107,48 +108,8 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Varint + field helpers (LEB128, matching wire.rs)
+// Field helpers (varints are `bytes`' LEB128 pair, as in the flow wire)
 // ---------------------------------------------------------------------------
-
-/// Most bytes a varint takes (a `u64`).
-const VARINT_MAX: usize = 10;
-
-/// Hands `v`'s varint bytes to `push`, low group first.
-fn write_varint(mut v: u64, mut push: impl FnMut(u8)) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            push(byte);
-            break;
-        }
-        push(byte | 0x80);
-    }
-}
-
-fn put_varint(out: &mut Vec<u8>, v: u64) {
-    write_varint(v, |byte| out.push(byte));
-}
-
-fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = *buf.get(*pos)?;
-        *pos += 1;
-        if shift >= 63 && byte > 1 {
-            return None;
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return None;
-        }
-    }
-}
 
 fn put_slice(out: &mut Vec<u8>, s: &[u8]) {
     put_varint(out, s.len() as u64);
@@ -623,7 +584,7 @@ pub fn decode_record(buf: &[u8], pos: &mut usize) -> Option<WalRecord> {
 /// Room a batch buffer keeps in front of its records for the frame header:
 /// the length varint and the CRC, then the body's version byte and its two
 /// varints.
-const FRAME_HEAD_MAX: usize = VARINT_MAX + 4 + 1 + 2 * VARINT_MAX;
+const FRAME_HEAD_MAX: usize = VARINT_MAX_LEN + 4 + 1 + 2 * VARINT_MAX_LEN;
 
 /// A buffer for one batch: the header's room, records to follow.
 fn batch_buffer() -> Vec<u8> {
@@ -644,21 +605,19 @@ impl Head {
         }
     }
 
-    fn push(&mut self, byte: u8) {
-        self.bytes[self.len] = byte;
-        self.len += 1;
-    }
-
-    fn varint(&mut self, v: u64) {
-        write_varint(v, |byte| self.push(byte));
-    }
-
     /// Copies the header into `buf` so that it ends at `end`; returns
     /// where it starts.
     fn place_before(&self, buf: &mut [u8], end: usize) -> usize {
         let start = end - self.len;
         buf[start..end].copy_from_slice(&self.bytes[..self.len]);
         start
+    }
+}
+
+impl BufMut for Head {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.bytes[self.len..self.len + src.len()].copy_from_slice(src);
+        self.len += src.len();
     }
 }
 
@@ -670,16 +629,14 @@ impl Head {
 /// frame starts.
 fn frame_batch(buf: &mut [u8], lsn: u64, nrec: u64) -> usize {
     let mut head = Head::new();
-    head.push(WAL_VERSION);
-    head.varint(lsn);
-    head.varint(nrec);
+    head.put_u8(WAL_VERSION);
+    put_varint(&mut head, lsn);
+    put_varint(&mut head, nrec);
     let body = head.place_before(buf, FRAME_HEAD_MAX);
 
     let mut head = Head::new();
-    head.varint((buf.len() - body) as u64);
-    for byte in crc32(&buf[body..]).to_le_bytes() {
-        head.push(byte);
-    }
+    put_varint(&mut head, (buf.len() - body) as u64);
+    head.put_slice(&crc32(&buf[body..]).to_le_bytes());
     head.place_before(buf, body)
 }
 
@@ -1549,17 +1506,6 @@ mod tests {
     fn crc32_known_vector() {
         // IEEE CRC32 of "123456789" is 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
-
-    #[test]
-    fn varint_round_trip() {
-        for v in [0u64, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(get_varint(&buf, &mut pos), Some(v));
-            assert_eq!(pos, buf.len());
-        }
     }
 
     #[test]

@@ -177,9 +177,9 @@ fn qos() {
         "qos on a 5% lossy WLAN",
         &rows,
         &[
-            "qos0: received=255 tuples=66 avg_ms=112.969 max_ms=1387.062 wlan_frames=439",
-            "qos1: received=287 tuples=82 avg_ms=706.017 max_ms=4587.679 wlan_frames=921",
-            "qos2: received=274 tuples=84 avg_ms=472.294 max_ms=3294.902 wlan_frames=1742",
+            "qos0: received=260 tuples=71 avg_ms=98.759 max_ms=1382.204 wlan_frames=442",
+            "qos1: received=293 tuples=82 avg_ms=624.146 max_ms=4502.366 wlan_frames=935",
+            "qos2: received=274 tuples=84 avg_ms=555.014 max_ms=4469.414 wlan_frames=1733",
         ],
     );
     assert!(
@@ -239,8 +239,8 @@ fn assign() {
         "assignment strategy on the Fig. 5 recipe",
         &rows,
         &[
-            "round-robin: avg_ms=18.824 max_ms=207.118 peak_util=0.2162",
-            "capability-aware: avg_ms=17.039 max_ms=204.918 peak_util=0.1989",
+            "round-robin: avg_ms=18.821 max_ms=207.118 peak_util=0.2162",
+            "capability-aware: avg_ms=17.037 max_ms=204.918 peak_util=0.1989",
             "load-aware: avg_ms=17.305 max_ms=112.316 peak_util=0.1995",
         ],
     );
@@ -411,11 +411,11 @@ fn scaling() {
         &rows,
         &[
             "40 Hz x1: tuples=123 avg_ms=1250.179 max_ms=1761.559 peak_util=1.0000",
-            "40 Hz x2: tuples=196 avg_ms=428.700 max_ms=908.201 peak_util=1.0000",
-            "40 Hz x4: tuples=192 avg_ms=72.841 max_ms=207.508 peak_util=0.5561",
+            "40 Hz x2: tuples=189 avg_ms=279.535 max_ms=563.199 peak_util=1.0000",
+            "40 Hz x4: tuples=194 avg_ms=71.368 max_ms=280.428 peak_util=0.5381",
             "80 Hz x1: tuples=115 avg_ms=1408.947 max_ms=1769.414 peak_util=1.0000",
-            "80 Hz x2: tuples=234 avg_ms=1312.262 max_ms=2038.296 peak_util=1.0000",
-            "80 Hz x4: tuples=310 avg_ms=565.572 max_ms=1108.263 peak_util=0.8791",
+            "80 Hz x2: tuples=247 avg_ms=1292.208 max_ms=1869.889 peak_util=1.0000",
+            "80 Hz x4: tuples=313 avg_ms=607.884 max_ms=1072.741 peak_util=0.9388",
         ],
     );
     assert!(
@@ -498,9 +498,9 @@ fn centralized() {
         "one module vs the Fig. 7 placement",
         &rows,
         &[
-            "5 Hz: mono_train_ms=106.426 train_ms=70.942 mono_predict_ms=106.426 predict_ms=46.929",
-            "10 Hz: mono_train_ms=221.129 train_ms=74.125 mono_predict_ms=221.129 predict_ms=48.098",
-            "20 Hz: mono_train_ms=408.521 train_ms=211.758 mono_predict_ms=408.521 predict_ms=60.056",
+            "5 Hz: mono_train_ms=106.426 train_ms=60.182 mono_predict_ms=106.426 predict_ms=52.232",
+            "10 Hz: mono_train_ms=221.129 train_ms=65.100 mono_predict_ms=221.129 predict_ms=52.900",
+            "20 Hz: mono_train_ms=408.521 train_ms=211.001 mono_predict_ms=408.521 predict_ms=59.307",
         ],
     );
     assert!(
@@ -529,23 +529,23 @@ fn tables_ii_iii() {
         "Tables II (sensing → training) and III (sensing → predicting)",
         &rows,
         &[
-            "II 5 Hz: n=24 avg_ms=85.470 max_ms=372.557 p50_ms=58.451 p95_ms=180.585",
-            "II 10 Hz: n=48 avg_ms=85.732 max_ms=353.477 p50_ms=65.513 p95_ms=176.823",
-            "II 20 Hz: n=99 avg_ms=422.613 max_ms=714.708 p50_ms=396.742 p95_ms=690.435",
-            "II 40 Hz: n=124 avg_ms=1279.248 max_ms=1774.127 p50_ms=1622.308 p95_ms=1659.040",
-            "II 80 Hz: n=134 avg_ms=1397.833 max_ms=1762.962 p50_ms=1645.628 p95_ms=1660.480",
-            "III 5 Hz: n=23 avg_ms=67.679 max_ms=361.968 p50_ms=47.273 p95_ms=125.999",
-            "III 10 Hz: n=48 avg_ms=52.562 max_ms=144.957 p50_ms=47.073 p95_ms=101.741",
-            "III 20 Hz: n=98 avg_ms=70.304 max_ms=380.001 p50_ms=49.041 p95_ms=182.363",
-            "III 40 Hz: n=171 avg_ms=1043.172 max_ms=1921.291 p50_ms=1114.203 p95_ms=1647.288",
-            "III 80 Hz: n=172 avg_ms=1373.002 max_ms=1962.703 p50_ms=1632.909 p95_ms=1647.098",
+            "II 5 Hz: n=23 avg_ms=77.654 max_ms=372.891 p50_ms=57.408 p95_ms=176.855",
+            "II 10 Hz: n=47 avg_ms=71.680 max_ms=180.939 p50_ms=59.038 p95_ms=155.871",
+            "II 20 Hz: n=99 avg_ms=249.025 max_ms=509.482 p50_ms=275.298 p95_ms=475.922",
+            "II 40 Hz: n=135 avg_ms=1209.693 max_ms=1754.372 p50_ms=1502.485 p95_ms=1651.278",
+            "II 80 Hz: n=129 avg_ms=1387.657 max_ms=1764.172 p50_ms=1644.181 p95_ms=1661.232",
+            "III 5 Hz: n=24 avg_ms=67.375 max_ms=362.467 p50_ms=47.578 p95_ms=157.018",
+            "III 10 Hz: n=49 avg_ms=61.366 max_ms=342.685 p50_ms=48.162 p95_ms=115.641",
+            "III 20 Hz: n=98 avg_ms=85.318 max_ms=378.286 p50_ms=56.428 p95_ms=174.050",
+            "III 40 Hz: n=170 avg_ms=1076.240 max_ms=1721.802 p50_ms=1166.829 p95_ms=1642.973",
+            "III 80 Hz: n=175 avg_ms=1337.773 max_ms=1782.212 p50_ms=1632.937 p95_ms=1647.564",
         ],
     );
     assert_eq!(check_shape(&sweep), Vec::<String>::new(), "shape check");
 }
 
 /// The Fig. 9 stage breakdown (`fig9_breakdown`): the paper testbed,
-/// through its hub's embedded sharded broker, 5 s per rate, seed 2016;
+/// through its hub's embedded broker, 5 s per rate, seed 2016;
 /// mean ms from sensing to each stage of the class chain. The broker leg
 /// stays flat while the analysis legs climb.
 #[test]
@@ -570,11 +570,11 @@ fn fig9_breakdown() {
         "Fig. 9 stage breakdown",
         &rows,
         &[
-            "5 Hz: broker_ms=6.751 subscribe_ms=26.381 train_ms=70.942 predict_ms=46.929",
-            "10 Hz: broker_ms=7.040 subscribe_ms=28.528 train_ms=74.125 predict_ms=48.098",
-            "20 Hz: broker_ms=7.311 subscribe_ms=103.592 train_ms=211.758 predict_ms=60.056",
-            "40 Hz: broker_ms=8.329 subscribe_ms=1210.398 train_ms=1325.611 predict_ms=1138.300",
-            "80 Hz: broker_ms=8.974 subscribe_ms=1381.449 train_ms=1402.539 predict_ms=1378.409",
+            "5 Hz: broker_ms=6.751 subscribe_ms=25.487 train_ms=60.182 predict_ms=52.232",
+            "10 Hz: broker_ms=7.040 subscribe_ms=27.100 train_ms=65.100 predict_ms=52.900",
+            "20 Hz: broker_ms=7.299 subscribe_ms=100.434 train_ms=211.001 predict_ms=59.307",
+            "40 Hz: broker_ms=8.179 subscribe_ms=1184.707 train_ms=1282.493 predict_ms=1129.413",
+            "80 Hz: broker_ms=8.632 subscribe_ms=1389.294 train_ms=1431.301 predict_ms=1365.499",
         ],
     );
     assert!(
@@ -605,8 +605,8 @@ fn fig1_cloud_vs_local() {
         "Fig. 1: sensing-to-analysis delay at 10 Hz",
         &rows,
         &[
-            "local: train avg 74.125 max 178.423, predict avg 48.098 max 97.915",
-            "cloud: train avg 146.274 max 917.839, predict avg 135.386 max 893.675",
+            "local: train avg 65.100 max 181.033, predict avg 52.900 max 134.645",
+            "cloud: train avg 151.545 max 917.839, predict avg 131.643 max 893.675",
         ],
     );
     assert!(
