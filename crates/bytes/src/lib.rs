@@ -478,6 +478,9 @@ impl BufMut for BytesMut {
 }
 
 impl BufMut for Vec<u8> {
+    // Inlined, like `get_varint`: the flow wire writes its varints
+    // through it a byte at a time, from another crate.
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }
@@ -502,6 +505,7 @@ pub fn put_varint(out: &mut impl BufMut, mut v: u64) {
 /// the bytes end first or the value does not fit a `u64`: a 10th byte
 /// above 1 would lose its high bits, so it is refused, and no 11th byte
 /// is ever read.
+#[inline]
 pub fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v = 0u64;
     for shift in (0..64).step_by(7) {

@@ -1999,13 +1999,25 @@ mod tests {
         assert_eq!(inline.codec_calls, (197, 29));
     }
 
+    /// A SUBSCRIBE to every topic (`#`) at QoS 0.
+    fn subscribe_everything() -> Packet {
+        use ifot_mqtt::packet::{Subscribe, SubscribeFilter};
+        let filter = TopicFilter::new("#").expect("valid filter");
+        let qos = QoS::AtMostOnce;
+        let filters = vec![SubscribeFilter { filter, qos }];
+        Packet::Subscribe(Subscribe {
+            packet_id: 1,
+            filters,
+        })
+    }
+
     /// A chunk that turns into garbage mid-way: the packets ahead of the
     /// garbage are handled, then the connection is lost for the broker
     /// too (will published, session offline), and the peer's next
     /// CONNECT finds no stale stream state.
     #[test]
     fn corrupt_broker_frame_keeps_what_decoded_and_drops_the_connection() {
-        use ifot_mqtt::packet::{Connect, LastWill, Publish, Subscribe, SubscribeFilter};
+        use ifot_mqtt::packet::{Connect, LastWill, Publish};
         let topic = |t: &str| TopicName::new(t).expect("valid topic");
         let mut node = MiddlewareNode::new(NodeConfig::new("hub").with_broker());
         let mut env = MockEnv::new();
@@ -2031,14 +2043,7 @@ mod tests {
             "sub",
             encode(&Packet::Connect(Connect::new("sub"))),
         );
-        let subscribe = Packet::Subscribe(Subscribe {
-            packet_id: 1,
-            filters: vec![SubscribeFilter {
-                filter: TopicFilter::new("#").expect("valid filter"),
-                qos: QoS::AtMostOnce,
-            }],
-        });
-        feed(&mut node, &mut env, "sub", encode(&subscribe));
+        feed(&mut node, &mut env, "sub", encode(&subscribe_everything()));
         let mut connect = Connect::new("pub");
         connect.will = Some(LastWill {
             topic: topic("will/pub"),
@@ -2094,27 +2099,15 @@ mod tests {
     /// opens a normal session.
     #[test]
     fn hub_closes_a_peer_whose_first_packet_is_not_connect() {
-        use ifot_mqtt::packet::{Connect, Publish, Subscribe, SubscribeFilter};
+        use ifot_mqtt::packet::{Connect, Publish};
         let mut node = MiddlewareNode::new(NodeConfig::new("hub").with_broker());
         let mut env = MockEnv::new();
         let mut feed = |node: &mut MiddlewareNode, src: &str, packet: Packet| {
             node.on_packet(&mut env, src, MQTT_BROKER_PORT, &encode(&packet));
         };
-        let filter = TopicFilter::new("#").expect("valid filter");
-        let filters = vec![SubscribeFilter {
-            filter,
-            qos: QoS::AtMostOnce,
-        }];
         let publish = Publish::qos0(TopicName::new("t/a").expect("valid topic"), vec![7]);
         feed(&mut node, "sub", Packet::Connect(Connect::new("sub")));
-        feed(
-            &mut node,
-            "sub",
-            Packet::Subscribe(Subscribe {
-                packet_id: 1,
-                filters,
-            }),
-        );
+        feed(&mut node, "sub", subscribe_everything());
         feed(&mut node, "stray", Packet::Publish(publish.clone()));
         let stats = node.broker_stats().expect("broker");
         assert_eq!((stats.messages_in, stats.messages_out), (0, 0));
