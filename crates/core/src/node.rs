@@ -2121,6 +2121,49 @@ mod tests {
         assert_eq!((sent("stray"), sent("sub")), (1, 3));
     }
 
+    /// A message frame whose producer claims 2^64 − 1 bytes and has eight
+    /// behind it: the hub's stage probe reads it on any topic, the broker
+    /// routes it, and the subscriber counts a decode error.
+    #[test]
+    fn a_hub_routes_a_publish_whose_payload_lies_about_its_lengths() {
+        use ifot_mqtt::packet::{Connack, Connect, ConnectReturnCode, Publish};
+        let mut payload = vec![0xFB, 0x01, 0x01];
+        payload.extend_from_slice(&[0xFF; 9]);
+        payload.push(0x01);
+        payload.extend_from_slice(&[0; 8]);
+        assert_eq!(payload.len(), 21);
+
+        let mut hub = MiddlewareNode::new(NodeConfig::new("hub").with_broker());
+        let mut hub_env = MockEnv::new();
+        let mut feed = |src: &str, packet: Packet| {
+            hub.on_packet(&mut hub_env, src, MQTT_BROKER_PORT, &encode(&packet));
+        };
+        feed("sub", Packet::Connect(Connect::new("sub")));
+        feed("sub", subscribe_everything());
+        feed("peer", Packet::Connect(Connect::new("peer")));
+        let topic = TopicName::new("any/topic").expect("valid topic");
+        feed("peer", Packet::Publish(Publish::qos0(topic, payload)));
+        assert_eq!(hub.broker_stats().expect("broker").messages_out, 1);
+        assert_eq!(hub_env.counter("broker_decode_errors"), 0);
+
+        let mut sub = MiddlewareNode::new(NodeConfig::new("sub").with_broker_node("hub"));
+        let mut sub_env = MockEnv::new();
+        sub.on_start(&mut sub_env);
+        let connack = encode(&Packet::Connack(Connack {
+            session_present: false,
+            code: ConnectReturnCode::Accepted,
+        }));
+        sub.on_packet(&mut sub_env, "hub", MQTT_CLIENT_PORT, &connack);
+        let delivery = *hub_env
+            .sent_to("sub", MQTT_CLIENT_PORT)
+            .last()
+            .expect("a delivery");
+        let delivery = Bytes::copy_from_slice(delivery);
+        sub.on_packet(&mut sub_env, "hub", MQTT_CLIENT_PORT, &delivery);
+        assert_eq!(sub_env.counter("messages_received"), 1);
+        assert_eq!(sub_env.counter("flow_decode_errors"), 1);
+    }
+
     #[test]
     fn corrupt_client_stream_keeps_what_decoded_and_reconnects() {
         use ifot_mqtt::packet::{Connack, ConnectReturnCode, Publish};

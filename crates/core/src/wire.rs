@@ -935,6 +935,30 @@ mod tests {
         assert_eq!(peek_item_count(&batch), None);
     }
 
+    /// A frame whose first string claims 2^64 − 1 bytes (`FF×9 01`) and
+    /// has eight behind it is refused by every decoder and both peeks, at
+    /// each kind that opens with a string.
+    #[test]
+    fn a_length_past_the_end_of_the_frame_is_an_error() {
+        for kind in [KIND_MESSAGE, KIND_BATCH, KIND_MIX, KIND_ANNOUNCE] {
+            let mut frame = header(kind);
+            frame.extend_from_slice(&[0xFF; 9]);
+            frame.push(0x01);
+            frame.extend_from_slice(&[0; 8]);
+            assert_eq!(frame.len(), 21);
+            assert!(decode_items("t", &frame).is_err(), "{kind:#04x}");
+            assert!(decode_message_binary(&frame).is_err());
+            assert!(decode_batch_binary(&frame).is_err());
+            assert!(decode_mix_binary(&frame).is_err());
+            assert!(decode_announce_binary(&frame).is_err());
+            assert_eq!(peek_first_origin(&frame), None);
+            // A message is one item whatever its body holds: the count
+            // reads no further than the kind.
+            let count = (kind == KIND_MESSAGE).then_some(1);
+            assert_eq!(peek_item_count(&frame), count);
+        }
+    }
+
     #[test]
     fn empty_batch_is_rejected() {
         // A forged zero-count batch frame is rejected on decode.

@@ -60,6 +60,17 @@ pub fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
+/// `frame` with a LEB128 length of 2^64 − 1 (`FF×9 01`) spliced in at
+/// `at`: wherever a length is read there, it claims more bytes than any
+/// frame holds.
+pub fn overflowing_length_at(frame: &[u8], at: usize) -> Vec<u8> {
+    let mut out = frame[..at].to_vec();
+    out.extend_from_slice(&[0xFF; 9]);
+    out.push(0x01);
+    out.extend_from_slice(&frame[at..]);
+    out
+}
+
 /// What a chaotic run produced at the subscriber.
 #[derive(Debug)]
 pub struct ReconnectRun {

@@ -9,7 +9,7 @@
 mod common;
 
 use common::check::{check, Gen};
-use common::hex;
+use common::{hex, overflowing_length_at};
 
 use ifot::core::discovery::{announce_topic, FlowDirectory, NodeAnnouncement, StreamInfo};
 use ifot::sensors::actuator::Command;
@@ -55,8 +55,8 @@ fn command(g: &mut Gen) -> Command {
 }
 
 /// A value survives its frame; no strict prefix of the frame decodes; a
-/// frame with one byte changed decodes to an error or to some value,
-/// never a panic.
+/// frame with one byte changed, or with an overflowing length spliced in
+/// at any offset, decodes to an error or to some value, never a panic.
 fn frame_case<T: PartialEq + std::fmt::Debug>(
     value: &T,
     frame: &[u8],
@@ -83,6 +83,7 @@ fn frame_case<T: PartialEq + std::fmt::Debug>(
         let mut corrupt = frame.to_vec();
         corrupt[at] ^= 1 + g.below(255) as u8;
         let _ = decode(&corrupt);
+        let _ = decode(&overflowing_length_at(frame, at));
     }
     Ok(())
 }

@@ -9,7 +9,7 @@ mod common;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use common::check::{check, Gen, CASES};
-use common::{topic_filter, topic_name};
+use common::{overflowing_length_at, topic_filter, topic_name};
 
 use ifot::mqtt::codec::{decode, encode, encoded_len};
 use ifot::mqtt::packet::{Connect, Packet, Publish, QoS, Subscribe, SubscribeFilter};
@@ -790,7 +790,10 @@ fn flow_batch_binary_round_trips() {
 #[test]
 fn binary_frames_reject_corrupt_payloads() {
     use ifot::core::flow::FlowBatch;
-    use ifot::core::wire::{decode_batch_binary, decode_items, encode_batch_binary, FRAME_MAGIC};
+    use ifot::core::wire::{
+        decode_batch_binary, decode_items, encode_batch_binary, peek_first_origin, peek_item_count,
+        FRAME_MAGIC,
+    };
     check("binary_frames_reject_corrupt_payloads", CASES, |g| {
         let batch = FlowBatch {
             items: g.vec(1, 6, flow_message),
@@ -808,6 +811,14 @@ fn binary_frames_reject_corrupt_payloads() {
         let mut framed = vec![FRAME_MAGIC];
         framed.extend_from_slice(&g.bytes(0, 64));
         assert!(decode_items("flow/x", &framed).is_err() || framed == bytes);
+        // An overflowing length spliced in at any offset: the decoders and
+        // the peeks return, whatever they return.
+        for at in 0..bytes.len() {
+            let spliced = overflowing_length_at(&bytes, at);
+            let _ = decode_batch_binary(&spliced);
+            let _ = decode_items("flow/x", &spliced);
+            let _ = (peek_first_origin(&spliced), peek_item_count(&spliced));
+        }
     });
 }
 
@@ -832,6 +843,9 @@ fn mix_envelope_rejects_corrupt_payloads() {
         assert!(MixEnvelope::decode(&bytes[..cut]).is_err());
         assert!(MixEnvelope::decode(b"oops").is_err());
         let _ = MixEnvelope::decode(&g.bytes(0, 64)); // must not panic
+        for at in 0..bytes.len() {
+            let _ = MixEnvelope::decode(&overflowing_length_at(&bytes, at));
+        }
     });
 }
 
