@@ -3,12 +3,11 @@
 //!
 //! A [`Bytes`] is a view `start..end` of one reference-counted `Arc<[u8]>`,
 //! so a buffer costs **one** allocation, and `clone`, [`Bytes::slice`],
-//! [`Bytes::split_to`], [`Bytes::split_off`], [`Bytes::truncate`] and the
-//! [`Buf`] reads cost none: they share the allocation. A [`BytesMut`] owns
-//! its `Arc<[u8]>` alone until [`BytesMut::freeze`] and writes into it in
-//! place (through `Arc::get_mut`), so freezing copies nothing and a frame
-//! written into a `BytesMut` of the right capacity is the one allocation it
-//! costs.
+//! [`Bytes::split_to`], [`Bytes::split_off`] and [`Bytes::truncate`] cost
+//! none: they share the allocation. A [`BytesMut`] owns its `Arc<[u8]>`
+//! alone until [`BytesMut::freeze`] and writes into it in place (through
+//! `Arc::get_mut`), so freezing copies nothing and a frame written into a
+//! `BytesMut` of the right capacity is the one allocation it costs.
 //!
 //! Two conversions copy where the crates.io crate adopts the caller's
 //! memory: `Bytes::from(Vec<u8>)` (an `Arc<[u8]>` cannot take over a
@@ -16,9 +15,13 @@
 //! on a per-item path: frames are written through `BytesMut`, and received
 //! bytes are taken with [`Bytes::copy_from_slice`].
 //!
-//! Beside that API sits the workspace's one LEB128 varint pair,
-//! [`put_varint`] / [`get_varint`], which the flow wire and the broker's
-//! WAL both read and write through.
+//! Beside that API sits the workspace's one reader of its own byte
+//! formats, [`Reader`]: a cursor over borrowed bytes whose every read
+//! returns [`ReadError`] where the input runs out or breaks a rule, and
+//! never panics. The flow wire, the broker's WAL and actuator commands
+//! read through it, and write their LEB128 varints and length-prefixed
+//! fields through [`put_varint`] and [`BufMut::put_prefixed`]. The MQTT
+//! codec keeps its own reader for its u16-prefixed strings.
 
 #![forbid(unsafe_code)]
 
@@ -360,90 +363,6 @@ impl fmt::Debug for BytesMut {
     }
 }
 
-/// Read access to a byte cursor. Multi-byte integers are big-endian.
-pub trait Buf {
-    /// Bytes left to read.
-    fn remaining(&self) -> usize;
-
-    /// The bytes left to read, contiguous.
-    fn chunk(&self) -> &[u8];
-
-    /// Skips `cnt` bytes.
-    fn advance(&mut self, cnt: usize);
-
-    /// Whether anything is left to read.
-    fn has_remaining(&self) -> bool {
-        self.remaining() > 0
-    }
-
-    /// Reads `dst.len()` bytes into `dst`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer bytes remain.
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(self.remaining() >= dst.len(), "read past the end");
-        dst.copy_from_slice(&self.chunk()[..dst.len()]);
-        self.advance(dst.len());
-    }
-
-    /// Reads one byte.
-    fn get_u8(&mut self) -> u8 {
-        let mut b = [0u8; 1];
-        self.copy_to_slice(&mut b);
-        b[0]
-    }
-
-    /// Reads a big-endian `u16`.
-    fn get_u16(&mut self) -> u16 {
-        let mut b = [0u8; 2];
-        self.copy_to_slice(&mut b);
-        u16::from_be_bytes(b)
-    }
-
-    /// Reads a big-endian `u32`.
-    fn get_u32(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.copy_to_slice(&mut b);
-        u32::from_be_bytes(b)
-    }
-
-    /// Reads a big-endian `u64`.
-    fn get_u64(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        u64::from_be_bytes(b)
-    }
-
-    /// Reads `len` bytes into a buffer of their own.
-    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
-        assert!(self.remaining() >= len, "read past the end");
-        let out = Bytes::copy_from_slice(&self.chunk()[..len]);
-        self.advance(len);
-        out
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk(&self) -> &[u8] {
-        self.as_slice()
-    }
-
-    fn advance(&mut self, cnt: usize) {
-        assert!(cnt <= self.len(), "advance past the end");
-        self.start += cnt;
-    }
-
-    /// A view of this buffer: no copy.
-    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
-        self.split_to(len)
-    }
-}
-
 /// Write access to a growable byte sink. Multi-byte integers are
 /// big-endian.
 pub trait BufMut {
@@ -469,6 +388,17 @@ pub trait BufMut {
     fn put_u64(&mut self, v: u64) {
         self.put_slice(&v.to_be_bytes());
     }
+
+    /// Appends `src` behind its length as a [`put_varint`]: the field
+    /// [`Reader::bytes`] and [`Reader::str`] read.
+    #[inline]
+    fn put_prefixed(&mut self, src: &[u8])
+    where
+        Self: Sized,
+    {
+        put_varint(self, src.len() as u64);
+        self.put_slice(src);
+    }
 }
 
 impl BufMut for BytesMut {
@@ -478,8 +408,8 @@ impl BufMut for BytesMut {
 }
 
 impl BufMut for Vec<u8> {
-    // Inlined, like `get_varint`: the flow wire writes its varints
-    // through it a byte at a time, from another crate.
+    // Inlined, like `Reader`: the flow wire writes its varints through it
+    // a byte at a time, from another crate.
     #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
@@ -501,25 +431,152 @@ pub fn put_varint(out: &mut impl BufMut, mut v: u64) {
     out.put_u8(v as u8);
 }
 
-/// Reads the varint at `buf[*pos..]` and moves `pos` past it. `None` when
-/// the bytes end first or the value does not fit a `u64`: a 10th byte
-/// above 1 would lose its high bits, so it is refused, and no 11th byte
-/// is ever read.
-#[inline]
-pub fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
-        let byte = *buf.get(*pos)?;
-        *pos += 1;
-        if shift == 63 && byte > 1 {
-            return None;
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
+/// Why a [`Reader`] refused its input. Small and `Copy`: a refusal
+/// allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadError {
+    /// The input ends before the field does.
+    Truncated,
+    /// A varint carries more bits than its field holds: past 64, or past
+    /// the width its caller narrows it to.
+    Overlong,
+    /// A string is not UTF-8.
+    NotUtf8,
+    /// A tag byte outside its set: a flag other than 0 or 1, or a kind,
+    /// version or option tag the format does not have.
+    BadTag(u8),
+    /// Bytes are left after the last field.
+    Trailing(usize),
+}
+
+impl fmt::Display for ReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReadError::Truncated => f.write_str("input ends inside a field"),
+            ReadError::Overlong => f.write_str("varint wider than its field"),
+            ReadError::NotUtf8 => f.write_str("string is not UTF-8"),
+            ReadError::BadTag(tag) => write!(f, "bad tag {tag:#04x}"),
+            ReadError::Trailing(n) => write!(f, "{n} trailing bytes after the last field"),
         }
     }
-    None
+}
+
+impl std::error::Error for ReadError {}
+
+/// For decoders whose errors are descriptions.
+impl From<ReadError> for String {
+    fn from(e: ReadError) -> String {
+        e.to_string()
+    }
+}
+
+/// A cursor over borrowed bytes, and the one reader of the flow wire, the
+/// broker's WAL and actuator commands. Every read either returns its field
+/// and moves past it or returns a [`ReadError`]; none panics, whatever the
+/// input. Each bounds check compares a length with [`Reader::remaining`],
+/// so a length read off the input cannot overflow it. After an error the
+/// position is unspecified: the caller stops reading.
+///
+/// Every method is `#[inline]`: the decoders that call them live in other
+/// crates and read a field of a few bytes at a time.
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `bytes`.
+    #[inline]
+    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
+        Reader { rest: bytes }
+    }
+
+    /// Bytes left to read.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    /// The next `len` bytes, borrowed from the input.
+    #[inline]
+    pub fn take(&mut self, len: usize) -> Result<&'a [u8], ReadError> {
+        if len <= self.remaining() {
+            let (head, rest) = self.rest.split_at(len);
+            self.rest = rest;
+            Ok(head)
+        } else {
+            Err(ReadError::Truncated)
+        }
+    }
+
+    /// The next `N` bytes, for a `from_le_bytes` or `from_be_bytes`.
+    #[inline]
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], ReadError> {
+        let (head, rest) = self.rest.split_first_chunk().ok_or(ReadError::Truncated)?;
+        self.rest = rest;
+        Ok(*head)
+    }
+
+    /// The next byte.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, ReadError> {
+        let (&byte, rest) = self.rest.split_first().ok_or(ReadError::Truncated)?;
+        self.rest = rest;
+        Ok(byte)
+    }
+
+    /// A byte that is 0 or 1.
+    #[inline]
+    pub fn flag(&mut self) -> Result<bool, ReadError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(ReadError::BadTag(tag)),
+        }
+    }
+
+    /// A varint as [`put_varint`] writes it. One whose 10th byte is above
+    /// 1 would lose its high bits, so it is [`ReadError::Overlong`], and
+    /// no 11th byte is ever read.
+    #[inline]
+    pub fn varint(&mut self) -> Result<u64, ReadError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8()?;
+            if shift == 63 && byte > 1 {
+                return Err(ReadError::Overlong);
+            }
+            v |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(ReadError::Overlong)
+    }
+
+    /// A field [`BufMut::put_prefixed`] wrote: a varint length, then that
+    /// many bytes, borrowed from the input.
+    #[inline]
+    pub fn bytes(&mut self) -> Result<&'a [u8], ReadError> {
+        let len = self.varint()?;
+        // A length past `usize` is past the end of any input too.
+        self.take(usize::try_from(len).unwrap_or(usize::MAX))
+    }
+
+    /// A [`Reader::bytes`] field that must be UTF-8.
+    #[inline]
+    pub fn str(&mut self) -> Result<&'a str, ReadError> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| ReadError::NotUtf8)
+    }
+
+    /// Ends the read: the input must be used up.
+    #[inline]
+    pub fn finish(self) -> Result<(), ReadError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(ReadError::Trailing(n)),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -584,27 +641,52 @@ mod tests {
         for v in [0u64, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX] {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!((get_varint(&buf, &mut pos), pos), (Some(v), buf.len()));
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.varint(), Ok(v));
+            assert_eq!(r.finish(), Ok(()));
         }
         let tenth = |last: u8| [[0xFF; 9].as_slice(), &[last]].concat();
-        assert_eq!(get_varint(&tenth(0x01), &mut 0), Some(u64::MAX));
+        assert_eq!(Reader::new(&tenth(0x01)).varint(), Ok(u64::MAX));
         for last in [0x02, 0x7F, 0x81] {
-            assert_eq!(get_varint(&tenth(last), &mut 0), None, "{last:#04x}");
+            let got = Reader::new(&tenth(last)).varint();
+            assert_eq!(got, Err(ReadError::Overlong), "{last:#04x}");
         }
-        assert_eq!(get_varint(&[0x80, 0x80], &mut 0), None, "cut short");
+        let cut_short = Reader::new(&[0x80, 0x80]).varint();
+        assert_eq!(cut_short, Err(ReadError::Truncated));
     }
 
     #[test]
-    fn buf_reads() {
-        let mut b = Bytes::copy_from_slice(&[1, 0, 2, 0, 0, 0, 3, 9, 9]);
-        assert_eq!(b.get_u8(), 1);
-        assert_eq!(b.get_u16(), 2);
-        assert_eq!(b.get_u32(), 3);
-        let rest = b.copy_to_bytes(b.remaining());
-        assert_eq!(&rest[..], &[9, 9]);
-        assert!(!b.has_remaining());
-        let mut s = Bytes::copy_from_slice(&[0, 0, 0, 0, 0, 0, 1, 0]);
-        assert_eq!(s.get_u64(), 256);
+    fn reader_reads_what_is_there_and_refuses_what_is_not() {
+        let bytes = [1, 0, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 1, 0, 9, 9];
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.u8(), Ok(1));
+        assert_eq!(r.array().map(u16::from_be_bytes), Ok(2));
+        assert_eq!(r.array().map(u32::from_be_bytes), Ok(3));
+        assert_eq!(r.array().map(u64::from_be_bytes), Ok(256));
+        assert_eq!(r.remaining(), 2);
+        assert_eq!(r.array::<4>(), Err(ReadError::Truncated));
+        assert_eq!(r.clone().finish(), Err(ReadError::Trailing(2)));
+        assert_eq!(r.take(3), Err(ReadError::Truncated));
+        assert_eq!(r.take(2), Ok(&[9, 9][..]));
+        assert_eq!(r.u8(), Err(ReadError::Truncated));
+        assert_eq!(r.finish(), Ok(()));
+
+        // Length-prefixed fields and flags, as the writer lays them out.
+        let mut w = Vec::new();
+        w.put_prefixed("温度".as_bytes());
+        w.put_prefixed(&[0xFF]);
+        w.extend_from_slice(&[1, 0, 2]);
+        let mut r = Reader::new(&w);
+        assert_eq!(r.str(), Ok("温度"));
+        assert_eq!(r.clone().str(), Err(ReadError::NotUtf8));
+        assert_eq!(r.bytes(), Ok(&[0xFF][..]));
+        assert_eq!((r.flag(), r.flag()), (Ok(true), Ok(false)));
+        assert_eq!(r.flag(), Err(ReadError::BadTag(2)));
+
+        // A length of 2^64 - 1 with eight bytes behind it.
+        let lying = [[0xFF; 9].as_slice(), &[0x01], &[0; 8]].concat();
+        assert_eq!(Reader::new(&lying).bytes(), Err(ReadError::Truncated));
+        assert_eq!(Reader::new(&lying).str(), Err(ReadError::Truncated));
+        assert_eq!(String::from(ReadError::BadTag(2)), "bad tag 0x02");
     }
 }

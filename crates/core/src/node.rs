@@ -2127,11 +2127,7 @@ mod tests {
     #[test]
     fn a_hub_routes_a_publish_whose_payload_lies_about_its_lengths() {
         use ifot_mqtt::packet::{Connack, Connect, ConnectReturnCode, Publish};
-        let mut payload = vec![0xFB, 0x01, 0x01];
-        payload.extend_from_slice(&[0xFF; 9]);
-        payload.push(0x01);
-        payload.extend_from_slice(&[0; 8]);
-        assert_eq!(payload.len(), 21);
+        let payload = crate::wire::overflowing_frame(crate::wire::KIND_MESSAGE);
 
         let mut hub = MiddlewareNode::new(NodeConfig::new("hub").with_broker());
         let mut hub_env = MockEnv::new();

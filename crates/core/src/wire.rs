@@ -35,12 +35,15 @@
 //! ```
 //!
 //! Strings are length-prefixed UTF-8; `f64` travels as its IEEE-754 bits
-//! little-endian; options are a `0x00`/`0x01` tag. Decoders reject
-//! trailing garbage: a frame must consume exactly its payload.
+//! little-endian; options are a `0x00`/`0x01` tag. Fields are written
+//! through `bytes::{put_varint, BufMut::put_prefixed}` and read through
+//! `bytes::Reader`, whose reads return an error where the payload runs out
+//! or breaks a rule and never panic, whatever a peer sends. Decoders
+//! reject trailing garbage: a frame must consume exactly its payload.
 
 use std::sync::Arc;
 
-use bytes::{get_varint, put_varint};
+use bytes::{put_varint, BufMut, ReadError, Reader};
 use ifot_ml::feature::{Datum, FeatureKey, SparseWeights};
 use ifot_ml::mix::ModelDiff;
 
@@ -142,16 +145,17 @@ pub fn decode_items_on(topic: &Name, payload: &[u8]) -> Result<DecodedItems, Str
             &sample,
         )));
     }
-    match frame_kind(payload)? {
-        KIND_MESSAGE => {
-            read_message(payload).map(|(_, body)| DecodedItems::One(body.on(topic.clone())))
+    match open(payload) {
+        Some((KIND_MESSAGE, r)) => {
+            read_message(r).map(|(_, body)| DecodedItems::One(body.on(topic.clone())))
         }
-        KIND_BATCH => {
-            read_batch(payload, |_, _, body| body.on(topic.clone())).map(DecodedItems::Many)
+        Some((KIND_BATCH, r)) => {
+            read_batch(r, |_, _, body| body.on(topic.clone())).map(DecodedItems::Many)
         }
-        other => Err(format!(
+        Some((other, _)) => Err(format!(
             "flow frame kind {other:#04x} is not a flow payload"
         )),
+        None => Err(NOT_A_FRAME.to_owned()),
     }
 }
 
@@ -179,26 +183,18 @@ pub fn decode_items(topic: &str, payload: &[u8]) -> Result<Vec<FlowItem>, String
 /// without a full decode — used by broker/client latency probes.
 /// Returns `None` for payloads that are not frames, or not flow kinds.
 pub fn peek_first_origin(payload: &[u8]) -> Option<u64> {
-    let mut r = Reader::new(payload);
-    if r.u8().ok()? != FRAME_MAGIC || r.u8().ok()? != FRAME_VERSION {
+    let (kind, mut r) = open(payload)?;
+    if !matches!(kind, KIND_MESSAGE | KIND_BATCH) {
         return None;
     }
-    match r.u8().ok()? {
-        KIND_MESSAGE => {
-            let _producer = r.str().ok()?;
-            r.varint().ok()
+    r.str().ok()?; // the producer, or the batch's shared one
+    if kind == KIND_BATCH {
+        r.varint().ok()?; // the item count
+        for _ in 0..r.varint().ok()? {
+            r.str().ok()?; // the key dictionary
         }
-        KIND_BATCH => {
-            let _shared = r.str().ok()?;
-            let _count = r.varint().ok()?;
-            let keys = r.varint().ok()?;
-            for _ in 0..keys {
-                let _ = r.str().ok()?;
-            }
-            r.varint().ok()
-        }
-        _ => None,
     }
+    r.varint().ok()
 }
 
 /// Number of flow items a payload will decode into, without decoding
@@ -208,32 +204,38 @@ pub fn peek_item_count(payload: &[u8]) -> Option<usize> {
     if payload.first() != Some(&FRAME_MAGIC) {
         return Some(1);
     }
-    let mut r = Reader::new(payload);
-    let _ = r.u8().ok()?;
-    if r.u8().ok()? != FRAME_VERSION {
-        return None;
-    }
-    match r.u8().ok()? {
-        KIND_MESSAGE => Some(1),
-        KIND_BATCH => {
-            let _shared = r.str().ok()?;
+    match open(payload)? {
+        (KIND_MESSAGE, _) => Some(1),
+        (KIND_BATCH, mut r) => {
+            r.str().ok()?;
             r.varint().ok().map(|n| n as usize)
         }
         _ => None,
     }
 }
 
-fn frame_kind(payload: &[u8]) -> Result<u8, String> {
+const NOT_A_FRAME: &str = "not a flow frame of this version";
+
+/// The kind of the frame `payload` holds and a reader at its body; `None`
+/// unless the payload opens with [`FRAME_MAGIC`] and [`FRAME_VERSION`].
+fn open(payload: &[u8]) -> Option<(u8, Reader<'_>)> {
     let mut r = Reader::new(payload);
-    let magic = r.u8()?;
-    if magic != FRAME_MAGIC {
-        return Err(format!("bad frame magic {magic:#04x}"));
+    match r.array().ok()? {
+        [FRAME_MAGIC, FRAME_VERSION, kind] => Some((kind, r)),
+        _ => None,
     }
-    let version = r.u8()?;
-    if version != FRAME_VERSION {
-        return Err(format!("unknown flow frame version {version}"));
+}
+
+/// A reader at the body of the frame `payload` holds, which must be of
+/// kind `want`.
+fn open_as(payload: &[u8], want: u8) -> Result<Reader<'_>, String> {
+    match open(payload) {
+        Some((kind, r)) if kind == want => Ok(r),
+        Some((kind, _)) => Err(format!(
+            "frame kind {kind:#04x} where {want:#04x} was expected"
+        )),
+        None => Err(NOT_A_FRAME.to_owned()),
     }
-    r.u8()
 }
 
 // ---------------------------------------------------------------------
@@ -249,12 +251,12 @@ pub fn encode_message_binary(msg: &FlowMessage) -> Vec<u8> {
     #[cfg(test)]
     CODEC_CALLS.with(|c| c.set((c.get().0 + 1, c.get().1)));
     let mut w = header(KIND_MESSAGE);
-    put_string(&mut w, &msg.producer);
+    w.put_prefixed(msg.producer.as_bytes());
     put_varint(&mut w, msg.origin_ts_ns);
     put_varint(&mut w, msg.seq);
     put_varint(&mut w, msg.datum.len() as u64);
     for (key, value) in msg.datum.iter() {
-        put_string(&mut w, key);
+        w.put_prefixed(key.as_bytes());
         put_f64(&mut w, value);
     }
     put_opt_string(&mut w, msg.label.as_deref());
@@ -272,7 +274,7 @@ pub fn encode_batch_binary(batch: &FlowBatch) -> Vec<u8> {
         .first()
         .map(|m| m.producer.as_str())
         .unwrap_or("");
-    put_string(&mut w, shared);
+    w.put_prefixed(shared.as_bytes());
     put_varint(&mut w, batch.items.len() as u64);
     // Key dictionary: union of datum keys, first-appearance order.
     let mut dict: Vec<&str> = Vec::new();
@@ -285,7 +287,7 @@ pub fn encode_batch_binary(batch: &FlowBatch) -> Vec<u8> {
     }
     put_varint(&mut w, dict.len() as u64);
     for key in &dict {
-        put_string(&mut w, key);
+        w.put_prefixed(key.as_bytes());
     }
     let base_origin = batch.items.first().map(|m| m.origin_ts_ns).unwrap_or(0);
     let base_seq = batch.items.first().map(|m| m.seq).unwrap_or(0);
@@ -297,7 +299,7 @@ pub fn encode_batch_binary(batch: &FlowBatch) -> Vec<u8> {
             w.push(0);
         } else {
             w.push(1);
-            put_string(&mut w, &item.producer);
+            w.put_prefixed(item.producer.as_bytes());
         }
         put_zigzag(&mut w, item.origin_ts_ns.wrapping_sub(prev_origin) as i64);
         put_zigzag(&mut w, item.seq.wrapping_sub(prev_seq) as i64);
@@ -318,11 +320,11 @@ pub fn encode_batch_binary(batch: &FlowBatch) -> Vec<u8> {
 /// Encodes a model-plane envelope as a binary frame.
 pub fn encode_mix_binary(envelope: &MixEnvelope) -> Vec<u8> {
     let mut w = header(KIND_MIX);
-    put_string(&mut w, &envelope.role);
-    put_string(&mut w, &envelope.task);
+    w.put_prefixed(envelope.role.as_bytes());
+    w.put_prefixed(envelope.task.as_bytes());
     put_varint(&mut w, envelope.diff.label_count() as u64);
     for (label, weights) in envelope.diff.iter() {
-        put_string(&mut w, label);
+        w.put_prefixed(label.as_bytes());
         put_varint(&mut w, weights.nnz() as u64);
         for (index, value) in weights.iter() {
             put_varint(&mut w, index as u64);
@@ -369,46 +371,36 @@ impl Body {
     }
 }
 
-/// Reads a message frame: its producer, borrowed from the frame, and the
-/// rest.
-fn read_message(payload: &[u8]) -> Result<(&str, Body), String> {
-    let kind = frame_kind(payload)?;
-    if kind != KIND_MESSAGE {
-        return Err(format!("frame kind {kind:#04x} is not a flow message"));
-    }
-    let mut r = Reader::new(&payload[3..]);
+/// Reads the body of a message frame: its producer, borrowed from the
+/// frame, and the rest.
+fn read_message(mut r: Reader<'_>) -> Result<(&str, Body), String> {
     let producer = r.str()?;
     let body = Body {
         origin_ts_ns: r.varint()?,
         seq: r.varint()?,
-        datum: r.datum()?,
-        label: r.opt_string()?,
-        score: r.opt_f64()?,
+        datum: datum(&mut r)?,
+        label: opt_string(&mut r)?,
+        score: opt_f64(&mut r)?,
     };
     r.finish()?;
     Ok((producer, body))
 }
 
-/// Reads a batch frame, handing `make` each item in publish order with
-/// the frame's shared producer and the item's own one where it overrides
-/// it (both borrowed from the frame). The dictionary's keys are built
-/// once and shared by every datum naming them.
+/// Reads the body of a batch frame, handing `make` each item in publish
+/// order with the frame's shared producer and the item's own one where it
+/// overrides it (both borrowed from the frame). The dictionary's keys are
+/// built once and shared by every datum naming them.
 fn read_batch<T>(
-    payload: &[u8],
+    mut r: Reader<'_>,
     mut make: impl FnMut(&str, Option<&str>, Body) -> T,
 ) -> Result<Vec<T>, String> {
-    let kind = frame_kind(payload)?;
-    if kind != KIND_BATCH {
-        return Err(format!("frame kind {kind:#04x} is not a flow batch"));
-    }
-    let mut r = Reader::new(&payload[3..]);
     let shared = r.str()?;
     let count = r.varint()? as usize;
     if count == 0 {
         return Err("flow batch frame holds zero items".to_owned());
     }
     let dict_len = r.varint()? as usize;
-    if dict_len > payload.len() {
+    if dict_len > r.remaining() {
         return Err("batch key dictionary longer than the frame".to_owned());
     }
     let mut dict: Vec<FeatureKey> = Vec::with_capacity(dict_len);
@@ -420,13 +412,9 @@ fn read_batch<T>(
     let (mut prev_origin, mut prev_seq) = (base_origin, base_seq);
     let mut items = Vec::with_capacity(count.min(4096));
     for _ in 0..count {
-        let own = match r.u8()? {
-            0 => None,
-            1 => Some(r.str()?),
-            other => return Err(format!("bad producer flag {other:#04x}")),
-        };
-        let origin_ts_ns = prev_origin.wrapping_add(r.zigzag()? as u64);
-        let seq = prev_seq.wrapping_add(r.zigzag()? as u64);
+        let own = if r.flag()? { Some(r.str()?) } else { None };
+        let origin_ts_ns = prev_origin.wrapping_add(zigzag(&mut r)? as u64);
+        let seq = prev_seq.wrapping_add(zigzag(&mut r)? as u64);
         prev_origin = origin_ts_ns;
         prev_seq = seq;
         let feature_count = r.varint()? as usize;
@@ -436,14 +424,14 @@ fn read_batch<T>(
             let key = dict
                 .get(idx)
                 .ok_or_else(|| format!("feature key index {idx} outside the dictionary"))?;
-            datum.set(key.clone(), r.f64()?);
+            datum.set(key.clone(), f64::from_le_bytes(r.array()?));
         }
         let body = Body {
             origin_ts_ns,
             seq,
             datum,
-            label: r.opt_string()?,
-            score: r.opt_f64()?,
+            label: opt_string(&mut r)?,
+            score: opt_f64(&mut r)?,
         };
         items.push(make(shared, own, body));
     }
@@ -457,7 +445,7 @@ fn read_batch<T>(
 ///
 /// Returns a description for wrong kinds, truncation or trailing bytes.
 pub fn decode_message_binary(payload: &[u8]) -> Result<FlowMessage, String> {
-    read_message(payload).map(|(producer, body)| body.by(producer.into()))
+    read_message(open_as(payload, KIND_MESSAGE)?).map(|(producer, body)| body.by(producer.into()))
 }
 
 /// Decodes a strictly binary batch frame; items without a producer of
@@ -468,7 +456,7 @@ pub fn decode_message_binary(payload: &[u8]) -> Result<FlowMessage, String> {
 /// Returns a description for wrong kinds, truncation or trailing bytes.
 pub fn decode_batch_binary(payload: &[u8]) -> Result<FlowBatch, String> {
     let mut frames: Option<Name> = None;
-    let items = read_batch(payload, |shared, own, body| {
+    let items = read_batch(open_as(payload, KIND_BATCH)?, |shared, own, body| {
         body.by(match own {
             Some(own) => own.into(),
             None => frames.get_or_insert_with(|| shared.into()).clone(),
@@ -483,20 +471,16 @@ pub fn decode_batch_binary(payload: &[u8]) -> Result<FlowBatch, String> {
 ///
 /// Returns a description for wrong kinds, truncation or trailing bytes.
 pub fn decode_mix_binary(payload: &[u8]) -> Result<MixEnvelope, String> {
-    let kind = frame_kind(payload)?;
-    if kind != KIND_MIX {
-        return Err(format!("frame kind {kind:#04x} is not a mix envelope"));
-    }
-    let mut r = Reader::new(&payload[3..]);
-    let role = r.string()?;
-    let task = r.string()?;
+    let mut r = open_as(payload, KIND_MIX)?;
+    let role = r.str()?.to_owned();
+    let task = r.str()?.to_owned();
     let label_count = r.varint()? as usize;
-    if label_count > payload.len() {
+    if label_count > r.remaining() {
         return Err("mix label table longer than the frame".to_owned());
     }
     let mut parts = Vec::with_capacity(label_count);
     for _ in 0..label_count {
-        let label = r.string()?;
+        let label = r.str()?.to_owned();
         let nnz = r.varint()? as usize;
         let mut weights = SparseWeights::new();
         for _ in 0..nnz {
@@ -504,7 +488,7 @@ pub fn decode_mix_binary(payload: &[u8]) -> Result<MixEnvelope, String> {
             if index > u32::MAX as u64 {
                 return Err(format!("weight index {index} exceeds the hash space"));
             }
-            weights.set(index as u32, r.f64()?);
+            weights.set(index as u32, f64::from_le_bytes(r.array()?));
         }
         parts.push((label, weights));
     }
@@ -523,19 +507,19 @@ pub fn decode_mix_binary(payload: &[u8]) -> Result<MixEnvelope, String> {
 /// Encodes a node announcement as a binary frame.
 pub fn encode_announce_binary(ann: &crate::discovery::NodeAnnouncement) -> Vec<u8> {
     let mut w = header(KIND_ANNOUNCE);
-    put_string(&mut w, &ann.node);
+    w.put_prefixed(ann.node.as_bytes());
     w.push(ann.online as u8);
     put_varint(&mut w, ann.at_ns);
     put_varint(&mut w, ann.revision);
     put_varint(&mut w, ann.streams.len() as u64);
     for stream in &ann.streams {
-        put_string(&mut w, &stream.topic);
+        w.put_prefixed(stream.topic.as_bytes());
         put_opt_string(&mut w, stream.kind.as_deref());
         put_opt_f64(&mut w, stream.rate_hz);
     }
     put_varint(&mut w, ann.capabilities.len() as u64);
     for capability in &ann.capabilities {
-        put_string(&mut w, capability);
+        w.put_prefixed(capability.as_bytes());
     }
     w
 }
@@ -548,12 +532,8 @@ pub fn encode_announce_binary(ann: &crate::discovery::NodeAnnouncement) -> Vec<u
 pub fn decode_announce_binary(
     payload: &[u8],
 ) -> Result<crate::discovery::NodeAnnouncement, String> {
-    let kind = frame_kind(payload)?;
-    if kind != KIND_ANNOUNCE {
-        return Err(format!("frame kind {kind:#04x} is not an announcement"));
-    }
-    let mut r = Reader::new(&payload[3..]);
-    let node = r.string()?;
+    let mut r = open_as(payload, KIND_ANNOUNCE)?;
+    let node = r.str()?.to_owned();
     let online = r.flag()?;
     let at_ns = r.varint()?;
     let revision = r.varint()?;
@@ -564,9 +544,9 @@ pub fn decode_announce_binary(
     let mut streams = Vec::with_capacity(stream_count);
     for _ in 0..stream_count {
         streams.push(crate::discovery::StreamInfo {
-            topic: r.string()?,
-            kind: r.opt_string()?,
-            rate_hz: r.opt_f64()?,
+            topic: r.str()?.to_owned(),
+            kind: opt_string(&mut r)?,
+            rate_hz: opt_f64(&mut r)?,
         });
     }
     let capability_count = r.varint()? as usize;
@@ -575,7 +555,7 @@ pub fn decode_announce_binary(
     }
     let mut capabilities = Vec::with_capacity(capability_count);
     for _ in 0..capability_count {
-        capabilities.push(r.string()?);
+        capabilities.push(r.str()?.to_owned());
     }
     r.finish()?;
     Ok(crate::discovery::NodeAnnouncement {
@@ -600,17 +580,12 @@ fn put_f64(w: &mut Vec<u8>, v: f64) {
     w.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
-fn put_string(w: &mut Vec<u8>, s: &str) {
-    put_varint(w, s.len() as u64);
-    w.extend_from_slice(s.as_bytes());
-}
-
 fn put_opt_string(w: &mut Vec<u8>, s: Option<&str>) {
     match s {
         None => w.push(0),
         Some(s) => {
             w.push(1);
-            put_string(w, s);
+            w.put_prefixed(s.as_bytes());
         }
     }
 }
@@ -625,112 +600,46 @@ fn put_opt_f64(w: &mut Vec<u8>, v: Option<f64>) {
     }
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn zigzag(r: &mut Reader<'_>) -> Result<i64, ReadError> {
+    let v = r.varint()?;
+    Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
 }
 
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
+fn opt_string(r: &mut Reader<'_>) -> Result<Option<String>, ReadError> {
+    Ok(if r.flag()? {
+        Some(r.str()?.to_owned())
+    } else {
+        None
+    })
+}
 
-    fn u8(&mut self) -> Result<u8, String> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or_else(|| "frame truncated".to_owned())?;
-        self.pos += 1;
-        Ok(b)
-    }
+fn opt_f64(r: &mut Reader<'_>) -> Result<Option<f64>, ReadError> {
+    Ok(if r.flag()? {
+        Some(f64::from_le_bytes(r.array()?))
+    } else {
+        None
+    })
+}
 
-    fn varint(&mut self) -> Result<u64, String> {
-        get_varint(self.bytes, &mut self.pos)
-            .ok_or_else(|| "varint truncated or longer than 64 bits".to_owned())
+/// A message's datum, keys spelled out.
+fn datum(r: &mut Reader<'_>) -> Result<Datum, ReadError> {
+    let mut datum = Datum::new();
+    for _ in 0..r.varint()? {
+        let key = Arc::<str>::from(r.str()?);
+        datum.set(key, f64::from_le_bytes(r.array()?));
     }
+    Ok(datum)
+}
 
-    fn zigzag(&mut self) -> Result<i64, String> {
-        let v = self.varint()?;
-        Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        if self.pos + 8 > self.bytes.len() {
-            return Err("frame truncated inside an f64".to_owned());
-        }
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(&self.bytes[self.pos..self.pos + 8]);
-        self.pos += 8;
-        Ok(f64::from_bits(u64::from_le_bytes(buf)))
-    }
-
-    fn str(&mut self) -> Result<&'a str, String> {
-        let len = self.varint()? as usize;
-        if self.pos + len > self.bytes.len() {
-            return Err("frame truncated inside a string".to_owned());
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + len])
-            .map_err(|e| format!("string is not UTF-8: {e}"))?;
-        self.pos += len;
-        Ok(s)
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.str().map(str::to_owned)
-    }
-
-    fn flag(&mut self) -> Result<bool, String> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(format!("bad flag {other:#04x}")),
-        }
-    }
-
-    fn opt_string(&mut self) -> Result<Option<String>, String> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.string()?)),
-            other => Err(format!("bad option tag {other:#04x}")),
-        }
-    }
-
-    fn opt_f64(&mut self) -> Result<Option<f64>, String> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            other => Err(format!("bad option tag {other:#04x}")),
-        }
-    }
-
-    fn datum(&mut self) -> Result<Datum, String> {
-        let n = self.varint()? as usize;
-        if n > self.bytes.len() {
-            return Err("datum longer than the frame".to_owned());
-        }
-        let mut datum = Datum::new();
-        for _ in 0..n {
-            let key = Arc::<str>::from(self.str()?);
-            let value = self.f64()?;
-            datum.set(key, value);
-        }
-        Ok(datum)
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn finish(&self) -> Result<(), String> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} trailing bytes after the frame",
-                self.bytes.len() - self.pos
-            ))
-        }
-    }
+/// A 21-byte frame of `kind` whose first string claims 2^64 − 1 bytes
+/// (`FF×9 01`) and has eight zero bytes behind it.
+#[cfg(test)]
+pub(crate) fn overflowing_frame(kind: u8) -> Vec<u8> {
+    let mut frame = header(kind);
+    frame.extend_from_slice(&[0xFF; 9]);
+    frame.push(0x01);
+    frame.extend_from_slice(&[0; 8]);
+    frame
 }
 
 /// One frame each of kinds `0x04` (a node's load heartbeat) and `0x05`
@@ -918,7 +827,7 @@ mod tests {
         let overlong = [[0xFF; 9].as_slice(), &[0x7F]].concat();
         let message = |origin: &[u8]| {
             let mut w = header(KIND_MESSAGE);
-            put_string(&mut w, "p");
+            w.put_prefixed(b"p");
             w.extend_from_slice(origin);
             // seq 0, an empty datum, no label, no score.
             w.extend_from_slice(&[0, 0, 0, 0]);
@@ -929,22 +838,18 @@ mod tests {
         assert!(decode_items("t", &bad).is_err());
         assert_eq!(peek_first_origin(&bad), None);
         let mut batch = header(KIND_BATCH);
-        put_string(&mut batch, "p");
+        batch.put_prefixed(b"p");
         batch.extend_from_slice(&overlong);
         assert!(decode_batch_binary(&batch).is_err());
         assert_eq!(peek_item_count(&batch), None);
     }
 
-    /// A frame whose first string claims 2^64 − 1 bytes (`FF×9 01`) and
-    /// has eight behind it is refused by every decoder and both peeks, at
-    /// each kind that opens with a string.
+    /// An [`overflowing_frame`] is refused by every decoder and both
+    /// peeks, at each kind that opens with a string.
     #[test]
     fn a_length_past_the_end_of_the_frame_is_an_error() {
         for kind in [KIND_MESSAGE, KIND_BATCH, KIND_MIX, KIND_ANNOUNCE] {
-            let mut frame = header(kind);
-            frame.extend_from_slice(&[0xFF; 9]);
-            frame.push(0x01);
-            frame.extend_from_slice(&[0; 8]);
+            let frame = overflowing_frame(kind);
             assert_eq!(frame.len(), 21);
             assert!(decode_items("t", &frame).is_err(), "{kind:#04x}");
             assert!(decode_message_binary(&frame).is_err());
@@ -963,7 +868,7 @@ mod tests {
     fn empty_batch_is_rejected() {
         // A forged zero-count batch frame is rejected on decode.
         let mut forged = header(KIND_BATCH);
-        put_string(&mut forged, "p");
+        forged.put_prefixed(b"p");
         put_varint(&mut forged, 0);
         assert!(decode_batch_binary(&forged).is_err());
     }

@@ -13,8 +13,9 @@
 //!
 //! ## Framing
 //!
-//! A batch on the wire (varints are `bytes::{put_varint, get_varint}`, as
-//! in `ifot-core`'s `wire.rs`):
+//! A batch on the wire (written through `bytes::{put_varint,
+//! BufMut::put_prefixed}` and read through `bytes::Reader`, as
+//! `ifot-core`'s `wire.rs` is):
 //!
 //! ```text
 //! varint len(body) | u32-LE crc32(body) | body
@@ -24,7 +25,9 @@
 //! Each record is a `u8` kind tag followed by kind-specific fields (strings
 //! and payloads are varint-length-prefixed). The CRC covers the whole body,
 //! making a batch all-or-nothing: the tolerant [`recover`] reader truncates
-//! the log at the first torn or corrupt batch instead of panicking.
+//! the log at the first torn or corrupt batch instead of panicking, and
+//! every field, the frame's length and CRC included, is read through the
+//! `Reader`, which refuses what runs past the end rather than indexing.
 //!
 //! ## Write form and read form
 //!
@@ -64,7 +67,7 @@ use std::io::{self, Read as _, Seek as _, Write as _};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use bytes::{get_varint, put_varint, BufMut, Bytes, VARINT_MAX_LEN};
+use bytes::{put_varint, BufMut, Bytes, ReadError, Reader, VARINT_MAX_LEN};
 
 use crate::packet::QoS;
 
@@ -108,31 +111,6 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Field helpers (varints are `bytes`' LEB128 pair, as in the flow wire)
-// ---------------------------------------------------------------------------
-
-fn put_slice(out: &mut Vec<u8>, s: &[u8]) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s);
-}
-
-fn get_slice<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
-    let len = get_varint(buf, pos)? as usize;
-    let end = pos.checked_add(len)?;
-    if end > buf.len() {
-        return None;
-    }
-    let s = &buf[*pos..end];
-    *pos = end;
-    Some(s)
-}
-
-fn get_string(buf: &[u8], pos: &mut usize) -> Option<String> {
-    let s = get_slice(buf, pos)?;
-    std::str::from_utf8(s).ok().map(str::to_owned)
-}
-
-// ---------------------------------------------------------------------------
 // Records
 // ---------------------------------------------------------------------------
 
@@ -157,12 +135,12 @@ impl WalStage {
         }
     }
 
-    fn from_bits(b: u8) -> Option<Self> {
-        match b {
-            0 => Some(WalStage::AwaitPuback),
-            1 => Some(WalStage::AwaitPubrec),
-            2 => Some(WalStage::AwaitPubcomp),
-            _ => None,
+    fn read(r: &mut Reader<'_>) -> Result<Self, ReadError> {
+        match r.u8()? {
+            0 => Ok(WalStage::AwaitPuback),
+            1 => Ok(WalStage::AwaitPubrec),
+            2 => Ok(WalStage::AwaitPubcomp),
+            tag => Err(ReadError::BadTag(tag)),
         }
     }
 }
@@ -332,29 +310,28 @@ impl DurablePublish {
 }
 
 fn put_message(out: &mut Vec<u8>, m: MessageRef<'_>) {
-    put_slice(out, m.topic.as_bytes());
+    out.put_prefixed(m.topic.as_bytes());
     out.push(m.qos.bits());
     out.push(u8::from(m.retain));
-    put_slice(out, m.payload);
+    out.put_prefixed(m.payload);
 }
 
-fn get_message(buf: &[u8], pos: &mut usize) -> Option<DurablePublish> {
-    let topic = get_string(buf, pos)?;
-    let qos = QoS::from_bits(*buf.get(*pos)?).ok()?;
-    *pos += 1;
-    let retain = match *buf.get(*pos)? {
-        0 => false,
-        1 => true,
-        _ => return None,
-    };
-    *pos += 1;
-    let payload = Bytes::copy_from_slice(get_slice(buf, pos)?);
-    Some(DurablePublish {
-        topic,
-        qos,
-        retain,
-        payload,
+fn read_message(r: &mut Reader<'_>) -> Result<DurablePublish, ReadError> {
+    Ok(DurablePublish {
+        topic: r.str()?.to_owned(),
+        qos: read_qos(r)?,
+        retain: r.flag()?,
+        payload: Bytes::copy_from_slice(r.bytes()?),
     })
+}
+
+fn read_qos(r: &mut Reader<'_>) -> Result<QoS, ReadError> {
+    QoS::from_bits(r.u8()?).map_err(ReadError::BadTag)
+}
+
+/// A packet id, written as a varint.
+fn read_pid(r: &mut Reader<'_>) -> Result<u16, ReadError> {
+    u16::try_from(r.varint()?).map_err(|_| ReadError::Overlong)
 }
 
 // One writer per record kind, from borrowed fields: the broker's hot paths
@@ -371,29 +348,29 @@ pub(crate) fn put_snapshot_header(out: &mut Vec<u8>, last_lsn: u64) {
 /// Writes a [`WalRecord::SessionStarted`].
 pub(crate) fn put_session_started(out: &mut Vec<u8>, client: &str, next_pid: u16) {
     out.push(K_SESSION_STARTED);
-    put_slice(out, client.as_bytes());
+    out.put_prefixed(client.as_bytes());
     put_varint(out, u64::from(next_pid));
 }
 
 /// Writes a [`WalRecord::SessionCleared`].
 pub(crate) fn put_session_cleared(out: &mut Vec<u8>, client: &str) {
     out.push(K_SESSION_CLEARED);
-    put_slice(out, client.as_bytes());
+    out.put_prefixed(client.as_bytes());
 }
 
 /// Writes a [`WalRecord::Subscribed`].
 pub(crate) fn put_subscribed(out: &mut Vec<u8>, client: &str, filter: &str, qos: QoS) {
     out.push(K_SUBSCRIBED);
-    put_slice(out, client.as_bytes());
-    put_slice(out, filter.as_bytes());
+    out.put_prefixed(client.as_bytes());
+    out.put_prefixed(filter.as_bytes());
     out.push(qos.bits());
 }
 
 /// Writes a [`WalRecord::Unsubscribed`].
 pub(crate) fn put_unsubscribed(out: &mut Vec<u8>, client: &str, filter: &str) {
     out.push(K_UNSUBSCRIBED);
-    put_slice(out, client.as_bytes());
-    put_slice(out, filter.as_bytes());
+    out.put_prefixed(client.as_bytes());
+    out.put_prefixed(filter.as_bytes());
 }
 
 /// Writes a [`WalRecord::RetainSet`].
@@ -405,20 +382,20 @@ pub(crate) fn put_retain_set(out: &mut Vec<u8>, message: MessageRef<'_>) {
 /// Writes a [`WalRecord::RetainCleared`].
 pub(crate) fn put_retain_cleared(out: &mut Vec<u8>, topic: &str) {
     out.push(K_RETAIN_CLEARED);
-    put_slice(out, topic.as_bytes());
+    out.put_prefixed(topic.as_bytes());
 }
 
 /// Writes a [`WalRecord::Queued`].
 pub(crate) fn put_queued(out: &mut Vec<u8>, client: &str, message: MessageRef<'_>) {
     out.push(K_QUEUED);
-    put_slice(out, client.as_bytes());
+    out.put_prefixed(client.as_bytes());
     put_message(out, message);
 }
 
 /// Writes a [`WalRecord::QueuePopped`].
 pub(crate) fn put_queue_popped(out: &mut Vec<u8>, client: &str) {
     out.push(K_QUEUE_POPPED);
-    put_slice(out, client.as_bytes());
+    out.put_prefixed(client.as_bytes());
 }
 
 /// Writes a [`WalRecord::InflightInsert`].
@@ -430,7 +407,7 @@ pub(crate) fn put_inflight_insert(
     message: MessageRef<'_>,
 ) {
     out.push(K_INFLIGHT_INSERT);
-    put_slice(out, client.as_bytes());
+    out.put_prefixed(client.as_bytes());
     put_varint(out, u64::from(pid));
     out.push(stage.bits());
     put_message(out, message);
@@ -439,7 +416,7 @@ pub(crate) fn put_inflight_insert(
 /// Writes a [`WalRecord::InflightStage`].
 pub(crate) fn put_inflight_stage(out: &mut Vec<u8>, client: &str, pid: u16, stage: WalStage) {
     out.push(K_INFLIGHT_STAGE);
-    put_slice(out, client.as_bytes());
+    out.put_prefixed(client.as_bytes());
     put_varint(out, u64::from(pid));
     out.push(stage.bits());
 }
@@ -447,7 +424,7 @@ pub(crate) fn put_inflight_stage(out: &mut Vec<u8>, client: &str, pid: u16, stag
 /// A record that is a kind tag, a client and a packet id.
 fn put_client_pid(out: &mut Vec<u8>, kind: u8, client: &str, pid: u16) {
     out.push(kind);
-    put_slice(out, client.as_bytes());
+    out.put_prefixed(client.as_bytes());
     put_varint(out, u64::from(pid));
 }
 
@@ -499,86 +476,74 @@ pub fn encode_record(out: &mut Vec<u8>, rec: &WalRecord) {
     }
 }
 
-fn get_pid(buf: &[u8], pos: &mut usize) -> Option<u16> {
-    let v = get_varint(buf, pos)?;
-    u16::try_from(v).ok()
-}
-
 /// Decode one record starting at `pos`; `None` on any malformed field (the
 /// enclosing batch is then treated as corrupt).
 pub fn decode_record(buf: &[u8], pos: &mut usize) -> Option<WalRecord> {
-    let kind = *buf.get(*pos)?;
-    *pos += 1;
-    match kind {
-        K_SNAPSHOT_HEADER => Some(WalRecord::SnapshotHeader {
-            last_lsn: get_varint(buf, pos)?,
-        }),
-        K_SESSION_STARTED => Some(WalRecord::SessionStarted {
-            client: get_string(buf, pos)?,
-            next_pid: get_pid(buf, pos)?,
-        }),
-        K_SESSION_CLEARED => Some(WalRecord::SessionCleared {
-            client: get_string(buf, pos)?,
-        }),
-        K_SUBSCRIBED => Some(WalRecord::Subscribed {
-            client: get_string(buf, pos)?,
-            filter: get_string(buf, pos)?,
-            qos: {
-                let q = QoS::from_bits(*buf.get(*pos)?).ok()?;
-                *pos += 1;
-                q
-            },
-        }),
-        K_UNSUBSCRIBED => Some(WalRecord::Unsubscribed {
-            client: get_string(buf, pos)?,
-            filter: get_string(buf, pos)?,
-        }),
-        K_RETAIN_SET => Some(WalRecord::RetainSet {
-            message: get_message(buf, pos)?,
-        }),
-        K_RETAIN_CLEARED => Some(WalRecord::RetainCleared {
-            topic: get_string(buf, pos)?,
-        }),
-        K_QUEUED => Some(WalRecord::Queued {
-            client: get_string(buf, pos)?,
-            message: get_message(buf, pos)?,
-        }),
-        K_QUEUE_POPPED => Some(WalRecord::QueuePopped {
-            client: get_string(buf, pos)?,
-        }),
-        K_INFLIGHT_INSERT => Some(WalRecord::InflightInsert {
-            client: get_string(buf, pos)?,
-            pid: get_pid(buf, pos)?,
-            stage: {
-                let s = WalStage::from_bits(*buf.get(*pos)?)?;
-                *pos += 1;
-                s
-            },
-            message: get_message(buf, pos)?,
-        }),
-        K_INFLIGHT_STAGE => Some(WalRecord::InflightStage {
-            client: get_string(buf, pos)?,
-            pid: get_pid(buf, pos)?,
-            stage: {
-                let s = WalStage::from_bits(*buf.get(*pos)?)?;
-                *pos += 1;
-                s
-            },
-        }),
-        K_INFLIGHT_REMOVE => Some(WalRecord::InflightRemove {
-            client: get_string(buf, pos)?,
-            pid: get_pid(buf, pos)?,
-        }),
-        K_INQOS2_INSERT => Some(WalRecord::InQos2Insert {
-            client: get_string(buf, pos)?,
-            pid: get_pid(buf, pos)?,
-        }),
-        K_INQOS2_REMOVE => Some(WalRecord::InQos2Remove {
-            client: get_string(buf, pos)?,
-            pid: get_pid(buf, pos)?,
-        }),
-        _ => None,
-    }
+    let mut r = Reader::new(buf.get(*pos..)?);
+    let record = read_record(&mut r).ok()?;
+    *pos = buf.len() - r.remaining();
+    Some(record)
+}
+
+fn read_record(r: &mut Reader<'_>) -> Result<WalRecord, ReadError> {
+    Ok(match r.u8()? {
+        K_SNAPSHOT_HEADER => WalRecord::SnapshotHeader {
+            last_lsn: r.varint()?,
+        },
+        K_SESSION_STARTED => WalRecord::SessionStarted {
+            client: r.str()?.to_owned(),
+            next_pid: read_pid(r)?,
+        },
+        K_SESSION_CLEARED => WalRecord::SessionCleared {
+            client: r.str()?.to_owned(),
+        },
+        K_SUBSCRIBED => WalRecord::Subscribed {
+            client: r.str()?.to_owned(),
+            filter: r.str()?.to_owned(),
+            qos: read_qos(r)?,
+        },
+        K_UNSUBSCRIBED => WalRecord::Unsubscribed {
+            client: r.str()?.to_owned(),
+            filter: r.str()?.to_owned(),
+        },
+        K_RETAIN_SET => WalRecord::RetainSet {
+            message: read_message(r)?,
+        },
+        K_RETAIN_CLEARED => WalRecord::RetainCleared {
+            topic: r.str()?.to_owned(),
+        },
+        K_QUEUED => WalRecord::Queued {
+            client: r.str()?.to_owned(),
+            message: read_message(r)?,
+        },
+        K_QUEUE_POPPED => WalRecord::QueuePopped {
+            client: r.str()?.to_owned(),
+        },
+        K_INFLIGHT_INSERT => WalRecord::InflightInsert {
+            client: r.str()?.to_owned(),
+            pid: read_pid(r)?,
+            stage: WalStage::read(r)?,
+            message: read_message(r)?,
+        },
+        K_INFLIGHT_STAGE => WalRecord::InflightStage {
+            client: r.str()?.to_owned(),
+            pid: read_pid(r)?,
+            stage: WalStage::read(r)?,
+        },
+        K_INFLIGHT_REMOVE => WalRecord::InflightRemove {
+            client: r.str()?.to_owned(),
+            pid: read_pid(r)?,
+        },
+        K_INQOS2_INSERT => WalRecord::InQos2Insert {
+            client: r.str()?.to_owned(),
+            pid: read_pid(r)?,
+        },
+        K_INQOS2_REMOVE => WalRecord::InQos2Remove {
+            client: r.str()?.to_owned(),
+            pid: read_pid(r)?,
+        },
+        kind => return Err(ReadError::BadTag(kind)),
+    })
 }
 
 /// Room a batch buffer keeps in front of its records for the frame header:
@@ -648,58 +613,43 @@ fn frame_batch(buf: &mut [u8], lsn: u64, nrec: u64) -> usize {
 /// offset a physical repair should truncate the log to. Never panics.
 pub fn parse_stream(buf: &[u8]) -> (Vec<(u64, Vec<WalRecord>)>, bool, u64) {
     let mut batches = Vec::new();
-    let mut pos = 0usize;
+    let mut r = Reader::new(buf);
     let mut clean = 0usize;
-    while pos < buf.len() {
-        let start = pos;
-        let Some(len) = get_varint(buf, &mut pos) else {
-            return (batches, true, clean as u64);
-        };
-        let Ok(len) = usize::try_from(len) else {
-            return (batches, true, clean as u64);
-        };
-        let Some(body_start) = pos.checked_add(4) else {
-            return (batches, true, clean as u64);
-        };
-        let Some(end) = body_start.checked_add(len) else {
-            return (batches, true, clean as u64);
-        };
-        if end > buf.len() {
-            return (batches, true, clean as u64);
-        }
-        let crc = u32::from_le_bytes([buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]]);
-        let body = &buf[body_start..end];
-        if crc32(body) != crc {
-            return (batches, true, clean as u64);
-        }
-        match parse_body(body) {
+    while r.remaining() > 0 {
+        match read_batch(&mut r) {
             Some(batch) => batches.push(batch),
             None => return (batches, true, clean as u64),
         }
-        pos = end;
-        clean = end;
-        debug_assert!(pos > start);
+        clean = buf.len() - r.remaining();
     }
     (batches, false, clean as u64)
 }
 
-fn parse_body(body: &[u8]) -> Option<(u64, Vec<WalRecord>)> {
-    let mut pos = 0usize;
-    let version = *body.get(pos)?;
-    pos += 1;
-    if version != WAL_VERSION {
+/// The next framed batch; `None` when it is torn or corrupt.
+fn read_batch(r: &mut Reader<'_>) -> Option<(u64, Vec<WalRecord>)> {
+    let len = usize::try_from(r.varint().ok()?).ok()?;
+    let crc = u32::from_le_bytes(r.array().ok()?);
+    let body = r.take(len).ok()?;
+    if crc32(body) != crc {
         return None;
     }
-    let lsn = get_varint(body, &mut pos)?;
-    let nrec = get_varint(body, &mut pos)?;
+    parse_body(body).ok()
+}
+
+fn parse_body(body: &[u8]) -> Result<(u64, Vec<WalRecord>), ReadError> {
+    let mut r = Reader::new(body);
+    let version = r.u8()?;
+    if version != WAL_VERSION {
+        return Err(ReadError::BadTag(version));
+    }
+    let lsn = r.varint()?;
+    let nrec = r.varint()?;
     let mut records = Vec::with_capacity(nrec.min(1024) as usize);
     for _ in 0..nrec {
-        records.push(decode_record(body, &mut pos)?);
+        records.push(read_record(&mut r)?);
     }
-    if pos != body.len() {
-        return None;
-    }
-    Some((lsn, records))
+    r.finish()?;
+    Ok((lsn, records))
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 //! analysis results (the paper's air conditioner, ceiling light, alert
 //! messaging).
 
+use bytes::Reader;
+
 /// A command addressed to an actuator, carried as an MQTT payload on
 /// `actuator/<device_id>/<verb>` topics.
 ///
@@ -77,35 +79,27 @@ impl Command {
     /// after the body, a power byte other than 0/1 or a message that is
     /// not UTF-8.
     pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        let (&tag, body) = bytes.split_first().ok_or("empty command payload")?;
-        let float = || -> Result<f64, String> {
-            let raw: [u8; 8] = body
-                .try_into()
-                .map_err(|_| format!("command tag {tag} takes 8 bytes, got {}", body.len()))?;
-            Ok(f64::from_be_bytes(raw))
-        };
-        match tag {
-            TAG_SET_POWER => match body {
-                [0] => Ok(Command::SetPower { on: false }),
-                [1] => Ok(Command::SetPower { on: true }),
-                _ => Err(format!("bad power state {body:02x?}")),
+        let mut r = Reader::new(bytes);
+        let command = match r.u8().map_err(|_| "empty command payload")? {
+            TAG_SET_POWER => Command::SetPower { on: r.flag()? },
+            TAG_SET_LEVEL => Command::SetLevel {
+                level: f64::from_be_bytes(r.array()?),
             },
-            TAG_SET_LEVEL => Ok(Command::SetLevel { level: float()? }),
-            TAG_SET_TARGET => Ok(Command::SetTarget { celsius: float()? }),
+            TAG_SET_TARGET => Command::SetTarget {
+                celsius: f64::from_be_bytes(r.array()?),
+            },
             TAG_ALERT => {
-                let Some((&[severity, a, b, c, d], text)) = body.split_first_chunk::<5>() else {
-                    return Err("alert header truncated".to_owned());
-                };
-                if u32::from_be_bytes([a, b, c, d]) as usize != text.len() {
-                    return Err("alert length does not match its text".to_owned());
-                }
-                let message = std::str::from_utf8(text)
+                let severity = r.u8()?;
+                let len = u32::from_be_bytes(r.array()?);
+                let message = std::str::from_utf8(r.take(len as usize)?)
                     .map_err(|e| format!("alert text is not UTF-8: {e}"))?
                     .to_owned();
-                Ok(Command::Alert { severity, message })
+                Command::Alert { severity, message }
             }
-            other => Err(format!("unknown command tag {other:#04x}")),
-        }
+            other => return Err(format!("unknown command tag {other:#04x}")),
+        };
+        r.finish()?;
+        Ok(command)
     }
 
     /// Derives a command from a decision item: `get` looks up its datum

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Fails if the public surface has grown: the `pub fn with_*` /
 # `without_*` builders on `NodeConfig` and on `BrokerConfig`, the `pub`
-# fields of `NodeConfig`, `ExecutorConfig` and `BrokerConfig`, and the
-# names each crate's `lib.rs` re-exports with `pub use` are counted and
+# fields of `NodeConfig`, `ExecutorConfig` and `BrokerConfig`, the names
+# each crate's `lib.rs` re-exports with `pub use`, and the top-level `pub`
+# items of `crates/bytes` (a crate with no modules) are counted and
 # compared with the numbers committed below. Every one of them is an
 # independently settable value or a public item the tests and the
 # benchmark have to cover; a PR that needs one more raises the number
@@ -36,6 +37,12 @@ reexports() {
         tr ',' '\n' | grep -c '[A-Za-z]' || true
 }
 
+# Items a file declares `pub` at its top level: the lines that open with
+# `pub ` in column one.
+toplevel_pub() {
+    grep -cE '^pub ' "$1" || true
+}
+
 grew=0
 
 # Prints one count against its committed maximum. A count of zero means
@@ -62,6 +69,7 @@ for pair in core:32 mgmt:18 ml:22 mqtt:37 recipe:16 sensors:26; do
     crate=${pair%:*}
     gate "crates/$crate/src/lib.rs pub use names" "$(reexports "crates/$crate/src/lib.rs")" "${pair#*:}"
 done
+gate "crates/bytes/src/lib.rs pub items" "$(toplevel_pub crates/bytes/src/lib.rs)" 7
 
 if [ "$grew" -ne 0 ]; then
     echo "the public surface grew" >&2

@@ -1,9 +1,11 @@
 //! The workspace's byte buffer (`crates/bytes`) against a `Vec<u8>`
 //! oracle: every view a sequence of `slice`, `split_to`, `split_off`,
-//! `truncate`, `clear` and `Buf` reads leaves holds the bytes the oracle
-//! says, compares, orders and hashes as those bytes do, and outlives the
-//! buffers it was cut from; a `BytesMut` grown past its capacity, written
-//! through and frozen with room to spare holds what was written.
+//! `truncate`, `clear` and `Reader` reads off its front leaves holds the
+//! bytes the oracle says, compares, orders and hashes as those bytes do,
+//! and outlives the buffers it was cut from; a `Reader` reads what the
+//! oracle holds and refuses to read past its end; a `BytesMut` grown past
+//! its capacity, written through and frozen with room to spare holds what
+//! was written.
 //!
 //! Seeded sweeps on the property runner in `tests/common/check.rs`; a
 //! failure prints the case seed that reproduces it.
@@ -13,7 +15,7 @@ mod common;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{put_varint, BufMut, Bytes, BytesMut, ReadError, Reader};
 use common::check::{check, Gen};
 
 const SEEDS: u64 = 1_000;
@@ -110,37 +112,64 @@ fn views_case(g: &mut Gen) -> Result<(), String> {
                 v.clear();
             }
             5 => {
-                // Buf reads of every width, when there is room for them.
+                // A big-endian read of every width off the view's front,
+                // refused when there is no room for it; the view then
+                // moves past what was read.
                 let width = [1usize, 2, 4, 8][g.below(4) as usize];
-                if len >= width {
-                    let got = match width {
-                        1 => u64::from(b.get_u8()),
-                        2 => u64::from(b.get_u16()),
-                        4 => u64::from(b.get_u32()),
-                        _ => b.get_u64(),
-                    };
-                    let want = v.drain(..width).fold(0u64, |n, x| n << 8 | u64::from(x));
-                    if got != want {
-                        return Err(format!("step {step}: read {got} vs {want}"));
+                let mut r = Reader::new(&b[..]);
+                let got = match width {
+                    1 => r.array().map(|a| u64::from(u8::from_be_bytes(a))),
+                    2 => r.array().map(|a| u64::from(u16::from_be_bytes(a))),
+                    4 => r.array().map(|a| u64::from(u32::from_be_bytes(a))),
+                    _ => r.array().map(u64::from_be_bytes),
+                };
+                let want = match v.get(..width) {
+                    Some(head) => Ok(head.iter().fold(0u64, |n, &x| n << 8 | u64::from(x))),
+                    None => Err(ReadError::Truncated),
+                };
+                if got != want {
+                    return Err(format!("step {step}: read {got:?} vs {want:?}"));
+                }
+                if got.is_ok() {
+                    if r.remaining() != len - width {
+                        return Err(format!("step {step}: {} remaining", r.remaining()));
                     }
+                    *b = b.slice(width..);
+                    v.drain(..width);
                 }
             }
             6 => {
-                let at = cut(g, len);
-                let read = b.copy_to_bytes(at);
-                let want: Vec<u8> = v.drain(..at).collect();
-                views.push((read, want));
+                // `take` of a cut that may run past the end; what it
+                // borrowed becomes a view of its own.
+                let at = cut(g, len + 2);
+                let mut r = Reader::new(&b[..]);
+                let got = r.take(at).map(<[u8]>::to_vec);
+                let want = v.get(..at).map(<[u8]>::to_vec).ok_or(ReadError::Truncated);
+                if got != want || (got.is_ok() && r.remaining() != len - at) {
+                    return Err(format!("step {step}: take({at}) {got:?} vs {want:?}"));
+                }
+                if got.is_ok() {
+                    let head = b.split_to(at);
+                    let want = v.drain(..at).collect();
+                    views.push((head, want));
+                }
             }
             7 => {
-                let at = cut(g, len);
-                let mut out = vec![0u8; at];
-                b.copy_to_slice(&mut out);
-                if out[..] != v[..at] {
-                    return Err(format!("step {step}: copy_to_slice"));
+                // A varint and the view as a length-prefixed field, written
+                // and read back whole; a strict prefix of them is refused.
+                let x = g.next_u64() >> g.below(64);
+                let mut w = Vec::new();
+                put_varint(&mut w, x);
+                w.put_prefixed(&b[..]);
+                let mut r = Reader::new(&w);
+                let back = (r.varint(), r.bytes(), r.finish());
+                if back != (Ok(x), Ok(&v[..]), Ok(())) {
+                    return Err(format!("step {step}: {x} and {v:?} read back as {back:?}"));
                 }
-                v.drain(..at);
-                if b.remaining() != v.len() || b.has_remaining() == v.is_empty() {
-                    return Err(format!("step {step}: remaining"));
+                let end = g.below(w.len() as u64) as usize;
+                let mut r = Reader::new(&w[..end]);
+                if let Ok(bytes) = r.varint().and_then(|_| r.bytes()) {
+                    return Err(format!("step {step}: {end}-byte prefix read {bytes:?}"));
                 }
             }
             _ => {
