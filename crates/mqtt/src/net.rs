@@ -1955,6 +1955,90 @@ mod tests {
         );
     }
 
+    /// The number a delivery queued by [`order_publish`] carries.
+    fn order_of(frame: &OutFrame) -> u32 {
+        let bytes = frame.parts().concat();
+        let Some((Packet::Publish(p), _)) = crate::codec::decode(&bytes).expect("a frame") else {
+            panic!("a whole PUBLISH");
+        };
+        u32::from_be_bytes(p.payload[..4].try_into().expect("4 bytes"))
+    }
+
+    fn order_publish(i: u32) -> Packet {
+        let topic = TopicName::new("order/t").expect("valid topic");
+        Packet::Publish(Publish::qos0(topic, i.to_be_bytes().to_vec()))
+    }
+
+    fn order_subscribe() -> Packet {
+        Packet::Subscribe(crate::packet::Subscribe {
+            packet_id: 1,
+            filters: vec![crate::packet::SubscribeFilter {
+                filter: TopicFilter::new("order/#").expect("valid filter"),
+                qos: QoS::AtMostOnce,
+            }],
+        })
+    }
+
+    /// First id `{prefix}{n}` whose session lives on shard `target` of 2.
+    fn id_on_shard_of_2(prefix: &str, target: usize) -> String {
+        (0..)
+            .map(|n| format!("{prefix}{n}"))
+            .find(|id| crate::shard::shard_of(id, 2) == target)
+            .expect("some id lands on every shard")
+    }
+
+    /// Per-topic FIFO across shards: a subscriber on shard 1, whose loop
+    /// is not draining, and 1 100 QoS 0 publishes routed on shard 0. The
+    /// subscriber's queue must hold them in the order they were routed.
+    #[test]
+    fn forwards_to_a_loop_keep_their_order_however_many_are_pending() {
+        let (shared, parts) = Shared::new(BrokerConfig {
+            shards: 2,
+            ..BrokerConfig::default()
+        })
+        .expect("shared");
+        let broker = &shared.broker;
+        let state = Arc::new(ConnShared::new(1));
+        shared
+            .conns
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(1, Arc::clone(&state));
+        let mut out = ShardOutput::default();
+        broker.connection_opened(1, 0);
+        let connect = crate::packet::Connect::new(id_on_shard_of_2("order-sub-", 1));
+        broker.handle_packet_into(&1, Packet::Connect(connect), 0, &mut out);
+        broker.handle_packet_into(&1, order_subscribe(), 0, &mut out);
+        broker.connection_opened(2, 0);
+        let connect = crate::packet::Connect::new(id_on_shard_of_2("order-pub-", 0));
+        broker.handle_packet_into(&2, Packet::Connect(connect), 0, &mut out);
+        out.actions.clear();
+
+        for i in 0..1_100 {
+            broker.handle_packet_into(&2, order_publish(i), 0, &mut out);
+            shared.dispatch(&mut out, 0, 0, 0);
+        }
+        // Loop 1 catches up.
+        while let Ok(LoopMsg::Forward(publish)) = parts[1].rx.try_recv() {
+            broker.apply_forward_into(1, publish, 0, &mut out.actions);
+            shared.apply_actions(&mut out.actions, 1, 0, 1);
+        }
+
+        let got: Vec<u32> = state
+            .queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .map(order_of)
+            .collect();
+        assert_eq!(got.len(), 1_100);
+        assert!(
+            got.iter().zip(0..).all(|(&g, i)| g == i),
+            "out of order: the queue starts {:?}",
+            &got[..4]
+        );
+    }
+
     /// A socket that takes at most `cap` bytes per write, across slices.
     struct Capped {
         cap: usize,
