@@ -30,7 +30,7 @@
 //! parks on the pool condvar with **no timeout** and is woken by
 //! `notify_work` (node-thread enqueues), by peers that handed work off
 //! directly, or by stop. An idle pool makes zero periodic wakeups —
-//! asserted the same way as the broker's timer wheel — and each worker
+//! asserted the same way as the broker's idle event loops — and each worker
 //! buffers its metric updates in a private [`MetricsDelta`] shard,
 //! paying the shared-hub lock once per flush instead of once per
 //! counter bump in hot operator code.
@@ -348,7 +348,7 @@ mod tests {
         (pool, metrics)
     }
 
-    /// The broker-timer-wheel assertion, ported to the pool: once every
+    /// The idle-broker assertion, ported to the pool: once every
     /// worker has parked, the scan counter must not move — an idle pool
     /// makes zero periodic wakeups (the old 5 ms poll made ~200/s per
     /// worker).

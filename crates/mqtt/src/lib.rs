@@ -23,13 +23,13 @@
 //!   batches, pluggable file/in-memory backends, tolerant replay) making
 //!   persistent sessions, subscriptions, retained messages and QoS 1/2
 //!   in-flight state survive broker restarts,
-//! * [`wheel`] — event-driven timer arithmetic so transports park until
-//!   the broker's next deadline instead of sleep-polling,
 //! * [`poll`] — a thin epoll readiness poller (Linux only) with a
 //!   cross-thread waker,
 //! * [`slab`] — a generational connection slab keyed by poller tokens,
 //! * [`net`] — a nonblocking TCP transport serving the sharded broker
-//!   with one event loop per shard (std only, C10K-capable).
+//!   with one event loop per shard, each socket on the loop of its
+//!   session's shard, and parking each loop until its shard's next
+//!   deadline (std only, C10K-capable).
 //!
 //! "Sans-I/O" means broker and client own neither sockets nor clocks: the
 //! caller feeds packets and timestamps and applies returned actions. The
@@ -67,7 +67,6 @@ pub mod supervisor;
 pub mod topic;
 pub mod tree;
 pub mod wal;
-pub mod wheel;
 
 pub use broker::{Action, Broker, BrokerConfig, BrokerEvent};
 pub use client::{Client, ClientConfig, ClientEvent};
@@ -82,4 +81,3 @@ pub use wal::{
     DurablePublish, DurableState, FileBackend, MemBackend, RecoveryReport, Wal, WalBackend,
     WalConfig, WalRecord, WalStats,
 };
-pub use wheel::TimerWheel;

@@ -13,33 +13,51 @@
 //! One blocking **accept** thread and `config.shards` **event-loop**
 //! threads; the thread count is fixed no matter how many connections are
 //! live (the previous front-end spent one reader thread per connection,
-//! capping sessions at thread-pool scale). The acceptor distributes
-//! sockets round-robin across the loops; each loop owns its connections
-//! end-to-end — a nonblocking slab of sockets (generational tokens, see
-//! [`Slab`]) driven by a readiness [`Poller`] (epoll on Linux):
+//! capping sessions at thread-pool scale). Loop *s* serves shard *s*: it
+//! makes every broker call for that shard and owns the socket of every
+//! session the shard holds — a nonblocking slab of sockets (generational
+//! tokens, see [`Slab`]) driven by a readiness [`Poller`] (epoll on
+//! Linux). Every frame, dirty mark and deadline a broker call for shard
+//! *s* produces is therefore made and consumed on loop *s*'s thread, in
+//! plain fields, without a lock:
 //!
+//! * **hand-over**: the acceptor deals fresh sockets out round-robin. A
+//!   connection decodes one packet before its CONNECT is handled. If that
+//!   packet is a CONNECT whose client id hashes to another shard
+//!   ([`shard_of`]), the loop deregisters the socket and posts it to that
+//!   shard's loop before any broker call, with its decoder, which holds
+//!   whatever the client sent behind the CONNECT. The new owner handles
+//!   the CONNECT and then every packet already buffered, without waiting
+//!   for readiness.
 //! * **reads**: a readable socket is read straight into its
 //!   connection's [`StreamDecoder`] buffer; decoded packets go through
 //!   [`ShardedBroker::handle_packet_into`], into an output the loop
 //!   keeps.
-//! * **writes**: resulting frames land on per-connection outbound
-//!   queues as [`OutFrame`]s; the owning loop drains dirty queues with
-//!   `write_vectored` batches of up to 32 frames, their `IoSlice`s (three
-//!   for a QoS 1/2 delivery: its publish's shared head, its packet id,
-//!   the shared payload) built in a stack array. A partial write arms
-//!   write-readiness (`EPOLLOUT`) and the drain resumes when the socket
-//!   unjams; a consumer that stays jammed past
+//! * **writes**: resulting frames land on the connection's own queue of
+//!   [`OutFrame`]s, which marks the connection dirty once per flush.
+//!   Before it parks, the loop drains dirty queues with `write_vectored`
+//!   batches of up to 32 frames, their `IoSlice`s (three for a QoS 1/2
+//!   delivery: its publish's shared head, its packet id, the shared
+//!   payload) built in a stack array straight from the queue. A partial
+//!   write arms write-readiness (`EPOLLOUT`) and the drain resumes when
+//!   the socket unjams; a consumer that stays jammed past
 //!   [`BrokerConfig::write_timeout_ns`] is evicted without the loop ever
 //!   blocking on it. **No TCP write happens under a broker lock.**
-//! * **wakes**: a producer on another thread that queues frames for an
-//!   idle connection marks it dirty **once** (an `in_dirty` flag
-//!   deduplicates concurrent producers) and signals the owning loop
-//!   through its [`Waker`] self-pipe.
+//! * **wakes**: the one thing a thread hands a loop is a message in the
+//!   loop's inbox — an accepted socket, a handed-over one, or a publish
+//!   routed on another shard that matches subscribers here (its payload
+//!   `Bytes` is shared, not copied). The inbox is an unbounded `Vec` the
+//!   loop swaps out once a turn, so forwards are applied in the order
+//!   they were routed however many are pending, and no loop ever blocks
+//!   on another. A poster signals the loop's [`Waker`] self-pipe only
+//!   when it finds the inbox empty: a non-empty inbox has a wake pending.
 //! * **timers**: each loop arms its poll timeout with a lower bound on
-//!   its shard's earliest deadline (`LoopHandle::broker_deadline`), which
-//!   producers lower when they create timer state and the loop rescans
-//!   only after a deadline wake-up — not on every turn. An idle broker
-//!   parks every loop indefinitely and makes **zero** timer wakeups
+//!   its shard's earliest deadline. The loop lowers the bound itself
+//!   whenever one of its broker calls can have created an earlier
+//!   deadline — a QoS > 0 delivery or PUBREL entering the in-flight
+//!   window, a session coming online — and replaces it with the exact
+//!   value only after a deadline wake-up, not on every turn. An idle
+//!   broker parks every loop indefinitely and makes **zero** wakeups
 //!   (asserted in tests).
 //!
 //! ## What a turn allocates
@@ -47,17 +65,11 @@
 //! Only what outlives it: the topic of a PUBLISH it routes and the frame
 //! it kept, and the frames it queues — of which a QoS 1/2 publish's
 //! deliveries are views of that frame and the acknowledgements are held
-//! inline. The readiness list, the decoded packets, the
-//! dirty list, the write snapshot and the broker's output are scratch the
-//! event loop owns and reuses; the broker writes its WAL records from
-//! borrowed fields into a batch buffer that is framed in place. The gate
-//! is `tests/net_alloc_budget.rs`.
-//!
-//! Cross-shard publishes travel between loops over bounded channels
-//! carrying the shared-payload [`Publish`] (the payload `Bytes` is
-//! reference-counted, not copied); a full target channel falls back to
-//! applying the forward inline, so loops never block on each other and
-//! cannot deadlock.
+//! inline. The readiness list, the decoded packets, the inbox and dirty
+//! lists and the broker's output are scratch the event loop owns and
+//! reuses; the broker writes its WAL records from borrowed fields into a
+//! batch buffer that is framed in place. A hand-over boxes its socket and
+//! decoder once per connection. The gate is `tests/net_alloc_budget.rs`.
 //!
 //! Connection admission is bounded by [`BrokerConfig::max_connections`]
 //! (a storm degrades into counted refusals at the listener instead of
@@ -70,25 +82,17 @@ use std::io::{self, ErrorKind, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::broker::{Action, BrokerConfig};
 use crate::client::{Client, ClientConfig, ClientEvent};
 use crate::codec::{OutFrame, StreamDecoder};
-use crate::packet::{Packet, Publish, QoS};
+use crate::packet::{Connect, Packet, Publish, QoS};
 use crate::poll::{Event, Interest, Poller, Waker, WAKE_TOKEN};
-use crate::shard::{ShardOutput, ShardedBroker};
+use crate::shard::{shard_of, ShardOutput, ShardedBroker};
 use crate::slab::Slab;
 use crate::topic::{TopicFilter, TopicName};
-use crate::wheel::{TimerWheel, Wake, NO_DEADLINE};
-
-/// Capacity of each loop's inbound channel (cross-shard forwards and
-/// freshly accepted sockets). Loops never block on a full channel — a
-/// full forward target gets the publish applied inline — and the
-/// acceptor may briefly block, which is exactly accept backpressure.
-const LOOP_CHANNEL_CAP: usize = 1024;
 
 /// How long a client may sit on an accepted socket without completing
 /// CONNECT before the owning loop drops it.
@@ -122,12 +126,27 @@ fn min_deadline(a: Option<u64>, b: Option<u64>) -> Option<u64> {
     }
 }
 
-/// Work delivered to an event loop from the acceptor or other loops.
+/// Work posted to an event loop by the acceptor or another loop.
 enum LoopMsg {
     /// A publish routed on another shard that matches subscribers here.
     Forward(Publish),
-    /// A freshly accepted socket this loop now owns.
+    /// A freshly accepted socket, not yet CONNECTed.
     Accept(TcpStream, usize),
+    /// A socket whose CONNECT names a session of this loop's shard.
+    HandOver(Box<HandOver>),
+}
+
+const _: () = assert!(std::mem::size_of::<LoopMsg>() == std::mem::size_of::<Publish>());
+
+/// A connection on its way to the loop of its session's shard, as the
+/// loop that read its CONNECT left it. Boxed in [`LoopMsg`], so that a
+/// forward's inbox slot stays the size of a [`Publish`].
+struct HandOver {
+    id: usize,
+    stream: TcpStream,
+    /// Holds whatever the client sent behind its CONNECT.
+    decoder: StreamDecoder,
+    connect: Connect,
 }
 
 /// What the accept loop should do about an `accept(2)` error.
@@ -157,250 +176,88 @@ fn classify_accept_error(e: &std::io::Error) -> AcceptDisposition {
     }
 }
 
-/// Cross-thread face of one connection: the outbound queue any thread
-/// may append to, and the flags coordinating the dirty-list wake
-/// protocol. The socket itself lives loop-locally in the owner's slab —
-/// only the owning loop ever touches it.
-struct ConnShared {
-    /// Owning event loop, fixed at accept (round-robin).
-    owner: usize,
-    /// Pending outbound frames.
-    queue: Mutex<VecDeque<OutFrame>>,
-    /// Whether the connection is already on its owner's dirty list.
-    /// Producers that find it set skip the push *and* the wake, so a
-    /// connection enqueued N times between flushes is visited once per
-    /// flush instead of N times.
-    in_dirty: AtomicBool,
-    /// Close after the queue drains (broker issued `Action::Close`).
-    closing: AtomicBool,
-}
-
-impl ConnShared {
-    fn new(owner: usize) -> ConnShared {
-        ConnShared {
-            owner,
-            queue: Mutex::new(VecDeque::new()),
-            in_dirty: AtomicBool::new(false),
-            closing: AtomicBool::new(false),
-        }
-    }
-}
-
-/// Per-loop handles visible to every thread.
+/// What other threads may touch of one event loop: its inbox and its
+/// waker. The wake-up counter is the loop's own, read for diagnostics.
 struct LoopHandle {
-    tx: SyncSender<LoopMsg>,
+    /// Messages posted since the loop last swapped the inbox out.
+    inbox: Mutex<Vec<LoopMsg>>,
     waker: Waker,
-    /// Connections with queued frames, drained each loop iteration.
-    dirty: Mutex<Vec<usize>>,
-    wheel: TimerWheel,
-    /// A lower bound on the earliest deadline of this shard's broker
-    /// (keep-alive expiry, retransmission; [`NO_DEADLINE`] if it has
-    /// none): what the loop arms its wait with instead of taking the
-    /// shard lock and walking every connection and in-flight message on
-    /// every turn. Activity only moves broker deadlines *later*, and
-    /// waking early is harmless (the loop polls, finds nothing due and
-    /// rescans), so the bound stays valid as long as it never sits above
-    /// the true deadline. The invariant that keeps it there:
-    ///
-    /// > every site that can create an *earlier* deadline on shard `s` —
-    /// > a session coming online (its keep-alive starts, and the in-flight
-    /// > messages a resumed session kept are timed again), a QoS > 0
-    /// > delivery or PUBREL entering the in-flight window — calls
-    /// > [`Shared::note_deadline`]`(s, …)` after the broker call that
-    /// > created it, from whichever loop it runs on.
-    ///
-    /// A delivery notes `now + retransmit_timeout`. An accepted CONNECT
-    /// notes `now`: what a resumed session holds may be due already (a
-    /// recovered one's is, its send times are reset), so the shard's loop
-    /// polls at once and rescans. `note_deadline` lowers the bound
-    /// (`fetch_min`); only loop `s` raises it, in
-    /// [`EventLoop::rescan_broker_deadline`], after a deadline wake-up.
-    broker_deadline: AtomicU64,
+    /// Times the loop returned from its wait.
+    wakeups: AtomicU64,
+    /// Wake-ups at an armed deadline.
+    #[cfg(test)]
+    deadline_wakeups: AtomicU64,
     /// Shard scans [`EventLoop::rescan_broker_deadline`] made.
     #[cfg(test)]
     deadline_scans: AtomicU64,
+    /// Connections the loop holds.
+    #[cfg(test)]
+    connections: AtomicUsize,
+}
+
+impl LoopHandle {
+    /// Appends `msg` to the inbox and wakes the loop if the inbox was
+    /// empty. A non-empty inbox has a wake pending: its first poster sent
+    /// one, and the loop drains its waker only before it swaps the inbox
+    /// out, never after.
+    fn post(&self, msg: LoopMsg) {
+        let mut inbox = self.inbox.lock().unwrap_or_else(PoisonError::into_inner);
+        inbox.push(msg);
+        let first = inbox.len() == 1;
+        drop(inbox);
+        if first {
+            self.waker.wake();
+        }
+    }
 }
 
 struct Shared {
     broker: ShardedBroker<usize>,
     loops: Vec<LoopHandle>,
-    conns: RwLock<HashMap<usize, Arc<ConnShared>>>,
     epoch: Instant,
     shutdown: AtomicBool,
     next_conn: AtomicUsize,
+    /// Connections accepted and not yet torn down, the figure
+    /// [`BrokerConfig::max_connections`] bounds.
+    live: AtomicUsize,
     refused: AtomicU64,
 }
 
-/// The loop-thread half of [`Shared::new`]'s output.
-struct LoopParts {
-    poller: Poller,
-    rx: Receiver<LoopMsg>,
-}
-
 impl Shared {
-    fn new(config: BrokerConfig) -> std::io::Result<(Arc<Shared>, Vec<LoopParts>)> {
+    /// The shared state and one poller per loop, for the loop threads.
+    fn new(config: BrokerConfig) -> std::io::Result<(Arc<Shared>, Vec<Poller>)> {
         let n_loops = config.shards.max(1);
         let mut loops = Vec::with_capacity(n_loops);
-        let mut parts = Vec::with_capacity(n_loops);
+        let mut pollers = Vec::with_capacity(n_loops);
         for _ in 0..n_loops {
-            let (tx, rx) = sync_channel(LOOP_CHANNEL_CAP);
             let poller = Poller::new()?;
             loops.push(LoopHandle {
-                tx,
+                inbox: Mutex::new(Vec::new()),
                 waker: poller.waker(),
-                dirty: Mutex::new(Vec::new()),
-                wheel: TimerWheel::new(),
-                broker_deadline: AtomicU64::new(NO_DEADLINE),
+                wakeups: AtomicU64::new(0),
+                #[cfg(test)]
+                deadline_wakeups: AtomicU64::new(0),
                 #[cfg(test)]
                 deadline_scans: AtomicU64::new(0),
+                #[cfg(test)]
+                connections: AtomicUsize::new(0),
             });
-            parts.push(LoopParts { poller, rx });
+            pollers.push(poller);
         }
         let shared = Arc::new(Shared {
             broker: ShardedBroker::new(config),
             loops,
-            conns: RwLock::new(HashMap::new()),
             epoch: Instant::now(),
             shutdown: AtomicBool::new(false),
             next_conn: AtomicUsize::new(1),
+            live: AtomicUsize::new(0),
             refused: AtomicU64::new(0),
         });
-        Ok((shared, parts))
+        Ok((shared, pollers))
     }
 
     fn now(&self) -> u64 {
         now_ns(self.epoch)
-    }
-
-    /// Marks `conn` dirty on its owner's list exactly once per flush
-    /// cycle and wakes the owner unless the caller *is* the owner (the
-    /// owning loop always flushes its dirty list before parking, so a
-    /// self-wake would only cost a spurious poll return).
-    fn mark_dirty(&self, conn: usize, state: &ConnShared, from_loop: Option<usize>) {
-        if !state.in_dirty.swap(true, Ordering::AcqRel) {
-            self.loops[state.owner]
-                .dirty
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(conn);
-            if from_loop != Some(state.owner) {
-                self.loops[state.owner].waker.wake();
-            }
-        }
-    }
-
-    /// Queues a frame for `conn` and nudges the owning loop if the
-    /// connection was idle. Never blocks.
-    fn enqueue(&self, conn: usize, frame: OutFrame, from_loop: Option<usize>) {
-        let Some(state) = self
-            .conns
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&conn)
-            .cloned()
-        else {
-            return;
-        };
-        state
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_back(frame);
-        self.mark_dirty(conn, &state, from_loop);
-    }
-
-    /// Marks `conn` for close-after-flush and nudges its owning loop.
-    fn close_conn(&self, conn: usize, from_loop: Option<usize>) {
-        let Some(state) = self
-            .conns
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&conn)
-            .cloned()
-        else {
-            return;
-        };
-        state.closing.store(true, Ordering::Release);
-        self.mark_dirty(conn, &state, from_loop);
-    }
-
-    /// Performs and drains the `actions` shard `shard`'s broker just
-    /// produced at `now`: frames are queued for the loops owning their
-    /// connections, and a delivery that started a retransmission timer is
-    /// noted on the shard's deadline.
-    fn apply_actions(
-        &self,
-        actions: &mut Vec<Action<usize>>,
-        shard: usize,
-        now: u64,
-        from_loop: usize,
-    ) {
-        let mut starts_retransmit_timer = false;
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { conn, packet } => {
-                    starts_retransmit_timer |= match &packet {
-                        Packet::Publish(p) => p.qos != QoS::AtMostOnce,
-                        Packet::Pubrel(_) => true,
-                        _ => false,
-                    };
-                    self.enqueue(conn, OutFrame::from(packet), Some(from_loop));
-                }
-                Action::SendFrame { conn, frame } => {
-                    self.enqueue(conn, OutFrame::Whole(frame), Some(from_loop));
-                }
-                Action::Close { conn } => self.close_conn(conn, Some(from_loop)),
-            }
-        }
-        if starts_retransmit_timer {
-            let due = now + self.broker.config().retransmit_timeout_ns;
-            self.note_deadline(shard, due, from_loop);
-        }
-    }
-
-    /// Applies and drains the output of one operation on shard `shard` at
-    /// `now`. Frames are queued for the owning loops; cross-shard forwards
-    /// go over the target loop's channel with a waker nudge. Forwards must
-    /// never block (two loops forwarding into each other's full channels
-    /// would deadlock) — a full (or own-loop) target gets the forward
-    /// applied inline.
-    fn dispatch(&self, out: &mut ShardOutput<usize>, shard: usize, now: u64, from_loop: usize) {
-        let ShardOutput { actions, forwards } = out;
-        self.apply_actions(actions, shard, now, from_loop);
-        for (target, publish) in forwards.drain(..) {
-            let inline = if target == from_loop {
-                Some(publish)
-            } else {
-                match self.loops[target].tx.try_send(LoopMsg::Forward(publish)) {
-                    Ok(()) => {
-                        self.loops[target].waker.wake();
-                        None
-                    }
-                    Err(TrySendError::Full(LoopMsg::Forward(publish))) => Some(publish),
-                    Err(_) => None,
-                }
-            };
-            if let Some(publish) = inline {
-                // `actions` was drained above: it carries the forward's.
-                self.broker
-                    .apply_forward_into(target, publish, now, actions);
-                self.apply_actions(actions, target, now, from_loop);
-            }
-        }
-    }
-
-    /// Shard `shard`'s broker now has something due at `deadline_ns` that
-    /// it may not have had before: lowers the shard's deadline bound and,
-    /// called from another loop, wakes the shard's loop iff it is parked
-    /// past it. (The shard's own loop reads the bound before it arms.)
-    fn note_deadline(&self, shard: usize, deadline_ns: u64, from_loop: usize) {
-        let handle = &self.loops[shard];
-        handle
-            .broker_deadline
-            .fetch_min(deadline_ns, Ordering::SeqCst);
-        if from_loop != shard && handle.wheel.note_deadline(deadline_ns) {
-            handle.waker.wake();
-        }
     }
 }
 
@@ -449,15 +306,15 @@ impl TcpBroker {
     pub fn bind_with(addr: impl ToSocketAddrs, config: BrokerConfig) -> std::io::Result<TcpBroker> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let (shared, parts) = Shared::new(config)?;
+        let (shared, pollers) = Shared::new(config)?;
 
-        let mut loop_handles = Vec::with_capacity(parts.len());
-        for (idx, part) in parts.into_iter().enumerate() {
+        let mut loop_handles = Vec::with_capacity(pollers.len());
+        for (idx, poller) in pollers.into_iter().enumerate() {
             let shard_shared = Arc::clone(&shared);
             loop_handles.push(
                 std::thread::Builder::new()
                     .name(format!("mqtt-loop-{idx}"))
-                    .spawn(move || EventLoop::new(idx, shard_shared, part).run())
+                    .spawn(move || EventLoop::new(idx, shard_shared, poller).run())
                     .expect("spawning an event-loop thread succeeds"),
             );
         }
@@ -495,7 +352,11 @@ impl TcpBroker {
     /// Total loop wakeups across shard event loops (diagnostics: an idle
     /// broker's count stays frozen).
     pub fn timer_wakeups(&self) -> u64 {
-        self.shared.loops.iter().map(|s| s.wheel.wakeups()).sum()
+        self.shared
+            .loops
+            .iter()
+            .map(|l| l.wakeups.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Connections dropped at the listener because
@@ -577,14 +438,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 if shared.shutdown.load(Ordering::Relaxed) {
                     return;
                 }
-                if max_connections > 0
-                    && shared
-                        .conns
-                        .read()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .len()
-                        >= max_connections
-                {
+                if max_connections > 0 && shared.live.load(Ordering::Relaxed) >= max_connections {
                     shared.refused.fetch_add(1, Ordering::Relaxed);
                     drop(stream);
                     continue;
@@ -610,9 +464,10 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// Sets socket options, registers the connection's cross-thread state
-/// and hands the socket to its round-robin owner loop. No thread is
-/// spawned — this is the whole point of the front-end.
+/// Sets socket options, counts the connection and posts the socket to
+/// its round-robin loop, which keeps it until its CONNECT names a
+/// shard. No thread is spawned — this is the whole point of the
+/// front-end.
 fn register_conn(
     stream: TcpStream,
     shared: &Arc<Shared>,
@@ -623,31 +478,9 @@ fn register_conn(
     let conn = shared.next_conn.fetch_add(1, Ordering::Relaxed);
     let owner = *next_loop % shared.loops.len();
     *next_loop = next_loop.wrapping_add(1);
-    shared
-        .conns
-        .write()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(conn, Arc::new(ConnShared::new(owner)));
+    shared.live.fetch_add(1, Ordering::Relaxed);
     shared.broker.connection_opened(conn, shared.now());
-    // Blocking send: a loop that cannot keep up with the accept rate
-    // backpressures the acceptor, which is the correct place to slow a
-    // connection storm down.
-    if shared.loops[owner]
-        .tx
-        .send(LoopMsg::Accept(stream, conn))
-        .is_err()
-    {
-        shared
-            .conns
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&conn);
-        return Err(std::io::Error::new(
-            ErrorKind::NotConnected,
-            "owner loop is gone",
-        ));
-    }
-    shared.loops[owner].waker.wake();
+    shared.loops[owner].post(LoopMsg::Accept(stream, conn));
     Ok(())
 }
 
@@ -655,34 +488,20 @@ fn register_conn(
 /// frames, the first resumed `partial` bytes in. Every frame written whole
 /// is popped and `partial` moves through the one written in part. Returns
 /// what `write_vectored` did, or `Ok(None)` for an empty queue.
-///
-/// The queue is snapshotted under its lock into `batch` (cloning buffer
-/// handles, not bytes) and popped only after the write, so producers can
-/// append concurrently without coordination.
 fn write_front(
     out: &mut impl Write,
-    queue: &Mutex<VecDeque<OutFrame>>,
+    queue: &mut VecDeque<OutFrame>,
     partial: &mut usize,
-    batch: &mut Vec<OutFrame>,
     max: usize,
 ) -> io::Result<Option<usize>> {
-    batch.clear();
-    batch.extend(
-        queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .take(max)
-            .cloned(),
-    );
-    if batch.is_empty() {
+    if queue.is_empty() {
         return Ok(None);
     }
     let mut slices = [IoSlice::new(&[]); 3 * MAX_WRITE_FRAMES];
     let mut used = 0;
     // Only the front frame has bytes already out.
     let mut skip = *partial;
-    for part in batch.iter().flat_map(OutFrame::parts) {
+    for part in queue.iter().take(max).flat_map(OutFrame::parts) {
         let cut = skip.min(part.len());
         skip -= cut;
         if cut < part.len() {
@@ -690,14 +509,10 @@ fn write_front(
             used += 1;
         }
     }
-    let written = out.write_vectored(&slices[..used]);
-    // The queue keeps the frames; the snapshot must not.
-    batch.clear();
-    let written = written?;
-    let mut queue = queue.lock().unwrap_or_else(PoisonError::into_inner);
+    let written = out.write_vectored(&slices[..used])?;
     let mut left = written;
     while left > 0 {
-        let front = queue.front().expect("queue front backed the batch");
+        let front = queue.front().expect("queue front backed the write");
         let remaining = front.len() - *partial;
         if left >= remaining {
             queue.pop_front();
@@ -723,20 +538,23 @@ enum FlushOutcome {
     Gone,
 }
 
-/// Loop-local state of one owned connection. The socket has exactly one
-/// owner thread, so reads, writes and decoder state need no locks.
+/// One connection, owned by one loop: the socket, its decoder and its
+/// outbound queue need no locks.
 struct Conn {
     id: usize,
     stream: TcpStream,
-    shared_state: Arc<ConnShared>,
     decoder: StreamDecoder,
     /// Currently armed poller interest.
     interest: Interest,
+    /// Frames to send, in order.
+    queue: VecDeque<OutFrame>,
     /// Bytes of the queue-front frame already written (partial-write
     /// resume point).
     partial: usize,
-    /// Routing shard, known once CONNECT is accepted.
-    routed: Option<usize>,
+    /// On the loop's dirty list.
+    dirty: bool,
+    /// Close once the queue drains (the broker issued `Action::Close`).
+    closing: bool,
 }
 
 /// One shard's event loop: owns a poller, a slab of connections, and the
@@ -745,9 +563,8 @@ struct EventLoop {
     idx: usize,
     shared: Arc<Shared>,
     poller: Poller,
-    rx: Receiver<LoopMsg>,
     conns: Slab<Conn>,
-    /// Conn id → slab token (dirty-list lookups).
+    /// Conn id → slab token (lookups for broker actions).
     tokens: HashMap<usize, u64>,
     /// Pre-CONNECT grace deadlines by token.
     pre_connect: HashMap<u64, u64>,
@@ -755,6 +572,22 @@ struct EventLoop {
     /// write has the socket jammed).
     write_blocked: HashMap<u64, u64>,
     write_timeout_ns: u64,
+    /// A lower bound on the earliest deadline of this shard's broker
+    /// (keep-alive expiry, retransmission; `None` if it has none): what
+    /// the loop arms its wait with instead of taking the shard lock and
+    /// walking every connection and in-flight message on every turn.
+    /// Activity only moves broker deadlines *later*, and waking early is
+    /// harmless (the loop polls, finds nothing due and rescans), so the
+    /// bound stays valid as long as it never sits above the true
+    /// deadline. Only this loop calls its shard's broker, and it lowers
+    /// the bound after every call that can create an earlier deadline: a
+    /// QoS > 0 delivery or PUBREL entering the in-flight window (to
+    /// `now + retransmit_timeout`, in [`apply_actions`](Self::apply_actions))
+    /// and a handled CONNECT (to `now`: what a resumed session holds may
+    /// be due already — a recovered one's is, its send times are reset).
+    /// [`rescan_broker_deadline`](Self::rescan_broker_deadline) replaces
+    /// it with the exact value after a deadline wake-up.
+    broker_deadline: Option<u64>,
     // Scratch that lives as long as the loop and is empty between uses: a
     // turn allocates only what outlives it (the frames it queues, the
     // topic and payload of a PUBLISH it routes).
@@ -762,33 +595,40 @@ struct EventLoop {
     events: Vec<Event>,
     /// Packets decoded off one readable socket.
     packets: Vec<Packet>,
-    /// The dirty list being flushed, swapped with the shared one.
-    dirty: Vec<usize>,
-    /// Handles to the frames of the vectored write in progress.
-    batch: Vec<OutFrame>,
+    /// The inbox being drained, swapped with the posted one.
+    inbox: Vec<LoopMsg>,
+    /// Tokens of connections with frames queued or a close pending.
+    dirty: Vec<u64>,
+    /// The dirty list being flushed, swapped with `dirty`.
+    flushing: Vec<u64>,
     /// Output of the broker operation in progress.
     out: ShardOutput<usize>,
 }
 
 impl EventLoop {
-    fn new(idx: usize, shared: Arc<Shared>, parts: LoopParts) -> EventLoop {
+    fn new(idx: usize, shared: Arc<Shared>, poller: Poller) -> EventLoop {
         let write_timeout_ns = shared.broker.config().write_timeout_ns.max(1);
         EventLoop {
             idx,
             shared,
-            poller: parts.poller,
-            rx: parts.rx,
+            poller,
             conns: Slab::new(),
             tokens: HashMap::new(),
             pre_connect: HashMap::new(),
             write_blocked: HashMap::new(),
             write_timeout_ns,
+            broker_deadline: None,
             events: Vec::with_capacity(256),
             packets: Vec::new(),
+            inbox: Vec::new(),
             dirty: Vec::new(),
-            batch: Vec::with_capacity(WRITE_BATCH),
+            flushing: Vec::new(),
             out: ShardOutput::default(),
         }
+    }
+
+    fn handle(&self) -> &LoopHandle {
+        &self.shared.loops[self.idx]
     }
 
     fn run(mut self) {
@@ -798,32 +638,31 @@ impl EventLoop {
                 self.teardown_all();
                 return;
             }
-            self.drain_channel();
+            self.drain_inbox();
             self.flush_dirty();
 
+            let deadline = min_deadline(self.broker_deadline, self.earliest_aux_deadline());
             let now = self.shared.now();
-            let handle = &self.shared.loops[self.idx];
-            let broker_deadline = match handle.broker_deadline.load(Ordering::SeqCst) {
-                NO_DEADLINE => None,
-                due => Some(due),
-            };
-            let deadline = min_deadline(broker_deadline, self.earliest_aux_deadline());
-            let timeout = handle.wheel.arm(now, deadline);
-            // Producers that queued work after `flush_dirty` above have
-            // already written a wake byte (cross-loop marks always
-            // wake), so this wait cannot oversleep new work.
+            let timeout = deadline.map(|due| Duration::from_nanos(due.saturating_sub(now)));
+            // Everything this loop queued is flushed, and a message
+            // posted since the inbox was swapped out left a wake byte,
+            // so this wait cannot oversleep new work.
             if let Err(e) = self.poller.wait(&mut self.events, timeout) {
                 eprintln!("mqtt-loop-{}: poller failed ({e}), stopping", self.idx);
                 self.teardown_all();
                 return;
             }
-            let woke = self.shared.loops[self.idx].wheel.on_wake(self.shared.now());
-            if woke == Wake::Deadline {
-                let now = self.shared.now();
+            self.handle().wakeups.fetch_add(1, Ordering::Relaxed);
+            let now = self.shared.now();
+            if deadline.is_some_and(|due| now >= due) {
+                #[cfg(test)]
+                self.handle()
+                    .deadline_wakeups
+                    .fetch_add(1, Ordering::Relaxed);
                 self.shared
                     .broker
                     .poll_shard_into(self.idx, now, &mut self.out);
-                self.shared.dispatch(&mut self.out, self.idx, now, self.idx);
+                self.dispatch(now);
                 self.expire_aux_deadlines(now);
                 self.rescan_broker_deadline();
             }
@@ -837,70 +676,148 @@ impl EventLoop {
     }
 
     /// Replaces the shard's deadline bound with its exact value: the one
-    /// place that takes the shard lock and walks its connections and
-    /// in-flight messages for a deadline. Runs on this loop only.
-    fn rescan_broker_deadline(&self) {
-        let handle = &self.shared.loops[self.idx];
+    /// place that walks the shard's connections and in-flight messages
+    /// for a deadline.
+    fn rescan_broker_deadline(&mut self) {
         #[cfg(test)]
-        handle.deadline_scans.fetch_add(1, Ordering::Relaxed);
-        // Open the bound first: a deadline noted from here on stays in,
-        // one noted before came from a broker call that finished before
-        // the scan below takes the shard lock, and is in its result.
-        handle.broker_deadline.store(NO_DEADLINE, Ordering::SeqCst);
-        if let Some(due) = self.shared.broker.next_deadline_ns(self.idx) {
-            handle.broker_deadline.fetch_min(due, Ordering::SeqCst);
+        self.handle().deadline_scans.fetch_add(1, Ordering::Relaxed);
+        self.broker_deadline = self.shared.broker.next_deadline_ns(self.idx);
+    }
+
+    /// Shard `self.idx`'s broker may have something due at `due` that it
+    /// did not have before.
+    fn lower_deadline(&mut self, due: u64) {
+        self.broker_deadline = min_deadline(self.broker_deadline, Some(due));
+    }
+
+    // ----- broker output --------------------------------------------------
+
+    /// Applies `self.out`, what a call on this loop's shard just produced
+    /// at `now`: its actions on this loop's connections, its forwards
+    /// into the inboxes of the shards they target.
+    fn dispatch(&mut self, now: u64) {
+        self.apply_actions(now);
+        for (target, publish) in self.out.forwards.drain(..) {
+            debug_assert_ne!(target, self.idx, "a shard forwards only to others");
+            self.shared.loops[target].post(LoopMsg::Forward(publish));
         }
     }
 
-    // ----- inbound channel ------------------------------------------------
+    /// Queues the frames and closes of `self.out.actions` on their
+    /// connections, marking each dirty once, and lowers the deadline
+    /// bound if a delivery started a retransmission timer.
+    fn apply_actions(&mut self, now: u64) {
+        let mut starts_retransmit_timer = false;
+        for action in self.out.actions.drain(..) {
+            let (conn, frame) = match action {
+                Action::Send { conn, packet } => {
+                    starts_retransmit_timer |= match &packet {
+                        Packet::Publish(p) => p.qos != QoS::AtMostOnce,
+                        Packet::Pubrel(_) => true,
+                        _ => false,
+                    };
+                    (conn, Some(OutFrame::from(packet)))
+                }
+                Action::SendFrame { conn, frame } => (conn, Some(OutFrame::Whole(frame))),
+                Action::Close { conn } => (conn, None),
+            };
+            debug_assert!(
+                self.shared
+                    .broker
+                    .shard_of_conn(&conn)
+                    .is_none_or(|shard| shard == self.idx),
+                "loop {} got an action for connection {conn} of another shard",
+                self.idx
+            );
+            let Some(&token) = self.tokens.get(&conn) else {
+                continue; // already torn down
+            };
+            let Some(c) = self.conns.get_mut(token) else {
+                continue;
+            };
+            match frame {
+                Some(frame) => c.queue.push_back(frame),
+                None => c.closing = true,
+            }
+            if !c.dirty {
+                c.dirty = true;
+                self.dirty.push(token);
+            }
+        }
+        if starts_retransmit_timer {
+            self.lower_deadline(now + self.shared.broker.config().retransmit_timeout_ns);
+        }
+    }
 
-    fn drain_channel(&mut self) {
-        while let Ok(msg) = self.rx.try_recv() {
+    // ----- inbox ----------------------------------------------------------
+
+    fn drain_inbox(&mut self) {
+        // Swapped, not taken: both lists keep their room.
+        let mut inbox = std::mem::take(&mut self.inbox);
+        std::mem::swap(
+            &mut inbox,
+            &mut *self
+                .handle()
+                .inbox
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        for msg in inbox.drain(..) {
             match msg {
-                LoopMsg::Accept(stream, id) => self.adopt(stream, id),
                 LoopMsg::Forward(publish) => {
                     let now = self.shared.now();
-                    let actions = &mut self.out.actions;
-                    self.shared
-                        .broker
-                        .apply_forward_into(self.idx, publish, now, actions);
-                    self.shared.apply_actions(actions, self.idx, now, self.idx);
+                    self.shared.broker.apply_forward_into(
+                        self.idx,
+                        publish,
+                        now,
+                        &mut self.out.actions,
+                    );
+                    self.apply_actions(now);
+                }
+                LoopMsg::Accept(stream, id) => {
+                    if let Some(token) = self.register(id, stream, StreamDecoder::new()) {
+                        let due = self.shared.now() + PRE_CONNECT_TIMEOUT_NS;
+                        self.pre_connect.insert(token, due);
+                    }
+                }
+                LoopMsg::HandOver(hand_over) => {
+                    let HandOver {
+                        id,
+                        stream,
+                        decoder,
+                        connect,
+                    } = *hand_over;
+                    if let Some(token) = self.register(id, stream, decoder) {
+                        self.on_connect(token, id, connect);
+                    }
                 }
             }
         }
+        self.inbox = inbox;
     }
 
-    /// Takes ownership of a freshly accepted socket: slab slot, poller
-    /// registration, pre-CONNECT grace deadline.
-    fn adopt(&mut self, stream: TcpStream, id: usize) {
-        let Some(state) = self
-            .shared
-            .conns
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&id)
-            .cloned()
-        else {
-            return; // raced a shutdown sweep
-        };
-        debug_assert_eq!(state.owner, self.idx, "socket delivered to a foreign loop");
-        let now = self.shared.now();
+    /// Gives a socket a slab slot and a poller registration; `None` if
+    /// the poller refused it (the connection is then torn down).
+    fn register(&mut self, id: usize, stream: TcpStream, decoder: StreamDecoder) -> Option<u64> {
         let fd = stream.as_raw_fd();
         let token = self.conns.insert(Conn {
             id,
             stream,
-            shared_state: state,
-            decoder: StreamDecoder::new(),
+            decoder,
             interest: Interest::READABLE,
+            queue: VecDeque::new(),
             partial: 0,
-            routed: None,
+            dirty: false,
+            closing: false,
         });
+        self.tokens.insert(id, token);
+        #[cfg(test)]
+        self.handle().connections.fetch_add(1, Ordering::Relaxed);
         if self.poller.register(fd, token, Interest::READABLE).is_err() {
             self.teardown(token, true);
-            return;
+            return None;
         }
-        self.tokens.insert(id, token);
-        self.pre_connect.insert(token, now + PRE_CONNECT_TIMEOUT_NS);
+        Some(token)
     }
 
     // ----- dirty-list writes ----------------------------------------------
@@ -911,31 +828,18 @@ impl EventLoop {
     /// stays empty (a flush can enqueue follow-up frames via broker
     /// actions).
     fn flush_dirty(&mut self) {
-        loop {
+        while !self.dirty.is_empty() {
             // Swapped, not taken: both lists keep their room.
-            std::mem::swap(
-                &mut self.dirty,
-                &mut *self.shared.loops[self.idx]
-                    .dirty
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner),
-            );
-            if self.dirty.is_empty() {
-                return;
-            }
-            for i in 0..self.dirty.len() {
-                let Some(&token) = self.tokens.get(&self.dirty[i]) else {
+            std::mem::swap(&mut self.dirty, &mut self.flushing);
+            for i in 0..self.flushing.len() {
+                let token = self.flushing[i];
+                let Some(conn) = self.conns.get_mut(token) else {
                     continue; // already torn down
                 };
-                if let Some(conn) = self.conns.get(token) {
-                    // Clear-before-drain: a producer appending after
-                    // this point re-marks the connection dirty, so
-                    // nothing is lost.
-                    conn.shared_state.in_dirty.store(false, Ordering::Release);
-                }
+                conn.dirty = false;
                 self.flush_conn(token);
             }
-            self.dirty.clear();
+            self.flushing.clear();
         }
     }
 
@@ -955,7 +859,7 @@ impl EventLoop {
                 let Some(conn) = self.conns.get_mut(token) else {
                     return false;
                 };
-                if conn.shared_state.closing.load(Ordering::Acquire) {
+                if conn.closing {
                     self.teardown(token, true);
                     return false;
                 }
@@ -997,9 +901,8 @@ impl EventLoop {
             // lock, and never blocking (the socket is nonblocking).
             let written = write_front(
                 &mut &conn.stream,
-                &conn.shared_state.queue,
+                &mut conn.queue,
                 &mut conn.partial,
-                &mut self.batch,
                 WRITE_BATCH,
             );
             match written {
@@ -1024,7 +927,7 @@ impl EventLoop {
             return;
         }
         if ev.readable && !self.on_readable(ev.token) {
-            return; // torn down
+            return; // torn down or handed over
         }
         if ev.writable {
             self.write_blocked.remove(&ev.token);
@@ -1033,8 +936,11 @@ impl EventLoop {
     }
 
     /// Reads available bytes, decodes and dispatches packets. Returns
-    /// whether the connection is still alive.
+    /// whether the connection is still on this loop.
     fn on_readable(&mut self, token: u64) -> bool {
+        // Until its CONNECT is handled, a connection decodes one packet:
+        // that CONNECT may move it to another loop, with what follows.
+        let first = self.pre_connect.contains_key(&token);
         let mut failed = false;
         let mut eof = false;
         let id = {
@@ -1052,6 +958,9 @@ impl EventLoop {
                     }
                     Ok((_, filled)) => {
                         loop {
+                            if first && !self.packets.is_empty() {
+                                break 'reading;
+                            }
                             match conn.decoder.next_packet() {
                                 Ok(Some(packet)) => self.packets.push(packet),
                                 Ok(None) => break,
@@ -1080,47 +989,85 @@ impl EventLoop {
             conn.id
         };
 
-        for packet in self.packets.drain(..) {
-            let now = self.shared.now();
-            // All a deadline needs of the packet, read before it moves.
-            let is_connect = matches!(packet, Packet::Connect(_));
-            self.shared
-                .broker
-                .handle_packet_into(&id, packet, now, &mut self.out);
-            let routed = self.conns.get(token).and_then(|c| c.routed);
-            let routed = match routed {
-                Some(s) => Some(s),
-                None => {
-                    // CONNECT may just have been accepted: learn the
-                    // routing shard and retire the pre-CONNECT deadline.
-                    let assigned = self.shared.broker.shard_of_conn(&id);
-                    if let Some(s) = assigned {
-                        if let Some(conn) = self.conns.get_mut(token) {
-                            conn.routed = Some(s);
-                        }
-                        self.pre_connect.remove(&token);
-                    }
-                    assigned
-                }
-            };
-            if let (Some(shard), true) = (routed, is_connect) {
-                // A session came online: its keep-alive starts, and if it
-                // was resumed, the in-flight messages it kept count again
-                // from when they were sent — possibly due already. The
-                // shard's loop polls at once and rescans for the exact
-                // value.
-                self.shared.note_deadline(shard, now, self.idx);
+        if first {
+            if let Some(packet) = self.packets.pop() {
+                self.on_first_packet(token, id, packet);
             }
-            // Unrouted: refused before CONNECT, nothing but a close.
-            let shard = routed.unwrap_or(self.idx);
-            self.shared.dispatch(&mut self.out, shard, now, self.idx);
+        } else {
+            self.handle_packets(id);
         }
-
         if failed || eof {
             self.teardown(token, true);
             return false;
         }
-        true
+        self.conns.get(token).is_some()
+    }
+
+    /// Hands the decoded packets of connection `id` to the broker.
+    fn handle_packets(&mut self, id: usize) {
+        let mut packets = std::mem::take(&mut self.packets);
+        for packet in packets.drain(..) {
+            self.handle_packet(id, packet);
+        }
+        self.packets = packets;
+    }
+
+    fn handle_packet(&mut self, id: usize, packet: Packet) {
+        let now = self.shared.now();
+        self.shared
+            .broker
+            .handle_packet_into(&id, packet, now, &mut self.out);
+        self.dispatch(now);
+    }
+
+    /// A connection's first packet. A CONNECT of a session on another
+    /// shard moves the connection to that shard's loop; one of this
+    /// shard's is handled here. Anything else the broker answers with a
+    /// close.
+    fn on_first_packet(&mut self, token: u64, id: usize, packet: Packet) {
+        self.pre_connect.remove(&token);
+        let Packet::Connect(connect) = packet else {
+            return self.handle_packet(id, packet);
+        };
+        let shard = shard_of(&connect.client_id, self.shared.loops.len());
+        if shard == self.idx {
+            return self.on_connect(token, id, connect);
+        }
+        let Some(conn) = self.remove(token) else {
+            return;
+        };
+        self.shared.loops[shard].post(LoopMsg::HandOver(Box::new(HandOver {
+            id,
+            stream: conn.stream,
+            decoder: conn.decoder,
+            connect,
+        })));
+    }
+
+    /// Handles the CONNECT of a session of this loop's shard, then the
+    /// packets its client sent behind it that the decoder already holds:
+    /// the socket may have nothing left to signal readiness with.
+    fn on_connect(&mut self, token: u64, id: usize, connect: Connect) {
+        // A session comes online: its keep-alive starts, and if it is
+        // resumed, the in-flight messages it kept count again from when
+        // they were sent — possibly due already. Poll at once and rescan.
+        self.lower_deadline(self.shared.now());
+        self.handle_packet(id, Packet::Connect(connect));
+
+        let Some(conn) = self.conns.get_mut(token) else {
+            return;
+        };
+        let failed = loop {
+            match conn.decoder.next_packet() {
+                Ok(Some(packet)) => self.packets.push(packet),
+                Ok(None) => break false,
+                Err(_) => break true,
+            }
+        };
+        self.handle_packets(id);
+        if failed {
+            self.teardown(token, true);
+        }
     }
 
     // ----- deadlines ------------------------------------------------------
@@ -1160,30 +1107,34 @@ impl EventLoop {
 
     // ----- teardown -------------------------------------------------------
 
-    /// Removes a connection from the loop, the poller and the global
-    /// registry; `lost` additionally performs the broker-side session
-    /// teardown (a no-op for sessions the broker already closed).
-    fn teardown(&mut self, token: u64, lost: bool) {
-        let Some(conn) = self.conns.remove(token) else {
-            return;
-        };
+    /// Takes a connection off this loop: its slab slot, its deadlines and
+    /// its poller registration.
+    fn remove(&mut self, token: u64) -> Option<Conn> {
+        let conn = self.conns.remove(token)?;
         self.tokens.remove(&conn.id);
         self.pre_connect.remove(&token);
         self.write_blocked.remove(&token);
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        self.shared
-            .conns
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&conn.id);
+        #[cfg(test)]
+        self.handle().connections.fetch_sub(1, Ordering::Relaxed);
+        Some(conn)
+    }
+
+    /// Removes a connection from the loop and the admission count; `lost`
+    /// additionally performs the broker-side session teardown (a no-op
+    /// for sessions the broker already closed).
+    fn teardown(&mut self, token: u64, lost: bool) {
+        let Some(conn) = self.remove(token) else {
+            return;
+        };
+        self.shared.live.fetch_sub(1, Ordering::Relaxed);
         if lost {
             let now = self.shared.now();
-            // A will is routed on the shard the session lived on.
-            let shard = conn.routed.unwrap_or(self.idx);
+            // A will is routed on the shard the session lived on: this one.
             self.shared
                 .broker
                 .connection_lost_into(&conn.id, now, &mut self.out);
-            self.shared.dispatch(&mut self.out, shard, now, self.idx);
+            self.dispatch(now);
         }
         // conn.stream drops here, closing the socket.
     }
@@ -1541,11 +1492,12 @@ mod tests {
         broker.shutdown();
     }
 
-    /// First id `{prefix}{n}` whose session lives on shard `target` of 4.
-    fn id_on_shard(prefix: &str, target: usize) -> String {
+    /// First id `{prefix}{n}` whose session lives on shard `target` of
+    /// `shards`.
+    fn id_on_shard(prefix: &str, target: usize, shards: usize) -> String {
         (0..)
             .map(|n| format!("{prefix}{n}"))
-            .find(|id| crate::shard::shard_of(id, 4) == target)
+            .find(|id| crate::shard::shard_of(id, shards) == target)
             .expect("some id lands on every shard")
     }
 
@@ -1570,6 +1522,16 @@ mod tests {
         assert_eq!([connack[0], connack[1], connack[3]], [0x20, 0x02, 0x00]);
         assert!(connack[2] <= session_present);
         stream
+    }
+
+    fn subscribe_packet(filter: &str, qos: QoS) -> Packet {
+        Packet::Subscribe(crate::packet::Subscribe {
+            packet_id: 1,
+            filters: vec![crate::packet::SubscribeFilter {
+                filter: TopicFilter::new(filter).expect("valid filter"),
+                qos,
+            }],
+        })
     }
 
     /// The next packet off a raw client's socket.
@@ -1621,12 +1583,12 @@ mod tests {
         let mut scans = 0;
         for handle in &broker.shared.loops {
             let of_loop = handle.deadline_scans.load(Ordering::Relaxed);
+            let deadline_wakeups = handle.deadline_wakeups.load(Ordering::Relaxed);
             // One when the loop starts, one after each deadline wake-up —
             // of which a retransmission timer causes one per timeout.
             assert!(
-                of_loop <= 1 + handle.wheel.deadline_wakeups(),
-                "{of_loop} scans over {} deadline wake-ups",
-                handle.wheel.deadline_wakeups()
+                of_loop <= 1 + deadline_wakeups,
+                "{of_loop} scans over {deadline_wakeups} deadline wake-ups"
             );
             scans += of_loop;
         }
@@ -1636,9 +1598,10 @@ mod tests {
         broker.shutdown();
     }
 
-    /// The timer of an unacknowledged delivery fires on the shard the
-    /// session lives on, whichever loop's turn put it in flight: another
-    /// shard's forward, or a packet read by the loop of another shard.
+    /// The timer of an unacknowledged delivery fires on time, whichever
+    /// way it was put in flight: by another shard's forward, applied from
+    /// the inbox of the loop the session lives on, or by a packet that
+    /// loop read itself.
     #[test]
     fn unacked_qos1_delivery_is_retransmitted_on_time() {
         const TIMEOUT: Duration = Duration::from_millis(300);
@@ -1652,24 +1615,18 @@ mod tests {
         )
         .expect("bind");
         let addr = broker.local_addr();
-        // Accepted first: its socket is loop 0's, its session shard 2's.
-        let mut subscriber = raw_connect(addr, &id_on_shard("rt-sub-", 2), 0);
+        // Accepted first, by loop 0, which hands it to loop 2 at CONNECT.
+        let mut subscriber = raw_connect(addr, &id_on_shard("rt-sub-", 2, 4), 0);
         let mut decoder = StreamDecoder::new();
-        let subscribe = Packet::Subscribe(crate::packet::Subscribe {
-            packet_id: 1,
-            filters: vec![crate::packet::SubscribeFilter {
-                filter: TopicFilter::new("rt/#").expect("valid filter"),
-                qos: QoS::AtLeastOnce,
-            }],
-        });
         subscriber
-            .write_all(&encode(&subscribe))
+            .write_all(&encode(&subscribe_packet("rt/#", QoS::AtLeastOnce)))
             .expect("send SUBSCRIBE");
         assert!(matches!(
             raw_recv(&mut subscriber, &mut decoder),
             Packet::Suback(_)
         ));
-        let mut publisher = TcpClient::connect(addr, &id_on_shard("rt-pub-", 0)).expect("connect");
+        let mut publisher =
+            TcpClient::connect(addr, &id_on_shard("rt-pub-", 0, 4)).expect("connect");
 
         let expect_retransmission =
             |subscriber: &mut TcpStream, decoder: &mut StreamDecoder, sent: Instant, what: &str| {
@@ -1696,15 +1653,15 @@ mod tests {
                     .expect("send PUBACK");
             };
 
-        // Routed on shard 0, forwarded to shard 2 over its loop's channel.
+        // Routed on shard 0, forwarded to shard 2 through its loop's inbox.
         let sent = Instant::now();
         publisher
             .publish("rt/forwarded", b"x".to_vec(), QoS::AtLeastOnce, false)
             .expect("publish");
         expect_retransmission(&mut subscriber, &mut decoder, sent, "forwarded");
 
-        // Published by the subscriber itself: loop 0 reads the packet and
-        // puts the delivery in flight on shard 2, whose loop is parked.
+        // Published by the subscriber itself: loop 2 reads the packet and
+        // puts the delivery in flight on its own shard.
         std::thread::sleep(Duration::from_millis(50));
         let own = Publish::qos1(TopicName::new("rt/own").expect("valid"), b"y".to_vec(), 77);
         let sent = Instant::now();
@@ -1712,12 +1669,7 @@ mod tests {
             .write_all(&encode(&Packet::Publish(own)))
             .expect("send PUBLISH");
         assert_eq!(raw_recv(&mut subscriber, &mut decoder), Packet::Puback(77));
-        expect_retransmission(
-            &mut subscriber,
-            &mut decoder,
-            sent,
-            "read by another shard's loop",
-        );
+        expect_retransmission(&mut subscriber, &mut decoder, sent, "read by its own loop");
 
         assert!(broker.stats().retransmissions >= 2);
         publisher.disconnect();
@@ -1725,7 +1677,7 @@ mod tests {
     }
 
     /// What a persistent session holds unacknowledged is timed again when
-    /// it comes back online — on whichever loop its new socket landed, and
+    /// it comes back online — whichever loop accepted its new socket, and
     /// with no keep-alive and no other traffic to wake the shard's loop.
     #[test]
     fn a_resumed_session_is_retransmitted_to_on_time() {
@@ -1741,32 +1693,25 @@ mod tests {
         )
         .expect("bind");
         let addr = broker.local_addr();
-        // The session lives on shard 2; sockets go to loops 0, 1, 2, 3 in
-        // the order they are accepted.
-        let id = id_on_shard("back-", 2);
+        // The session lives on shard 2. Sockets are accepted by loops 0, 1,
+        // 2, 3 in turn; each of this session's ends up on loop 2.
+        let id = id_on_shard("back-", 2, 4);
         let connect = || {
             let mut connect = crate::packet::Connect::new(id.as_str());
             connect.clean_session = false;
             connect.keep_alive_secs = 0;
             raw_connect_with(addr, connect)
         };
-        let mut subscriber = connect(); // loop 0
+        let mut subscriber = connect(); // accepted by loop 0
         let mut decoder = StreamDecoder::new();
-        let subscribe = Packet::Subscribe(crate::packet::Subscribe {
-            packet_id: 1,
-            filters: vec![crate::packet::SubscribeFilter {
-                filter: TopicFilter::new("back/#").expect("valid filter"),
-                qos: QoS::AtLeastOnce,
-            }],
-        });
         subscriber
-            .write_all(&encode(&subscribe))
+            .write_all(&encode(&subscribe_packet("back/#", QoS::AtLeastOnce)))
             .expect("send SUBSCRIBE");
         assert!(matches!(
             raw_recv(&mut subscriber, &mut decoder),
             Packet::Suback(_)
         ));
-        let mut publisher = TcpClient::connect(addr, "back-pub").expect("connect"); // loop 1
+        let mut publisher = TcpClient::connect(addr, "back-pub").expect("connect"); // by loop 1
 
         let deliver_unacked = |publisher: &mut TcpClient, subscriber: &mut TcpStream| {
             let sent = Instant::now();
@@ -1780,8 +1725,8 @@ mod tests {
             (sent, first.packet_id.expect("a QoS 1 delivery"))
         };
 
-        // Back after the timeout ran out, on the session's own loop (2):
-        // due at once.
+        // Back after the timeout ran out, accepted by the session's own
+        // loop (2): due at once.
         let (_, pid) = deliver_unacked(&mut publisher, &mut subscriber);
         drop(subscriber);
         std::thread::sleep(TIMEOUT + Duration::from_millis(100));
@@ -1798,8 +1743,8 @@ mod tests {
             .write_all(&encode(&Packet::Puback(pid)))
             .expect("send PUBACK");
 
-        // Back before it ran out, on another shard's loop (3): due when it
-        // does, counted from when the delivery was sent.
+        // Back before it ran out, accepted by loop 3 and handed to loop 2:
+        // due when it does, counted from when the delivery was sent.
         let (sent, pid) = deliver_unacked(&mut publisher, &mut subscriber);
         drop(subscriber);
         let mut subscriber = connect();
@@ -1818,12 +1763,66 @@ mod tests {
         broker.shutdown();
     }
 
+    impl TcpBroker {
+        /// How many connections each loop holds.
+        fn connections_per_loop(&self) -> Vec<usize> {
+            let loops = &self.shared.loops;
+            loops
+                .iter()
+                .map(|l| l.connections.load(Ordering::Relaxed))
+                .collect()
+        }
+    }
+
+    /// A socket whose CONNECT names a session of another shard moves to
+    /// that shard's loop, and what the client wrote behind the CONNECT in
+    /// the same write is served there, in order.
+    #[test]
+    fn a_connect_moves_its_socket_to_the_loop_of_its_shard() {
+        let broker = TcpBroker::bind_with(
+            "127.0.0.1:0",
+            BrokerConfig {
+                shards: 4,
+                ..BrokerConfig::default()
+            },
+        )
+        .expect("bind");
+        // Accepted first, by loop 0; its session lives on shard 2.
+        let mut stream = TcpStream::connect(broker.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let connect = crate::packet::Connect::new(id_on_shard("moved-", 2, 4));
+        let own = Publish::qos1(TopicName::new("moved/t").expect("valid"), b"z".to_vec(), 5);
+        let burst: Vec<u8> = [
+            Packet::Connect(connect),
+            subscribe_packet("moved/#", QoS::AtLeastOnce),
+            Packet::Publish(own),
+        ]
+        .iter()
+        .flat_map(|p| encode(p).to_vec())
+        .collect();
+        stream.write_all(&burst).expect("one write");
+
+        let mut decoder = StreamDecoder::new();
+        let mut next = || raw_recv(&mut stream, &mut decoder);
+        assert!(matches!(next(), Packet::Connack(_)));
+        assert!(matches!(next(), Packet::Suback(_)));
+        assert_eq!(next(), Packet::Puback(5));
+        let Packet::Publish(delivery) = next() else {
+            panic!("expected the delivery");
+        };
+        assert_eq!(delivery.payload.as_ref(), b"z");
+        assert_eq!(broker.connections_per_loop(), [0, 0, 1, 0]);
+        broker.shutdown();
+    }
+
     #[test]
     fn silent_client_is_dropped_at_its_keep_alive_grace() {
         let broker = TcpBroker::bind("127.0.0.1:0").expect("bind");
         let connected = Instant::now();
         // Keep-alive 1 s at the default factor 1.5: due at 1.5 s.
-        let mut silent = raw_connect(broker.local_addr(), &id_on_shard("quiet-", 3), 1);
+        let mut silent = raw_connect(broker.local_addr(), &id_on_shard("quiet-", 3, 4), 1);
         let mut byte = [0u8; 1];
         let closed = silent.read(&mut byte);
         let waited = connected.elapsed();
@@ -1888,71 +1887,65 @@ mod tests {
         assert_eq!(classify_accept_error(&fatal), AcceptDisposition::Stop);
     }
 
-    #[test]
-    fn dirty_marking_is_deduplicated_per_flush_cycle() {
-        let (shared, _parts) = Shared::new(BrokerConfig {
+    /// The event loops of a two-shard broker whose threads never run: a
+    /// test makes their turns by hand.
+    fn two_loops() -> (Arc<Shared>, Vec<EventLoop>) {
+        let (shared, pollers) = Shared::new(BrokerConfig {
             shards: 2,
             ..BrokerConfig::default()
         })
         .expect("shared");
-        let state = Arc::new(ConnShared::new(0));
-        shared
-            .conns
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(7, Arc::clone(&state));
+        let loops = pollers
+            .into_iter()
+            .enumerate()
+            .map(|(idx, poller)| EventLoop::new(idx, Arc::clone(&shared), poller))
+            .collect();
+        (shared, loops)
+    }
 
-        // Many enqueues between flushes → one dirty entry.
-        for _ in 0..5 {
-            shared.enqueue(7, OutFrame::Whole(Bytes::from_static(b"frame")), None);
-        }
-        assert_eq!(
-            shared.loops[0]
-                .dirty
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len(),
-            1
-        );
-        assert_eq!(
-            state
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len(),
-            5
-        );
+    /// The two ends of a loopback connection: the broker's, the client's.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        (server, client)
+    }
 
-        // A close on an already-dirty connection adds no second entry.
-        shared.close_conn(7, None);
-        assert_eq!(
-            shared.loops[0]
-                .dirty
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len(),
-            1
-        );
-        assert!(state.closing.load(Ordering::Acquire));
+    #[test]
+    fn dirty_marking_is_deduplicated_per_flush_cycle() {
+        let (_shared, mut loops) = two_loops();
+        let lp = &mut loops[0];
+        let (server, _client) = socket_pair();
+        let token = lp
+            .register(7, server, StreamDecoder::new())
+            .expect("registered");
+        let send = |lp: &mut EventLoop, n: usize| {
+            for _ in 0..n {
+                lp.out.actions.push(Action::SendFrame {
+                    conn: 7,
+                    frame: Bytes::from_static(b"frame"),
+                });
+            }
+            lp.apply_actions(0);
+        };
 
-        // After the owner clears the flag (flush protocol), the next
-        // producer re-marks exactly once.
-        shared.loops[0]
-            .dirty
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        state.in_dirty.store(false, Ordering::Release);
-        shared.enqueue(7, OutFrame::Whole(Bytes::from_static(b"a")), None);
-        shared.enqueue(7, OutFrame::Whole(Bytes::from_static(b"b")), None);
-        assert_eq!(
-            shared.loops[0]
-                .dirty
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len(),
-            1
-        );
+        // Many frames between flushes → one dirty entry.
+        send(lp, 5);
+        assert_eq!(lp.dirty, [token]);
+        assert_eq!(lp.conns.get(token).expect("live").queue.len(), 5);
+
+        // The flush clears the mark; the next frames re-mark exactly once.
+        lp.flush_dirty();
+        assert!(lp.dirty.is_empty());
+        assert!(lp.conns.get(token).expect("live").queue.is_empty());
+        send(lp, 2);
+        assert_eq!(lp.dirty, [token]);
+
+        // A close on a dirty connection adds no second entry.
+        lp.out.actions.push(Action::Close { conn: 7 });
+        lp.apply_actions(0);
+        assert_eq!(lp.dirty, [token]);
+        assert!(lp.conns.get(token).expect("live").closing);
     }
 
     /// The number a delivery queued by [`order_publish`] carries.
@@ -1969,68 +1962,42 @@ mod tests {
         Packet::Publish(Publish::qos0(topic, i.to_be_bytes().to_vec()))
     }
 
-    fn order_subscribe() -> Packet {
-        Packet::Subscribe(crate::packet::Subscribe {
-            packet_id: 1,
-            filters: vec![crate::packet::SubscribeFilter {
-                filter: TopicFilter::new("order/#").expect("valid filter"),
-                qos: QoS::AtMostOnce,
-            }],
-        })
-    }
-
-    /// First id `{prefix}{n}` whose session lives on shard `target` of 2.
-    fn id_on_shard_of_2(prefix: &str, target: usize) -> String {
-        (0..)
-            .map(|n| format!("{prefix}{n}"))
-            .find(|id| crate::shard::shard_of(id, 2) == target)
-            .expect("some id lands on every shard")
-    }
-
     /// Per-topic FIFO across shards: a subscriber on shard 1, whose loop
-    /// is not draining, and 1 100 QoS 0 publishes routed on shard 0. The
-    /// subscriber's queue must hold them in the order they were routed.
+    /// is not running, and 1 100 QoS 0 publishes routed on shard 0. Once
+    /// loop 1 drains its inbox, the subscriber's queue must hold them in
+    /// the order they were routed.
     #[test]
     fn forwards_to_a_loop_keep_their_order_however_many_are_pending() {
-        let (shared, parts) = Shared::new(BrokerConfig {
-            shards: 2,
-            ..BrokerConfig::default()
-        })
-        .expect("shared");
-        let broker = &shared.broker;
-        let state = Arc::new(ConnShared::new(1));
-        shared
-            .conns
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(1, Arc::clone(&state));
-        let mut out = ShardOutput::default();
-        broker.connection_opened(1, 0);
-        let connect = crate::packet::Connect::new(id_on_shard_of_2("order-sub-", 1));
-        broker.handle_packet_into(&1, Packet::Connect(connect), 0, &mut out);
-        broker.handle_packet_into(&1, order_subscribe(), 0, &mut out);
-        broker.connection_opened(2, 0);
-        let connect = crate::packet::Connect::new(id_on_shard_of_2("order-pub-", 0));
-        broker.handle_packet_into(&2, Packet::Connect(connect), 0, &mut out);
-        out.actions.clear();
+        let (shared, mut loops) = two_loops();
+        // The subscriber is handed to loop 1 with its SUBSCRIBE buffered
+        // behind its CONNECT.
+        let (server, _client) = socket_pair();
+        let mut decoder = StreamDecoder::new();
+        decoder.feed(&encode(&subscribe_packet("order/#", QoS::AtMostOnce))[..]);
+        shared.broker.connection_opened(1, 0);
+        shared.loops[1].post(LoopMsg::HandOver(Box::new(HandOver {
+            id: 1,
+            stream: server,
+            decoder,
+            connect: Connect::new(id_on_shard("order-sub-", 1, 2)),
+        })));
+        loops[1].drain_inbox();
+        // The publisher, a session of shard 0 without a socket: what loop 0
+        // sends it is dropped.
+        shared.broker.connection_opened(2, 0);
+        let connect = Connect::new(id_on_shard("order-pub-", 0, 2));
+        loops[0].handle_packet(2, Packet::Connect(connect));
 
         for i in 0..1_100 {
-            broker.handle_packet_into(&2, order_publish(i), 0, &mut out);
-            shared.dispatch(&mut out, 0, 0, 0);
+            loops[0].handle_packet(2, order_publish(i));
         }
         // Loop 1 catches up.
-        while let Ok(LoopMsg::Forward(publish)) = parts[1].rx.try_recv() {
-            broker.apply_forward_into(1, publish, 0, &mut out.actions);
-            shared.apply_actions(&mut out.actions, 1, 0, 1);
-        }
+        loops[1].drain_inbox();
 
-        let got: Vec<u32> = state
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(order_of)
-            .collect();
+        let token = loops[1].tokens[&1];
+        let queue = &loops[1].conns.get(token).expect("on loop 1").queue;
+        // Its CONNACK and SUBACK, then the deliveries.
+        let got: Vec<u32> = queue.iter().skip(2).map(order_of).collect();
         assert_eq!(got.len(), 1_100);
         assert!(
             got.iter().zip(0..).all(|(&g, i)| g == i),
@@ -2083,17 +2050,17 @@ mod tests {
         assert_eq!(head.len(), 7, "first byte, length, topic");
         let expected: Vec<u8> = packets.iter().flat_map(|p| encode(p).to_vec()).collect();
         for (cap, max) in [(1, 64), (2, 1), (5, 2), (64, 64)] {
-            let queue = Mutex::new(frames.iter().cloned().collect::<VecDeque<_>>());
-            let (mut socket, mut partial, mut batch) = (Capped { cap, taken: vec![] }, 0, vec![]);
+            let mut queue: VecDeque<OutFrame> = frames.iter().cloned().collect();
+            let (mut socket, mut partial) = (Capped { cap, taken: vec![] }, 0);
             let mut resumed_at = Vec::new();
             while let Some(n) =
-                write_front(&mut socket, &queue, &mut partial, &mut batch, max).expect("write")
+                write_front(&mut socket, &mut queue, &mut partial, max).expect("write")
             {
                 assert!(n > 0 && n <= cap, "cap {cap}: wrote {n}");
                 resumed_at.push(partial);
             }
             assert_eq!(socket.taken, expected, "cap {cap}, {max} frames a write");
-            assert!(batch.is_empty() && partial == 0);
+            assert!(queue.is_empty() && partial == 0);
             if cap == 1 {
                 // Every offset of every frame was a resume point.
                 let every: Vec<usize> = frames

@@ -47,8 +47,8 @@
 //! shards. The origin computes the distinct set of remote shards from
 //! the index and reports them as [`ShardOutput::forwards`]; the
 //! embedding applies each forward with
-//! [`ShardedBroker::apply_forward_into`] (over bounded channels between
-//! shard service threads in the TCP front-end; inline, via
+//! [`ShardedBroker::apply_forward_into`] (by the target shard's own
+//! event loop in the TCP front-end, in the order they were routed; inline, via
 //! [`resolve`](ShardedBroker::resolve), for a caller on one thread). Forward
 //! application never generates further forwards, so a forwarded publish
 //! cannot loop. Retained publishes are forwarded to *all* shards so every
@@ -453,8 +453,8 @@ impl<C: Ord + Clone> ShardedBroker<C> {
 
     /// Applies `out.forwards` inline and returns every action: the
     /// convenience path for a caller on one thread (tests, benchmark
-    /// replays). The TCP front-end ships forwards over channels between
-    /// shard threads instead.
+    /// replays). The TCP front-end posts forwards to the inboxes of the
+    /// target shards' loops instead.
     pub fn resolve(&self, mut out: ShardOutput<C>, now_ns: u64) -> Vec<Action<C>> {
         self.resolve_into(&mut out, now_ns);
         out.actions

@@ -54,6 +54,18 @@ const CORPUS: &[(&str, &str)] = &[
         "ffffffffffffffffff01",
     ),
     ("an alert whose text claims 2^32 - 1 bytes", "0402ffffffff"),
+    (
+        "an MQTT PUBLISH whose topic length (a u16) runs past its body",
+        "3004ffff6162",
+    ),
+    (
+        "an MQTT PUBLISH whose remaining length claims 2^28 - 1 bytes, two behind it",
+        "30ffffff7f0001",
+    ),
+    (
+        "an MQTT SUBSCRIBE whose filter length overruns its body",
+        "8206000100ff6101",
+    ),
 ];
 
 fn unhex(hex: &str) -> Vec<u8> {

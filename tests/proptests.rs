@@ -118,11 +118,17 @@ fn codec_prefixes_are_incomplete() {
     });
 }
 
-/// Arbitrary bytes never panic the decoder.
+/// Arbitrary bytes never panic the decoder, nor does a valid frame with an
+/// overflowing length spliced in at any offset (a u16 string length or the
+/// remaining length past the frame).
 #[test]
 fn codec_never_panics() {
     check("codec_never_panics", CASES, |g| {
         let _ = decode(&g.bytes(0, 256));
+        let frame = encode(&common::packet(g));
+        for at in 0..=frame.len() {
+            let _ = decode(&overflowing_length_at(&frame, at));
+        }
     });
 }
 
@@ -1081,9 +1087,8 @@ fn wal_record(g: &mut Gen) -> ifot::mqtt::wal::WalRecord {
     }
 }
 
-/// The raw log `batches` leave on a fresh backend, cut somewhere and with
-/// up to three bits flipped.
-fn corrupted_log(g: &mut Gen, batches: &[Vec<ifot::mqtt::wal::WalRecord>]) -> Vec<u8> {
+/// The raw log `batches` leave on a fresh backend.
+fn raw_log(batches: &[Vec<ifot::mqtt::wal::WalRecord>]) -> Vec<u8> {
     use ifot::mqtt::wal::{MemBackend, Wal, WalConfig};
     let backend = MemBackend::new();
     let mut wal = Wal::new(
@@ -1099,7 +1104,13 @@ fn corrupted_log(g: &mut Gen, batches: &[Vec<ifot::mqtt::wal::WalRecord>]) -> Ve
         }
         wal.commit();
     }
-    let mut log = backend.raw_log();
+    backend.raw_log()
+}
+
+/// The raw log `batches` leave on a fresh backend, cut somewhere and with
+/// up to three bits flipped.
+fn corrupted_log(g: &mut Gen, batches: &[Vec<ifot::mqtt::wal::WalRecord>]) -> Vec<u8> {
+    let mut log = raw_log(batches);
     log.truncate(g.len(0, log.len() + 1));
     for _ in 0..g.len(0, 4) {
         if !log.is_empty() {
@@ -1246,8 +1257,9 @@ fn wal_to_records_is_fixpoint() {
     });
 }
 
-/// `parse_stream` never panics on arbitrary bytes, and whatever it accepts
-/// replays without error.
+/// `parse_stream` never panics on arbitrary bytes, nor on an intact log
+/// with an overflowing length spliced in at any offset, and whatever it
+/// accepts replays without error.
 #[test]
 fn wal_parse_stream_never_panics() {
     use ifot::mqtt::wal::{self, MemBackend};
@@ -1257,6 +1269,10 @@ fn wal_parse_stream_never_panics() {
         let backend = MemBackend::new();
         backend.set_raw_log(bytes);
         let _ = wal::recover(&mut backend.clone()).expect("in-memory recover");
+        let log = raw_log(&[g.vec(1, 4, wal_record)]);
+        for at in 0..=log.len() {
+            let _ = wal::parse_stream(&overflowing_length_at(&log, at));
+        }
     });
 }
 
