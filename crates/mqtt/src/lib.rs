@@ -18,7 +18,8 @@
 //! * [`supervisor`] — client-side dead-peer detection and reconnect
 //!   backoff around the session,
 //! * [`shard`] — a multi-core routing layer partitioning sessions across
-//!   per-shard brokers that share one subscription index,
+//!   per-shard brokers, each owned by one thread, that share only one
+//!   subscription index,
 //! * [`wal`] — a write-ahead log + snapshot subsystem (CRC-framed atomic
 //!   batches, pluggable file/in-memory backends, tolerant replay) making
 //!   persistent sessions, subscriptions, retained messages and QoS 1/2
@@ -27,9 +28,9 @@
 //!   cross-thread waker,
 //! * [`slab`] — a generational connection slab keyed by poller tokens,
 //! * [`net`] — a nonblocking TCP transport serving the sharded broker
-//!   with one event loop per shard, each socket on the loop of its
-//!   session's shard, and parking each loop until its shard's next
-//!   deadline (std only, C10K-capable).
+//!   with one event loop per shard that owns the shard outright, each
+//!   socket on the loop of its session's shard, and parking each loop
+//!   until its shard's next deadline (std only, C10K-capable).
 //!
 //! "Sans-I/O" means broker and client own neither sockets nor clocks: the
 //! caller feeds packets and timestamps and applies returned actions. The

@@ -13,26 +13,27 @@
 //! One blocking **accept** thread and `config.shards` **event-loop**
 //! threads; the thread count is fixed no matter how many connections are
 //! live (the previous front-end spent one reader thread per connection,
-//! capping sessions at thread-pool scale). Loop *s* serves shard *s*: it
-//! makes every broker call for that shard and owns the socket of every
-//! session the shard holds — a nonblocking slab of sockets (generational
-//! tokens, see [`Slab`]) driven by a readiness [`Poller`] (epoll on
-//! Linux). Every frame, dirty mark and deadline a broker call for shard
-//! *s* produces is therefore made and consumed on loop *s*'s thread, in
-//! plain fields, without a lock:
+//! capping sessions at thread-pool scale). Loop *s* owns shard *s*
+//! outright (opened by [`TcpBroker::bind_with`], moved into the loop's
+//! thread) and the socket of every session the shard holds — a
+//! nonblocking slab of sockets (generational tokens, see [`Slab`]) driven
+//! by a readiness [`Poller`] (epoll on Linux). Every broker call for
+//! shard *s*, and every frame, dirty mark and deadline it produces, is
+//! made and consumed on loop *s*'s thread, in plain fields. Loops share
+//! only the subscription index ([`crate::shard`]), their inboxes and the
+//! figures they publish:
 //!
-//! * **hand-over**: the acceptor deals fresh sockets out round-robin. A
-//!   connection decodes one packet before its CONNECT is handled. If that
-//!   packet is a CONNECT whose client id hashes to another shard
-//!   ([`shard_of`]), the loop deregisters the socket and posts it to that
-//!   shard's loop before any broker call, with its decoder, which holds
-//!   whatever the client sent behind the CONNECT. The new owner handles
-//!   the CONNECT and then every packet already buffered, without waiting
-//!   for readiness.
+//! * **hand-over**: the acceptor deals fresh sockets out round-robin and
+//!   makes no broker call. A connection decodes one packet before its
+//!   CONNECT is handled: anything else closes it. A CONNECT whose client
+//!   id hashes to another shard ([`shard_of`]) makes the loop deregister
+//!   the socket and post it to that shard's loop, with its decoder, which
+//!   holds whatever the client sent behind the CONNECT. The new owner
+//!   opens the connection with the CONNECT and then handles every packet
+//!   already buffered, without waiting for readiness.
 //! * **reads**: a readable socket is read straight into its
-//!   connection's [`StreamDecoder`] buffer; decoded packets go through
-//!   [`ShardedBroker::handle_packet_into`], into an output the loop
-//!   keeps.
+//!   connection's [`StreamDecoder`] buffer; decoded packets go to the
+//!   loop's shard, into an output the loop keeps.
 //! * **writes**: resulting frames land on the connection's own queue of
 //!   [`OutFrame`]s, which marks the connection dirty once per flush.
 //!   Before it parks, the loop drains dirty queues with `write_vectored`
@@ -42,7 +43,10 @@
 //!   write arms write-readiness (`EPOLLOUT`) and the drain resumes when
 //!   the socket unjams; a consumer that stays jammed past
 //!   [`BrokerConfig::write_timeout_ns`] is evicted without the loop ever
-//!   blocking on it. **No TCP write happens under a broker lock.**
+//!   blocking on it. **No lock is held across a TCP write.**
+//! * **figures**: a loop publishes its shard's counters before it writes
+//!   or closes a socket and before it parks, so a client that has seen a
+//!   frame or a close reads [`TcpBroker::stats`] that count it.
 //! * **wakes**: the one thing a thread hands a loop is a message in the
 //!   loop's inbox — an accepted socket, a handed-over one, or a publish
 //!   routed on another shard that matches subscribers here (its payload
@@ -82,17 +86,18 @@ use std::io::{self, ErrorKind, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::broker::{Action, BrokerConfig};
+use crate::broker::{Action, BrokerConfig, BrokerStats};
 use crate::client::{Client, ClientConfig, ClientEvent};
 use crate::codec::{OutFrame, StreamDecoder};
 use crate::packet::{Connect, Packet, Publish, QoS};
 use crate::poll::{Event, Interest, Poller, Waker, WAKE_TOKEN};
-use crate::shard::{shard_of, ShardOutput, ShardedBroker};
+use crate::shard::{self, shard_of, Index, Shard, ShardOutput};
 use crate::slab::Slab;
 use crate::topic::{TopicFilter, TopicName};
+use crate::wal::WalStats;
 
 /// How long a client may sit on an accepted socket without completing
 /// CONNECT before the owning loop drops it.
@@ -131,7 +136,7 @@ enum LoopMsg {
     /// A publish routed on another shard that matches subscribers here.
     Forward(Publish),
     /// A freshly accepted socket, not yet CONNECTed.
-    Accept(TcpStream, usize),
+    Accept(TcpStream),
     /// A socket whose CONNECT names a session of this loop's shard.
     HandOver(Box<HandOver>),
 }
@@ -142,7 +147,6 @@ const _: () = assert!(std::mem::size_of::<LoopMsg>() == std::mem::size_of::<Publ
 /// loop that read its CONNECT left it. Boxed in [`LoopMsg`], so that a
 /// forward's inbox slot stays the size of a [`Publish`].
 struct HandOver {
-    id: usize,
     stream: TcpStream,
     /// Holds whatever the client sent behind its CONNECT.
     decoder: StreamDecoder,
@@ -176,12 +180,15 @@ fn classify_accept_error(e: &std::io::Error) -> AcceptDisposition {
     }
 }
 
-/// What other threads may touch of one event loop: its inbox and its
-/// waker. The wake-up counter is the loop's own, read for diagnostics.
+/// What other threads may touch of one event loop: its inbox, its waker
+/// and the figures it publishes. The wake-up counter is the loop's own,
+/// read for diagnostics.
 struct LoopHandle {
     /// Messages posted since the loop last swapped the inbox out.
     inbox: Mutex<Vec<LoopMsg>>,
     waker: Waker,
+    /// The loop's shard's counters as of [`EventLoop::publish`].
+    published: Mutex<(BrokerStats, Option<WalStats>)>,
     /// Times the loop returned from its wait.
     wakeups: AtomicU64,
     /// Wake-ups at an armed deadline.
@@ -201,7 +208,7 @@ impl LoopHandle {
     /// one, and the loop drains its waker only before it swaps the inbox
     /// out, never after.
     fn post(&self, msg: LoopMsg) {
-        let mut inbox = self.inbox.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut inbox = lock(&self.inbox);
         inbox.push(msg);
         let first = inbox.len() == 1;
         drop(inbox);
@@ -211,29 +218,44 @@ impl LoopHandle {
     }
 }
 
+/// Locks `m`, taking over the data of a holder that panicked: every
+/// update made under these locks (a push, a swap, a copy) leaves the
+/// data valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 struct Shared {
-    broker: ShardedBroker<usize>,
     loops: Vec<LoopHandle>,
+    index: Index,
     epoch: Instant,
     shutdown: AtomicBool,
-    next_conn: AtomicUsize,
     /// Connections accepted and not yet torn down, the figure
     /// [`BrokerConfig::max_connections`] bounds.
     live: AtomicUsize,
     refused: AtomicU64,
+    max_connections: usize,
+    write_timeout_ns: u64,
+    retransmit_timeout_ns: u64,
 }
 
 impl Shared {
-    /// The shared state and one poller per loop, for the loop threads.
-    fn new(config: BrokerConfig) -> std::io::Result<(Arc<Shared>, Vec<Poller>)> {
-        let n_loops = config.shards.max(1);
-        let mut loops = Vec::with_capacity(n_loops);
-        let mut pollers = Vec::with_capacity(n_loops);
-        for _ in 0..n_loops {
-            let poller = Poller::new()?;
-            loops.push(LoopHandle {
+    /// Opens and recovers the shards on the calling thread. Returns the
+    /// shared state and, for each shard, the loop that owns it, not yet
+    /// running.
+    fn new(config: BrokerConfig) -> io::Result<(Arc<Shared>, Vec<EventLoop>)> {
+        let (shards, index, _) = shard::open(&config)?;
+        let pollers: Vec<Poller> = shards
+            .iter()
+            .map(|_| Poller::new())
+            .collect::<Result<_, _>>()?;
+        let loops = shards
+            .iter()
+            .zip(&pollers)
+            .map(|(shard, poller)| LoopHandle {
                 inbox: Mutex::new(Vec::new()),
                 waker: poller.waker(),
+                published: Mutex::new((shard.stats(), shard.wal_stats())),
                 wakeups: AtomicU64::new(0),
                 #[cfg(test)]
                 deadline_wakeups: AtomicU64::new(0),
@@ -242,18 +264,24 @@ impl Shared {
                 #[cfg(test)]
                 connections: AtomicUsize::new(0),
             });
-            pollers.push(poller);
-        }
         let shared = Arc::new(Shared {
-            broker: ShardedBroker::new(config),
-            loops,
+            loops: loops.collect(),
+            index,
             epoch: Instant::now(),
             shutdown: AtomicBool::new(false),
-            next_conn: AtomicUsize::new(1),
             live: AtomicUsize::new(0),
             refused: AtomicU64::new(0),
+            max_connections: config.max_connections,
+            write_timeout_ns: config.write_timeout_ns.max(1),
+            retransmit_timeout_ns: config.retransmit_timeout_ns,
         });
-        Ok((shared, pollers))
+        let event_loops = pollers
+            .into_iter()
+            .zip(shards)
+            .enumerate()
+            .map(|(idx, (poller, shard))| EventLoop::new(idx, Arc::clone(&shared), poller, shard))
+            .collect();
+        Ok((shared, event_loops))
     }
 
     fn now(&self) -> u64 {
@@ -302,22 +330,22 @@ impl TcpBroker {
     ///
     /// # Errors
     ///
-    /// Propagates socket errors from binding or poller setup.
+    /// Propagates errors from binding, poller setup and opening or
+    /// replaying the [`BrokerConfig::durability`] directory.
     pub fn bind_with(addr: impl ToSocketAddrs, config: BrokerConfig) -> std::io::Result<TcpBroker> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let (shared, pollers) = Shared::new(config)?;
+        let (shared, loops) = Shared::new(config)?;
 
-        let mut loop_handles = Vec::with_capacity(pollers.len());
-        for (idx, poller) in pollers.into_iter().enumerate() {
-            let shard_shared = Arc::clone(&shared);
-            loop_handles.push(
+        let loop_handles = loops
+            .into_iter()
+            .map(|lp| {
                 std::thread::Builder::new()
-                    .name(format!("mqtt-loop-{idx}"))
-                    .spawn(move || EventLoop::new(idx, shard_shared, poller).run())
-                    .expect("spawning an event-loop thread succeeds"),
-            );
-        }
+                    .name(format!("mqtt-loop-{}", lp.idx))
+                    .spawn(move || lp.run())
+                    .expect("spawning an event-loop thread succeeds")
+            })
+            .collect();
 
         let accept_shared = Arc::clone(&shared);
         let accept_handle = std::thread::Builder::new()
@@ -338,15 +366,17 @@ impl TcpBroker {
         self.local_addr
     }
 
-    /// A snapshot of the aggregated broker statistics.
-    pub fn stats(&self) -> crate::broker::BrokerStats {
-        self.shared.broker.stats()
+    /// The aggregated broker statistics, as the loops last published them:
+    /// they count every frame and close a client has seen.
+    pub fn stats(&self) -> BrokerStats {
+        shard::total_stats(self.shared.loops.iter().map(|l| lock(&l.published).0))
     }
 
     /// Aggregated write-ahead-log counters across shards, if the broker
-    /// was configured with [`crate::broker::BrokerConfig::durability`].
-    pub fn wal_stats(&self) -> Option<crate::wal::WalStats> {
-        self.shared.broker.wal_stats()
+    /// was configured with [`BrokerConfig::durability`], published as
+    /// [`stats`](Self::stats) are.
+    pub fn wal_stats(&self) -> Option<WalStats> {
+        shard::total_wal_stats(self.shared.loops.iter().map(|l| lock(&l.published).1))
     }
 
     /// Total loop wakeups across shard event loops (diagnostics: an idle
@@ -430,7 +460,7 @@ pub fn mqtt_thread_count() -> Option<usize> {
 /// backs off briefly on fd exhaustion, skips aborted handshakes, and
 /// stops when the listener dies (see [`classify_accept_error`]).
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let max_connections = shared.broker.config().max_connections;
+    let max_connections = shared.max_connections;
     let mut next_loop = 0usize;
     while !shared.shutdown.load(Ordering::Relaxed) {
         match listener.accept() {
@@ -475,12 +505,10 @@ fn register_conn(
 ) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_nonblocking(true)?;
-    let conn = shared.next_conn.fetch_add(1, Ordering::Relaxed);
     let owner = *next_loop % shared.loops.len();
     *next_loop = next_loop.wrapping_add(1);
     shared.live.fetch_add(1, Ordering::Relaxed);
-    shared.broker.connection_opened(conn, shared.now());
-    shared.loops[owner].post(LoopMsg::Accept(stream, conn));
+    shared.loops[owner].post(LoopMsg::Accept(stream));
     Ok(())
 }
 
@@ -532,16 +560,13 @@ enum FlushOutcome {
     Drained,
     /// Socket jammed mid-queue (`WouldBlock`): write-readiness armed.
     Blocked,
-    /// Socket failed.
+    /// Socket failed, or the token is stale: the connection is gone.
     Dead,
-    /// Stale token — connection already gone.
-    Gone,
 }
 
 /// One connection, owned by one loop: the socket, its decoder and its
 /// outbound queue need no locks.
 struct Conn {
-    id: usize,
     stream: TcpStream,
     decoder: StreamDecoder,
     /// Currently armed poller interest.
@@ -557,30 +582,33 @@ struct Conn {
     closing: bool,
 }
 
-/// One shard's event loop: owns a poller, a slab of connections, and the
-/// shard's timer deadline. See the [module docs](self).
+/// One shard's event loop: owns the shard, a poller, a slab of
+/// connections, and the shard's timer deadline. See the
+/// [module docs](self).
 struct EventLoop {
     idx: usize,
     shared: Arc<Shared>,
+    /// Keys each connection by its slab token in `conns`: the shard
+    /// holds only this loop's connections, and generations keep a stale
+    /// token from naming a new one.
+    shard: Shard<u64>,
+    /// A broker call ran since the loop last published its figures.
+    unpublished: bool,
     poller: Poller,
     conns: Slab<Conn>,
-    /// Conn id → slab token (lookups for broker actions).
-    tokens: HashMap<usize, u64>,
     /// Pre-CONNECT grace deadlines by token.
     pre_connect: HashMap<u64, u64>,
     /// Slow-consumer eviction deadlines by token (set while a partial
     /// write has the socket jammed).
     write_blocked: HashMap<u64, u64>,
-    write_timeout_ns: u64,
     /// A lower bound on the earliest deadline of this shard's broker
     /// (keep-alive expiry, retransmission; `None` if it has none): what
-    /// the loop arms its wait with instead of taking the shard lock and
-    /// walking every connection and in-flight message on every turn.
-    /// Activity only moves broker deadlines *later*, and waking early is
-    /// harmless (the loop polls, finds nothing due and rescans), so the
-    /// bound stays valid as long as it never sits above the true
-    /// deadline. Only this loop calls its shard's broker, and it lowers
-    /// the bound after every call that can create an earlier deadline: a
+    /// the loop arms its wait with instead of walking every connection
+    /// and in-flight message on every turn. Activity only moves broker
+    /// deadlines *later*, and waking early is harmless (the loop polls,
+    /// finds nothing due and rescans), so the bound stays valid as long as
+    /// it never sits above the true deadline. The loop lowers it after
+    /// every call to its shard that can create an earlier deadline: a
     /// QoS > 0 delivery or PUBREL entering the in-flight window (to
     /// `now + retransmit_timeout`, in [`apply_actions`](Self::apply_actions))
     /// and a handled CONNECT (to `now`: what a resumed session holds may
@@ -602,21 +630,20 @@ struct EventLoop {
     /// The dirty list being flushed, swapped with `dirty`.
     flushing: Vec<u64>,
     /// Output of the broker operation in progress.
-    out: ShardOutput<usize>,
+    out: ShardOutput<u64>,
 }
 
 impl EventLoop {
-    fn new(idx: usize, shared: Arc<Shared>, poller: Poller) -> EventLoop {
-        let write_timeout_ns = shared.broker.config().write_timeout_ns.max(1);
+    fn new(idx: usize, shared: Arc<Shared>, poller: Poller, shard: Shard<u64>) -> EventLoop {
         EventLoop {
             idx,
             shared,
+            shard,
+            unpublished: false,
             poller,
             conns: Slab::new(),
-            tokens: HashMap::new(),
             pre_connect: HashMap::new(),
             write_blocked: HashMap::new(),
-            write_timeout_ns,
             broker_deadline: None,
             events: Vec::with_capacity(256),
             packets: Vec::new(),
@@ -640,6 +667,7 @@ impl EventLoop {
             }
             self.drain_inbox();
             self.flush_dirty();
+            self.publish();
 
             let deadline = min_deadline(self.broker_deadline, self.earliest_aux_deadline());
             let now = self.shared.now();
@@ -659,9 +687,7 @@ impl EventLoop {
                 self.handle()
                     .deadline_wakeups
                     .fetch_add(1, Ordering::Relaxed);
-                self.shared
-                    .broker
-                    .poll_shard_into(self.idx, now, &mut self.out);
+                self.shard.poll(&self.shared.index, now, &mut self.out);
                 self.dispatch(now);
                 self.expire_aux_deadlines(now);
                 self.rescan_broker_deadline();
@@ -681,13 +707,23 @@ impl EventLoop {
     fn rescan_broker_deadline(&mut self) {
         #[cfg(test)]
         self.handle().deadline_scans.fetch_add(1, Ordering::Relaxed);
-        self.broker_deadline = self.shared.broker.next_deadline_ns(self.idx);
+        self.broker_deadline = self.shard.next_deadline_ns();
     }
 
-    /// Shard `self.idx`'s broker may have something due at `due` that it
-    /// did not have before.
+    /// The shard may have something due at `due` that it did not have
+    /// before.
     fn lower_deadline(&mut self, due: u64) {
         self.broker_deadline = min_deadline(self.broker_deadline, Some(due));
+    }
+
+    /// Copies the shard's counters into the handle, for
+    /// [`TcpBroker::stats`], if a broker call ran since the last time (see
+    /// the [module docs](self) for when). Allocates nothing.
+    fn publish(&mut self) {
+        if std::mem::take(&mut self.unpublished) {
+            let figures = (self.shard.stats(), self.shard.wal_stats());
+            *lock(&self.handle().published) = figures;
+        }
     }
 
     // ----- broker output --------------------------------------------------
@@ -705,11 +741,13 @@ impl EventLoop {
 
     /// Queues the frames and closes of `self.out.actions` on their
     /// connections, marking each dirty once, and lowers the deadline
-    /// bound if a delivery started a retransmission timer.
+    /// bound if a delivery started a retransmission timer. Follows every
+    /// broker call, so it also marks the loop's figures unpublished.
     fn apply_actions(&mut self, now: u64) {
+        self.unpublished = true;
         let mut starts_retransmit_timer = false;
         for action in self.out.actions.drain(..) {
-            let (conn, frame) = match action {
+            let (token, frame) = match action {
                 Action::Send { conn, packet } => {
                     starts_retransmit_timer |= match &packet {
                         Packet::Publish(p) => p.qos != QoS::AtMostOnce,
@@ -721,19 +759,8 @@ impl EventLoop {
                 Action::SendFrame { conn, frame } => (conn, Some(OutFrame::Whole(frame))),
                 Action::Close { conn } => (conn, None),
             };
-            debug_assert!(
-                self.shared
-                    .broker
-                    .shard_of_conn(&conn)
-                    .is_none_or(|shard| shard == self.idx),
-                "loop {} got an action for connection {conn} of another shard",
-                self.idx
-            );
-            let Some(&token) = self.tokens.get(&conn) else {
-                continue; // already torn down
-            };
             let Some(c) = self.conns.get_mut(token) else {
-                continue;
+                continue; // already torn down
             };
             match frame {
                 Some(frame) => c.queue.push_back(frame),
@@ -745,7 +772,7 @@ impl EventLoop {
             }
         }
         if starts_retransmit_timer {
-            self.lower_deadline(now + self.shared.broker.config().retransmit_timeout_ns);
+            self.lower_deadline(now + self.shared.retransmit_timeout_ns);
         }
     }
 
@@ -754,41 +781,29 @@ impl EventLoop {
     fn drain_inbox(&mut self) {
         // Swapped, not taken: both lists keep their room.
         let mut inbox = std::mem::take(&mut self.inbox);
-        std::mem::swap(
-            &mut inbox,
-            &mut *self
-                .handle()
-                .inbox
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
+        std::mem::swap(&mut inbox, &mut *lock(&self.handle().inbox));
         for msg in inbox.drain(..) {
             match msg {
                 LoopMsg::Forward(publish) => {
                     let now = self.shared.now();
-                    self.shared.broker.apply_forward_into(
-                        self.idx,
-                        publish,
-                        now,
-                        &mut self.out.actions,
-                    );
+                    self.shard
+                        .apply_forward(publish, now, &mut self.out.actions);
                     self.apply_actions(now);
                 }
-                LoopMsg::Accept(stream, id) => {
-                    if let Some(token) = self.register(id, stream, StreamDecoder::new()) {
+                LoopMsg::Accept(stream) => {
+                    if let Some(token) = self.register(stream, StreamDecoder::new()) {
                         let due = self.shared.now() + PRE_CONNECT_TIMEOUT_NS;
                         self.pre_connect.insert(token, due);
                     }
                 }
                 LoopMsg::HandOver(hand_over) => {
                     let HandOver {
-                        id,
                         stream,
                         decoder,
                         connect,
                     } = *hand_over;
-                    if let Some(token) = self.register(id, stream, decoder) {
-                        self.on_connect(token, id, connect);
+                    if let Some(token) = self.register(stream, decoder) {
+                        self.on_connect(token, connect);
                     }
                 }
             }
@@ -798,10 +813,9 @@ impl EventLoop {
 
     /// Gives a socket a slab slot and a poller registration; `None` if
     /// the poller refused it (the connection is then torn down).
-    fn register(&mut self, id: usize, stream: TcpStream, decoder: StreamDecoder) -> Option<u64> {
+    fn register(&mut self, stream: TcpStream, decoder: StreamDecoder) -> Option<u64> {
         let fd = stream.as_raw_fd();
         let token = self.conns.insert(Conn {
-            id,
             stream,
             decoder,
             interest: Interest::READABLE,
@@ -810,7 +824,6 @@ impl EventLoop {
             dirty: false,
             closing: false,
         });
-        self.tokens.insert(id, token);
         #[cfg(test)]
         self.handle().connections.fetch_add(1, Ordering::Relaxed);
         if self.poller.register(fd, token, Interest::READABLE).is_err() {
@@ -846,22 +859,17 @@ impl EventLoop {
     /// Drains one connection's outbound queue in [`WRITE_BATCH`]-sized
     /// vectored writes, resuming across partial frames, then applies the
     /// outcome (interest re-arm, slow-consumer clock, close-after-flush,
-    /// teardown). Returns whether the connection is still alive.
-    fn flush_conn(&mut self, token: u64) -> bool {
-        let outcome = self.write_queue(token);
-        match outcome {
-            FlushOutcome::Gone => false,
-            FlushOutcome::Dead => {
-                self.teardown(token, true);
-                false
-            }
+    /// teardown).
+    fn flush_conn(&mut self, token: u64) {
+        self.publish();
+        match self.write_queue(token) {
+            FlushOutcome::Dead => self.teardown(token, true),
             FlushOutcome::Drained => {
                 let Some(conn) = self.conns.get_mut(token) else {
-                    return false;
+                    return;
                 };
                 if conn.closing {
-                    self.teardown(token, true);
-                    return false;
+                    return self.teardown(token, true);
                 }
                 if conn.interest.writable {
                     conn.interest = Interest::READABLE;
@@ -869,13 +877,11 @@ impl EventLoop {
                     let _ = self.poller.reregister(fd, token, Interest::READABLE);
                 }
                 self.write_blocked.remove(&token);
-                true
             }
             FlushOutcome::Blocked => {
-                let now = self.shared.now();
-                let timeout = self.write_timeout_ns;
+                let due = self.shared.now() + self.shared.write_timeout_ns;
                 let Some(conn) = self.conns.get_mut(token) else {
-                    return false;
+                    return;
                 };
                 if !conn.interest.writable {
                     conn.interest = Interest::READ_WRITE;
@@ -884,21 +890,20 @@ impl EventLoop {
                 }
                 // First blockage starts the slow-consumer clock; any
                 // write progress resets it (see `write_queue`).
-                self.write_blocked.entry(token).or_insert(now + timeout);
-                true
+                self.write_blocked.entry(token).or_insert(due);
             }
         }
     }
 
     /// The socket-write half of [`flush_conn`]: drains until empty,
-    /// jammed, or dead.
+    /// jammed, or dead (or gone: an already torn-down connection).
     fn write_queue(&mut self, token: u64) -> FlushOutcome {
         loop {
             let Some(conn) = self.conns.get_mut(token) else {
-                return FlushOutcome::Gone;
+                return FlushOutcome::Dead;
             };
-            // The socket write happens here — far away from any broker
-            // lock, and never blocking (the socket is nonblocking).
+            // The socket write happens here — under no lock, and never
+            // blocking (the socket is nonblocking).
             let written = write_front(
                 &mut &conn.stream,
                 &mut conn.queue,
@@ -943,7 +948,7 @@ impl EventLoop {
         let first = self.pre_connect.contains_key(&token);
         let mut failed = false;
         let mut eof = false;
-        let id = {
+        {
             let Some(conn) = self.conns.get_mut(token) else {
                 return false; // stale event for a recycled slot
             };
@@ -986,15 +991,14 @@ impl EventLoop {
                     }
                 }
             }
-            conn.id
-        };
+        }
 
         if first {
             if let Some(packet) = self.packets.pop() {
-                self.on_first_packet(token, id, packet);
+                self.on_first_packet(token, packet);
             }
         } else {
-            self.handle_packets(id);
+            self.handle_packets(token);
         }
         if failed || eof {
             self.teardown(token, true);
@@ -1003,56 +1007,58 @@ impl EventLoop {
         self.conns.get(token).is_some()
     }
 
-    /// Hands the decoded packets of connection `id` to the broker.
-    fn handle_packets(&mut self, id: usize) {
+    /// Hands the decoded packets of connection `token` to the broker.
+    fn handle_packets(&mut self, token: u64) {
         let mut packets = std::mem::take(&mut self.packets);
         for packet in packets.drain(..) {
-            self.handle_packet(id, packet);
+            self.handle_packet(token, packet);
         }
         self.packets = packets;
     }
 
-    fn handle_packet(&mut self, id: usize, packet: Packet) {
+    fn handle_packet(&mut self, token: u64, packet: Packet) {
         let now = self.shared.now();
-        self.shared
-            .broker
-            .handle_packet_into(&id, packet, now, &mut self.out);
+        self.shard
+            .packet(&self.shared.index, &token, packet, now, &mut self.out);
         self.dispatch(now);
     }
 
     /// A connection's first packet. A CONNECT of a session on another
     /// shard moves the connection to that shard's loop; one of this
-    /// shard's is handled here. Anything else the broker answers with a
-    /// close.
-    fn on_first_packet(&mut self, token: u64, id: usize, packet: Packet) {
+    /// shard's is handled here. Anything else closes the connection
+    /// (MQTT 3.1.1 §3.1), which no shard has heard of.
+    fn on_first_packet(&mut self, token: u64, packet: Packet) {
         self.pre_connect.remove(&token);
         let Packet::Connect(connect) = packet else {
-            return self.handle_packet(id, packet);
+            return self.teardown(token, false);
         };
         let shard = shard_of(&connect.client_id, self.shared.loops.len());
         if shard == self.idx {
-            return self.on_connect(token, id, connect);
+            return self.on_connect(token, connect);
         }
         let Some(conn) = self.remove(token) else {
             return;
         };
         self.shared.loops[shard].post(LoopMsg::HandOver(Box::new(HandOver {
-            id,
             stream: conn.stream,
             decoder: conn.decoder,
             connect,
         })));
     }
 
-    /// Handles the CONNECT of a session of this loop's shard, then the
-    /// packets its client sent behind it that the decoder already holds:
-    /// the socket may have nothing left to signal readiness with.
-    fn on_connect(&mut self, token: u64, id: usize, connect: Connect) {
+    /// Opens the connection on this loop's shard with its CONNECT, then
+    /// handles the packets its client sent behind it that the decoder
+    /// already holds: the socket may have nothing left to signal
+    /// readiness with.
+    fn on_connect(&mut self, token: u64, connect: Connect) {
         // A session comes online: its keep-alive starts, and if it is
         // resumed, the in-flight messages it kept count again from when
         // they were sent — possibly due already. Poll at once and rescan.
-        self.lower_deadline(self.shared.now());
-        self.handle_packet(id, Packet::Connect(connect));
+        let now = self.shared.now();
+        self.lower_deadline(now);
+        self.shard
+            .connect(&self.shared.index, &token, connect, now, &mut self.out);
+        self.dispatch(now);
 
         let Some(conn) = self.conns.get_mut(token) else {
             return;
@@ -1064,7 +1070,7 @@ impl EventLoop {
                 Err(_) => break true,
             }
         };
-        self.handle_packets(id);
+        self.handle_packets(token);
         if failed {
             self.teardown(token, true);
         }
@@ -1076,31 +1082,21 @@ impl EventLoop {
     /// slow-consumer eviction), folded into the shard's poll timeout so
     /// these policies need no extra timer machinery.
     fn earliest_aux_deadline(&self) -> Option<u64> {
-        min_deadline(
-            self.pre_connect.values().min().copied(),
-            self.write_blocked.values().min().copied(),
-        )
+        let all = self.pre_connect.values().chain(self.write_blocked.values());
+        all.min().copied()
     }
 
+    /// Drops each connection that sent no CONNECT within the grace
+    /// period, or stayed jammed past `write_timeout_ns`.
     fn expire_aux_deadlines(&mut self, now: u64) {
         let expired: Vec<u64> = self
             .pre_connect
             .iter()
+            .chain(&self.write_blocked)
             .filter(|&(_, &deadline)| deadline <= now)
             .map(|(&token, _)| token)
             .collect();
         for token in expired {
-            // No CONNECT within the grace period.
-            self.teardown(token, true);
-        }
-        let expired: Vec<u64> = self
-            .write_blocked
-            .iter()
-            .filter(|&(_, &deadline)| deadline <= now)
-            .map(|(&token, _)| token)
-            .collect();
-        for token in expired {
-            // Slow consumer: jammed past write_timeout_ns.
             self.teardown(token, true);
         }
     }
@@ -1111,7 +1107,6 @@ impl EventLoop {
     /// its poller registration.
     fn remove(&mut self, token: u64) -> Option<Conn> {
         let conn = self.conns.remove(token)?;
-        self.tokens.remove(&conn.id);
         self.pre_connect.remove(&token);
         self.write_blocked.remove(&token);
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
@@ -1122,21 +1117,21 @@ impl EventLoop {
 
     /// Removes a connection from the loop and the admission count; `lost`
     /// additionally performs the broker-side session teardown (a no-op
-    /// for sessions the broker already closed).
+    /// for sessions the broker already closed, or never opened).
     fn teardown(&mut self, token: u64, lost: bool) {
-        let Some(conn) = self.remove(token) else {
+        let Some(_conn) = self.remove(token) else {
             return;
         };
         self.shared.live.fetch_sub(1, Ordering::Relaxed);
         if lost {
             let now = self.shared.now();
             // A will is routed on the shard the session lived on: this one.
-            self.shared
-                .broker
-                .connection_lost_into(&conn.id, now, &mut self.out);
+            self.shard
+                .lost(&self.shared.index, &token, now, &mut self.out);
             self.dispatch(now);
         }
-        // conn.stream drops here, closing the socket.
+        self.publish();
+        // The connection's stream drops here, closing the socket.
     }
 
     fn teardown_all(&mut self) {
@@ -1890,17 +1885,11 @@ mod tests {
     /// The event loops of a two-shard broker whose threads never run: a
     /// test makes their turns by hand.
     fn two_loops() -> (Arc<Shared>, Vec<EventLoop>) {
-        let (shared, pollers) = Shared::new(BrokerConfig {
+        Shared::new(BrokerConfig {
             shards: 2,
             ..BrokerConfig::default()
         })
-        .expect("shared");
-        let loops = pollers
-            .into_iter()
-            .enumerate()
-            .map(|(idx, poller)| EventLoop::new(idx, Arc::clone(&shared), poller))
-            .collect();
-        (shared, loops)
+        .expect("shared")
     }
 
     /// The two ends of a loopback connection: the broker's, the client's.
@@ -1917,12 +1906,12 @@ mod tests {
         let lp = &mut loops[0];
         let (server, _client) = socket_pair();
         let token = lp
-            .register(7, server, StreamDecoder::new())
+            .register(server, StreamDecoder::new())
             .expect("registered");
         let send = |lp: &mut EventLoop, n: usize| {
             for _ in 0..n {
                 lp.out.actions.push(Action::SendFrame {
-                    conn: 7,
+                    conn: token,
                     frame: Bytes::from_static(b"frame"),
                 });
             }
@@ -1942,7 +1931,7 @@ mod tests {
         assert_eq!(lp.dirty, [token]);
 
         // A close on a dirty connection adds no second entry.
-        lp.out.actions.push(Action::Close { conn: 7 });
+        lp.out.actions.push(Action::Close { conn: token });
         lp.apply_actions(0);
         assert_eq!(lp.dirty, [token]);
         assert!(lp.conns.get(token).expect("live").closing);
@@ -1974,27 +1963,28 @@ mod tests {
         let (server, _client) = socket_pair();
         let mut decoder = StreamDecoder::new();
         decoder.feed(&encode(&subscribe_packet("order/#", QoS::AtMostOnce))[..]);
-        shared.broker.connection_opened(1, 0);
         shared.loops[1].post(LoopMsg::HandOver(Box::new(HandOver {
-            id: 1,
             stream: server,
             decoder,
             connect: Connect::new(id_on_shard("order-sub-", 1, 2)),
         })));
         loops[1].drain_inbox();
-        // The publisher, a session of shard 0 without a socket: what loop 0
-        // sends it is dropped.
-        shared.broker.connection_opened(2, 0);
-        let connect = Connect::new(id_on_shard("order-pub-", 0, 2));
-        loops[0].handle_packet(2, Packet::Connect(connect));
+        // The publisher, a session of shard 0 whose socket nothing reads.
+        let (server, _publisher) = socket_pair();
+        let publisher = loops[0]
+            .register(server, StreamDecoder::new())
+            .expect("registered");
+        loops[0].on_connect(publisher, Connect::new(id_on_shard("order-pub-", 0, 2)));
 
         for i in 0..1_100 {
-            loops[0].handle_packet(2, order_publish(i));
+            loops[0].handle_packet(publisher, order_publish(i));
         }
         // Loop 1 catches up.
         loops[1].drain_inbox();
 
-        let token = loops[1].tokens[&1];
+        let [token] = loops[1].conns.tokens()[..] else {
+            panic!("one connection on loop 1");
+        };
         let queue = &loops[1].conns.get(token).expect("on loop 1").queue;
         // Its CONNACK and SUBACK, then the deliveries.
         let got: Vec<u32> = queue.iter().skip(2).map(order_of).collect();
@@ -2093,6 +2083,45 @@ mod tests {
         assert!(broker.refused_connections() >= 1);
         a.disconnect();
         b.disconnect();
+        broker.shutdown();
+    }
+
+    /// A durability directory that cannot be created is an error of
+    /// `bind_with`, not a panic.
+    #[test]
+    fn an_unopenable_durability_dir_is_an_error() {
+        let file = std::env::temp_dir().join(format!("ifot-net-not-a-dir-{}", std::process::id()));
+        std::fs::write(&file, b"a regular file").expect("write the file");
+        let config = BrokerConfig::default().with_durability(file.join("wal"));
+        let bound = TcpBroker::bind_with("127.0.0.1:0", config);
+        let _ = std::fs::remove_file(&file);
+        let err = bound.expect_err("a directory under a regular file cannot be opened");
+        assert!(err.to_string().contains("ifot-net-not-a-dir-"), "{err}");
+    }
+
+    /// A loop publishes its figures before it writes a frame: the client
+    /// that has read its CONNACK is counted, with no waiting.
+    #[test]
+    fn stats_count_a_client_as_soon_as_it_sees_its_connack() {
+        let broker = TcpBroker::bind_with(
+            "127.0.0.1:0",
+            BrokerConfig {
+                shards: 4,
+                ..BrokerConfig::default()
+            },
+        )
+        .expect("bind");
+        let clients: Vec<TcpClient> = (1..=64)
+            .map(|n| {
+                let client =
+                    TcpClient::connect(broker.local_addr(), &format!("seen-{n}")).expect("connect");
+                assert_eq!(broker.stats().clients_connected, n);
+                client
+            })
+            .collect();
+        for client in clients {
+            client.disconnect();
+        }
         broker.shutdown();
     }
 

@@ -3,15 +3,19 @@
 //! The paper's Broker class is the choke point of the whole pipeline
 //! (the Table II knee is queueing behind the heavy processing modules),
 //! and a single `Mutex<Broker>` serialises every connection through one
-//! lock. [`ShardedBroker`] partitions sessions across N independent
-//! shards — each shard owns its own [`Broker`] instance — so publishes
-//! arriving on different connections route concurrently with no global
-//! lock on the hot path.
+//! lock. Sharding partitions sessions across N shards, each with its own
+//! [`Broker`], so publishes arriving on different connections route
+//! concurrently with no global lock on the hot path.
 //!
-//! Its one runtime user is the TCP front-end ([`crate::net::TcpBroker`]),
-//! which gives every shard its own service thread. A middleware node's
-//! embedded broker runs on the node's one thread, where shards could
-//! never run in parallel, so it embeds a plain [`Broker`] instead.
+//! A shard is a crate-private `Shard`: one broker plus the lists one
+//! operation fills, called through `&mut self` by the one thread that
+//! owns it. Its runtime owner is the TCP front-end
+//! ([`crate::net::TcpBroker`]), whose event loop *s* owns shard *s*
+//! outright. [`ShardedBroker`] is the same shard set driven from one
+//! thread, behind one lock: the face the tests and benchmark replays use.
+//! A middleware node's embedded broker runs on the node's one thread,
+//! where shards could never run in parallel, so it embeds a plain
+//! [`Broker`] instead.
 //!
 //! ## Partitioning
 //!
@@ -19,18 +23,19 @@
 //! client id ([`shard_of`]). Hashing the *client id* (not the socket)
 //! means session takeover, persistent-session resumption and QoS 1/2
 //! in-flight state all stay within one shard — the per-shard [`Broker`]
-//! keeps the exact semantics of the single-broker build.
+//! keeps the exact semantics of the single-broker build. A connection
+//! comes to a shard with its CONNECT, which names the session.
 //!
 //! ## The shared subscription index
 //!
 //! Besides each shard's own tree, the shards share one read-mostly
 //! subscription index describing every subscription on every shard,
-//! keyed `(shard, client_id)`, behind one `RwLock`. A shard's broker
-//! reports the tree mutations it applied as [`BrokerEvent`]s; before the
-//! operation that caused them returns, the shard applies them to the
-//! index in order, under the write lock. A routed publish is matched
-//! against the index under the read lock to find the other shards it
-//! must reach.
+//! keyed `(shard, client_id)`, behind one `RwLock`: the only lock the
+//! shards share. A shard's broker reports the tree mutations it applied
+//! as [`BrokerEvent`]s; before the operation that caused them returns,
+//! the shard applies them to the index in order, under the write lock. A
+//! routed publish is matched against the index under the read lock to
+//! find the other shards it must reach.
 //!
 //! The resulting invariant (DESIGN.md §7): **a subscribe acknowledged on
 //! any shard is visible to every subsequent publish on all shards** —
@@ -45,15 +50,14 @@
 //!
 //! A publish routed on its origin shard may match subscribers on other
 //! shards. The origin computes the distinct set of remote shards from
-//! the index and reports them as [`ShardOutput::forwards`]; the
-//! embedding applies each forward with
-//! [`ShardedBroker::apply_forward_into`] (by the target shard's own
-//! event loop in the TCP front-end, in the order they were routed; inline, via
-//! [`resolve`](ShardedBroker::resolve), for a caller on one thread). Forward
-//! application never generates further forwards, so a forwarded publish
-//! cannot loop. Retained publishes are forwarded to *all* shards so every
-//! shard's retained store replicates and a later subscriber on any shard
-//! sees them.
+//! the index and reports them as [`ShardOutput::forwards`]; each is
+//! applied on its target shard (by that shard's own event loop in the
+//! TCP front-end, in the order they were routed; inline, via
+//! [`resolve`](ShardedBroker::resolve), for a caller on one thread).
+//! Forward application never generates further forwards, so a forwarded
+//! publish cannot loop. Retained publishes are forwarded to *all* shards
+//! so every shard's retained store replicates and a later subscriber on
+//! any shard sees them.
 //!
 //! ```
 //! use ifot_mqtt::broker::{Action, BrokerConfig};
@@ -69,14 +73,12 @@
 //! let sub_id = (0..).map(|i| format!("s{i}")).find(|s| shard_of(s, 2) == 0).unwrap();
 //! let pub_id = (0..).map(|i| format!("p{i}")).find(|s| shard_of(s, 2) == 1).unwrap();
 //!
-//! broker.connection_opened(1, 0);
 //! broker.handle_packet(&1, Packet::Connect(Connect::new(sub_id)), 0);
 //! broker.handle_packet(&1, Packet::Subscribe(Subscribe {
 //!     packet_id: 1,
 //!     filters: vec![SubscribeFilter { filter: TopicFilter::new("s/#")?, qos: QoS::AtMostOnce }],
 //! }), 0);
 //!
-//! broker.connection_opened(2, 0);
 //! broker.handle_packet(&2, Packet::Connect(Connect::new(pub_id)), 0);
 //! let out = broker.handle_packet(&2, Packet::Publish(
 //!     Publish::qos0(TopicName::new("s/a")?, b"hi".to_vec())), 1);
@@ -90,11 +92,11 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use crate::broker::{Action, Broker, BrokerConfig, BrokerEvent, BrokerStats};
 use crate::codec;
-use crate::packet::{Packet, Publish};
+use crate::packet::{Connect, Packet, Publish};
 use crate::topic::{fnv1a, TopicFilter};
 use crate::tree::{Subscription, SubscriptionTree};
 use crate::wal::{FileBackend, RecoveryReport, Wal, WalBackend, WalConfig, WalStats};
@@ -105,6 +107,10 @@ use crate::wal::{FileBackend, RecoveryReport, Wal, WalBackend, WalConfig, WalSta
 /// broker shares, so a match clones no text.
 type IndexKey = (usize, Arc<str>);
 
+/// Every subscription on every shard, keyed `(shard, client id)`: the one
+/// lock the shards share. See the [module docs](self).
+pub(crate) type Index = RwLock<SubscriptionTree<IndexKey>>;
+
 /// FNV-1a hash of a client id mapped onto `shards` buckets. Stable
 /// across processes so a reconnecting client always lands on the shard
 /// holding its persistent session.
@@ -112,25 +118,16 @@ pub fn shard_of(client_id: &str, shards: usize) -> usize {
     (fnv1a(client_id.as_bytes()) % shards.max(1) as u64) as usize
 }
 
-/// Per-shard state: the shard's own broker and the lists one operation
-/// fills, each empty between operations (kept for its capacity).
-struct ShardInner<C> {
-    broker: Broker<C>,
-    events: Vec<BrokerEvent>,
-    /// The index entries a routed publish matched.
-    matched: Vec<Subscription<IndexKey>>,
-}
-
-/// What one sharded-broker operation produced: transport actions for
-/// this shard's connections, plus publishes that must be applied to
-/// other shards.
+/// What one shard operation produced: transport actions for this
+/// shard's connections, plus publishes that must be applied to other
+/// shards.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardOutput<C> {
     /// Actions to apply to this shard's transport connections.
     pub actions: Vec<Action<C>>,
-    /// `(target shard, publish)` pairs to hand to
-    /// [`ShardedBroker::apply_forward_into`]. Applying a forward never
-    /// produces further forwards.
+    /// `(target shard, publish)` pairs to apply on their targets
+    /// ([`ShardedBroker::resolve`] applies them inline). Applying a
+    /// forward never produces further forwards.
     pub forwards: Vec<(usize, Publish)>,
 }
 
@@ -143,39 +140,330 @@ impl<C> Default for ShardOutput<C> {
     }
 }
 
-/// A multi-core routing layer partitioning MQTT sessions across
-/// independent [`Broker`] shards. See the [module docs](self) for the
-/// architecture; all methods take `&self` (internal locking) so one
-/// instance can be shared across reader/service threads.
+/// One shard: its own broker and the lists one operation fills, each
+/// empty between operations (kept for its capacity). Whoever owns it
+/// calls it through `&mut self`; a call that can change or read the
+/// index takes the index too.
+pub(crate) struct Shard<C> {
+    idx: usize,
+    /// How many shards share the index.
+    n: usize,
+    broker: Broker<C>,
+    events: Vec<BrokerEvent>,
+    /// The index entries a routed publish matched.
+    matched: Vec<Subscription<IndexKey>>,
+}
+
+/// A shard set as opened: the shards, their index and, for a durable
+/// open, what each shard recovered (empty otherwise).
+pub(crate) type Opened<C> = (Vec<Shard<C>>, Index, Vec<RecoveryReport>);
+
+/// Opens `config.shards` shards (at least 1), every shard's broker with
+/// the same config, and the index over them.
+///
+/// When [`BrokerConfig::durability`] is set this opens per-shard WAL
+/// files (`shard-<i>.wal` / `shard-<i>.snap`) under the directory and
+/// replays them, so restarts resume with persistent sessions,
+/// subscriptions, retained messages and QoS 1/2 in-flight state intact.
+pub(crate) fn open<C: Ord + Clone>(config: &BrokerConfig) -> io::Result<Opened<C>> {
+    let Some(dir) = &config.durability else {
+        return Ok(build(config, Vec::new()));
+    };
+    (0..config.shards.max(1))
+        .map(|i| {
+            FileBackend::open(dir, &format!("shard-{i}"))
+                .map(|b| Box::new(b) as Box<dyn WalBackend>)
+        })
+        .collect::<io::Result<Vec<_>>>()
+        .and_then(|backends| recover(config, backends))
+        .map_err(|e| io::Error::new(e.kind(), format!("broker durability dir {dir:?}: {e}")))
+}
+
+/// Opens a durable shard set over explicit per-shard backends
+/// (`backends.len()` must equal the shard count). Each shard recovers
+/// its own log; the index is rebuilt from the union of the recovered
+/// sessions so cross-shard routing sees restored subscriptions
+/// immediately.
+pub(crate) fn recover<C: Ord + Clone>(
+    config: &BrokerConfig,
+    backends: Vec<Box<dyn WalBackend>>,
+) -> io::Result<Opened<C>> {
+    assert_eq!(
+        backends.len(),
+        config.shards.max(1),
+        "one WAL backend per shard"
+    );
+    let wal_config = WalConfig {
+        snapshot_every: config.wal_snapshot_every,
+        fsync: config.wal_fsync,
+    };
+    let recovered = backends
+        .into_iter()
+        .map(|backend| Wal::open(backend, wal_config))
+        .collect::<io::Result<Vec<_>>>()?;
+    Ok(build(config, recovered))
+}
+
+fn build<C: Ord + Clone>(
+    config: &BrokerConfig,
+    recovered: Vec<(Wal, RecoveryReport)>,
+) -> Opened<C> {
+    let n = config.shards.max(1);
+    let mut shards: Vec<Shard<C>> = (0..n)
+        .map(|idx| {
+            let mut broker = Broker::with_config(config.clone());
+            // A lone shard has no index to keep and nowhere to forward
+            // to: its broker captures no events at all.
+            broker.set_event_capture(n > 1);
+            Shard {
+                idx,
+                n,
+                broker,
+                events: Vec::new(),
+                matched: Vec::new(),
+            }
+        })
+        .collect();
+    let mut index = SubscriptionTree::new();
+    let mut reports = Vec::new();
+    for (shard, (wal, report)) in shards.iter_mut().zip(recovered) {
+        for (client, session) in &report.state.sessions {
+            let client: Arc<str> = Arc::from(client.as_str());
+            for (filter, qos) in &session.subscriptions {
+                let Ok(filter) = TopicFilter::new(filter.clone()) else {
+                    continue;
+                };
+                index.subscribe((shard.idx, Arc::clone(&client)), &filter, *qos);
+            }
+        }
+        shard.broker.restore(&report.state);
+        shard.broker.attach_wal(wal);
+        reports.push(report);
+    }
+    (shards, RwLock::new(index), reports)
+}
+
+impl<C: Ord + Clone> Shard<C> {
+    /// Opens `conn` on this shard and handles its CONNECT: the one way a
+    /// connection comes to a shard.
+    pub(crate) fn connect(
+        &mut self,
+        index: &Index,
+        conn: &C,
+        connect: Connect,
+        now_ns: u64,
+        out: &mut ShardOutput<C>,
+    ) {
+        self.broker.connection_opened(conn.clone(), now_ns);
+        self.packet(index, conn, Packet::Connect(connect), now_ns, out);
+    }
+
+    /// Handles one inbound packet of a connection this shard holds.
+    pub(crate) fn packet(
+        &mut self,
+        index: &Index,
+        conn: &C,
+        packet: Packet,
+        now_ns: u64,
+        out: &mut ShardOutput<C>,
+    ) {
+        self.broker
+            .handle_packet_into(conn, packet, now_ns, &mut out.actions);
+        self.sync(index, &mut out.forwards);
+    }
+
+    /// Transport-level connection loss (no DISCONNECT seen): publishes
+    /// the will and keeps persistent session state. A no-op for a
+    /// connection the shard does not hold.
+    pub(crate) fn lost(&mut self, index: &Index, conn: &C, now_ns: u64, out: &mut ShardOutput<C>) {
+        self.broker
+            .connection_lost_into(conn, now_ns, &mut out.actions);
+        self.sync(index, &mut out.forwards);
+    }
+
+    /// Runs the shard's timer work (keep-alive expiry, retransmissions).
+    pub(crate) fn poll(&mut self, index: &Index, now_ns: u64, out: &mut ShardOutput<C>) {
+        self.broker.poll_into(now_ns, &mut out.actions);
+        self.sync(index, &mut out.forwards);
+    }
+
+    /// Applies a publish another shard forwarded here, appending the
+    /// deliveries to this shard's connections to `actions`. Never
+    /// produces further forwards (loop freedom by construction).
+    pub(crate) fn apply_forward(
+        &mut self,
+        publish: Publish,
+        now_ns: u64,
+        actions: &mut Vec<Action<C>>,
+    ) {
+        self.broker.publish_internal_into(publish, now_ns, actions);
+        // The only events a publish application can raise are Routed
+        // echoes of this same publish; dropping them is what prevents
+        // forward loops.
+        self.broker.drain_events_into(&mut self.events);
+        self.events.clear();
+    }
+
+    /// The earliest instant at which [`poll`](Self::poll) has work, if
+    /// any.
+    pub(crate) fn next_deadline_ns(&self) -> Option<u64> {
+        self.broker.next_deadline_ns()
+    }
+
+    pub(crate) fn stats(&self) -> BrokerStats {
+        self.broker.stats()
+    }
+
+    pub(crate) fn wal_stats(&self) -> Option<WalStats> {
+        self.broker.wal_stats()
+    }
+
+    /// Applies the events the broker captured during the call that just
+    /// ran, in order: tree mutations go into the index under its write
+    /// lock, and routed publishes are matched against it to compute
+    /// cross-shard forwards onto `forwards`. All of it happens before the
+    /// call returns its actions — that is what makes an acknowledged
+    /// subscribe visible to every subsequent publish. A call that
+    /// captured nothing takes no lock.
+    fn sync(&mut self, index: &Index, forwards: &mut Vec<(usize, Publish)>) {
+        let Shard {
+            idx,
+            n,
+            broker,
+            events,
+            matched,
+        } = self;
+        broker.drain_events_into(events);
+        if events.is_empty() {
+            return;
+        }
+        if events.iter().all(|e| matches!(e, BrokerEvent::Routed(_))) {
+            let index = index.read().unwrap_or_else(PoisonError::into_inner);
+            for event in events.drain(..) {
+                if let BrokerEvent::Routed(p) = event {
+                    collect_forwards(*idx, *n, &index, p, matched, forwards);
+                }
+            }
+            return;
+        }
+        let mut index = index.write().unwrap_or_else(PoisonError::into_inner);
+        // In order: a will routed before a session was cleared must see
+        // the subscriptions the clear removes, and one routed after must
+        // not.
+        for event in events.drain(..) {
+            match event {
+                BrokerEvent::Routed(p) => {
+                    collect_forwards(*idx, *n, &index, p, matched, forwards);
+                }
+                BrokerEvent::Subscribed {
+                    client,
+                    filter,
+                    qos,
+                } => {
+                    index.subscribe((*idx, client), &filter, qos);
+                }
+                BrokerEvent::Unsubscribed { client, filter } => {
+                    index.unsubscribe(&(*idx, client), &filter);
+                }
+                BrokerEvent::SessionCleared { client } => {
+                    index.remove_key(&(*idx, client));
+                }
+            }
+        }
+    }
+}
+
+/// Computes the shards other than `origin` (of `n`) a routed publish
+/// must reach, matching it into `matched`. Retained publishes go to
+/// every other shard (the retained store is replicated); others go only
+/// to shards with a matching subscriber.
+///
+/// A publish with a remote delivery at its own QoS leaves carrying the
+/// bytes such deliveries share (see [`Publish`]): made here if the
+/// origin's route had no local one to make them for, so every target
+/// shares the one set.
+fn collect_forwards(
+    origin: usize,
+    n: usize,
+    index: &SubscriptionTree<IndexKey>,
+    publish: Publish,
+    matched: &mut Vec<Subscription<IndexKey>>,
+    out: &mut Vec<(usize, Publish)>,
+) {
+    let mut fwd = publish;
+    fwd.dup = false;
+    fwd.packet_id = None;
+    index.matches_into(&fwd.topic, matched);
+    if matched
+        .iter()
+        .any(|sub| sub.key.0 != origin && sub.qos >= fwd.qos)
+    {
+        codec::carry_delivery(&mut fwd);
+    }
+    if fwd.retain {
+        for shard in (0..n).filter(|&s| s != origin) {
+            out.push((shard, fwd.clone()));
+        }
+    } else {
+        // Matches come sorted by (shard, client), so taking each shard
+        // at its first match yields the targets in shard order.
+        let first = out.len();
+        for sub in matched.iter() {
+            let shard = sub.key.0;
+            if shard != origin && !out[first..].iter().any(|(s, _)| *s == shard) {
+                out.push((shard, fwd.clone()));
+            }
+        }
+    }
+    matched.clear();
+}
+
+/// Sums per-shard figures. Counters add; the retained count is the
+/// maximum over shards because the retained store is replicated, not
+/// partitioned.
+pub(crate) fn total_stats(shards: impl IntoIterator<Item = BrokerStats>) -> BrokerStats {
+    shards
+        .into_iter()
+        .fold(BrokerStats::default(), |t, s| BrokerStats {
+            messages_in: t.messages_in + s.messages_in,
+            messages_out: t.messages_out + s.messages_out,
+            messages_dropped: t.messages_dropped + s.messages_dropped,
+            clients_connected: t.clients_connected + s.clients_connected,
+            retained_count: t.retained_count.max(s.retained_count),
+            retransmissions: t.retransmissions + s.retransmissions,
+        })
+}
+
+/// Sums per-shard WAL counters; `None` if no shard has a WAL.
+pub(crate) fn total_wal_stats(
+    shards: impl IntoIterator<Item = Option<WalStats>>,
+) -> Option<WalStats> {
+    shards.into_iter().flatten().reduce(|t, s| WalStats {
+        records_appended: t.records_appended + s.records_appended,
+        batches_committed: t.batches_committed + s.batches_committed,
+        bytes_appended: t.bytes_appended + s.bytes_appended,
+        append_errors: t.append_errors + s.append_errors,
+        sync_errors: t.sync_errors + s.sync_errors,
+        snapshots_installed: t.snapshots_installed + s.snapshots_installed,
+        snapshot_errors: t.snapshot_errors + s.snapshot_errors,
+    })
+}
+
+/// The shard set driven from one thread: every shard, the index and
+/// which shard each connection's CONNECT chose, behind one lock. See the
+/// [module docs](self); all methods take `&self`.
 pub struct ShardedBroker<C> {
-    config: BrokerConfig,
-    shards: Vec<Mutex<ShardInner<C>>>,
-    /// Every subscription on every shard, keyed `(shard, client id)`.
-    ///
-    /// Lock order: a shard's mutex first, then this lock.
-    /// [`run_on_shard`](Self::run_on_shard) takes it while it holds the
-    /// one shard it runs on; nothing takes a shard's mutex while holding
-    /// this lock, and no call holds two shards at once.
-    index: RwLock<SubscriptionTree<IndexKey>>,
-    /// Connection → owning shard, fixed at CONNECT time.
-    registry: RwLock<BTreeMap<C, usize>>,
-    /// Connections opened but not yet CONNECTed (shard unknown).
-    pending: Mutex<BTreeMap<C, u64>>,
+    inner: Mutex<Inner<C>>,
     /// Per-shard recovery reports when the broker was opened durably
     /// (empty otherwise).
     recovery: Vec<RecoveryReport>,
 }
 
-impl<C: Ord + Clone> ShardInner<C> {
-    fn new(config: &BrokerConfig, capture: bool) -> Self {
-        let mut broker = Broker::with_config(config.clone());
-        broker.set_event_capture(capture);
-        ShardInner {
-            broker,
-            events: Vec::new(),
-            matched: Vec::new(),
-        }
-    }
+struct Inner<C> {
+    shards: Vec<Shard<C>>,
+    index: Index,
+    /// Connection → owning shard, fixed at CONNECT time.
+    registry: BTreeMap<C, usize>,
 }
 
 impl<C: Ord + Clone> ShardedBroker<C> {
@@ -184,26 +472,12 @@ impl<C: Ord + Clone> ShardedBroker<C> {
     ///
     /// When [`BrokerConfig::durability`] is set this opens per-shard WAL
     /// files (`shard-<i>.wal` / `shard-<i>.snap`) under the directory and
-    /// replays them, so restarts resume with persistent sessions,
-    /// subscriptions, retained messages and QoS 1/2 in-flight state
-    /// intact. Panics if the durability directory cannot be opened or
-    /// replayed (a broker silently running without its configured
+    /// replays them. Panics if the durability directory cannot be opened
+    /// or replayed (a broker silently running without its configured
     /// durability would be worse); use [`ShardedBroker::open_durable`]
     /// for a fallible, backend-injected variant.
     pub fn new(config: BrokerConfig) -> Self {
-        if let Some(dir) = config.durability.clone() {
-            let n = config.shards.max(1);
-            let backends = (0..n)
-                .map(|i| {
-                    FileBackend::open(&dir, &format!("shard-{i}"))
-                        .map(|b| Box::new(b) as Box<dyn WalBackend>)
-                })
-                .collect::<io::Result<Vec<_>>>()
-                .unwrap_or_else(|e| panic!("open broker durability dir {dir:?}: {e}"));
-            return Self::open_durable(config, backends)
-                .unwrap_or_else(|e| panic!("recover broker durability dir {dir:?}: {e}"));
-        }
-        Self::build(config, None)
+        Self::from_opened(open(&config).unwrap_or_else(|e| panic!("{e}")))
     }
 
     /// Opens a durable sharded broker over explicit per-shard backends
@@ -216,59 +490,22 @@ impl<C: Ord + Clone> ShardedBroker<C> {
         config: BrokerConfig,
         backends: Vec<Box<dyn WalBackend>>,
     ) -> io::Result<Self> {
-        let n = config.shards.max(1);
-        assert_eq!(backends.len(), n, "one WAL backend per shard");
-        let wal_config = WalConfig {
-            snapshot_every: config.wal_snapshot_every,
-            fsync: config.wal_fsync,
-        };
-        let mut pairs = Vec::with_capacity(n);
-        for backend in backends {
-            pairs.push(Wal::open(backend, wal_config)?);
-        }
-        Ok(Self::build(config, Some(pairs)))
+        recover(&config, backends).map(Self::from_opened)
     }
 
-    fn build(config: BrokerConfig, recovered: Option<Vec<(Wal, RecoveryReport)>>) -> Self {
-        let n = config.shards.max(1);
-        // A lone shard has no index to keep and nowhere to forward to: its
-        // broker captures no events at all.
-        let capture = n > 1;
-        let mut index = SubscriptionTree::new();
-        let mut recovery = Vec::new();
-        let shards = match recovered {
-            None => (0..n)
-                .map(|_| Mutex::new(ShardInner::new(&config, capture)))
-                .collect(),
-            Some(pairs) => pairs
-                .into_iter()
-                .enumerate()
-                .map(|(idx, (wal, report))| {
-                    for (client, session) in &report.state.sessions {
-                        let client: Arc<str> = Arc::from(client.as_str());
-                        for (filter, qos) in &session.subscriptions {
-                            let Ok(filter) = TopicFilter::new(filter.clone()) else {
-                                continue;
-                            };
-                            index.subscribe((idx, Arc::clone(&client)), &filter, *qos);
-                        }
-                    }
-                    let mut shard = ShardInner::new(&config, capture);
-                    shard.broker.restore(&report.state);
-                    shard.broker.attach_wal(wal);
-                    recovery.push(report);
-                    Mutex::new(shard)
-                })
-                .collect(),
-        };
+    fn from_opened((shards, index, recovery): Opened<C>) -> Self {
         ShardedBroker {
-            config,
-            shards,
-            index: RwLock::new(index),
-            registry: RwLock::new(BTreeMap::new()),
-            pending: Mutex::new(BTreeMap::new()),
+            inner: Mutex::new(Inner {
+                shards,
+                index,
+                registry: BTreeMap::new(),
+            }),
             recovery,
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Inner<C>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Per-shard recovery reports from a durable open (empty when the
@@ -279,71 +516,18 @@ impl<C: Ord + Clone> ShardedBroker<C> {
 
     /// Aggregated WAL counters across shards, if durability is attached.
     pub fn wal_stats(&self) -> Option<WalStats> {
-        let mut total: Option<WalStats> = None;
-        for shard in &self.shards {
-            if let Some(s) = shard
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .broker
-                .wal_stats()
-            {
-                let t = total.get_or_insert_with(WalStats::default);
-                t.records_appended += s.records_appended;
-                t.batches_committed += s.batches_committed;
-                t.bytes_appended += s.bytes_appended;
-                t.append_errors += s.append_errors;
-                t.sync_errors += s.sync_errors;
-                t.snapshots_installed += s.snapshots_installed;
-                t.snapshot_errors += s.snapshot_errors;
-            }
-        }
-        total
+        total_wal_stats(self.lock().shards.iter().map(Shard::wal_stats))
     }
 
-    /// The configuration all shards run with.
-    pub fn config(&self) -> &BrokerConfig {
-        &self.config
-    }
-
-    /// The shard owning `conn`, if the connection has completed CONNECT.
-    pub fn shard_of_conn(&self, conn: &C) -> Option<usize> {
-        self.registry
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(conn)
-            .copied()
-    }
-
-    /// Registers a fresh transport connection. The owning shard is
-    /// unknown until the CONNECT arrives, so the connection parks in a
-    /// pending set.
-    ///
-    /// Reusing a live connection key (an embedding that identifies peers
-    /// by stable names does this on reconnect) resets the transport
-    /// record on the owning shard in place — mirroring
-    /// [`Broker::connection_opened`]'s overwrite semantics — so the
-    /// following CONNECT is a normal session (re)establishment rather
-    /// than a protocol violation. The connection stays on its shard;
-    /// such embeddings use the client id as the connection key, so the
-    /// re-CONNECT re-selects the same shard anyway.
-    pub fn connection_opened(&self, conn: C, now_ns: u64) {
-        if let Some(idx) = self.shard_of_conn(&conn) {
-            self.shards[idx]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .broker
-                .connection_opened(conn, now_ns);
-            return;
-        }
-        self.pending
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(conn, now_ns);
-    }
+    /// Records nothing: a connection is opened on its shard by its
+    /// CONNECT, the first packet [`handle_packet`](Self::handle_packet)
+    /// sees for it. Kept for callers that report every transport event,
+    /// such as flowbench's replay.
+    pub fn connection_opened(&self, _conn: C, _now_ns: u64) {}
 
     // The per-packet entry points have two forms, as on [`Broker`]: the
-    // `_into` form appends to an output the caller owns and reuses (what
-    // the TCP event loops call), the by-value form lends it a fresh one.
+    // `_into` form appends to an output the caller owns and reuses, the
+    // by-value form lends it a fresh one.
 
     /// Handles one inbound packet. The first packet on a connection must
     /// be CONNECT (it selects the shard); anything else closes the
@@ -362,28 +546,17 @@ impl<C: Ord + Clone> ShardedBroker<C> {
         now_ns: u64,
         out: &mut ShardOutput<C>,
     ) {
-        if let Some(idx) = self.shard_of_conn(conn) {
-            return self.run_on_shard(idx, out, |b, actions| {
-                b.handle_packet_into(conn, packet, now_ns, actions);
-            });
+        let inner = &mut *self.lock();
+        if let Some(&idx) = inner.registry.get(conn) {
+            return inner.shards[idx].packet(&inner.index, conn, packet, now_ns, out);
         }
-        self.pending
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(conn);
-        let Packet::Connect(c) = packet else {
+        let Packet::Connect(connect) = packet else {
             out.actions.push(Action::Close { conn: conn.clone() });
             return;
         };
-        let idx = shard_of(&c.client_id, self.shards.len());
-        self.registry
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(conn.clone(), idx);
-        self.run_on_shard(idx, out, |b, actions| {
-            b.connection_opened(conn.clone(), now_ns);
-            b.handle_packet_into(conn, Packet::Connect(c), now_ns, actions);
-        });
+        let idx = shard_of(&connect.client_id, inner.shards.len());
+        inner.registry.insert(conn.clone(), idx);
+        inner.shards[idx].connect(&inner.index, conn, connect, now_ns, out);
     }
 
     /// Transport-level connection loss (no DISCONNECT seen): the owning
@@ -396,59 +569,10 @@ impl<C: Ord + Clone> ShardedBroker<C> {
 
     /// [`connection_lost`](Self::connection_lost), appending to `out`.
     pub fn connection_lost_into(&self, conn: &C, now_ns: u64, out: &mut ShardOutput<C>) {
-        self.pending
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(conn);
-        let idx = self
-            .registry
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(conn);
-        if let Some(idx) = idx {
-            self.run_on_shard(idx, out, |b, actions| {
-                b.connection_lost_into(conn, now_ns, actions);
-            });
+        let inner = &mut *self.lock();
+        if let Some(idx) = inner.registry.remove(conn) {
+            inner.shards[idx].lost(&inner.index, conn, now_ns, out);
         }
-    }
-
-    /// Runs one shard's timer work (keep-alive expiry, retransmissions),
-    /// appending to `out`.
-    pub fn poll_shard_into(&self, shard: usize, now_ns: u64, out: &mut ShardOutput<C>) {
-        self.run_on_shard(shard, out, |b, actions| b.poll_into(now_ns, actions));
-    }
-
-    /// The earliest instant at which [`ShardedBroker::poll_shard_into`] has
-    /// work for `shard`, if any. Shard service threads park on exactly
-    /// this deadline instead of sleep-polling.
-    pub fn next_deadline_ns(&self, shard: usize) -> Option<u64> {
-        self.shards[shard]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .broker
-            .next_deadline_ns()
-    }
-
-    /// Applies a cross-shard forward on its target shard, appending the
-    /// delivery actions for that shard's connections to `actions`. Never
-    /// produces further forwards (loop freedom by construction).
-    pub fn apply_forward_into(
-        &self,
-        shard: usize,
-        publish: Publish,
-        now_ns: u64,
-        actions: &mut Vec<Action<C>>,
-    ) {
-        let mut guard = self.shards[shard]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let inner = &mut *guard;
-        inner.broker.publish_internal_into(publish, now_ns, actions);
-        // The only events a publish application can raise are Routed
-        // echoes of this same publish; dropping them is what prevents
-        // forward loops.
-        inner.broker.drain_events_into(&mut inner.events);
-        inner.events.clear();
     }
 
     /// Applies `out.forwards` inline and returns every action: the
@@ -463,8 +587,9 @@ impl<C: Ord + Clone> ShardedBroker<C> {
     /// [`resolve`](Self::resolve) in place: drains `out.forwards`, their
     /// actions following the ones already in `out.actions`.
     pub fn resolve_into(&self, out: &mut ShardOutput<C>, now_ns: u64) {
+        let inner = &mut *self.lock();
         for (shard, publish) in out.forwards.drain(..) {
-            self.apply_forward_into(shard, publish, now_ns, &mut out.actions);
+            inner.shards[shard].apply_forward(publish, now_ns, &mut out.actions);
         }
     }
 
@@ -472,146 +597,14 @@ impl<C: Ord + Clone> ShardedBroker<C> {
     /// count is the maximum over shards because the retained store is
     /// replicated, not partitioned.
     pub fn stats(&self) -> BrokerStats {
-        let mut total = BrokerStats::default();
-        for shard in &self.shards {
-            let s = shard
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .broker
-                .stats();
-            total.messages_in += s.messages_in;
-            total.messages_out += s.messages_out;
-            total.messages_dropped += s.messages_dropped;
-            total.clients_connected += s.clients_connected;
-            total.retransmissions += s.retransmissions;
-            total.retained_count = total.retained_count.max(s.retained_count);
-        }
-        total
-    }
-
-    /// Locks shard `idx`, runs `f` on its broker and `out.actions`, then
-    /// applies the events the broker captured, in order: tree mutations
-    /// go into the index under its write lock, and routed publishes are
-    /// matched against it to compute cross-shard forwards onto
-    /// `out.forwards`. All of it happens before the call returns its
-    /// actions — that is what makes an acknowledged subscribe visible to
-    /// every subsequent publish. With a single shard there is nothing to
-    /// apply.
-    fn run_on_shard(
-        &self,
-        idx: usize,
-        out: &mut ShardOutput<C>,
-        f: impl FnOnce(&mut Broker<C>, &mut Vec<Action<C>>),
-    ) {
-        let mut guard = self.shards[idx]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let shard = &mut *guard;
-        f(&mut shard.broker, &mut out.actions);
-        if self.shards.len() == 1 {
-            return;
-        }
-        shard.broker.drain_events_into(&mut shard.events);
-        if shard.events.is_empty() {
-            return;
-        }
-        let forwards = &mut out.forwards;
-        if shard
-            .events
-            .iter()
-            .all(|e| matches!(e, BrokerEvent::Routed(_)))
-        {
-            let index = self.index.read().unwrap_or_else(PoisonError::into_inner);
-            for event in shard.events.drain(..) {
-                if let BrokerEvent::Routed(p) = event {
-                    self.collect_forwards(idx, &index, p, &mut shard.matched, forwards);
-                }
-            }
-            return;
-        }
-        let mut index = self.index.write().unwrap_or_else(PoisonError::into_inner);
-        // In order: a will routed before a session was cleared must see
-        // the subscriptions the clear removes, and one routed after must
-        // not.
-        for event in shard.events.drain(..) {
-            match event {
-                BrokerEvent::Routed(p) => {
-                    self.collect_forwards(idx, &index, p, &mut shard.matched, forwards);
-                }
-                BrokerEvent::Subscribed {
-                    client,
-                    filter,
-                    qos,
-                } => {
-                    index.subscribe((idx, client), &filter, qos);
-                }
-                BrokerEvent::Unsubscribed { client, filter } => {
-                    index.unsubscribe(&(idx, client), &filter);
-                }
-                BrokerEvent::SessionCleared { client } => {
-                    index.remove_key(&(idx, client));
-                }
-            }
-        }
-    }
-
-    /// Computes the remote shards a routed publish must reach, matching
-    /// it into `matched`. Retained publishes go to every other shard (the
-    /// retained store is replicated); others go only to shards with a
-    /// matching subscriber.
-    ///
-    /// A publish with a remote delivery at its own QoS leaves carrying the
-    /// bytes such deliveries share (see [`Publish`]): made here if the
-    /// origin's route had no local one to make them for, so every target
-    /// shares the one set.
-    fn collect_forwards(
-        &self,
-        origin: usize,
-        index: &SubscriptionTree<IndexKey>,
-        publish: Publish,
-        matched: &mut Vec<Subscription<IndexKey>>,
-        out: &mut Vec<(usize, Publish)>,
-    ) {
-        let n = self.shards.len();
-        let mut fwd = publish;
-        fwd.dup = false;
-        fwd.packet_id = None;
-        index.matches_into(&fwd.topic, matched);
-        if matched
-            .iter()
-            .any(|sub| sub.key.0 != origin && sub.qos >= fwd.qos)
-        {
-            codec::carry_delivery(&mut fwd);
-        }
-        if fwd.retain {
-            for shard in (0..n).filter(|&s| s != origin) {
-                out.push((shard, fwd.clone()));
-            }
-        } else {
-            // Matches come sorted by (shard, client), so taking each shard
-            // at its first match yields the targets in shard order.
-            let first = out.len();
-            for sub in matched.iter() {
-                let shard = sub.key.0;
-                if shard != origin && !out[first..].iter().any(|(s, _)| *s == shard) {
-                    out.push((shard, fwd.clone()));
-                }
-            }
-        }
-        matched.clear();
+        total_stats(self.lock().shards.iter().map(Shard::stats))
     }
 }
 
 impl<C: Ord + Clone> std::fmt::Debug for ShardedBroker<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let subscriptions = self
-            .index
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len();
         f.debug_struct("ShardedBroker")
-            .field("shards", &self.shards.len())
-            .field("subscriptions", &subscriptions)
+            .field("shards", &self.lock().shards.len())
             .finish_non_exhaustive()
     }
 }
@@ -702,35 +695,9 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn reused_connection_key_reconnects_instead_of_violating() {
-        // Embeddings with stable peer names reuse the same connection
-        // key across transport sessions: a reconnect is
-        // connection_opened + CONNECT again, not a fresh key. The
-        // second CONNECT must be a session (re)establishment, never a
-        // "second CONNECT on a live connection" protocol close.
-        let (sb, sub_id, pub_id) = two_shard();
-        connect(&sb, 1, &sub_id);
-        subscribe(&sb, 1, "s/#", QoS::AtMostOnce);
-        connect(&sb, 2, &pub_id);
-
-        // Transport drop + reconnect on the same key (same client id).
-        connect(&sb, 1, &sub_id);
-        subscribe(&sb, 1, "s/#", QoS::AtMostOnce);
-        assert_eq!(sb.shard_of_conn(&1), Some(0), "stays on its home shard");
-
-        // Cross-shard delivery still reaches the re-established session.
-        let out = sb.handle_packet(
-            &2,
-            Packet::Publish(Publish::qos0(topic("s/a"), b"x".to_vec())),
-            1,
-        );
-        let actions = sb.resolve(out, 1);
-        assert_eq!(
-            sends_to(&actions, 1).len(),
-            1,
-            "delivered once: {actions:?}"
-        );
+    /// The shard `conn`'s CONNECT chose, if it has been handled.
+    fn shard_of_conn(sb: &ShardedBroker<u32>, conn: u32) -> Option<usize> {
+        sb.lock().registry.get(&conn).copied()
     }
 
     #[test]
@@ -753,8 +720,8 @@ mod tests {
         connect(&sb, 1, &sub_id);
         subscribe(&sb, 1, "s/#", QoS::AtMostOnce);
         connect(&sb, 2, &pub_id);
-        assert_eq!(sb.shard_of_conn(&1), Some(0));
-        assert_eq!(sb.shard_of_conn(&2), Some(1));
+        assert_eq!(shard_of_conn(&sb, 1), Some(0));
+        assert_eq!(shard_of_conn(&sb, 2), Some(1));
 
         let out = sb.handle_packet(
             &2,
@@ -811,17 +778,14 @@ mod tests {
         let out = sb.handle_packet(&2, Packet::Publish(retained), 1);
         assert!(out.forwards.is_empty());
         assert_eq!(sends_to(&out.actions, 1).len(), 1);
-        assert!(sb.shards[0]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .broker
-            .take_events()
-            .is_empty());
-        assert!(sb
+        let mut inner = sb.lock();
+        assert!(inner.shards[0].broker.take_events().is_empty());
+        assert!(inner
             .index
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .is_empty());
+        drop(inner);
         // A later subscriber still gets the retained message.
         connect(&sb, 3, "late");
         let out = sb.handle_packet(
@@ -889,23 +853,41 @@ mod tests {
         assert_eq!(sb.stats().retained_count, 1, "replicated, not summed");
     }
 
+    /// Two shards driven as their owners drive them: each call on the
+    /// shard that holds the connection, the forward applied on its target.
     #[test]
     fn cross_shard_qos1_delivery_retransmits_on_target_shard() {
-        let (sb, sub_id, pub_id) = two_shard();
-        connect(&sb, 1, &sub_id);
-        subscribe(&sb, 1, "s/a", QoS::AtLeastOnce);
-        connect(&sb, 2, &pub_id);
+        let config = BrokerConfig {
+            shards: 2,
+            ..BrokerConfig::default()
+        };
+        let (mut shards, index, _) = open::<u32>(&config).expect("no durability to open");
+        let mut out = ShardOutput::default();
+        let sub = Connect::new(id_on_shard("sub", 0, 2));
+        shards[0].connect(&index, &1, sub, 0, &mut out);
+        let subscribe = Packet::Subscribe(Subscribe {
+            packet_id: 7,
+            filters: vec![SubscribeFilter {
+                filter: filter("s/a"),
+                qos: QoS::AtLeastOnce,
+            }],
+        });
+        shards[0].packet(&index, &1, subscribe, 0, &mut out);
+        let publisher = Connect::new(id_on_shard("pub", 1, 2));
+        shards[1].connect(&index, &2, publisher, 0, &mut out);
+        out.actions.clear();
 
-        let out = sb.handle_packet(
-            &2,
-            Packet::Publish(Publish::qos1(topic("s/a"), b"m".to_vec(), 1)),
-            0,
-        );
+        let publish = Publish::qos1(topic("s/a"), b"m".to_vec(), 1);
+        shards[1].packet(&index, &2, Packet::Publish(publish), 0, &mut out);
         // Publisher handshake completes on the origin shard.
         assert!(sends_to(&out.actions, 2)
             .iter()
             .any(|p| matches!(p, Packet::Puback(1))),);
-        let actions = sb.resolve(out, 0);
+        let (target, forward) = out.forwards.pop().expect("one forward");
+        assert_eq!(target, 0);
+        assert!(out.forwards.is_empty());
+        let mut actions = Vec::new();
+        shards[0].apply_forward(forward, 0, &mut actions);
         let delivered: Vec<_> = sends_to(&actions, 1);
         let Some(Packet::Publish(first)) =
             delivered.iter().find(|p| matches!(p, Packet::Publish(_)))
@@ -915,10 +897,10 @@ mod tests {
         let pid = first.packet_id.expect("qos1 delivery has pid");
 
         // Unacked ⇒ the *subscriber's* shard owns the retransmit timer.
-        let timeout = BrokerConfig::default().retransmit_timeout_ns;
-        assert_eq!(sb.next_deadline_ns(0), Some(timeout));
+        let timeout = config.retransmit_timeout_ns;
+        assert_eq!(shards[0].next_deadline_ns(), Some(timeout));
         let mut out = ShardOutput::default();
-        sb.poll_shard_into(0, timeout, &mut out);
+        shards[0].poll(&index, timeout, &mut out);
         assert!(
             sends_to(&out.actions, 1)
                 .iter()
@@ -927,9 +909,15 @@ mod tests {
         );
         assert!(out.forwards.is_empty(), "retransmits never re-forward");
 
-        // Acking on the subscriber's shard clears the deadline.
-        let out = sb.handle_packet(&1, Packet::Puback(pid), timeout + 1);
+        // Acking on the subscriber's shard clears the retransmit timer:
+        // the keep-alive is what is left.
+        let mut out = ShardOutput::default();
+        shards[0].packet(&index, &1, Packet::Puback(pid), timeout + 1, &mut out);
         assert!(out.actions.is_empty() && out.forwards.is_empty());
+        assert_eq!(
+            shards[0].next_deadline_ns(),
+            Some(timeout + 1 + 90_000_000_000)
+        );
     }
 
     #[test]
@@ -962,7 +950,7 @@ mod tests {
         sb.connection_opened(9, 0);
         let out = sb.handle_packet(&9, Packet::Pingreq, 0);
         assert_eq!(out.actions, vec![Action::Close { conn: 9 }]);
-        assert_eq!(sb.shard_of_conn(&9), None);
+        assert_eq!(shard_of_conn(&sb, 9), None);
     }
 
     #[test]
@@ -972,7 +960,7 @@ mod tests {
             ..BrokerConfig::default()
         });
         connect(&sb, 1, "dev");
-        let home = sb.shard_of_conn(&1).expect("registered");
+        let home = shard_of_conn(&sb, 1).expect("registered");
         sb.connection_opened(2, 1);
         let out = sb.handle_packet(&2, Packet::Connect(Connect::new("dev")), 1);
         assert!(
@@ -981,7 +969,7 @@ mod tests {
                 .any(|a| matches!(a, Action::Close { conn: 1 })),
             "takeover closes the old connection"
         );
-        assert_eq!(sb.shard_of_conn(&2), Some(home), "same id, same shard");
+        assert_eq!(shard_of_conn(&sb, 2), Some(home), "same id, same shard");
         // Stale transport close for the taken-over conn is a no-op.
         let out = sb.connection_lost(&1, 2);
         assert!(out.actions.is_empty() && out.forwards.is_empty());
