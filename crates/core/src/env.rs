@@ -7,6 +7,8 @@
 
 use bytes::Bytes;
 
+use ifot_netsim::rng::SimRng;
+
 /// Services a runtime provides to a [`crate::node::MiddlewareNode`].
 pub trait NodeEnv {
     /// Current time in nanoseconds. On the simulator this is virtual
@@ -104,14 +106,14 @@ pub struct MockEnv {
     pub counters: std::collections::BTreeMap<String, u64>,
     /// Trace records (stage enqueue/dequeue events).
     pub traces: Vec<String>,
-    rng_state: u64,
+    rng: SimRng,
 }
 
 impl MockEnv {
     /// Creates a mock at time zero.
     pub fn new() -> Self {
         MockEnv {
-            rng_state: 0x9E3779B97F4A7C15,
+            rng: SimRng::seed_from(0x9E37_79B9_7F4A_7C15),
             ..Default::default()
         }
     }
@@ -175,12 +177,7 @@ impl NodeEnv for MockEnv {
     }
 
     fn rand_u64(&mut self) -> u64 {
-        // SplitMix64.
-        self.rng_state = self.rng_state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
+        self.rng.next_u64()
     }
 
     fn trace_enabled(&self) -> bool {

@@ -2,12 +2,12 @@
 //! intra-node router.
 //!
 //! When a stage's flow emissions are consumed only by other stages on
-//! the same node, the executing worker routes them itself — through the
-//! same [`router`] function pair the node thread uses, against the
-//! graph's [`SharedRouteView`] — and pushes them straight into the
-//! destination stages' ingress queues: no channel send to the node
-//! thread, no node-thread wakeup, no re-enqueue. The node thread stops
-//! being the serialization point that caps worker scaling.
+//! the same node, the worker that ran the step routes them itself —
+//! through the same [`router`] function pair the node thread uses — and
+//! posts them straight to the destination stages' owners: no channel
+//! send to the node thread, no node-thread wakeup, no re-enqueue. The
+//! node thread stops being the serialization point that caps worker
+//! scaling.
 //!
 //! The hop preserves **batch structure**: a step's emissions all carry
 //! the stage's single output topic, so each destination receives them
@@ -19,217 +19,157 @@
 //! ## Routing ownership rules
 //!
 //! Which stages exist and what they accept is fixed when the graph is
-//! compiled, so a worker and the node thread resolve a topic to the same
-//! plan and a pool sees every stage. What is left to decide per output
-//! is about the data: it is handed off directly iff both conditions
-//! hold, otherwise it goes to the `deliver` callback and the node thread
-//! routes it (blocking enqueue):
+//! compiled, so each stage's output topic resolves to one plan, once,
+//! at [`crate::executor::ExecutorGraph::compile`]. What is left to
+//! decide per step is about the data: the step's emissions are handed
+//! off directly iff both conditions hold, otherwise they go to the
+//! `deliver` callback and the node thread routes them:
 //!
-//! * it is an emission on an *eligible* output topic — the emitting spec
+//! * they are on an *eligible* output topic — the emitting spec
 //!   declares one with `publish_output` off (egress — MQTT publishes, MIX
 //!   envelopes, commands, events — always goes through the node thread)
 //!   and it carries plain flow data: the discovery (`ifot/announce`),
 //!   broker sys (`$SYS/`), model (`mix/`) and sensor (`sensor/`, which
 //!   feeds the node's sequence ledger) planes are node-thread business;
-//! * no blocking destination is saturated (see below).
+//! * every blocking destination has credit (see below).
 //!
-//! ## Why try-enqueue keeps `Block` deadlock-free
+//! ## Why credit keeps `Block` deadlock-free
 //!
-//! The blocking variant of mailbox backpressure parks the *node thread*
-//! in `enqueue_pooled` until a worker pops. That is safe precisely
-//! because workers never wait on mailbox space: if a worker could block
-//! on a full downstream stage while holding its upstream stage lock,
-//! a full cycle of stages (or just one self-loop) would park every
-//! worker and nobody would ever pop. Direct handoff therefore only
-//! *tries*: the capacity check happens under the destination's ingress
-//! lock, and a saturated destination turns the whole emission into a
-//! fallback delivered by the node thread — which is allowed to block and
-//! is guaranteed to make progress because workers keep draining. Lock
-//! order is just as static: a worker holds one *stage* lock (its own)
-//! and then destination *ingress* locks in ascending stage order;
-//! ingress locks are leaves (nothing is acquired under them), so no
-//! cycle exists.
+//! Every stage has one owner, a pool worker ([`super::pool`]); only the
+//! owner runs the stage, and nothing reaches it but a post to the
+//! owner's inbox. A `Block` stage bounds the entries queued for it — in
+//! its owner's inbox and in its mailbox — by a credit: its capacity
+//! minus that count. A poster takes one entry of credit before it posts
+//! a flow entry, and the owner gives it back for every entry it pops or
+//! sheds. Two kinds of thread post, and only one of them ever waits:
+//!
+//! * the node thread posts wire ingress, timers, control messages and
+//!   fallbacks. Out of credit for a `Block` stage, it waits until the
+//!   stage's owner gives some back.
+//! * a worker posts its stages' emissions here, and never waits: if a
+//!   blocking destination is out of credit it gives back what it took
+//!   at the others and hands the whole group to `deliver`, counted as
+//!   `handoff_fallback`; the node thread posts it, waiting if it must.
+//!
+//! So no worker waits on anything but its own inbox, and it parks there
+//! only while none of its stages has queued work. The credit the node
+//! thread waits for is held by entries in the owner's inbox or in the
+//! stage's mailbox. The post that found that inbox empty woke the
+//! owner, and the owner does not park while either holds work, so it
+//! pops one of them and gives the credit back. The only edges of the
+//! wait-for graph run from the node thread to a worker; a cycle needs an
+//! edge out of a worker, and there is none. No lock is held while an
+//! operator runs, while a thread waits for credit, or while it posts:
+//! the inbox, credit-wait and published-figure locks are leaves.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, PoisonError};
 
+use crate::config::OperatorSpec;
 use crate::env::NodeEnv;
 use crate::flow::{FlowItem, Name};
 use crate::operators::OpOutput;
 use crate::wire::DecodedItems;
 
-use super::router::{self, RoutePlan, SharedRouteView};
-use super::StageCell;
+use super::pool::Shared;
+use super::router::{self, RoutePlan};
+use super::StageStats;
 
-/// What [`DirectHandoff::apply`] did with one step's outputs.
-#[derive(Debug, Default)]
-pub struct HandoffOutcome {
-    /// Destination hops delivered directly.
-    pub direct: u64,
-    /// Eligible emissions that fell back because a destination mailbox
-    /// was saturated.
-    pub fallback: u64,
-}
-
-/// A private route-plan memo — one per worker, one for the node thread.
-/// A hit takes no lock and allocates nothing; the shared view's mutex is
-/// touched only on a topic this thread has not routed before.
-#[derive(Debug, Default)]
-pub struct PlanCache {
-    plans: HashMap<String, Arc<RoutePlan>>,
-}
-
-impl PlanCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The plan for `topic`.
-    pub(crate) fn plan(&mut self, view: &SharedRouteView, topic: &str) -> Arc<RoutePlan> {
-        router::memoized(&mut self.plans, topic, || view.resolve(topic))
-    }
-}
-
-/// The worker-side router: the graph's stage cells and route view.
+/// The worker-side router: each stage's handoff-eligible output topic
+/// and the plan it resolves to, fixed when the graph is compiled.
 /// Shared (via `Arc`) by every worker of a pool.
 #[derive(Debug)]
-pub struct DirectHandoff {
-    view: Arc<SharedRouteView>,
-    cells: Vec<Arc<StageCell>>,
-    /// Per-source handoff-eligible output topic (`None` = every output
-    /// of that stage goes through the node thread).
-    eligible: Vec<Option<Name>>,
+pub struct Handoff {
+    /// Per stage, `None` when every output of the stage goes through the
+    /// node thread.
+    hops: Vec<Option<(Name, RoutePlan)>>,
 }
 
-impl DirectHandoff {
-    /// Builds the handoff router over the graph's cells and its
-    /// per-stage `(output topic, publish flag)` table; stages the table
-    /// does not cover hand every output back.
-    pub fn new(
-        view: Arc<SharedRouteView>,
-        cells: Vec<Arc<StageCell>>,
-        outputs: Vec<Option<(Name, bool)>>,
-    ) -> Self {
-        let eligible = outputs
-            .into_iter()
-            .map(|output| {
-                let (topic, publish) = output?;
-                (!publish && plain_flow_topic(&topic)).then_some(topic)
+impl Handoff {
+    /// Resolves each stage's eligible output topic against `specs`.
+    pub(crate) fn new(specs: &[OperatorSpec]) -> Self {
+        let hops = specs
+            .iter()
+            .map(|spec| {
+                let topic = spec.output.as_deref()?;
+                (!spec.publish_output && plain_flow_topic(topic))
+                    .then(|| (topic.into(), RoutePlan::resolve(specs, topic)))
             })
             .collect();
-        DirectHandoff {
-            view,
-            cells,
-            eligible,
-        }
+        Handoff { hops }
     }
 
     /// Routes one step's outputs from stage `src`: eligible flow
-    /// emissions are pushed straight into their destination stages'
-    /// ingress queues and leave `outputs`; everything else (and every
-    /// fallback) stays there for node-thread delivery, in emission order.
+    /// emissions are posted to their destination stages' owners and leave
+    /// `outputs`; everything else (and every fallback) stays there for
+    /// node-thread delivery, in emission order. The hops are counted in
+    /// `stats`, the emitting stage's.
     ///
     /// The step's emissions all carry the source stage's one output
     /// topic, so they are routed **as a group** through the intra-node
     /// router ([`router::claimants`], then [`router::materialize`]):
     /// each destination receives a single work item. Between the two
-    /// halves sits the step that makes this safe on a worker: lock the
-    /// destination ingress queues in ascending stage order and try the
-    /// capacity under those locks. The group is all-or-nothing — one
-    /// saturated blocking destination leaves `outputs` untouched for the
-    /// node thread, so every consumer still sees every emission exactly
-    /// once.
-    pub fn apply(
+    /// halves the worker takes credit at every destination. The group is
+    /// all-or-nothing — one blocking destination out of credit leaves
+    /// `outputs` untouched for the node thread, so every consumer still
+    /// sees every emission exactly once.
+    pub(crate) fn apply(
         &self,
+        shared: &Shared,
         env: &mut dyn NodeEnv,
         src: usize,
+        stats: &mut StageStats,
         outputs: &mut Vec<OpOutput>,
-        cache: &mut PlanCache,
-    ) -> HandoffOutcome {
-        let mut outcome = HandoffOutcome::default();
+    ) {
+        let Some(Some((topic, plan))) = self.hops.get(src) else {
+            return;
+        };
         let seqs = outputs.iter().filter_map(|output| match output {
             OpOutput::Emit(msg) => Some(msg.seq),
             _ => None,
         });
         let group = seqs.clone().count() as u64;
-        'route: {
-            let Some(Some(topic)) = self.eligible.get(src) else {
-                break 'route;
-            };
-            if group == 0 {
-                break 'route;
-            }
-            let plan = cache.plan(&self.view, topic);
-            // The destinations (the emitter included, if it accepts its
-            // own output — exactly what the node thread would deliver).
-            // An unpublished output with no consumer besides its emitter
-            // is dropped, and so is a group no shard claims.
-            let claimed = if plan.stages.iter().any(|r| r.stage != src) {
-                router::claimants(&plan, seqs)
-            } else {
-                Cow::default()
-            };
-            if claimed.is_empty() {
-                outputs.retain(|output| !matches!(output, OpOutput::Emit(_)));
-                break 'route;
-            }
-            // Lock every destination ingress in ascending stage order —
-            // the plan's order, the static order that keeps
-            // multi-destination handoffs cycle-free.
-            let mut guards: Vec<_> = claimed
-                .iter()
-                .map(|r| {
-                    self.cells[r.stage]
-                        .ingress
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                })
-                .collect();
-            // Non-blocking capacity check (a batched group occupies one
-            // mailbox entry, like any node-dispatched frame): a saturated
-            // `Block` destination turns the whole group into a
-            // node-thread fallback — workers never wait on mailbox space
-            // (see module docs).
-            for (route, guard) in claimed.iter().zip(&guards) {
-                let cell = &self.cells[route.stage];
-                if cell.blocking.load(Ordering::Acquire)
-                    && guard.len() + cell.depth.load(Ordering::Acquire) >= cell.capacity
-                {
-                    outcome.fallback = group;
-                    break 'route;
-                }
-            }
-            // Committed: the emissions leave `outputs` as one group, and
-            // `outputs` keeps its buffer for the rest.
-            let mut items = Vec::with_capacity(group as usize);
-            let mut rest = Vec::new();
-            for output in outputs.drain(..) {
-                match output {
-                    OpOutput::Emit(msg) => items.push(FlowItem::from_message(topic.clone(), msg)),
-                    other => rest.push(other),
-                }
-            }
-            outputs.append(&mut rest);
-            let now_ns = env.now_ns();
-            router::materialize(&claimed, DecodedItems::Many(items), |route, work| {
-                let k = claimed
-                    .iter()
-                    .position(|r| r.stage == route.stage)
-                    .expect("materialize admits only to the routes it was given");
-                outcome.direct += work.item_count() as u64;
-                guards[k].push_back((work, now_ns));
-            });
+        if group == 0 {
+            return;
         }
-        if outcome.direct > 0 {
-            env.add("handoff_direct", outcome.direct);
+        // The destinations (the emitter included, if it accepts its own
+        // output — exactly what the node thread would deliver). An
+        // unpublished output with no consumer besides its emitter is
+        // dropped, and so is a group no shard claims.
+        let claimed = if plan.stages.iter().any(|r| r.stage != src) {
+            router::claimants(plan, seqs)
+        } else {
+            Cow::default()
+        };
+        if claimed.is_empty() {
+            outputs.retain(|output| !matches!(output, OpOutput::Emit(_)));
+            return;
         }
-        if outcome.fallback > 0 {
-            env.add("handoff_fallback", outcome.fallback);
+        // A batched group takes one entry of credit per destination, like
+        // any node-dispatched frame.
+        if !shared.reserve_all(&claimed) {
+            stats.handoff_fallback += group;
+            env.add("handoff_fallback", group);
+            return;
         }
-        outcome
+        // Committed: the emissions leave `outputs` as one group, and
+        // `outputs` keeps its buffer for the rest.
+        let mut items = Vec::with_capacity(group as usize);
+        let mut rest = Vec::new();
+        for output in outputs.drain(..) {
+            match output {
+                OpOutput::Emit(msg) => items.push(FlowItem::from_message(topic.clone(), msg)),
+                other => rest.push(other),
+            }
+        }
+        outputs.append(&mut rest);
+        let now_ns = env.now_ns();
+        let mut direct = 0;
+        router::materialize(&claimed, DecodedItems::Many(items), |route, work| {
+            direct += work.item_count() as u64;
+            shared.post(route.stage, work, now_ns);
+        });
+        stats.handoff_direct += direct;
+        env.add("handoff_direct", direct);
     }
 }
 
@@ -248,9 +188,10 @@ pub(crate) fn plain_flow_topic(topic: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ExecutorConfig, OperatorKind, OperatorSpec, ShedPolicy};
+    use crate::config::{ExecutorConfig, OperatorKind, ShedPolicy};
     use crate::env::MockEnv;
-    use crate::executor::{ExecutorGraph, WorkItem};
+    use crate::executor::pool::Worker;
+    use crate::executor::{ExecutorGraph, Stages, WorkItem};
     use ifot_ml::feature::Datum;
 
     fn kind(op: &str) -> OperatorKind {
@@ -285,35 +226,33 @@ mod tests {
         }
     }
 
+    /// One turn of `worker`, returning what it handed to `deliver`.
+    fn turn(worker: &mut Worker, env: &mut MockEnv) -> Vec<OpOutput> {
+        let mut delivered = Vec::new();
+        worker.turn(env, &mut |_, outputs| delivered.extend(outputs));
+        delivered
+    }
+
     #[test]
-    fn eligible_emit_lands_in_destination_ingress() {
+    fn eligible_emit_lands_in_the_owners_inbox() {
         let graph = ExecutorGraph::compile(
             vec![chain("a", "in/#", "flow/a"), sink("b", "flow/a")],
             &config(),
         );
-        let handoff = graph.direct_handoff();
-        let cells = graph.cells();
+        let mut workers = graph.deal(2);
         let mut env = MockEnv::new();
-        let mut cache = PlanCache::new();
-        let mut out = Vec::new();
 
-        cells[0].enqueue_pooled(WorkItem::Item(item("in/x", 1)), 0);
-        let outcome = cells[0]
-            .step_pooled_handoff(&mut env, 0, &handoff, &mut cache, &mut out)
-            .expect("stage a has work");
-        assert_eq!(outcome.direct, 1);
-        assert_eq!(outcome.fallback, 0);
-        assert!(out.is_empty(), "intra-node hop needs no deliver");
+        graph.enqueue(0, WorkItem::Item(item("in/x", 1)), 0);
+        assert!(turn(&mut workers[0], &mut env).is_empty(), "no deliver");
         assert_eq!(env.counter("handoff_direct"), 1);
         assert_eq!(graph.stats(0).handoff_direct, 1);
 
-        // The destination drains the handed-off item without any node
-        // thread involvement.
+        // b's owner runs the handed-off item without any node thread
+        // involvement.
         assert!(
-            cells[1].step_pooled(&mut env, &mut out),
-            "stage b received the item"
+            turn(&mut workers[1], &mut env).is_empty(),
+            "sink emits nothing"
         );
-        assert!(out.is_empty(), "sink emits nothing");
         assert_eq!(env.counter("custom_b"), 1);
         assert_eq!(graph.stats(1).processed, 1);
     }
@@ -328,39 +267,31 @@ mod tests {
             sink("b", "flow/a"),
         ];
         let graph = ExecutorGraph::compile(specs, &config());
-        let handoff = graph.direct_handoff();
-        let cells = graph.cells();
+        let mut workers = graph.deal(1);
         let mut env = MockEnv::new();
-        let mut cache = PlanCache::new();
-        let mut out = Vec::new();
 
-        cells[0].enqueue_pooled(WorkItem::Item(item("in/x", 1)), 0);
-        let outcome = cells[0]
-            .step_pooled_handoff(&mut env, 0, &handoff, &mut cache, &mut out)
-            .expect("stage a has work");
-        assert_eq!(outcome.direct, 0);
+        graph.enqueue(0, WorkItem::Item(item("in/x", 1)), 0);
+        let out = turn(&mut workers[0], &mut env);
+        assert_eq!(graph.stats(0).handoff_direct, 0);
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0], OpOutput::Emit(_)));
-        // Nothing landed in b's ingress.
-        assert!(!cells[1].step_pooled(&mut env, &mut out));
+        // Nothing was posted to b.
+        assert!(!workers[0].turn(&mut env, &mut |_, _| {}));
     }
 
     #[test]
     fn unconsumed_local_emission_is_dropped_like_the_node_path() {
         let graph = ExecutorGraph::compile(vec![chain("a", "in/#", "flow/nobody")], &config());
-        let handoff = graph.direct_handoff();
-        let cells = graph.cells();
+        let mut workers = graph.deal(1);
         let mut env = MockEnv::new();
-        let mut cache = PlanCache::new();
-        let mut out = Vec::new();
 
-        cells[0].enqueue_pooled(WorkItem::Item(item("in/x", 1)), 0);
-        let outcome = cells[0]
-            .step_pooled_handoff(&mut env, 0, &handoff, &mut cache, &mut out)
-            .expect("stage a has work");
-        assert_eq!(outcome.direct, 0);
-        assert_eq!(outcome.fallback, 0);
-        assert!(out.is_empty(), "dropped, exactly as on the node thread");
+        graph.enqueue(0, WorkItem::Item(item("in/x", 1)), 0);
+        assert!(
+            turn(&mut workers[0], &mut env).is_empty(),
+            "dropped, exactly as on the node thread"
+        );
+        let stats = graph.stats(0);
+        assert_eq!((stats.handoff_direct, stats.handoff_fallback), (0, 0));
     }
 
     #[test]
@@ -372,24 +303,16 @@ mod tests {
             vec![chain("a", "flow/#", "flow/a"), sink("b", "flow/a")],
             &config(),
         );
-        let handoff = graph.direct_handoff();
-        let cells = graph.cells();
+        let mut workers = graph.deal(1);
         let mut env = MockEnv::new();
-        let mut cache = PlanCache::new();
-        let mut out = Vec::new();
 
-        cells[0].enqueue_pooled(WorkItem::Item(item("flow/in", 1)), 0);
-        let outcome = cells[0]
-            .step_pooled_handoff(&mut env, 0, &handoff, &mut cache, &mut out)
-            .expect("stage a has work");
-        assert_eq!(outcome.direct, 2, "one hop to a itself, one to b");
-        assert!(out.is_empty());
-        assert!(cells[1].step_pooled(&mut env, &mut out), "b got it");
-        // a's own ingress holds the echo: stepping a again hands off again.
-        let again = cells[0]
-            .step_pooled_handoff(&mut env, 0, &handoff, &mut cache, &mut out)
-            .expect("a received its own emission");
-        assert_eq!(again.direct, 2);
+        graph.enqueue(0, WorkItem::Item(item("flow/in", 1)), 0);
+        assert!(turn(&mut workers[0], &mut env).is_empty());
+        assert_eq!(graph.stats(0).handoff_direct, 2, "one hop to a, one to b");
+        // a's inbox share holds the echo: its next step hands off again.
+        assert!(turn(&mut workers[0], &mut env).is_empty());
+        assert_eq!(graph.stats(0).handoff_direct, 4);
+        assert_eq!(graph.stats(1).processed, 1, "b got it");
     }
 
     #[test]
@@ -404,9 +327,12 @@ mod tests {
             vec![chain("a", "in/#", "flow/a"), sink("b", "flow/a")],
             &config,
         );
-        let handoff = graph.direct_handoff();
+        let _workers = graph.deal(1);
+        let Stages::Pooled(shared) = &*graph.stages.borrow() else {
+            unreachable!("dealt above")
+        };
         let mut env = MockEnv::new();
-        let mut cache = PlanCache::new();
+        let mut stats = StageStats::default();
         let event = |round| {
             OpOutput::Event(NodeEvent::MixRound {
                 task: "t".into(),
@@ -419,21 +345,24 @@ mod tests {
 
         // Delivered: the emissions leave as one batch, the rest stays.
         let mut out = outputs.clone();
-        let outcome = handoff.apply(&mut env, 0, &mut out, &mut cache);
-        assert_eq!(outcome.direct, 2);
+        graph
+            .handoff
+            .apply(shared, &mut env, 0, &mut stats, &mut out);
+        assert_eq!(stats.handoff_direct, 2);
         assert_eq!(out, vec![event(1), event(2), event(3)]);
-        graph.cells()[1].with_stage(|stage| assert_eq!(stage.depth(), 1));
 
-        // That batch saturates b (capacity 1): the next group falls back
-        // and the outputs stay untouched, emissions in place.
+        // That batch took b's only credit (capacity 1): the next group
+        // falls back and the outputs stay untouched, emissions in place.
         let mut out = outputs.clone();
-        let outcome = handoff.apply(&mut env, 0, &mut out, &mut cache);
-        assert_eq!((outcome.direct, outcome.fallback), (0, 2));
+        graph
+            .handoff
+            .apply(shared, &mut env, 0, &mut stats, &mut out);
+        assert_eq!((stats.handoff_direct, stats.handoff_fallback), (2, 2));
         assert_eq!(out, outputs);
     }
 
     #[test]
-    fn saturated_block_destination_falls_back_whole() {
+    fn block_destination_out_of_credit_falls_back_whole() {
         let config = ExecutorConfig {
             workers: 1,
             mailbox_capacity: 1,
@@ -443,27 +372,20 @@ mod tests {
             vec![chain("a", "in/#", "flow/a"), sink("b", "flow/a")],
             &config,
         );
-        let handoff = graph.direct_handoff();
-        let cells = graph.cells();
+        let mut workers = graph.deal(1);
         let mut env = MockEnv::new();
-        let mut cache = PlanCache::new();
-        let mut out = Vec::new();
 
-        // Saturate b: capacity 1, one queued item.
-        cells[1].enqueue_pooled(WorkItem::Item(item("flow/a", 9)), 0);
-        cells[0].enqueue_pooled(WorkItem::Item(item("in/x", 1)), 0);
-        let outcome = cells[0]
-            .step_pooled_handoff(&mut env, 0, &handoff, &mut cache, &mut out)
-            .expect("stage a has work");
-        assert_eq!(outcome.direct, 0);
-        assert_eq!(outcome.fallback, 1);
+        // Use up b's credit: capacity 1, one queued item. a steps first.
+        graph.enqueue(1, WorkItem::Item(item("flow/a", 9)), 0);
+        graph.enqueue(0, WorkItem::Item(item("in/x", 1)), 0);
+        let out = turn(&mut workers[0], &mut env);
         assert_eq!(out.len(), 1, "the emission goes via the node thread");
-        out.clear();
-        assert_eq!(graph.stats(0).handoff_fallback, 1);
+        let stats = graph.stats(0);
+        assert_eq!((stats.handoff_direct, stats.handoff_fallback), (0, 1));
         assert_eq!(env.counter("handoff_fallback"), 1);
 
-        // A shedding destination never blocks the handoff: drain b, flip
-        // nothing — ShedOldest admission happens at the mailbox fold.
+        // A shedding destination never refuses the handoff: it sheds at
+        // the mailbox fold instead.
         let shed_config = ExecutorConfig {
             shed_policy: ShedPolicy::ShedOldest,
             ..config
@@ -472,16 +394,12 @@ mod tests {
             vec![chain("a", "in/#", "flow/a"), sink("b", "flow/a")],
             &shed_config,
         );
-        let handoff = graph.direct_handoff();
-        let cells = graph.cells();
-        let mut cache = PlanCache::new();
-        cells[1].enqueue_pooled(WorkItem::Item(item("flow/a", 9)), 0);
-        cells[0].enqueue_pooled(WorkItem::Item(item("in/x", 1)), 0);
-        let outcome = cells[0]
-            .step_pooled_handoff(&mut env, 0, &handoff, &mut cache, &mut out)
-            .expect("stage a has work");
-        assert_eq!(outcome.direct, 1, "shed policies accept the push");
-        assert_eq!(outcome.fallback, 0);
+        let mut workers = graph.deal(1);
+        graph.enqueue(1, WorkItem::Item(item("flow/a", 9)), 0);
+        graph.enqueue(0, WorkItem::Item(item("in/x", 1)), 0);
+        assert!(turn(&mut workers[0], &mut env).is_empty());
+        let stats = graph.stats(0);
+        assert_eq!((stats.handoff_direct, stats.handoff_fallback), (1, 0));
     }
 
     #[test]
@@ -495,22 +413,21 @@ mod tests {
             ],
             &config(),
         );
-        let handoff = graph.direct_handoff();
-        let cells = graph.cells();
+        let mut workers = graph.deal(1);
         let mut env = MockEnv::new();
-        let mut cache = PlanCache::new();
-        let mut out = Vec::new();
 
         // CustomOp re-stamps its emission with its own monotone counter:
         // the first emit carries seq 1, which shard (2, 1) claims.
-        cells[0].enqueue_pooled(WorkItem::Item(item("in/x", 42)), 0);
-        let outcome = cells[0]
-            .step_pooled_handoff(&mut env, 0, &handoff, &mut cache, &mut out)
-            .expect("stage a has work");
-        assert_eq!(outcome.direct, 2, "shard b1 plus unsharded c");
-        assert!(!cells[1].step_pooled(&mut env, &mut out), "b0: wrong shard");
-        assert!(cells[2].step_pooled(&mut env, &mut out), "b1 claims seq 1");
-        assert!(cells[3].step_pooled(&mut env, &mut out), "c sees the frame");
+        graph.enqueue(0, WorkItem::Item(item("in/x", 42)), 0);
+        turn(&mut workers[0], &mut env);
+        assert_eq!(
+            graph.stats(0).handoff_direct,
+            2,
+            "shard b1 plus unsharded c"
+        );
+        turn(&mut workers[0], &mut env);
+        let processed: Vec<u64> = (1..4).map(|i| graph.stats(i).processed).collect();
+        assert_eq!(processed, vec![0, 1, 1], "b0: wrong shard; b1 and c run");
     }
 
     #[test]
@@ -523,32 +440,27 @@ mod tests {
             vec![chain("a", "in/#", "flow/a"), sink("b", "flow/a")],
             &config(),
         );
-        let handoff = graph.direct_handoff();
-        let cells = graph.cells();
+        let mut workers = graph.deal(1);
         let mut env = MockEnv::new();
-        let mut cache = PlanCache::new();
-        let mut out = Vec::new();
 
         const BURST: u64 = 8;
         let frame: Vec<FlowItem> = (0..BURST).map(|i| item("in/x", i)).collect();
-        cells[0].enqueue_pooled(WorkItem::Batch(frame), 0);
-        let outcome = cells[0]
-            .step_pooled_handoff(&mut env, 0, &handoff, &mut cache, &mut out)
-            .expect("stage a has work");
-        assert_eq!(outcome.direct, BURST, "every item counts as a direct hop");
-        assert_eq!(outcome.fallback, 0);
-        assert!(out.is_empty());
+        graph.enqueue(0, WorkItem::Batch(frame), 0);
+        assert!(turn(&mut workers[0], &mut env).is_empty());
+        assert_eq!(
+            graph.stats(0).handoff_direct,
+            BURST,
+            "every item is a direct hop"
+        );
+        assert_eq!(graph.stats(0).handoff_fallback, 0);
 
         // b received exactly one mailbox entry carrying all eight items,
         // in emission order.
-        cells[1].with_stage(|stage| {
-            assert_eq!(stage.depth(), 1, "one batched entry, not eight items");
-        });
-        assert!(cells[1].step_pooled(&mut env, &mut out));
+        turn(&mut workers[0], &mut env);
         let stats = graph.stats(1);
-        assert_eq!(stats.batch_entries, 1);
+        assert_eq!(stats.enqueued, 1, "one batched entry, not eight items");
+        assert_eq!((stats.processed, stats.batch_entries), (1, 1));
         assert_eq!(stats.batched_items, BURST);
-        assert_eq!(stats.processed, 1);
         // CustomOp touched the items in batch order.
         assert_eq!(env.counter("custom_b"), BURST);
     }
@@ -566,26 +478,20 @@ mod tests {
             ],
             &config(),
         );
-        let handoff = graph.direct_handoff();
-        let cells = graph.cells();
+        let mut workers = graph.deal(2);
         let mut env = MockEnv::new();
-        let mut cache = PlanCache::new();
-        let mut out = Vec::new();
 
         // CustomOp re-stamps its emissions 1..=4.
         let frame: Vec<FlowItem> = (0..4).map(|i| item("in/x", i)).collect();
-        cells[0].enqueue_pooled(WorkItem::Batch(frame), 0);
-        let outcome = cells[0]
-            .step_pooled_handoff(&mut env, 0, &handoff, &mut cache, &mut out)
-            .expect("stage a has work");
+        graph.enqueue(0, WorkItem::Batch(frame), 0);
+        turn(&mut workers[0], &mut env);
         // b0 takes seqs {2, 4}, b1 takes {1, 3}, c takes all four.
-        assert_eq!(outcome.direct, 2 + 2 + 4);
+        assert_eq!(graph.stats(0).handoff_direct, 2 + 2 + 4);
+        turn(&mut workers[0], &mut env);
+        turn(&mut workers[1], &mut env);
         for (dest, want) in [(1usize, 2u64), (2, 2), (3, 4)] {
-            cells[dest].with_stage(|stage| {
-                assert_eq!(stage.depth(), 1, "stage {dest}: one batched entry");
-            });
-            assert!(cells[dest].step_pooled(&mut env, &mut out));
             let stats = graph.stats(dest);
+            assert_eq!(stats.enqueued, 1, "stage {dest}: one batched entry");
             assert_eq!(stats.batched_items, want, "stage {dest} item share");
         }
     }

@@ -12,11 +12,13 @@
 //!   environment calls (CPU charges, RNG draws, metric updates) is a
 //!   pure function of the input and seeded trace digests stay
 //!   bit-identical.
-//! * **Pooled** (`workers > 0` on the thread runtime): the node thread
-//!   only enqueues; a worker pool ([`pool::WorkerPool`]) pops and
-//!   executes stages concurrently, hands intra-node flow hops to the
-//!   next stage itself ([`handoff`]) and ships everything else back to
-//!   the node thread, which remains the sole publisher.
+//! * **Pooled** (`workers > 0` on the thread runtime): the stages are
+//!   dealt to a worker pool ([`pool::WorkerPool`]), stage *i* to worker
+//!   *i* mod `workers`, and each worker owns its stages outright. The
+//!   node thread only posts to the owners' inboxes; the workers execute
+//!   their stages, hand intra-node flow hops to the next stage's owner
+//!   themselves ([`handoff`]) and ship everything else back to the node
+//!   thread, which remains the sole publisher.
 //!
 //! Either way the fan-out of a group of items over the accepting stages
 //! is decided in one place, [`router`], against a set of stages that is
@@ -34,9 +36,8 @@ pub mod pool;
 pub mod router;
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use crate::config::{ExecutorConfig, OperatorSpec, ShedPolicy};
 use crate::env::NodeEnv;
@@ -47,6 +48,9 @@ use ifot_ml::runtime::AnyClassifier;
 /// Queue wait past which a [`ShedPolicy::Block`] stage escalates to
 /// shed-oldest: the paper's 1.6 s real-time bound.
 const ESCALATE_AFTER_NS: u64 = crate::costs::REALTIME_BOUND_MS * 1_000_000;
+
+/// Route plans the node thread memoizes, cleared when full.
+const ROUTE_CACHE_CAP: usize = 1024;
 
 /// A periodic tick delivered to a stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,7 +141,7 @@ impl WorkItem {
         }
     }
 
-    fn sheddable(&self) -> bool {
+    pub(crate) fn sheddable(&self) -> bool {
         matches!(
             self,
             WorkItem::Item(_) | WorkItem::Batch(_) | WorkItem::SharedBatch(_)
@@ -173,12 +177,13 @@ pub struct StageStats {
     /// Shed-policy escalations (`Block` → `ShedOldest`) this stage
     /// performed after its queue wait crossed the real-time bound.
     pub escalations: u64,
-    /// Outputs of this stage delivered straight into another stage's
-    /// ingress by the executing worker (per destination hop), bypassing
-    /// the node-thread router.
+    /// Outputs of this stage posted straight to another stage's owner by
+    /// the worker that ran it (per destination hop), bypassing the
+    /// node-thread router.
     pub handoff_direct: u64,
     /// Handoff-eligible outputs routed through the node thread anyway
-    /// because a destination mailbox was saturated (workers never block).
+    /// because a blocking destination was out of credit (workers never
+    /// wait).
     pub handoff_fallback: u64,
     /// Always 0; kept for the judge — ROADMAP 2(a).
     pub handoff_stale_route: u64,
@@ -256,17 +261,12 @@ impl ExecutorStage {
         self.op.model()
     }
 
-    /// Whether an item can be admitted without shedding or blocking.
-    pub fn has_space(&self) -> bool {
-        self.mailbox.len() < self.capacity
-    }
-
     /// Admits one work item, applying the shed policy to a full mailbox.
     ///
     /// Under [`ShedPolicy::Block`] the item is admitted even when full —
-    /// blocking producers are expected to wait on the stage's space
-    /// signal *before* calling (the inline driver drains immediately, so
-    /// its mailbox never fills).
+    /// blocking producers are expected to wait for the stage's credit
+    /// *before* posting (inline execution drains immediately, so its
+    /// mailbox never fills).
     pub fn enqueue(&mut self, work: WorkItem, now_ns: u64) {
         if work.sheddable() && self.mailbox.len() >= self.capacity {
             match self.policy {
@@ -346,269 +346,48 @@ impl ExecutorStage {
 
     /// The monitor line for this stage's mailbox.
     pub fn describe_stats(&self) -> String {
-        format!(
-            "stage[{}] depth={} max={} in={} out={} shed={} wait_ms={:.2}",
-            self.op.spec().id,
-            self.stats.depth,
-            self.stats.max_depth,
-            self.stats.enqueued,
-            self.stats.processed,
-            self.stats.shed(),
-            self.stats.mean_wait_ms(),
-        )
+        stats_line(&self.op.spec().id, &self.stats)
     }
 }
 
-/// A stage behind a lock, shareable with the worker pool.
-///
-/// Producers never touch the stage lock: a worker executes the operator
-/// (and sleeps out its emulated CPU cost) *under* that lock, so a
-/// producer enqueueing through it would stall a full execution per item
-/// — on a saturated stage the routing thread falls behind real time and
-/// everything it routes arrives seconds late. Instead producers append
-/// to a separate `ingress` buffer that workers fold into the mailbox at
-/// every step boundary; direct handoff ([`handoff`]) relies on the same
-/// buffer, so a worker never waits for a destination's operator either.
-/// [`ShedPolicy::Block`] backpressure is enforced against a lock-free
-/// depth mirror, with the condvar (paired with the ingress lock)
-/// signalled after every pop.
+fn stats_line(id: &str, stats: &StageStats) -> String {
+    format!(
+        "stage[{id}] depth={} max={} in={} out={} shed={} wait_ms={:.2}",
+        stats.depth,
+        stats.max_depth,
+        stats.enqueued,
+        stats.processed,
+        stats.shed(),
+        stats.mean_wait_ms(),
+    )
+}
+
+/// Where a graph's stages are: on the caller's thread, or dealt to a
+/// pool's workers.
 #[derive(Debug)]
-pub struct StageCell {
-    stage: Mutex<ExecutorStage>,
-    /// Producer-side admission buffer; drained under the stage lock at
-    /// every pooled step, preserving FIFO order into the mailbox.
-    ingress: Mutex<VecDeque<(WorkItem, u64)>>,
-    /// Mailbox depth as of the last step boundary, readable without the
-    /// stage lock (blocking producers gate on `ingress + depth`).
-    depth: AtomicUsize,
-    /// Whether the stage still blocks when full (cleared when adaptive
-    /// shed escalation flips the policy away from `Block`).
-    blocking: AtomicBool,
-    /// Current shed policy, mirrored for lock-free monitoring reads
-    /// (0 = Block, 1 = ShedOldest, 2 = ShedNewest).
-    policy: AtomicU8,
-    /// Stats snapshot from the last step boundary, so monitoring never
-    /// waits behind an executing operator.
-    stats: Mutex<StageStats>,
-    /// Mailbox capacity (immutable after build).
-    capacity: usize,
-    space: Condvar,
-}
-
-fn policy_to_u8(policy: ShedPolicy) -> u8 {
-    match policy {
-        ShedPolicy::Block => 0,
-        ShedPolicy::ShedOldest => 1,
-        ShedPolicy::ShedNewest => 2,
-    }
-}
-
-fn policy_from_u8(raw: u8) -> ShedPolicy {
-    match raw {
-        0 => ShedPolicy::Block,
-        1 => ShedPolicy::ShedOldest,
-        _ => ShedPolicy::ShedNewest,
-    }
-}
-
-impl StageCell {
-    fn new(stage: ExecutorStage) -> Self {
-        let blocking = stage.policy == ShedPolicy::Block;
-        let policy = policy_to_u8(stage.policy);
-        let capacity = stage.capacity;
-        let stats = stage.stats.clone();
-        StageCell {
-            stage: Mutex::new(stage),
-            ingress: Mutex::new(VecDeque::new()),
-            depth: AtomicUsize::new(0),
-            blocking: AtomicBool::new(blocking),
-            policy: AtomicU8::new(policy),
-            stats: Mutex::new(stats),
-            capacity,
-            space: Condvar::new(),
-        }
-    }
-
-    /// Folds buffered ingress into the mailbox (caller holds the stage
-    /// lock) and refreshes the lock-free mirrors.
-    fn admit_ingress(&self, stage: &mut ExecutorStage) {
-        let mut ingress = self.ingress.lock().unwrap_or_else(PoisonError::into_inner);
-        while let Some((work, at)) = ingress.pop_front() {
-            stage.enqueue(work, at);
-        }
-        drop(ingress);
-        self.sync_mirrors(stage);
-    }
-
-    fn sync_mirrors(&self, stage: &ExecutorStage) {
-        self.depth.store(stage.depth(), Ordering::Release);
-        self.blocking
-            .store(stage.policy == ShedPolicy::Block, Ordering::Release);
-        self.policy
-            .store(policy_to_u8(stage.policy), Ordering::Release);
-        *self.stats.lock().unwrap_or_else(PoisonError::into_inner) = stage.stats.clone();
-    }
-
-    /// The stage's shed policy as of the last step boundary, without
-    /// touching the stage lock.
-    pub fn policy_snapshot(&self) -> ShedPolicy {
-        policy_from_u8(self.policy.load(Ordering::Acquire))
-    }
-
-    /// The stage's mailbox counters as of the last step boundary,
-    /// without touching the stage lock — an executing operator (which
-    /// sleeps out its emulated CPU cost *under* that lock) never delays
-    /// a monitoring read.
-    pub fn stats_snapshot(&self) -> StageStats {
-        self.stats
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Enqueues and immediately drains the stage on the caller's thread,
-    /// appending every output to `out` in order (the inline driver).
-    pub fn offer_inline(&self, env: &mut dyn NodeEnv, work: WorkItem, out: &mut Vec<OpOutput>) {
-        let mut stage = self.stage.lock().unwrap_or_else(PoisonError::into_inner);
-        self.admit_ingress(&mut stage);
-        if env.trace_enabled() {
-            env.trace_event(&format!(
-                "stage_enq({}, depth={}, batch={})",
-                stage.op.spec().id,
-                stage.depth() + 1,
-                work.item_count(),
-            ));
-        }
-        stage.enqueue(work, env.now_ns());
-        while stage.step(env, out) {}
-        self.sync_mirrors(&stage);
-    }
-
-    /// Enqueues for asynchronous execution by the worker pool, without
-    /// contending with an executing worker. Under [`ShedPolicy::Block`]
-    /// the caller waits here until the stage has space for an item or a
-    /// batch (workers signal after every pop); timers and control
-    /// messages are always admitted.
-    pub fn enqueue_pooled(&self, work: WorkItem, now_ns: u64) {
-        let mut ingress = self.ingress.lock().unwrap_or_else(PoisonError::into_inner);
-        if work.sheddable() {
-            while self.blocking.load(Ordering::Acquire)
-                && ingress.len() + self.depth.load(Ordering::Acquire) >= self.capacity
-            {
-                ingress = self
-                    .space
-                    .wait(ingress)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-        ingress.push_back((work, now_ns));
-    }
-
-    /// The stage, unless another worker holds it. A lock poisoned by a
-    /// panicking operator is taken all the same, as `lock` sites do: one
-    /// bad item must not take the stage out of service.
-    fn try_stage(&self) -> Option<MutexGuard<'_, ExecutorStage>> {
-        match self.stage.try_lock() {
-            Ok(stage) => Some(stage),
-            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Pops and executes one work item if any is queued (the pooled
-    /// driver; called from worker threads). Buffered ingress is admitted
-    /// first, so arrival order — and the arrival timestamps the wait
-    /// accounting is measured from — survive the detour. Signals waiting
-    /// producers after the pop.
-    ///
-    /// Uses `try_lock`: a stage already executing on another worker is
-    /// skipped rather than waited on — the operator runs (and sleeps out
-    /// its emulated CPU cost) *under* the stage lock, so blocking here
-    /// would convoy every worker behind one slow stage and serialize the
-    /// whole pool.
-    ///
-    /// Returns whether a work item ran; its outputs are appended to `out`.
-    pub fn step_pooled(&self, env: &mut dyn NodeEnv, out: &mut Vec<OpOutput>) -> bool {
-        let Some(mut stage) = self.try_stage() else {
-            return false;
-        };
-        self.admit_ingress(&mut stage);
-        let stepped = stage.step(env, out);
-        self.sync_mirrors(&stage);
-        if stepped {
-            self.signal_space();
-        }
-        stepped
-    }
-
-    /// Wakes the producer waiting in [`StageCell::enqueue_pooled`] after a
-    /// pop. Taking the ingress lock first orders the depth just stored
-    /// against that producer's check: one that read the old depth holds
-    /// the lock until it waits, so the wake-up cannot fall in between.
-    fn signal_space(&self) {
-        drop(self.ingress.lock().unwrap_or_else(PoisonError::into_inner));
-        self.space.notify_one();
-    }
-
-    /// Like [`StageCell::step_pooled`], but routes the step's outputs
-    /// through the worker-side direct handoff: eligible flow emissions
-    /// land straight in their destination stages' ingress queues and only
-    /// the leftovers (egress, fallbacks) stay in `out` for node-thread
-    /// delivery. `out` must come in empty — what it holds afterwards is
-    /// this step's leftovers. The handoff counters are folded into this
-    /// stage's stats while its lock is still held.
-    pub fn step_pooled_handoff(
-        &self,
-        env: &mut dyn NodeEnv,
-        src: usize,
-        handoff: &handoff::DirectHandoff,
-        cache: &mut handoff::PlanCache,
-        out: &mut Vec<OpOutput>,
-    ) -> Option<handoff::HandoffOutcome> {
-        debug_assert!(out.is_empty(), "the leftovers of an earlier step");
-        let mut stage = self.try_stage()?;
-        self.admit_ingress(&mut stage);
-        if !stage.step(env, out) {
-            return None;
-        }
-        let outcome = handoff.apply(env, src, out, cache);
-        stage.stats.handoff_direct += outcome.direct;
-        stage.stats.handoff_fallback += outcome.fallback;
-        self.sync_mirrors(&stage);
-        self.signal_space();
-        Some(outcome)
-    }
-
-    /// Runs `f` on the locked stage after folding in buffered ingress,
-    /// so reads that must account for every delivered item (monitoring,
-    /// tests) see the full queue.
-    pub fn with_stage<R>(&self, f: impl FnOnce(&mut ExecutorStage) -> R) -> R {
-        let mut stage = self.stage.lock().unwrap_or_else(PoisonError::into_inner);
-        self.admit_ingress(&mut stage);
-        let out = f(&mut stage);
-        self.sync_mirrors(&stage);
-        out
-    }
+enum Stages {
+    Inline(Vec<ExecutorStage>),
+    /// Reached through the owners' inboxes and published figures.
+    Pooled(Arc<pool::Shared>),
 }
 
 /// The compiled executor graph of a node: one stage per configured
 /// operator, fixed for the node's lifetime — which stages a node runs is
 /// decided once, in [`ExecutorGraph::compile`], as the paper's task
-/// assignment decides it at deploy time. The specs sit beside the cells,
-/// outside every stage lock, so admission checks (topic filters, shards)
-/// never wait behind an executing operator.
+/// assignment decides it at deploy time. The specs sit beside the
+/// stages, so admission checks (topic filters, shards) never wait behind
+/// an executing operator.
 #[derive(Debug)]
 pub struct ExecutorGraph {
-    cells: Vec<Arc<StageCell>>,
+    specs: Vec<OperatorSpec>,
     /// Per-stage `(output topic, publish flag)`, so routing a step's
     /// emissions never clones a spec.
     outputs: Vec<Option<(Name, bool)>>,
-    /// The specs and the topic→accepting-stages memo over them, shared
-    /// with the worker pool.
-    shared_routes: Arc<router::SharedRouteView>,
-    /// The owning thread's memo over `shared_routes` (the workers each
-    /// hold their own).
-    routes: RefCell<handoff::PlanCache>,
+    /// Each stage's handoff plan, for the workers.
+    handoff: Arc<handoff::Handoff>,
+    /// The node thread's topic→plan memo.
+    routes: RefCell<HashMap<String, Arc<router::RoutePlan>>>,
+    stages: RefCell<Stages>,
 }
 
 fn stage_output(spec: &OperatorSpec) -> Option<(Name, bool)> {
@@ -619,31 +398,38 @@ fn stage_output(spec: &OperatorSpec) -> Option<(Name, bool)> {
 impl ExecutorGraph {
     /// Compiles the node's assigned operator specs into stages.
     pub fn compile(specs: Vec<OperatorSpec>, config: &ExecutorConfig) -> Self {
-        let cells = specs
+        let stages = specs
             .iter()
-            .map(|spec| Arc::new(StageCell::new(Self::build_stage(spec, config))))
+            .map(|spec| {
+                ExecutorStage::new(
+                    ops::build_operator(spec.clone()),
+                    config.mailbox_capacity,
+                    config.shed_policy,
+                )
+            })
             .collect();
-        let outputs = specs.iter().map(stage_output).collect();
         ExecutorGraph {
-            cells,
-            outputs,
-            shared_routes: Arc::new(router::SharedRouteView::new(specs)),
+            outputs: specs.iter().map(stage_output).collect(),
+            handoff: Arc::new(handoff::Handoff::new(&specs)),
+            specs,
             routes: RefCell::default(),
+            stages: RefCell::new(Stages::Inline(stages)),
         }
-    }
-
-    fn build_stage(spec: &OperatorSpec, config: &ExecutorConfig) -> ExecutorStage {
-        ExecutorStage::new(
-            ops::build_operator(spec.clone()),
-            config.mailbox_capacity,
-            config.shed_policy,
-        )
     }
 
     /// The memoized route plan for `topic` (resolved on first use; hits
     /// are allocation-free and never re-parse a topic filter).
     pub fn route(&self, topic: &str) -> Arc<router::RoutePlan> {
-        self.routes.borrow_mut().plan(&self.shared_routes, topic)
+        let mut routes = self.routes.borrow_mut();
+        if let Some(plan) = routes.get(topic) {
+            return Arc::clone(plan);
+        }
+        let plan = Arc::new(router::RoutePlan::resolve(&self.specs, topic));
+        if routes.len() >= ROUTE_CACHE_CAP {
+            routes.clear();
+        }
+        routes.insert(topic.to_owned(), Arc::clone(&plan));
+        plan
     }
 
     /// Stage `index`'s output topic and whether its emissions are also
@@ -652,37 +438,24 @@ impl ExecutorGraph {
         self.outputs.get(index)?.clone()
     }
 
-    /// Builds the worker-side direct-handoff router over the stages.
-    pub fn direct_handoff(&self) -> Arc<handoff::DirectHandoff> {
-        Arc::new(handoff::DirectHandoff::new(
-            Arc::clone(&self.shared_routes),
-            self.cells(),
-            self.outputs.clone(),
-        ))
-    }
-
     /// Number of stages.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.specs.len()
     }
 
     /// Whether the graph has no stages.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.specs.is_empty()
     }
 
     /// The operator specs, indexed like the stages.
     pub fn specs(&self) -> &[OperatorSpec] {
-        self.shared_routes.specs()
+        &self.specs
     }
 
-    /// Shared handles to every stage, for the worker pool.
-    pub fn cells(&self) -> Vec<Arc<StageCell>> {
-        self.cells.clone()
-    }
-
-    /// Inline: runs any work item through stage `index` to completion,
-    /// appending its outputs to `out`.
+    /// Runs any work item through stage `index`, appending its outputs to
+    /// `out`: inline, to completion; dealt, posted to the stage's owner,
+    /// waiting for credit if the stage blocks and has none.
     pub fn offer(
         &self,
         env: &mut dyn NodeEnv,
@@ -690,7 +463,22 @@ impl ExecutorGraph {
         work: WorkItem,
         out: &mut Vec<OpOutput>,
     ) {
-        self.cells[index].offer_inline(env, work, out);
+        match &mut *self.stages.borrow_mut() {
+            Stages::Inline(stages) => {
+                let stage = &mut stages[index];
+                if env.trace_enabled() {
+                    env.trace_event(&format!(
+                        "stage_enq({}, depth={}, batch={})",
+                        stage.op.spec().id,
+                        stage.depth() + 1,
+                        work.item_count(),
+                    ));
+                }
+                stage.enqueue(work, env.now_ns());
+                while stage.step(env, out) {}
+            }
+            Stages::Pooled(shared) => shared.admit(index, work, env.now_ns()),
+        }
     }
 
     /// Inline: runs one item through stage `index` to completion, into a
@@ -715,43 +503,106 @@ impl ExecutorGraph {
         out
     }
 
-    /// A stage's current shed policy (post-escalation), read from the
-    /// lock-free mirror so callers never wait behind an execution.
-    pub fn policy(&self, index: usize) -> ShedPolicy {
-        self.cells[index].policy_snapshot()
+    /// Admits work into stage `index` without running it: inline, into
+    /// its mailbox; dealt, as [`Self::offer`] does.
+    pub fn enqueue(&self, index: usize, work: WorkItem, now_ns: u64) {
+        match &mut *self.stages.borrow_mut() {
+            Stages::Inline(stages) => stages[index].enqueue(work, now_ns),
+            Stages::Pooled(shared) => shared.admit(index, work, now_ns),
+        }
     }
 
-    /// Pooled: admits work into stage `index` without executing it.
-    pub fn enqueue(&self, index: usize, work: WorkItem, now_ns: u64) {
-        self.cells[index].enqueue_pooled(work, now_ns);
+    /// Inline: runs one queued work item of stage `index`, appending its
+    /// outputs to `out`; `false` when there was none (or the stages are
+    /// dealt).
+    pub fn step(&self, env: &mut dyn NodeEnv, index: usize, out: &mut Vec<OpOutput>) -> bool {
+        match &mut *self.stages.borrow_mut() {
+            Stages::Inline(stages) => stages[index].step(env, out),
+            Stages::Pooled(_) => false,
+        }
+    }
+
+    /// A stage's current shed policy (post-escalation).
+    pub fn policy(&self, index: usize) -> ShedPolicy {
+        match &*self.stages.borrow() {
+            Stages::Inline(stages) => stages[index].policy(),
+            Stages::Pooled(shared) => shared.published(index).1,
+        }
     }
 
     /// The classifier served by the operator with the given id, cloned
-    /// out of its stage (train/predict operators only).
+    /// out of its stage (train/predict operators only; `None` while the
+    /// stages are dealt).
     pub fn classifier(&self, id: &str) -> Option<AnyClassifier> {
-        let index = self.specs().iter().position(|spec| spec.id == id)?;
-        self.cells[index].with_stage(|stage| stage.model().cloned())
+        let index = self.specs.iter().position(|spec| spec.id == id)?;
+        match &*self.stages.borrow() {
+            Stages::Inline(stages) => stages[index].model().cloned(),
+            Stages::Pooled(_) => None,
+        }
     }
 
-    /// A stage's mailbox counters, from the last step boundary's
-    /// snapshot (never waits behind an executing operator).
+    /// A stage's mailbox counters (dealt: as its owner last published
+    /// them, at the end of a turn).
     pub fn stats(&self, index: usize) -> StageStats {
-        self.cells[index].stats_snapshot()
+        match &*self.stages.borrow() {
+            Stages::Inline(stages) => stages[index].stats.clone(),
+            Stages::Pooled(shared) => shared.published(index).0,
+        }
     }
 
     /// Monitor lines: each operator's summary followed by its stage
     /// mailbox counters (the latter only once traffic has flowed, to
-    /// keep idle screens compact).
+    /// keep idle screens compact). While the stages are dealt, only the
+    /// counters.
     pub fn describe(&self) -> Vec<String> {
         let mut out = Vec::new();
-        for cell in &self.cells {
-            cell.with_stage(|stage| {
-                out.push(stage.describe());
-                if stage.stats.enqueued > 0 {
-                    out.push(stage.describe_stats());
+        match &*self.stages.borrow() {
+            Stages::Inline(stages) => {
+                for stage in stages {
+                    out.push(stage.describe());
+                    if stage.stats.enqueued > 0 {
+                        out.push(stage.describe_stats());
+                    }
                 }
-            });
+            }
+            Stages::Pooled(shared) => {
+                for (index, spec) in self.specs.iter().enumerate() {
+                    let (stats, _) = shared.published(index);
+                    if stats.enqueued > 0 {
+                        out.push(stats_line(&spec.id, &stats));
+                    }
+                }
+            }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::OperatorKind;
+
+    #[test]
+    fn route_memo_shares_a_plan_and_the_cap_clears_instead_of_growing() {
+        let spec = OperatorSpec::sink(
+            "a",
+            OperatorKind::Custom {
+                operator: "a".into(),
+            },
+            vec!["s/#".into()],
+        );
+        let graph = ExecutorGraph::compile(vec![spec], &ExecutorConfig::default());
+        let plan = graph.route("s/1");
+        assert_eq!(plan.stages.len(), 1);
+        assert!(
+            Arc::ptr_eq(&plan, &graph.route("s/1")),
+            "a hit shares the plan"
+        );
+        assert!(graph.route("t/1").is_empty());
+        for i in 0..(ROUTE_CACHE_CAP + 8) {
+            graph.route(&format!("s/{i}"));
+        }
+        assert!(graph.routes.borrow().len() <= ROUTE_CACHE_CAP);
     }
 }

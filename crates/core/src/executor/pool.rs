@@ -1,59 +1,91 @@
-//! Worker pool: drives executor stages on OS threads (the thread
-//! runtime's pooled mode).
+//! Worker pool: runs a node's executor stages on OS threads (the thread
+//! runtime's pooled mode), each stage on the one worker that owns it.
 //!
-//! Workers scan the node's stages round-robin, popping one work item per
-//! stage per pass so a deep mailbox cannot starve its neighbours. A
-//! stage executes under its own lock — one stage is always serialized
-//! (operators are stateful) — so parallel speedup comes from *multiple*
-//! stages, e.g. a sequence-sharded operator replicated across stages.
+//! ## Ownership
 //!
-//! Zero-clone fan-out crosses this boundary: when the router enqueues
-//! one `WorkItem::SharedBatch` to several stages, those stages may pop
-//! their `Arc` handles on different workers concurrently. `step_pooled`
-//! resolves ownership per handle at execution time — the last handle
-//! alive unwraps the batch in place, earlier ones clone — so in pooled
-//! mode the clone count depends on drain order (between zero and
-//! `consumers - 1` copies) while inline mode, which executes stages in
-//! order, always gets the free unwrap on the final consumer.
+//! [`ExecutorGraph::deal`] gives stage *i* to worker *i* mod `workers`,
+//! a constant rule: sharded replicas declared one after another land on
+//! alternate workers. A [`Worker`] owns its stages' [`ExecutorStage`]s
+//! outright, so no lock is held while an operator runs, and a stage's
+//! outputs reach the node thread in the order it ran them, whatever the
+//! worker count. Parallel speed-up comes from running *different*
+//! stages at once, e.g. a sequence-sharded operator's replicas.
 //!
-//! Workers route the intra-node hot path themselves through the pool's
-//! [`DirectHandoff`]: a stage's eligible flow emissions go straight into
-//! the destination stages' ingress queues, and only egress outputs and
-//! fallbacks are handed to the `deliver` callback (wired back to the
-//! node thread, which stays the sole publisher). A pool sees every stage
-//! of its node: the graph is fixed once compiled. Blocking backpressure
-//! stays deadlock-free because the handoff only *try*-enqueues — workers
-//! never wait on mailbox space; see [`crate::executor::handoff`] for the
-//! full argument.
+//! ## Inbox and wake
 //!
-//! The idle path is event-driven: a worker that finds no runnable stage
-//! parks on the pool condvar with **no timeout** and is woken by
-//! `notify_work` (node-thread enqueues), by peers that handed work off
-//! directly, or by stop. An idle pool makes zero periodic wakeups —
-//! asserted the same way as the broker's idle event loops — and each worker
-//! buffers its metric updates in a private [`MetricsDelta`] shard,
-//! paying the shared-hub lock once per flush instead of once per
-//! counter bump in hot operator code.
+//! Nothing reaches a stage but a post to its owner's inbox: the stage,
+//! the work item and its arrival time. The owner swaps the inbox out
+//! once a turn into a buffer it keeps, so posts are folded into the
+//! mailboxes in the order they were made. A poster wakes the owner only
+//! when it finds the inbox empty: a non-empty inbox has a wake pending,
+//! because the owner swaps it out only under the same lock it parks on.
+//! A worker parks, with no timeout, only when its inbox is empty and none
+//! of its stages has queued work, so an idle pool makes zero periodic
+//! wakeups (asserted the same way as the broker's idle event loops).
+//!
+//! ## A turn
+//!
+//! [`Worker::turn`] folds the inbox into the owned mailboxes, then steps
+//! each owned stage once, so a deep mailbox cannot starve its
+//! neighbours. A step's eligible flow emissions are posted to their
+//! destinations' owners ([`Handoff`]); egress and fallbacks go to the
+//! `deliver` callback, wired back to the node thread, which stays the
+//! sole publisher. At the end of a turn the owner copies each of its
+//! stages' [`StageStats`] and [`ShedPolicy`] into the stage's published
+//! slot, which [`ExecutorGraph::stats`] and
+//! [`ExecutorGraph::policy`] read. A pool thread runs turns in a loop; a
+//! test may run them itself, in any order, on one thread.
+//!
+//! `Block` backpressure is a per-stage credit the poster takes. Only the
+//! node thread ever waits for it, and workers never wait on each other:
+//! the argument is in [`crate::executor::handoff`].
+//!
+//! An operator that panics loses the work item it was running, not its
+//! stage: the owner catches the panic and keeps serving its stages.
+//! [`WorkerPool::stop`] joins the workers and hands their stages back to
+//! the graph, each with what was posted for it and not yet folded queued
+//! in order; the node then runs that backlog inline.
+//!
+//! Zero-clone fan-out crosses workers: one `WorkItem::SharedBatch`
+//! posted to several stages may be popped on different workers, and the
+//! last handle alive unwraps the batch in place while earlier ones
+//! clone, so in pooled mode the clone count depends on drain order.
+//! Each worker buffers its metric updates in a private [`MetricsDelta`]
+//! shard, paying the shared-hub lock once per flush.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
 use ifot_netsim::metrics::{Metrics, MetricsDelta};
+use ifot_netsim::rng::SimRng;
 
+use crate::config::ShedPolicy;
 use crate::env::NodeEnv;
-use crate::executor::handoff::{DirectHandoff, PlanCache};
-use crate::executor::StageCell;
+use crate::executor::handoff::Handoff;
+use crate::executor::router::StageRoute;
+use crate::executor::{ExecutorGraph, ExecutorStage, StageStats, Stages, WorkItem};
 use crate::operators::OpOutput;
 
 /// Receives `(stage_index, outputs)` batches from worker threads.
 pub type DeliverFn = Arc<dyn Fn(usize, Vec<OpOutput>) + Send + Sync>;
 
-/// Buffered metric entries that trigger a shard flush mid-stream (idle
-/// transitions and worker exit always flush regardless).
+/// Buffered metric entries that trigger a shard flush mid-stream (going
+/// idle and worker exit always flush regardless).
 const METRIC_SHARD_FLUSH: usize = 256;
+
+/// Work posted for a stage: `(stage, work item, arrival time)`.
+type Post = (usize, WorkItem, u64);
+
+/// Locks `m`, taking over the data of a holder that panicked: every
+/// update made under these locks (a push, a swap, a copy) leaves the
+/// data valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The [`NodeEnv`] worker threads execute operators against: live
 /// monotone time, a per-worker metric shard flushed in bulk to the
@@ -66,19 +98,16 @@ struct WorkerEnv {
     metrics: Arc<Mutex<Metrics>>,
     shard: MetricsDelta,
     speed: Option<f64>,
-    rng_state: u64,
+    rng: SimRng,
 }
 
 impl WorkerEnv {
     /// Merges the private shard into the shared hub (one lock per
-    /// flush). Called on idle transitions, at worker exit, and when the
-    /// shard outgrows [`METRIC_SHARD_FLUSH`].
+    /// flush). Called before parking, at worker exit, and when the shard
+    /// outgrows [`METRIC_SHARD_FLUSH`].
     fn flush_metrics(&mut self) {
         if !self.shard.is_empty() {
-            self.metrics
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .absorb(&mut self.shard);
+            lock(&self.metrics).absorb(&mut self.shard);
         }
     }
 
@@ -129,12 +158,7 @@ impl NodeEnv for WorkerEnv {
     }
 
     fn rand_u64(&mut self) -> u64 {
-        // SplitMix64 seeded per worker at spawn.
-        self.rng_state = self.rng_state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
+        self.rng.next_u64()
     }
 }
 
@@ -161,12 +185,337 @@ impl std::fmt::Debug for WorkerRuntime {
     }
 }
 
+/// One worker's inbox.
+#[derive(Debug, Default)]
+struct Inbox {
+    state: Mutex<InboxState>,
+    /// Signalled by the poster that finds the inbox empty, and at stop.
+    wake: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct InboxState {
+    /// Posted since the worker last swapped the inbox out.
+    posts: Vec<Post>,
+    stopped: bool,
+}
+
+/// What a stage's `Block` credit is counted from.
+#[derive(Debug)]
+struct Credit {
+    /// Entries posted for the stage and not yet popped or shed: its
+    /// owner's inbox share plus its mailbox.
+    queued: AtomicUsize,
+    /// Whether a flow post must take credit: the stage's policy is still
+    /// `Block` (cleared by its owner when it escalates).
+    blocking: AtomicBool,
+    capacity: usize,
+}
+
+/// What the pool's threads share: the inboxes, each stage's credit and
+/// published figures, and the node thread's credit wait.
+#[derive(Debug)]
+pub(crate) struct Shared {
+    inboxes: Vec<Inbox>,
+    credit: Vec<Credit>,
+    /// Per stage, its owner's copy of `(stats, policy)` as of the end of
+    /// the owner's last turn.
+    published: Vec<Mutex<(StageStats, ShedPolicy)>>,
+    /// Set while the node thread waits for credit.
+    waiting: AtomicBool,
+    space: Mutex<()>,
+    space_freed: Condvar,
+    turns: AtomicU64,
+}
+
+impl Shared {
+    /// Takes one entry of `stage`'s credit. A flow entry (`sheddable`)
+    /// for a blocking stage needs one to be left; anything else is
+    /// counted and always admitted.
+    fn reserve(&self, stage: usize, sheddable: bool) -> bool {
+        let credit = &self.credit[stage];
+        if sheddable && credit.blocking.load(Ordering::SeqCst) {
+            credit
+                .queued
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |q| {
+                    (q < credit.capacity).then_some(q + 1)
+                })
+                .is_ok()
+        } else {
+            credit.queued.fetch_add(1, Ordering::SeqCst);
+            true
+        }
+    }
+
+    /// Gives `n` entries of credit back to `stage` and wakes the node
+    /// thread if it waits for some. The node thread sets `waiting` before
+    /// it checks the credit, and both sides use `SeqCst`: either its check
+    /// sees this release, or this load sees `waiting` and the wake-up
+    /// lands after it waits (it holds `space` from the check to the wait).
+    fn release(&self, stage: usize, n: usize) {
+        self.credit[stage].queued.fetch_sub(n, Ordering::SeqCst);
+        if self.waiting.load(Ordering::SeqCst) {
+            drop(lock(&self.space));
+            self.space_freed.notify_one();
+        }
+    }
+
+    /// Takes a flow entry of credit at every route, or at none.
+    pub(crate) fn reserve_all(&self, routes: &[StageRoute]) -> bool {
+        for (k, route) in routes.iter().enumerate() {
+            if !self.reserve(route.stage, true) {
+                for taken in &routes[..k] {
+                    self.release(taken.stage, 1);
+                }
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Appends work whose credit is taken to its owner's inbox, waking the
+    /// owner if the inbox was empty.
+    pub(crate) fn post(&self, stage: usize, work: WorkItem, at_ns: u64) {
+        let inbox = &self.inboxes[stage % self.inboxes.len()];
+        let mut state = lock(&inbox.state);
+        state.posts.push((stage, work, at_ns));
+        let first = state.posts.len() == 1;
+        drop(state);
+        if first {
+            inbox.wake.notify_one();
+        }
+    }
+
+    /// The node thread's post: out of credit for a blocking stage, it
+    /// waits until the stage's owner gives some back. Only one thread may
+    /// call this at a time.
+    pub(crate) fn admit(&self, stage: usize, work: WorkItem, at_ns: u64) {
+        let sheddable = work.sheddable();
+        if !self.reserve(stage, sheddable) {
+            let mut space = lock(&self.space);
+            self.waiting.store(true, Ordering::SeqCst);
+            while !self.reserve(stage, sheddable) {
+                space = self
+                    .space_freed
+                    .wait(space)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            self.waiting.store(false, Ordering::SeqCst);
+        }
+        self.post(stage, work, at_ns);
+    }
+
+    /// Stage `stage`'s figures as its owner last published them.
+    pub(crate) fn published(&self, stage: usize) -> (StageStats, ShedPolicy) {
+        lock(&self.published[stage]).clone()
+    }
+
+    /// Swaps what was posted to `worker` into `posts` (which must be
+    /// empty), parking first until something is posted if `park`;
+    /// `false` once the pool is stopped.
+    fn take_posts(&self, worker: usize, posts: &mut Vec<Post>, park: bool) -> bool {
+        let inbox = &self.inboxes[worker];
+        let mut state = lock(&inbox.state);
+        while park && state.posts.is_empty() && !state.stopped {
+            state = inbox
+                .wake
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        std::mem::swap(&mut state.posts, posts);
+        !state.stopped
+    }
+}
+
+/// One worker's share of a graph: the stages it owns outright and what
+/// it keeps from turn to turn. Made by [`ExecutorGraph::deal`] and handed
+/// back with [`ExecutorGraph::reclaim`]; a [`WorkerPool`] thread runs
+/// its turns, or a test does.
+#[derive(Debug)]
+pub struct Worker {
+    index: usize,
+    shared: Arc<Shared>,
+    handoff: Arc<Handoff>,
+    /// The owned stages with their graph indices, ascending.
+    stages: Vec<(usize, ExecutorStage)>,
+    /// The inbox as last swapped out; folded, it keeps its room.
+    posts: Vec<Post>,
+    /// One step's outputs, kept across steps: only what goes to the node
+    /// thread is allocated.
+    out: Vec<OpOutput>,
+}
+
+impl Worker {
+    /// One turn: folds what was posted into the owned mailboxes, then
+    /// steps each owned stage that has work once, handing its eligible
+    /// emissions off and everything else to `deliver`. Returns whether
+    /// anything was folded or run.
+    pub fn turn(
+        &mut self,
+        env: &mut dyn NodeEnv,
+        deliver: &mut dyn FnMut(usize, Vec<OpOutput>),
+    ) -> bool {
+        self.shared.take_posts(self.index, &mut self.posts, false);
+        self.work(env, deliver)
+    }
+
+    fn work(
+        &mut self,
+        env: &mut dyn NodeEnv,
+        deliver: &mut dyn FnMut(usize, Vec<OpOutput>),
+    ) -> bool {
+        self.shared.turns.fetch_add(1, Ordering::Relaxed);
+        let mut worked = !self.posts.is_empty();
+        for (stage, work, at_ns) in self.posts.drain(..) {
+            // Dealt round-robin: stage i is this worker's (i / workers)-th.
+            let owned = &mut self.stages[stage / self.shared.inboxes.len()].1;
+            let before = owned.depth();
+            owned.enqueue(work, at_ns);
+            // A shed entry, the newcomer or the oldest, leaves the books.
+            let shed = before + 1 - owned.depth();
+            if shed > 0 {
+                self.shared.release(stage, shed);
+            }
+        }
+        for (stage, owned) in &mut self.stages {
+            let stage = *stage;
+            if owned.depth() > 0 {
+                worked = true;
+                let out = &mut self.out;
+                let policy = owned.policy();
+                if catch_unwind(AssertUnwindSafe(|| owned.step(env, out))).is_err() {
+                    // What the panicking call appended is not a result.
+                    out.clear();
+                }
+                if owned.policy() != policy {
+                    self.shared.credit[stage]
+                        .blocking
+                        .store(false, Ordering::SeqCst);
+                }
+                self.shared.release(stage, 1);
+                self.handoff
+                    .apply(&self.shared, env, stage, &mut owned.stats, out);
+                if !out.is_empty() {
+                    // A list of its own for the node thread: `out` keeps
+                    // its buffer, which `mem::take` would hand over.
+                    #[allow(clippy::drain_collect)]
+                    let leftover = out.drain(..).collect();
+                    deliver(stage, leftover);
+                }
+            }
+            *lock(&self.shared.published[stage]) = (owned.stats.clone(), owned.policy());
+        }
+        worked
+    }
+
+    /// A pool thread's loop: turns until the pool stops, parking whenever
+    /// there is nothing to do.
+    fn run(mut self, env: &mut WorkerEnv, deliver: &DeliverFn) -> Worker {
+        let deliver = &mut |stage, outputs| deliver(stage, outputs);
+        loop {
+            let mut running = self.shared.take_posts(self.index, &mut self.posts, false);
+            if running && self.posts.is_empty() && self.stages.iter().all(|(_, s)| s.depth() == 0) {
+                // Going idle: surface buffered metrics, then park with no
+                // timeout.
+                env.flush_metrics();
+                running = self.shared.take_posts(self.index, &mut self.posts, true);
+            }
+            if !running {
+                break;
+            }
+            self.work(env, deliver);
+        }
+        env.flush_metrics();
+        self
+    }
+}
+
+impl ExecutorGraph {
+    /// Deals the stages out to `workers` owners, stage *i* to worker *i*
+    /// mod `workers`. From now on [`Self::offer`] and [`Self::enqueue`]
+    /// post to the owner's inbox, and [`Self::stats`] and
+    /// [`Self::policy`] read what the owners publish, until
+    /// [`Self::reclaim`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers` is 0 or the stages are dealt already.
+    pub fn deal(&self, workers: usize) -> Vec<Worker> {
+        assert!(workers > 0, "a pool has at least one worker");
+        let mut slot = self.stages.borrow_mut();
+        let Stages::Inline(stages) = &mut *slot else {
+            panic!("the stages are dealt already");
+        };
+        let stages = std::mem::take(stages);
+        let shared = Arc::new(Shared {
+            inboxes: (0..workers).map(|_| Inbox::default()).collect(),
+            credit: stages
+                .iter()
+                .map(|stage| Credit {
+                    queued: AtomicUsize::new(stage.depth()),
+                    blocking: AtomicBool::new(stage.policy() == ShedPolicy::Block),
+                    capacity: stage.capacity,
+                })
+                .collect(),
+            published: stages
+                .iter()
+                .map(|stage| Mutex::new((stage.stats.clone(), stage.policy())))
+                .collect(),
+            waiting: AtomicBool::new(false),
+            space: Mutex::new(()),
+            space_freed: Condvar::new(),
+            turns: AtomicU64::new(0),
+        });
+        *slot = Stages::Pooled(Arc::clone(&shared));
+        let mut dealt: Vec<Worker> = (0..workers)
+            .map(|index| Worker {
+                index,
+                shared: Arc::clone(&shared),
+                handoff: Arc::clone(&self.handoff),
+                stages: Vec::new(),
+                posts: Vec::new(),
+                out: Vec::new(),
+            })
+            .collect();
+        for (i, stage) in stages.into_iter().enumerate() {
+            dealt[i % workers].stages.push((i, stage));
+        }
+        dealt
+    }
+
+    /// Takes the stages back from every worker [`Self::deal`] made, each
+    /// with what was posted for it and not yet run queued in its mailbox,
+    /// in order ([`Self::step`] runs it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stages are not dealt, or a worker is missing.
+    pub fn reclaim(&self, workers: Vec<Worker>) {
+        let mut slot = self.stages.borrow_mut();
+        let Stages::Pooled(shared) = &*slot else {
+            panic!("the stages are not dealt");
+        };
+        assert_eq!(workers.len(), shared.inboxes.len(), "a worker is missing");
+        let mut owned = Vec::new();
+        let mut posts = Vec::new();
+        for mut worker in workers {
+            posts.append(&mut worker.posts);
+            posts.append(&mut lock(&shared.inboxes[worker.index].state).posts);
+            owned.append(&mut worker.stages);
+        }
+        owned.sort_by_key(|(index, _)| *index);
+        let mut stages: Vec<ExecutorStage> = owned.into_iter().map(|(_, stage)| stage).collect();
+        for (stage, work, at_ns) in posts {
+            stages[stage].enqueue(work, at_ns);
+        }
+        *slot = Stages::Inline(stages);
+    }
+}
+
 /// A running pool of stage workers for one node.
 pub struct WorkerPool {
-    stop: Arc<AtomicBool>,
-    signal: Arc<(Mutex<u64>, Condvar)>,
-    scans: Arc<AtomicU64>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    shared: Arc<Shared>,
+    handles: Vec<std::thread::JoinHandle<Worker>>,
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -178,137 +527,70 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `workers` threads draining `cells`; outputs go to
-    /// `deliver`, except the intra-node flow hops `handoff` delivers
-    /// worker-to-stage directly.
+    /// Deals `graph`'s stages to `workers` threads (no more than there
+    /// are stages) and starts them; outputs go to `deliver`, except the
+    /// intra-node flow hops the workers post to each other.
     pub fn spawn(
         name: &str,
         workers: usize,
-        cells: Vec<Arc<StageCell>>,
+        graph: &ExecutorGraph,
         deliver: DeliverFn,
-        handoff: Arc<DirectHandoff>,
         runtime: WorkerRuntime,
     ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let signal = Arc::new((Mutex::new(0u64), Condvar::new()));
-        let scans = Arc::new(AtomicU64::new(0));
-        let handles = (0..workers)
-            .map(|w| {
-                let cells = cells.clone();
+        let dealt = graph.deal(workers.min(graph.len()).max(1));
+        let shared = Arc::clone(&dealt[0].shared);
+        let handles = dealt
+            .into_iter()
+            .map(|worker| {
+                let w = worker.index;
                 let deliver = Arc::clone(&deliver);
-                let handoff = Arc::clone(&handoff);
-                let stop = Arc::clone(&stop);
-                let signal = Arc::clone(&signal);
-                let scans = Arc::clone(&scans);
                 let mut env = WorkerEnv {
                     epoch: runtime.epoch,
                     metrics: Arc::clone(&runtime.metrics),
                     shard: MetricsDelta::new(),
                     speed: runtime.speed,
-                    rng_state: runtime.seed
-                        ^ (0xA076_1D64_78BD_642F_u64.wrapping_mul(w as u64 + 1)),
+                    rng: SimRng::seed_from(
+                        runtime.seed ^ (0xA076_1D64_78BD_642F_u64.wrapping_mul(w as u64 + 1)),
+                    ),
                 };
                 std::thread::Builder::new()
                     .name(format!("ifot-{name}-w{w}"))
-                    .spawn(move || {
-                        let mut plans = PlanCache::new();
-                        // Every step's outputs, kept across steps: only
-                        // what goes to the node thread is allocated.
-                        let mut out = Vec::new();
-                        let mut woke_from_wait = false;
-                        while !stop.load(Ordering::Acquire) {
-                            let observed = *signal.0.lock().unwrap_or_else(PoisonError::into_inner);
-                            scans.fetch_add(1, Ordering::Relaxed);
-                            let mut did_work = false;
-                            let mut handed_off = false;
-                            // One item per stage per pass: fairness over
-                            // throughput so no stage starves. Each worker
-                            // starts its scan at a different stage so the
-                            // pool spreads across stages instead of
-                            // convoying on the first busy one.
-                            for i in 0..cells.len() {
-                                let index = (w + i) % cells.len();
-                                if let Some(outcome) = cells[index].step_pooled_handoff(
-                                    &mut env, index, &handoff, &mut plans, &mut out,
-                                ) {
-                                    did_work = true;
-                                    handed_off |= outcome.direct > 0;
-                                    if !out.is_empty() {
-                                        // A list of its own for the node
-                                        // thread: `out` keeps its buffer,
-                                        // which `mem::take` would hand over.
-                                        #[allow(clippy::drain_collect)]
-                                        let leftover = out.drain(..).collect();
-                                        deliver(index, leftover);
-                                    }
-                                }
-                            }
-                            // A wakeup that found nothing runnable was
-                            // spurious (e.g. a peer raced us to the work).
-                            if woke_from_wait && !did_work {
-                                env.add("worker_spurious_wakeups", 1);
-                            }
-                            woke_from_wait = false;
-                            if handed_off {
-                                // Direct deliveries bypass the node
-                                // thread's notify: wake idle peers so the
-                                // destination stage is drained promptly.
-                                let (lock, cvar) = &*signal;
-                                *lock.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-                                cvar.notify_all();
-                            }
-                            if !did_work {
-                                // Going idle: surface buffered metrics
-                                // before parking, then wait with no
-                                // timeout — an idle pool makes zero
-                                // periodic wakeups.
-                                env.flush_metrics();
-                                let (lock, cvar) = &*signal;
-                                let version = lock.lock().unwrap_or_else(PoisonError::into_inner);
-                                if *version == observed && !stop.load(Ordering::Acquire) {
-                                    drop(
-                                        cvar.wait(version).unwrap_or_else(PoisonError::into_inner),
-                                    );
-                                    woke_from_wait = true;
-                                }
-                            }
-                        }
-                        env.flush_metrics();
-                    })
+                    .spawn(move || worker.run(&mut env, &deliver))
                     .expect("spawning a stage worker succeeds")
             })
             .collect();
-        WorkerPool {
-            stop,
-            signal,
-            scans,
-            handles,
+        WorkerPool { shared, handles }
+    }
+
+    /// Turns run by all workers. Strictly monotone while any worker has
+    /// work; *constant* while the pool is idle — the zero-periodic-wakeup
+    /// assertion reads it twice.
+    pub fn turn_count(&self) -> u64 {
+        self.shared.turns.load(Ordering::Relaxed)
+    }
+
+    /// Stops and joins every worker, flushing their metric shards, and
+    /// hands their stages back to `graph` with the work posted for them
+    /// and not yet run queued in order (the caller runs or discards it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker thread panicked outside an operator.
+    pub fn stop(self, graph: &ExecutorGraph) {
+        for inbox in &self.shared.inboxes {
+            lock(&inbox.state).stopped = true;
+            inbox.wake.notify_one();
         }
-    }
-
-    /// Wakes idle workers after new work was enqueued.
-    pub fn notify_work(&self) {
-        let (lock, cvar) = &*self.signal;
-        *lock.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-        cvar.notify_all();
-    }
-
-    /// Total scan passes performed by all workers. Strictly monotone
-    /// while any worker is runnable; *constant* while the pool is idle —
-    /// the zero-periodic-wakeup assertion reads it twice.
-    pub fn scan_count(&self) -> u64 {
-        self.scans.load(Ordering::Relaxed)
-    }
-
-    /// Stops and joins every worker (queued work may remain unprocessed;
-    /// the caller drains or discards it). Worker metric shards are
-    /// flushed on the way out.
-    pub fn stop(self) {
-        self.stop.store(true, Ordering::Release);
-        self.notify_work();
-        for handle in self.handles {
-            let _ = handle.join();
-        }
+        let workers = self
+            .handles
+            .into_iter()
+            .map(|handle| {
+                handle
+                    .join()
+                    .expect("a worker catches its operators' panics")
+            })
+            .collect();
+        graph.reclaim(workers);
     }
 }
 
@@ -316,9 +598,11 @@ impl WorkerPool {
 mod tests {
     use super::*;
     use crate::config::{ExecutorConfig, OperatorKind, OperatorSpec};
-    use crate::executor::ExecutorGraph;
+    use crate::env::MockEnv;
+    use crate::flow::FlowItem;
+    use ifot_ml::feature::Datum;
 
-    fn idle_pool() -> (WorkerPool, Arc<Mutex<Metrics>>) {
+    fn graph() -> ExecutorGraph {
         let specs = vec![OperatorSpec::sink(
             "ingest",
             OperatorKind::Custom {
@@ -330,14 +614,27 @@ mod tests {
             workers: 2,
             ..ExecutorConfig::default()
         };
-        let graph = ExecutorGraph::compile(specs, &config);
+        ExecutorGraph::compile(specs, &config)
+    }
+
+    fn item(seq: u64) -> WorkItem {
+        WorkItem::Item(FlowItem {
+            topic: "sensor/a".into(),
+            origin_ts_ns: seq,
+            seq,
+            datum: Datum::new().with("x", seq as f64),
+            label: None,
+            score: None,
+        })
+    }
+
+    fn spawn(graph: &ExecutorGraph) -> (WorkerPool, Arc<Mutex<Metrics>>) {
         let metrics = Arc::new(Mutex::new(Metrics::new()));
         let pool = WorkerPool::spawn(
             "idle-test",
             2,
-            graph.cells(),
+            graph,
             Arc::new(|_, _| {}),
-            graph.direct_handoff(),
             WorkerRuntime {
                 epoch: Instant::now(),
                 metrics: Arc::clone(&metrics),
@@ -349,55 +646,76 @@ mod tests {
     }
 
     /// The idle-broker assertion, ported to the pool: once every
-    /// worker has parked, the scan counter must not move — an idle pool
+    /// worker has parked, the turn counter must not move — an idle pool
     /// makes zero periodic wakeups (the old 5 ms poll made ~200/s per
     /// worker).
     #[test]
     fn idle_pool_makes_zero_periodic_wakeups() {
-        let (pool, _metrics) = idle_pool();
-        // Let the initial scans settle: wait until the counter is stable
+        let graph = graph();
+        let (pool, _metrics) = spawn(&graph);
+        // Let the first turns settle: wait until the counter is stable
         // across a full settle window.
-        let mut last = pool.scan_count();
+        let mut last = pool.turn_count();
         for _ in 0..200 {
             std::thread::sleep(Duration::from_millis(5));
-            let now = pool.scan_count();
+            let now = pool.turn_count();
             if now == last {
                 break;
             }
             last = now;
         }
-        let settled = pool.scan_count();
+        let settled = pool.turn_count();
         // A quarter second is 50 poll periods of the old 5 ms timeout:
         // any surviving periodic wakeup would move the counter.
         std::thread::sleep(Duration::from_millis(250));
         assert_eq!(
-            pool.scan_count(),
+            pool.turn_count(),
             settled,
             "idle workers must not wake periodically"
         );
-        // notify_work still wakes them (one scan pass per worker, then
-        // they park again).
-        pool.notify_work();
-        std::thread::sleep(Duration::from_millis(100));
-        assert!(
-            pool.scan_count() > settled,
-            "notify_work must wake the pool"
-        );
-        pool.stop();
+        // A post wakes its owner.
+        graph.enqueue(0, item(1), 0);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while pool.turn_count() == settled {
+            assert!(Instant::now() < deadline, "a post must wake its owner");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        pool.stop(&graph);
     }
 
     /// Worker metric shards flush at exit: counters buffered privately
     /// must land in the shared hub after `stop()`.
     #[test]
     fn worker_metric_shards_flush_on_stop() {
-        let (pool, metrics) = idle_pool();
-        std::thread::sleep(Duration::from_millis(20));
-        pool.notify_work();
-        std::thread::sleep(Duration::from_millis(20));
-        pool.stop();
-        // Waking an idle pool with no work produces spurious wakeups,
-        // which reach the hub through the shard path.
-        let hub = metrics.lock().unwrap_or_else(PoisonError::into_inner);
-        assert!(hub.counter("worker_spurious_wakeups") >= 1);
+        let graph = graph();
+        let (pool, metrics) = spawn(&graph);
+        graph.enqueue(0, item(1), 0);
+        while graph.stats(0).processed == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        pool.stop(&graph);
+        assert_eq!(lock(&metrics).counter("custom_ingest"), 1);
+    }
+
+    /// What was posted and never folded comes back with its stage, in
+    /// order, and runs inline.
+    #[test]
+    fn reclaim_queues_unfolded_posts_in_order() {
+        let graph = graph();
+        let workers = graph.deal(2);
+        for seq in 0..3 {
+            graph.enqueue(0, item(seq), seq);
+        }
+        graph.reclaim(workers);
+        assert_eq!(graph.stats(0).depth, 3);
+        let mut env = MockEnv::new();
+        env.now_ns = 10;
+        let mut out = Vec::new();
+        let mut waits = Vec::new();
+        while graph.step(&mut env, 0, &mut out) {
+            waits.push(graph.stats(0).wait_ns_total);
+        }
+        // Waits of 10, 9 and 8 ns: the posts of times 0, 1, 2, in order.
+        assert_eq!(waits, vec![10, 19, 27]);
     }
 }

@@ -1,5 +1,5 @@
-//! Intra-node flow routing: memoized topic→stage resolution and the one
-//! fan-out rule.
+//! Intra-node flow routing: topic→stage resolution and the one fan-out
+//! rule.
 //!
 //! Which stages get which items of a group, who takes them by move and
 //! who clones is decided here and nowhere else. The rule is a function
@@ -8,27 +8,22 @@
 //! [`materialize`] builds exactly one [`WorkItem`] per such route. Wire
 //! ingress, the node thread's local emissions and the worker handoff all
 //! call the pair and differ only in how they *admit* the resulting
-//! `(route, work item)`: run to completion, blocking enqueue, or
-//! try-enqueue (the handoff takes its ingress locks and tries the
-//! capacity between the two halves).
+//! `(route, work item)`: run to completion, a post that waits for
+//! credit, or a post that takes credit or falls back (the handoff takes
+//! credit at every destination between the two halves).
 //!
-//! Resolution is memoized per topic. [`SharedRouteView`] owns the specs
-//! the graph was compiled from — they never change afterwards, so a
-//! resolved plan is good for the graph's lifetime — and the memo, which
-//! a capacity cap clears when full.
+//! A plan is resolved against the specs the graph was compiled from,
+//! which never change afterwards, so it is good for the graph's
+//! lifetime: the node thread memoizes plans per topic in the graph, and
+//! each stage's handoff plan is resolved once, at compile.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use crate::config::OperatorSpec;
 use crate::executor::WorkItem;
 use crate::flow::FlowItem;
 use crate::wire::DecodedItems;
-
-/// Resolved plans cached per topic, in the shared table and in each
-/// thread's own memo; cleared when full.
-const ROUTE_CACHE_CAP: usize = 1024;
 
 /// One accepting stage in a [`RoutePlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,7 +76,7 @@ impl RoutePlan {
 /// Plan half of the fan-out rule: the routes of `plan` that receive at
 /// least one item of a group whose sequence numbers are `seqs`, in
 /// stage order. Nothing is consumed, so a caller may still abandon the
-/// delivery (the worker handoff does, on a saturated destination).
+/// delivery (the worker handoff does, on a destination out of credit).
 /// Borrows the plan when every route claims something — always the case
 /// without sharded routes — so the common dispatch allocates nothing
 /// here.
@@ -221,60 +216,6 @@ fn materialize_one(
             WorkItem::Item(it.expect("taken only by the last route")),
         );
     }
-}
-
-/// The route table the node thread and the worker pool both resolve
-/// through, each behind its own
-/// [`crate::executor::handoff::PlanCache`]: the graph's operator specs,
-/// fixed at [`crate::executor::ExecutorGraph::compile`], and the plans
-/// resolved against them so far. The specs are read without a lock; the
-/// mutex guards the memo alone and is taken only when a thread's own
-/// cache misses.
-#[derive(Debug)]
-pub struct SharedRouteView {
-    specs: Vec<OperatorSpec>,
-    plans: Mutex<HashMap<String, Arc<RoutePlan>>>,
-}
-
-impl SharedRouteView {
-    /// The route table over `specs`.
-    pub fn new(specs: Vec<OperatorSpec>) -> Self {
-        SharedRouteView {
-            specs,
-            plans: Mutex::default(),
-        }
-    }
-
-    /// The operator specs, indexed like the stages.
-    pub fn specs(&self) -> &[OperatorSpec] {
-        &self.specs
-    }
-
-    /// The memoized plan for `topic`, resolving and inserting on miss.
-    pub fn resolve(&self, topic: &str) -> Arc<RoutePlan> {
-        let mut plans = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
-        memoized(&mut plans, topic, || {
-            Arc::new(RoutePlan::resolve(&self.specs, topic))
-        })
-    }
-}
-
-/// The plan `plans` holds for `topic`, made by `resolve` and kept on a
-/// miss. A hit allocates nothing; a full memo is cleared first.
-pub(super) fn memoized(
-    plans: &mut HashMap<String, Arc<RoutePlan>>,
-    topic: &str,
-    resolve: impl FnOnce() -> Arc<RoutePlan>,
-) -> Arc<RoutePlan> {
-    if let Some(plan) = plans.get(topic) {
-        return Arc::clone(plan);
-    }
-    let plan = resolve();
-    if plans.len() >= ROUTE_CACHE_CAP {
-        plans.clear();
-    }
-    plans.insert(topic.to_owned(), Arc::clone(&plan));
-    plan
 }
 
 #[cfg(test)]
@@ -478,20 +419,5 @@ mod tests {
             ]
         );
         assert!(RoutePlan::resolve(&specs, "u/1").is_empty());
-    }
-
-    #[test]
-    fn route_table_memoizes_and_the_cap_clears_instead_of_growing() {
-        let view = SharedRouteView::new(vec![custom("a", vec!["s/#".into()])]);
-        let plan = view.resolve("s/1");
-        assert_eq!(plan.stages, vec![route(0, None)]);
-        // A hit shares the memoized plan.
-        assert!(Arc::ptr_eq(&plan, &view.resolve("s/1")));
-        assert!(view.resolve("t/1").is_empty());
-        for i in 0..(ROUTE_CACHE_CAP + 8) {
-            view.resolve(&format!("s/{i}"));
-        }
-        let memo = view.plans.lock().unwrap_or_else(PoisonError::into_inner);
-        assert!(memo.len() <= ROUTE_CACHE_CAP);
     }
 }

@@ -41,9 +41,9 @@ use ifot_sensors::sample::{Sample, SAMPLE_WIRE_SIZE};
 use crate::config::{ActuatorKindSpec, NodeConfig, ShedPolicy};
 use crate::costs;
 use crate::env::NodeEnv;
-use crate::executor::handoff::{plain_flow_topic, DirectHandoff};
+use crate::executor::handoff::plain_flow_topic;
 use crate::executor::router;
-use crate::executor::{ControlMsg, ExecutorGraph, OpTimer, StageCell, StageStats, WorkItem};
+use crate::executor::{ControlMsg, ExecutorGraph, OpTimer, StageStats, WorkItem};
 use crate::flow::{topics, FlowBatch, FlowItem, FlowMessage, Name};
 use crate::operators::{ClassifierModel, MixEnvelope, NodeEvent, OpOutput};
 use crate::wire::{encode_batch_binary, encode_message_binary, encode_mix_binary, DecodedItems};
@@ -305,10 +305,6 @@ pub struct MiddlewareNode {
     /// Monotone announcement revision: bumped every [`Self::announce`]
     /// so directories can reject stale retained announcements.
     announce_revision: u64,
-    /// Whether a worker pool executes the stages: dispatch then only
-    /// enqueues; otherwise it runs each stage inline (the inline executor
-    /// is the pool's zero-worker case).
-    pooled: bool,
 }
 
 impl MiddlewareNode {
@@ -422,7 +418,6 @@ impl MiddlewareNode {
             batch_timer_armed: false,
             shed_policy_seen,
             announce_revision: 0,
-            pooled: false,
             producer: config.name.as_str().into(),
             config,
         }
@@ -516,27 +511,24 @@ impl MiddlewareNode {
             .collect()
     }
 
-    /// Shared stage handles for the worker pool (thread runtime).
-    pub(crate) fn executor_cells(&self) -> Vec<Arc<StageCell>> {
-        self.executor.cells()
+    /// The executor graph, for the thread runtime's worker pool: while
+    /// the pool holds its stages, dispatch posts to their owners.
+    pub(crate) fn executor(&self) -> &ExecutorGraph {
+        &self.executor
     }
 
-    /// The worker-side router for the pool.
-    pub(crate) fn worker_handoff(&self) -> Arc<DirectHandoff> {
-        self.executor.direct_handoff()
-    }
-
-    /// Switches dispatch to pooled mode: work is enqueued for a worker
-    /// pool instead of being drained inline on this thread.
-    pub(crate) fn engage_pool(&mut self) {
-        self.pooled = true;
-    }
-
-    /// Back to inline dispatch, once the pool's workers are gone: what
-    /// they left queued is then run to completion on this thread (an
-    /// enqueue nobody pops could block forever).
-    pub(crate) fn disengage_pool(&mut self) {
-        self.pooled = false;
+    /// Runs inline what a stopped worker pool left queued, feeding the
+    /// outputs on like any inline step; whether anything ran.
+    pub(crate) fn run_backlog(&mut self, env: &mut dyn NodeEnv) -> bool {
+        let mut ran = false;
+        let mut outputs = Vec::new();
+        for stage in 0..self.executor.len() {
+            while self.executor.step(env, stage, &mut outputs) {
+                ran = true;
+                self.handle_outputs(env, stage, &mut outputs);
+            }
+        }
+        ran
     }
 
     /// The node's placement: one entry per operator spec with its
@@ -1387,10 +1379,10 @@ impl MiddlewareNode {
         });
     }
 
-    /// Hands one work item to a stage: pooled stages are enqueued for
-    /// the worker pool (blocking while a `Block` mailbox is full),
-    /// inline stages run to completion and feed any emitted output back
-    /// into the local dispatch chain.
+    /// Hands one work item to a stage: a pooled stage's owner gets it
+    /// posted (waiting while a `Block` stage has no credit), an inline
+    /// stage runs to completion and feeds any emitted output back into
+    /// the local dispatch chain.
     fn deliver_work(
         &mut self,
         env: &mut dyn NodeEnv,
@@ -1398,14 +1390,12 @@ impl MiddlewareNode {
         work: WorkItem,
         queue: &mut VecDeque<Hop>,
     ) {
-        if self.pooled {
-            self.executor.enqueue(stage, work, env.now_ns());
-        } else {
-            let mut outputs = std::mem::take(&mut self.stage_out);
-            self.executor.offer(env, stage, work, &mut outputs);
+        let mut outputs = std::mem::take(&mut self.stage_out);
+        self.executor.offer(env, stage, work, &mut outputs);
+        if !outputs.is_empty() {
             self.process_outputs(env, stage, &mut outputs, queue);
-            self.stage_out = outputs;
         }
+        self.stage_out = outputs;
     }
 
     /// Performs the outputs a worker could not deliver itself, leaving
@@ -1842,7 +1832,7 @@ mod tests {
     struct Observed {
         /// Per stage: work items executed, of which batches, items in them.
         grouping: Vec<(u64, u64, u64)>,
-        /// Per leaf: origin timestamps in the leaf's execution order.
+        /// Per leaf: origin timestamps in the order they reached egress.
         egress: Vec<Vec<u64>>,
         /// `(encode_message, decode_items_lean)` calls on the node thread.
         codec_calls: (u64, u64),
@@ -1894,15 +1884,13 @@ mod tests {
         }
         let (tx, rx) = std::sync::mpsc::channel::<(usize, Vec<OpOutput>)>();
         let pool = (workers > 0).then(|| {
-            node.engage_pool();
             WorkerPool::spawn(
                 "equivalence",
                 workers,
-                node.executor_cells(),
+                &node.executor,
                 Arc::new(move |index, outputs| {
                     let _ = tx.send((index, outputs));
                 }),
-                node.worker_handoff(),
                 WorkerRuntime {
                     epoch: std::time::Instant::now(),
                     metrics: Arc::new(std::sync::Mutex::new(Default::default())),
@@ -1915,9 +1903,6 @@ mod tests {
         let before = CODEC_CALLS.with(|c| c.get());
         for payload in payloads {
             node.dispatch_flow(&mut env, "sensor/a".into(), payload);
-            if let Some(pool) = pool.as_ref() {
-                pool.notify_work();
-            }
         }
         // Pooled: play the node thread until every item reached egress
         // (the leaves publish into the offline queue: nobody is connected).
@@ -1930,7 +1915,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         if let Some(pool) = pool {
-            pool.stop();
+            pool.stop(&node.executor);
         }
         let after = CODEC_CALLS.with(|c| c.get());
 
@@ -1939,7 +1924,7 @@ mod tests {
             ITEMS as usize,
             "exact conservation"
         );
-        let mut egress: Vec<Vec<(u64, u64)>> = vec![Vec::new(); 4];
+        let mut egress: Vec<Vec<u64>> = vec![Vec::new(); 4];
         for (topic, payload, _) in &node.offline_queue {
             let leaf: usize = topic
                 .as_str()
@@ -1948,13 +1933,7 @@ mod tests {
                 .parse()
                 .unwrap();
             let msg = FlowMessage::decode(payload).expect("egress frames decode");
-            egress[leaf].push((msg.seq, msg.origin_ts_ns));
-        }
-        // `deliver` runs after the stage lock is released, so two workers
-        // may hand a leaf's outputs over inverted; the leaf's own
-        // sequence stamp restores its execution order.
-        for leaf in &mut egress {
-            leaf.sort_unstable();
+            egress[leaf].push(msg.origin_ts_ns);
         }
         Observed {
             grouping: node
@@ -1962,10 +1941,7 @@ mod tests {
                 .iter()
                 .map(|s| (s.processed, s.batch_entries, s.batched_items))
                 .collect(),
-            egress: egress
-                .into_iter()
-                .map(|leaf| leaf.into_iter().map(|(_, origin)| origin).collect())
-                .collect(),
+            egress,
             codec_calls: (after.0 - before.0, after.1 - before.1),
         }
     }
@@ -1975,6 +1951,14 @@ mod tests {
         let inline = run_chain_and_tree(0);
         let pooled = run_chain_and_tree(2);
         assert_eq!(inline, pooled);
+        // A leaf has one owner, so its outputs reach the node thread in
+        // the order it ran them: egress arrives in publish order.
+        for leaf in &pooled.egress {
+            assert!(
+                leaf.windows(2).all(|w| w[0] < w[1]),
+                "pooled per-topic FIFO: {leaf:?}"
+            );
+        }
 
         // The topology did what it says: every stage of the chain and the
         // tap saw all 197 items, the leaves an exact cover of them...

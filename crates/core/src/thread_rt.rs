@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use ifot_netsim::metrics::Metrics;
+use ifot_netsim::rng::SimRng;
 use ifot_netsim::time::SimDuration;
 
 use crate::config::NodeConfig;
@@ -339,7 +340,7 @@ struct ThreadEnv<'a> {
     metrics: &'a Mutex<Metrics>,
     timers: &'a mut BinaryHeap<Reverse<(u64, u64)>>,
     speed: Option<f64>,
-    rng_state: u64,
+    rng: &'a mut SimRng,
 }
 
 impl NodeEnv for ThreadEnv<'_> {
@@ -398,12 +399,7 @@ impl NodeEnv for ThreadEnv<'_> {
     }
 
     fn rand_u64(&mut self) -> u64 {
-        // SplitMix64 seeded from the node name at construction.
-        self.rng_state = self.rng_state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
+        self.rng.next_u64()
     }
 }
 
@@ -421,15 +417,15 @@ fn run_node(
     });
     let mut node = MiddlewareNode::new(config);
     let mut timers: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-    let mut rng_state = seed;
+    // Seeded from the node name.
+    let mut rng = SimRng::seed_from(seed);
 
-    // Pooled executor mode: workers drain the stage mailboxes and route
+    // Pooled executor mode: the pool's workers own the stages and route
     // the intra-node hops while this thread keeps routing the rest;
     // what they cannot deliver themselves comes back through our own
     // channel as `StageOutputs`.
     let workers = node.config().executor.workers;
-    let mut pool = if workers > 0 && !node.executor_cells().is_empty() {
-        node.engage_pool();
+    let mut pool = (workers > 0 && !node.executor().is_empty()).then(|| {
         let own_tx = senders
             .get(&*name)
             .cloned()
@@ -437,22 +433,19 @@ fn run_node(
         let deliver = Arc::new(move |op_index: usize, outputs: Vec<OpOutput>| {
             let _ = own_tx.send(ThreadMsg::StageOutputs { op_index, outputs });
         });
-        Some(WorkerPool::spawn(
+        WorkerPool::spawn(
             &name,
             workers,
-            node.executor_cells(),
+            node.executor(),
             deliver,
-            node.worker_handoff(),
             WorkerRuntime {
                 epoch,
                 metrics: Arc::clone(&metrics),
                 speed,
                 seed,
             },
-        ))
-    } else {
-        None
-    };
+        )
+    });
 
     macro_rules! env {
         () => {{
@@ -463,12 +456,11 @@ fn run_node(
                 metrics: &metrics,
                 timers: &mut timers,
                 speed,
-                rng_state,
+                rng: &mut rng,
             }
         }};
     }
-    // Handles one inbox message (`Stop` is the loop's business). Routing
-    // may have enqueued new stage work, and the pool only runs when told.
+    // Handles one inbox message (`Stop` is the loop's business).
     macro_rules! handle {
         ($msg:expr) => {{
             let mut env = env!();
@@ -482,16 +474,10 @@ fn run_node(
                 } => node.handle_outputs(&mut env, op_index, &mut outputs),
                 ThreadMsg::Stop => {}
             }
-            rng_state = env.rng_state;
-            if let Some(pool) = pool.as_ref() {
-                pool.notify_work();
-            }
         }};
     }
 
-    let mut env0 = env!();
-    node.on_start(&mut env0);
-    rng_state = env0.rng_state;
+    node.on_start(&mut env!());
 
     loop {
         let now = epoch.elapsed().as_nanos() as u64;
@@ -501,12 +487,7 @@ fn run_node(
                 break;
             }
             let Reverse((_, tag)) = timers.pop().expect("peeked");
-            let mut env = env!();
-            node.on_timer(&mut env, tag);
-            rng_state = env.rng_state;
-            if let Some(pool) = pool.as_ref() {
-                pool.notify_work();
-            }
+            node.on_timer(&mut env!(), tag);
         }
         // Wait for the next message or timer deadline.
         let timeout = match timers.peek() {
@@ -529,42 +510,27 @@ fn run_node(
     // the node's own client — and the client's publishes to that broker
     // — land *behind* the Stop. Handling one can enqueue the next, as
     // can every flush below, so repeat until nothing moves.
-    let cells = pool.as_ref().map(|_| node.executor_cells());
-    let mut outputs = Vec::new();
     for _pass in 0..10_000 {
         let mut progressed = false;
         while let Ok(msg) = rx.try_recv() {
             progressed = true;
             handle!(msg);
         }
-        let mut env = env!();
         // Publish the lingering micro-batches, so coalesced tail samples
         // reach the broker (it stops after us in the phased shutdown).
-        node.flush_pending_batches(&mut env);
-        rng_state = env.rng_state;
+        node.flush_pending_batches(&mut env!());
         if progressed {
             continue;
         }
-        // The inbox is quiet: stop the workers (once) and run what they
-        // left queued — backlogged mailbox items, bounded by the
-        // per-stage mailboxes — inline on this thread. Without this the
-        // final in-flight samples of a run disappear from the books.
+        // The inbox is quiet: stop the workers (once), which hands their
+        // stages back, and run what they left queued — backlogged mailbox
+        // items, bounded by the per-stage mailboxes — inline on this
+        // thread. Without this the final in-flight samples of a run
+        // disappear from the books.
         if let Some(pool) = pool.take() {
-            pool.stop();
-            node.disengage_pool();
+            pool.stop(node.executor());
         }
-        for (index, cell) in cells.iter().flatten().enumerate() {
-            let mut env = env!();
-            let stepped = cell.step_pooled(&mut env, &mut outputs);
-            rng_state = env.rng_state;
-            if stepped {
-                progressed = true;
-                let mut env = env!();
-                node.handle_outputs(&mut env, index, &mut outputs);
-                rng_state = env.rng_state;
-            }
-        }
-        if !progressed {
+        if !node.run_backlog(&mut env!()) {
             // The flushes above may have published to our own broker.
             match rx.try_recv() {
                 Ok(msg) => handle!(msg),
@@ -700,12 +666,23 @@ mod tests {
         assert_eq!(report.metrics.counter("trained"), published);
     }
 
-    /// An operator that panics on one item takes its worker thread down
-    /// with the stage lock held. Locks do not stay poisoned here: the
-    /// surviving worker keeps stepping both stages, nothing else is lost,
-    /// and `stop` joins the node and returns it.
+    /// An operator that panics on one item loses that item, not its
+    /// stage: the stage's owner catches the panic and keeps stepping its
+    /// stages, nothing else is lost, and `stop` joins the node and
+    /// returns it.
     #[test]
     fn panicking_pooled_operator_wedges_nothing() {
+        panicking_operator_wedges_nothing_on(2);
+    }
+
+    /// The same with one worker, which owns the panicking stage and its
+    /// healthy neighbour: nobody else could step either.
+    #[test]
+    fn panicking_pooled_operator_wedges_nothing_on_one_worker() {
+        panicking_operator_wedges_nothing_on(1);
+    }
+
+    fn panicking_operator_wedges_nothing_on(workers: usize) {
         let sink = |operator: &str| {
             OperatorSpec::sink(
                 operator,
@@ -722,7 +699,7 @@ mod tests {
         let hub = NodeConfig::new("hub")
             .with_broker()
             .with_broker_node("hub")
-            .with_workers(2)
+            .with_workers(workers)
             .with_operator(sink("faulty"))
             .with_operator(sink("healthy"));
         let cluster = ClusterBuilder::new().node(hub).node(edge).start();

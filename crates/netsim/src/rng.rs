@@ -20,7 +20,7 @@ use crate::time::SimDuration;
 /// let mut b = SimRng::seed_from(42);
 /// assert_eq!(a.next_u64(), b.next_u64());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimRng {
     state: u64,
 }

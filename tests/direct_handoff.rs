@@ -1,5 +1,5 @@
-//! Integration: direct stage-to-stage handoff through the public
-//! worker-pool API.
+//! Integration: stages owned by pool workers, and direct stage-to-stage
+//! handoff, through the public worker-pool API.
 //!
 //! The unit tests in `executor::handoff` pin the routing decisions; this
 //! suite drives real worker threads end-to-end and pins the properties
@@ -7,10 +7,12 @@
 //!
 //! * **Per-topic FIFO** — a single-worker chain delivers every item to
 //!   egress in injection order: direct handoff must not reorder a
-//!   stage's mailbox.
+//!   stage's mailbox. A multi-worker fan-out does too, per consumer:
+//!   each stage has one owner, which hands its outputs over in the
+//!   order it ran them.
 //! * **Exact conservation** — a multi-worker fan-out delivers every
 //!   emission to every consumer exactly once, all of it counted as
-//!   direct handoff when nothing saturates.
+//!   direct handoff when nothing runs out of credit.
 //!
 //! The test thread plays the node: the pool's `deliver` callback only
 //! pushes into a shared inbox (never blocks, mirroring the real
@@ -73,12 +75,11 @@ fn spawn_pool(graph: &ExecutorGraph, workers: usize, inbox: &Inbox) -> WorkerPoo
     WorkerPool::spawn(
         "handoff-test",
         workers,
-        graph.cells(),
+        graph,
         Arc::new(move |src, outputs| {
             let mut inbox = sink.lock().expect("no inbox holder panicked");
             inbox.extend(outputs.into_iter().map(|o| (src, o)));
         }),
-        graph.direct_handoff(),
         WorkerRuntime {
             epoch: Instant::now(),
             metrics: Arc::new(Mutex::new(Metrics::new())),
@@ -94,7 +95,6 @@ fn spawn_pool(graph: &ExecutorGraph, workers: usize, inbox: &Inbox) -> WorkerPoo
 /// consumers via the graph's route plan, like the node's `handle_outputs`.
 fn collect_egress(
     graph: &ExecutorGraph,
-    pool: &WorkerPool,
     inbox: &Inbox,
     expected: usize,
 ) -> Vec<(usize, FlowMessage)> {
@@ -105,7 +105,6 @@ fn collect_egress(
             let mut inbox = inbox.lock().expect("no inbox holder panicked");
             inbox.drain(..).collect()
         };
-        let mut routed = false;
         for (src, output) in drained {
             let msg = match output {
                 OpOutput::Emit(m) => m,
@@ -128,11 +127,7 @@ fn collect_egress(
                     WorkItem::Item(FlowItem::from_message(topic.as_str(), msg.clone())),
                     0,
                 );
-                routed = true;
             }
-        }
-        if routed {
-            pool.notify_work();
         }
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -162,9 +157,8 @@ fn single_worker_chain_is_fifo_and_fully_direct() {
     for i in 0..N {
         graph.enqueue(0, WorkItem::Item(probe_item("flow/in", i)), 0);
     }
-    pool.notify_work();
-    let out = collect_egress(&graph, &pool, &inbox, N as usize);
-    pool.stop();
+    let out = collect_egress(&graph, &inbox, N as usize);
+    pool.stop(&graph);
 
     assert_eq!(out.len(), N as usize, "every item must reach egress");
     let origins: Vec<u64> = out.iter().map(|(_, m)| m.origin_ts_ns).collect();
@@ -175,8 +169,8 @@ fn single_worker_chain_is_fifo_and_fully_direct() {
     );
     assert!(out.iter().all(|(src, _)| *src == 2), "egress comes from c");
 
-    // Both intra-node hops (a→b, b→c) were direct; nothing saturated
-    // (capacity 1024 > N) and nothing churned the routes.
+    // Both intra-node hops (a→b, b→c) were direct; nothing ran out of
+    // credit (capacity 1024 > N).
     for stage in [0, 1] {
         let stats = graph.stats(stage);
         assert_eq!(stats.handoff_direct, N, "stage {stage} hops are direct");
@@ -199,13 +193,10 @@ fn single_worker_chain_is_fifo_and_fully_direct() {
     );
 }
 
-/// Four workers draining a fan-out (one producer, two egress consumers)
-/// must conserve the flow exactly: each of the `N` emissions reaches
-/// both consumers exactly once, all by direct handoff. (Inbox *arrival*
-/// order is not asserted here — `deliver` runs after the stage lock is
-/// released, so two workers stepping the same consumer back-to-back may
-/// invert it, exactly as on the pre-handoff pooled path. Mailbox FIFO
-/// itself is pinned by the single-worker test above.)
+/// Several workers draining a fan-out (one producer, two egress
+/// consumers, each stage on its own worker) must conserve the flow
+/// exactly: each of the `N` emissions reaches both consumers exactly
+/// once, in order, all by direct handoff.
 #[test]
 fn multi_worker_fanout_conserves_every_item() {
     const N: u64 = 500;
@@ -226,9 +217,8 @@ fn multi_worker_fanout_conserves_every_item() {
     for i in 0..N {
         graph.enqueue(0, WorkItem::Item(probe_item("flow/in", i)), 0);
     }
-    pool.notify_work();
-    let out = collect_egress(&graph, &pool, &inbox, 2 * N as usize);
-    pool.stop();
+    let out = collect_egress(&graph, &inbox, 2 * N as usize);
+    pool.stop(&graph);
 
     assert_eq!(
         out.len(),
@@ -236,20 +226,20 @@ fn multi_worker_fanout_conserves_every_item() {
         "exact conservation: N per consumer"
     );
     for stage in [1usize, 2] {
-        let mut origins: Vec<u64> = out
+        let origins: Vec<u64> = out
             .iter()
             .filter(|(src, _)| *src == stage)
             .map(|(_, m)| m.origin_ts_ns)
             .collect();
-        origins.sort_unstable();
         assert_eq!(
             origins,
             (0..N).collect::<Vec<_>>(),
-            "consumer stage {stage} must see every item exactly once"
+            "consumer stage {stage} must see every item exactly once, in order"
         );
     }
-    // Nothing saturates (capacity 4096 > N): the producer's 2N hops are
-    // all direct, which also satisfies the >=90% intra-node bound.
+    // Nothing runs out of credit (capacity 4096 > N): the producer's 2N
+    // hops are all direct, which also satisfies the >=90% intra-node
+    // bound.
     let stats = graph.stats(0);
     assert_eq!(stats.handoff_direct, 2 * N);
     assert_eq!(stats.handoff_fallback, 0);

@@ -619,13 +619,14 @@ fn batched_sharded_run_is_deterministic_and_amortizes() {
     );
 }
 
-/// A pooled `Block` stage bounds batches as it bounds items. With no
-/// worker stepping it, a capacity-2 mailbox takes two batches; the
-/// producer of a third waits until a pop makes room. Ticks are admitted
-/// over the bound all the same.
+/// A pooled `Block` stage bounds batches as it bounds items. Its credit
+/// is a capacity of 2: two batches are admitted, and the producer of a
+/// third waits until the stage's owner pops one. Ticks are admitted over
+/// the bound all the same.
 #[test]
 fn a_full_block_stage_holds_a_batch_back_until_a_pop() {
-    use std::sync::mpsc::{channel, RecvTimeoutError};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
     use std::time::Duration;
 
     let config = ExecutorConfig {
@@ -641,34 +642,38 @@ fn a_full_block_stage_holds_a_batch_back_until_a_pop() {
         vec!["flow/probe/in".into()],
     );
     let graph = ExecutorGraph::compile(vec![spec], &config);
-    let cell = graph.cells().remove(0);
+    let mut worker = graph.deal(1).pop().expect("one worker");
     let batch = || WorkItem::Batch((0..4).map(probe_item).collect());
-    cell.enqueue_pooled(batch(), 0);
-    cell.enqueue_pooled(batch(), 0);
+    graph.enqueue(0, batch(), 0);
+    graph.enqueue(0, batch(), 0);
 
-    let (admitted, waited) = channel();
-    let producer = {
-        let cell = std::sync::Arc::clone(&cell);
+    // The owner pops once, on a thread of its own, while the producer of
+    // the third batch (this thread) waits for credit.
+    let popping = Arc::new(AtomicBool::new(false));
+    let owner = {
+        let popping = Arc::clone(&popping);
         std::thread::spawn(move || {
-            cell.enqueue_pooled(batch(), 0);
-            admitted.send(()).expect("the test is waiting");
+            std::thread::sleep(Duration::from_millis(100));
+            popping.store(true, Ordering::SeqCst);
+            assert!(worker.turn(&mut MockEnv::new(), &mut |_, _| {}));
+            worker
         })
     };
-    assert_eq!(
-        waited.recv_timeout(Duration::from_millis(200)),
-        Err(RecvTimeoutError::Timeout),
+    graph.enqueue(0, batch(), 0);
+    assert!(
+        popping.load(Ordering::SeqCst),
         "a third batch went into a full Block mailbox"
     );
-    let mut env = MockEnv::new();
-    let mut outputs = Vec::new();
-    assert!(cell.step_pooled(&mut env, &mut outputs), "one batch popped");
-    waited
-        .recv_timeout(Duration::from_secs(10))
-        .expect("the pop made room for the third batch");
-    producer.join().expect("the producer returned");
+    let mut worker = owner.join().expect("the owner's turn ran");
+    // That turn folded the two batches and ran one; the third was posted
+    // after it had swapped the inbox out.
+    let stats = graph.stats(0);
+    assert_eq!((stats.enqueued, stats.processed), (2, 1));
 
-    cell.enqueue_pooled(WorkItem::Timer(OpTimer::Flush), 0);
-    while cell.step_pooled(&mut env, &mut outputs) {}
+    graph.enqueue(0, WorkItem::Timer(OpTimer::Flush), 0);
+    let mut env = MockEnv::new();
+    while worker.turn(&mut env, &mut |_, _| {}) {}
+    graph.reclaim(vec![worker]);
     let stats = graph.stats(0);
     assert_eq!((stats.processed, stats.batched_items), (4, 12));
     assert_eq!(stats.max_depth, 3, "two batches and the tick");

@@ -1531,17 +1531,16 @@ fn fan_out_is_an_exact_cover_in_order() {
 // Direct stage-to-stage handoff (DESIGN.md §5)
 // ---------------------------------------------------------------------
 
-/// The handoff invariant: a single virtual worker stepping the pooled
-/// cells over the flow tree `parents` (`parents[i]` feeds stage `i + 1`;
-/// stage 0 is the root fed from outside; stages with no children publish
-/// their output, the rest are local-only links) delivers every one of
-/// `count` injected items to every leaf exactly once, in injection order,
-/// and every intra-node hop is a direct handoff (nothing saturates,
-/// nothing churns).
-fn check_flow_tree_handoff(parents: &[usize], count: u64) {
+/// The handoff invariant: `workers` owned workers (1 to 3) running turns
+/// over the flow tree `parents` in an order drawn from `schedule`, all on
+/// this thread (`parents[i]` feeds stage `i + 1`; stage 0 is the root
+/// fed from outside; stages with no children publish their output, the
+/// rest are local-only links), deliver every one of `count` injected
+/// items to every leaf exactly once, in injection order, and every
+/// intra-node hop is a direct handoff (nothing runs out of credit).
+fn check_flow_tree_handoff(parents: &[usize], count: u64, workers: usize, schedule: u64) {
     use ifot::core::config::{ExecutorConfig, OperatorKind, OperatorSpec};
     use ifot::core::env::MockEnv;
-    use ifot::core::executor::handoff::PlanCache;
     use ifot::core::executor::{ExecutorGraph, WorkItem};
     use ifot::core::flow::FlowItem;
     use ifot::core::operators::OpOutput;
@@ -1575,25 +1574,37 @@ fn check_flow_tree_handoff(parents: &[usize], count: u64) {
         })
         .collect();
     let config = ExecutorConfig {
-        workers: 1,
+        workers,
         mailbox_capacity: 4096,
         ..ExecutorConfig::default()
     };
     let graph = ExecutorGraph::compile(specs, &config);
-    let cells = graph.cells();
-    let handoff = graph.direct_handoff();
-    let mut cache = PlanCache::new();
+    let mut dealt = graph.deal(workers);
     let mut env = MockEnv::new();
-    let mut out = Vec::new();
+    let mut order = SimRng::seed_from(schedule);
 
-    // Single virtual worker: inject one item per round, then step every
-    // stage once, routing egress into per-leaf logs. Nothing can saturate
-    // (capacity 4096 > count), so no fallbacks.
+    // Egress into per-leaf logs. Nothing can run out of credit (capacity
+    // 4096 > count), so nothing falls back.
     let mut egress: Vec<Vec<u64>> = vec![Vec::new(); n];
+    let mut deliver = |stage: usize, outputs: Vec<OpOutput>| {
+        for output in outputs {
+            match output {
+                OpOutput::Emit(m) => {
+                    assert_eq!(
+                        children[stage], 0,
+                        "only leaves may reach deliver, stage {stage} leaked"
+                    );
+                    egress[stage].push(m.origin_ts_ns);
+                }
+                other => panic!("pass-through emitted {other:?}"),
+            }
+        }
+    };
+    // Injections and turns interleave in the drawn order; once every item
+    // is in, whole rounds of turns run until one finds nothing to do.
     let mut next = 0u64;
-    loop {
-        let mut progress = false;
-        if next < count {
+    while next < count {
+        if order.chance(0.5) {
             let item = FlowItem {
                 topic: "flow/in".into(),
                 origin_ts_ns: next,
@@ -1604,33 +1615,25 @@ fn check_flow_tree_handoff(parents: &[usize], count: u64) {
             };
             graph.enqueue(0, WorkItem::Item(item), 0);
             next += 1;
-            progress = true;
+        } else {
+            let w = order.below(workers as u64) as usize;
+            dealt[w].turn(&mut env, &mut deliver);
         }
-        for (i, cell) in cells.iter().enumerate() {
-            let Some(outcome) =
-                cell.step_pooled_handoff(&mut env, i, &handoff, &mut cache, &mut out)
-            else {
-                continue;
-            };
-            progress = true;
-            assert_eq!(outcome.fallback, 0, "stage {i} fell back");
-            for output in out.drain(..) {
-                match output {
-                    OpOutput::Emit(m) => {
-                        assert_eq!(
-                            children[i], 0,
-                            "only leaves may reach deliver, stage {i} leaked"
-                        );
-                        egress[i].push(m.origin_ts_ns);
-                    }
-                    other => panic!("pass-through emitted {other:?}"),
-                }
-            }
+    }
+    loop {
+        let mut worked = false;
+        for _ in 0..workers {
+            let w = order.below(workers as u64) as usize;
+            worked |= dealt[w].turn(&mut env, &mut deliver);
         }
-        if !progress {
+        for worker in &mut dealt {
+            worked |= worker.turn(&mut env, &mut deliver);
+        }
+        if !worked {
             break;
         }
     }
+    graph.reclaim(dealt);
 
     // Exact conservation + per-topic FIFO at every leaf.
     let expected: Vec<u64> = (0..count).collect();
@@ -1654,17 +1657,20 @@ fn check_flow_tree_handoff(parents: &[usize], count: u64) {
 }
 
 /// Deterministic corner topologies: a deep chain, a wide star, and a mixed
-/// tree.
+/// tree, on one, two and three workers.
 #[test]
 fn direct_handoff_tree_smoke() {
-    check_flow_tree_handoff(&[0], 1); // two-stage chain, one item
-    check_flow_tree_handoff(&[0, 1, 2, 3], 40); // five-stage chain
-    check_flow_tree_handoff(&[0, 0, 0, 0], 40); // star fan-out
-    check_flow_tree_handoff(&[0, 0, 1, 2, 2], 40); // mixed tree
+    for workers in 1..=3 {
+        check_flow_tree_handoff(&[0], 1, workers, 1); // two-stage chain, one item
+        check_flow_tree_handoff(&[0, 1, 2, 3], 40, workers, 2); // five-stage chain
+        check_flow_tree_handoff(&[0, 0, 0, 0], 40, workers, 3); // star fan-out
+        check_flow_tree_handoff(&[0, 0, 1, 2, 2], 40, workers, 4); // mixed tree
+    }
 }
 
-/// Direct handoff over an arbitrary flow tree conserves the stream exactly
-/// and preserves per-topic FIFO.
+/// Direct handoff over an arbitrary flow tree, on 1 to 3 owned workers
+/// whose turns run in a drawn order, conserves the stream exactly and
+/// preserves per-topic FIFO.
 #[test]
 fn direct_handoff_conserves_and_orders_any_flow_tree() {
     check(
@@ -1675,7 +1681,8 @@ fn direct_handoff_conserves_and_orders_any_flow_tree() {
             let extra = g.len(1, 6);
             let parents: Vec<usize> = (0..extra).map(|i| g.below(i as u64 + 1) as usize).collect();
             let count = g.len(1, 48) as u64;
-            check_flow_tree_handoff(&parents, count);
+            let workers = g.pick(&[1, 2, 3]);
+            check_flow_tree_handoff(&parents, count, workers, g.next_u64());
         },
     );
 }
