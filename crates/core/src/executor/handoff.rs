@@ -60,7 +60,8 @@
 //! wait-for graph run from the node thread to a worker; a cycle needs an
 //! edge out of a worker, and there is none. No lock is held while an
 //! operator runs, while a thread waits for credit, or while it posts:
-//! the inbox, credit-wait and published-figure locks are leaves.
+//! the inbox, credit-wait, published-figure and return-stack locks are
+//! leaves.
 
 use std::borrow::Cow;
 
@@ -72,7 +73,7 @@ use crate::wire::DecodedItems;
 
 use super::pool::Shared;
 use super::router::{self, RoutePlan};
-use super::StageStats;
+use super::{SpareLists, StageStats};
 
 /// The worker-side router: each stage's handoff-eligible output topic
 /// and the plan it resolves to, fixed when the graph is compiled.
@@ -107,11 +108,12 @@ impl Handoff {
     /// The step's emissions all carry the source stage's one output
     /// topic, so they are routed **as a group** through the intra-node
     /// router ([`router::claimants`], then [`router::materialize`]):
-    /// each destination receives a single work item. Between the two
-    /// halves the worker takes credit at every destination. The group is
-    /// all-or-nothing — one blocking destination out of credit leaves
-    /// `outputs` untouched for the node thread, so every consumer still
-    /// sees every emission exactly once.
+    /// each destination receives a single work item, built in a list
+    /// taken from the worker's `lists`. Between the two halves the worker
+    /// takes credit at every destination. The group is all-or-nothing —
+    /// one blocking destination out of credit leaves `outputs` untouched
+    /// for the node thread, so every consumer still sees every emission
+    /// exactly once.
     pub(crate) fn apply(
         &self,
         shared: &Shared,
@@ -119,6 +121,7 @@ impl Handoff {
         src: usize,
         stats: &mut StageStats,
         outputs: &mut Vec<OpOutput>,
+        lists: &mut SpareLists,
     ) {
         let Some(Some((topic, plan))) = self.hops.get(src) else {
             return;
@@ -151,20 +154,18 @@ impl Handoff {
             env.add("handoff_fallback", group);
             return;
         }
-        // Committed: the emissions leave `outputs` as one group, and
-        // `outputs` keeps its buffer for the rest.
-        let mut items = Vec::with_capacity(group as usize);
-        let mut rest = Vec::new();
-        for output in outputs.drain(..) {
-            match output {
-                OpOutput::Emit(msg) => items.push(FlowItem::from_message(topic.clone(), msg)),
-                other => rest.push(other),
-            }
-        }
-        outputs.append(&mut rest);
+        // Committed: the emissions leave `outputs` as one group, and the
+        // rest stays where it was.
+        let mut items = lists.take();
+        items.reserve(group as usize);
+        let emissions = outputs.extract_if(.., |output| matches!(output, OpOutput::Emit(_)));
+        items.extend(emissions.map(|output| match output {
+            OpOutput::Emit(msg) => FlowItem::from_message(topic.clone(), msg),
+            _ => unreachable!("only emissions are extracted"),
+        }));
         let now_ns = env.now_ns();
         let mut direct = 0;
-        router::materialize(&claimed, DecodedItems::Many(items), |route, work| {
+        router::materialize(&claimed, DecodedItems::Many(items), lists, |route, work| {
             direct += work.item_count() as u64;
             shared.post(route.stage, work, now_ns);
         });
@@ -333,6 +334,7 @@ mod tests {
         };
         let mut env = MockEnv::new();
         let mut stats = StageStats::default();
+        let mut lists = SpareLists::default();
         let event = |round| {
             OpOutput::Event(NodeEvent::MixRound {
                 task: "t".into(),
@@ -347,7 +349,7 @@ mod tests {
         let mut out = outputs.clone();
         graph
             .handoff
-            .apply(shared, &mut env, 0, &mut stats, &mut out);
+            .apply(shared, &mut env, 0, &mut stats, &mut out, &mut lists);
         assert_eq!(stats.handoff_direct, 2);
         assert_eq!(out, vec![event(1), event(2), event(3)]);
 
@@ -356,7 +358,7 @@ mod tests {
         let mut out = outputs.clone();
         graph
             .handoff
-            .apply(shared, &mut env, 0, &mut stats, &mut out);
+            .apply(shared, &mut env, 0, &mut stats, &mut out, &mut lists);
         assert_eq!((stats.handoff_direct, stats.handoff_fallback), (2, 2));
         assert_eq!(out, outputs);
     }

@@ -52,6 +52,19 @@ const ESCALATE_AFTER_NS: u64 = crate::costs::REALTIME_BOUND_MS * 1_000_000;
 /// Route plans the node thread memoizes, cleared when full.
 const ROUTE_CACHE_CAP: usize = 1024;
 
+/// Emptied lists a runner keeps at most.
+pub(crate) const SPARE_LISTS: usize = 8;
+
+/// Room, in entries, past which an emptied list is dropped instead of
+/// kept: two of the default `batch_max` batches.
+pub(crate) const SPARE_ROOM: usize = 64;
+
+/// Whether an emptied list is worth keeping for a later batch: it has
+/// room, and no more than [`SPARE_ROOM`] entries' worth.
+pub(crate) fn worth_keeping<T>(list: &Vec<T>) -> bool {
+    (1..=SPARE_ROOM).contains(&list.capacity())
+}
+
 /// A periodic tick delivered to a stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpTimer {
@@ -89,8 +102,16 @@ pub trait StreamOperator: std::fmt::Debug + Send {
     /// operators override this to pay their per-call model cost once
     /// per batch instead of once per item, matching the
     /// [`crate::costs`] batch cost model.
-    fn on_batch(&mut self, env: &mut dyn NodeEnv, items: Vec<FlowItem>, out: &mut Vec<OpOutput>) {
-        for item in items {
+    ///
+    /// The operator **drains** `items` and leaves the list empty: its
+    /// buffer stays with the caller, which hands it to the next batch.
+    fn on_batch(
+        &mut self,
+        env: &mut dyn NodeEnv,
+        items: &mut Vec<FlowItem>,
+        out: &mut Vec<OpOutput>,
+    ) {
+        for item in items.drain(..) {
             self.on_item(env, item, out);
         }
     }
@@ -146,6 +167,51 @@ impl WorkItem {
             self,
             WorkItem::Item(_) | WorkItem::Batch(_) | WorkItem::SharedBatch(_)
         )
+    }
+}
+
+/// The emptied flow-item lists one runner keeps for its next batches: a
+/// pool worker, or the node thread for what it decodes and runs inline.
+///
+/// A batch is built into one list where it enters the node (the frame it
+/// was decoded from) and that list travels with it: a stage drains it
+/// ([`StreamOperator::on_batch`]), the stage's runner keeps it here, and
+/// the runner's next decode, hand-off or shard split takes it back. At
+/// most [`SPARE_LISTS`] lists are kept, none with room for more than
+/// [`SPARE_ROOM`] items (a larger one is dropped). While the graph is
+/// dealt, a runner passes a list it has no place for to the pool's
+/// return stack and takes from there when it has none left.
+#[derive(Debug, Default)]
+pub struct SpareLists {
+    spare: Vec<Vec<FlowItem>>,
+    /// The router's table of sub-batches, one slot per route of a split;
+    /// empty between splits, and kept for its room.
+    pub(crate) subs: Vec<Vec<FlowItem>>,
+    /// The pool's return stack, while the stages are dealt.
+    back: Option<Arc<pool::ReturnStack<FlowItem>>>,
+}
+
+impl SpareLists {
+    /// An empty list: a kept one if there is one, else a new one.
+    pub fn take(&mut self) -> Vec<FlowItem> {
+        self.spare
+            .pop()
+            .or_else(|| self.back.as_ref()?.pop())
+            .unwrap_or_default()
+    }
+
+    /// Empties `list` and keeps it for a later [`Self::take`], if it is
+    /// worth keeping and there is a place for it.
+    pub fn give(&mut self, mut list: Vec<FlowItem>) {
+        if !worth_keeping(&list) {
+            return;
+        }
+        if self.spare.len() < SPARE_LISTS {
+            list.clear();
+            self.spare.push(list);
+        } else if let Some(back) = &self.back {
+            back.push(list);
+        }
     }
 }
 
@@ -293,8 +359,14 @@ impl ExecutorStage {
     }
 
     /// Pops and executes one queued work item, appending its outputs to
-    /// `out`; `false` when the mailbox was empty.
-    pub fn step(&mut self, env: &mut dyn NodeEnv, out: &mut Vec<OpOutput>) -> bool {
+    /// `out` and handing the list a batch came in to `lists`; `false`
+    /// when the mailbox was empty.
+    pub fn step(
+        &mut self,
+        env: &mut dyn NodeEnv,
+        out: &mut Vec<OpOutput>,
+        lists: &mut SpareLists,
+    ) -> bool {
         let Some((work, enqueued_ns)) = self.mailbox.pop_front() else {
             return false;
         };
@@ -320,18 +392,25 @@ impl ExecutorStage {
         }
         match work {
             WorkItem::Item(item) => self.op.on_item(env, item, out),
-            WorkItem::Batch(items) => {
+            WorkItem::Batch(mut items) => {
                 self.stats.batched_items += items.len() as u64;
                 self.stats.batch_entries += 1;
-                self.op.on_batch(env, items, out);
+                self.op.on_batch(env, &mut items, out);
+                lists.give(items);
             }
             WorkItem::SharedBatch(shared) => {
                 self.stats.batched_items += shared.len() as u64;
                 self.stats.batch_entries += 1;
                 // Last holder takes the allocation, earlier fan-out
-                // consumers clone here (lazily, at execution time).
-                let items = Arc::try_unwrap(shared).unwrap_or_else(|arc| (*arc).clone());
-                self.op.on_batch(env, items, out);
+                // consumers copy into a spare list (lazily, at execution
+                // time).
+                let mut items = Arc::try_unwrap(shared).unwrap_or_else(|arc| {
+                    let mut items = lists.take();
+                    items.extend_from_slice(&arc);
+                    items
+                });
+                self.op.on_batch(env, &mut items, out);
+                lists.give(items);
             }
             WorkItem::Control(msg) => self.op.on_control(env, &msg, out),
             WorkItem::Timer(timer) => self.op.on_timer(env, timer, out),
@@ -388,6 +467,9 @@ pub struct ExecutorGraph {
     /// The node thread's topic→plan memo.
     routes: RefCell<HashMap<String, Arc<router::RoutePlan>>>,
     stages: RefCell<Stages>,
+    /// The node thread's spare lists: the runner of the inline stages,
+    /// and the decoder of every frame.
+    lists: RefCell<SpareLists>,
 }
 
 fn stage_output(spec: &OperatorSpec) -> Option<(Name, bool)> {
@@ -414,6 +496,7 @@ impl ExecutorGraph {
             specs,
             routes: RefCell::default(),
             stages: RefCell::new(Stages::Inline(stages)),
+            lists: RefCell::default(),
         }
     }
 
@@ -430,6 +513,28 @@ impl ExecutorGraph {
         }
         routes.insert(topic.to_owned(), Arc::clone(&plan));
         plan
+    }
+
+    /// The node thread's spare lists, for the frames it decodes and the
+    /// groups it routes.
+    pub(crate) fn lists(&self) -> std::cell::RefMut<'_, SpareLists> {
+        self.lists.borrow_mut()
+    }
+
+    /// An empty list for a batch the node thread builds (a frame it
+    /// decodes, a group it routes): one of its spare lists, while the
+    /// stages are dealt one a worker returned, else a new one.
+    pub fn take_list(&self) -> Vec<FlowItem> {
+        self.lists.borrow_mut().take()
+    }
+
+    /// Takes back an output list a worker delivered, once the node thread
+    /// has performed it, for a worker's next delivery (inline, it is
+    /// dropped).
+    pub fn give_back(&self, outputs: Vec<OpOutput>) {
+        if let Stages::Pooled(shared) = &*self.stages.borrow() {
+            shared.outputs_back.push(outputs);
+        }
     }
 
     /// Stage `index`'s output topic and whether its emissions are also
@@ -475,7 +580,8 @@ impl ExecutorGraph {
                     ));
                 }
                 stage.enqueue(work, env.now_ns());
-                while stage.step(env, out) {}
+                let lists = &mut *self.lists.borrow_mut();
+                while stage.step(env, out, lists) {}
             }
             Stages::Pooled(shared) => shared.admit(index, work, env.now_ns()),
         }
@@ -517,7 +623,7 @@ impl ExecutorGraph {
     /// dealt).
     pub fn step(&self, env: &mut dyn NodeEnv, index: usize, out: &mut Vec<OpOutput>) -> bool {
         match &mut *self.stages.borrow_mut() {
-            Stages::Inline(stages) => stages[index].step(env, out),
+            Stages::Inline(stages) => stages[index].step(env, out, &mut self.lists.borrow_mut()),
             Stages::Pooled(_) => false,
         }
     }
@@ -582,6 +688,21 @@ impl ExecutorGraph {
 mod tests {
     use super::*;
     use crate::config::OperatorKind;
+
+    #[test]
+    fn spare_lists_keep_a_bounded_number_of_bounded_lists() {
+        let mut lists = SpareLists::default();
+        for _ in 0..SPARE_LISTS + 2 {
+            lists.give(Vec::with_capacity(32));
+        }
+        lists.give(Vec::with_capacity(SPARE_ROOM + 1));
+        lists.give(Vec::new());
+        let kept: Vec<usize> = (0..SPARE_LISTS + 1)
+            .map(|_| lists.take().capacity())
+            .collect();
+        assert_eq!(kept[..SPARE_LISTS], [32; SPARE_LISTS], "the room is kept");
+        assert_eq!(kept[SPARE_LISTS], 0, "the rest was dropped: a new list");
+    }
 
     #[test]
     fn route_memo_shares_a_plan_and_the_cap_clears_instead_of_growing() {

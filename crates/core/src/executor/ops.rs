@@ -74,6 +74,7 @@ pub fn build_operator(spec: OperatorSpec) -> Box<dyn StreamOperator> {
                 id,
                 model,
                 xs: Vec::new(),
+                labels: Vec::new(),
                 predicted: 0,
                 seq: 0,
             })
@@ -361,7 +362,12 @@ impl StreamOperator for TrainOp {
         env.record_latency_since_ns("sensing_to_training", item.origin_ts_ns);
     }
 
-    fn on_batch(&mut self, env: &mut dyn NodeEnv, items: Vec<FlowItem>, _out: &mut Vec<OpOutput>) {
+    fn on_batch(
+        &mut self,
+        env: &mut dyn NodeEnv,
+        items: &mut Vec<FlowItem>,
+        _out: &mut Vec<OpOutput>,
+    ) {
         if items.is_empty() {
             return;
         }
@@ -376,13 +382,13 @@ impl StreamOperator for TrainOp {
         env.consume_ref_ms(cost);
         env.incr("train_batch_calls");
         let labeller = &mut self.labeller;
-        let xs = hash_into(&mut self.xs, &items);
+        let xs = hash_into(&mut self.xs, items);
         self.model.train_batch(
             xs.iter()
-                .zip(&items)
+                .zip(items.iter())
                 .map(|(x, item)| (x, label_of(labeller, item))),
         );
-        for item in &items {
+        for item in items.drain(..) {
             self.trained += 1;
             env.incr("trained");
             env.record_latency_since_ns("sensing_to_training", item.origin_ts_ns);
@@ -429,6 +435,8 @@ pub struct PredictOp {
     model: AnyClassifier,
     /// The hashed vectors of the last call, reused by the next.
     xs: Vec<FeatureVector>,
+    /// The labels of the last batched call, a list kept for the next.
+    labels: Vec<Option<String>>,
     predicted: u64,
     seq: u64,
 }
@@ -484,7 +492,12 @@ impl StreamOperator for PredictOp {
         self.report(env, item, label, out);
     }
 
-    fn on_batch(&mut self, env: &mut dyn NodeEnv, items: Vec<FlowItem>, out: &mut Vec<OpOutput>) {
+    fn on_batch(
+        &mut self,
+        env: &mut dyn NodeEnv,
+        items: &mut Vec<FlowItem>,
+        out: &mut Vec<OpOutput>,
+    ) {
         if items.is_empty() {
             return;
         }
@@ -497,10 +510,13 @@ impl StreamOperator for PredictOp {
         }
         env.consume_ref_ms(cost);
         env.incr("predict_batch_calls");
-        let labels = self.model.classify_batch(hash_into(&mut self.xs, &items));
-        for (item, label) in items.into_iter().zip(labels) {
+        let mut labels = std::mem::take(&mut self.labels);
+        self.model
+            .classify_batch_into(hash_into(&mut self.xs, items), &mut labels);
+        for (item, label) in items.drain(..).zip(labels.drain(..)) {
             self.report(env, item, label, out);
         }
+        self.labels = labels;
     }
 
     fn on_control(&mut self, env: &mut dyn NodeEnv, msg: &ControlMsg, _out: &mut Vec<OpOutput>) {
@@ -840,9 +856,10 @@ mod tests {
         out
     }
 
-    fn run_batch(op: &mut Op, env: &mut MockEnv, items: Vec<FlowItem>) -> Vec<OpOutput> {
+    fn run_batch(op: &mut Op, env: &mut MockEnv, mut items: Vec<FlowItem>) -> Vec<OpOutput> {
         let mut out = Vec::new();
-        op.on_batch(env, items, &mut out);
+        op.on_batch(env, &mut items, &mut out);
+        assert!(items.is_empty(), "on_batch drains its list");
         out
     }
 

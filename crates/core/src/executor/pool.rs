@@ -49,9 +49,23 @@
 //! Zero-clone fan-out crosses workers: one `WorkItem::SharedBatch`
 //! posted to several stages may be popped on different workers, and the
 //! last handle alive unwraps the batch in place while earlier ones
-//! clone, so in pooled mode the clone count depends on drain order.
+//! copy it, so in pooled mode the copy count depends on drain order.
 //! Each worker buffers its metric updates in a private [`MetricsDelta`]
 //! shard, paying the shared-hub lock once per flush.
+//!
+//! ## Lists
+//!
+//! A batch keeps one list from the frame it was decoded from to the last
+//! stage that consumes it: a worker keeps the lists its stages drained
+//! ([`SpareLists`]) and builds its hand-offs and shard splits in them.
+//! The flow through a pool is lopsided — the node thread decodes every
+//! frame into a list and gets none back, a worker whose stages end a
+//! chain gets back more than it hands on — so the pool has two bounded
+//! return stacks, each behind a leaf lock taken once per list that
+//! crosses: emptied item lists a runner has no place for, which the
+//! node thread and a worker that runs short take, and the output lists
+//! the workers deliver, which the node thread gives back once it has
+//! performed them ([`ExecutorGraph::give_back`]).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -67,7 +81,11 @@ use crate::config::ShedPolicy;
 use crate::env::NodeEnv;
 use crate::executor::handoff::Handoff;
 use crate::executor::router::StageRoute;
-use crate::executor::{ExecutorGraph, ExecutorStage, StageStats, Stages, WorkItem};
+use crate::executor::{
+    worth_keeping, ExecutorGraph, ExecutorStage, SpareLists, StageStats, Stages, WorkItem,
+    SPARE_LISTS,
+};
+use crate::flow::FlowItem;
 use crate::operators::OpOutput;
 
 /// Receives `(stage_index, outputs)` batches from worker threads.
@@ -85,6 +103,41 @@ type Post = (usize, WorkItem, u64);
 /// data valid.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Lists a pool's return stack holds at most. More than a runner keeps
+/// ([`SPARE_LISTS`]): the stack absorbs what piles up while one thread is
+/// descheduled and the others go on — at `chain_batched_rt`'s 1 500
+/// frames a second, a 5 ms gap is 8 frames and 32 output lists.
+const RETURN_LISTS: usize = 4 * SPARE_LISTS;
+
+/// A bounded stack of emptied lists that a pool's threads hand each
+/// other: its lock is a leaf, held for one push or pop.
+#[derive(Debug)]
+pub(crate) struct ReturnStack<T>(Mutex<Vec<Vec<T>>>);
+
+impl<T> ReturnStack<T> {
+    fn new() -> Self {
+        ReturnStack(Mutex::new(Vec::new()))
+    }
+
+    /// A returned list, if there is one.
+    pub(crate) fn pop(&self) -> Option<Vec<T>> {
+        lock(&self.0).pop()
+    }
+
+    /// Empties `list` and keeps it, if it is worth keeping and the stack
+    /// holds fewer than [`RETURN_LISTS`].
+    pub(crate) fn push(&self, mut list: Vec<T>) {
+        if !worth_keeping(&list) {
+            return;
+        }
+        list.clear();
+        let mut lists = lock(&self.0);
+        if lists.len() < RETURN_LISTS {
+            lists.push(list);
+        }
+    }
 }
 
 /// The [`NodeEnv`] worker threads execute operators against: live
@@ -226,6 +279,13 @@ pub(crate) struct Shared {
     space: Mutex<()>,
     space_freed: Condvar,
     turns: AtomicU64,
+    /// Item lists a thread had no place for, for a thread that has none
+    /// left: the node thread decodes frames into them, the workers drain
+    /// them.
+    lists_back: Arc<ReturnStack<FlowItem>>,
+    /// Output lists the node thread has performed, for the workers' next
+    /// deliveries.
+    pub(crate) outputs_back: ReturnStack<OpOutput>,
 }
 
 impl Shared {
@@ -340,9 +400,10 @@ pub struct Worker {
     stages: Vec<(usize, ExecutorStage)>,
     /// The inbox as last swapped out; folded, it keeps its room.
     posts: Vec<Post>,
-    /// One step's outputs, kept across steps: only what goes to the node
-    /// thread is allocated.
+    /// One step's outputs, kept across steps.
     out: Vec<OpOutput>,
+    /// The lists its stages' batches came in, for its hand-offs.
+    lists: SpareLists,
 }
 
 impl Worker {
@@ -381,9 +442,9 @@ impl Worker {
             let stage = *stage;
             if owned.depth() > 0 {
                 worked = true;
-                let out = &mut self.out;
+                let (out, lists) = (&mut self.out, &mut self.lists);
                 let policy = owned.policy();
-                if catch_unwind(AssertUnwindSafe(|| owned.step(env, out))).is_err() {
+                if catch_unwind(AssertUnwindSafe(|| owned.step(env, out, lists))).is_err() {
                     // What the panicking call appended is not a result.
                     out.clear();
                 }
@@ -394,12 +455,12 @@ impl Worker {
                 }
                 self.shared.release(stage, 1);
                 self.handoff
-                    .apply(&self.shared, env, stage, &mut owned.stats, out);
+                    .apply(&self.shared, env, stage, &mut owned.stats, out, lists);
                 if !out.is_empty() {
-                    // A list of its own for the node thread: `out` keeps
-                    // its buffer, which `mem::take` would hand over.
-                    #[allow(clippy::drain_collect)]
-                    let leftover = out.drain(..).collect();
+                    // A list for the node thread, one it gave back if it
+                    // can: `out` keeps its buffer.
+                    let mut leftover = self.shared.outputs_back.pop().unwrap_or_default();
+                    leftover.append(out);
                     deliver(stage, leftover);
                 }
             }
@@ -465,8 +526,11 @@ impl ExecutorGraph {
             space: Mutex::new(()),
             space_freed: Condvar::new(),
             turns: AtomicU64::new(0),
+            lists_back: Arc::new(ReturnStack::new()),
+            outputs_back: ReturnStack::new(),
         });
         *slot = Stages::Pooled(Arc::clone(&shared));
+        self.lists.borrow_mut().back = Some(Arc::clone(&shared.lists_back));
         let mut dealt: Vec<Worker> = (0..workers)
             .map(|index| Worker {
                 index,
@@ -475,6 +539,10 @@ impl ExecutorGraph {
                 stages: Vec::new(),
                 posts: Vec::new(),
                 out: Vec::new(),
+                lists: SpareLists {
+                    back: Some(Arc::clone(&shared.lists_back)),
+                    ..SpareLists::default()
+                },
             })
             .collect();
         for (i, stage) in stages.into_iter().enumerate() {
@@ -509,6 +577,7 @@ impl ExecutorGraph {
             stages[stage].enqueue(work, at_ns);
         }
         *slot = Stages::Inline(stages);
+        self.lists.borrow_mut().back = None;
     }
 }
 

@@ -21,7 +21,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::config::OperatorSpec;
-use crate::executor::WorkItem;
+use crate::executor::{SpareLists, WorkItem};
 use crate::flow::FlowItem;
 use crate::wire::DecodedItems;
 
@@ -93,10 +93,12 @@ where
 }
 
 /// The framing rule: one item travels as [`WorkItem::Item`], several as
-/// one [`WorkItem::Batch`].
-pub fn work_item(mut items: Vec<FlowItem>) -> WorkItem {
+/// one [`WorkItem::Batch`]; the list of a lone item goes back to `lists`.
+pub fn work_item(mut items: Vec<FlowItem>, lists: &mut SpareLists) -> WorkItem {
     if items.len() == 1 {
-        WorkItem::Item(items.pop().expect("length checked"))
+        let item = items.pop().expect("length checked");
+        lists.give(items);
+        WorkItem::Item(item)
     } else {
         WorkItem::Batch(items)
     }
@@ -114,44 +116,50 @@ pub fn work_item(mut items: Vec<FlowItem>) -> WorkItem {
 /// execution — which runs the stages in this order — unwraps it for
 /// free). Sharded routes get their `seq % modulus` sub-batch in group
 /// order; an item no shard claims is dropped.
+///
+/// The group's list travels on to the consumer that takes it whole;
+/// sub-batches are built in lists taken from `lists`, and a list left
+/// empty goes back there. No list is taken once `admit` has been called.
 pub fn materialize(
     routes: &[StageRoute],
     group: DecodedItems,
+    lists: &mut SpareLists,
     mut admit: impl FnMut(&StageRoute, WorkItem),
 ) {
     let mut items = match group {
         DecodedItems::One(item) => return materialize_one(routes, item, admit),
         DecodedItems::Many(mut items) if items.len() == 1 => {
             let item = items.pop().expect("length checked");
+            lists.give(items);
             return materialize_one(routes, item, admit);
         }
         DecodedItems::Many(items) => items,
     };
     if items.is_empty() {
+        lists.give(items);
         return;
     }
     let unsharded = routes.iter().filter(|r| r.shard.is_none()).count();
     // Sub-batches of the sharded routes, by route position.
-    let mut subs: Vec<Vec<FlowItem>> = Vec::new();
+    let mut subs = std::mem::take(&mut lists.subs);
     if unsharded < routes.len() {
         let len = items.len();
-        subs = routes
-            .iter()
-            .map(|route| match route.shard {
-                // Uniform sequences fill shards evenly; reserve that.
-                Some((modulus, _)) => {
-                    let m = usize::try_from(modulus).unwrap_or(usize::MAX).max(1);
-                    Vec::with_capacity(len / m + 1)
-                }
-                None => Vec::new(),
-            })
-            .collect();
+        subs.extend(routes.iter().map(|route| match route.shard {
+            // Uniform sequences fill shards evenly; reserve that.
+            Some((modulus, _)) => {
+                let m = usize::try_from(modulus).unwrap_or(usize::MAX).max(1);
+                let mut sub = lists.take();
+                sub.reserve(len / m + 1);
+                sub
+            }
+            None => Vec::new(),
+        }));
         let sharded = || routes.iter().enumerate().filter(|(_, r)| r.shard.is_some());
         if unsharded == 0 {
             // Nobody needs the group whole: each item moves into the
             // last shard claiming it (duplicate claimants and mixed
             // moduli clone into the earlier ones).
-            for item in std::mem::take(&mut items) {
+            for item in items.drain(..) {
                 let seq = item.seq;
                 let mut receivers = sharded().filter(|(_, r)| r.claims(seq)).map(|(k, _)| k);
                 let Some(mut k) = receivers.next() else {
@@ -180,9 +188,10 @@ pub fn materialize(
         let work = if route.shard.is_some() {
             let sub = std::mem::take(&mut subs[k]);
             if sub.is_empty() {
+                lists.give(sub);
                 continue;
             }
-            work_item(sub)
+            work_item(sub, lists)
         } else {
             unsharded_left -= 1;
             match (&shared, unsharded_left) {
@@ -193,6 +202,10 @@ pub fn materialize(
         };
         admit(route, work);
     }
+    // Drained into the shards, or claimed by no route.
+    lists.give(items);
+    subs.clear();
+    lists.subs = subs;
 }
 
 /// [`materialize`] for a lone item: every claiming route but the last
@@ -255,7 +268,12 @@ mod tests {
         let plan = RoutePlan { stages: routes };
         let claimed = claimants(&plan, group.iter().map(|i| i.seq));
         let mut out = Vec::new();
-        materialize(&claimed, group, |route, work| out.push((route.stage, work)));
+        materialize(
+            &claimed,
+            group,
+            &mut SpareLists::default(),
+            |route, work| out.push((route.stage, work)),
+        );
         out
     }
 

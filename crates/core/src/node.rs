@@ -44,9 +44,9 @@ use crate::env::NodeEnv;
 use crate::executor::handoff::plain_flow_topic;
 use crate::executor::router;
 use crate::executor::{ControlMsg, ExecutorGraph, OpTimer, StageStats, WorkItem};
-use crate::flow::{topics, FlowBatch, FlowItem, FlowMessage, Name};
+use crate::flow::{topics, FlowItem, FlowMessage, Name};
 use crate::operators::{ClassifierModel, MixEnvelope, NodeEvent, OpOutput};
-use crate::wire::{encode_batch_binary, encode_message_binary, encode_mix_binary, DecodedItems};
+use crate::wire::{encode_message_binary, encode_mix_binary, DecodedItems, FrameEncoder};
 
 /// Port MQTT clients send to (broker ingress).
 pub const MQTT_BROKER_PORT: u16 = 1883;
@@ -247,6 +247,19 @@ impl ActuatorDevice {
     }
 }
 
+/// One topic's micro-batch.
+#[derive(Debug)]
+struct PendingBatch {
+    /// The topic as the emitter names it.
+    topic: String,
+    /// The topic validated once, when the batch first opened; `None` for
+    /// a name MQTT refuses, whose frames are counted as
+    /// `publish_bad_topic`.
+    name: Option<TopicName>,
+    /// The messages waiting; emptied by a flush, which keeps its room.
+    messages: Vec<FlowMessage>,
+}
+
 /// The middleware runtime of one neuron module. See the module docs.
 #[derive(Debug)]
 pub struct MiddlewareNode {
@@ -273,6 +286,8 @@ pub struct MiddlewareNode {
     broker_actions: Vec<Action<Arc<str>>>,
     hop_queue: VecDeque<Hop>,
     stage_out: Vec<OpOutput>,
+    /// One routed group's work items, in route order.
+    routed: Vec<(usize, WorkItem)>,
     client: Option<Client>,
     client_decoder: StreamDecoder,
     connected: bool,
@@ -295,9 +310,12 @@ pub struct MiddlewareNode {
     directory: crate::discovery::FlowDirectory,
     broker_polls: u64,
     sys_view: BTreeMap<String, String>,
-    /// Per-topic micro-batch accumulators (publish coalescing; only
-    /// populated when `batch_linger_ms > 0`).
-    pending_batches: BTreeMap<String, Vec<FlowMessage>>,
+    /// Per-topic micro-batch accumulators, sorted by topic (publish
+    /// coalescing; only populated when `batch_linger_ms > 0`). A topic's
+    /// list is kept across flushes.
+    pending_batches: Vec<PendingBatch>,
+    /// Writes the micro-batches' frames, into a buffer it keeps.
+    encoder: FrameEncoder,
     batch_timer_armed: bool,
     /// Last published shed policy per stage, for `$SYS` transition
     /// notifications when adaptive escalation flips a stage.
@@ -396,6 +414,7 @@ impl MiddlewareNode {
             broker_actions: Vec::new(),
             hop_queue: VecDeque::new(),
             stage_out: Vec::new(),
+            routed: Vec::new(),
             client,
             client_decoder: StreamDecoder::new(),
             connected: false,
@@ -414,7 +433,8 @@ impl MiddlewareNode {
             directory: crate::discovery::FlowDirectory::new(),
             broker_polls: 0,
             sys_view: BTreeMap::new(),
-            pending_batches: BTreeMap::new(),
+            pending_batches: Vec::new(),
+            encoder: FrameEncoder::default(),
             batch_timer_armed: false,
             shed_policy_seen,
             announce_revision: 0,
@@ -865,14 +885,27 @@ impl MiddlewareNode {
     /// batching window.
     fn enqueue_batch(&mut self, env: &mut dyn NodeEnv, topic: &str, message: FlowMessage) {
         let batch_max = self.config.batch_max.max(1);
-        // The key is copied when a batch opens, not per message.
-        if !self.pending_batches.contains_key(topic) {
-            self.pending_batches.insert(topic.to_owned(), Vec::new());
-        }
-        let pending = self.pending_batches.get_mut(topic).expect("just ensured");
+        // A topic's entry is made (its key copied, its name validated)
+        // the first time it batches, not per message or per batch.
+        let at = match self
+            .pending_batches
+            .binary_search_by(|batch| batch.topic.as_str().cmp(topic))
+        {
+            Ok(at) => at,
+            Err(at) => {
+                let batch = PendingBatch {
+                    topic: topic.to_owned(),
+                    name: TopicName::new(topic).ok(),
+                    messages: Vec::new(),
+                };
+                self.pending_batches.insert(at, batch);
+                at
+            }
+        };
+        let pending = &mut self.pending_batches[at].messages;
         pending.push(message);
         if pending.len() >= batch_max {
-            self.flush_batch_topic(env, topic);
+            self.flush_batch_at(env, at);
             return;
         }
         if !self.batch_timer_armed {
@@ -883,38 +916,37 @@ impl MiddlewareNode {
         }
     }
 
-    /// Publishes one topic's pending batch as a single wire frame.
-    fn flush_batch_topic(&mut self, env: &mut dyn NodeEnv, topic: &str) {
-        let Some(items) = self.pending_batches.remove(topic) else {
+    /// Publishes the pending batch at `at` as a single wire frame — a
+    /// message frame for one message, a batch frame (one shared header,
+    /// delta-encoded timestamps) for more — and empties it.
+    fn flush_batch_at(&mut self, env: &mut dyn NodeEnv, at: usize) {
+        let batch = &mut self.pending_batches[at];
+        if batch.messages.is_empty() {
             return;
-        };
-        self.publish_flow_frame(env, topic, items);
+        }
+        let n = batch.messages.len() as u64;
+        let mut encoder = std::mem::take(&mut self.encoder);
+        let frame = encoder.encode(&batch.messages);
+        batch.messages.clear();
+        note_flow_frame(env, n, frame.len());
+        // What `publish_opts` would count, without validating the name
+        // again.
+        match batch.name.clone() {
+            Some(name) => self.publish_named(env, &name, frame, false),
+            None if self.client.is_none() => env.incr("publish_without_client"),
+            None => env.incr("publish_bad_topic"),
+        }
+        self.encoder = encoder;
     }
 
-    /// Flushes every pending micro-batch (linger timer expiry, and the
-    /// runtime's shutdown drain so trailing samples are not lost).
+    /// Flushes every pending micro-batch, in topic order (linger timer
+    /// expiry, and the runtime's shutdown drain so trailing samples are
+    /// not lost).
     pub(crate) fn flush_pending_batches(&mut self, env: &mut dyn NodeEnv) {
         self.batch_timer_armed = false;
-        let topics: Vec<String> = self.pending_batches.keys().cloned().collect();
-        for topic in topics {
-            self.flush_batch_topic(env, &topic);
+        for at in 0..self.pending_batches.len() {
+            self.flush_batch_at(env, at);
         }
-    }
-
-    /// Encodes 1 message as a message frame or N as a batch frame (one
-    /// shared header, delta-encoded timestamps) and publishes it.
-    fn publish_flow_frame(&mut self, env: &mut dyn NodeEnv, topic: &str, items: Vec<FlowMessage>) {
-        if items.is_empty() {
-            return;
-        }
-        let n = items.len() as u64;
-        let encoded = if items.len() == 1 {
-            encode_message_binary(&items[0])
-        } else {
-            encode_batch_binary(&FlowBatch { items })
-        };
-        note_flow_frame(env, n, encoded.len());
-        self.publish(env, topic, &encoded);
     }
 
     // ------------------------------------------------------------------
@@ -1332,13 +1364,14 @@ impl MiddlewareNode {
         // coalesced batch frame — one to N items per payload. The
         // lean form keeps the dominant single-sample path free of a
         // one-element `Vec` allocation.
-        let decoded = match crate::wire::decode_items_on(topic, &payload) {
-            Ok(decoded) => decoded,
-            Err(_) => {
-                env.incr("flow_decode_errors");
-                return;
-            }
-        };
+        let decoded =
+            match crate::wire::decode_items_into(topic, &payload, || self.executor.take_list()) {
+                Ok(decoded) => decoded,
+                Err(_) => {
+                    env.incr("flow_decode_errors");
+                    return;
+                }
+            };
         // Sequence ledger: sensor streams carry a per-device monotone
         // seq, so received flows can be audited for permanent gaps
         // (loss) and duplicates after faults and session resumes.
@@ -1374,9 +1407,19 @@ impl MiddlewareNode {
             return;
         }
         let claimed = router::claimants(&plan, group.iter().map(|item| item.seq));
-        router::materialize(&claimed, group, |route, work| {
-            self.deliver_work(env, route.stage, work, queue);
-        });
+        // Split first, then deliver: an inline stage gives its list back
+        // to the lists the split takes from.
+        let mut routed = std::mem::take(&mut self.routed);
+        router::materialize(
+            &claimed,
+            group,
+            &mut self.executor.lists(),
+            |route, work| routed.push((route.stage, work)),
+        );
+        for (stage, work) in routed.drain(..) {
+            self.deliver_work(env, stage, work, queue);
+        }
+        self.routed = routed;
     }
 
     /// Hands one work item to a stage: a pooled stage's owner gets it
@@ -1500,7 +1543,8 @@ impl MiddlewareNode {
                             group = Some(match group.take() {
                                 None => DecodedItems::One(item),
                                 Some(DecodedItems::One(first)) => {
-                                    let mut items = Vec::with_capacity(room);
+                                    let mut items = self.executor.take_list();
+                                    items.reserve(room);
                                     items.extend([first, item]);
                                     DecodedItems::Many(items)
                                 }
@@ -1591,6 +1635,8 @@ mod tests {
     use super::*;
     use crate::config::NodeConfig;
     use crate::env::MockEnv;
+    use crate::flow::FlowBatch;
+    use crate::wire::encode_batch_binary;
     use ifot_ml::feature::Datum;
 
     fn flow_message(seq: u64) -> FlowMessage {
@@ -1615,7 +1661,9 @@ mod tests {
             vec![(50_000_000, tag(TAG_BATCH, 0))],
             "the window is exactly batch_linger_ms"
         );
-        assert_eq!(node.pending_batches.get("t").map(Vec::len), Some(1));
+        assert_eq!(node.pending_batches.len(), 1);
+        assert_eq!(node.pending_batches[0].topic, "t");
+        assert_eq!(node.pending_batches[0].messages.len(), 1);
     }
 
     #[test]
@@ -1640,7 +1688,18 @@ mod tests {
             "the linger publishes each topic's partial batch as its own frame"
         );
         assert_eq!(env.counter("flow_items_published"), 6);
-        assert!(node.pending_batches.is_empty());
+        let topics: Vec<&str> = node
+            .pending_batches
+            .iter()
+            .map(|b| b.topic.as_str())
+            .collect();
+        assert_eq!(topics, ["a", "b"], "each topic keeps its entry, in order");
+        assert!(
+            node.pending_batches
+                .iter()
+                .all(|b| b.messages.is_empty() && b.messages.capacity() > 0),
+            "a flush empties the list and keeps its room"
+        );
         node.enqueue_batch(&mut env, "a", flow_message(5));
         assert_eq!(
             env.timers_rel.len(),

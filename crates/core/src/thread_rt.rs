@@ -471,7 +471,10 @@ fn run_node(
                 ThreadMsg::StageOutputs {
                     op_index,
                     mut outputs,
-                } => node.handle_outputs(&mut env, op_index, &mut outputs),
+                } => {
+                    node.handle_outputs(&mut env, op_index, &mut outputs);
+                    node.executor().give_back(outputs);
+                }
                 ThreadMsg::Stop => {}
             }
         }};

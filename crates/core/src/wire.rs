@@ -75,7 +75,7 @@ pub enum WireFormat {
 
 #[cfg(test)]
 thread_local! {
-    /// Test instrument: `(encode_message_binary, decode_items_on)` calls made
+    /// Test instrument: `(message frames encoded, flow payloads decoded)`
     /// on the current thread, so a test can pin that a local hop
     /// bypasses the codec.
     pub(crate) static CODEC_CALLS: std::cell::Cell<(u64, u64)> =
@@ -135,6 +135,21 @@ impl DecodedItems {
 ///
 /// Returns a description when no decoding applies.
 pub fn decode_items_on(topic: &Name, payload: &[u8]) -> Result<DecodedItems, String> {
+    decode_items_into(topic, payload, Vec::new)
+}
+
+/// [`decode_items_on`] writing a batch frame's items into the list `list`
+/// gives (taken only for a batch frame), so a caller that keeps emptied
+/// lists decodes a frame without allocating one.
+///
+/// # Errors
+///
+/// Returns a description when no decoding applies.
+pub fn decode_items_into(
+    topic: &Name,
+    payload: &[u8],
+    list: impl FnOnce() -> Vec<FlowItem>,
+) -> Result<DecodedItems, String> {
     #[cfg(test)]
     CODEC_CALLS.with(|c| c.set((c.get().0, c.get().1 + 1)));
     if payload.first() != Some(&FRAME_MAGIC) {
@@ -150,7 +165,9 @@ pub fn decode_items_on(topic: &Name, payload: &[u8]) -> Result<DecodedItems, Str
             read_message(r).map(|(_, body)| DecodedItems::One(body.on(topic.clone())))
         }
         Some((KIND_BATCH, r)) => {
-            read_batch(r, |_, _, body| body.on(topic.clone())).map(DecodedItems::Many)
+            let mut items = list();
+            read_batch(r, &mut items, |_, _, body| body.on(topic.clone()))?;
+            Ok(DecodedItems::Many(items))
         }
         Some((other, _)) => Err(format!(
             "flow frame kind {other:#04x} is not a flow payload"
@@ -248,73 +265,110 @@ fn header(kind: u8) -> Vec<u8> {
 
 /// Encodes one message as a binary frame.
 pub fn encode_message_binary(msg: &FlowMessage) -> Vec<u8> {
+    let mut w = Vec::new();
+    write_message(msg, &mut w);
+    w
+}
+
+/// Appends the frame [`encode_message_binary`] makes of `msg` to `w`.
+fn write_message(msg: &FlowMessage, w: &mut Vec<u8>) {
     #[cfg(test)]
     CODEC_CALLS.with(|c| c.set((c.get().0 + 1, c.get().1)));
-    let mut w = header(KIND_MESSAGE);
+    w.extend_from_slice(&[FRAME_MAGIC, FRAME_VERSION, KIND_MESSAGE]);
     w.put_prefixed(msg.producer.as_bytes());
-    put_varint(&mut w, msg.origin_ts_ns);
-    put_varint(&mut w, msg.seq);
-    put_varint(&mut w, msg.datum.len() as u64);
+    put_varint(w, msg.origin_ts_ns);
+    put_varint(w, msg.seq);
+    put_varint(w, msg.datum.len() as u64);
     for (key, value) in msg.datum.iter() {
         w.put_prefixed(key.as_bytes());
-        put_f64(&mut w, value);
+        put_f64(w, value);
     }
-    put_opt_string(&mut w, msg.label.as_deref());
-    put_opt_f64(&mut w, msg.score);
-    w
+    put_opt_string(w, msg.label.as_deref());
+    put_opt_f64(w, msg.score);
 }
 
 /// Encodes a non-empty batch as one binary frame: shared producer, a
 /// datum-key dictionary, and per-item zigzag deltas of origin/seq
-/// against the previous item.
+/// against the previous item. A wrapper over [`FrameEncoder::encode`],
+/// kept for callers that want a frame of their own.
 pub fn encode_batch_binary(batch: &FlowBatch) -> Vec<u8> {
-    let mut w = header(KIND_BATCH);
-    let shared = batch
-        .items
-        .first()
-        .map(|m| m.producer.as_str())
-        .unwrap_or("");
+    let mut w = Vec::new();
+    write_batch(&batch.items, &mut Vec::new(), &mut w);
+    w
+}
+
+/// Appends the frame [`encode_batch_binary`] makes of `items` to `w`,
+/// building the key dictionary in `dict` (left empty).
+fn write_batch(items: &[FlowMessage], dict: &mut Vec<FeatureKey>, w: &mut Vec<u8>) {
+    w.extend_from_slice(&[FRAME_MAGIC, FRAME_VERSION, KIND_BATCH]);
+    let shared = items.first().map(|m| m.producer.as_str()).unwrap_or("");
     w.put_prefixed(shared.as_bytes());
-    put_varint(&mut w, batch.items.len() as u64);
+    put_varint(w, items.len() as u64);
     // Key dictionary: union of datum keys, first-appearance order.
-    let mut dict: Vec<&str> = Vec::new();
-    for item in &batch.items {
-        for (key, _) in item.datum.iter() {
-            if !dict.contains(&key) {
-                dict.push(key);
+    dict.clear();
+    for item in items {
+        for (key, _) in item.datum.entries() {
+            if !dict.iter().any(|k| k.as_str() == key.as_str()) {
+                dict.push(key.clone());
             }
         }
     }
-    put_varint(&mut w, dict.len() as u64);
-    for key in &dict {
-        w.put_prefixed(key.as_bytes());
+    put_varint(w, dict.len() as u64);
+    for key in dict.iter() {
+        w.put_prefixed(key.as_str().as_bytes());
     }
-    let base_origin = batch.items.first().map(|m| m.origin_ts_ns).unwrap_or(0);
-    let base_seq = batch.items.first().map(|m| m.seq).unwrap_or(0);
-    put_varint(&mut w, base_origin);
-    put_varint(&mut w, base_seq);
+    let base_origin = items.first().map(|m| m.origin_ts_ns).unwrap_or(0);
+    let base_seq = items.first().map(|m| m.seq).unwrap_or(0);
+    put_varint(w, base_origin);
+    put_varint(w, base_seq);
     let (mut prev_origin, mut prev_seq) = (base_origin, base_seq);
-    for item in &batch.items {
+    for item in items {
         if item.producer == shared {
             w.push(0);
         } else {
             w.push(1);
             w.put_prefixed(item.producer.as_bytes());
         }
-        put_zigzag(&mut w, item.origin_ts_ns.wrapping_sub(prev_origin) as i64);
-        put_zigzag(&mut w, item.seq.wrapping_sub(prev_seq) as i64);
+        put_zigzag(w, item.origin_ts_ns.wrapping_sub(prev_origin) as i64);
+        put_zigzag(w, item.seq.wrapping_sub(prev_seq) as i64);
         prev_origin = item.origin_ts_ns;
         prev_seq = item.seq;
-        put_varint(&mut w, item.datum.len() as u64);
+        put_varint(w, item.datum.len() as u64);
         for (key, value) in item.datum.iter() {
-            let idx = dict.iter().position(|k| *k == key).expect("key in dict");
-            put_varint(&mut w, idx as u64);
-            put_f64(&mut w, value);
+            let idx = dict
+                .iter()
+                .position(|k| k.as_str() == key)
+                .expect("key in dict");
+            put_varint(w, idx as u64);
+            put_f64(w, value);
         }
-        put_opt_string(&mut w, item.label.as_deref());
-        put_opt_f64(&mut w, item.score);
+        put_opt_string(w, item.label.as_deref());
+        put_opt_f64(w, item.score);
     }
-    w
+    dict.clear();
+}
+
+/// A flow-frame encoder that keeps its buffers between frames: it
+/// writes exactly what [`encode_message_binary`] and
+/// [`encode_batch_binary`] return, and once it has written a frame as
+/// large as the next it allocates nothing.
+#[derive(Debug, Default)]
+pub struct FrameEncoder {
+    frame: Vec<u8>,
+    dict: Vec<FeatureKey>,
+}
+
+impl FrameEncoder {
+    /// One message as a message frame, or several as a batch frame;
+    /// valid until the next call.
+    pub fn encode(&mut self, items: &[FlowMessage]) -> &[u8] {
+        self.frame.clear();
+        match items {
+            [one] => write_message(one, &mut self.frame),
+            _ => write_batch(items, &mut self.dict, &mut self.frame),
+        }
+        &self.frame
+    }
 }
 
 /// Encodes a model-plane envelope as a binary frame.
@@ -386,14 +440,16 @@ fn read_message(mut r: Reader<'_>) -> Result<(&str, Body), String> {
     Ok((producer, body))
 }
 
-/// Reads the body of a batch frame, handing `make` each item in publish
-/// order with the frame's shared producer and the item's own one where it
-/// overrides it (both borrowed from the frame). The dictionary's keys are
-/// built once and shared by every datum naming them.
+/// Reads the body of a batch frame into `items`, handing `make` each item
+/// in publish order with the frame's shared producer and the item's own
+/// one where it overrides it (both borrowed from the frame). The
+/// dictionary's keys are built once and shared by every datum naming
+/// them.
 fn read_batch<T>(
     mut r: Reader<'_>,
+    items: &mut Vec<T>,
     mut make: impl FnMut(&str, Option<&str>, Body) -> T,
-) -> Result<Vec<T>, String> {
+) -> Result<(), String> {
     let shared = r.str()?;
     let count = r.varint()? as usize;
     if count == 0 {
@@ -410,7 +466,7 @@ fn read_batch<T>(
     let base_origin = r.varint()?;
     let base_seq = r.varint()?;
     let (mut prev_origin, mut prev_seq) = (base_origin, base_seq);
-    let mut items = Vec::with_capacity(count.min(4096));
+    items.reserve(count.min(4096));
     for _ in 0..count {
         let own = if r.flag()? { Some(r.str()?) } else { None };
         let origin_ts_ns = prev_origin.wrapping_add(zigzag(&mut r)? as u64);
@@ -436,7 +492,7 @@ fn read_batch<T>(
         items.push(make(shared, own, body));
     }
     r.finish()?;
-    Ok(items)
+    Ok(())
 }
 
 /// Decodes a strictly binary message frame.
@@ -456,12 +512,17 @@ pub fn decode_message_binary(payload: &[u8]) -> Result<FlowMessage, String> {
 /// Returns a description for wrong kinds, truncation or trailing bytes.
 pub fn decode_batch_binary(payload: &[u8]) -> Result<FlowBatch, String> {
     let mut frames: Option<Name> = None;
-    let items = read_batch(open_as(payload, KIND_BATCH)?, |shared, own, body| {
-        body.by(match own {
-            Some(own) => own.into(),
-            None => frames.get_or_insert_with(|| shared.into()).clone(),
-        })
-    })?;
+    let mut items = Vec::new();
+    read_batch(
+        open_as(payload, KIND_BATCH)?,
+        &mut items,
+        |shared, own, body| {
+            body.by(match own {
+                Some(own) => own.into(),
+                None => frames.get_or_insert_with(|| shared.into()).clone(),
+            })
+        },
+    )?;
     Ok(FlowBatch { items })
 }
 

@@ -82,11 +82,20 @@ impl AnyClassifier {
     }
 
     /// Classifies a batch of examples in order (one resolution, one
-    /// batched `classify` call). Results are identical to calling
+    /// batched `classify` call) into `labels`, which it clears first and
+    /// whose room it reuses. Results are identical to calling
     /// [`AnyClassifier::classify`] per example.
-    pub fn classify_batch(&self, xs: &[FeatureVector]) -> Vec<Option<String>> {
+    pub fn classify_batch_into(&self, xs: &[FeatureVector], labels: &mut Vec<Option<String>>) {
         let model = self.model();
-        xs.iter().map(|x| model.classify(x)).collect()
+        labels.clear();
+        labels.extend(xs.iter().map(|x| model.classify(x)));
+    }
+
+    /// [`AnyClassifier::classify_batch_into`] into a list of its own.
+    pub fn classify_batch(&self, xs: &[FeatureVector]) -> Vec<Option<String>> {
+        let mut labels = Vec::with_capacity(xs.len());
+        self.classify_batch_into(xs, &mut labels);
+        labels
     }
 
     /// Examples consumed.

@@ -698,8 +698,12 @@ fn topic_name(raw: &[u8], what: &'static str) -> Result<TopicName, DecodeError> 
     TopicName::new(name).map_err(|_| DecodeError::MalformedPacket(what))
 }
 
-/// Slots of a [`NameTable`].
-const NAME_SLOTS: usize = 16;
+/// Slots of a [`NameTable`]: 32, so the eight `sensor/N/sound` names of
+/// a `chain_batched_rt` edge land in eight slots (at 16, two pairs of them
+/// shared one and evicted each other). A slot is the top bits of the
+/// spread hash, so the 32-slot table refines the 16-slot one: names apart
+/// at 16 are apart at 32.
+const NAME_SLOTS: usize = 32;
 
 /// The topic names a stream validated last: a fixed, direct-mapped table
 /// (one probe, replace on miss). A publisher repeats a handful of names —
@@ -1542,7 +1546,7 @@ mod tests {
         let second = (1..)
             .map(|n| format!("sensor/{n}/sound"))
             .find(|s| name_slot(s.as_bytes()) == name_slot(first.as_bytes()))
-            .expect("sixteen slots");
+            .expect("finitely many slots");
         (first, second)
     }
 
@@ -1565,6 +1569,26 @@ mod tests {
         let other = pop_publish(&mut StreamDecoder::new(), &frame("sensor/1/sound"));
         assert_eq!(other.topic, a1.topic);
         assert!(!std::ptr::eq(a1.topic.as_str(), other.topic.as_str()));
+    }
+
+    #[test]
+    fn the_eight_chain_sensor_names_are_all_held_after_first_sight() {
+        let names: Vec<String> = (1..=8).map(|n| format!("sensor/{n}/sound")).collect();
+        let frame = |name: &str| encode(&Packet::Publish(Publish::qos0(topic(name), vec![1])));
+        let mut dec = StreamDecoder::new();
+        let first: Vec<Publish> = names
+            .iter()
+            .map(|n| pop_publish(&mut dec, &frame(n)))
+            .collect();
+        for round in 0..3 {
+            for (name, held) in names.iter().zip(&first) {
+                let again = pop_publish(&mut dec, &frame(name));
+                assert!(
+                    std::ptr::eq(held.topic.as_str(), again.topic.as_str()),
+                    "round {round}: {name} was evicted"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1591,7 +1615,9 @@ mod tests {
     #[test]
     fn names_that_differ_in_their_last_byte_spread_over_the_table() {
         // FNV-1a alone would put all of these in one slot (see `name_slot`).
-        let slots: std::collections::BTreeSet<usize> = (b'a'..=b'p')
+        // As many names as slots.
+        let slots: std::collections::BTreeSet<usize> = (b'A'..)
+            .take(NAME_SLOTS)
             .map(|last| name_slot(&[b"sensor/1/".as_slice(), &[last]].concat()))
             .collect();
         assert!(slots.len() >= NAME_SLOTS / 2, "{slots:?}");
@@ -1607,11 +1633,11 @@ mod tests {
         let wildcard = (0..)
             .map(|n| format!("sensor/{n}/+").into_bytes())
             .find(|raw| name_slot(raw) == name_slot(first))
-            .expect("sixteen slots");
+            .expect("finitely many slots");
         let not_text = (0..=u8::MAX)
             .map(|n| vec![0xFF, n])
             .find(|raw| name_slot(raw) == name_slot(first))
-            .expect("sixteen slots");
+            .expect("finitely many slots");
         assert_eq!(
             names.name(&wildcard, "publish topic"),
             Err(DecodeError::MalformedPacket("publish topic"))

@@ -24,13 +24,15 @@ use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use ifot::core::config::{NodeConfig, OperatorKind, OperatorSpec};
+use ifot::core::config::{ExecutorConfig, NodeConfig, OperatorKind, OperatorSpec, ShedPolicy};
 use ifot::core::env::NodeEnv;
 use ifot::core::executor::ops::build_operator;
+use ifot::core::executor::pool::Worker;
+use ifot::core::executor::{ExecutorGraph, WorkItem};
 use ifot::core::flow::{FlowBatch, FlowItem, Name};
 use ifot::core::node::{MiddlewareNode, MQTT_BROKER_PORT};
-use ifot::core::operators::NodeEvent;
-use ifot::core::wire::{decode_items_on, encode_batch_binary};
+use ifot::core::operators::{NodeEvent, OpOutput};
+use ifot::core::wire::{decode_items_into, decode_items_on, encode_batch_binary, DecodedItems};
 use ifot::ml::feature::{Datum, DEFAULT_DIMENSIONS};
 use ifot::ml::runtime::AnyClassifier;
 use ifot::mqtt::broker::{Action, BrokerConfig};
@@ -225,13 +227,15 @@ fn one_samples_journey_stays_within_its_allocation_budget() {
 }
 
 /// Committed budget of the `chain_batched_rt` hub run inline, in
-/// allocation calls per prediction over both of its legs: measured 0.533
-/// (0.017 broker route, 0.517 ingest + exec), plus a tenth. A frame (30
-/// samples on average here) costs the hub 15.5 calls; 15 of them are its
-/// decoded item list, dictionary and key, one list per custom stage's
-/// step, the shard split (a list of lists and one list per replica) and
-/// each replica's `classify_batch` label list.
-const CHAIN_HUB_BUDGET: f64 = 0.59;
+/// allocation calls per prediction over both of its legs: measured 0.067
+/// (0.000 broker route, 0.067 ingest + exec), plus a tenth. A frame (30
+/// samples on average here) costs the hub two calls: the dictionary of
+/// the frame it decodes and the one key in it. Its item list is one the
+/// node thread kept, and it travels whole through the three custom
+/// stages; the shard split takes its four sub-lists from the same spare
+/// lists, and each replica labels into a list it keeps (0.533 while
+/// every hop built a list and dropped the one it consumed).
+const CHAIN_HUB_BUDGET: f64 = 0.074;
 
 #[test]
 fn the_chain_hub_stays_within_its_allocation_budget() {
@@ -256,6 +260,124 @@ fn the_chain_hub_stays_within_its_allocation_budget() {
         per_prediction(legs.broker_route + legs.ingest_exec) <= CHAIN_HUB_BUDGET,
         "broker route + decode → dispatch → three custom stages → four replicas: {legs:?}"
     );
+}
+
+/// Committed budget of the `chain_batched_rt` edge's sense + publish leg,
+/// in allocation calls per sample: measured 0.033, plus a tenth. A flushed
+/// batch costs the edge one call, the PUBLISH frame it is written into
+/// (30 samples on average: the linger flushes some batches early); each
+/// topic keeps its list and its validated name, and the frame encoder
+/// its buffer and key dictionary.
+const CHAIN_EDGE_BUDGET: f64 = 0.037;
+
+#[test]
+fn the_chain_edge_allocates_one_frame_per_batch() {
+    let legs = step(chain_batched_pair(), 200_000_000, 500_000_000);
+    assert!(legs.samples >= 20_000, "the pair must be running: {legs:?}");
+    let per_sample = legs.sense_publish as f64 / legs.samples as f64;
+    println!(
+        "chain edge allocations per sample: sense+publish {per_sample:.4} (one per {:.1} samples)",
+        1.0 / per_sample
+    );
+    assert!(
+        per_sample <= CHAIN_EDGE_BUDGET,
+        "sense → batch → encode → publish → send: {legs:?}"
+    );
+}
+
+/// One frame through the `chain_batched_rt` hub's dealt stages, with this
+/// thread playing the node thread's part: decode it into a list the graph
+/// gives, post it to the ingest stage, turn the workers until both are
+/// idle, perform what they deliver (count the predictions) and give each
+/// delivered list back. Returns the predictions made.
+fn frame_through_the_pool(
+    graph: &ExecutorGraph,
+    workers: &mut [Worker],
+    topic: &Name,
+    frame: &[u8],
+) -> u64 {
+    let Ok(DecodedItems::Many(items)) = decode_items_into(topic, frame, || graph.take_list())
+    else {
+        panic!("a batch frame decodes into a list");
+    };
+    graph.enqueue(0, WorkItem::Batch(items), 0);
+    let mut predicted = 0;
+    let mut deliver = |_: usize, outputs: Vec<OpOutput>| {
+        predicted += outputs
+            .iter()
+            .filter(|o| matches!(o, OpOutput::Event(NodeEvent::Prediction { .. })))
+            .count() as u64;
+        graph.give_back(outputs);
+    };
+    loop {
+        let mut worked = false;
+        for worker in workers.iter_mut() {
+            worked |= worker.turn(&mut QuietEnv, &mut deliver);
+        }
+        if !worked {
+            return predicted;
+        }
+    }
+}
+
+/// Committed budget of the `chain_batched_rt` hub's stages dealt to two
+/// workers (its pooled hop), driven on one thread, in allocation calls
+/// per prediction: measured 0.0625, plus a tenth. A frame costs its
+/// dictionary and key, as inline. The workers hand the batch's list from
+/// stage to stage and split it into sub-lists taken from their spare
+/// lists; the worker that ends up short takes lists from the pool's
+/// return stack, which the one with a surplus and the node thread's
+/// decodes keep balanced, and the output lists a worker delivers come
+/// back through the other return stack. With return stacks that keep
+/// nothing it reads 0.281: seven more calls a frame (the node thread's
+/// decoded list, the four replicas' output lists, and the list one
+/// worker runs short of, made small for a shard and grown for a batch).
+const POOLED_HOP_BUDGET: f64 = 0.069;
+
+#[test]
+fn the_pooled_chain_hop_stays_within_its_allocation_budget() {
+    let [_, hub] = chain_batched_pair();
+    let config = ExecutorConfig {
+        workers: 2,
+        mailbox_capacity: 1024,
+        shed_policy: ShedPolicy::ShedOldest,
+    };
+    let graph = ExecutorGraph::compile(hub.operators, &config);
+    let mut workers = graph.deal(2);
+    let frames: Vec<(Name, Vec<u8>)> = (1..=CHAIN_SENSORS)
+        .map(|device| {
+            let topic = Name::from(format!("sensor/{device}/sound").as_str());
+            let items = (0..CHAIN_BATCH)
+                .map(|i| {
+                    let sample =
+                        Sample::new(SensorKind::Sound, device as u16, i as u32, i, &[40.0]);
+                    FlowItem::from_sample(topic.clone(), &sample).into_message("edge")
+                })
+                .collect();
+            (topic, encode_batch_binary(&FlowBatch { items }))
+        })
+        .collect();
+    let mut run = |rounds: usize| {
+        let mut predicted = 0;
+        for (topic, frame) in frames.iter().cycle().take(rounds * frames.len()) {
+            predicted += frame_through_the_pool(&graph, &mut workers, topic, frame);
+        }
+        predicted
+    };
+    run(8);
+    let (spent, predicted) = allocs_in(|| run(32));
+    assert_eq!(
+        predicted,
+        32 * CHAIN_SENSORS * CHAIN_BATCH,
+        "every sample reaches one replica"
+    );
+    let per_prediction = spent as f64 / predicted as f64;
+    println!("pooled chain hop allocations per prediction: {per_prediction:.4}");
+    assert!(
+        per_prediction <= POOLED_HOP_BUDGET,
+        "decode → ingest → refine1 → refine2 → four replicas on two workers: {spent} calls"
+    );
+    graph.reclaim(workers);
 }
 
 #[test]
@@ -359,16 +481,17 @@ fn a_custom_batch_into_a_presized_list_allocates_nothing() {
         "flow/chain/1",
     ));
     let topic = Name::from("flow/chain/0");
-    let batch: Vec<FlowItem> = (0..32u32)
+    let mut batch: Vec<FlowItem> = (0..32u32)
         .map(|i| {
             let sample = Sample::new(SensorKind::Sound, 2, i, u64::from(i), &[40.0]);
             FlowItem::from_sample(topic.clone(), &sample)
         })
         .collect();
     let mut out = Vec::with_capacity(batch.len());
-    let (spent, ()) = allocs_in(|| op.on_batch(&mut QuietEnv, batch, &mut out));
+    let (spent, ()) = allocs_in(|| op.on_batch(&mut QuietEnv, &mut batch, &mut out));
     assert_eq!(spent, 0, "32 emissions into a list with room for them");
     assert_eq!(out.len(), 32);
+    assert!(batch.is_empty(), "the list is drained, not dropped");
 }
 
 #[test]

@@ -20,7 +20,9 @@ use ifot::core::config::{
 use ifot::core::deploy::deploy;
 use ifot::core::env::MockEnv;
 use ifot::core::executor::ops::build_operator;
-use ifot::core::executor::{ControlMsg, ExecutorGraph, ExecutorStage, OpTimer, WorkItem};
+use ifot::core::executor::{
+    ControlMsg, ExecutorGraph, ExecutorStage, OpTimer, SpareLists, WorkItem,
+};
 use ifot::core::flow::FlowItem;
 use ifot::core::operators::{MixEnvelope, NodeEvent, OpOutput};
 use ifot::core::sim_adapter::{add_middleware_node, SimNode};
@@ -329,7 +331,7 @@ fn probe_stage(capacity: usize, policy: ShedPolicy) -> ExecutorStage {
 /// message — i.e. which probe items survived the mailbox.
 fn drain_origins(stage: &mut ExecutorStage, env: &mut MockEnv) -> Vec<u64> {
     let mut outputs = Vec::new();
-    while stage.step(env, &mut outputs) {}
+    while stage.step(env, &mut outputs, &mut SpareLists::default()) {}
     outputs
         .into_iter()
         .map(|output| match output {
@@ -478,7 +480,12 @@ fn batch_dispatch_equals_per_item_loop_for_every_operator_kind() {
         let mut batch_env = MockEnv::new();
         let mut batch_op = build_operator(spec);
         let mut batch_out = earlier.clone();
-        batch_op.on_batch(&mut batch_env, items, &mut batch_out);
+        let mut batch = items;
+        batch_op.on_batch(&mut batch_env, &mut batch, &mut batch_out);
+        assert!(
+            batch.is_empty(),
+            "operator kind {name} left items in the list it was handed"
+        );
 
         assert_eq!(
             loop_out, batch_out,

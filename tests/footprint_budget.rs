@@ -150,6 +150,15 @@ fn a_logged_event_is_48_bytes() {
     assert_eq!(std::mem::size_of::<NodeEvent>(), 48);
 }
 
+/// The entries of the lists a node keeps for its batches: a runner's
+/// spare lists bound their room in flow items, a pool's output return
+/// stack in outputs (DESIGN.md §5, "What a node holds").
+#[test]
+fn a_flow_item_and_an_output_are_176_bytes() {
+    assert_eq!(std::mem::size_of::<ifot::core::flow::FlowItem>(), 176);
+    assert_eq!(std::mem::size_of::<ifot::core::operators::OpOutput>(), 176);
+}
+
 /// A `Publish` is what a `TcpBroker` preallocates its loops' channel slots
 /// for (1 024 per loop), so each byte it grows is 1 KiB per loop before a
 /// single message (32 more were 128 KiB at four loops). It carries the

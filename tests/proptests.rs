@@ -1416,7 +1416,7 @@ fn backoff_schedule_is_bounded_and_deterministic() {
 /// batch for more — and hands nothing to a route that claims none.
 fn check_fan_out(shards: &[Option<(u64, u64)>], items: Vec<ifot::core::flow::FlowItem>) {
     use ifot::core::executor::router::{claimants, materialize, RoutePlan, StageRoute};
-    use ifot::core::executor::WorkItem;
+    use ifot::core::executor::{SpareLists, WorkItem};
     use ifot::core::flow::FlowItem;
     use ifot::core::wire::DecodedItems;
 
@@ -1442,7 +1442,7 @@ fn check_fan_out(shards: &[Option<(u64, u64)>], items: Vec<ifot::core::flow::Flo
 
     let run = |routes: &[StageRoute], group: DecodedItems| {
         let mut out: Vec<(usize, Vec<FlowItem>)> = Vec::new();
-        materialize(routes, group, |route, work| {
+        materialize(routes, group, &mut SpareLists::default(), |route, work| {
             let got = match work {
                 WorkItem::Item(item) => vec![item],
                 WorkItem::Batch(items) => {
