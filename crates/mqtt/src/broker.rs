@@ -27,8 +27,9 @@ use crate::packet::{
     Connack, Connect, ConnectReturnCode, LastWill, Packet, PacketId, Publish, QoS, Suback,
     SubackCode, Subscribe, Unsubscribe,
 };
+use crate::shard::{Index, IndexKey};
 use crate::topic::{TopicFilter, TopicName};
-use crate::tree::{Subscription, SubscriptionTree};
+use crate::tree::Subscription;
 use crate::wal::{
     self, DurablePublish, DurableState, MessageRef, RecoveryReport, Wal, WalBackend, WalConfig,
     WalRecord, WalStage, WalStats,
@@ -147,45 +148,6 @@ pub enum Action<C> {
     },
 }
 
-/// A state-change notification captured by the broker when event capture
-/// is enabled (see [`Broker::set_event_capture`]).
-///
-/// The sharded routing layer uses these to keep the subscription index
-/// its shards share in step with each shard's own tree and to forward
-/// routed publishes across shards: the broker reports *exactly* the
-/// mutations it applied to its own subscription tree (so persistence
-/// rules, session takeover and clean-session semantics never have to be
-/// re-derived by observers), plus every publish it accepted for routing
-/// (external publishes, last-will publications and internal `$SYS`
-/// traffic alike), in the order it did them.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BrokerEvent {
-    /// A publish was accepted and routed to local subscribers.
-    Routed(Publish),
-    /// `client` subscribed to `filter` with granted QoS `qos`.
-    Subscribed {
-        /// Subscribing client id.
-        client: Arc<str>,
-        /// The topic filter subscribed to.
-        filter: TopicFilter,
-        /// Granted maximum QoS.
-        qos: QoS,
-    },
-    /// `client` unsubscribed from `filter`.
-    Unsubscribed {
-        /// Unsubscribing client id.
-        client: Arc<str>,
-        /// The topic filter removed.
-        filter: TopicFilter,
-    },
-    /// Every subscription of `client` was dropped (clean-session connect
-    /// or non-persistent session teardown).
-    SessionCleared {
-        /// The client id whose subscriptions were removed.
-        client: Arc<str>,
-    },
-}
-
 /// Broker-side stage of an outbound acknowledged delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(clippy::enum_variant_names)] // the MQTT packet names share the prefix
@@ -265,6 +227,10 @@ pub struct BrokerStats {
 /// The broker state machine. `C` identifies a transport connection
 /// (e.g. a simulated node id, a socket handle, a thread channel index).
 ///
+/// Subscriptions are stored in a subscription index keyed `(shard, client
+/// id)` ([`crate::shard`]): a standalone broker owns a one-shard index,
+/// and each shard of a set routes through the index the set shares.
+///
 /// ```
 /// use ifot_mqtt::broker::{Action, Broker};
 /// use ifot_mqtt::packet::{Connect, Packet, Publish, QoS, Subscribe, SubscribeFilter};
@@ -297,19 +263,22 @@ pub struct Broker<C> {
     connections: BTreeMap<C, Connection<C>>,
     /// client id -> live connection. A client id is one shared string
     /// from CONNECT on: the connection, these maps and every subscription
-    /// in the tree hold the same allocation.
+    /// in the index hold the same allocation.
     online: BTreeMap<Arc<str>, C>,
     sessions: BTreeMap<Arc<str>, Session>,
-    tree: SubscriptionTree<Arc<str>>,
-    /// The subscriptions a route matched; empty between routes (kept for
+    /// The subscription store, read and written under `shard`: the index
+    /// every shard of a set shares, or a one-shard index of its own.
+    index: Arc<Index>,
+    shard: usize,
+    /// The index entries a route matched; empty between routes (kept for
     /// its capacity).
-    matched: Vec<Subscription<Arc<str>>>,
+    matched: Vec<Subscription<IndexKey>>,
+    /// `(target shard, publish)` for each publish routed here that other
+    /// shards' subscribers must see; the shard layer takes them after
+    /// every call. Always empty on a one-shard index.
+    pub(crate) forwards: Vec<(usize, Publish)>,
     retained: BTreeMap<String, Publish>,
     stats: BrokerStats,
-    /// When true, tree mutations and routed publishes are recorded in
-    /// `events` for the embedding layer to drain via `take_events`.
-    capture_events: bool,
-    events: Vec<BrokerEvent>,
     /// Write-ahead log for durable state, if attached. Every mutation of
     /// persistent-session or retained state buffers a record; each
     /// top-level entry point commits the buffer as one atomic batch
@@ -404,17 +373,22 @@ impl<C: Ord + Clone> Broker<C> {
 
     /// Creates a broker with explicit configuration.
     pub fn with_config(config: BrokerConfig) -> Self {
+        Self::on_shard(config, Index::new(1), 0)
+    }
+
+    /// Creates the broker of shard `shard` of the set that shares `index`.
+    pub(crate) fn on_shard(config: BrokerConfig, index: Arc<Index>, shard: usize) -> Self {
         Broker {
             config,
             connections: BTreeMap::new(),
             online: BTreeMap::new(),
             sessions: BTreeMap::new(),
-            tree: SubscriptionTree::new(),
+            index,
+            shard,
             matched: Vec::new(),
+            forwards: Vec::new(),
             retained: BTreeMap::new(),
             stats: BrokerStats::default(),
-            capture_events: false,
-            events: Vec::new(),
             wal: None,
         }
     }
@@ -467,7 +441,9 @@ impl<C: Ord + Clone> Broker<C> {
                 let Ok(filter) = TopicFilter::new(filter.clone()) else {
                     continue;
                 };
-                self.tree.subscribe(client.clone(), &filter, *qos);
+                self.index
+                    .write()
+                    .subscribe((self.shard, Arc::clone(&client)), &filter, *qos);
                 session.subscriptions.retain(|(sf, _)| sf != &filter);
                 session.subscriptions.push((filter, *qos));
             }
@@ -568,34 +544,6 @@ impl<C: Ord + Clone> Broker<C> {
             if let Some(wal) = self.wal.as_mut() {
                 wal.install_snapshot(&records);
             }
-        }
-    }
-
-    /// Enables or disables [`BrokerEvent`] capture. Off by default; a
-    /// layer that enables it must drain [`Broker::take_events`] after
-    /// every call or the buffer grows without bound.
-    pub fn set_event_capture(&mut self, on: bool) {
-        self.capture_events = on;
-        if !on {
-            self.events.clear();
-        }
-    }
-
-    /// Drains the events captured since the last call.
-    pub fn take_events(&mut self) -> Vec<BrokerEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Moves the events captured since the last drain onto the end of
-    /// `out`, keeping this buffer's capacity: a layer that drains after
-    /// every call pays no allocation per captured event in steady state.
-    pub fn drain_events_into(&mut self, out: &mut Vec<BrokerEvent>) {
-        out.append(&mut self.events);
-    }
-
-    fn capture(&mut self, event: impl FnOnce() -> BrokerEvent) {
-        if self.capture_events {
-            self.events.push(event());
         }
     }
 
@@ -801,10 +749,20 @@ impl<C: Ord + Clone> Broker<C> {
         now_ns: u64,
         actions: &mut Vec<Action<C>>,
     ) {
-        if publish.retain {
-            self.store_retained(&publish);
-        }
-        self.route(publish, now_ns, actions);
+        self.route(publish, now_ns, true, actions);
+        self.wal_barrier();
+    }
+
+    /// Applies a publish another shard routed and forwarded here: stores
+    /// it if retained and delivers it to this shard's subscribers only.
+    /// Never forwards it again, so a forward cannot loop.
+    pub(crate) fn apply_forward_into(
+        &mut self,
+        publish: Publish,
+        now_ns: u64,
+        actions: &mut Vec<Action<C>>,
+    ) {
+        self.route(publish, now_ns, false, actions);
         self.wal_barrier();
     }
 
@@ -884,17 +842,13 @@ impl<C: Ord + Clone> Broker<C> {
         }
 
         let session_present = if c.clean_session {
-            if let Some(old) = self.sessions.remove(&*client_id) {
+            if let Some(old) = self.clear_session(&client_id) {
                 if old.persistent {
                     wal_note(&mut self.wal, |out| {
                         wal::put_session_cleared(out, &client_id);
                     });
                 }
             }
-            self.tree.remove_key(&client_id);
-            self.capture(|| BrokerEvent::SessionCleared {
-                client: Arc::clone(&client_id),
-            });
             false
         } else {
             self.sessions.contains_key(&*client_id)
@@ -975,15 +929,15 @@ impl<C: Ord + Clone> Broker<C> {
             }
         }
 
-        // Retained handling: empty retained payload clears the slot.
-        if publish.retain {
-            self.store_retained(&publish);
-        }
-
-        self.route(publish, now_ns, actions);
+        self.route(publish, now_ns, true, actions);
     }
 
-    /// Routes a publish to every matching subscriber.
+    /// Routes a publish: stores it first if it is retained (an empty
+    /// retained payload clears the slot), then delivers it to every
+    /// subscriber of this shard that the index matches and, when
+    /// `forward` is set, queues it for every other shard that must see it
+    /// ([`forward`](Self::forward)). The index is locked for the walk
+    /// alone, once per route.
     ///
     /// Deliveries at one QoS differ at most in their packet id, so what
     /// they share is made once (see [`Publish`]) and carried by each:
@@ -1001,17 +955,28 @@ impl<C: Ord + Clone> Broker<C> {
     /// The bytes at the publish's own QoS stay on it, so the routed publish
     /// (and every cross-shard forward of it) takes them along; a delivery
     /// downgraded to a lower QoS is made per call.
-    fn route(&mut self, mut publish: Publish, now_ns: u64, actions: &mut Vec<Action<C>>) {
+    fn route(
+        &mut self,
+        mut publish: Publish,
+        now_ns: u64,
+        forward: bool,
+        actions: &mut Vec<Action<C>>,
+    ) {
+        if publish.retain {
+            self.store_retained(&publish);
+        }
         let mut subs = std::mem::take(&mut self.matched);
-        self.tree.matches_into(&publish.topic, &mut subs);
+        self.index.read().matches_into(&publish.topic, &mut subs);
+        let shard = self.shard;
         let mut made: [Option<Bytes>; 3] = Default::default();
-        for sub in &subs {
+        for sub in subs.iter().filter(|sub| sub.key.0 == shard) {
+            let client = &*sub.key.1;
             let effective_qos = publish.qos.min(sub.qos);
             if effective_qos == QoS::AtMostOnce {
-                let Some(conn) = self.online.get(&*sub.key) else {
+                let Some(conn) = self.online.get(client) else {
                     continue; // QoS 0 is never queued for offline sessions.
                 };
-                if !self.sessions.contains_key(&*sub.key) {
+                if !self.sessions.contains_key(client) {
                     continue;
                 }
                 let frame = shared_delivery(&mut made, &mut publish, effective_qos);
@@ -1031,12 +996,38 @@ impl<C: Ord + Clone> Broker<C> {
                     payload: publish.payload.clone(),
                     delivery: Some(head),
                 };
-                self.deliver(&sub.key, out, now_ns, actions);
+                self.deliver(client, out, now_ns, actions);
             }
+        }
+        if forward {
+            self.forward(publish, &subs);
         }
         subs.clear();
         self.matched = subs;
-        self.capture(|| BrokerEvent::Routed(publish));
+    }
+
+    /// Queues `publish` for each other shard that `matched` lists a
+    /// subscriber on — or, if it is retained, for every other shard, since
+    /// each shard keeps its own retained store — in shard order.
+    ///
+    /// A publish with a remote delivery at its own QoS leaves carrying
+    /// the bytes such deliveries share (see [`Publish`]): made here if the
+    /// local deliveries did not make them, so every target shares one set.
+    fn forward(&mut self, mut publish: Publish, matched: &[Subscription<IndexKey>]) {
+        let origin = self.shard;
+        publish.dup = false;
+        publish.packet_id = None;
+        if matched
+            .iter()
+            .any(|sub| sub.key.0 != origin && sub.qos >= publish.qos)
+        {
+            codec::carry_delivery(&mut publish);
+        }
+        for shard in (0..self.index.shards()).filter(|&s| s != origin) {
+            if publish.retain || matched.iter().any(|sub| sub.key.0 == shard) {
+                self.forwards.push((shard, publish.clone()));
+            }
+        }
     }
 
     /// Delivers one message to one client, queueing when offline or when
@@ -1209,13 +1200,11 @@ impl<C: Ord + Clone> Broker<C> {
         let mut retained_out: Vec<Publish> = Vec::new();
         for f in &sub.filters {
             let granted = f.qos;
-            self.tree
-                .subscribe(Arc::clone(&client_id), &f.filter, granted);
-            self.capture(|| BrokerEvent::Subscribed {
-                client: Arc::clone(&client_id),
-                filter: f.filter.clone(),
-                qos: granted,
-            });
+            // In the index before the SUBACK is queued: a publish on any
+            // shard after it is acknowledged reaches it.
+            self.index
+                .write()
+                .subscribe((self.shard, Arc::clone(&client_id)), &f.filter, granted);
             let session = self.sessions.entry(Arc::clone(&client_id)).or_default();
             session.subscriptions.retain(|(sf, _)| sf != &f.filter);
             session.subscriptions.push((f.filter.clone(), granted));
@@ -1253,11 +1242,9 @@ impl<C: Ord + Clone> Broker<C> {
             return;
         };
         for f in &unsub.filters {
-            self.tree.unsubscribe(&client_id, f);
-            self.capture(|| BrokerEvent::Unsubscribed {
-                client: Arc::clone(&client_id),
-                filter: f.clone(),
-            });
+            self.index
+                .write()
+                .unsubscribe(&(self.shard, Arc::clone(&client_id)), f);
             if let Some(session) = self.sessions.get_mut(&*client_id) {
                 session.subscriptions.retain(|(sf, _)| sf != f);
                 if session.persistent {
@@ -1271,6 +1258,20 @@ impl<C: Ord + Clone> Broker<C> {
             conn: conn.clone(),
             packet: Packet::Unsuback(unsub.packet_id),
         });
+    }
+
+    /// Drops the session of `client_id` and takes its subscriptions out of
+    /// the index, filter by filter: the session lists every one it holds.
+    fn clear_session(&mut self, client_id: &Arc<str>) -> Option<Session> {
+        let session = self.sessions.remove(client_id)?;
+        if !session.subscriptions.is_empty() {
+            let key = (self.shard, Arc::clone(client_id));
+            let mut index = self.index.write();
+            for (filter, _) in &session.subscriptions {
+                index.unsubscribe(&key, filter);
+            }
+        }
+        Some(session)
     }
 
     /// Removes the connection; `publish_will` selects ungraceful semantics.
@@ -1296,11 +1297,7 @@ impl<C: Ord + Clone> Broker<C> {
             if !persistent {
                 // Transient sessions were never logged, so there is no
                 // durable record to clear here.
-                self.sessions.remove(&*client_id);
-                self.tree.remove_key(&client_id);
-                self.capture(|| BrokerEvent::SessionCleared {
-                    client: Arc::clone(&client_id),
-                });
+                self.clear_session(&client_id);
             }
             if publish_will {
                 if let Some(will) = connection.will {
@@ -1309,10 +1306,7 @@ impl<C: Ord + Clone> Broker<C> {
                         retain: will.retain,
                         ..Publish::qos0(will.topic, will.payload)
                     };
-                    if publish.retain {
-                        self.store_retained(&publish);
-                    }
-                    self.route(publish, now_ns, actions);
+                    self.route(publish, now_ns, true, actions);
                 }
             }
         }
@@ -1374,6 +1368,19 @@ mod tests {
                 wal::encode_record(&mut owned, &rec);
             }
             assert!(borrowed == owned, "{:?}", p.topic);
+        }
+    }
+
+    impl<C: Ord + Clone> Broker<C> {
+        /// The `(client, filter)` pairs this broker's sessions hold.
+        pub(crate) fn session_subscriptions(&self) -> usize {
+            self.sessions.values().map(|s| s.subscriptions.len()).sum()
+        }
+
+        /// Entries in the index this broker routes through, every
+        /// shard's.
+        pub(crate) fn index_len(&self) -> usize {
+            self.index.read().len()
         }
     }
 
@@ -2072,31 +2079,28 @@ mod tests {
         assert!(fired.iter().any(|a| matches!(a, Action::Close { conn: 1 })));
     }
 
+    /// A standalone broker's index holds each subscription once, as its
+    /// session does, through resubscribe, unsubscribe and session
+    /// teardown, and it never forwards.
     #[test]
-    fn event_capture_reports_tree_mutations_and_routes() {
+    fn a_standalone_broker_holds_each_subscription_once() {
         let mut b: Broker<u32> = Broker::new();
-        b.set_event_capture(true);
         connect(&mut b, 1, "sub");
         connect(&mut b, 2, "pub");
-        b.take_events();
+        let held = |b: &Broker<u32>| {
+            assert_eq!(b.index_len(), b.session_subscriptions());
+            b.index_len()
+        };
+        subscribe(&mut b, 1, "s/#", QoS::AtMostOnce);
+        subscribe(&mut b, 1, "s/+", QoS::AtMostOnce);
         subscribe(&mut b, 1, "s/#", QoS::AtLeastOnce);
-        assert_eq!(
-            b.take_events(),
-            vec![BrokerEvent::Subscribed {
-                client: "sub".into(),
-                filter: filter("s/#"),
-                qos: QoS::AtLeastOnce,
-            }]
-        );
-        b.handle_packet(
+        assert_eq!(held(&b), 2);
+        let out = b.handle_packet(
             &2,
             Packet::Publish(Publish::qos0(topic("s/a"), b"x".to_vec())),
             1,
         );
-        assert!(matches!(
-            b.take_events().as_slice(),
-            [BrokerEvent::Routed(p)] if p.topic.as_str() == "s/a"
-        ));
+        assert_eq!(sends_to(&out, 1).len(), 1);
         b.handle_packet(
             &1,
             Packet::Unsubscribe(Unsubscribe {
@@ -2105,50 +2109,10 @@ mod tests {
             }),
             2,
         );
-        assert_eq!(
-            b.take_events(),
-            vec![BrokerEvent::Unsubscribed {
-                client: "sub".into(),
-                filter: filter("s/#"),
-            }]
-        );
-        // Non-persistent teardown clears the session.
+        assert_eq!(held(&b), 1);
+        // A clean session's teardown takes the rest out.
         b.handle_packet(&1, Packet::Disconnect, 3);
-        assert!(b.take_events().contains(&BrokerEvent::SessionCleared {
-            client: "sub".into()
-        }));
-    }
-
-    #[test]
-    fn event_capture_reports_will_routes_from_poll() {
-        let mut b: Broker<u32> = Broker::new();
-        b.set_event_capture(true);
-        b.connection_opened(1, 0);
-        let mut c = Connect::new("dev");
-        c.keep_alive_secs = 1;
-        c.will = Some(LastWill {
-            topic: topic("status/dev"),
-            payload: Bytes::from_static(b"gone"),
-            qos: QoS::AtMostOnce,
-            retain: false,
-        });
-        b.handle_packet(&1, Packet::Connect(c), 0);
-        b.take_events();
-        b.poll(2_000_000_000);
-        let events = b.take_events();
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, BrokerEvent::Routed(p) if p.payload.as_ref() == b"gone")),
-            "keep-alive expiry must surface the will as a routed event: {events:?}"
-        );
-    }
-
-    #[test]
-    fn event_capture_off_records_nothing() {
-        let mut b: Broker<u32> = Broker::new();
-        connect(&mut b, 1, "sub");
-        subscribe(&mut b, 1, "s/#", QoS::AtMostOnce);
-        assert!(b.take_events().is_empty());
+        assert_eq!(held(&b), 0);
+        assert!(b.forwards.is_empty());
     }
 }

@@ -12,14 +12,15 @@
 //! * [`tree`] — a subscription trie for efficient fan-out matching,
 //! * [`broker`] — a sans-I/O broker with QoS 0/1/2 (full exactly-once
 //!   handshake), retained messages, persistent sessions, wills and
-//!   keep-alive,
+//!   keep-alive, routing by a subscription index: its own, or the one a
+//!   shard set shares,
 //! * [`client`] — a sans-I/O client session with retransmission and
 //!   keep-alive,
 //! * [`supervisor`] — client-side dead-peer detection and reconnect
 //!   backoff around the session,
 //! * [`shard`] — a multi-core routing layer partitioning sessions across
 //!   per-shard brokers, each owned by one thread, that share only one
-//!   subscription index,
+//!   subscription index, the one place a subscription is stored,
 //! * [`wal`] — a write-ahead log + snapshot subsystem (CRC-framed atomic
 //!   batches, pluggable file/in-memory backends, tolerant replay) making
 //!   persistent sessions, subscriptions, retained messages and QoS 1/2
@@ -69,7 +70,7 @@ pub mod topic;
 pub mod tree;
 pub mod wal;
 
-pub use broker::{Action, Broker, BrokerConfig, BrokerEvent};
+pub use broker::{Action, Broker, BrokerConfig};
 pub use client::{Client, ClientConfig, ClientEvent};
 pub use codec::{decode, encode, StreamDecoder};
 pub use error::{DecodeError, SessionError, TopicError};

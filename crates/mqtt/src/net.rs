@@ -94,7 +94,7 @@ use crate::client::{Client, ClientConfig, ClientEvent};
 use crate::codec::{OutFrame, StreamDecoder};
 use crate::packet::{Connect, Packet, Publish, QoS};
 use crate::poll::{Event, Interest, Poller, Waker, WAKE_TOKEN};
-use crate::shard::{self, shard_of, Index, Shard, ShardOutput};
+use crate::shard::{self, shard_of, Shard, ShardOutput};
 use crate::slab::Slab;
 use crate::topic::{TopicFilter, TopicName};
 use crate::wal::WalStats;
@@ -227,7 +227,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 struct Shared {
     loops: Vec<LoopHandle>,
-    index: Index,
     epoch: Instant,
     shutdown: AtomicBool,
     /// Connections accepted and not yet torn down, the figure
@@ -244,7 +243,7 @@ impl Shared {
     /// shared state and, for each shard, the loop that owns it, not yet
     /// running.
     fn new(config: BrokerConfig) -> io::Result<(Arc<Shared>, Vec<EventLoop>)> {
-        let (shards, index, _) = shard::open(&config)?;
+        let (shards, _) = shard::open(&config)?;
         let pollers: Vec<Poller> = shards
             .iter()
             .map(|_| Poller::new())
@@ -266,7 +265,6 @@ impl Shared {
             });
         let shared = Arc::new(Shared {
             loops: loops.collect(),
-            index,
             epoch: Instant::now(),
             shutdown: AtomicBool::new(false),
             live: AtomicUsize::new(0),
@@ -687,7 +685,7 @@ impl EventLoop {
                 self.handle()
                     .deadline_wakeups
                     .fetch_add(1, Ordering::Relaxed);
-                self.shard.poll(&self.shared.index, now, &mut self.out);
+                self.shard.poll(now, &mut self.out);
                 self.dispatch(now);
                 self.expire_aux_deadlines(now);
                 self.rescan_broker_deadline();
@@ -1018,8 +1016,7 @@ impl EventLoop {
 
     fn handle_packet(&mut self, token: u64, packet: Packet) {
         let now = self.shared.now();
-        self.shard
-            .packet(&self.shared.index, &token, packet, now, &mut self.out);
+        self.shard.packet(&token, packet, now, &mut self.out);
         self.dispatch(now);
     }
 
@@ -1056,8 +1053,7 @@ impl EventLoop {
         // they were sent — possibly due already. Poll at once and rescan.
         let now = self.shared.now();
         self.lower_deadline(now);
-        self.shard
-            .connect(&self.shared.index, &token, connect, now, &mut self.out);
+        self.shard.connect(&token, connect, now, &mut self.out);
         self.dispatch(now);
 
         let Some(conn) = self.conns.get_mut(token) else {
@@ -1126,8 +1122,7 @@ impl EventLoop {
         if lost {
             let now = self.shared.now();
             // A will is routed on the shard the session lived on: this one.
-            self.shard
-                .lost(&self.shared.index, &token, now, &mut self.out);
+            self.shard.lost(&token, now, &mut self.out);
             self.dispatch(now);
         }
         self.publish();

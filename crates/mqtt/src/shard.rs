@@ -7,15 +7,14 @@
 //! [`Broker`], so publishes arriving on different connections route
 //! concurrently with no global lock on the hot path.
 //!
-//! A shard is a crate-private `Shard`: one broker plus the lists one
-//! operation fills, called through `&mut self` by the one thread that
-//! owns it. Its runtime owner is the TCP front-end
-//! ([`crate::net::TcpBroker`]), whose event loop *s* owns shard *s*
-//! outright. [`ShardedBroker`] is the same shard set driven from one
-//! thread, behind one lock: the face the tests and benchmark replays use.
-//! A middleware node's embedded broker runs on the node's one thread,
-//! where shards could never run in parallel, so it embeds a plain
-//! [`Broker`] instead.
+//! A shard is a crate-private `Shard`: one broker, called through
+//! `&mut self` by the one thread that owns it. Its runtime owner is the
+//! TCP front-end ([`crate::net::TcpBroker`]), whose event loop *s* owns
+//! shard *s* outright. [`ShardedBroker`] is the same shard set driven
+//! from one thread, behind one lock: the face the tests and benchmark
+//! replays use. A middleware node's embedded broker runs on the node's
+//! one thread, where shards could never run in parallel, so it embeds a
+//! plain [`Broker`] instead.
 //!
 //! ## Partitioning
 //!
@@ -28,36 +27,36 @@
 //!
 //! ## The shared subscription index
 //!
-//! Besides each shard's own tree, the shards share one read-mostly
-//! subscription index describing every subscription on every shard,
-//! keyed `(shard, client_id)`, behind one `RwLock`: the only lock the
-//! shards share. A shard's broker reports the tree mutations it applied
-//! as [`BrokerEvent`]s; before the operation that caused them returns,
-//! the shard applies them to the index in order, under the write lock. A
-//! routed publish is matched against the index under the read lock to
-//! find the other shards it must reach.
+//! The shards share one subscription index holding every subscription on
+//! every shard, keyed `(shard, client_id)`, behind one `RwLock`: the only
+//! lock the shards share, and the only place a subscription is stored. A
+//! shard's broker writes its own entries straight into it where it
+//! subscribes, unsubscribes, clears a session or restores one, and
+//! routes every publish by one walk of it under the read lock. The lock
+//! is held for the walk or the change alone, never while a broker
+//! delivers or writes its WAL. A standalone [`Broker`] owns a one-shard
+//! index of its own, so there is one store and one code path.
 //!
 //! The resulting invariant (DESIGN.md §7): **a subscribe acknowledged on
 //! any shard is visible to every subsequent publish on all shards** —
-//! the SUBACK is only returned after the index holds the subscription,
-//! and a publish reads the index as it is when it routes.
-//!
-//! Every subscription is held twice: in its shard's tree, which delivers,
-//! and in the index, which forwards. An operation that captured no event
-//! (an acknowledgement, a ping) does not touch the index lock at all.
+//! the broker writes the index before it queues the SUBACK, and a
+//! publish reads the index as it is when it routes.
 //!
 //! ## Cross-shard fan-out
 //!
 //! A publish routed on its origin shard may match subscribers on other
-//! shards. The origin computes the distinct set of remote shards from
-//! the index and reports them as [`ShardOutput::forwards`]; each is
-//! applied on its target shard (by that shard's own event loop in the
-//! TCP front-end, in the order they were routed; inline, via
-//! [`resolve`](ShardedBroker::resolve), for a caller on one thread).
-//! Forward application never generates further forwards, so a forwarded
-//! publish cannot loop. Retained publishes are forwarded to *all* shards
-//! so every shard's retained store replicates and a later subscriber on
-//! any shard sees them.
+//! shards. The origin's walk lists them all, sorted by shard: it
+//! delivers its own entries and reports each other shard with one as a
+//! [`ShardOutput::forwards`] entry. Each forward is applied on its target
+//! shard (by that shard's own event loop in the TCP front-end, in the
+//! order they were routed; inline, via
+//! [`resolve`](ShardedBroker::resolve), for a caller on one thread),
+//! which walks the index again keeping only its own entries: a publish
+//! reaching k other shards costs 1 + k walks. Forward application never
+//! generates further forwards, so a forwarded publish cannot loop.
+//! Retained publishes are forwarded to *all* shards so every shard's
+//! retained store replicates and a later subscriber on any shard sees
+//! them.
 //!
 //! ```
 //! use ifot_mqtt::broker::{Action, BrokerConfig};
@@ -92,24 +91,53 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::broker::{Action, Broker, BrokerConfig, BrokerEvent, BrokerStats};
-use crate::codec;
+use crate::broker::{Action, Broker, BrokerConfig, BrokerStats};
 use crate::packet::{Connect, Packet, Publish};
-use crate::topic::{fnv1a, TopicFilter};
-use crate::tree::{Subscription, SubscriptionTree};
+use crate::topic::fnv1a;
+use crate::tree::SubscriptionTree;
 use crate::wal::{FileBackend, RecoveryReport, Wal, WalBackend, WalConfig, WalStats};
 
-/// The index keys subscriptions by owning shard *and* client id so a
-/// client's subscriptions can be dropped without scanning, and so a
+/// The index keys subscriptions by owning shard *and* client id, so a
 /// match lists its shards in order. The id is the string the owning
 /// broker shares, so a match clones no text.
-type IndexKey = (usize, Arc<str>);
+pub(crate) type IndexKey = (usize, Arc<str>);
 
-/// Every subscription on every shard, keyed `(shard, client id)`: the one
-/// lock the shards share. See the [module docs](self).
-pub(crate) type Index = RwLock<SubscriptionTree<IndexKey>>;
+/// Every subscription on every shard that shares it, keyed
+/// `(shard, client id)`: the one subscription store, and the one lock the
+/// shards share. See the [module docs](self).
+#[derive(Debug)]
+pub(crate) struct Index {
+    shards: usize,
+    tree: RwLock<SubscriptionTree<IndexKey>>,
+}
+
+impl Index {
+    /// An empty index for `shards` shards.
+    pub(crate) fn new(shards: usize) -> Arc<Index> {
+        Arc::new(Index {
+            shards,
+            tree: RwLock::new(SubscriptionTree::new()),
+        })
+    }
+
+    /// How many shards share the index.
+    pub(crate) fn shards(&self) -> usize {
+        self.shards
+    }
+
+    /// The tree, to walk. A holder that panicked left it whole: each
+    /// change made under the lock is one tree call.
+    pub(crate) fn read(&self) -> RwLockReadGuard<'_, SubscriptionTree<IndexKey>> {
+        self.tree.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The tree, to change.
+    pub(crate) fn write(&self) -> RwLockWriteGuard<'_, SubscriptionTree<IndexKey>> {
+        self.tree.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 /// FNV-1a hash of a client id mapped onto `shards` buckets. Stable
 /// across processes so a reconnecting client always lands on the shard
@@ -140,26 +168,18 @@ impl<C> Default for ShardOutput<C> {
     }
 }
 
-/// One shard: its own broker and the lists one operation fills, each
-/// empty between operations (kept for its capacity). Whoever owns it
-/// calls it through `&mut self`; a call that can change or read the
-/// index takes the index too.
+/// One shard: its broker, which routes through the index the set shares.
+/// Whoever owns it calls it through `&mut self`.
 pub(crate) struct Shard<C> {
-    idx: usize,
-    /// How many shards share the index.
-    n: usize,
     broker: Broker<C>,
-    events: Vec<BrokerEvent>,
-    /// The index entries a routed publish matched.
-    matched: Vec<Subscription<IndexKey>>,
 }
 
-/// A shard set as opened: the shards, their index and, for a durable
-/// open, what each shard recovered (empty otherwise).
-pub(crate) type Opened<C> = (Vec<Shard<C>>, Index, Vec<RecoveryReport>);
+/// A shard set as opened: the shards and, for a durable open, what each
+/// shard recovered (empty otherwise).
+pub(crate) type Opened<C> = (Vec<Shard<C>>, Vec<RecoveryReport>);
 
 /// Opens `config.shards` shards (at least 1), every shard's broker with
-/// the same config, and the index over them.
+/// the same config, over one index.
 ///
 /// When [`BrokerConfig::durability`] is set this opens per-shard WAL
 /// files (`shard-<i>.wal` / `shard-<i>.snap`) under the directory and
@@ -181,9 +201,8 @@ pub(crate) fn open<C: Ord + Clone>(config: &BrokerConfig) -> io::Result<Opened<C
 
 /// Opens a durable shard set over explicit per-shard backends
 /// (`backends.len()` must equal the shard count). Each shard recovers
-/// its own log; the index is rebuilt from the union of the recovered
-/// sessions so cross-shard routing sees restored subscriptions
-/// immediately.
+/// its own log and restores it into the index, so cross-shard routing
+/// sees restored subscriptions immediately.
 pub(crate) fn recover<C: Ord + Clone>(
     config: &BrokerConfig,
     backends: Vec<Box<dyn WalBackend>>,
@@ -209,38 +228,19 @@ fn build<C: Ord + Clone>(
     recovered: Vec<(Wal, RecoveryReport)>,
 ) -> Opened<C> {
     let n = config.shards.max(1);
+    let index = Index::new(n);
     let mut shards: Vec<Shard<C>> = (0..n)
-        .map(|idx| {
-            let mut broker = Broker::with_config(config.clone());
-            // A lone shard has no index to keep and nowhere to forward
-            // to: its broker captures no events at all.
-            broker.set_event_capture(n > 1);
-            Shard {
-                idx,
-                n,
-                broker,
-                events: Vec::new(),
-                matched: Vec::new(),
-            }
+        .map(|idx| Shard {
+            broker: Broker::on_shard(config.clone(), Arc::clone(&index), idx),
         })
         .collect();
-    let mut index = SubscriptionTree::new();
     let mut reports = Vec::new();
     for (shard, (wal, report)) in shards.iter_mut().zip(recovered) {
-        for (client, session) in &report.state.sessions {
-            let client: Arc<str> = Arc::from(client.as_str());
-            for (filter, qos) in &session.subscriptions {
-                let Ok(filter) = TopicFilter::new(filter.clone()) else {
-                    continue;
-                };
-                index.subscribe((shard.idx, Arc::clone(&client)), &filter, *qos);
-            }
-        }
         shard.broker.restore(&report.state);
         shard.broker.attach_wal(wal);
         reports.push(report);
     }
-    (shards, RwLock::new(index), reports)
+    (shards, reports)
 }
 
 impl<C: Ord + Clone> Shard<C> {
@@ -248,20 +248,18 @@ impl<C: Ord + Clone> Shard<C> {
     /// connection comes to a shard.
     pub(crate) fn connect(
         &mut self,
-        index: &Index,
         conn: &C,
         connect: Connect,
         now_ns: u64,
         out: &mut ShardOutput<C>,
     ) {
         self.broker.connection_opened(conn.clone(), now_ns);
-        self.packet(index, conn, Packet::Connect(connect), now_ns, out);
+        self.packet(conn, Packet::Connect(connect), now_ns, out);
     }
 
     /// Handles one inbound packet of a connection this shard holds.
     pub(crate) fn packet(
         &mut self,
-        index: &Index,
         conn: &C,
         packet: Packet,
         now_ns: u64,
@@ -269,22 +267,22 @@ impl<C: Ord + Clone> Shard<C> {
     ) {
         self.broker
             .handle_packet_into(conn, packet, now_ns, &mut out.actions);
-        self.sync(index, &mut out.forwards);
+        out.forwards.append(&mut self.broker.forwards);
     }
 
     /// Transport-level connection loss (no DISCONNECT seen): publishes
     /// the will and keeps persistent session state. A no-op for a
     /// connection the shard does not hold.
-    pub(crate) fn lost(&mut self, index: &Index, conn: &C, now_ns: u64, out: &mut ShardOutput<C>) {
+    pub(crate) fn lost(&mut self, conn: &C, now_ns: u64, out: &mut ShardOutput<C>) {
         self.broker
             .connection_lost_into(conn, now_ns, &mut out.actions);
-        self.sync(index, &mut out.forwards);
+        out.forwards.append(&mut self.broker.forwards);
     }
 
     /// Runs the shard's timer work (keep-alive expiry, retransmissions).
-    pub(crate) fn poll(&mut self, index: &Index, now_ns: u64, out: &mut ShardOutput<C>) {
+    pub(crate) fn poll(&mut self, now_ns: u64, out: &mut ShardOutput<C>) {
         self.broker.poll_into(now_ns, &mut out.actions);
-        self.sync(index, &mut out.forwards);
+        out.forwards.append(&mut self.broker.forwards);
     }
 
     /// Applies a publish another shard forwarded here, appending the
@@ -296,12 +294,7 @@ impl<C: Ord + Clone> Shard<C> {
         now_ns: u64,
         actions: &mut Vec<Action<C>>,
     ) {
-        self.broker.publish_internal_into(publish, now_ns, actions);
-        // The only events a publish application can raise are Routed
-        // echoes of this same publish; dropping them is what prevents
-        // forward loops.
-        self.broker.drain_events_into(&mut self.events);
-        self.events.clear();
+        self.broker.apply_forward_into(publish, now_ns, actions);
     }
 
     /// The earliest instant at which [`poll`](Self::poll) has work, if
@@ -317,105 +310,6 @@ impl<C: Ord + Clone> Shard<C> {
     pub(crate) fn wal_stats(&self) -> Option<WalStats> {
         self.broker.wal_stats()
     }
-
-    /// Applies the events the broker captured during the call that just
-    /// ran, in order: tree mutations go into the index under its write
-    /// lock, and routed publishes are matched against it to compute
-    /// cross-shard forwards onto `forwards`. All of it happens before the
-    /// call returns its actions — that is what makes an acknowledged
-    /// subscribe visible to every subsequent publish. A call that
-    /// captured nothing takes no lock.
-    fn sync(&mut self, index: &Index, forwards: &mut Vec<(usize, Publish)>) {
-        let Shard {
-            idx,
-            n,
-            broker,
-            events,
-            matched,
-        } = self;
-        broker.drain_events_into(events);
-        if events.is_empty() {
-            return;
-        }
-        if events.iter().all(|e| matches!(e, BrokerEvent::Routed(_))) {
-            let index = index.read().unwrap_or_else(PoisonError::into_inner);
-            for event in events.drain(..) {
-                if let BrokerEvent::Routed(p) = event {
-                    collect_forwards(*idx, *n, &index, p, matched, forwards);
-                }
-            }
-            return;
-        }
-        let mut index = index.write().unwrap_or_else(PoisonError::into_inner);
-        // In order: a will routed before a session was cleared must see
-        // the subscriptions the clear removes, and one routed after must
-        // not.
-        for event in events.drain(..) {
-            match event {
-                BrokerEvent::Routed(p) => {
-                    collect_forwards(*idx, *n, &index, p, matched, forwards);
-                }
-                BrokerEvent::Subscribed {
-                    client,
-                    filter,
-                    qos,
-                } => {
-                    index.subscribe((*idx, client), &filter, qos);
-                }
-                BrokerEvent::Unsubscribed { client, filter } => {
-                    index.unsubscribe(&(*idx, client), &filter);
-                }
-                BrokerEvent::SessionCleared { client } => {
-                    index.remove_key(&(*idx, client));
-                }
-            }
-        }
-    }
-}
-
-/// Computes the shards other than `origin` (of `n`) a routed publish
-/// must reach, matching it into `matched`. Retained publishes go to
-/// every other shard (the retained store is replicated); others go only
-/// to shards with a matching subscriber.
-///
-/// A publish with a remote delivery at its own QoS leaves carrying the
-/// bytes such deliveries share (see [`Publish`]): made here if the
-/// origin's route had no local one to make them for, so every target
-/// shares the one set.
-fn collect_forwards(
-    origin: usize,
-    n: usize,
-    index: &SubscriptionTree<IndexKey>,
-    publish: Publish,
-    matched: &mut Vec<Subscription<IndexKey>>,
-    out: &mut Vec<(usize, Publish)>,
-) {
-    let mut fwd = publish;
-    fwd.dup = false;
-    fwd.packet_id = None;
-    index.matches_into(&fwd.topic, matched);
-    if matched
-        .iter()
-        .any(|sub| sub.key.0 != origin && sub.qos >= fwd.qos)
-    {
-        codec::carry_delivery(&mut fwd);
-    }
-    if fwd.retain {
-        for shard in (0..n).filter(|&s| s != origin) {
-            out.push((shard, fwd.clone()));
-        }
-    } else {
-        // Matches come sorted by (shard, client), so taking each shard
-        // at its first match yields the targets in shard order.
-        let first = out.len();
-        for sub in matched.iter() {
-            let shard = sub.key.0;
-            if shard != origin && !out[first..].iter().any(|(s, _)| *s == shard) {
-                out.push((shard, fwd.clone()));
-            }
-        }
-    }
-    matched.clear();
 }
 
 /// Sums per-shard figures. Counters add; the retained count is the
@@ -449,8 +343,7 @@ pub(crate) fn total_wal_stats(
     })
 }
 
-/// The shard set driven from one thread: every shard, the index and
-/// which shard each connection's CONNECT chose, behind one lock. See the
+/// The shard set driven from one thread: every shard and which shard each connection's CONNECT chose, behind one lock. See the
 /// [module docs](self); all methods take `&self`.
 pub struct ShardedBroker<C> {
     inner: Mutex<Inner<C>>,
@@ -461,7 +354,6 @@ pub struct ShardedBroker<C> {
 
 struct Inner<C> {
     shards: Vec<Shard<C>>,
-    index: Index,
     /// Connection → owning shard, fixed at CONNECT time.
     registry: BTreeMap<C, usize>,
 }
@@ -482,9 +374,8 @@ impl<C: Ord + Clone> ShardedBroker<C> {
 
     /// Opens a durable sharded broker over explicit per-shard backends
     /// (`backends.len()` must equal the shard count). Each shard recovers
-    /// its own log; the shared subscription index is rebuilt from the
-    /// union of the recovered sessions so cross-shard routing sees
-    /// restored subscriptions immediately. Inspect what each shard
+    /// its own log and restores it into the shared subscription index, so
+    /// cross-shard routing sees restored subscriptions immediately. Inspect what each shard
     /// replayed via [`ShardedBroker::recovery_reports`].
     pub fn open_durable(
         config: BrokerConfig,
@@ -493,11 +384,10 @@ impl<C: Ord + Clone> ShardedBroker<C> {
         recover(&config, backends).map(Self::from_opened)
     }
 
-    fn from_opened((shards, index, recovery): Opened<C>) -> Self {
+    fn from_opened((shards, recovery): Opened<C>) -> Self {
         ShardedBroker {
             inner: Mutex::new(Inner {
                 shards,
-                index,
                 registry: BTreeMap::new(),
             }),
             recovery,
@@ -548,7 +438,7 @@ impl<C: Ord + Clone> ShardedBroker<C> {
     ) {
         let inner = &mut *self.lock();
         if let Some(&idx) = inner.registry.get(conn) {
-            return inner.shards[idx].packet(&inner.index, conn, packet, now_ns, out);
+            return inner.shards[idx].packet(conn, packet, now_ns, out);
         }
         let Packet::Connect(connect) = packet else {
             out.actions.push(Action::Close { conn: conn.clone() });
@@ -556,7 +446,7 @@ impl<C: Ord + Clone> ShardedBroker<C> {
         };
         let idx = shard_of(&connect.client_id, inner.shards.len());
         inner.registry.insert(conn.clone(), idx);
-        inner.shards[idx].connect(&inner.index, conn, connect, now_ns, out);
+        inner.shards[idx].connect(conn, connect, now_ns, out);
     }
 
     /// Transport-level connection loss (no DISCONNECT seen): the owning
@@ -571,7 +461,7 @@ impl<C: Ord + Clone> ShardedBroker<C> {
     pub fn connection_lost_into(&self, conn: &C, now_ns: u64, out: &mut ShardOutput<C>) {
         let inner = &mut *self.lock();
         if let Some(idx) = inner.registry.remove(conn) {
-            inner.shards[idx].lost(&inner.index, conn, now_ns, out);
+            inner.shards[idx].lost(conn, now_ns, out);
         }
     }
 
@@ -613,7 +503,8 @@ impl<C: Ord + Clone> std::fmt::Debug for ShardedBroker<C> {
 mod tests {
     use super::*;
     use crate::packet::{Connect, LastWill, QoS, Subscribe, SubscribeFilter, Unsubscribe};
-    use crate::topic::TopicName;
+    use crate::topic::{TopicFilter, TopicName};
+    use crate::wal::{MemBackend, WalRecord};
 
     fn topic(s: &str) -> TopicName {
         TopicName::new(s).expect("valid topic")
@@ -763,9 +654,10 @@ mod tests {
     }
 
     /// One shard is the classic broker: deliveries and retained state
-    /// work as ever, and no event is captured for an index nobody reads.
+    /// work as ever, nothing is forwarded, and the index holds each
+    /// subscription once.
     #[test]
-    fn single_shard_routes_without_capturing_events() {
+    fn single_shard_routes_without_forwarding() {
         let sb: ShardedBroker<u32> = ShardedBroker::new(BrokerConfig {
             shards: 1,
             ..BrokerConfig::default()
@@ -778,14 +670,7 @@ mod tests {
         let out = sb.handle_packet(&2, Packet::Publish(retained), 1);
         assert!(out.forwards.is_empty());
         assert_eq!(sends_to(&out.actions, 1).len(), 1);
-        let mut inner = sb.lock();
-        assert!(inner.shards[0].broker.take_events().is_empty());
-        assert!(inner
-            .index
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .is_empty());
-        drop(inner);
+        assert_eq!(sb.lock().shards[0].broker.index_len(), 1);
         // A later subscriber still gets the retained message.
         connect(&sb, 3, "late");
         let out = sb.handle_packet(
@@ -861,10 +746,10 @@ mod tests {
             shards: 2,
             ..BrokerConfig::default()
         };
-        let (mut shards, index, _) = open::<u32>(&config).expect("no durability to open");
+        let (mut shards, _) = open::<u32>(&config).expect("no durability to open");
         let mut out = ShardOutput::default();
         let sub = Connect::new(id_on_shard("sub", 0, 2));
-        shards[0].connect(&index, &1, sub, 0, &mut out);
+        shards[0].connect(&1, sub, 0, &mut out);
         let subscribe = Packet::Subscribe(Subscribe {
             packet_id: 7,
             filters: vec![SubscribeFilter {
@@ -872,13 +757,13 @@ mod tests {
                 qos: QoS::AtLeastOnce,
             }],
         });
-        shards[0].packet(&index, &1, subscribe, 0, &mut out);
+        shards[0].packet(&1, subscribe, 0, &mut out);
         let publisher = Connect::new(id_on_shard("pub", 1, 2));
-        shards[1].connect(&index, &2, publisher, 0, &mut out);
+        shards[1].connect(&2, publisher, 0, &mut out);
         out.actions.clear();
 
         let publish = Publish::qos1(topic("s/a"), b"m".to_vec(), 1);
-        shards[1].packet(&index, &2, Packet::Publish(publish), 0, &mut out);
+        shards[1].packet(&2, Packet::Publish(publish), 0, &mut out);
         // Publisher handshake completes on the origin shard.
         assert!(sends_to(&out.actions, 2)
             .iter()
@@ -900,7 +785,7 @@ mod tests {
         let timeout = config.retransmit_timeout_ns;
         assert_eq!(shards[0].next_deadline_ns(), Some(timeout));
         let mut out = ShardOutput::default();
-        shards[0].poll(&index, timeout, &mut out);
+        shards[0].poll(timeout, &mut out);
         assert!(
             sends_to(&out.actions, 1)
                 .iter()
@@ -912,7 +797,7 @@ mod tests {
         // Acking on the subscriber's shard clears the retransmit timer:
         // the keep-alive is what is left.
         let mut out = ShardOutput::default();
-        shards[0].packet(&index, &1, Packet::Puback(pid), timeout + 1, &mut out);
+        shards[0].packet(&1, Packet::Puback(pid), timeout + 1, &mut out);
         assert!(out.actions.is_empty() && out.forwards.is_empty());
         assert_eq!(
             shards[0].next_deadline_ns(),
@@ -942,6 +827,48 @@ mod tests {
         assert!(sends_to(&actions, 1)
             .iter()
             .any(|p| matches!(p, Packet::Publish(p) if p.payload.as_ref() == b"gone")),);
+    }
+
+    /// A will published by keep-alive expiry, in a shard's timer work,
+    /// crosses shards like one published by a lost connection.
+    #[test]
+    fn a_will_from_keep_alive_expiry_is_forwarded() {
+        let config = BrokerConfig {
+            shards: 2,
+            ..BrokerConfig::default()
+        };
+        let (mut shards, _) = open::<u32>(&config).expect("no durability to open");
+        let mut out = ShardOutput::default();
+        shards[0].connect(&1, Connect::new(id_on_shard("sub", 0, 2)), 0, &mut out);
+        let subscribe = Packet::Subscribe(Subscribe {
+            packet_id: 7,
+            filters: vec![SubscribeFilter {
+                filter: filter("dead/#"),
+                qos: QoS::AtMostOnce,
+            }],
+        });
+        shards[0].packet(&1, subscribe, 0, &mut out);
+        let mut c = Connect::new(id_on_shard("pub", 1, 2));
+        c.keep_alive_secs = 1;
+        c.will = Some(LastWill {
+            topic: topic("dead/pub"),
+            payload: b"gone".to_vec().into(),
+            qos: QoS::AtMostOnce,
+            retain: false,
+        });
+        shards[1].connect(&2, c, 0, &mut out);
+        assert!(out.forwards.is_empty());
+
+        let mut out = ShardOutput::default();
+        shards[1].poll(2_000_000_000, &mut out);
+        assert!(out.actions.contains(&Action::Close { conn: 2 }));
+        let (target, will) = out.forwards.pop().expect("the will is forwarded");
+        assert_eq!(target, 0);
+        let mut actions = Vec::new();
+        shards[0].apply_forward(will, 2_000_000_000, &mut actions);
+        assert!(sends_to(&actions, 1)
+            .iter()
+            .any(|p| matches!(p, Packet::Publish(p) if p.payload.as_ref() == b"gone")));
     }
 
     #[test]
@@ -1048,5 +975,194 @@ mod tests {
         assert_eq!(sends_to(&actions, 1).len(), 1);
         assert_eq!(sends_to(&actions, 2).len(), 1);
         assert_eq!(sb.stats().messages_out, 2);
+    }
+
+    /// The subscriptions a shard set holds, checked to be held once: the
+    /// index's entries equal the `(client, filter)` pairs of the shards'
+    /// sessions.
+    fn held_once(sb: &ShardedBroker<u32>) -> usize {
+        let inner = sb.lock();
+        let held = inner
+            .shards
+            .iter()
+            .map(|s| s.broker.session_subscriptions())
+            .sum();
+        assert_eq!(inner.shards[0].broker.index_len(), held);
+        held
+    }
+
+    /// xorshift64*: a draw below `n` from `state`.
+    fn draw(state: &mut u64, n: u64) -> u64 {
+        *state ^= *state >> 12;
+        *state ^= *state << 25;
+        *state ^= *state >> 27;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+    }
+
+    /// Seeded scripts of clean and persistent connects, takeovers,
+    /// subscribes and unsubscribes over `+`/`#` filters, clean
+    /// disconnects and lost connections, at 1/2/4/8 shards over
+    /// `MemBackend`s. After every step each subscription is held once, in
+    /// the index; every acknowledged subscribe is delivered a publish from
+    /// every shard in the very next call; and the shard set recovered from
+    /// the same backends holds what its sessions hold, once.
+    #[test]
+    fn the_index_holds_each_subscription_once_across_recovery() {
+        const CLIENTS: usize = 6;
+        const FILTERS: [&str; 6] = ["#", "a/#", "a/+", "+/b", "a/b", "+/+/c"];
+        let mut recovered = 0;
+        for shards in [1, 2, 4, 8] {
+            for seed in 0..16u64 {
+                let backends: Vec<MemBackend> = (0..shards).map(|_| MemBackend::new()).collect();
+                let open = || {
+                    let config = BrokerConfig {
+                        shards,
+                        ..BrokerConfig::default()
+                    };
+                    let backends = backends.iter().map(|b| Box::new(b.clone()) as _).collect();
+                    ShardedBroker::<u32>::open_durable(config, backends).expect("opens")
+                };
+                let sb = open();
+                let publishers: Vec<u32> = (0..shards)
+                    .map(|s| {
+                        let conn = 1_000 + s as u32;
+                        connect(&sb, conn, &id_on_shard("p", s, shards));
+                        conn
+                    })
+                    .collect();
+                let mut rng = (seed + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let mut conn_of = [None; CLIENTS];
+                let mut next_conn = 1;
+                for t in 0..200 {
+                    let client = draw(&mut rng, CLIENTS as u64) as usize;
+                    let roll = draw(&mut rng, 10);
+                    match (conn_of[client], roll) {
+                        // A connect, a takeover when the client is online.
+                        (None, _) | (Some(_), 0) => {
+                            let mut c = Connect::new(format!("c{client}"));
+                            c.clean_session = draw(&mut rng, 3) == 0;
+                            let out = sb.handle_packet(&next_conn, Packet::Connect(c), t);
+                            sb.resolve(out, t);
+                            conn_of[client] = Some(next_conn);
+                            next_conn += 1;
+                        }
+                        (Some(conn), 1..=4) => {
+                            let f = FILTERS[draw(&mut rng, 6) as usize];
+                            let qos =
+                                [QoS::AtMostOnce, QoS::AtLeastOnce][draw(&mut rng, 2) as usize];
+                            subscribe(&sb, conn, f, qos);
+                            let name = topic(&f.replace(['+', '#'], "x"));
+                            for publisher in &publishers {
+                                let publish = Publish::qos0(name.clone(), b"m".to_vec());
+                                let out = sb.handle_packet(publisher, Packet::Publish(publish), t);
+                                let actions = sb.resolve(out, t);
+                                assert!(
+                                    actions.iter().any(|a| matches!(
+                                        a,
+                                        Action::SendFrame { conn: c, .. } if *c == conn
+                                    )),
+                                    "{shards} shards, seed {seed}: a publish on the shard \
+                                     of {publisher} missed the subscribe to {f}"
+                                );
+                            }
+                        }
+                        (Some(conn), 5..=6) => {
+                            let f = FILTERS[draw(&mut rng, 6) as usize];
+                            let unsubscribe = Unsubscribe {
+                                packet_id: 3,
+                                filters: vec![filter(f)],
+                            };
+                            sb.handle_packet(&conn, Packet::Unsubscribe(unsubscribe), t);
+                        }
+                        (Some(conn), 7..=8) => {
+                            sb.resolve(sb.connection_lost(&conn, t), t);
+                            conn_of[client] = None;
+                        }
+                        (Some(conn), _) => {
+                            sb.resolve(sb.handle_packet(&conn, Packet::Disconnect, t), t);
+                            conn_of[client] = None;
+                        }
+                    }
+                    held_once(&sb);
+                }
+                // A crash loses every connection: what stays is the
+                // persistent sessions, which recovery must restore.
+                for conn in conn_of.iter().flatten().chain(&publishers) {
+                    sb.resolve(sb.connection_lost(conn, 500), 500);
+                }
+                let persistent = held_once(&sb);
+                drop(sb);
+                assert_eq!(
+                    held_once(&open()),
+                    persistent,
+                    "{shards} shards, seed {seed}"
+                );
+                recovered += persistent;
+            }
+        }
+        assert!(recovered > 0, "no script left a persistent subscription");
+    }
+
+    /// ROADMAP item 10's leftover: a durable shard set over
+    /// `FileBackend`s whose `shard-0.wal` holds one good batch and then a
+    /// batch whose length varint claims 2^64 − 1 opens, reports the torn
+    /// tail, restores the good batch's subscription into the index once
+    /// and delivers to it.
+    #[test]
+    fn a_log_tail_claiming_2_64_bytes_opens_and_keeps_the_good_batch() {
+        let dir = std::env::temp_dir().join(format!("ifot-shard-overflow-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let sub_id = id_on_shard("sub", 0, 2);
+        let backend = FileBackend::open(&dir, "shard-0").expect("opens");
+        let mut wal = Wal::new(Box::new(backend), WalConfig::default());
+        wal.record(&WalRecord::SessionStarted {
+            client: sub_id.clone(),
+            next_pid: 0,
+        });
+        wal.record(&WalRecord::Subscribed {
+            client: sub_id.clone(),
+            filter: "s/#".into(),
+            qos: QoS::AtMostOnce,
+        });
+        wal.commit();
+        drop(wal);
+        let mut log = std::fs::OpenOptions::new()
+            .append(true)
+            .open(dir.join("shard-0.wal"))
+            .expect("the log exists");
+        std::io::Write::write_all(
+            &mut log,
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01],
+        )
+        .expect("appends");
+        drop(log);
+
+        let config = BrokerConfig {
+            shards: 2,
+            ..BrokerConfig::default()
+        };
+        let sb: ShardedBroker<u32> = ShardedBroker::new(config.with_durability(&dir));
+        let report = &sb.recovery_reports()[0];
+        assert!(report.log_truncated);
+        assert_eq!(report.log_batches, 1);
+        assert_eq!(held_once(&sb), 1);
+
+        let mut resume = Connect::new(sub_id);
+        resume.clean_session = false;
+        let out = sb.handle_packet(&1, Packet::Connect(resume), 0);
+        assert!(out.actions.iter().any(|a| matches!(
+            a,
+            Action::Send {
+                packet: Packet::Connack(c),
+                ..
+            } if c.session_present
+        )));
+        connect(&sb, 2, &id_on_shard("pub", 1, 2));
+        let publish = Publish::qos0(topic("s/a"), b"x".to_vec());
+        let out = sb.handle_packet(&2, Packet::Publish(publish), 1);
+        assert_eq!(sends_to(&sb.resolve(out, 1), 1).len(), 1);
+        assert_eq!(held_once(&sb), 1);
+        drop(sb);
+        std::fs::remove_dir_all(&dir).expect("removes its directory");
     }
 }

@@ -119,21 +119,31 @@ impl<K: Ord + Clone> SubscriptionTree<K> {
     }
 
     /// Removes the subscription of `key` under `filter`; returns whether
-    /// it existed.
+    /// it existed. Only the nodes on the filter's path are visited, and
+    /// each one the removal empties is dropped on the way back up.
     pub fn unsubscribe(&mut self, key: &K, filter: &TopicFilter) -> bool {
-        let mut node = &mut self.root;
-        for level in filter.levels() {
-            match node.children.get_mut(level) {
-                Some(child) => node = child,
-                None => return false,
+        fn remove<'a, K: Ord + Clone>(
+            node: &mut Node<K>,
+            mut levels: impl Iterator<Item = &'a str>,
+            key: &K,
+        ) -> bool {
+            let Some(level) = levels.next() else {
+                let before = node.subscribers.len();
+                node.subscribers.retain(|s| &s.key != key);
+                return node.subscribers.len() != before;
+            };
+            let Some(child) = node.children.get_mut(level) else {
+                return false;
+            };
+            let removed = remove(child, levels, key);
+            if removed && child.is_empty() {
+                node.children.remove(level);
             }
+            removed
         }
-        let before = node.subscribers.len();
-        node.subscribers.retain(|s| &s.key != key);
-        let removed = node.subscribers.len() != before;
+        let removed = remove(&mut self.root, filter.levels(), key);
         if removed {
             self.len -= 1;
-            self.root.prune();
         }
         removed
     }
@@ -341,6 +351,37 @@ mod tests {
         }
         assert!(t.is_empty());
         assert!(t.root.children.is_empty(), "trie not pruned");
+    }
+
+    /// An unsubscribe drops the nodes it empties on its own path and
+    /// leaves every sibling subtree as it was.
+    #[test]
+    fn unsubscribe_prunes_only_its_own_path() {
+        let mut t = SubscriptionTree::new();
+        t.subscribe("c", &filter("a/b/c"), QoS::AtMostOnce);
+        t.subscribe("d", &filter("a/b/d/+"), QoS::AtMostOnce);
+        t.subscribe("x", &filter("a/x"), QoS::AtMostOnce);
+        t.subscribe("q", &filter("q/#"), QoS::AtMostOnce);
+
+        assert!(t.unsubscribe(&"d", &filter("a/b/d/+")));
+        assert_eq!(t.len(), 3);
+        let b = &t.root.children["a"].children["b"];
+        assert_eq!(b.children.keys().collect::<Vec<_>>(), ["c"], "d/+ pruned");
+        assert_eq!(keys(&t, "a/b/c"), vec!["c"]);
+        assert_eq!(keys(&t, "a/x"), vec!["x"]);
+        assert_eq!(keys(&t, "q/r/s"), vec!["q"]);
+
+        assert!(t.unsubscribe(&"c", &filter("a/b/c")));
+        assert_eq!(t.len(), 2);
+        let a = &t.root.children["a"];
+        assert_eq!(a.children.keys().collect::<Vec<_>>(), ["x"], "a/b pruned");
+        assert_eq!(keys(&t, "a/x"), vec!["x"]);
+
+        // A miss, on a path or off it, changes nothing.
+        assert!(!t.unsubscribe(&"c", &filter("a/x")));
+        assert!(!t.unsubscribe(&"c", &filter("a/b/c")));
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.root.children.keys().collect::<Vec<_>>(), ["a", "q"]);
     }
 
     #[test]

@@ -183,19 +183,21 @@ fn a_queued_frame_is_72_bytes() {
 const SUBSCRIBERS: u32 = 1_000;
 
 /// Live bytes one subscription may cost a 4-shard `ShardedBroker`:
-/// measured 2 249.9, + 10 % (6 243.0 while each of the four shards kept a
-/// replica of every subscription, beside a master copy and a mutation
-/// log).
-const SUBSCRIPTION_BUDGET: f64 = 2_475.0;
+/// measured 1 209.2, + 10 % (2 249.9 while each shard's broker kept its
+/// own trie beside the shared index; 6 243.0 while each of the four
+/// shards kept a replica of every subscription, beside a master copy and
+/// a mutation log).
+const SUBSCRIPTION_BUDGET: f64 = 1_330.0;
 
 /// What a subscription costs the broker's memory, as a gate — the first
-/// of ROADMAP item 11's broker slopes. A 4-shard `ShardedBroker` holds
-/// each subscription in its session, in the trie of the shard that owns
-/// the session and once more in the index every shard routes by; the
-/// bytes the 1 000 subscriptions add, with one publish from every shard
-/// after them, are divided by their number.
+/// of ROADMAP item 11's broker slopes. A 4-shard `ShardedBroker` lists
+/// each subscription in its session (what the WAL snapshots and a session
+/// clear reads) and holds it as one entry of the one trie every shard
+/// routes by, the shared index. The bytes the 1 000 subscriptions add,
+/// with one publish from every shard after them, are divided by their
+/// number.
 #[test]
-fn a_subscription_costs_a_four_shard_broker_its_two_trie_entries() {
+fn a_subscription_costs_a_four_shard_broker_one_trie_entry() {
     const SHARDS: usize = 4;
     let broker: ShardedBroker<u32> = ShardedBroker::new(BrokerConfig {
         shards: SHARDS,
