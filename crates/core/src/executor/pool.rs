@@ -21,7 +21,9 @@
 //! because the owner swaps it out only under the same lock it parks on.
 //! A worker parks, with no timeout, only when its inbox is empty and none
 //! of its stages has queued work, so an idle pool makes zero periodic
-//! wakeups (asserted the same way as the broker's idle event loops).
+//! wakeups (asserted the same way as the broker's idle event loops). The
+//! thread runtime's node threads own the same `Inbox` type and park on
+//! it until a post or their next timer's deadline.
 //!
 //! ## A turn
 //!
@@ -101,7 +103,7 @@ type Post = (usize, WorkItem, u64);
 /// Locks `m`, taking over the data of a holder that panicked: every
 /// update made under these locks (a push, a swap, a copy) leaves the
 /// data valid.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -238,19 +240,77 @@ impl std::fmt::Debug for WorkerRuntime {
     }
 }
 
-/// One worker's inbox.
-#[derive(Debug, Default)]
-struct Inbox {
-    state: Mutex<InboxState>,
+/// An inbox one thread owns and any thread posts to, swapped out whole
+/// ("Inbox and wake"). Each pool worker and each node thread owns one.
+#[derive(Debug)]
+pub(crate) struct Inbox<T> {
+    /// What was posted since the owner last swapped the list out, and
+    /// whether the owner is stopped.
+    state: Mutex<(Vec<T>, bool)>,
     /// Signalled by the poster that finds the inbox empty, and at stop.
     wake: Condvar,
 }
 
-#[derive(Debug, Default)]
-struct InboxState {
-    /// Posted since the worker last swapped the inbox out.
-    posts: Vec<Post>,
-    stopped: bool,
+/// How long [`Inbox::take`] waits while nothing is posted.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Wait {
+    No,
+    Park,
+    Until(Instant),
+}
+
+impl<T> Inbox<T> {
+    pub(crate) fn new() -> Self {
+        Inbox {
+            state: Mutex::new((Vec::new(), false)),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Appends `post`, waking the owner if the inbox was empty. A post
+    /// after [`Self::stop`] is kept for whoever takes the inbox last.
+    pub(crate) fn post(&self, post: T) {
+        let mut state = lock(&self.state);
+        state.0.push(post);
+        let first = state.0.len() == 1;
+        drop(state);
+        if first {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Swaps what was posted into `posts` (which must be empty), waiting
+    /// for a post first as `wait` says, or until stopped; `false` once
+    /// stopped.
+    pub(crate) fn take(&self, posts: &mut Vec<T>, wait: Wait) -> bool {
+        debug_assert!(posts.is_empty(), "the taken list is handled first");
+        let mut state = lock(&self.state);
+        while state.0.is_empty() && !state.1 {
+            state = match wait {
+                Wait::No => break,
+                Wait::Park => self
+                    .wake
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Wait::Until(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        break;
+                    }
+                    let waited = self.wake.wait_timeout(state, left);
+                    waited.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
+        }
+        std::mem::swap(&mut state.0, posts);
+        !state.1
+    }
+
+    /// Marks the owner stopped and wakes it.
+    pub(crate) fn stop(&self) {
+        lock(&self.state).1 = true;
+        self.wake.notify_one();
+    }
 }
 
 /// What a stage's `Block` credit is counted from.
@@ -269,7 +329,7 @@ struct Credit {
 /// published figures, and the node thread's credit wait.
 #[derive(Debug)]
 pub(crate) struct Shared {
-    inboxes: Vec<Inbox>,
+    inboxes: Vec<Inbox<Post>>,
     credit: Vec<Credit>,
     /// Per stage, its owner's copy of `(stats, policy)` as of the end of
     /// the owner's last turn.
@@ -336,14 +396,7 @@ impl Shared {
     /// Appends work whose credit is taken to its owner's inbox, waking the
     /// owner if the inbox was empty.
     pub(crate) fn post(&self, stage: usize, work: WorkItem, at_ns: u64) {
-        let inbox = &self.inboxes[stage % self.inboxes.len()];
-        let mut state = lock(&inbox.state);
-        state.posts.push((stage, work, at_ns));
-        let first = state.posts.len() == 1;
-        drop(state);
-        if first {
-            inbox.wake.notify_one();
-        }
+        self.inboxes[stage % self.inboxes.len()].post((stage, work, at_ns));
     }
 
     /// The node thread's post: out of credit for a blocking stage, it
@@ -368,22 +421,6 @@ impl Shared {
     /// Stage `stage`'s figures as its owner last published them.
     pub(crate) fn published(&self, stage: usize) -> (StageStats, ShedPolicy) {
         lock(&self.published[stage]).clone()
-    }
-
-    /// Swaps what was posted to `worker` into `posts` (which must be
-    /// empty), parking first until something is posted if `park`;
-    /// `false` once the pool is stopped.
-    fn take_posts(&self, worker: usize, posts: &mut Vec<Post>, park: bool) -> bool {
-        let inbox = &self.inboxes[worker];
-        let mut state = lock(&inbox.state);
-        while park && state.posts.is_empty() && !state.stopped {
-            state = inbox
-                .wake
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        std::mem::swap(&mut state.posts, posts);
-        !state.stopped
     }
 }
 
@@ -416,7 +453,7 @@ impl Worker {
         env: &mut dyn NodeEnv,
         deliver: &mut dyn FnMut(usize, Vec<OpOutput>),
     ) -> bool {
-        self.shared.take_posts(self.index, &mut self.posts, false);
+        self.shared.inboxes[self.index].take(&mut self.posts, Wait::No);
         self.work(env, deliver)
     }
 
@@ -474,12 +511,12 @@ impl Worker {
     fn run(mut self, env: &mut WorkerEnv, deliver: &DeliverFn) -> Worker {
         let deliver = &mut |stage, outputs| deliver(stage, outputs);
         loop {
-            let mut running = self.shared.take_posts(self.index, &mut self.posts, false);
+            let mut running = self.shared.inboxes[self.index].take(&mut self.posts, Wait::No);
             if running && self.posts.is_empty() && self.stages.iter().all(|(_, s)| s.depth() == 0) {
                 // Going idle: surface buffered metrics, then park with no
                 // timeout.
                 env.flush_metrics();
-                running = self.shared.take_posts(self.index, &mut self.posts, true);
+                running = self.shared.inboxes[self.index].take(&mut self.posts, Wait::Park);
             }
             if !running {
                 break;
@@ -509,7 +546,7 @@ impl ExecutorGraph {
         };
         let stages = std::mem::take(stages);
         let shared = Arc::new(Shared {
-            inboxes: (0..workers).map(|_| Inbox::default()).collect(),
+            inboxes: (0..workers).map(|_| Inbox::new()).collect(),
             credit: stages
                 .iter()
                 .map(|stage| Credit {
@@ -568,7 +605,8 @@ impl ExecutorGraph {
         let mut posts = Vec::new();
         for mut worker in workers {
             posts.append(&mut worker.posts);
-            posts.append(&mut lock(&shared.inboxes[worker.index].state).posts);
+            shared.inboxes[worker.index].take(&mut worker.posts, Wait::No);
+            posts.append(&mut worker.posts);
             owned.append(&mut worker.stages);
         }
         owned.sort_by_key(|(index, _)| *index);
@@ -647,8 +685,7 @@ impl WorkerPool {
     /// Panics if a worker thread panicked outside an operator.
     pub fn stop(self, graph: &ExecutorGraph) {
         for inbox in &self.shared.inboxes {
-            lock(&inbox.state).stopped = true;
-            inbox.wake.notify_one();
+            inbox.stop();
         }
         let workers = self
             .handles

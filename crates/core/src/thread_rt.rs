@@ -1,17 +1,17 @@
-//! Real-time thread runtime: runs middleware nodes on OS threads with
-//! `std::sync::mpsc` channels as the transport.
+//! Real-time thread runtime: runs middleware nodes on OS threads, each
+//! owning an inbox of the kind the pool's stage workers own.
 //!
-//! This is the deployment runtime used by the runnable examples: every
-//! node is one thread, packets travel through unbounded channels, timers
-//! come from a per-node heap driven by `recv_timeout`. The node logic is
+//! This is the deployment runtime used by the runnable examples: a node
+//! thread swaps its whole inbox out once per wait and handles it in post
+//! order; its timers come from a per-node heap whose next deadline bounds
+//! the wait, and with none armed it parks until a post. The node logic is
 //! byte-for-byte the same as on the simulator; only the [`NodeEnv`]
 //! implementation differs. Optionally, a CPU speed factor turns declared
 //! work into real `thread::sleep`s to emulate constrained devices.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -22,7 +22,7 @@ use ifot_netsim::time::SimDuration;
 
 use crate::config::NodeConfig;
 use crate::env::NodeEnv;
-use crate::executor::pool::{WorkerPool, WorkerRuntime};
+use crate::executor::pool::{lock, Inbox, Wait, WorkerPool, WorkerRuntime};
 use crate::node::MiddlewareNode;
 use crate::operators::OpOutput;
 
@@ -44,6 +44,9 @@ enum ThreadMsg {
     },
     Stop,
 }
+
+/// Every node's inbox, by node name.
+type Inboxes = HashMap<String, Arc<Inbox<ThreadMsg>>>;
 
 /// A cluster of middleware nodes to run on threads.
 #[derive(Default)]
@@ -86,37 +89,32 @@ impl ClusterBuilder {
     /// Panics if two nodes share a name.
     pub fn start(self) -> RunningCluster {
         let stop_plan = stop_plan(&self.nodes);
-        let mut senders: HashMap<String, Sender<ThreadMsg>> = HashMap::new();
-        let mut receivers: Vec<(NodeConfig, Option<f64>, Receiver<ThreadMsg>)> = Vec::new();
-        for (config, speed) in self.nodes {
-            let (tx, rx) = channel();
-            assert!(
-                senders.insert(config.name.clone(), tx).is_none(),
-                "duplicate node name {:?}",
-                config.name
-            );
-            receivers.push((config, speed, rx));
+        let mut inboxes = Inboxes::new();
+        for (config, _) in &self.nodes {
+            let fresh = inboxes.insert(config.name.clone(), Arc::new(Inbox::new()));
+            assert!(fresh.is_none(), "duplicate node name {:?}", config.name);
         }
-        let senders = Arc::new(senders);
+        let inboxes = Arc::new(inboxes);
         let metrics = Arc::new(Mutex::new(Metrics::new()));
         let epoch = Instant::now();
 
-        let handles = receivers
+        let handles = self
+            .nodes
             .into_iter()
-            .map(|(config, speed, rx)| {
-                let senders = Arc::clone(&senders);
+            .map(|(config, speed)| {
+                let inboxes = Arc::clone(&inboxes);
                 let metrics = Arc::clone(&metrics);
                 let name = config.name.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("ifot-{name}"))
-                    .spawn(move || run_node(config, speed, rx, senders, metrics, epoch))
+                    .spawn(move || run_node(config, speed, &inboxes, metrics, epoch))
                     .expect("spawning a node thread succeeds");
                 (name, handle)
             })
             .collect();
 
         RunningCluster {
-            senders,
+            inboxes,
             handles,
             metrics,
             epoch,
@@ -155,22 +153,16 @@ fn stop_plan(nodes: &[(NodeConfig, Option<f64>)]) -> Vec<String> {
             }
         })
         .collect();
-    let feeds = |a: &Info, b: &Info| -> bool {
-        a.outputs.iter().any(|topic| {
-            TopicName::new(topic)
-                .map(|t| {
-                    b.inputs.iter().any(|f| {
-                        TopicFilter::new(f.clone())
-                            .map(|f| f.matches(&t))
-                            .unwrap_or(false)
-                    })
-                })
-                .unwrap_or(false)
+    let feeds = |a: &Info, b: &Info| {
+        let mut topics = a.outputs.iter().filter_map(|t| TopicName::new(t).ok());
+        topics.any(|t| {
+            let mut filters = b.inputs.iter().map(|f| TopicFilter::new(f.clone()));
+            filters.any(|f| f.is_ok_and(|f| f.matches(&t)))
         })
     };
     // Phase 1: non-broker publishers, Kahn's algorithm over the
     // output-to-subscription edges; registration order breaks ties and
-    // closes MIX-style cycles.
+    // closes MIX-style cycles (what a cycle holds back keeps its indegree).
     let publishers: Vec<usize> = infos
         .iter()
         .enumerate()
@@ -190,42 +182,26 @@ fn stop_plan(nodes: &[(NodeConfig, Option<f64>)]) -> Vec<String> {
     }
     let mut order: Vec<usize> = Vec::with_capacity(infos.len());
     let mut ready: VecDeque<usize> = (0..m).filter(|&i| indeg[i] == 0).collect();
-    let mut done = vec![false; m];
     while let Some(i) = ready.pop_front() {
-        if done[i] {
-            continue;
-        }
-        done[i] = true;
         order.push(publishers[i]);
         for &j in &edges[i] {
-            indeg[j] = indeg[j].saturating_sub(1);
-            if indeg[j] == 0 && !done[j] {
+            indeg[j] -= 1;
+            if indeg[j] == 0 {
                 ready.push_back(j);
             }
         }
     }
-    for i in 0..m {
-        if !done[i] {
-            order.push(publishers[i]);
-        }
-    }
+    order.extend((0..m).filter(|&i| indeg[i] > 0).map(|i| publishers[i]));
     // Phase 2: broker nodes. Phase 3: pure sinks.
-    for (k, info) in infos.iter().enumerate() {
-        if info.broker {
-            order.push(k);
-        }
-    }
-    for (k, info) in infos.iter().enumerate() {
-        if !info.broker && info.outputs.is_empty() {
-            order.push(k);
-        }
-    }
+    let all = 0..infos.len();
+    order.extend(all.clone().filter(|&k| infos[k].broker));
+    order.extend(all.filter(|&k| !infos[k].broker && infos[k].outputs.is_empty()));
     order.into_iter().map(|k| infos[k].name.clone()).collect()
 }
 
 /// Handle to a running cluster.
 pub struct RunningCluster {
-    senders: Arc<HashMap<String, Sender<ThreadMsg>>>,
+    inboxes: Arc<Inboxes>,
     handles: Vec<(String, std::thread::JoinHandle<MiddlewareNode>)>,
     metrics: Arc<Mutex<Metrics>>,
     epoch: Instant,
@@ -248,24 +224,20 @@ impl RunningCluster {
 
     /// A snapshot of the shared metrics hub.
     pub fn metrics_snapshot(&self) -> Metrics {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        lock(&self.metrics).clone()
     }
 
     /// Injects a packet into a node from outside the cluster.
     pub fn inject(&self, dst: &str, src: &str, port: u16, payload: impl Into<Bytes>) -> bool {
-        match self.senders.get(dst) {
-            Some(tx) => tx
-                .send(ThreadMsg::Packet {
-                    src: Arc::from(src),
-                    port,
-                    payload: payload.into(),
-                })
-                .is_ok(),
-            None => false,
+        let running = self
+            .handles
+            .iter()
+            .any(|(n, h)| n == dst && !h.is_finished());
+        if running {
+            let (src, payload) = (Arc::from(src), payload.into());
+            self.inboxes[dst].post(ThreadMsg::Packet { src, port, payload });
         }
+        running
     }
 
     /// Runs the cluster for `duration` of wall time, then stops it.
@@ -278,7 +250,7 @@ impl RunningCluster {
     ///
     /// Nodes stop in dependency order (publishers, then brokers, then
     /// sinks), each joined before the next Stop is sent: the FIFO
-    /// channels then guarantee every packet enqueued upstream is
+    /// inboxes then guarantee every packet posted upstream is
     /// processed downstream before its Stop, so the final in-flight
     /// samples are counted instead of dropped.
     pub fn stop(self) -> ClusterReport {
@@ -295,8 +267,8 @@ impl RunningCluster {
             let Some(handle) = handles.remove(name) else {
                 continue;
             };
-            if let Some(tx) = self.senders.get(name) {
-                let _ = tx.send(ThreadMsg::Stop);
+            if let Some(inbox) = self.inboxes.get(name) {
+                inbox.post(ThreadMsg::Stop);
             }
             match handle.join() {
                 Ok(node) => {
@@ -311,8 +283,7 @@ impl RunningCluster {
             .collect();
         // Every thread that wrote to the hub has been joined: the report
         // takes its contents rather than a copy of every latency series.
-        let metrics =
-            std::mem::take(&mut *self.metrics.lock().unwrap_or_else(PoisonError::into_inner));
+        let metrics = std::mem::take(&mut *lock(&self.metrics));
         ClusterReport { metrics, nodes }
     }
 }
@@ -336,7 +307,7 @@ impl ClusterReport {
 struct ThreadEnv<'a> {
     now_ns: u64,
     name: &'a Arc<str>,
-    senders: &'a HashMap<String, Sender<ThreadMsg>>,
+    inboxes: &'a Inboxes,
     metrics: &'a Mutex<Metrics>,
     timers: &'a mut BinaryHeap<Reverse<(u64, u64)>>,
     speed: Option<f64>,
@@ -349,14 +320,9 @@ impl NodeEnv for ThreadEnv<'_> {
     }
 
     fn send(&mut self, dst: &str, port: u16, payload: Bytes) {
-        match self.senders.get(dst) {
-            Some(tx) => {
-                let _ = tx.send(ThreadMsg::Packet {
-                    src: Arc::clone(self.name),
-                    port,
-                    payload,
-                });
-            }
+        let src = Arc::clone(self.name);
+        match self.inboxes.get(dst) {
+            Some(inbox) => inbox.post(ThreadMsg::Packet { src, port, payload }),
             None => self.incr("send_unknown_node"),
         }
     }
@@ -378,24 +344,15 @@ impl NodeEnv for ThreadEnv<'_> {
 
     fn record_latency_since_ns(&mut self, name: &str, since_ns: u64) {
         let d = self.now_ns.saturating_sub(since_ns);
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .record_latency(name, SimDuration::from_nanos(d));
+        lock(self.metrics).record_latency(name, SimDuration::from_nanos(d));
     }
 
     fn incr(&mut self, counter: &str) {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .incr(counter);
+        self.add(counter, 1);
     }
 
     fn add(&mut self, counter: &str, delta: u64) {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .add(counter, delta);
+        lock(self.metrics).add(counter, delta);
     }
 
     fn rand_u64(&mut self) -> u64 {
@@ -406,12 +363,12 @@ impl NodeEnv for ThreadEnv<'_> {
 fn run_node(
     config: NodeConfig,
     speed: Option<f64>,
-    rx: Receiver<ThreadMsg>,
-    senders: Arc<HashMap<String, Sender<ThreadMsg>>>,
+    inboxes: &Inboxes,
     metrics: Arc<Mutex<Metrics>>,
     epoch: Instant,
 ) -> MiddlewareNode {
     let name: Arc<str> = Arc::from(config.name.as_str());
+    let own = &inboxes[&*name];
     let seed = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
     });
@@ -423,15 +380,12 @@ fn run_node(
     // Pooled executor mode: the pool's workers own the stages and route
     // the intra-node hops while this thread keeps routing the rest;
     // what they cannot deliver themselves comes back through our own
-    // channel as `StageOutputs`.
+    // inbox as `StageOutputs`.
     let workers = node.config().executor.workers;
     let mut pool = (workers > 0 && !node.executor().is_empty()).then(|| {
-        let own_tx = senders
-            .get(&*name)
-            .cloned()
-            .expect("own sender is registered");
+        let own = Arc::clone(own);
         let deliver = Arc::new(move |op_index: usize, outputs: Vec<OpOutput>| {
-            let _ = own_tx.send(ThreadMsg::StageOutputs { op_index, outputs });
+            own.post(ThreadMsg::StageOutputs { op_index, outputs });
         });
         WorkerPool::spawn(
             &name,
@@ -452,7 +406,7 @@ fn run_node(
             ThreadEnv {
                 now_ns: epoch.elapsed().as_nanos() as u64,
                 name: &name,
-                senders: &senders,
+                inboxes,
                 metrics: &metrics,
                 timers: &mut timers,
                 speed,
@@ -482,6 +436,9 @@ fn run_node(
 
     node.on_start(&mut env!());
 
+    // The inbox as last swapped out; handled, it keeps its room.
+    let mut batch: Vec<ThreadMsg> = Vec::new();
+    let mut wakeups = 0u64;
     loop {
         let now = epoch.elapsed().as_nanos() as u64;
         // Fire due timers.
@@ -492,18 +449,21 @@ fn run_node(
             let Reverse((_, tag)) = timers.pop().expect("peeked");
             node.on_timer(&mut env!(), tag);
         }
-        // Wait for the next message or timer deadline.
-        let timeout = match timers.peek() {
-            Some(Reverse((at, _))) => {
-                let now = epoch.elapsed().as_nanos() as u64;
-                Duration::from_nanos(at.saturating_sub(now))
-            }
-            None => Duration::from_millis(50),
+        // Wait for posts or the next timer deadline; with no timer armed,
+        // park until a post.
+        let wait = match timers.peek() {
+            Some(Reverse((at, _))) => Wait::Until(epoch + Duration::from_nanos(*at)),
+            None => Wait::Park,
         };
-        match rx.recv_timeout(timeout) {
-            Ok(ThreadMsg::Stop) | Err(RecvTimeoutError::Disconnected) => break,
-            Ok(msg) => handle!(msg),
-            Err(RecvTimeoutError::Timeout) => {}
+        own.take(&mut batch, wait);
+        wakeups += 1;
+        // A `Stop` and what is behind it stay in `batch`, for the drain.
+        let stop = batch.iter().position(|msg| matches!(msg, ThreadMsg::Stop));
+        for msg in batch.drain(..stop.unwrap_or(batch.len())) {
+            handle!(msg);
+        }
+        if stop.is_some() {
+            break;
         }
     }
 
@@ -511,12 +471,14 @@ fn run_node(
     // upstream producer before sending our Stop, so what is still in the
     // inbox is this node's own traffic: a colocated broker's forwards to
     // the node's own client — and the client's publishes to that broker
-    // — land *behind* the Stop. Handling one can enqueue the next, as
-    // can every flush below, so repeat until nothing moves.
+    // — land *behind* the Stop. Handling one can post the next, as can
+    // every flush below, so repeat until nothing moves.
     for _pass in 0..10_000 {
-        let mut progressed = false;
-        while let Ok(msg) = rx.try_recv() {
-            progressed = true;
+        if batch.is_empty() {
+            own.take(&mut batch, Wait::No);
+        }
+        let progressed = !batch.is_empty();
+        for msg in batch.drain(..) {
             handle!(msg);
         }
         // Publish the lingering micro-batches, so coalesced tail samples
@@ -535,12 +497,13 @@ fn run_node(
         }
         if !node.run_backlog(&mut env!()) {
             // The flushes above may have published to our own broker.
-            match rx.try_recv() {
-                Ok(msg) => handle!(msg),
-                Err(_) => break,
+            own.take(&mut batch, Wait::No);
+            if batch.is_empty() {
+                break;
             }
         }
     }
+    env!().add("node_thread_wakeups", wakeups);
     node
 }
 
@@ -715,6 +678,89 @@ mod tests {
         let stats = report.nodes[0].stage_stats();
         assert_eq!(stats[0].processed, published, "faulty stage kept going");
         assert_eq!(stats[1].processed, published, "healthy stage drained");
+    }
+
+    /// A node thread waits for a post or its next timer, however long it
+    /// stays idle. A broker-only node, whose first timer (the broker poll)
+    /// is 500 ms out, and a bare node, which arms none and parks with no
+    /// timeout, left idle for 300 ms add no wake-up: each counts one, its
+    /// Stop's. The 50 ms poll a node with no timer used to wait with woke
+    /// the bare node six times in that span.
+    #[test]
+    fn idle_node_thread_makes_zero_periodic_wakeups() {
+        let cluster = ClusterBuilder::new()
+            .node(NodeConfig::new("broker").with_broker())
+            .node(NodeConfig::new("bare"))
+            .start();
+        let report = cluster.run_for(Duration::from_millis(300));
+        assert_eq!(report.metrics.counter("node_thread_wakeups"), 2);
+    }
+
+    /// Packets, a `Stop`, then more packets, all in one swap: the loop
+    /// handles the packets before the `Stop` and exits, and the drain
+    /// handles the ones behind it, in post order — every publish reaches
+    /// the subscriber in the order it was posted.
+    #[test]
+    fn packets_behind_stop_in_one_swap_are_drained_in_post_order() {
+        use crate::node::MQTT_BROKER_PORT;
+        use ifot_mqtt::codec::{decode, encode};
+        use ifot_mqtt::packet::{Connect, Packet, Publish, QoS, Subscribe, SubscribeFilter};
+        use ifot_mqtt::topic::{TopicFilter, TopicName};
+
+        let inboxes: Inboxes = ["broker", "sub", "pub"]
+            .into_iter()
+            .map(|name| (name.to_string(), Arc::new(Inbox::new())))
+            .collect();
+        let post = |src: &str, packet: Packet| {
+            inboxes["broker"].post(ThreadMsg::Packet {
+                src: Arc::from(src),
+                port: MQTT_BROKER_PORT,
+                payload: encode(&packet),
+            });
+        };
+        post("sub", Packet::Connect(Connect::new("sub")));
+        post(
+            "sub",
+            Packet::Subscribe(Subscribe {
+                packet_id: 1,
+                filters: vec![SubscribeFilter {
+                    filter: TopicFilter::new("t").expect("valid filter"),
+                    qos: QoS::AtMostOnce,
+                }],
+            }),
+        );
+        post("pub", Packet::Connect(Connect::new("pub")));
+        let topic = TopicName::new("t").expect("valid topic");
+        for seq in 0..8u8 {
+            if seq == 5 {
+                inboxes["broker"].post(ThreadMsg::Stop);
+            }
+            post(
+                "pub",
+                Packet::Publish(Publish::qos0(topic.clone(), vec![seq])),
+            );
+        }
+
+        // On this thread, so every post above lands in the first swap.
+        let metrics = Arc::new(Mutex::new(Metrics::new()));
+        let config = NodeConfig::new("broker").with_broker();
+        run_node(config, None, &inboxes, Arc::clone(&metrics), Instant::now());
+        assert_eq!(lock(&metrics).counter("node_thread_wakeups"), 1);
+
+        let mut sent = Vec::new();
+        inboxes["sub"].take(&mut sent, Wait::No);
+        let payloads: Vec<Vec<u8>> = sent
+            .iter()
+            .filter_map(|msg| match msg {
+                ThreadMsg::Packet { payload, .. } => match decode(payload) {
+                    Ok(Some((Packet::Publish(p), _))) => Some(p.payload.to_vec()),
+                    _ => None,
+                },
+                _ => None,
+            })
+            .collect();
+        let posted: Vec<Vec<u8>> = (0..8u8).map(|seq| vec![seq]).collect();
+        assert_eq!(payloads, posted);
     }
 
     #[test]
