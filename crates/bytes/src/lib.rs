@@ -9,6 +9,11 @@
 //! `Arc::get_mut`), so freezing copies nothing and a frame written into a
 //! `BytesMut` of the right capacity is the one allocation it costs.
 //!
+//! A `Bytes` whose allocation no one else holds any more turns back into
+//! a `BytesMut` over it with [`Bytes::try_into_mut`], `Arc::get_mut`
+//! being the proof, so a writer can keep the frames it sent and write the
+//! next one into the first that every reader has let go of.
+//!
 //! Two conversions copy where the crates.io crate adopts the caller's
 //! memory: `Bytes::from(Vec<u8>)` (an `Arc<[u8]>` cannot take over a
 //! `Vec`'s buffer without `unsafe`) and [`Bytes::from_static`]. Neither is
@@ -154,6 +159,29 @@ impl Bytes {
         self.end = self.start;
     }
 
+    /// The view as a [`BytesMut`] over the same allocation, if nothing
+    /// else holds it: no clone or slice of it is alive. The view's bytes
+    /// are moved to the front, so they are what is written and the whole
+    /// allocation is the capacity; nothing is allocated. While the
+    /// allocation is shared, `Err` hands the view back unchanged.
+    ///
+    /// That no one else holds the allocation is `Arc::get_mut`'s proof,
+    /// so a buffer no reader has let go of is never written.
+    pub fn try_into_mut(mut self) -> Result<BytesMut, Bytes> {
+        if self.data.is_empty() {
+            // The empty slice is a shared static, and holds nothing.
+            return Ok(BytesMut::new());
+        }
+        let Some(data) = Arc::get_mut(&mut self.data) else {
+            return Err(self);
+        };
+        data.copy_within(self.start..self.end, 0);
+        Ok(BytesMut {
+            len: self.end - self.start,
+            data: self.data,
+        })
+    }
+
     fn as_slice(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }
@@ -260,16 +288,6 @@ impl BytesMut {
         }
     }
 
-    /// A buffer of `len` zero bytes, to be written through `DerefMut`:
-    /// one allocation, and one uniqueness check for however many writes
-    /// go through the slice it derefs to.
-    pub fn zeroed(len: usize) -> BytesMut {
-        BytesMut {
-            data: zeroed(len),
-            len,
-        }
-    }
-
     /// Bytes written.
     pub fn len(&self) -> usize {
         self.len
@@ -313,6 +331,18 @@ impl BytesMut {
     /// Keeps the first `len` bytes written; a longer `len` does nothing.
     pub fn truncate(&mut self, len: usize) {
         self.len = self.len.min(len);
+    }
+
+    /// Sets the length to `new_len`: shortens like
+    /// [`truncate`](BytesMut::truncate), or appends copies of `value`,
+    /// growing only if `new_len` is past the capacity.
+    pub fn resize(&mut self, new_len: usize, value: u8) {
+        if let Some(additional) = new_len.checked_sub(self.len) {
+            self.reserve(additional);
+            let at = self.len;
+            self.room()[at..new_len].fill(value);
+        }
+        self.len = new_len;
     }
 
     /// Appends `extend`, growing if it does not fit.
@@ -634,6 +664,50 @@ mod tests {
         let mut want: Vec<u8> = (0..10).collect();
         want.extend([7; 3]);
         assert_eq!(m.freeze(), want);
+    }
+
+    #[test]
+    fn a_view_no_one_else_holds_turns_back_into_its_buffer() {
+        let mut m = BytesMut::with_capacity(8);
+        m.put_slice(&[1, 2, 3, 4, 5]);
+        let mut b = m.freeze();
+        let at = b.data.as_ptr();
+        let head = b.split_to(2);
+        // The head is alive: the allocation is shared.
+        let b = b.try_into_mut().expect_err("the head holds the buffer");
+        assert_eq!(&b[..], &[3, 4, 5]);
+        let tail = b.slice(1..).try_into_mut().expect_err("so does the view");
+        assert_eq!(&tail[..], &[4, 5]);
+        drop((head, tail));
+        // The last view of it: its bytes move to the front, in place.
+        let mut m = b.try_into_mut().expect("the only holder");
+        assert_eq!((&m[..], m.capacity()), (&[3, 4, 5][..], 8));
+        assert!(std::ptr::eq(m.data.as_ptr(), at), "the same allocation");
+        m.put_u8(6);
+        assert_eq!(m.freeze(), vec![3, 4, 5, 6]);
+        // Nothing allocated, nothing shared.
+        let empty = Bytes::new().try_into_mut().expect("no allocation");
+        assert_eq!(empty.capacity(), 0);
+    }
+
+    #[test]
+    fn resize_fills_and_shortens_within_the_capacity() {
+        let mut m = BytesMut::with_capacity(8);
+        let at = m.data.as_ptr();
+        m.put_slice(&[1, 2]);
+        m.resize(5, 9);
+        assert_eq!(&m[..], &[1, 2, 9, 9, 9]);
+        m.resize(1, 0);
+        assert_eq!(&m[..], &[1]);
+        m.resize(8, 0);
+        assert_eq!(&m[..], &[1, 0, 0, 0, 0, 0, 0, 0]);
+        assert!(std::ptr::eq(m.data.as_ptr(), at), "within the capacity");
+        m.resize(9, 7);
+        assert!(m.capacity() >= 9);
+        assert_eq!(&m[..], &[1, 0, 0, 0, 0, 0, 0, 0, 7]);
+        let mut empty = BytesMut::new();
+        empty.resize(0, 1);
+        assert!(empty.is_empty());
     }
 
     #[test]

@@ -733,10 +733,11 @@ impl MiddlewareNode {
             return;
         };
         env.consume_ref_ms(costs::SENSOR_READ_MS);
-        // The sample is a plain value; what it costs the heap is the one
-        // PUBLISH frame its image is written into below (see the
-        // allocation table in DESIGN.md §5), which broker fan-out and
-        // dispatch then share.
+        // The sample is a plain value. Its image is written into the
+        // PUBLISH frame below, which broker fan-out and dispatch then
+        // share: a frame the client sent before and every reader has let
+        // go of, so a steady sensor costs the heap nothing (see the
+        // allocation table in DESIGN.md §5).
         let labelled = s.injector.read(now);
         let topic = s.topic.clone();
         // Schedule the next sample on the nominal grid (no drift).

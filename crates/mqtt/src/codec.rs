@@ -6,7 +6,10 @@
 //! on malformed input — every anomaly maps to a [`DecodeError`].
 //!
 //! What each direction allocates: [`encode`] and [`encode_publish`] size
-//! the frame first and make the one buffer they return; decoding reads a
+//! the frame first and make the one buffer they return (a publishing
+//! [`Client`](crate::client::Client) hands the encoder a buffer of its
+//! own instead, one of its sent frames that no reader holds any more, and
+//! then makes none); decoding reads a
 //! packet where its bytes lie and gives storage only to what the packet
 //! keeps — nothing for the fixed-size packets (PUBACK, PUBREC, PUBREL,
 //! PUBCOMP, UNSUBACK, the pings, DISCONNECT). A PUBLISH keeps a topic name
@@ -108,10 +111,12 @@ impl Sink for Frame<'_> {
     }
 }
 
-/// The `len` bytes `write` puts, written into one buffer of that size
-/// and frozen where they lie.
-fn written(len: usize, write: impl FnOnce(&mut Frame<'_>)) -> Bytes {
-    let mut buf = BytesMut::zeroed(len);
+/// The `len` bytes `write` puts, written into `buf` — over whatever it
+/// held, grown only if they do not fit — and frozen where they lie. A new
+/// buffer becomes one allocation of exactly `len` bytes.
+fn written(mut buf: BytesMut, len: usize, write: impl FnOnce(&mut Frame<'_>)) -> Bytes {
+    buf.clear();
+    buf.resize(len, 0);
     let mut out = Frame {
         buf: &mut buf,
         at: 0,
@@ -145,7 +150,9 @@ fn written(len: usize, write: impl FnOnce(&mut Frame<'_>)) -> Bytes {
 /// Panics if the encoded body would exceed [`MAX_REMAINING_LENGTH`]
 /// (requires a payload of ~256 MiB, far beyond any IFoT flow message).
 pub fn encode(packet: &Packet) -> Bytes {
-    frame(first_byte(packet), |out| put_body(out, packet))
+    frame(BytesMut::new(), first_byte(packet), |out| {
+        put_body(out, packet)
+    })
 }
 
 /// Encodes the first transmission of a PUBLISH (dup clear) straight from
@@ -162,14 +169,35 @@ pub fn encode_publish(
     retain: bool,
     packet_id: Option<PacketId>,
 ) -> Bytes {
+    encode_publish_into(BytesMut::new(), topic, payload, qos, retain, packet_id)
+}
+
+/// [`encode_publish`] written into `buf`, over whatever it held: no
+/// allocation when the frame fits its capacity ([`publish_len`]).
+pub(crate) fn encode_publish_into(
+    buf: BytesMut,
+    topic: &TopicName,
+    payload: &[u8],
+    qos: QoS,
+    retain: bool,
+    packet_id: Option<PacketId>,
+) -> Bytes {
     assert_eq!(
         packet_id.is_some(),
         qos != QoS::AtMostOnce,
         "a publish carries a packet id iff qos > 0"
     );
-    frame((3 << 4) | (qos.bits() << 1) | u8::from(retain), |out| {
-        put_publish(out, topic, packet_id, payload)
-    })
+    frame(
+        buf,
+        (3 << 4) | (qos.bits() << 1) | u8::from(retain),
+        |out| put_publish(out, topic, packet_id, payload),
+    )
+}
+
+/// Length of the frame [`encode_publish`] writes for these fields.
+pub(crate) fn publish_len(topic: &TopicName, payload: &[u8], packet_id: Option<PacketId>) -> usize {
+    let remaining = body_len(&|out: &mut dyn Sink| put_publish(out, topic, packet_id, payload));
+    1 + remaining_length_len(remaining) + remaining
 }
 
 /// Encodes the QoS 0 delivery of `publish` — dup, retain and packet id
@@ -224,6 +252,7 @@ pub(crate) fn delivery_bytes(publish: &Publish, qos: QoS) -> Bytes {
         "packet body of {remaining} bytes exceeds the MQTT remaining-length limit"
     );
     written(
+        BytesMut::new(),
         1 + remaining_length_len(remaining) + 2 + topic.len(),
         |out| {
             out.put_u8(first);
@@ -363,13 +392,15 @@ pub fn encoded_len(packet: &Packet) -> usize {
     1 + remaining_length_len(body.0) + body.0
 }
 
-/// One frame: `first`, the remaining length, then whatever `body` puts —
-/// called twice, to size the buffer and to fill it.
-fn frame(first: u8, body: impl Fn(&mut dyn Sink)) -> Bytes {
+/// One frame in `buf`: `first`, the remaining length, then whatever
+/// `body` puts — called twice, to size the frame and to write it.
+fn frame(buf: BytesMut, first: u8, body: impl Fn(&mut dyn Sink)) -> Bytes {
     let remaining = body_len(&body);
-    written(1 + remaining_length_len(remaining) + remaining, |out| {
-        put_frame(out, first, remaining, body)
-    })
+    written(
+        buf,
+        1 + remaining_length_len(remaining) + remaining,
+        |out| put_frame(out, first, remaining, body),
+    )
 }
 
 /// The length of what `body` puts, which a remaining length must hold.

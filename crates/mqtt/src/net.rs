@@ -1278,7 +1278,8 @@ impl TcpClient {
         Ok(())
     }
 
-    /// Publishes a message.
+    /// Publishes a message: its payload is written straight into the
+    /// frame (see [`Client::publish_frame`]).
     ///
     /// # Errors
     ///
@@ -1286,7 +1287,7 @@ impl TcpClient {
     pub fn publish(
         &mut self,
         topic: &str,
-        payload: impl Into<bytes::Bytes>,
+        payload: &[u8],
         qos: QoS,
         retain: bool,
     ) -> std::io::Result<()> {
@@ -1295,7 +1296,7 @@ impl TcpClient {
         let now = self.now();
         let frame = self
             .session
-            .publish_frame(&topic, &payload.into(), qos, retain, now)
+            .publish_frame(&topic, payload, qos, retain, now)
             .map_err(|e| std::io::Error::new(ErrorKind::InvalidInput, e.to_string()))?;
         self.stream.write_all(&frame)
     }
@@ -1367,7 +1368,7 @@ mod tests {
 
         let mut publisher = TcpClient::connect(addr, "pub").expect("connect");
         publisher
-            .publish("conf/x", b"retained-v1".to_vec(), QoS::AtMostOnce, true)
+            .publish("conf/x", b"retained-v1", QoS::AtMostOnce, true)
             .expect("publish retained");
 
         let mut subscriber = TcpClient::connect(addr, "sub").expect("connect");
@@ -1397,7 +1398,7 @@ mod tests {
 
         // Live publish flows through.
         publisher
-            .publish("conf/y", b"live".to_vec(), QoS::AtMostOnce, false)
+            .publish("conf/y", b"live", QoS::AtMostOnce, false)
             .expect("publish");
         let live = subscriber
             .recv(Duration::from_secs(2))
@@ -1422,7 +1423,7 @@ mod tests {
         let mut publisher = TcpClient::connect(addr, "pub2").expect("connect");
         for i in 0..5u8 {
             publisher
-                .publish("q2/t", vec![i], QoS::ExactlyOnce, false)
+                .publish("q2/t", &[i], QoS::ExactlyOnce, false)
                 .expect("publish");
         }
         let mut got = Vec::new();
@@ -1457,7 +1458,7 @@ mod tests {
             .expect("subscribe");
         let mut publisher = TcpClient::connect(addr, "p1").expect("connect");
         publisher
-            .publish("t/x", b"one-shard".to_vec(), QoS::AtMostOnce, false)
+            .publish("t/x", b"one-shard", QoS::AtMostOnce, false)
             .expect("publish");
         let got = subscriber
             .recv(Duration::from_secs(2))
@@ -1546,7 +1547,7 @@ mod tests {
         let mut got = 0;
         for i in 0..1_000u32 {
             publisher
-                .publish("scan/t", i.to_be_bytes().to_vec(), QoS::AtLeastOnce, false)
+                .publish("scan/t", &i.to_be_bytes(), QoS::AtLeastOnce, false)
                 .expect("publish");
             publisher.drive().expect("drive");
             while subscriber
@@ -1646,7 +1647,7 @@ mod tests {
         // Routed on shard 0, forwarded to shard 2 through its loop's inbox.
         let sent = Instant::now();
         publisher
-            .publish("rt/forwarded", b"x".to_vec(), QoS::AtLeastOnce, false)
+            .publish("rt/forwarded", b"x", QoS::AtLeastOnce, false)
             .expect("publish");
         expect_retransmission(&mut subscriber, &mut decoder, sent, "forwarded");
 
@@ -1706,7 +1707,7 @@ mod tests {
         let deliver_unacked = |publisher: &mut TcpClient, subscriber: &mut TcpStream| {
             let sent = Instant::now();
             publisher
-                .publish("back/t", b"x".to_vec(), QoS::AtLeastOnce, false)
+                .publish("back/t", b"x", QoS::AtLeastOnce, false)
                 .expect("publish");
             let Packet::Publish(first) = raw_recv(subscriber, &mut StreamDecoder::new()) else {
                 panic!("expected the delivery");
@@ -1844,7 +1845,7 @@ mod tests {
             .collect();
         let mut publisher = TcpClient::connect(addr, "fan-pub").expect("connect");
         publisher
-            .publish("fan/x", b"blast".to_vec(), QoS::AtMostOnce, false)
+            .publish("fan/x", b"blast", QoS::AtMostOnce, false)
             .expect("publish");
         for (i, sub) in subs.iter_mut().enumerate() {
             let got = sub
@@ -2149,7 +2150,7 @@ mod tests {
         for _ in 0..40 {
             for _ in 0..16 {
                 publisher
-                    .publish("flood/x", payload.clone(), QoS::AtMostOnce, false)
+                    .publish("flood/x", &payload, QoS::AtMostOnce, false)
                     .expect("publish");
             }
             while healthy
@@ -2179,7 +2180,7 @@ mod tests {
             .is_some()
         {}
         publisher
-            .publish("flood/done", b"marker".to_vec(), QoS::AtMostOnce, false)
+            .publish("flood/done", b"marker", QoS::AtMostOnce, false)
             .expect("publish marker");
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut saw_marker = false;

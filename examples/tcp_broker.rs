@@ -25,7 +25,7 @@ fn main() -> std::io::Result<()> {
         .enumerate()
     {
         let payload = format!("message {i} at {qos:?}");
-        publisher.publish("demo/stream", payload.into_bytes(), qos, false)?;
+        publisher.publish("demo/stream", payload.as_bytes(), qos, false)?;
     }
 
     let mut received = 0;

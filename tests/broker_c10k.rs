@@ -151,7 +151,7 @@ fn fanout_round(addr: SocketAddr, conns: &mut [SwarmConn], publishes: u64) -> u6
     let mut publisher = TcpClient::connect(addr, "c10k-pub").expect("publisher");
     for seq in 0..publishes {
         publisher
-            .publish("c10k/t", seq.to_be_bytes().to_vec(), QoS::AtMostOnce, false)
+            .publish("c10k/t", &seq.to_be_bytes(), QoS::AtMostOnce, false)
             .expect("publish");
     }
     let expected: u64 = publishes * conns.len() as u64;

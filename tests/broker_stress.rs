@@ -96,7 +96,7 @@ fn sixteen_concurrent_qos1_publishers_lose_and_duplicate_nothing() {
                     client
                         .publish(
                             &format!("stress/p{p}"),
-                            seq_payload(p, seq).to_vec(),
+                            &seq_payload(p, seq),
                             QoS::AtLeastOnce,
                             false,
                         )

@@ -3,9 +3,11 @@
 //! `truncate`, `clear` and `Reader` reads off its front leaves holds the
 //! bytes the oracle says, compares, orders and hashes as those bytes do,
 //! and outlives the buffers it was cut from; a `Reader` reads what the
-//! oracle holds and refuses to read past its end; a `BytesMut` grown past
-//! its capacity, written through and frozen with room to spare holds what
-//! was written.
+//! oracle holds and refuses to read past its end; a view turns back into
+//! a `BytesMut` (`try_into_mut`) over its whole allocation exactly when it
+//! is the allocation's last holder; a `BytesMut` grown past its capacity,
+//! resized, written through and frozen with room to spare holds what was
+//! written.
 //!
 //! Seeded sweeps on the property runner in `tests/common/check.rs`; a
 //! failure prints the case seed that reproduces it.
@@ -32,21 +34,22 @@ fn random_bytes(g: &mut Gen, len: usize) -> Vec<u8> {
 }
 
 /// A buffer built one of the ways the workspace builds them, with its
-/// oracle.
-fn built(g: &mut Gen) -> (Bytes, Vec<u8>) {
+/// oracle and the size of its allocation.
+fn built(g: &mut Gen) -> (Bytes, Vec<u8>, usize) {
     let len = g.pick(&[0, 1, 2, 7, 64, 300]);
     let want = random_bytes(g, len);
-    let got = match g.below(4) {
-        0 => Bytes::copy_from_slice(&want),
-        1 => Bytes::from(want.clone()),
-        2 => want.iter().copied().collect(),
+    let (got, capacity) = match g.below(4) {
+        0 => (Bytes::copy_from_slice(&want), len),
+        1 => (Bytes::from(want.clone()), len),
+        2 => (want.iter().copied().collect(), len),
         _ => {
-            let mut m = BytesMut::with_capacity(len + g.below(16) as usize);
+            let capacity = len + g.below(16) as usize;
+            let mut m = BytesMut::with_capacity(capacity);
             m.put_slice(&want);
-            m.freeze()
+            (m.freeze(), capacity)
         }
     };
-    (got, want)
+    (got, want, capacity)
 }
 
 /// `at` in `0..=len`, biased to the ends.
@@ -71,12 +74,13 @@ fn agree(got: &Bytes, want: &[u8]) -> Result<(), String> {
 /// One case: views cut from one buffer by a random sequence of steps,
 /// every live view checked against its oracle after each.
 fn views_case(g: &mut Gen) -> Result<(), String> {
-    let mut views: Vec<(Bytes, Vec<u8>)> = vec![built(g)];
+    let (first, want, capacity) = built(g);
+    let mut views: Vec<(Bytes, Vec<u8>)> = vec![(first, want)];
     for step in 0..g.len(1, 25) {
         let i = g.below(views.len() as u64) as usize;
         let (b, v) = &mut views[i];
         let len = v.len();
-        match g.below(9) {
+        match g.below(10) {
             0 => {
                 let (lo, hi) = (cut(g, len), cut(g, len));
                 let (lo, hi) = (lo.min(hi), lo.max(hi));
@@ -172,6 +176,39 @@ fn views_case(g: &mut Gen) -> Result<(), String> {
                     return Err(format!("step {step}: {end}-byte prefix read {bytes:?}"));
                 }
             }
+            8 => {
+                // Back into a writer: only the last view of the buffer
+                // (every view here shares its one allocation, unless it
+                // has none), over the whole allocation, its bytes first.
+                // Written over in place, it is the one view again.
+                let last = views.len() == 1 || capacity == 0;
+                let (b, mut v) = views.swap_remove(i);
+                match b.try_into_mut() {
+                    Ok(mut m) if last => {
+                        if m[..] != v[..] || m.capacity() != capacity {
+                            return Err(format!(
+                                "step {step}: writer {m:?} of capacity {} vs {v:?} of {capacity}",
+                                m.capacity()
+                            ));
+                        }
+                        let (n, x) = (cut(g, capacity), g.below(4) as u8);
+                        m.resize(n, x);
+                        v.resize(n, x);
+                        if m.capacity() != capacity {
+                            return Err(format!("step {step}: resize({n}) grew the buffer"));
+                        }
+                        views.push((m.freeze(), v));
+                    }
+                    Ok(m) => {
+                        return Err(format!(
+                            "step {step}: a writer {m:?} while {} other views hold the buffer",
+                            views.len()
+                        ));
+                    }
+                    Err(b) if last => return Err(format!("step {step}: no writer from {b:?}")),
+                    Err(b) => views.push((b, v)),
+                }
+            }
             _ => {
                 // Drop a view: the others do not depend on it.
                 if views.len() > 1 {
@@ -209,7 +246,7 @@ fn views_hold_what_a_vec_oracle_holds() {
 
 /// One case: a `BytesMut` written with every kind of write, grown past its
 /// capacity, frozen (often with room left over) and cut into views that
-/// outlive it.
+/// outlive it; then turned back into a writer once they have let go.
 fn writer_case(g: &mut Gen) -> Result<(), String> {
     let mut m = if g.chance(0.3) {
         BytesMut::new()
@@ -219,7 +256,7 @@ fn writer_case(g: &mut Gen) -> Result<(), String> {
     let mut v: Vec<u8> = Vec::new();
     for step in 0..g.len(1, 17) {
         let before = m.capacity();
-        match g.below(7) {
+        match g.below(8) {
             0 => {
                 let n = g.below(70) as usize;
                 let bytes = random_bytes(g, n);
@@ -269,6 +306,14 @@ fn writer_case(g: &mut Gen) -> Result<(), String> {
                     return Err(format!("step {step}: reserve({more})"));
                 }
             }
+            6 => {
+                let (n, x) = (cut(g, before + 40), g.next_u64() as u8);
+                m.resize(n, x);
+                v.resize(n, x);
+                if n <= before && m.capacity() != before {
+                    return Err(format!("step {step}: resize({n}) within {before} grew"));
+                }
+            }
             _ => m.put_slice(&[]),
         }
         if m[..] != v[..] || m.len() != v.len() || m.capacity() < m.len() {
@@ -291,7 +336,31 @@ fn writer_case(g: &mut Gen) -> Result<(), String> {
     next.put_slice(&vec![0xEE; v.len()]);
     drop(next);
     agree(&view, &v[lo..hi]).map_err(|e| format!("view after the drop: {e}"))?;
-    agree(&whole, &v).map_err(|e| format!("clone after the drop: {e}"))
+    agree(&whole, &v).map_err(|e| format!("clone after the drop: {e}"))?;
+
+    // A writer again only once the view has let go (a buffer of no
+    // capacity has nothing to hold), over the same allocation.
+    let capacity = v.len() + slack;
+    let whole = match whole.try_into_mut() {
+        Err(whole) => whole,
+        Ok(m) if capacity == 0 => m.freeze(),
+        Ok(m) => return Err(format!("a writer {m:?} while a view holds the buffer")),
+    };
+    agree(&whole, &v).map_err(|e| format!("refused writer: {e}"))?;
+    drop(view);
+    let mut m = whole
+        .try_into_mut()
+        .map_err(|b| format!("no writer from the last holder {b:?}"))?;
+    if m[..] != v[..] || m.capacity() != capacity {
+        return Err(format!("writer {m:?} vs {v:?} with {slack} spare"));
+    }
+    let n = g.below(capacity as u64 + 1) as usize;
+    m.resize(n, 0xAB);
+    v.resize(n, 0xAB);
+    if m.capacity() != capacity {
+        return Err(format!("resize({n}) within {capacity} grew"));
+    }
+    agree(&m.freeze(), &v).map_err(|e| format!("written again: {e}"))
 }
 
 #[test]

@@ -12,7 +12,8 @@
 //! of ROADMAP item 11 — the node's half; DESIGN.md §5 "What a node holds"
 //! lists every collection traffic can grow and its bound. The broker's
 //! half starts with one slope: the live bytes a subscription costs a
-//! 4-shard `ShardedBroker`. Run it as CI does:
+//! 4-shard `ShardedBroker`. A publishing client's kept frames have a bound
+//! of their own. Run it as CI does:
 //!
 //! ```text
 //! cargo test --release --test footprint_budget
@@ -25,7 +26,10 @@ use ifot::core::config::NodeConfig;
 use ifot::core::node::EVENT_LOG_CAP;
 use ifot::core::operators::NodeEvent;
 use ifot::mqtt::broker::BrokerConfig;
-use ifot::mqtt::packet::{Connect, Packet, Publish, QoS, Subscribe, SubscribeFilter};
+use ifot::mqtt::client::{Client, ClientConfig};
+use ifot::mqtt::packet::{
+    Connack, Connect, ConnectReturnCode, Packet, Publish, QoS, Subscribe, SubscribeFilter,
+};
 use ifot::mqtt::shard::{shard_of, ShardedBroker};
 use ifot::mqtt::topic::{TopicFilter, TopicName};
 
@@ -251,5 +255,62 @@ fn a_subscription_costs_a_four_shard_broker_one_trie_entry() {
     assert!(
         per_subscription <= SUBSCRIPTION_BUDGET,
         "{per_subscription:.1} B per subscription (budget {SUBSCRIPTION_BUDGET})"
+    );
+}
+
+/// What a client's kept frames may hold: 32 frames (`FRAME_RING`) of at
+/// most 2 KiB (`FRAME_KEEP_MAX`), each behind its `Arc`'s two counts.
+const KEPT_FRAMES_BOUND: i64 = 32 * (2_048 + 16);
+
+/// A publishing client keeps the frames it sent to write later ones
+/// into, and that is bounded: a frame past 2 KiB is not kept, so a
+/// client that published a 1 MiB payload holds none of it once the frame
+/// is let go of; and however many 2 KiB frames it published, it keeps
+/// 32.
+#[test]
+fn a_publishing_client_keeps_a_bounded_ring_of_small_frames() {
+    let mut client = Client::new("edge", ClientConfig::default());
+    client.connect().expect("first connect");
+    let connack = Packet::Connack(Connack {
+        session_present: false,
+        code: ConnectReturnCode::Accepted,
+    });
+    client.handle_packet(connack, 0).expect("accepted");
+    let name = TopicName::new("bulk/upload").expect("valid topic");
+
+    let big = vec![7u8; 1 << 20];
+    let payload = vec![7u8; 2_048 - 16];
+    let before = live_bytes();
+    let frame = client
+        .publish_frame(&name, &big, QoS::AtMostOnce, false, 1)
+        .expect("connected");
+    assert!(
+        live_bytes() - before > 1 << 20,
+        "the frame holds the payload"
+    );
+    drop(frame);
+    let kept_big = live_bytes() - before;
+    assert!(kept_big <= 0, "{kept_big} B of a 1 MiB frame kept");
+
+    // Frames of exactly 2 KiB, all held until the last is sent: each is a
+    // buffer of its own, and the client keeps the last 32.
+    let frames: Vec<_> = (0..64)
+        .map(|now| {
+            client
+                .publish_frame(&name, &payload, QoS::AtMostOnce, false, now)
+                .expect("connected")
+        })
+        .collect();
+    assert!(frames.iter().all(|f| f.len() == 2_048));
+    drop(frames);
+    let kept = live_bytes() - before;
+    // Printed last: a captured `println!` allocates.
+    println!(
+        "the client holds {kept_big} B more after a 1 MiB publish, \
+         {kept} B after 64 frames of 2 KiB"
+    );
+    assert!(
+        kept <= KEPT_FRAMES_BOUND,
+        "{kept} B kept, bound {KEPT_FRAMES_BOUND}"
     );
 }

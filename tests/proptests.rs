@@ -240,6 +240,76 @@ fn bytes_and_vec_payloads_encode_identically() {
     });
 }
 
+/// A publishing client writes each frame into one of the frames it sent
+/// before once no one holds it any more. Over random publish, hold, view,
+/// drop and acknowledge sequences — topics and payloads of random sizes,
+/// some past what the client keeps, at QoS 0 and 1 — every frame and
+/// payload view still held stays byte-equal to a fresh `encode_publish`
+/// of what it was built for.
+#[test]
+fn a_frame_someone_holds_is_never_overwritten() {
+    use bytes::Bytes;
+    use ifot::mqtt::client::{Client, ClientConfig};
+    use ifot::mqtt::codec::encode_publish;
+    use ifot::mqtt::packet::{Connack, ConnectReturnCode};
+
+    check("a_frame_someone_holds_is_never_overwritten", CASES, |g| {
+        let mut client = Client::new("pub", ClientConfig::default());
+        client.connect().expect("first connect");
+        let connack = Packet::Connack(Connack {
+            session_present: false,
+            code: ConnectReturnCode::Accepted,
+        });
+        client.handle_packet(connack, 0).expect("accepted");
+        // What is held, and the bytes it must still be.
+        let mut held: Vec<(Bytes, Vec<u8>)> = Vec::new();
+        let mut unacked = Vec::new();
+        for step in 0..g.len(1, 64) {
+            match g.below(4) {
+                0 | 1 => {
+                    let topic = TopicName::new(topic_name(g)).expect("valid");
+                    let len = g.pick(&[0, 1, 8, 32, 33, 72, 300, 5_000]);
+                    let payload = g.bytes(len, len + 1);
+                    let qos = g.pick(&[QoS::AtMostOnce, QoS::AtLeastOnce]);
+                    let retain = g.chance(0.2);
+                    let frame = client
+                        .publish_frame(&topic, &payload, qos, retain, step as u64)
+                        .expect("connected");
+                    let Ok(Some((Packet::Publish(sent), _))) = decode(&frame) else {
+                        panic!("step {step}: not a publish: {frame:?}");
+                    };
+                    unacked.extend(sent.packet_id);
+                    let want = encode_publish(&topic, &payload, qos, retain, sent.packet_id);
+                    assert_eq!(frame, want, "step {step}: as written");
+                    match g.below(3) {
+                        0 => held.push((frame, want.to_vec())),
+                        1 => {
+                            let at = frame.len() - payload.len();
+                            held.push((frame.slice(at..), payload));
+                        }
+                        _ => {}
+                    }
+                }
+                2 if !held.is_empty() => {
+                    let i = g.below(held.len() as u64) as usize;
+                    held.swap_remove(i);
+                }
+                _ if !unacked.is_empty() => {
+                    let i = g.below(unacked.len() as u64) as usize;
+                    let pid = unacked.swap_remove(i);
+                    client
+                        .handle_packet(Packet::Puback(pid), step as u64)
+                        .expect("acknowledged");
+                }
+                _ => {}
+            }
+            for (j, (bytes, want)) in held.iter().enumerate() {
+                assert_eq!(&bytes[..], &want[..], "step {step}: held frame {j}");
+            }
+        }
+    });
+}
+
 // ---------------------------------------------------------------------
 // Broker semantics preserved by the zero-copy fan-out
 // ---------------------------------------------------------------------
