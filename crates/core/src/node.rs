@@ -30,7 +30,7 @@ use bytes::Bytes;
 use ifot_mqtt::broker::{Action, Broker, BrokerStats};
 use ifot_mqtt::client::{Client, ClientConfig, ClientEvent, ClientState};
 use ifot_mqtt::codec::{encode, StreamDecoder};
-use ifot_mqtt::packet::{Packet, QoS};
+use ifot_mqtt::packet::{Packet, Publish, QoS};
 use ifot_mqtt::supervisor::{ReconnectConfig, ReconnectSupervisor, SupervisorAction};
 use ifot_mqtt::topic::{TopicFilter, TopicName};
 use ifot_sensors::actuator::{Actuator, AirConditioner, AlertSink, CeilingLight, Command};
@@ -46,7 +46,9 @@ use crate::executor::router;
 use crate::executor::{ControlMsg, ExecutorGraph, OpTimer, StageStats, WorkItem};
 use crate::flow::{topics, FlowItem, FlowMessage, Name};
 use crate::operators::{ClassifierModel, MixEnvelope, NodeEvent, OpOutput};
-use crate::wire::{encode_message_binary, encode_mix_binary, DecodedItems, FrameEncoder};
+use crate::wire::{
+    encode_message_binary, encode_mix_binary, DecodedItems, FrameDecoder, FrameEncoder,
+};
 
 /// Port MQTT clients send to (broker ingress).
 pub const MQTT_BROKER_PORT: u16 = 1883;
@@ -309,6 +311,8 @@ pub struct MiddlewareNode {
     events_evicted: u64,
     directory: crate::discovery::FlowDirectory,
     broker_polls: u64,
+    /// The `$SYS` publications of one broker poll, kept for their room.
+    sys_publishes: Vec<Publish>,
     sys_view: BTreeMap<String, String>,
     /// Per-topic micro-batch accumulators, sorted by topic (publish
     /// coalescing; only populated when `batch_linger_ms > 0`). A topic's
@@ -316,6 +320,9 @@ pub struct MiddlewareNode {
     pending_batches: Vec<PendingBatch>,
     /// Writes the micro-batches' frames, into a buffer it keeps.
     encoder: FrameEncoder,
+    /// Reads the flow frames that arrive, keeping the last batch frame's
+    /// key dictionary.
+    decoder: FrameDecoder,
     batch_timer_armed: bool,
     /// Last published shed policy per stage, for `$SYS` transition
     /// notifications when adaptive escalation flips a stage.
@@ -432,9 +439,11 @@ impl MiddlewareNode {
             events_evicted: 0,
             directory: crate::discovery::FlowDirectory::new(),
             broker_polls: 0,
+            sys_publishes: Vec::new(),
             sys_view: BTreeMap::new(),
             pending_batches: Vec::new(),
             encoder: FrameEncoder::default(),
+            decoder: FrameDecoder::default(),
             batch_timer_armed: false,
             shed_policy_seen,
             announce_revision: 0,
@@ -1021,7 +1030,8 @@ impl MiddlewareNode {
         // (~2 s): subscribers of `$SYS/#` observe the broker load.
         self.broker_polls += 1;
         if self.broker_polls.is_multiple_of(4) {
-            for publish in broker.sys_stats_packets() {
+            broker.sys_stats_packets_into(&mut self.sys_publishes);
+            for publish in self.sys_publishes.drain(..) {
                 broker.publish_internal_into(publish, now, &mut actions);
             }
         }
@@ -1365,14 +1375,16 @@ impl MiddlewareNode {
         // coalesced batch frame — one to N items per payload. The
         // lean form keeps the dominant single-sample path free of a
         // one-element `Vec` allocation.
-        let decoded =
-            match crate::wire::decode_items_into(topic, &payload, || self.executor.take_list()) {
-                Ok(decoded) => decoded,
-                Err(_) => {
-                    env.incr("flow_decode_errors");
-                    return;
-                }
-            };
+        let decoded = match self
+            .decoder
+            .decode_into(topic, &payload, || self.executor.take_list())
+        {
+            Ok(decoded) => decoded,
+            Err(_) => {
+                env.incr("flow_decode_errors");
+                return;
+            }
+        };
         // Sequence ledger: sensor streams carry a per-device monotone
         // seq, so received flows can be audited for permanent gaps
         // (loss) and duplicates after faults and session resumes.

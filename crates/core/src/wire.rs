@@ -135,44 +135,59 @@ impl DecodedItems {
 ///
 /// Returns a description when no decoding applies.
 pub fn decode_items_on(topic: &Name, payload: &[u8]) -> Result<DecodedItems, String> {
-    decode_items_into(topic, payload, Vec::new)
+    FrameDecoder::default().decode_into(topic, payload, Vec::new)
 }
 
-/// [`decode_items_on`] writing a batch frame's items into the list `list`
-/// gives (taken only for a batch frame), so a caller that keeps emptied
-/// lists decodes a frame without allocating one.
-///
-/// # Errors
-///
-/// Returns a description when no decoding applies.
-pub fn decode_items_into(
-    topic: &Name,
-    payload: &[u8],
-    list: impl FnOnce() -> Vec<FlowItem>,
-) -> Result<DecodedItems, String> {
-    #[cfg(test)]
-    CODEC_CALLS.with(|c| c.set((c.get().0, c.get().1 + 1)));
-    if payload.first() != Some(&FRAME_MAGIC) {
-        let sample = ifot_sensors::sample::Sample::decode(payload)
-            .map_err(|e| format!("neither a flow frame nor a sensor sample: {e}"))?;
-        return Ok(DecodedItems::One(FlowItem::from_sample(
-            topic.clone(),
-            &sample,
-        )));
-    }
-    match open(payload) {
-        Some((KIND_MESSAGE, r)) => {
-            read_message(r).map(|(_, body)| DecodedItems::One(body.on(topic.clone())))
+/// A flow-payload decoder that keeps a batch frame's key dictionary
+/// between frames: it decodes exactly what [`decode_items_on`] does, and
+/// a batch frame whose dictionary names the keys the previous one named,
+/// in its order, reuses them. The mirror of [`FrameEncoder`].
+#[derive(Debug, Default)]
+pub struct FrameDecoder {
+    dict: Vec<FeatureKey>,
+}
+
+impl FrameDecoder {
+    /// [`decode_items_on`], writing a batch frame's items into the list
+    /// `list` gives (taken only for a batch frame) and reusing the keys of
+    /// the last batch frame: with a list that has room, a frame naming
+    /// the same keys allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when no decoding applies.
+    pub fn decode_into(
+        &mut self,
+        topic: &Name,
+        payload: &[u8],
+        list: impl FnOnce() -> Vec<FlowItem>,
+    ) -> Result<DecodedItems, String> {
+        #[cfg(test)]
+        CODEC_CALLS.with(|c| c.set((c.get().0, c.get().1 + 1)));
+        if payload.first() != Some(&FRAME_MAGIC) {
+            let sample = ifot_sensors::sample::Sample::decode(payload)
+                .map_err(|e| format!("neither a flow frame nor a sensor sample: {e}"))?;
+            return Ok(DecodedItems::One(FlowItem::from_sample(
+                topic.clone(),
+                &sample,
+            )));
         }
-        Some((KIND_BATCH, r)) => {
-            let mut items = list();
-            read_batch(r, &mut items, |_, _, body| body.on(topic.clone()))?;
-            Ok(DecodedItems::Many(items))
+        match open(payload) {
+            Some((KIND_MESSAGE, r)) => {
+                read_message(r).map(|(_, body)| DecodedItems::One(body.on(topic.clone())))
+            }
+            Some((KIND_BATCH, r)) => {
+                let mut items = list();
+                read_batch(r, &mut self.dict, &mut items, |_, _, body| {
+                    body.on(topic.clone())
+                })?;
+                Ok(DecodedItems::Many(items))
+            }
+            Some((other, _)) => Err(format!(
+                "flow frame kind {other:#04x} is not a flow payload"
+            )),
+            None => Err(NOT_A_FRAME.to_owned()),
         }
-        Some((other, _)) => Err(format!(
-            "flow frame kind {other:#04x} is not a flow payload"
-        )),
-        None => Err(NOT_A_FRAME.to_owned()),
     }
 }
 
@@ -443,10 +458,12 @@ fn read_message(mut r: Reader<'_>) -> Result<(&str, Body), String> {
 /// Reads the body of a batch frame into `items`, handing `make` each item
 /// in publish order with the frame's shared producer and the item's own
 /// one where it overrides it (both borrowed from the frame). The
-/// dictionary's keys are built once and shared by every datum naming
-/// them.
+/// dictionary's keys are read into `dict` and shared by every datum
+/// naming them: an entry `dict` holds already is kept where the frame
+/// names the same key at the same place.
 fn read_batch<T>(
     mut r: Reader<'_>,
+    dict: &mut Vec<FeatureKey>,
     items: &mut Vec<T>,
     mut make: impl FnMut(&str, Option<&str>, Body) -> T,
 ) -> Result<(), String> {
@@ -459,9 +476,15 @@ fn read_batch<T>(
     if dict_len > r.remaining() {
         return Err("batch key dictionary longer than the frame".to_owned());
     }
-    let mut dict: Vec<FeatureKey> = Vec::with_capacity(dict_len);
-    for _ in 0..dict_len {
-        dict.push(Arc::<str>::from(r.str()?).into());
+    dict.truncate(dict_len);
+    dict.reserve_exact(dict_len - dict.len());
+    for at in 0..dict_len {
+        let key = r.str()?;
+        match dict.get_mut(at) {
+            Some(kept) if kept.as_str() == key => {}
+            Some(kept) => *kept = Arc::<str>::from(key).into(),
+            None => dict.push(Arc::<str>::from(key).into()),
+        }
     }
     let base_origin = r.varint()?;
     let base_seq = r.varint()?;
@@ -515,6 +538,7 @@ pub fn decode_batch_binary(payload: &[u8]) -> Result<FlowBatch, String> {
     let mut items = Vec::new();
     read_batch(
         open_as(payload, KIND_BATCH)?,
+        &mut Vec::new(),
         &mut items,
         |shared, own, body| {
             body.by(match own {

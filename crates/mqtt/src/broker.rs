@@ -16,9 +16,9 @@
 //! persistent sessions.
 
 use std::collections::BTreeMap;
-use std::io;
+use std::io::{self, Write};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 
@@ -322,6 +322,21 @@ fn shared_delivery(made: &mut [Option<Bytes>; 3], publish: &mut Publish, qos: Qo
             }
         })
         .clone()
+}
+
+/// The topics of [`Broker::sys_stats_packets`], in its order.
+fn sys_topics() -> &'static [TopicName; 5] {
+    static TOPICS: OnceLock<[TopicName; 5]> = OnceLock::new();
+    TOPICS.get_or_init(|| {
+        [
+            "$SYS/broker/clients/connected",
+            "$SYS/broker/messages/received",
+            "$SYS/broker/messages/sent",
+            "$SYS/broker/messages/dropped",
+            "$SYS/broker/retained/count",
+        ]
+        .map(|name| TopicName::new(name).expect("static $SYS topics are valid"))
+    })
 }
 
 fn durable_of(p: &Publish) -> DurablePublish {
@@ -792,21 +807,41 @@ impl<C: Ord + Clone> Broker<C> {
     /// Builds `$SYS` status publications describing the broker load; the
     /// transport may feed them back through a loopback publish.
     pub fn sys_stats_packets(&self) -> Vec<Publish> {
+        let mut out = Vec::new();
+        self.sys_stats_packets_into(&mut out);
+        out
+    }
+
+    /// [`sys_stats_packets`](Self::sys_stats_packets), appending to `out`:
+    /// the topics are built once per process, and the five values are
+    /// written as decimal text into one buffer the five payloads are views
+    /// of, so a list with room costs that buffer only.
+    pub fn sys_stats_packets_into(&self, out: &mut Vec<Publish>) {
         let stats = self.stats();
-        let mk = |suffix: &str, value: String| {
-            Publish::qos0(
-                TopicName::new(format!("$SYS/broker/{suffix}"))
-                    .expect("static $SYS topics are valid"),
-                value.into_bytes(),
-            )
-        };
-        vec![
-            mk("clients/connected", stats.clients_connected.to_string()),
-            mk("messages/received", stats.messages_in.to_string()),
-            mk("messages/sent", stats.messages_out.to_string()),
-            mk("messages/dropped", stats.messages_dropped.to_string()),
-            mk("retained/count", stats.retained_count.to_string()),
-        ]
+        let values = [
+            stats.clients_connected as u64,
+            stats.messages_in,
+            stats.messages_out,
+            stats.messages_dropped,
+            stats.retained_count as u64,
+        ];
+        // A `u64` has at most 20 decimal digits.
+        let mut text = [0u8; 5 * 20];
+        let mut ends = [0; 5];
+        let mut len = 0;
+        for (end, value) in ends.iter_mut().zip(values) {
+            let mut room = &mut text[len..];
+            let before = room.len();
+            write!(room, "{value}").expect("20 bytes hold a u64");
+            len += before - room.len();
+            *end = len;
+        }
+        let text = Bytes::copy_from_slice(&text[..len]);
+        let mut start = 0;
+        for (topic, end) in sys_topics().iter().zip(ends) {
+            out.push(Publish::qos0(topic.clone(), text.slice(start..end)));
+            start = end;
+        }
     }
 
     fn protocol_error(&mut self, conn: &C, now_ns: u64, actions: &mut Vec<Action<C>>) {

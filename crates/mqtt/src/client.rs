@@ -9,19 +9,24 @@
 //! What the per-message paths allocate: [`Client::publish_frame`] takes the
 //! payload as borrowed bytes and writes the encoded frame into one buffer —
 //! at QoS 1/2 the copy tracked for retransmission is a view of that frame,
-//! not a second buffer. The client keeps the last `FRAME_RING` (32) frames it
-//! sent, and that buffer is the first of them that every reader has let go
-//! of and that has room: a steady publisher whose frames are consumed
-//! allocates nothing per message. A frame someone still holds — the
-//! transport's queue, a subscriber's payload view, the in-flight copy of
-//! an unacknowledged QoS 1/2 publish — is never written; while all of
-//! them are held, one new buffer replaces the oldest slot. Frames over
-//! `FRAME_KEEP_MAX` (2 KiB) are not kept, so the ring holds at most
-//! `FRAME_RING × FRAME_KEEP_MAX` bytes (64 KiB). [`Client::handle_packet_into`]
-//! appends to lists the caller keeps, so an inbound QoS 0 PUBLISH
-//! allocates nothing here.
+//! not a second buffer. The client keeps the frames it sent in a queue,
+//! oldest first, and writes the next one over the oldest once every reader
+//! has let go of it (growing it where it has no room): a publisher whose
+//! readers let go of its frames in the order they were sent allocates
+//! nothing per message. A frame someone still holds — the transport's
+//! queue, a subscriber's payload view, the in-flight copy of an
+//! unacknowledged QoS 1/2 publish — is never written; while the oldest is
+//! held, the publish makes one new buffer and queues it behind the others.
+//! The queue drops its oldest frames only while it holds more than
+//! [`FRAME_KEEP_BYTES`] (64 KiB), so a publisher allocates only while more
+//! of its frames are in flight than ever before, up to that bound: a
+//! reader that stalls and catches up costs nothing the next time. A
+//! publish looks at one kept frame, however many are kept. Frames over
+//! `FRAME_KEEP_MAX` (2 KiB) are not kept.
+//! [`Client::handle_packet_into`] appends to lists the caller keeps, so an
+//! inbound QoS 0 PUBLISH allocates nothing here.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use bytes::{Bytes, BytesMut};
 
@@ -33,18 +38,28 @@ use crate::packet::{
 };
 use crate::topic::{TopicFilter, TopicName};
 
-/// Sent frames a [`Client`] keeps to write later ones into: enough for a
-/// reader that falls behind. The Fig. 9 hub holds each frame across two
-/// hops through its node thread's inbox (edge to broker, broker to its
-/// own client), so a stalled hub thread holds dozens. With both cores of
-/// a 2-vCPU host kept busy, that pair made 0.05–0.14 allocations per
-/// sample with 8 kept frames and 0.01–0.07 with 32.
-const FRAME_RING: usize = 32;
+/// Bytes the frames a [`Client`] keeps to write later ones into may hold
+/// (module docs): each frame's allocation — its capacity behind the
+/// `Arc`'s two counts — and the slots of the queue they wait in. That is
+/// 512 frames of 72 B (a Fig. 9 sample's PUBLISH) or 31 of 2 KiB. The Fig.
+/// 9 hub holds each frame across two hops through its node thread's inbox
+/// (edge to broker, broker to its own client), so a hub thread the host
+/// does not run for a few milliseconds holds hundreds.
+pub const FRAME_KEEP_BYTES: usize = 64 * 1024;
 
 /// Largest frame a [`Client`] keeps, in bytes: a bigger one is its own
 /// allocation, freed with its last reader. A `chain_batched_rt` batch of
 /// 32 samples is a frame of ≈ 0.6 KiB.
 const FRAME_KEEP_MAX: usize = 2048;
+
+/// What one slot of a [`Client`]'s frame queue costs.
+const FRAME_SLOT_BYTES: usize = std::mem::size_of::<(Bytes, usize)>();
+
+/// What a kept frame's buffer of `capacity` bytes costs the heap: an
+/// `Arc<[u8]>`, its two counts ahead of the bytes.
+fn frame_bytes(capacity: usize) -> usize {
+    2 * std::mem::size_of::<usize>() + capacity.next_multiple_of(std::mem::align_of::<usize>())
+}
 
 /// Client tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,11 +156,11 @@ pub struct Client {
     last_rx_ns: u64,
     ping_outstanding: bool,
     replayed_packets: u64,
-    /// The last frames [`Client::publish_frame`] wrote (module docs), and
-    /// the slot after the last one written: the oldest, where a look for a
-    /// buffer starts.
-    frames: [Bytes; FRAME_RING],
-    next_frame: usize,
+    /// The frames [`Client::publish_frame`] wrote that it keeps (module
+    /// docs), oldest first, each with its buffer's capacity, and what
+    /// their buffers cost the heap ([`frame_bytes`]).
+    frames: VecDeque<(Bytes, usize)>,
+    frames_bytes: usize,
 }
 
 impl Client {
@@ -165,8 +180,10 @@ impl Client {
             last_rx_ns: 0,
             ping_outstanding: false,
             replayed_packets: 0,
-            frames: Default::default(),
-            next_frame: 0,
+            // The queue's first slots are made with the client, so its
+            // first publish makes its frame only.
+            frames: VecDeque::with_capacity(4),
+            frames_bytes: 0,
         }
     }
 
@@ -265,9 +282,10 @@ impl Client {
         let frame = if len > FRAME_KEEP_MAX {
             codec::encode_publish(topic, payload, qos, retain, packet_id)
         } else {
-            let (slot, buf) = self.frame_buffer(len);
+            let buf = self.frame_buffer(len);
+            let capacity = buf.capacity();
             let frame = codec::encode_publish_into(buf, topic, payload, qos, retain, packet_id);
-            self.frames[slot] = frame.clone();
+            self.keep(frame.clone(), capacity);
             frame
         };
         if let Some(pid) = packet_id {
@@ -289,25 +307,52 @@ impl Client {
         Ok(frame)
     }
 
-    /// A buffer with room for a `len`-byte frame, and the slot of
-    /// `frames` the frame written into it is kept in: the first kept
-    /// frame, oldest first, that no one else holds and that is big
-    /// enough, or else a new buffer for the oldest slot.
-    fn frame_buffer(&mut self, len: usize) -> (usize, BytesMut) {
-        let mut found = (self.next_frame, BytesMut::new());
-        for k in 0..FRAME_RING {
-            let slot = (self.next_frame + k) % FRAME_RING;
-            match std::mem::take(&mut self.frames[slot]).try_into_mut() {
-                Ok(buf) if buf.capacity() >= len => {
-                    found = (slot, buf);
-                    break;
+    /// A buffer with room for a `len`-byte frame: the oldest kept frame if
+    /// no one else holds it, or else a new buffer. An oldest frame too
+    /// small grows as a `BytesMut` does, at least doubling, so frames of
+    /// varying length soon fit the buffers they are written into.
+    fn frame_buffer(&mut self, len: usize) -> BytesMut {
+        if let Some((oldest, capacity)) = self.frames.pop_front() {
+            match oldest.try_into_mut() {
+                Ok(mut buf) => {
+                    self.frames_bytes -= frame_bytes(capacity);
+                    buf.clear();
+                    buf.reserve(len);
+                    return buf;
                 }
-                Ok(small) => self.frames[slot] = small.freeze(),
-                Err(held) => self.frames[slot] = held,
+                Err(held) => self.frames.push_front((held, capacity)),
             }
         }
-        self.next_frame = (found.0 + 1) % FRAME_RING;
-        found
+        BytesMut::with_capacity(len)
+    }
+
+    /// Queues `frame`, written into a buffer of `capacity` bytes, behind
+    /// the kept frames, and drops the oldest while they cost more than
+    /// [`FRAME_KEEP_BYTES`]. The queue doubles its slots when it is full,
+    /// unless the doubled slots would not fit: then its oldest frame makes
+    /// room.
+    fn keep(&mut self, frame: Bytes, capacity: usize) {
+        self.frames_bytes += frame_bytes(capacity);
+        if self.frames.len() == self.frames.capacity() {
+            let grown = (2 * self.frames.len()).max(4);
+            if self.frames_bytes + grown * FRAME_SLOT_BYTES > FRAME_KEEP_BYTES {
+                self.drop_oldest_frame();
+            } else {
+                self.frames.reserve_exact(grown - self.frames.len());
+            }
+        }
+        self.frames.push_back((frame, capacity));
+        while self.frames.len() > 1
+            && self.frames_bytes + self.frames.capacity() * FRAME_SLOT_BYTES > FRAME_KEEP_BYTES
+        {
+            self.drop_oldest_frame();
+        }
+    }
+
+    fn drop_oldest_frame(&mut self) {
+        if let Some((_, capacity)) = self.frames.pop_front() {
+            self.frames_bytes -= frame_bytes(capacity);
+        }
     }
 
     /// [`publish_frame`](Self::publish_frame) for callers that work in
@@ -1024,9 +1069,9 @@ mod tests {
             .publish_frame(&topic("a"), &big, QoS::AtMostOnce, false, 0)
             .expect("publish");
         assert!(frame.len() > FRAME_KEEP_MAX);
-        assert!(c.frames.iter().all(Bytes::is_empty), "{:?}", c.frames);
-        // A small frame is kept, and one that no kept frame has room for
-        // takes the oldest slot.
+        assert!(c.frames.is_empty(), "{:?}", c.frames);
+        // A small frame is kept; let go of, it is the oldest, and it grows
+        // to take the next, which it has no room for.
         let small = c
             .publish_frame(&topic("a"), b"x", QoS::AtMostOnce, false, 1)
             .expect("publish");
@@ -1034,19 +1079,67 @@ mod tests {
         let _ = c
             .publish_frame(&topic("a"), &[2; 64], QoS::AtMostOnce, false, 2)
             .expect("publish");
-        let kept: Vec<usize> = c.frames.iter().map(Bytes::len).collect();
-        assert_eq!(kept[..2], [6, 69]);
-        assert!(kept[2..].iter().all(|&len| len == 0), "{kept:?}");
+        let kept: Vec<(usize, usize)> = c.frames.iter().map(|(f, cap)| (f.len(), *cap)).collect();
+        assert_eq!(kept, [(69, 69)]);
+        assert_eq!(c.frames_bytes, frame_bytes(69));
+    }
+
+    /// Held frames, let go of in the order they were sent: the second
+    /// round of as many is written over the first's, frame for frame.
+    #[test]
+    fn a_reader_that_caught_up_costs_no_new_frame() {
+        let mut c = connected_client();
+        let name = topic("sensor/1/sound");
+        let mut round = |now: u64| -> Vec<Bytes> {
+            (0..300)
+                .map(|i| {
+                    c.publish_frame(&name, &[i as u8; 32], QoS::AtMostOnce, false, now + i)
+                        .expect("publish")
+                })
+                .collect()
+        };
+        let first: Vec<*const u8> = round(0).iter().map(|f| f.as_ptr()).collect();
+        let second: Vec<*const u8> = round(300).iter().map(|f| f.as_ptr()).collect();
+        assert_eq!(first, second);
+        assert_eq!(c.frames.len(), 300);
+    }
+
+    /// However many frames are held, the kept ones, their buffers and the
+    /// queue's slots stay within [`FRAME_KEEP_BYTES`], and the queue keeps
+    /// as many as fit.
+    #[test]
+    fn the_kept_frames_stay_within_their_byte_bound() {
+        for (payload, len, fit) in [(48, 72, 512), (2_023, 2_048, 31)] {
+            let mut c = connected_client();
+            let name = topic("sensor/1/temperature");
+            let held: Vec<Bytes> = (0..2_000)
+                .map(|now| {
+                    c.publish_frame(&name, &vec![1; payload], QoS::AtMostOnce, false, now)
+                        .expect("publish")
+                })
+                .collect();
+            assert!(held.iter().all(|f| f.len() == len), "{}", held[0].len());
+            let cost = c.frames_bytes + c.frames.capacity() * FRAME_SLOT_BYTES;
+            assert!(cost <= FRAME_KEEP_BYTES, "{cost} B kept");
+            assert_eq!(c.frames.len(), fit, "{len} B frames");
+            // The newest are kept.
+            let newest = held[held.len() - fit..].iter();
+            assert!(c
+                .frames
+                .iter()
+                .zip(newest)
+                .all(|((kept, _), f)| kept.as_ptr() == f.as_ptr()));
+        }
     }
 
     /// Frames posted to a consumer thread, which holds a window of them
-    /// longer than the ring and checks each against its encoding every
+    /// and checks each against its encoding every
     /// time one arrives, while the publisher keeps publishing: a frame is
     /// written over only after the consumer let go of it.
     #[test]
     fn reuse_across_threads_never_writes_a_frame_in_use() {
         const FRAMES: u32 = 20_000;
-        const WINDOW: usize = 2 * FRAME_RING + 1;
+        const WINDOW: usize = 65;
         let name = topic("sensor/1/sound");
         let payload = |seq: u32| {
             let mut p = [0u8; 32];

@@ -258,24 +258,31 @@ fn a_subscription_costs_a_four_shard_broker_one_trie_entry() {
     );
 }
 
-/// What a client's kept frames may hold: 32 frames (`FRAME_RING`) of at
-/// most 2 KiB (`FRAME_KEEP_MAX`), each behind its `Arc`'s two counts.
+/// What a client's kept frames may hold: `FRAME_KEEP_BYTES` (64 KiB) of
+/// frame buffers, each behind its `Arc`'s two counts, and queue slots,
+/// with room to spare — the bound of the ring of 32 frames of at most 2
+/// KiB that the queue replaced.
 const KEPT_FRAMES_BOUND: i64 = 32 * (2_048 + 16);
 
 /// A publishing client keeps the frames it sent to write later ones
 /// into, and that is bounded: a frame past 2 KiB is not kept, so a
 /// client that published a 1 MiB payload holds none of it once the frame
-/// is let go of; and however many 2 KiB frames it published, it keeps
-/// 32.
+/// is let go of; and however many frames it published while all were
+/// held — 64 of 2 KiB, or 2 000 Fig. 9 frames of 72 B — what it keeps
+/// stays within the bound.
 #[test]
-fn a_publishing_client_keeps_a_bounded_ring_of_small_frames() {
-    let mut client = Client::new("edge", ClientConfig::default());
-    client.connect().expect("first connect");
+fn a_publishing_client_keeps_a_byte_bounded_queue_of_small_frames() {
     let connack = Packet::Connack(Connack {
         session_present: false,
         code: ConnectReturnCode::Accepted,
     });
-    client.handle_packet(connack, 0).expect("accepted");
+    let connected = || {
+        let mut client = Client::new("edge", ClientConfig::default());
+        client.connect().expect("first connect");
+        client.handle_packet(connack.clone(), 0).expect("accepted");
+        client
+    };
+    let mut client = connected();
     let name = TopicName::new("bulk/upload").expect("valid topic");
 
     let big = vec![7u8; 1 << 20];
@@ -293,7 +300,7 @@ fn a_publishing_client_keeps_a_bounded_ring_of_small_frames() {
     assert!(kept_big <= 0, "{kept_big} B of a 1 MiB frame kept");
 
     // Frames of exactly 2 KiB, all held until the last is sent: each is a
-    // buffer of its own, and the client keeps the last 32.
+    // buffer of its own, and the client keeps the last 31.
     let frames: Vec<_> = (0..64)
         .map(|now| {
             client
@@ -304,13 +311,30 @@ fn a_publishing_client_keeps_a_bounded_ring_of_small_frames() {
     assert!(frames.iter().all(|f| f.len() == 2_048));
     drop(frames);
     let kept = live_bytes() - before;
+
+    // Fig. 9 frames, 2 000 held: the client keeps the last 512.
+    let mut client = connected();
+    let name = TopicName::new("sensor/1/temperature").expect("valid topic");
+    let before_small = live_bytes();
+    let frames: Vec<_> = (0..2_000)
+        .map(|now| {
+            client
+                .publish_frame(&name, &[7u8; 48], QoS::AtMostOnce, false, now)
+                .expect("connected")
+        })
+        .collect();
+    assert!(frames.iter().all(|f| f.len() == 72));
+    drop(frames);
+    let kept_small = live_bytes() - before_small;
     // Printed last: a captured `println!` allocates.
     println!(
         "the client holds {kept_big} B more after a 1 MiB publish, \
-         {kept} B after 64 frames of 2 KiB"
+         {kept} B after 64 frames of 2 KiB, {kept_small} B after 2 000 frames of 72 B"
     );
-    assert!(
-        kept <= KEPT_FRAMES_BOUND,
-        "{kept} B kept, bound {KEPT_FRAMES_BOUND}"
-    );
+    for kept in [kept, kept_small] {
+        assert!(
+            kept <= KEPT_FRAMES_BOUND,
+            "{kept} B kept, bound {KEPT_FRAMES_BOUND}"
+        );
+    }
 }

@@ -310,6 +310,78 @@ fn a_frame_someone_holds_is_never_overwritten() {
     });
 }
 
+/// A publisher whose reader stalls holding its frames, and then lets them
+/// go in the order they were sent, allocates no frame after the first
+/// stall. Over random hold depths up to what `FRAME_KEEP_BYTES` keeps —
+/// frames of random topics and lengths, held whole or as payload views —
+/// every frame of a second stall of the same shape is written into the
+/// buffer of the first stall's frame at its place, and holds what it was
+/// built for.
+#[test]
+fn a_stall_within_the_byte_bound_allocates_no_frame_the_second_time() {
+    use bytes::Bytes;
+    use ifot::mqtt::client::{Client, ClientConfig, FRAME_KEEP_BYTES};
+    use ifot::mqtt::codec::encode_publish;
+    use ifot::mqtt::packet::{Connack, ConnectReturnCode};
+
+    check(
+        "a_stall_within_the_byte_bound_allocates_no_frame_the_second_time",
+        CASES,
+        |g| {
+            let mut client = Client::new("pub", ClientConfig::default());
+            client.connect().expect("first connect");
+            let connack = Packet::Connack(Connack {
+                session_present: false,
+                code: ConnectReturnCode::Accepted,
+            });
+            client.handle_packet(connack, 0).expect("accepted");
+            // What each publish of a stall sends, and whether its reader
+            // holds a view of the payload rather than the frame. A frame
+            // is charged its length and 128 B, more than its `Arc`'s
+            // counts, their padding and two queue slots cost.
+            let depth = g.len(1, 1_000);
+            let mut shape = Vec::new();
+            let mut charged = 0;
+            while shape.len() < depth {
+                let topic = TopicName::new(topic_name(g)).expect("valid");
+                let len = g.pick(&[0, 8, 32, 48, 300]);
+                let payload = g.bytes(len, len + 1);
+                let want = encode_publish(&topic, &payload, QoS::AtMostOnce, false, None);
+                charged += want.len() + 128;
+                if charged > FRAME_KEEP_BYTES {
+                    break;
+                }
+                shape.push((topic, payload, want, g.chance(0.5)));
+            }
+            let mut stall = |now: u64| -> Vec<*const u8> {
+                let mut buffers = Vec::new();
+                let held: Vec<Bytes> = shape
+                    .iter()
+                    .map(|(topic, payload, _, view)| {
+                        let frame = client
+                            .publish_frame(topic, payload, QoS::AtMostOnce, false, now)
+                            .expect("connected");
+                        buffers.push(frame.as_ptr());
+                        match view {
+                            true => frame.slice(frame.len() - payload.len()..),
+                            false => frame,
+                        }
+                    })
+                    .collect();
+                for (j, (held, (_, payload, want, view))) in held.iter().zip(&shape).enumerate() {
+                    let want: &[u8] = if *view { payload } else { want };
+                    assert_eq!(&held[..], want, "stall at {now}: held frame {j}");
+                }
+                // `held` is dropped front first: the reader catches up.
+                buffers
+            };
+            let first = stall(1);
+            let second = stall(2);
+            assert_eq!(first, second, "{} frames held", shape.len());
+        },
+    );
+}
+
 // ---------------------------------------------------------------------
 // Broker semantics preserved by the zero-copy fan-out
 // ---------------------------------------------------------------------
